@@ -61,24 +61,6 @@ def collect_side_rows(graph: KnowledgeGraph, relation: int, side: str) -> set[in
     return set(int(e) for e in rows)
 
 
-def aggregate_column(values, present_count: int, kind: str) -> float:
-    """One statistic over one attribute column of a row population.
-
-    ``values`` are the stored cells of the selected rows (absent cells
-    included as 0); ``count`` returns ``present_count``.  An empty
-    population yields 0 for every kind.
-    """
-    if kind not in STAT_NAMES:
-        raise ValidationError(f"unknown aggregation kind {kind!r}")
-    values = np.asarray(values, dtype=np.float64).reshape(-1, 1)
-    if values.shape[0] == 0:
-        return 0.0
-    mask = np.zeros(values.shape, dtype=bool)
-    mask[:present_count, 0] = True
-    stats = kernels.column_stats(values, mask)
-    return float(stats[0, STAT_NAMES.index(kind)])
-
-
 def build_profiles(
     graph: KnowledgeGraph,
     aggregate_over_all_rows: bool = False,

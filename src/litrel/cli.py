@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="JSON configuration file")
     parser.add_argument("--seed", type=int, help="override the configured seed")
-    parser.add_argument("--threads", type=int, help="cap internal worker threads")
     parser.add_argument("--output-dir", default=".", help="directory for command outputs")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -334,13 +333,6 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.threads is not None:
-        try:
-            import numba
-
-            numba.set_num_threads(max(1, args.threads))
-        except ImportError:
-            pass
     try:
         config = load_config(args.config)
         config = apply_overrides(config, args)

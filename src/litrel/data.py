@@ -176,6 +176,18 @@ class KnowledgeGraph:
         return graph
 
 
+def _bad_line(path: str, lineno: int, fields: list[str], labels: tuple[str, ...]) -> ParseError:
+    """The error for a line without 3 tab-separated fields or with an empty label.
+
+    An empty label would not survive the one-label-per-line vocabulary
+    files, so it is rejected here rather than corrupting the artifact.
+    """
+    if len(fields) != 3:
+        return ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+    name = next(name for name, value in zip(labels, fields) if not value)
+    return ParseError(f"{path}:{lineno}: empty {name} label")
+
+
 def load_triples(path: str) -> list[tuple[str, str, str]]:
     """Read a tab-separated triple file into (head, relation, tail) labels.
 
@@ -189,10 +201,8 @@ def load_triples(path: str) -> list[tuple[str, str, str]]:
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
+            if len(fields) != 3 or "" in fields:
+                raise _bad_line(path, lineno, fields, ("head", "relation", "tail"))
             triples.append((fields[0], fields[1], fields[2]))
     return triples
 
@@ -209,10 +219,8 @@ def load_literals(path: str) -> list[tuple[str, str, float]]:
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
+            if len(fields) != 3 or not fields[0] or not fields[1]:
+                raise _bad_line(path, lineno, fields, ("entity", "attribute"))
             entity, attribute, token = fields
             try:
                 value = float(token)

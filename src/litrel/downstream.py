@@ -112,17 +112,6 @@ class LinearSvm:
         return np.argmax(self.decision(feats), axis=1).astype(np.int64)
 
 
-def svm_hinge_loss(model: LinearSvm, feats, labels, reg: float) -> float:
-    """Mean one-vs-rest hinge loss plus L2 penalty (for monitoring/tests)."""
-    feats = np.asarray(feats, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    scores = model.decision(feats)
-    signs = -np.ones_like(scores)
-    signs[np.arange(labels.shape[0]), labels] = 1.0
-    margins = np.maximum(0.0, 1.0 - signs * scores)
-    return float(margins.mean() + reg * np.sum(model.weights ** 2))
-
-
 def svm_train(
     train_feats,
     train_labels,

@@ -161,11 +161,3 @@ def make_fusion(kind: str, dim: int, num_attributes: int, rng: np.random.Generat
     if kind == "gated":
         return GatedFusion(dim, num_attributes, rng, name=name)
     raise ConfigError(f"unknown fusion kind {kind!r}")
-
-
-def fuse(l_h, r, l_t, kind: str, params) -> np.ndarray:
-    """Convenience single-shot fusion given an existing parameter block."""
-    if params.kind != kind:
-        raise ConfigError(f"fusion params are {params.kind!r}, requested {kind!r}")
-    r_lit, _ = params.forward(np.asarray(l_h, float), np.asarray(r, float), np.asarray(l_t, float))
-    return r_lit

@@ -1,11 +1,8 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The column-statistics kernel behind literal profiles, in numpy.
 
 Profile building computes 11 descriptive statistics per attribute column
 for every relation's head and tail populations, which is the dominant
-preprocessing cost on real datasets.  The jitted path is used by default;
-set ``LITREL_NO_NUMBA=1`` to force the numpy implementation (also the
-fallback when numba is unavailable).  Both paths implement identical
-conventions:
+preprocessing cost on real datasets.  Conventions:
 
 * statistic column order: mean, median, mode, min, max, sum, count,
   variance, std, iqr, range
@@ -18,8 +15,6 @@ conventions:
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 STAT_NAMES = (
@@ -29,102 +24,13 @@ STAT_NAMES = (
 NUM_STATS = len(STAT_NAMES)
 
 
-def _quantile_sorted(sorted_vals, q):
-    # linear interpolation at position (n - 1) * q, numpy's default
-    n = sorted_vals.shape[0]
-    pos = (n - 1) * q
-    lo = int(np.floor(pos))
-    hi = int(np.ceil(pos))
-    frac = pos - lo
-    return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
-
-
-def _column_stats_py(values, mask, out):
-    n, num_attrs = values.shape
-    if n == 0:
-        return
-    for a in range(num_attrs):
-        col = np.sort(values[:, a].copy())
-        total = 0.0
-        for i in range(n):
-            total += col[i]
-        mean = total / n
-        var = 0.0
-        for i in range(n):
-            d = col[i] - mean
-            var += d * d
-        var /= n
-
-        # longest run in the sorted column; first (= smallest) wins ties
-        mode = col[0]
-        best_len = 1
-        run_len = 1
-        for i in range(1, n):
-            if col[i] == col[i - 1]:
-                run_len += 1
-                if run_len > best_len:
-                    best_len = run_len
-                    mode = col[i]
-            else:
-                run_len = 1
-
-        count = 0.0
-        for i in range(n):
-            if mask[i, a]:
-                count += 1.0
-
-        out[a, 0] = mean
-        out[a, 1] = _quantile_sorted(col, 0.5)
-        out[a, 2] = mode
-        out[a, 3] = col[0]
-        out[a, 4] = col[n - 1]
-        out[a, 5] = total
-        out[a, 6] = count
-        out[a, 7] = var
-        out[a, 8] = np.sqrt(var)
-        out[a, 9] = _quantile_sorted(col, 0.75) - _quantile_sorted(col, 0.25)
-        out[a, 10] = col[n - 1] - col[0]
-
-
-def _column_stats_numpy(values, mask):
-    out = np.zeros((values.shape[1], NUM_STATS), dtype=np.float64)
-    n = values.shape[0]
-    if n == 0:
-        return out
-    out[:, 0] = values.mean(axis=0)
-    out[:, 1] = np.quantile(values, 0.5, axis=0)
-    out[:, 3] = values.min(axis=0)
-    out[:, 4] = values.max(axis=0)
-    out[:, 5] = values.sum(axis=0)
-    out[:, 6] = mask.sum(axis=0)
-    out[:, 7] = values.var(axis=0)
-    out[:, 8] = np.sqrt(out[:, 7])
-    out[:, 9] = np.quantile(values, 0.75, axis=0) - np.quantile(values, 0.25, axis=0)
-    out[:, 10] = out[:, 4] - out[:, 3]
-    for a in range(values.shape[1]):
-        uniques, counts = np.unique(values[:, a], return_counts=True)
-        out[a, 2] = uniques[np.argmax(counts)]  # uniques sorted: ties -> smallest
-    return out
-
-
-def _fallback_requested() -> bool:
-    return os.environ.get("LITREL_NO_NUMBA", "") in ("1", "true", "yes")
-
-
-_column_stats_jit = None
-if not _fallback_requested():
-    try:
-        from numba import njit
-
-        _quantile_sorted = njit(cache=True)(_quantile_sorted)
-        _column_stats_jit = njit(cache=True)(_column_stats_py)
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _column_stats_jit = None
-
-
 def using_numba() -> bool:
-    """True when the jitted path is compiled and not disabled by the env flag."""
-    return _column_stats_jit is not None and not _fallback_requested()
+    """Always False: the statistics kernel is numpy only.
+
+    Kept so that environment records written by benchmark harnesses keep
+    the field they report.
+    """
+    return False
 
 
 def column_stats(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -143,8 +49,21 @@ def column_stats(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     mask = np.ascontiguousarray(mask, dtype=bool)
-    if using_numba():
-        out = np.zeros((values.shape[1], NUM_STATS), dtype=np.float64)
-        _column_stats_jit(values, mask, out)
+    out = np.zeros((values.shape[1], NUM_STATS), dtype=np.float64)
+    n = values.shape[0]
+    if n == 0:
         return out
-    return _column_stats_numpy(values, mask)
+    out[:, 0] = values.mean(axis=0)
+    out[:, 1] = np.quantile(values, 0.5, axis=0)
+    out[:, 3] = values.min(axis=0)
+    out[:, 4] = values.max(axis=0)
+    out[:, 5] = values.sum(axis=0)
+    out[:, 6] = mask.sum(axis=0)
+    out[:, 7] = values.var(axis=0)
+    out[:, 8] = np.sqrt(out[:, 7])
+    out[:, 9] = np.quantile(values, 0.75, axis=0) - np.quantile(values, 0.25, axis=0)
+    out[:, 10] = out[:, 4] - out[:, 3]
+    for a in range(values.shape[1]):
+        uniques, counts = np.unique(values[:, a], return_counts=True)
+        out[a, 2] = uniques[np.argmax(counts)]  # uniques sorted: ties -> smallest
+    return out

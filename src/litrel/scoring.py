@@ -1,15 +1,36 @@
-"""Triple scoring functions with batched all-entity variants and gradients.
+"""Triple scoring as a per-model query plus a shared similarity kernel.
 
-All models score with "higher is better" orientation (distance-based
-models are negated).  Complex-valued layouts pack real parts in the
-first half of a row and imaginary parts in the second half.  The rotation
-model stores relation vectors as phase angles of length D_e / 2; the
-trigonometric functions absorb the 2*pi periodicity, so no modular
-wrapping is applied.
+Every model scores a triple side by turning the anchor entity and the
+fused relation vector ``r_lit`` into a query ``q``, then comparing ``q``
+with every entity row in one of two kernels:
+
+* dot product ``E @ q`` (``norm = None``): DistMult, ComplEx, TuckER;
+* negative Lp distance ``-||q - E_i||_p`` (``norm = 1`` or ``2``):
+  TransE, and RotatE with p = 2 over the packed re/im row.
+
+So "higher is better" for every model.  The tail side anchors on the
+head, the head side on the tail, and exact identities let both sides
+build a single query:
+
+* TransE:   tails ``q = e_h + r``, heads ``q = e_t - r``;
+* DistMult: ``q = e_anchor * r`` on both sides (the model is symmetric);
+* ComplEx:  tails ``q = e_h * r``, heads ``q = conj(r) * e_t``, since
+  ``Re(<e_h, r, conj(e_t)>)`` equals ``Re(<e_h, conj(conj(r) * e_t)>)``;
+* RotatE:   tails ``q = e_h * exp(i theta)``, heads
+  ``q = e_t * exp(-i theta)``, since a rotation preserves the norm;
+* TuckER:   the core contracted with the anchor and ``r_lit``, the
+  anchor on the first entity mode for tails and on the last for heads.
+
+Complex-valued layouts pack real parts in the first half of a row and
+imaginary parts in the second half.  The rotation model stores relation
+vectors as phase angles of length D_e / 2; the trigonometric functions
+absorb the 2*pi periodicity, so no modular wrapping is applied.
 
 Backward passes accumulate into caller-provided dense gradient buffers
-(the softmax training loss makes entity gradients dense anyway) and
-return the gradient w.r.t. the fused relation vector.
+(the softmax training loss makes entity gradients dense anyway):
+:func:`similarities_backward` returns the gradient w.r.t. the query and
+each model's ``query_backward`` turns that into the gradient w.r.t. the
+fused relation vector.
 """
 
 from __future__ import annotations
@@ -37,293 +58,107 @@ class EmbeddingTables:
     def dim_entity(self) -> int:
         return self.entity.shape[1]
 
-    @property
-    def dim_relation(self) -> int:
-        return self.relation.shape[1]
+
+def _complex(row):
+    m = row.shape[-1] // 2
+    return row[:m] + 1j * row[m:]
+
+
+def _packed(z):
+    return np.concatenate([z.real, z.imag])
 
 
 class TransE:
     """score = -|| e_h + r - e_t ||_p (p = 2 by default, 1 by config)."""
-
-    kind = "transe"
 
     def __init__(self, norm: int = 2):
         if norm not in (1, 2):
             raise ConfigError(f"transe norm must be 1 or 2, got {norm}")
         self.norm = norm
 
-    def relation_dim(self, dim_entity: int) -> int:
-        return dim_entity
+    def query(self, tables, anchor, r_lit, side):
+        e = tables.entity[anchor]
+        return e + r_lit if side == "tail" else e - r_lit
 
-    def score(self, tables, h, t, r_lit):
-        diff = tables.entity[h] + r_lit - tables.entity[t]
-        return -self._length(diff)
-
-    def _length(self, diff):
-        if self.norm == 1:
-            return np.abs(diff).sum(axis=-1)
-        return np.sqrt((diff * diff).sum(axis=-1))
-
-    def all_tails(self, tables, h, r_lit):
-        diff = (tables.entity[h] + r_lit)[None, :] - tables.entity
-        return -self._length(diff)
-
-    def all_heads(self, tables, t, r_lit):
-        diff = tables.entity + (r_lit - tables.entity[t])[None, :]
-        return -self._length(diff)
-
-    def backward_tails(self, tables, h, r_lit, g, d_entity, d_core=None):
-        diff = (tables.entity[h] + r_lit)[None, :] - tables.entity
-        unit = self._unit(diff)
-        d_entity += g[:, None] * unit
-        common = unit.T @ g
-        d_entity[h] -= common
-        return -common
-
-    def backward_heads(self, tables, t, r_lit, g, d_entity, d_core=None):
-        diff = tables.entity + (r_lit - tables.entity[t])[None, :]
-        unit = self._unit(diff)
-        d_entity -= g[:, None] * unit
-        common = unit.T @ g
-        d_entity[t] += common
-        return -common
-
-    def _unit(self, diff):
-        if self.norm == 1:
-            return np.sign(diff)
-        n = np.sqrt((diff * diff).sum(axis=-1))
-        return diff / np.maximum(n, _NORM_EPS)[:, None]
+    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
+        d_entity[anchor] += d_q
+        return d_q if side == "tail" else -d_q
 
 
 class DistMult:
     """score = sum(e_h * r * e_t), symmetric in head and tail."""
 
-    kind = "distmult"
+    norm = None
 
-    def relation_dim(self, dim_entity: int) -> int:
-        return dim_entity
+    def query(self, tables, anchor, r_lit, side):
+        return tables.entity[anchor] * r_lit
 
-    def score(self, tables, h, t, r_lit):
-        return float(np.sum(tables.entity[h] * r_lit * tables.entity[t]))
-
-    def all_tails(self, tables, h, r_lit):
-        return tables.entity @ (tables.entity[h] * r_lit)
-
-    def all_heads(self, tables, t, r_lit):
-        return tables.entity @ (tables.entity[t] * r_lit)
-
-    def backward_tails(self, tables, h, r_lit, g, d_entity, d_core=None):
-        v = tables.entity[h] * r_lit
-        d_entity += np.outer(g, v)
-        w = tables.entity.T @ g
-        d_entity[h] += w * r_lit
-        return w * tables.entity[h]
-
-    def backward_heads(self, tables, t, r_lit, g, d_entity, d_core=None):
-        v = tables.entity[t] * r_lit
-        d_entity += np.outer(g, v)
-        w = tables.entity.T @ g
-        d_entity[t] += w * r_lit
-        return w * tables.entity[t]
+    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
+        d_entity[anchor] += d_q * r_lit
+        return d_q * tables.entity[anchor]
 
 
 class ComplEx:
     """score = Re(<e_h, r, conj(e_t)>) over complex-packed rows."""
 
-    kind = "complex"
+    norm = None
 
-    def relation_dim(self, dim_entity: int) -> int:
-        return dim_entity
+    def query(self, tables, anchor, r_lit, side):
+        e, r = _complex(tables.entity[anchor]), _complex(r_lit)
+        return _packed(e * r if side == "tail" else np.conj(r) * e)
 
-    @staticmethod
-    def _halves(row):
-        m = row.shape[-1] // 2
-        return row[..., :m], row[..., m:]
-
-    def score(self, tables, h, t, r_lit):
-        a, b = self._halves(tables.entity[h])
-        c, d = self._halves(r_lit)
-        e, f = self._halves(tables.entity[t])
-        return float(np.sum(e * (a * c - b * d) + f * (a * d + b * c)))
-
-    def all_tails(self, tables, h, r_lit):
-        a, b = self._halves(tables.entity[h])
-        c, d = self._halves(r_lit)
-        ent_re, ent_im = self._halves(tables.entity)
-        return ent_re @ (a * c - b * d) + ent_im @ (a * d + b * c)
-
-    def all_heads(self, tables, t, r_lit):
-        e, f = self._halves(tables.entity[t])
-        c, d = self._halves(r_lit)
-        ent_re, ent_im = self._halves(tables.entity)
-        return ent_re @ (c * e + d * f) + ent_im @ (c * f - d * e)
-
-    def backward_tails(self, tables, h, r_lit, g, d_entity, d_core=None):
-        m = tables.dim_entity // 2
-        a, b = self._halves(tables.entity[h])
-        c, d = self._halves(r_lit)
-        ent_re, ent_im = self._halves(tables.entity)
-        p = a * c - b * d
-        q = a * d + b * c
-        d_entity[:, :m] += np.outer(g, p)
-        d_entity[:, m:] += np.outer(g, q)
-        w1 = ent_re.T @ g
-        w2 = ent_im.T @ g
-        d_entity[h, :m] += c * w1 + d * w2
-        d_entity[h, m:] += -d * w1 + c * w2
-        return np.concatenate([a * w1 + b * w2, -b * w1 + a * w2])
-
-    def backward_heads(self, tables, t, r_lit, g, d_entity, d_core=None):
-        m = tables.dim_entity // 2
-        e, f = self._halves(tables.entity[t])
-        c, d = self._halves(r_lit)
-        ent_re, ent_im = self._halves(tables.entity)
-        a_vec = c * e + d * f
-        b_vec = c * f - d * e
-        d_entity[:, :m] += np.outer(g, a_vec)
-        d_entity[:, m:] += np.outer(g, b_vec)
-        w1 = ent_re.T @ g
-        w2 = ent_im.T @ g
-        d_entity[t, :m] += c * w1 - d * w2
-        d_entity[t, m:] += d * w1 + c * w2
-        return np.concatenate([e * w1 + f * w2, f * w1 - e * w2])
+    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
+        e, r, g = _complex(tables.entity[anchor]), _complex(r_lit), _complex(d_q)
+        if side == "tail":
+            d_e, d_r = g * np.conj(r), g * np.conj(e)
+        else:
+            d_e, d_r = g * r, np.conj(g) * e
+        d_entity[anchor] += _packed(d_e)
+        return _packed(d_r)
 
 
 class RotatE:
     """score = -|| e_h * exp(i * theta) - e_t || with phase relation vectors."""
 
-    kind = "rotate"
+    norm = 2
 
-    def relation_dim(self, dim_entity: int) -> int:
-        return dim_entity // 2
-
-    @staticmethod
-    def _halves(row):
-        m = row.shape[-1] // 2
-        return row[..., :m], row[..., m:]
-
-    def _check(self, tables, r_lit):
+    def query(self, tables, anchor, r_lit, side):
         if r_lit.shape[-1] != tables.dim_entity // 2:
             raise ShapeError(
                 f"rotate phase vector has length {r_lit.shape[-1]}, "
                 f"expected D_e/2 = {tables.dim_entity // 2}"
             )
+        sign = 1.0 if side == "tail" else -1.0
+        return _packed(_complex(tables.entity[anchor]) * np.exp(sign * 1j * r_lit))
 
-    def score(self, tables, h, t, r_lit):
-        self._check(tables, r_lit)
-        a, b = self._halves(tables.entity[h])
-        e, f = self._halves(tables.entity[t])
-        cos_t, sin_t = np.cos(r_lit), np.sin(r_lit)
-        u = a * cos_t - b * sin_t - e
-        v = a * sin_t + b * cos_t - f
-        return -float(np.sqrt(np.sum(u * u + v * v)))
-
-    def all_tails(self, tables, h, r_lit):
-        self._check(tables, r_lit)
-        a, b = self._halves(tables.entity[h])
-        cos_t, sin_t = np.cos(r_lit), np.sin(r_lit)
-        ra = a * cos_t - b * sin_t
-        rb = a * sin_t + b * cos_t
-        ent_re, ent_im = self._halves(tables.entity)
-        u = ra[None, :] - ent_re
-        v = rb[None, :] - ent_im
-        return -np.sqrt((u * u + v * v).sum(axis=1))
-
-    def all_heads(self, tables, t, r_lit):
-        self._check(tables, r_lit)
-        e, f = self._halves(tables.entity[t])
-        cos_t, sin_t = np.cos(r_lit), np.sin(r_lit)
-        ent_re, ent_im = self._halves(tables.entity)
-        u = ent_re * cos_t - ent_im * sin_t - e[None, :]
-        v = ent_re * sin_t + ent_im * cos_t - f[None, :]
-        return -np.sqrt((u * u + v * v).sum(axis=1))
-
-    def backward_tails(self, tables, h, r_lit, g, d_entity, d_core=None):
-        m = tables.dim_entity // 2
-        a, b = self._halves(tables.entity[h])
-        cos_t, sin_t = np.cos(r_lit), np.sin(r_lit)
-        ra = a * cos_t - b * sin_t
-        rb = a * sin_t + b * cos_t
-        ent_re, ent_im = self._halves(tables.entity)
-        u = ra[None, :] - ent_re
-        v = rb[None, :] - ent_im
-        n = np.maximum(np.sqrt((u * u + v * v).sum(axis=1)), _NORM_EPS)
-        coef = (g / n)[:, None]
-        d_entity[:, :m] += coef * u
-        d_entity[:, m:] += coef * v
-        s_re = (coef * u).sum(axis=0)
-        s_im = (coef * v).sum(axis=0)
-        # d(rotated head) = -s; chain through the rotation
-        d_entity[h, :m] += -(s_re * cos_t + s_im * sin_t)
-        d_entity[h, m:] += -(-s_re * sin_t + s_im * cos_t)
-        return -(s_re * (-a * sin_t - b * cos_t) + s_im * (a * cos_t - b * sin_t))
-
-    def backward_heads(self, tables, t, r_lit, g, d_entity, d_core=None):
-        m = tables.dim_entity // 2
-        e, f = self._halves(tables.entity[t])
-        cos_t, sin_t = np.cos(r_lit), np.sin(r_lit)
-        ent_re, ent_im = self._halves(tables.entity)
-        u = ent_re * cos_t - ent_im * sin_t - e[None, :]
-        v = ent_re * sin_t + ent_im * cos_t - f[None, :]
-        n = np.maximum(np.sqrt((u * u + v * v).sum(axis=1)), _NORM_EPS)
-        coef = (g / n)[:, None]
-        d_entity[:, :m] += -(coef * u * cos_t[None, :] + coef * v * sin_t[None, :])
-        d_entity[:, m:] += -(-coef * u * sin_t[None, :] + coef * v * cos_t[None, :])
-        d_entity[t, :m] += (coef * u).sum(axis=0)
-        d_entity[t, m:] += (coef * v).sum(axis=0)
-        d_theta = -(
-            (coef * u * (-ent_re * sin_t[None, :] - ent_im * cos_t[None, :])).sum(axis=0)
-            + (coef * v * (ent_re * cos_t[None, :] - ent_im * sin_t[None, :])).sum(axis=0)
-        )
-        return d_theta
+    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
+        sign = 1.0 if side == "tail" else -1.0
+        rotation = np.exp(sign * 1j * r_lit)
+        q = _complex(tables.entity[anchor]) * rotation
+        g = _complex(d_q)
+        d_entity[anchor] += _packed(g * np.conj(rotation))
+        # dq/dtheta = sign * i * q
+        return sign * np.imag(g * np.conj(q))
 
 
 class TuckER:
     """score = core tensor contracted with e_h, r and e_t."""
 
-    kind = "tucker"
+    norm = None
 
-    def relation_dim(self, dim_entity: int) -> int:
-        return dim_entity
-
-    def _check(self, tables):
+    def query(self, tables, anchor, r_lit, side):
         if tables.core is None:
             raise ShapeError("tucker scoring requires a core tensor")
+        a, o = ("p", "s") if side == "tail" else ("s", "p")
+        return np.einsum(f"{a},pqs,q->{o}", tables.entity[anchor], tables.core, r_lit)
 
-    def score(self, tables, h, t, r_lit):
-        self._check(tables)
-        v = np.einsum("p,pqs,q->s", tables.entity[h], tables.core, r_lit)
-        return float(v @ tables.entity[t])
-
-    def all_tails(self, tables, h, r_lit):
-        self._check(tables)
-        v = np.einsum("p,pqs,q->s", tables.entity[h], tables.core, r_lit)
-        return tables.entity @ v
-
-    def all_heads(self, tables, t, r_lit):
-        self._check(tables)
-        v = np.einsum("pqs,q,s->p", tables.core, r_lit, tables.entity[t])
-        return tables.entity @ v
-
-    def backward_tails(self, tables, h, r_lit, g, d_entity, d_core=None):
-        self._check(tables)
-        v = np.einsum("p,pqs,q->s", tables.entity[h], tables.core, r_lit)
-        d_entity += np.outer(g, v)
-        w = tables.entity.T @ g
-        d_entity[h] += np.einsum("pqs,q,s->p", tables.core, r_lit, w)
+    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
+        a, o = ("p", "s") if side == "tail" else ("s", "p")
+        e = tables.entity[anchor]
+        d_entity[anchor] += np.einsum(f"{o},pqs,q->{a}", d_q, tables.core, r_lit)
         if d_core is not None:
-            d_core += np.einsum("p,q,s->pqs", tables.entity[h], r_lit, w)
-        return np.einsum("p,pqs,s->q", tables.entity[h], tables.core, w)
-
-    def backward_heads(self, tables, t, r_lit, g, d_entity, d_core=None):
-        self._check(tables)
-        v = np.einsum("pqs,q,s->p", tables.core, r_lit, tables.entity[t])
-        d_entity += np.outer(g, v)
-        w = tables.entity.T @ g
-        d_entity[t] += np.einsum("p,pqs,q->s", w, tables.core, r_lit)
-        if d_core is not None:
-            d_core += np.einsum("p,q,s->pqs", w, r_lit, tables.entity[t])
-        return np.einsum("p,pqs,s->q", w, tables.core, tables.entity[t])
+            d_core += np.einsum(f"{a},q,{o}->pqs", e, r_lit, d_q)
+        return np.einsum(f"{a},pqs,{o}->q", e, tables.core, d_q)
 
 
 def make_model(kind: str, transe_norm: int = 2):
@@ -340,16 +175,40 @@ def make_model(kind: str, transe_norm: int = 2):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
-def score(h: int, r_lit: np.ndarray, t: int, model, tables: EmbeddingTables) -> float:
-    """Score one triple given the (already fused) relation vector."""
-    return float(model.score(tables, h, t, r_lit))
+def similarities(norm, q: np.ndarray, entity: np.ndarray) -> np.ndarray:
+    """Score of query ``q`` against every entity row: ``E @ q`` or ``-||q - E_i||_p``."""
+    if norm is None:
+        return entity @ q
+    diff = q - entity
+    if norm == 1:
+        return -np.abs(diff).sum(axis=-1)
+    return -np.sqrt((diff * diff).sum(axis=-1))
+
+
+def similarities_backward(norm, q, entity, g, d_entity) -> np.ndarray:
+    """Backward of :func:`similarities` for upstream gradient ``g`` (|E|,).
+
+    Accumulates the entity-row gradients into ``d_entity`` and returns
+    the gradient w.r.t. ``q``.
+    """
+    if norm is None:
+        d_entity += np.outer(g, q)
+        return entity.T @ g
+    diff = q - entity
+    if norm == 1:
+        unit = np.sign(diff)
+    else:
+        n = np.sqrt((diff * diff).sum(axis=-1))
+        unit = diff / np.maximum(n, _NORM_EPS)[:, None]
+    d_entity += g[:, None] * unit
+    return -(unit.T @ g)
 
 
 def score_all_tails(h: int, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
     """Scores of (h, r, e) for every entity e, as one batched operation."""
-    return model.all_tails(tables, h, r_lit)
+    return similarities(model.norm, model.query(tables, h, r_lit, "tail"), tables.entity)
 
 
 def score_all_heads(t: int, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
     """Scores of (e, r, t) for every entity e, as one batched operation."""
-    return model.all_heads(tables, t, r_lit)
+    return similarities(model.norm, model.query(tables, t, r_lit, "head"), tables.entity)

@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -339,19 +339,15 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
         d_r_lit = np.zeros_like(r_lit)
         for h, _, t in rows:
             h, t = int(h), int(t)
-            tail_scores = scoring.score_all_tails(h, r_lit, model, tables)
-            p = _softmax(tail_scores)
-            total += -np.log(max(p[t], 1e-300))
-            g = p * inv_n
-            g[t] -= inv_n
-            d_r_lit += model.backward_tails(tables, h, r_lit, g, grads["entity"], d_core)
-
-            head_scores = scoring.score_all_heads(t, r_lit, model, tables)
-            p = _softmax(head_scores)
-            total += -np.log(max(p[h], 1e-300))
-            g = p * inv_n
-            g[h] -= inv_n
-            d_r_lit += model.backward_heads(tables, t, r_lit, g, grads["entity"], d_core)
+            for anchor, target, side in ((h, t, "tail"), (t, h, "head")):
+                q = model.query(tables, anchor, r_lit, side)
+                p = _softmax(scoring.similarities(model.norm, q, tables.entity))
+                total += -np.log(max(p[target], 1e-300))
+                g = p * inv_n
+                g[target] -= inv_n
+                d_q = scoring.similarities_backward(model.norm, q, tables.entity, g, grads["entity"])
+                d_r_lit += model.query_backward(tables, anchor, r_lit, side, d_q,
+                                                grads["entity"], d_core)
         state.fuse_backward(int(rel), cache, d_r_lit, grads)
 
     loss = total * inv_n
@@ -439,6 +435,14 @@ def save_checkpoint(state: ModelState, history: dict, directory: str) -> None:
 def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
     with open(os.path.join(directory, "checkpoint.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise ConfigError(
+            f"{directory}: checkpoint version {meta.get('version')!r} is not supported "
+            f"(expected {CHECKPOINT_VERSION})"
+        )
+    unknown = set(meta["config"]) - {f.name for f in fields(TrainConfig)}
+    if unknown:
+        raise ConfigError(f"{directory}: unknown checkpoint config keys: {sorted(unknown)}")
     config = TrainConfig(**meta["config"])
     config.validate()
     params = load_arrays(os.path.join(directory, "params"))

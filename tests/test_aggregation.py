@@ -6,7 +6,6 @@ import pytest
 
 from litrel.aggregation import (
     LearnableAggregationParams,
-    aggregate_column,
     build_profiles,
     collect_side_rows,
     literal_vectors,
@@ -16,7 +15,7 @@ from litrel.aggregation import (
 )
 from litrel.data import build_graph
 from litrel.errors import ConfigError
-from litrel.kernels import STAT_NAMES
+from litrel.kernels import STAT_NAMES, column_stats
 from tests.conftest import random_graph
 
 
@@ -50,6 +49,14 @@ def reference_stats(values, present_count):
         "iqr": reference_quantile(values, 0.75) - reference_quantile(values, 0.25),
         "range": max(values) - min(values),
     }
+
+
+def aggregate_column(values, present_count, kind):
+    """One statistic of one column: the first ``present_count`` cells are present."""
+    column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    mask = np.zeros(column.shape, dtype=bool)
+    mask[:present_count, 0] = True
+    return float(column_stats(column, mask)[0, STAT_NAMES.index(kind)])
 
 
 class TestAggregateColumn:

@@ -118,6 +118,15 @@ class TestPreprocess:
         bad.write_text("only\ttwo\n")
         assert main(["preprocess", "--train-path", str(bad)]) == 1
 
+    def test_empty_label_rejected_without_artifact(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("a\tr\tb\n\tr\tc\n")
+        artifact = tmp_path / "artifact"
+        code = main(["preprocess", "--train-path", str(bad), "--artifact-dir", str(artifact)])
+        assert code == 1
+        assert "bad.tsv:2: empty head label" in capsys.readouterr().err
+        assert not artifact.exists()
+
 
 class TestTrainEvaluateClassify:
     @pytest.fixture
@@ -200,6 +209,34 @@ class TestTrainEvaluateClassify:
             "--checkpoint-dir", str(pipeline["tmp"] / "nope"),
         ])
         assert code == 1
+
+    def edit_checkpoint_meta(self, checkpoint, edit):
+        path = os.path.join(checkpoint, "checkpoint.json")
+        with open(path) as fh:
+            meta = json.load(fh)
+        edit(meta)
+        with open(path, "w") as fh:
+            json.dump(meta, fh)
+
+    def evaluate(self, pipeline):
+        return main([
+            "--output-dir", str(pipeline["tmp"] / "eval"),
+            "evaluate",
+            "--artifact-dir", pipeline["artifact"],
+            "--checkpoint-dir", pipeline["checkpoint"],
+        ])
+
+    def test_unknown_checkpoint_version_is_config_error(self, pipeline, capsys):
+        self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m.update(version=99))
+        assert self.evaluate(pipeline) == 1
+        assert "version 99" in capsys.readouterr().err
+
+    def test_unknown_checkpoint_config_key_is_config_error(self, pipeline, capsys):
+        self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m["config"].update(bogus=1))
+        assert self.evaluate(pipeline) == 1
+        err = capsys.readouterr().err
+        assert "bogus" in err
+        assert "internal error" not in err
 
     def test_missing_artifact_is_validation_error(self, tmp_path):
         code = main(["train", "--artifact-dir", str(tmp_path / "nope")])

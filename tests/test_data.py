@@ -32,6 +32,15 @@ class TestLoadTriples:
         with pytest.raises(ParseError, match=":2:"):
             load_triples(path)
 
+    @pytest.mark.parametrize("line, field", [
+        ("\tr\tc", "head"), ("a\t\tc", "relation"), ("a\tr\t", "tail"),
+    ], ids=["head", "relation", "tail"])
+    def test_empty_label_names_line_and_field(self, tmp_path, line, field):
+        # an empty label would be dropped by Vocab.load and shift every index
+        path = write(tmp_path, "t.tsv", f"a\tr\tb\n{line}\n")
+        with pytest.raises(ParseError, match=f":2: empty {field} label"):
+            load_triples(path)
+
     def test_preserves_order_and_duplicates(self, tmp_path):
         path = write(tmp_path, "t.tsv", "a\tr\tb\na\tr\tb\nc\tr\td\n")
         assert load_triples(path) == [("a", "r", "b"), ("a", "r", "b"), ("c", "r", "d")]
@@ -49,6 +58,14 @@ class TestLoadLiterals:
     def test_nan_rejected(self, tmp_path):
         path = write(tmp_path, "l.tsv", "Alice\tmonthlyIncome\tNaN\n")
         with pytest.raises(ParseError, match="non-finite"):
+            load_literals(path)
+
+    @pytest.mark.parametrize("line, field", [
+        ("\tincome\t1", "entity"), ("Alice\t\t1", "attribute"),
+    ], ids=["entity", "attribute"])
+    def test_empty_label_names_line_and_field(self, tmp_path, line, field):
+        path = write(tmp_path, "l.tsv", f"Alice\tincome\t2\n{line}\n")
+        with pytest.raises(ParseError, match=f":2: empty {field} label"):
             load_literals(path)
 
     def test_garbage_value_names_token(self, tmp_path):

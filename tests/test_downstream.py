@@ -9,11 +9,19 @@ from litrel.downstream import (
     knn_classify,
     load_labeled_nodes,
     micro_f1,
-    svm_hinge_loss,
     svm_train,
 )
 from litrel.errors import ParseError, ValidationError
 from litrel.training import TrainConfig, init_state
+
+
+def svm_hinge_loss(model, feats, labels, reg):
+    # mean one-vs-rest hinge loss plus L2 penalty on the weights
+    scores = feats @ model.weights.T + model.biases
+    signs = -np.ones_like(scores)
+    signs[np.arange(labels.shape[0]), labels] = 1.0
+    margins = np.maximum(0.0, 1.0 - signs * scores)
+    return float(margins.mean() + reg * np.sum(model.weights ** 2))
 
 
 def cluster_data(rng, centers, per_class, spread=0.1):

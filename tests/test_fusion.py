@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from litrel.errors import ConfigError, ShapeError
-from litrel.fusion import GatedFusion, LinearFusion, fuse, make_fusion, param_count
+from litrel.fusion import GatedFusion, LinearFusion, make_fusion, param_count
 
 
 def zeroed(block):
@@ -14,14 +14,14 @@ def zeroed(block):
 class TestLinearFusion:
     def test_zero_weights_annihilate(self, rng):
         block = zeroed(LinearFusion(4, 2, rng))
-        out = fuse(rng.normal(size=2), rng.normal(size=4), rng.normal(size=2), "linear", block)
+        out, _ = block.forward(rng.normal(size=2), rng.normal(size=4), rng.normal(size=2))
         np.testing.assert_array_equal(out, np.zeros(4))
 
     def test_identity_block_passes_relation_through(self, rng):
         block = zeroed(LinearFusion(3, 2, rng))
         block.weight[2:5, :] = np.eye(3)  # identity on the r block of [l_h, r, l_t]
         r = rng.normal(size=3)
-        out = fuse(np.ones(2), r, np.ones(2), "linear", block)
+        out, _ = block.forward(np.ones(2), r, np.ones(2))
         np.testing.assert_allclose(out, r)
 
     def test_output_dimension_fixed(self, rng):

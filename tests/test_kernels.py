@@ -1,14 +1,65 @@
 import numpy as np
 import pytest
 
-from litrel import kernels
-from litrel.kernels import (
-    NUM_STATS,
-    STAT_NAMES,
-    _column_stats_numpy,
-    _column_stats_py,
-    column_stats,
-)
+from litrel.kernels import NUM_STATS, STAT_NAMES, column_stats
+
+
+def _quantile_sorted(sorted_vals, q):
+    # linear interpolation at position (n - 1) * q, numpy's default
+    n = sorted_vals.shape[0]
+    pos = (n - 1) * q
+    lo = int(np.floor(pos))
+    hi = int(np.ceil(pos))
+    frac = pos - lo
+    return sorted_vals[lo] * (1.0 - frac) + sorted_vals[hi] * frac
+
+
+def _column_stats_py(values, mask, out):
+    # explicit-loop reference for the vectorized kernel
+    n, num_attrs = values.shape
+    if n == 0:
+        return
+    for a in range(num_attrs):
+        col = np.sort(values[:, a].copy())
+        total = 0.0
+        for i in range(n):
+            total += col[i]
+        mean = total / n
+        var = 0.0
+        for i in range(n):
+            d = col[i] - mean
+            var += d * d
+        var /= n
+
+        # longest run in the sorted column; first (= smallest) wins ties
+        mode = col[0]
+        best_len = 1
+        run_len = 1
+        for i in range(1, n):
+            if col[i] == col[i - 1]:
+                run_len += 1
+                if run_len > best_len:
+                    best_len = run_len
+                    mode = col[i]
+            else:
+                run_len = 1
+
+        count = 0.0
+        for i in range(n):
+            if mask[i, a]:
+                count += 1.0
+
+        out[a, 0] = mean
+        out[a, 1] = _quantile_sorted(col, 0.5)
+        out[a, 2] = mode
+        out[a, 3] = col[0]
+        out[a, 4] = col[n - 1]
+        out[a, 5] = total
+        out[a, 6] = count
+        out[a, 7] = var
+        out[a, 8] = np.sqrt(var)
+        out[a, 9] = _quantile_sorted(col, 0.75) - _quantile_sorted(col, 0.25)
+        out[a, 10] = col[n - 1] - col[0]
 
 
 def loop_stats(values, mask):
@@ -40,7 +91,7 @@ class TestPathEquivalence:
         for rows, cols in [(1, 1), (2, 3), (7, 5), (40, 8)]:
             values, mask = random_case(rng, rows, cols)
             np.testing.assert_allclose(
-                loop_stats(values, mask), _column_stats_numpy(values, mask), atol=1e-12
+                loop_stats(values, mask), column_stats(values, mask), atol=1e-12
             )
 
     def test_agreement_with_ties_and_empty_columns(self, rng):
@@ -49,27 +100,15 @@ class TestPathEquivalence:
         mask = np.ascontiguousarray(rng.random(size=(20, 6)) < 0.3)
         values = np.ascontiguousarray(np.where(mask, values, 0.0))
         np.testing.assert_allclose(
-            loop_stats(values, mask), _column_stats_numpy(values, mask), atol=1e-12
+            loop_stats(values, mask), column_stats(values, mask), atol=1e-12
         )
 
-    def test_dispatcher_matches_both(self, rng):
-        values, mask = random_case(rng, 15, 3)
-        out = column_stats(values, mask)
-        np.testing.assert_allclose(out, _column_stats_numpy(values, mask), atol=1e-12)
-
-
-class TestEnvFlag:
-    def test_fallback_flag_controls_dispatch(self, monkeypatch):
-        monkeypatch.setenv("LITREL_NO_NUMBA", "1")
-        assert not kernels.using_numba()
-        monkeypatch.delenv("LITREL_NO_NUMBA")
-        # whether numba is active now depends on the install, but the
-        # call must still succeed and agree with the fallback
-        values = np.array([[0.2], [0.4]])
-        mask = np.ones((2, 1), dtype=bool)
-        np.testing.assert_allclose(
-            column_stats(values, mask), _column_stats_numpy(values, mask)
-        )
+    def test_non_contiguous_and_integer_inputs_coerced(self, rng):
+        values, mask = random_case(rng, 3, 15)
+        # transposed views are not C-contiguous; 0/1 integers stand in for bools
+        out = column_stats(values.T, mask.T.astype(np.int64))
+        expected = loop_stats(np.ascontiguousarray(values.T), np.ascontiguousarray(mask.T))
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 class TestKnownValues:
