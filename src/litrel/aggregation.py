@@ -45,10 +45,6 @@ class LearnableAggregationParams:
     weights: np.ndarray  # float64, shape (11,)
     bias: float
 
-    @classmethod
-    def zeros(cls) -> "LearnableAggregationParams":
-        return cls(weights=np.zeros(NUM_STATS), bias=0.0)
-
 
 def collect_side_rows(graph: KnowledgeGraph, relation: int, side: str) -> set[int]:
     """Distinct entities on the given side of a relation in the training split."""

@@ -30,12 +30,15 @@ from litrel.downstream import (
 )
 from litrel.errors import ConfigError, ParseError, TrainingError, ValidationError
 from litrel.evaluation import (
+    TIE_POLICIES,
     evaluate,
     frequency_threshold_from_fraction,
     group_by_correlation,
     group_by_frequency,
     save_report,
 )
+from litrel.fusion import FUSION_KINDS
+from litrel.scoring import MODEL_KINDS
 from litrel.training import TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -50,6 +53,8 @@ DEFAULT_CONFIG = {
     "labels_path": None,
     "artifact_dir": None,
     "checkpoint_dir": None,
+    "aggregate_over_all_rows": False,  # preprocess keys that shape the literal
+    "multiset_rows": False,            # profiles; see aggregation.build_profiles
     "group_by": None,            # "frequency" or "correlation"
     "threshold": None,           # absolute count / coefficient, or "2.55%"
     "min_corr_samples": 3,
@@ -83,8 +88,6 @@ def apply_overrides(config: dict, args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
     return config
 
 
@@ -292,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train a model from a preprocessed artifact")
     tr.add_argument("--artifact-dir", dest="artifact_dir")
     tr.add_argument("--checkpoint-dir", dest="checkpoint_dir")
-    tr.add_argument("--model", choices=("transe", "distmult", "complex", "rotate", "tucker"))
-    tr.add_argument("--fusion", choices=("none", "linear", "gated"))
+    tr.add_argument("--model", choices=MODEL_KINDS)
+    tr.add_argument("--fusion", choices=("none",) + FUSION_KINDS)
     tr.add_argument("--aggregation")
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--batch-size", dest="batch_size", type=int)
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--group-by", dest="group_by", choices=("frequency", "correlation"))
     ev.add_argument("--threshold")
     ev.add_argument("--tie-policy", dest="tie_policy",
-                    choices=("realistic", "optimistic", "pessimistic"))
+                    choices=TIE_POLICIES)
 
     cl = sub.add_parser("classify", help="node classification from a checkpoint")
     cl.add_argument("--artifact-dir", dest="artifact_dir")

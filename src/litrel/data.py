@@ -122,9 +122,6 @@ class KnowledgeGraph:
         except KeyError:
             raise ValidationError(f"unknown split {name!r}") from None
 
-    def contains(self, head: int, relation: int, tail: int) -> bool:
-        return tail in self.filter_tails.get((head, relation), ())
-
     def save(self, directory: str) -> None:
         os.makedirs(directory, exist_ok=True)
         self.entities.save(os.path.join(directory, "entities.txt"))
@@ -154,6 +151,7 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, directory: str) -> "KnowledgeGraph":
+        """Read an artifact written by :meth:`save` and check it against ``graph.json``."""
         entities = Vocab.load(os.path.join(directory, "entities.txt"))
         relations = Vocab.load(os.path.join(directory, "relations.txt"))
         attributes = Vocab.load(os.path.join(directory, "attributes.txt"))
@@ -172,8 +170,40 @@ class KnowledgeGraph:
                 raw_max=arrays["raw_max"],
             ),
         )
+        _check_artifact(graph, directory)
         _build_filter_index(graph)
         return graph
+
+
+def _check_artifact(graph: KnowledgeGraph, directory: str) -> None:
+    """Reject an artifact whose version, sizes or triple indices disagree with its vocabularies."""
+    meta_path = os.path.join(directory, "graph.json")
+    with open(meta_path, encoding="utf-8") as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict):
+        meta = {}
+    if meta.get("version") != ARTIFACT_VERSION:
+        raise ValidationError(
+            f"{meta_path}: artifact version {meta.get('version')!r} is not supported "
+            f"(expected {ARTIFACT_VERSION}); run preprocess again"
+        )
+    sizes = {"entities": graph.num_entities, "relations": graph.num_relations,
+             "attributes": graph.num_attributes}
+    for name, size in sizes.items():
+        if meta.get(name) != size:
+            raise ValidationError(f"{meta_path}: records {meta.get(name)!r} {name}, "
+                                  f"but {name}.txt holds {size}")
+    bounds = np.array([graph.num_entities, graph.num_relations, graph.num_entities])
+    for name in ("train", "valid", "test"):
+        triples = graph.split(name)
+        bad = (triples < 0) | (triples >= bounds)
+        if bad.any():
+            row, column = np.argwhere(bad)[0]
+            raise ValidationError(
+                f"{os.path.join(directory, 'arrays', name + '.npy')}: triple {row} has "
+                f"{('head', 'relation', 'tail')[column]} index "
+                f"{triples[row, column]} outside 0..{bounds[column] - 1}"
+            )
 
 
 def _bad_line(path: str, lineno: int, fields: list[str], labels: tuple[str, ...]) -> ParseError:

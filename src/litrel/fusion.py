@@ -55,18 +55,14 @@ class LinearFusion:
 
     kind = "linear"
 
-    def __init__(self, dim: int, num_attributes: int, rng: np.random.Generator, name: str = "fusion"):
+    def __init__(self, dim: int, num_attributes: int, rng: np.random.Generator):
         self.dim = dim
         self.num_attributes = num_attributes
-        self.name = name
         self.weight = _glorot(rng, (2 * num_attributes + dim, dim))
         self.bias = np.zeros(dim)
 
     def parameters(self):
-        return {self.name + ".weight": self.weight, self.name + ".bias": self.bias}
-
-    def zero_grads(self):
-        return {name: np.zeros_like(p) for name, p in self.parameters().items()}
+        return {"fusion.weight": self.weight, "fusion.bias": self.bias}
 
     def forward(self, l_h, r, l_t):
         x = _concat_checked(l_h, r, l_t, self.num_attributes, self.dim)
@@ -75,8 +71,8 @@ class LinearFusion:
 
     def backward(self, cache, d_r_lit, grads):
         x = cache["x"]
-        grads[self.name + ".weight"] += np.outer(x, d_r_lit)
-        grads[self.name + ".bias"] += d_r_lit
+        grads["fusion.weight"] += np.outer(x, d_r_lit)
+        grads["fusion.bias"] += d_r_lit
         d_x = self.weight @ d_r_lit
         a = self.num_attributes
         return d_x[:a], d_x[a:a + self.dim], d_x[a + self.dim:]
@@ -87,10 +83,9 @@ class GatedFusion:
 
     kind = "gated"
 
-    def __init__(self, dim: int, num_attributes: int, rng: np.random.Generator, name: str = "fusion"):
+    def __init__(self, dim: int, num_attributes: int, rng: np.random.Generator):
         self.dim = dim
         self.num_attributes = num_attributes
-        self.name = name
         self.weight = _glorot(rng, (2 * num_attributes + dim, dim))
         self.gate_head = _glorot(rng, (num_attributes, dim))
         self.gate_rel = _glorot(rng, (dim, dim))
@@ -99,15 +94,12 @@ class GatedFusion:
 
     def parameters(self):
         return {
-            self.name + ".weight": self.weight,
-            self.name + ".gate_head": self.gate_head,
-            self.name + ".gate_rel": self.gate_rel,
-            self.name + ".gate_tail": self.gate_tail,
-            self.name + ".gate_bias": self.gate_bias,
+            "fusion.weight": self.weight,
+            "fusion.gate_head": self.gate_head,
+            "fusion.gate_rel": self.gate_rel,
+            "fusion.gate_tail": self.gate_tail,
+            "fusion.gate_bias": self.gate_bias,
         }
-
-    def zero_grads(self):
-        return {name: np.zeros_like(p) for name, p in self.parameters().items()}
 
     def forward(self, l_h, r, l_t):
         x = _concat_checked(l_h, r, l_t, self.num_attributes, self.dim)
@@ -127,17 +119,17 @@ class GatedFusion:
         d_r = d_r_lit * (1.0 - z)
 
         d_pre = d_h * (1.0 - h * h)
-        grads[self.name + ".weight"] += np.outer(x, d_pre)
+        grads["fusion.weight"] += np.outer(x, d_pre)
         d_x = self.weight @ d_pre
         d_l_h = d_x[:a].copy()
         d_r = d_r + d_x[a:a + self.dim]
         d_l_t = d_x[a + self.dim:].copy()
 
         d_z_pre = d_z * z * (1.0 - z)
-        grads[self.name + ".gate_head"] += np.outer(l_h, d_z_pre)
-        grads[self.name + ".gate_rel"] += np.outer(r, d_z_pre)
-        grads[self.name + ".gate_tail"] += np.outer(l_t, d_z_pre)
-        grads[self.name + ".gate_bias"] += d_z_pre
+        grads["fusion.gate_head"] += np.outer(l_h, d_z_pre)
+        grads["fusion.gate_rel"] += np.outer(r, d_z_pre)
+        grads["fusion.gate_tail"] += np.outer(l_t, d_z_pre)
+        grads["fusion.gate_bias"] += d_z_pre
         d_l_h += self.gate_head @ d_z_pre
         d_r = d_r + self.gate_rel @ d_z_pre
         d_l_t += self.gate_tail @ d_z_pre
@@ -154,10 +146,9 @@ def _concat_checked(l_h, r, l_t, num_attributes, dim):
     return np.concatenate([l_h, r, l_t])
 
 
-def make_fusion(kind: str, dim: int, num_attributes: int, rng: np.random.Generator,
-                name: str = "fusion"):
+def make_fusion(kind: str, dim: int, num_attributes: int, rng: np.random.Generator):
     if kind == "linear":
-        return LinearFusion(dim, num_attributes, rng, name=name)
+        return LinearFusion(dim, num_attributes, rng)
     if kind == "gated":
-        return GatedFusion(dim, num_attributes, rng, name=name)
+        return GatedFusion(dim, num_attributes, rng)
     raise ConfigError(f"unknown fusion kind {kind!r}")

@@ -9,6 +9,10 @@ Gradients are computed analytically and flow into the embedding tables,
 the fusion parameters and, when the learnable aggregation combination is
 configured, its 12 scalars.  Everything is float64 numpy; runs are
 deterministic given the seed.
+
+A fused model has one fusion block.  ComplEx runs that block on the real
+and the imaginary half of its relation vector (block width D_r/2), so
+both halves share its parameters.
 """
 
 from __future__ import annotations
@@ -30,6 +34,8 @@ from litrel.aggregation import (
     build_profiles,
     literal_vectors,
     literal_vectors_backward,
+    load_profiles,
+    save_profiles,
 )
 from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, TrainingError
@@ -39,7 +45,7 @@ from litrel.serialize import load_arrays, save_arrays
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass
@@ -59,14 +65,11 @@ class TrainConfig:
     transe_norm: int = 2
     l2: float = 0.0
     valid_every: int = 0                 # 0 disables periodic validation MRR
-    aggregate_over_all_rows: bool = False
-    multiset_rows: bool = False
-    complex_separate_fusion: bool = False
 
     def validate(self) -> None:
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if self.fusion not in (None, "none", "linear", "gated"):
+        if self.fusion not in (None, "none") + fusion_mod.FUSION_KINDS:
             raise ConfigError(f"unknown fusion kind {self.fusion!r}")
         if self.aggregation not in AGGREGATION_KINDS:
             raise ConfigError(f"unknown aggregation kind {self.aggregation!r}")
@@ -153,7 +156,7 @@ class ModelState:
 
     config: TrainConfig
     tables: EmbeddingTables
-    fusion_blocks: list = field(default_factory=list)
+    fusion: object = None                   # LinearFusion, GatedFusion or None (vanilla)
     agg_weights: np.ndarray | None = None   # (11,)
     agg_bias: np.ndarray | None = None      # (1,)
     profiles: dict[int, RelationLiteralProfile] = field(default_factory=dict)
@@ -168,6 +171,11 @@ class ModelState:
         return self._model
 
     @property
+    def fusion_parts(self) -> int:
+        """Slices of a relation row that the fusion block runs on (ComplEx: re, im)."""
+        return 2 if self.config.model == "complex" else 1
+
+    @property
     def learnable_aggregation(self) -> bool:
         return self.agg_weights is not None
 
@@ -178,12 +186,8 @@ class ModelState:
         params = {"entity": self.tables.entity, "relation": self.tables.relation}
         if self.tables.core is not None:
             params["core"] = self.tables.core
-        seen = set()
-        for block in self.fusion_blocks:
-            if id(block) in seen:
-                continue
-            seen.add(id(block))
-            params.update(block.parameters())
+        if self.fusion is not None:
+            params.update(self.fusion.parameters())
         if self.learnable_aggregation:
             params["agg.weights"] = self.agg_weights
             params["agg.bias"] = self.agg_bias
@@ -194,12 +198,6 @@ class ModelState:
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters().values())
-
-    def base_parameter_count(self) -> int:
-        total = self.tables.entity.size + self.tables.relation.size
-        if self.tables.core is not None:
-            total += self.tables.core.size
-        return total
 
     # --- literal vectors ------------------------------------------------
 
@@ -223,34 +221,28 @@ class ModelState:
 
     def fuse_forward(self, relation: int):
         row = self.tables.relation[relation]
-        if not self.config.fusion_enabled:
+        if self.fusion is None:
             return row.copy(), None
         l_h, l_t = self.literal_vectors_for(relation)
-        if self.config.model == "complex":
-            m = self.config.dim_relation // 2
-            re, cache_re = self.fusion_blocks[0].forward(l_h, row[:m], l_t)
-            im, cache_im = self.fusion_blocks[1].forward(l_h, row[m:], l_t)
-            return np.concatenate([re, im]), (cache_re, cache_im, l_h, l_t)
-        r_lit, cache = self.fusion_blocks[0].forward(l_h, row, l_t)
-        return r_lit, (cache, l_h, l_t)
+        outputs, caches = [], []
+        for part in row.reshape(self.fusion_parts, -1):
+            output, cache = self.fusion.forward(l_h, part, l_t)
+            outputs.append(output)
+            caches.append(cache)
+        return np.concatenate(outputs), caches
 
-    def fuse_backward(self, relation: int, cache, d_r_lit, grads) -> None:
-        if not self.config.fusion_enabled:
-            grads["relation"][relation] += d_r_lit
+    def fuse_backward(self, relation: int, caches, d_r_lit, grads) -> None:
+        d_row = grads["relation"][relation]
+        if self.fusion is None:
+            d_row += d_r_lit
             return
-        if self.config.model == "complex":
-            m = self.config.dim_relation // 2
-            cache_re, cache_im, l_h, l_t = cache
-            dlh1, drow_re, dlt1 = self.fusion_blocks[0].backward(cache_re, d_r_lit[:m], grads)
-            dlh2, drow_im, dlt2 = self.fusion_blocks[1].backward(cache_im, d_r_lit[m:], grads)
-            grads["relation"][relation, :m] += drow_re
-            grads["relation"][relation, m:] += drow_im
-            d_l_h = dlh1 + dlh2
-            d_l_t = dlt1 + dlt2
-        else:
-            fusion_cache, l_h, l_t = cache
-            d_l_h, d_row, d_l_t = self.fusion_blocks[0].backward(fusion_cache, d_r_lit, grads)
-            grads["relation"][relation] += d_row
+        d_l_h = d_l_t = 0.0
+        parts = self.fusion_parts
+        for cache, d_out, d_in in zip(caches, d_r_lit.reshape(parts, -1), d_row.reshape(parts, -1)):
+            d_l_h_part, d_in_part, d_l_t_part = self.fusion.backward(cache, d_out, grads)
+            d_in += d_in_part
+            d_l_h = d_l_h + d_l_h_part
+            d_l_t = d_l_t + d_l_t_part
         if self.learnable_aggregation:
             d_w, d_b = literal_vectors_backward(
                 self.profiles[relation], self.agg_params(), d_l_h, d_l_t
@@ -259,54 +251,50 @@ class ModelState:
             grads["agg.bias"] += d_b
 
 
-def fusion_block_dim(config: TrainConfig) -> int:
-    if config.model == "complex":
-        return config.dim_relation // 2
-    return config.dim_relation
+def _new_state(config: TrainConfig, num_entities: int, num_relations: int,
+               num_attributes: int, profiles: dict[int, RelationLiteralProfile]) -> ModelState:
+    """The one constructor behind :func:`init_state` and :func:`load_checkpoint`.
 
-
-def init_state(graph: KnowledgeGraph, config: TrainConfig,
-               profiles: dict[int, RelationLiteralProfile] | None = None) -> ModelState:
-    """Allocate and initialize all trainable tensors for a run."""
-    config.validate()
-    if config.fusion_enabled and graph.num_attributes == 0:
-        raise ConfigError("fusion requires literal attributes, but the graph has none")
+    Draws from the seed's stream in a fixed order: entity rows, relation
+    rows, the TuckER core, the fusion block, the learnable-aggregation
+    weights.
+    """
     rng = np.random.default_rng(config.seed)
 
     def glorot_rows(count, dim):
         limit = np.sqrt(6.0 / (2 * dim))
         return rng.uniform(-limit, limit, size=(count, dim))
 
-    entity = glorot_rows(graph.num_entities, config.dim_entity)
-    relation = glorot_rows(graph.num_relations, config.dim_relation)
+    entity = glorot_rows(num_entities, config.dim_entity)
+    relation = glorot_rows(num_relations, config.dim_relation)
     core = None
     if config.model == "tucker":
         core = rng.uniform(-1.0, 1.0, size=(config.dim_entity, config.dim_relation, config.dim_entity)) * 0.1
     tables = EmbeddingTables(entity=entity, relation=relation, core=core)
 
-    state = ModelState(config=config, tables=tables)
+    state = ModelState(config=config, tables=tables, profiles=profiles)
     if config.fusion_enabled:
-        if profiles is None:
-            profiles = build_profiles(
-                graph,
-                aggregate_over_all_rows=config.aggregate_over_all_rows,
-                multiset_rows=config.multiset_rows,
-            )
-        state.profiles = profiles
-        dim = fusion_block_dim(config)
-        if config.model == "complex" and config.complex_separate_fusion:
-            state.fusion_blocks = [
-                fusion_mod.make_fusion(config.fusion, dim, graph.num_attributes, rng, name="fusion_re"),
-                fusion_mod.make_fusion(config.fusion, dim, graph.num_attributes, rng, name="fusion_im"),
-            ]
-        else:
-            block = fusion_mod.make_fusion(config.fusion, dim, graph.num_attributes, rng)
-            state.fusion_blocks = [block, block] if config.model == "complex" else [block]
+        dim = config.dim_relation // state.fusion_parts
+        state.fusion = fusion_mod.make_fusion(config.fusion, dim, num_attributes, rng)
         if config.aggregation == "learnable":
             state.agg_weights = rng.uniform(-0.5, 0.5, size=NUM_STATS)
             state.agg_bias = np.zeros(1)
     state.optimizer = Optimizer(config.optimizer, config.learning_rate)
     return state
+
+
+def init_state(graph: KnowledgeGraph, config: TrainConfig,
+               profiles: dict[int, RelationLiteralProfile] | None = None) -> ModelState:
+    """Allocate and initialize all trainable tensors for a run."""
+    config.validate()
+    if not config.fusion_enabled:
+        profiles = {}
+    elif graph.num_attributes == 0:
+        raise ConfigError("fusion requires literal attributes, but the graph has none")
+    elif profiles is None:
+        profiles = build_profiles(graph)
+    return _new_state(config, graph.num_entities, graph.num_relations,
+                      graph.num_attributes, profiles)
 
 
 def _softmax(scores):
@@ -421,8 +409,6 @@ def save_checkpoint(state: ModelState, history: dict, directory: str) -> None:
     save_arrays(os.path.join(tmp, "params"), state.parameters())
     save_arrays(os.path.join(tmp, "optimizer"), state.optimizer.state_arrays())
     if state.profiles:
-        from litrel.aggregation import save_profiles
-
         save_profiles(state.profiles, os.path.join(tmp, "profiles"))
     with open(os.path.join(tmp, "history.json"), "w", encoding="utf-8") as fh:
         json.dump(history, fh, indent=2, sort_keys=True)
@@ -433,8 +419,15 @@ def save_checkpoint(state: ModelState, history: dict, directory: str) -> None:
 
 
 def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
+    """Rebuild a saved state through the training constructor, then copy its arrays in.
+
+    A stored parameter set that does not match the configured model
+    name for name and shape for shape is a :class:`ConfigError`.
+    """
     with open(os.path.join(directory, "checkpoint.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise ConfigError(f"{directory}: checkpoint.json has no config object")
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(
             f"{directory}: checkpoint version {meta.get('version')!r} is not supported "
@@ -445,50 +438,29 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
         raise ConfigError(f"{directory}: unknown checkpoint config keys: {sorted(unknown)}")
     config = TrainConfig(**meta["config"])
     config.validate()
-    params = load_arrays(os.path.join(directory, "params"))
-    tables = EmbeddingTables(
-        entity=params["entity"], relation=params["relation"], core=params.get("core")
-    )
-    state = ModelState(config=config, tables=tables)
+    stored = load_arrays(os.path.join(directory, "params"))
     profile_dir = os.path.join(directory, "profiles")
-    if os.path.isdir(profile_dir):
-        from litrel.aggregation import load_profiles
-
-        state.profiles = load_profiles(profile_dir)
-    if config.fusion_enabled:
-        rng = np.random.default_rng(config.seed)  # shapes only; overwritten below
-        num_attributes = _infer_num_attributes(params, config)
-        dim = fusion_block_dim(config)
-        if config.model == "complex" and config.complex_separate_fusion:
-            blocks = [
-                fusion_mod.make_fusion(config.fusion, dim, num_attributes, rng, name="fusion_re"),
-                fusion_mod.make_fusion(config.fusion, dim, num_attributes, rng, name="fusion_im"),
-            ]
-        else:
-            block = fusion_mod.make_fusion(config.fusion, dim, num_attributes, rng)
-            blocks = [block, block] if config.model == "complex" else [block]
-        state.fusion_blocks = blocks
-        seen = set()
-        for block in blocks:
-            if id(block) in seen:
-                continue
-            seen.add(id(block))
-            for name, arr in block.parameters().items():
-                arr[...] = params[name]
-        if config.aggregation == "learnable":
-            state.agg_weights = params["agg.weights"]
-            state.agg_bias = params["agg.bias"]
-    state.optimizer = Optimizer(config.optimizer, config.learning_rate)
+    profiles = load_profiles(profile_dir) if os.path.isdir(profile_dir) else {}
+    if config.fusion_enabled and not profiles:
+        raise ConfigError(f"{directory}: fused checkpoint has no literal profiles")
+    num_attributes = next(iter(profiles.values())).u_head.shape[0] if profiles else 0
+    state = _new_state(config, len(stored.get("entity", ())), len(stored.get("relation", ())),
+                       num_attributes, profiles)
+    params = state.parameters()
+    if set(params) != set(stored):
+        raise ConfigError(
+            f"{directory}: checkpoint parameters do not match the {config.model} model: "
+            f"missing {sorted(set(params) - set(stored))}, extra {sorted(set(stored) - set(params))}"
+        )
+    for name, arr in params.items():
+        if stored[name].shape != arr.shape:
+            raise ConfigError(
+                f"{directory}: parameter {name} has shape {stored[name].shape}, expected {arr.shape}"
+            )
+        arr[...] = stored[name]
     opt_dir = os.path.join(directory, "optimizer")
     if os.path.isdir(opt_dir):
         state.optimizer.load_state_arrays(load_arrays(opt_dir))
     with open(os.path.join(directory, "history.json"), encoding="utf-8") as fh:
         history = json.load(fh)
     return state, history
-
-
-def _infer_num_attributes(params: dict[str, np.ndarray], config: TrainConfig) -> int:
-    for name in ("fusion.weight", "fusion_re.weight"):
-        if name in params:
-            return (params[name].shape[0] - fusion_block_dim(config)) // 2
-    raise ConfigError("checkpoint is missing fusion parameters")

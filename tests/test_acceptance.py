@@ -288,7 +288,7 @@ def test_criterion_6_ablation_equivalence(toy_graph):
         gated = init_state(toy_graph, gated_cfg)
         gated.tables.entity[...] = vanilla.tables.entity
         gated.tables.relation[...] = vanilla.tables.relation
-        block = gated.fusion_blocks[0]
+        block = gated.fusion
         block.gate_head[...] = 0.0
         block.gate_rel[...] = 0.0
         block.gate_tail[...] = 0.0

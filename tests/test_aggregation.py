@@ -208,7 +208,7 @@ class TestLiteralVectors:
     def test_learnable_zero_params_gives_half(self, rng):
         graph = random_graph(rng)
         profile = build_profiles(graph)[0]
-        params = LearnableAggregationParams.zeros()
+        params = LearnableAggregationParams(weights=np.zeros(11), bias=0.0)
         l_h, l_t = literal_vectors(profile, "learnable", params)
         np.testing.assert_allclose(l_h, 0.5)
         np.testing.assert_allclose(l_t, 0.5)

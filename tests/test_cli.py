@@ -238,6 +238,65 @@ class TestTrainEvaluateClassify:
         assert "bogus" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: m.pop("config"), id="missing"),
+        pytest.param(lambda m: m.update(config=["model"]), id="not-an-object"),
+    ])
+    def test_checkpoint_without_config_object_is_config_error(self, pipeline, capsys, edit):
+        self.edit_checkpoint_meta(pipeline["checkpoint"], edit)
+        assert self.evaluate(pipeline) == 1
+        err = capsys.readouterr().err
+        assert pipeline["checkpoint"] in err
+        assert "internal error" not in err
+
+    def test_missing_parameter_array_is_config_error(self, pipeline, capsys):
+        os.remove(os.path.join(pipeline["checkpoint"], "params", "fusion.bias.npy"))
+        assert self.evaluate(pipeline) == 1
+        err = capsys.readouterr().err
+        assert "missing ['fusion.bias']" in err
+        assert "internal error" not in err
+
+    def test_misshaped_parameter_array_is_config_error(self, pipeline, capsys):
+        path = os.path.join(pipeline["checkpoint"], "params", "fusion.weight.npy")
+        np.save(path, np.load(path)[:, :-1])
+        assert self.evaluate(pipeline) == 1
+        err = capsys.readouterr().err
+        assert "fusion.weight has shape (12, 7), expected (12, 8)" in err
+        assert "internal error" not in err
+
+    def edit_graph_meta(self, artifact, edit):
+        path = os.path.join(artifact, "graph.json")
+        with open(path) as fh:
+            meta = json.load(fh)
+        edit(meta)
+        with open(path, "w") as fh:
+            json.dump(meta, fh)
+
+    def test_artifact_version_mismatch_is_validation_error(self, pipeline, capsys):
+        self.edit_graph_meta(pipeline["artifact"], lambda m: m.update(version=99))
+        assert train(pipeline["artifact"], str(pipeline["tmp"] / "c2")) == 1
+        err = capsys.readouterr().err
+        assert "graph.json: artifact version 99" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("name", ["entities", "relations", "attributes"])
+    def test_artifact_size_mismatch_is_validation_error(self, pipeline, capsys, name):
+        self.edit_graph_meta(pipeline["artifact"], lambda m: m.update({name: 17}))
+        assert train(pipeline["artifact"], str(pipeline["tmp"] / "c2")) == 1
+        err = capsys.readouterr().err
+        assert f"graph.json: records 17 {name}" in err
+        assert "internal error" not in err
+
+    def test_triple_index_out_of_range_is_validation_error(self, pipeline, capsys):
+        path = os.path.join(pipeline["artifact"], "arrays", "test.npy")
+        test = np.load(path)
+        test[0, 2] = 999
+        np.save(path, test)
+        assert self.evaluate(pipeline) == 1
+        err = capsys.readouterr().err
+        assert "test.npy: triple 0 has tail index 999 outside 0..7" in err
+        assert "internal error" not in err
+
     def test_missing_artifact_is_validation_error(self, tmp_path):
         code = main(["train", "--artifact-dir", str(tmp_path / "nope")])
         assert code == 1
@@ -304,3 +363,19 @@ class TestConfigPrecedence:
         echoed = json.loads(open(os.path.join(checkpoint, "config.json")).read())
         assert echoed["model"] == "distmult"
         assert echoed["epochs"] == 1
+
+    def test_profile_options_are_not_training_config(self, dataset, tmp_path):
+        artifact = str(tmp_path / "artifact")
+        assert preprocess(dataset, artifact) == 0
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "artifact_dir": artifact,
+            "aggregate_over_all_rows": True,
+            "multiset_rows": True,
+        }))
+        checkpoint = str(tmp_path / "ckpt")
+        assert main(["--config", str(config), "train", "--checkpoint-dir", checkpoint,
+                     "--dim-entity", "8", "--dim-relation", "8", "--epochs", "1"]) == 0
+        meta = json.loads(open(os.path.join(checkpoint, "checkpoint.json")).read())
+        assert "aggregate_over_all_rows" not in meta["config"]
+        assert "multiset_rows" not in meta["config"]

@@ -112,7 +112,7 @@ class TestBuildGraph:
     def test_filter_index_covers_all_splits(self, toy_graph):
         for split in (toy_graph.train, toy_graph.valid, toy_graph.test):
             for h, r, t in split:
-                assert toy_graph.contains(int(h), int(r), int(t))
+                assert int(t) in toy_graph.filter_tails[(int(h), int(r))]
 
     def test_duplicate_triples_deduplicated_with_warning(self, caplog):
         graph = build_graph([("a", "r", "b"), ("a", "r", "b")], [], [], [])

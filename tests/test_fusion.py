@@ -129,7 +129,7 @@ class TestGradients:
             return float(upstream @ out)
 
         _, cache = block.forward(l_h, r, l_t)
-        grads = block.zero_grads()
+        grads = {name: np.zeros_like(p) for name, p in block.parameters().items()}
         d_l_h, d_r, d_l_t = block.backward(cache, upstream, grads)
 
         h = 1e-6

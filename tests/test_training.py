@@ -18,6 +18,11 @@ def make_config(**overrides):
     return TrainConfig(**base)
 
 
+def base_parameter_count(state):
+    tables = (state.tables.entity, state.tables.relation, state.tables.core)
+    return sum(t.size for t in tables if t is not None)
+
+
 @pytest.fixture
 def small_graph():
     train = [
@@ -90,7 +95,7 @@ class TestLoss:
         gated = training.init_state(small_graph, make_config(fusion="gated"))
         gated.tables.entity[...] = vanilla.tables.entity
         gated.tables.relation[...] = vanilla.tables.relation
-        block = gated.fusion_blocks[0]
+        block = gated.fusion
         block.gate_head[...] = 0
         block.gate_rel[...] = 0
         block.gate_tail[...] = 0
@@ -126,8 +131,8 @@ class TestOptimizer:
 class TestParameterCounts:
     def test_vanilla_has_base_count(self, small_graph):
         state = training.init_state(small_graph, make_config())
-        assert state.parameter_count() == state.base_parameter_count()
-        assert state.base_parameter_count() == (
+        assert state.parameter_count() == base_parameter_count(state)
+        assert base_parameter_count(state) == (
             small_graph.num_entities * 6 + small_graph.num_relations * 6
         )
 
@@ -137,7 +142,7 @@ class TestParameterCounts:
         state = training.init_state(
             small_graph, make_config(fusion=fusion_kind, aggregation=aggregation)
         )
-        delta = state.parameter_count() - state.base_parameter_count()
+        delta = state.parameter_count() - base_parameter_count(state)
         assert delta == param_count(
             fusion_kind, 6, small_graph.num_attributes, aggregation == "learnable"
         )
@@ -147,19 +152,14 @@ class TestParameterCounts:
             small_graph, make_config(model="tucker", dim_entity=4, dim_relation=3)
         )
         assert state.tables.core.shape == (4, 3, 4)
-        assert state.parameter_count() == state.base_parameter_count()
+        assert state.parameter_count() == base_parameter_count(state)
 
     def test_complex_shared_fusion_counts_once(self, small_graph):
         shared = training.init_state(
             small_graph, make_config(model="complex", fusion="linear")
         )
-        separate = training.init_state(
-            small_graph,
-            make_config(model="complex", fusion="linear", complex_separate_fusion=True),
-        )
         block_scalars = param_count("linear", 3, small_graph.num_attributes, False)
-        assert shared.parameter_count() - shared.base_parameter_count() == block_scalars
-        assert separate.parameter_count() - separate.base_parameter_count() == 2 * block_scalars
+        assert shared.parameter_count() - base_parameter_count(shared) == block_scalars
 
 
 class TestTrainLoop:
@@ -185,17 +185,22 @@ class TestTrainLoop:
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("fusion_kind,aggregation", [
-        (None, "mean"), ("linear", "mean"), ("gated", "learnable"),
+    @pytest.mark.parametrize("model,fusion_kind,aggregation", [
+        pytest.param("distmult", None, "mean", id="None-mean"),
+        pytest.param("distmult", "linear", "mean", id="linear-mean"),
+        pytest.param("distmult", "gated", "learnable", id="gated-learnable"),
+        ("complex", "linear", "mean"),
+        ("tucker", "gated", "learnable"),
     ])
-    def test_round_trip(self, small_graph, tmp_path, fusion_kind, aggregation):
-        config = make_config(epochs=2, fusion=fusion_kind, aggregation=aggregation)
+    def test_round_trip(self, small_graph, tmp_path, model, fusion_kind, aggregation):
+        config = make_config(model=model, epochs=2, fusion=fusion_kind, aggregation=aggregation)
         state, history = train(small_graph, config)
         directory = str(tmp_path / "ckpt")
         training.save_checkpoint(state, history, directory)
         loaded, loaded_history = training.load_checkpoint(directory)
         assert loaded_history["loss"] == history["loss"]
         original = state.parameters()
+        assert set(loaded.parameters()) == set(original)
         for name, arr in loaded.parameters().items():
             np.testing.assert_array_equal(arr, original[name])
         # loss continues identically after reload
