@@ -155,6 +155,12 @@ def _load_artifact(config: dict) -> KnowledgeGraph:
     return KnowledgeGraph.load(artifact_dir)
 
 
+def _load_checkpoint(config: dict):
+    if config["checkpoint_dir"] is None:
+        raise ConfigError("checkpoint_dir is not set; run train first")
+    return training.load_checkpoint(config["checkpoint_dir"])
+
+
 def cmd_train(config: dict, output_dir: str) -> int:
     graph = _load_artifact(config)
     train_cfg = train_config_from(config)
@@ -188,10 +194,7 @@ def _parse_threshold(raw, graph: KnowledgeGraph, group_by: str) -> float:
 
 def cmd_evaluate(config: dict, output_dir: str) -> int:
     graph = _load_artifact(config)
-    checkpoint_dir = config["checkpoint_dir"]
-    if checkpoint_dir is None or not os.path.isdir(checkpoint_dir):
-        raise ConfigError(f"checkpoint_dir {checkpoint_dir!r} does not exist")
-    state, _ = training.load_checkpoint(checkpoint_dir)
+    state, _ = _load_checkpoint(config)
     if state.tables.entity.shape[0] != graph.num_entities:
         raise ValidationError(
             f"checkpoint has {state.tables.entity.shape[0]} entities, "
@@ -224,12 +227,9 @@ def cmd_evaluate(config: dict, output_dir: str) -> int:
 
 def cmd_classify(config: dict, output_dir: str) -> int:
     graph = _load_artifact(config)
-    checkpoint_dir = config["checkpoint_dir"]
-    if checkpoint_dir is None or not os.path.isdir(checkpoint_dir):
-        raise ConfigError(f"checkpoint_dir {checkpoint_dir!r} does not exist")
     if config["labels_path"] is None:
         raise ConfigError("classify requires labels_path")
-    state, _ = training.load_checkpoint(checkpoint_dir)
+    state, _ = _load_checkpoint(config)
     labeled = load_labeled_nodes(config["labels_path"], graph)
     train_feats = export_embeddings(state, labeled.train_nodes)
     test_feats = export_embeddings(state, labeled.test_nodes)

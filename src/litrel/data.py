@@ -34,7 +34,8 @@ class Vocab:
     """Bidirectional label <-> dense index mapping.
 
     Indices are contiguous from 0 and assigned in sorted label order so
-    that construction is independent of input ordering.
+    that construction is independent of input ordering.  A label must be
+    non-empty and free of ``\n``: the vocabulary file holds one per line.
     """
 
     def __init__(self, labels):
@@ -42,6 +43,9 @@ class Vocab:
         self.index = {label: i for i, label in enumerate(self.labels)}
         if len(self.index) != len(self.labels):
             raise ValidationError("duplicate labels in vocabulary")
+        bad = next((label for label in self.labels if not label or "\n" in label), None)
+        if bad is not None:
+            raise ValidationError(f"label {bad!r} is empty or holds a newline")
 
     @classmethod
     def from_items(cls, items) -> "Vocab":
@@ -59,14 +63,15 @@ class Vocab:
     def __eq__(self, other) -> bool:
         return isinstance(other, Vocab) and self.labels == other.labels
 
+    # newline="\n": only "\n" ends a line, so a "\r" inside a label survives
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for label in self.labels:
                 fh.write(label + "\n")
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
             return cls([line.rstrip("\n") for line in fh if line != "\n"])
 
 

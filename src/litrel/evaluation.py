@@ -7,6 +7,12 @@ evaluated entity itself) are filtered out before ranking.  Ties resolve
 to the realistic rank (mean of best and worst rank among equal scores)
 by default; optimistic and pessimistic policies are available.
 
+Ranking runs per relation: the fused relation vector is computed once,
+then each block of at most :func:`scoring.block_rows` of the relation's
+triples is scored as one B x |E| matrix per side.  Filtering sets each row's
+known-true competitors to -inf, and the better and tied entries are
+counted row-wise.
+
 Relations can additionally be partitioned into frequent vs long-tail
 groups (by training-triple count) or correlated vs less-correlated
 groups (by the best |Pearson coefficient| over head/tail attribute
@@ -18,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -26,15 +33,6 @@ from litrel.data import KnowledgeGraph
 from litrel.errors import ValidationError
 
 TIE_POLICIES = ("realistic", "optimistic", "pessimistic")
-
-
-@dataclass
-class RankRecord:
-    head: int
-    relation: int
-    tail: int
-    head_rank: float
-    tail_rank: float
 
 
 @dataclass
@@ -90,42 +88,57 @@ class EvaluationReport:
         return "\n".join(lines)
 
 
-def _rank_of(scores: np.ndarray, true_index: int, filtered: set[int], tie_policy: str) -> float:
-    """Rank of the true entity after filtering known-true competitors."""
-    true_score = scores[true_index]
-    mask = np.ones(scores.shape[0], dtype=bool)
-    for competitor in filtered:
-        mask[competitor] = False
-    mask[true_index] = True
-    kept = scores[mask]
-    better = int((kept > true_score).sum())
-    ties = int((kept == true_score).sum()) - 1  # excluding the true entity
+def filtered_ranks(scores: np.ndarray, targets: np.ndarray, known,
+                   tie_policy: str = "realistic") -> np.ndarray:
+    """Filtered rank of entity ``targets[b]`` in row ``b`` of a B x |E| score matrix.
+
+    ``known[b]`` holds the entities known to complete row ``b``; all of
+    them except ``targets[b]`` are filtered out by setting their scores
+    to -inf, in place.
+    """
+    if tie_policy not in TIE_POLICIES:
+        raise ValidationError(f"unknown tie policy {tie_policy!r}")
+    rows = np.arange(targets.size)
+    true = scores[rows, targets]
+    sizes = np.fromiter(map(len, known), dtype=np.int64, count=len(known))
+    competitors = np.fromiter(chain.from_iterable(known), dtype=np.int64, count=int(sizes.sum()))
+    scores[np.repeat(rows, sizes), competitors] = -np.inf
+    scores[rows, targets] = true
+    better = np.count_nonzero(scores > true[:, None], axis=1)
+    ties = np.count_nonzero(scores == true[:, None], axis=1) - 1  # excluding the target
     if tie_policy == "optimistic":
-        return float(better + 1)
+        return better + 1.0
     if tie_policy == "pessimistic":
-        return float(better + ties + 1)
+        return better + ties + 1.0
     return better + 1 + ties / 2.0
 
 
-def rank_triple(triple, state, graph: KnowledgeGraph, tie_policy: str = "realistic") -> RankRecord:
-    """Filtered head and tail ranks of one triple under the trained model."""
-    if tie_policy not in TIE_POLICIES:
-        raise ValidationError(f"unknown tie policy {tie_policy!r}")
-    h, r, t = (int(x) for x in triple)
-    r_lit = state.fused_relation(r)
+def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray,
+                 tie_policy: str = "realistic") -> np.ndarray:
+    """(N, 2) filtered [head rank, tail rank] of every triple under the trained model."""
+    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    ranks = np.empty((triples.shape[0], 2))
     model, tables = state.model, state.tables
-    tail_scores = scoring.score_all_tails(h, r_lit, model, tables)
-    tail_rank = _rank_of(tail_scores, t, graph.filter_tails.get((h, r), set()), tie_policy)
-    head_scores = scoring.score_all_heads(t, r_lit, model, tables)
-    head_rank = _rank_of(head_scores, h, graph.filter_heads.get((r, t), set()), tie_policy)
-    return RankRecord(head=h, relation=r, tail=t, head_rank=head_rank, tail_rank=tail_rank)
+    step = scoring.block_rows(tables.entity.shape[0])
+    for rel, group in scoring.relation_groups(triples[:, 1]):
+        r_lit = state.fused_relation(rel)
+        for start in range(0, group.size, step):
+            rows = group[start:start + step]
+            heads, tails = triples[rows, 0], triples[rows, 2]
+            known_heads = [graph.filter_heads.get((rel, t), ()) for t in tails.tolist()]
+            known_tails = [graph.filter_tails.get((h, rel), ()) for h in heads.tolist()]
+            ranks[rows, 0] = filtered_ranks(
+                scoring.score_all_heads(tails, r_lit, model, tables), heads, known_heads, tie_policy)
+            ranks[rows, 1] = filtered_ranks(
+                scoring.score_all_tails(heads, r_lit, model, tables), tails, known_tails, tie_policy)
+    return ranks
 
 
-def compute_metrics(records: list[RankRecord]) -> tuple[float, float, float]:
+def compute_metrics(ranks: np.ndarray) -> tuple[float, float, float]:
     """Pool head and tail ranks (two per triple) into MRR, Hits@1, Hits@10."""
-    if not records:
-        raise ValidationError("cannot compute metrics over an empty record list")
-    ranks = np.array([rank for rec in records for rank in (rec.head_rank, rec.tail_rank)])
+    ranks = np.asarray(ranks, dtype=np.float64).reshape(-1)
+    if ranks.size == 0:
+        raise ValidationError("cannot compute metrics over an empty rank array")
     mrr = float((1.0 / ranks).mean())
     hits1 = float((ranks <= 1).mean())
     hits10 = float((ranks <= 10).mean())
@@ -230,19 +243,21 @@ def evaluate(
     triples = graph.split(split)
     if triples.shape[0] == 0:
         raise ValidationError(f"split {split!r} is empty")
-    records = [rank_triple(triple, state, graph, tie_policy) for triple in triples]
-    mrr, hits1, hits10 = compute_metrics(records)
+    ranks = rank_triples(state, graph, triples, tie_policy)
+    mrr, hits1, hits10 = compute_metrics(ranks)
     report = EvaluationReport(
-        mrr=mrr, hits1=hits1, hits10=hits10, num_triples=len(records)
+        mrr=mrr, hits1=hits1, hits10=hits10, num_triples=triples.shape[0]
     )
     if grouping is not None:
         report.grouping_kind = grouping.kind
+        relations = np.unique(triples[:, 1]).tolist()
         for label in grouping.labels:
-            group_records = [rec for rec in records if grouping.group_of(rec.relation) == label]
-            if group_records:
-                g_mrr, g_h1, g_h10 = compute_metrics(group_records)
+            members = [r for r in relations if grouping.group_of(r) == label]
+            group_ranks = ranks[np.isin(triples[:, 1], members)]
+            if group_ranks.size:
+                g_mrr, g_h1, g_h10 = compute_metrics(group_ranks)
                 report.group_metrics[label] = {
-                    "num_triples": len(group_records),
+                    "num_triples": group_ranks.shape[0],
                     "mrr": g_mrr,
                     "hits_at_1": g_h1,
                     "hits_at_10": g_h10,

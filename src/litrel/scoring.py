@@ -1,16 +1,17 @@
-"""Triple scoring as a per-model query plus a shared similarity kernel.
+"""Triple scoring as per-model query matrices plus a shared similarity kernel.
 
-Every model scores a triple side by turning the anchor entity and the
-fused relation vector ``r_lit`` into a query ``q``, then comparing ``q``
-with every entity row in one of two kernels:
+Every model scores one side of a block of triples that share a relation
+by turning the anchor entities and the fused relation vector ``r_lit``
+into a B x D query matrix ``Q``, one row per anchor, then comparing
+every row with every entity in one of two kernels:
 
-* dot product ``E @ q`` (``norm = None``): DistMult, ComplEx, TuckER;
-* negative Lp distance ``-||q - E_i||_p`` (``norm = 1`` or ``2``):
+* dot product ``Q @ E.T`` (``norm = None``): DistMult, ComplEx, TuckER;
+* negative Lp distance ``-||q_b - e_j||_p`` (``norm = 1`` or ``2``):
   TransE, and RotatE with p = 2 over the packed re/im row.
 
-So "higher is better" for every model.  The tail side anchors on the
-head, the head side on the tail, and exact identities let both sides
-build a single query:
+So "higher is better" for every model, and a block scores as a B x |E|
+matrix.  The tail side anchors on the heads, the head side on the
+tails, and exact identities let both sides build their queries:
 
 * TransE:   tails ``q = e_h + r``, heads ``q = e_t - r``;
 * DistMult: ``q = e_anchor * r`` on both sides (the model is symmetric);
@@ -18,8 +19,18 @@ build a single query:
   ``Re(<e_h, r, conj(e_t)>)`` equals ``Re(<e_h, conj(conj(r) * e_t)>)``;
 * RotatE:   tails ``q = e_h * exp(i theta)``, heads
   ``q = e_t * exp(-i theta)``, since a rotation preserves the norm;
-* TuckER:   the core contracted with the anchor and ``r_lit``, the
-  anchor on the first entity mode for tails and on the last for heads.
+* TuckER:   the core contracted with ``r_lit`` once per query matrix,
+  ``W_r = core x_2 r_lit`` (D_e x D_e); tails ``q = e_h @ W_r``, heads
+  ``q = e_t @ W_r.T``.
+
+Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
+the distance kernel is one matrix product plus row norms.  The
+expansion loses every digit when ``q`` lies on ``e`` (a zero distance
+reads as a rounding residue such as -6e-8, and its gradient direction is
+noise), so the pairs whose expanded square is within ``_CANCEL`` times
+the rounding scale ``||q||^2 + max ||e||^2`` are recomputed directly
+as ``||q - e||^2``, which is exactly 0 for equal rows.  The L1 kernel
+keeps the direct form, one query row at a time.
 
 Complex-valued layouts pack real parts in the first half of a row and
 imaginary parts in the second half.  The rotation model stores relation
@@ -28,9 +39,10 @@ absorb the 2*pi periodicity, so no modular wrapping is applied.
 
 Backward passes accumulate into caller-provided dense gradient buffers
 (the softmax training loss makes entity gradients dense anyway):
-:func:`similarities_backward` returns the gradient w.r.t. the query and
-each model's ``query_backward`` turns that into the gradient w.r.t. the
-fused relation vector.
+:func:`similarities_backward` returns the gradient w.r.t. the query
+matrix and each model's ``query_backward`` adds the anchor rows'
+gradients with ``np.add.at`` (a repeated anchor adds up) and returns
+the gradient w.r.t. the fused relation vector.
 """
 
 from __future__ import annotations
@@ -43,7 +55,14 @@ from litrel.errors import ConfigError, ShapeError
 
 MODEL_KINDS = ("transe", "distmult", "complex", "rotate", "tucker")
 
+# Score entries per block: a B x |E| float64 score matrix stays at 2 MiB.
+BLOCK_SCORES = 1 << 18
+
 _NORM_EPS = 1e-12
+# Expanded squared distances within this multiple of their rounding scale
+# are recomputed directly; outside it the expansion is accurate to about
+# D * 1e-16 / _CANCEL relative.
+_CANCEL = 1e-6
 
 
 @dataclass
@@ -59,13 +78,13 @@ class EmbeddingTables:
         return self.entity.shape[1]
 
 
-def _complex(row):
-    m = row.shape[-1] // 2
-    return row[:m] + 1j * row[m:]
+def _complex(rows):
+    m = rows.shape[-1] // 2
+    return rows[..., :m] + 1j * rows[..., m:]
 
 
 def _packed(z):
-    return np.concatenate([z.real, z.imag])
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 class TransE:
@@ -76,13 +95,14 @@ class TransE:
             raise ConfigError(f"transe norm must be 1 or 2, got {norm}")
         self.norm = norm
 
-    def query(self, tables, anchor, r_lit, side):
-        e = tables.entity[anchor]
+    def query(self, tables, anchors, r_lit, side):
+        e = tables.entity[anchors]
         return e + r_lit if side == "tail" else e - r_lit
 
-    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
-        d_entity[anchor] += d_q
-        return d_q if side == "tail" else -d_q
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
+        np.add.at(d_entity, anchors, d_q)
+        d_r = d_q.sum(axis=0)
+        return d_r if side == "tail" else -d_r
 
 
 class DistMult:
@@ -90,12 +110,12 @@ class DistMult:
 
     norm = None
 
-    def query(self, tables, anchor, r_lit, side):
-        return tables.entity[anchor] * r_lit
+    def query(self, tables, anchors, r_lit, side):
+        return tables.entity[anchors] * r_lit
 
-    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
-        d_entity[anchor] += d_q * r_lit
-        return d_q * tables.entity[anchor]
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
+        np.add.at(d_entity, anchors, d_q * r_lit)
+        return np.einsum("bd,bd->d", d_q, tables.entity[anchors])
 
 
 class ComplEx:
@@ -103,18 +123,18 @@ class ComplEx:
 
     norm = None
 
-    def query(self, tables, anchor, r_lit, side):
-        e, r = _complex(tables.entity[anchor]), _complex(r_lit)
+    def query(self, tables, anchors, r_lit, side):
+        e, r = _complex(tables.entity[anchors]), _complex(r_lit)
         return _packed(e * r if side == "tail" else np.conj(r) * e)
 
-    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
-        e, r, g = _complex(tables.entity[anchor]), _complex(r_lit), _complex(d_q)
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
+        e, r, g = _complex(tables.entity[anchors]), _complex(r_lit), _complex(d_q)
         if side == "tail":
             d_e, d_r = g * np.conj(r), g * np.conj(e)
         else:
             d_e, d_r = g * r, np.conj(g) * e
-        d_entity[anchor] += _packed(d_e)
-        return _packed(d_r)
+        np.add.at(d_entity, anchors, _packed(d_e))
+        return _packed(d_r.sum(axis=0))
 
 
 class RotatE:
@@ -122,23 +142,23 @@ class RotatE:
 
     norm = 2
 
-    def query(self, tables, anchor, r_lit, side):
+    def query(self, tables, anchors, r_lit, side):
         if r_lit.shape[-1] != tables.dim_entity // 2:
             raise ShapeError(
                 f"rotate phase vector has length {r_lit.shape[-1]}, "
                 f"expected D_e/2 = {tables.dim_entity // 2}"
             )
         sign = 1.0 if side == "tail" else -1.0
-        return _packed(_complex(tables.entity[anchor]) * np.exp(sign * 1j * r_lit))
+        return _packed(_complex(tables.entity[anchors]) * np.exp(sign * 1j * r_lit))
 
-    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
         sign = 1.0 if side == "tail" else -1.0
         rotation = np.exp(sign * 1j * r_lit)
-        q = _complex(tables.entity[anchor]) * rotation
+        q = _complex(tables.entity[anchors]) * rotation
         g = _complex(d_q)
-        d_entity[anchor] += _packed(g * np.conj(rotation))
+        np.add.at(d_entity, anchors, _packed(g * np.conj(rotation)))
         # dq/dtheta = sign * i * q
-        return sign * np.imag(g * np.conj(q))
+        return sign * np.imag(g * np.conj(q)).sum(axis=0)
 
 
 class TuckER:
@@ -146,19 +166,24 @@ class TuckER:
 
     norm = None
 
-    def query(self, tables, anchor, r_lit, side):
+    def query(self, tables, anchors, r_lit, side):
         if tables.core is None:
             raise ShapeError("tucker scoring requires a core tensor")
-        a, o = ("p", "s") if side == "tail" else ("s", "p")
-        return np.einsum(f"{a},pqs,q->{o}", tables.entity[anchor], tables.core, r_lit)
+        w = np.einsum("pqs,q->ps", tables.core, r_lit)
+        return tables.entity[anchors] @ (w if side == "tail" else w.T)
 
-    def query_backward(self, tables, anchor, r_lit, side, d_q, d_entity, d_core=None):
-        a, o = ("p", "s") if side == "tail" else ("s", "p")
-        e = tables.entity[anchor]
-        d_entity[anchor] += np.einsum(f"{o},pqs,q->{a}", d_q, tables.core, r_lit)
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
+        w = np.einsum("pqs,q->ps", tables.core, r_lit)
+        e = tables.entity[anchors]
+        if side == "tail":
+            np.add.at(d_entity, anchors, d_q @ w.T)
+            d_w = e.T @ d_q
+        else:
+            np.add.at(d_entity, anchors, d_q @ w)
+            d_w = d_q.T @ e
         if d_core is not None:
-            d_core += np.einsum(f"{a},q,{o}->pqs", e, r_lit, d_q)
-        return np.einsum(f"{a},pqs,{o}->q", e, tables.core, d_q)
+            d_core += np.einsum("ps,q->pqs", d_w, r_lit)
+        return np.einsum("pqs,ps->q", tables.core, d_w)
 
 
 def make_model(kind: str, transe_norm: int = 2):
@@ -175,40 +200,83 @@ def make_model(kind: str, transe_norm: int = 2):
     raise ConfigError(f"unknown model kind {kind!r}")
 
 
+def block_rows(num_entities: int) -> int:
+    """Query rows per similarity block: ``BLOCK_SCORES`` score entries, at least one row."""
+    return max(1, BLOCK_SCORES // num_entities)
+
+
+def relation_groups(relations: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(relation, row indices)`` per distinct relation, ascending, rows in input order."""
+    order = np.argsort(relations, kind="stable")
+    values, starts = np.unique(relations[order], return_index=True)
+    return list(zip(values.tolist(), np.split(order, starts[1:])))
+
+
+def _sq_norms(rows):
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def _cancel_bound(q_sq, entity_sq):
+    """Per query row, the squared distance below which the expansion is recomputed."""
+    return _CANCEL * (q_sq + entity_sq.max())
+
+
 def similarities(norm, q: np.ndarray, entity: np.ndarray) -> np.ndarray:
-    """Score of query ``q`` against every entity row: ``E @ q`` or ``-||q - E_i||_p``."""
+    """B x |E| scores of the query rows ``q`` against every entity row.
+
+    ``q @ E.T`` for ``norm = None``, else ``-||q_b - e_j||_p``.
+    """
     if norm is None:
-        return entity @ q
-    diff = q - entity
+        return q @ entity.T
     if norm == 1:
-        return -np.abs(diff).sum(axis=-1)
-    return -np.sqrt((diff * diff).sum(axis=-1))
+        return -np.stack([np.abs(row - entity).sum(axis=1) for row in q])
+    q_sq, entity_sq = _sq_norms(q), _sq_norms(entity)
+    sq = q @ entity.T
+    sq *= -2.0
+    sq += q_sq[:, None]
+    sq += entity_sq
+    rows, cols = np.nonzero(sq <= _cancel_bound(q_sq, entity_sq)[:, None])
+    sq[rows, cols] = _sq_norms(q[rows] - entity[cols])
+    np.sqrt(sq, out=sq)
+    return np.negative(sq, out=sq)
 
 
-def similarities_backward(norm, q, entity, g, d_entity) -> np.ndarray:
-    """Backward of :func:`similarities` for upstream gradient ``g`` (|E|,).
+def similarities_backward(norm, q, entity, scores, g, d_entity) -> np.ndarray:
+    """Backward of :func:`similarities` for upstream gradient ``g`` (B x |E|).
 
+    ``scores`` is the forward output; the L2 kernel reuses its distances.
     Accumulates the entity-row gradients into ``d_entity`` and returns
     the gradient w.r.t. ``q``.
     """
     if norm is None:
-        d_entity += np.outer(g, q)
-        return entity.T @ g
-    diff = q - entity
+        d_entity += g.T @ q
+        return g @ entity
     if norm == 1:
-        unit = np.sign(diff)
-    else:
-        n = np.sqrt((diff * diff).sum(axis=-1))
-        unit = diff / np.maximum(n, _NORM_EPS)[:, None]
-    d_entity += g[:, None] * unit
-    return -(unit.T @ g)
+        d_q = np.empty_like(q)
+        for b, (row, g_row) in enumerate(zip(q, g)):
+            unit = np.sign(row - entity)
+            d_entity += g_row[:, None] * unit
+            d_q[b] = -(unit.T @ g_row)
+        return d_q
+    # score = -n with n = ||q - e||: dq = sum_j w_j (e_j - q), de_j = w_j (q - e_j), w = g / n
+    dist = -scores
+    near = dist <= np.sqrt(_cancel_bound(_sq_norms(q), _sq_norms(entity)))[:, None]
+    w = np.divide(g, dist, out=np.zeros_like(g), where=~near)
+    d_entity += w.T @ q - w.sum(axis=0)[:, None] * entity
+    d_q = w @ entity - w.sum(axis=1)[:, None] * q
+    rows, cols = np.nonzero(near)
+    diff = q[rows] - entity[cols]
+    pair = (g[rows, cols] / np.maximum(dist[rows, cols], _NORM_EPS))[:, None] * diff
+    np.add.at(d_entity, cols, pair)
+    np.add.at(d_q, rows, -pair)
+    return d_q
 
 
-def score_all_tails(h: int, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
-    """Scores of (h, r, e) for every entity e, as one batched operation."""
-    return similarities(model.norm, model.query(tables, h, r_lit, "tail"), tables.entity)
+def score_all_tails(heads: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
+    """B x |E| scores of (heads[b], r, e) for every entity e."""
+    return similarities(model.norm, model.query(tables, heads, r_lit, "tail"), tables.entity)
 
 
-def score_all_heads(t: int, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
-    """Scores of (e, r, t) for every entity e, as one batched operation."""
-    return similarities(model.norm, model.query(tables, t, r_lit, "head"), tables.entity)
+def score_all_heads(tails: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
+    """B x |E| scores of (e, r, tails[b]) for every entity e."""
+    return similarities(model.norm, model.query(tables, tails, r_lit, "head"), tables.entity)

@@ -3,12 +3,17 @@
 Each training triple contributes two cross-entropy terms: softmax over
 the scores of all candidate tails against the true tail, and softmax
 over all candidate heads against the true head.  No inverse triples are
-ever materialized.  The batch loss is the mean over triples.
+ever materialized.  The batch loss is the mean over triples.  The fused
+relation vector is computed once per relation group of a batch; the
+query rows of all groups are scored as matrices against the entity
+table (1-vs-all scoring), so no step runs per triple.
 
 Gradients are computed analytically and flow into the embedding tables,
 the fusion parameters and, when the learnable aggregation combination is
 configured, its 12 scalars.  Everything is float64 numpy; runs are
-deterministic given the seed.
+deterministic given the seed.  A non-finite loss stops training with a
+:class:`TrainingError`, and so does a non-finite gradient or updated
+parameter, naming the parameter.
 
 A fused model has one fusion block.  ComplEx runs that block on the real
 and the imaginary half of its relation vector (block width D_r/2), so
@@ -297,46 +302,67 @@ def init_state(graph: KnowledgeGraph, config: TrainConfig,
                       graph.num_attributes, profiles)
 
 
-def _softmax(scores):
-    shifted = scores - scores.max()
-    exp = np.exp(shifted)
-    return exp / exp.sum()
+def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
+    return next((name for name, arr in arrays.items() if not np.isfinite(arr).all()), None)
 
 
 def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
     """Mean per-triple loss (tail-side CE + head-side CE) and its gradients.
 
+    The triples of one relation share ``r_lit``: each relation group runs
+    the fusion forward once and builds the query rows of both sides.  The
+    query rows of the whole batch are then scored against the entity
+    table in blocks of :func:`scoring.block_rows` rows, with a row-wise
+    stable softmax, and each group turns its rows' query gradients into
+    one ``r_lit`` gradient for the fusion backward.
+
     Returns ``(loss, grads)`` where grads maps parameter names to arrays
-    matching :meth:`ModelState.parameters`.
+    matching :meth:`ModelState.parameters`.  A non-finite loss or
+    gradient raises :class:`TrainingError`.
     """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     if batch.shape[0] == 0:
         raise ConfigError("empty batch")
     model = state.model
     tables = state.tables
+    entity = tables.entity
     grads = state.zero_grads()
-    d_core = grads.get("core")
-    num_triples = batch.shape[0]
-    inv_n = 1.0 / num_triples
-    total = 0.0
+    d_entity, d_core = grads["entity"], grads.get("core")
+    inv_n = 1.0 / batch.shape[0]
 
-    order = np.argsort(batch[:, 1], kind="stable")
-    for rel in np.unique(batch[:, 1]):
-        rows = batch[order][batch[order][:, 1] == rel]
-        r_lit, cache = state.fuse_forward(int(rel))
+    groups, queries, targets = [], [], []
+    for rel, rows in scoring.relation_groups(batch[:, 1]):
+        r_lit, cache = state.fuse_forward(rel)
+        heads, tails = batch[rows, 0], batch[rows, 2]
+        sides = ((heads, "tail"), (tails, "head"))
+        queries += [model.query(tables, anchors, r_lit, side) for anchors, side in sides]
+        targets += [tails, heads]
+        groups.append((rel, r_lit, cache, sides))
+    q, targets = np.concatenate(queries), np.concatenate(targets)
+
+    total = 0.0
+    d_q = np.empty_like(q)
+    step = scoring.block_rows(entity.shape[0])
+    for start in range(0, q.shape[0], step):
+        block = slice(start, start + step)
+        scores = scoring.similarities(model.norm, q[block], entity)
+        picked = np.arange(scores.shape[0]), targets[block]
+        p = scores - scores.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        total -= np.log(np.maximum(p[picked], 1e-300)).sum()
+        p *= inv_n
+        p[picked] -= inv_n
+        d_q[block] = scoring.similarities_backward(model.norm, q[block], entity, scores, p, d_entity)
+
+    start = 0
+    for rel, r_lit, cache, sides in groups:
         d_r_lit = np.zeros_like(r_lit)
-        for h, _, t in rows:
-            h, t = int(h), int(t)
-            for anchor, target, side in ((h, t, "tail"), (t, h, "head")):
-                q = model.query(tables, anchor, r_lit, side)
-                p = _softmax(scoring.similarities(model.norm, q, tables.entity))
-                total += -np.log(max(p[target], 1e-300))
-                g = p * inv_n
-                g[target] -= inv_n
-                d_q = scoring.similarities_backward(model.norm, q, tables.entity, g, grads["entity"])
-                d_r_lit += model.query_backward(tables, anchor, r_lit, side, d_q,
-                                                grads["entity"], d_core)
-        state.fuse_backward(int(rel), cache, d_r_lit, grads)
+        for anchors, side in sides:
+            block = slice(start, start + anchors.size)
+            d_r_lit += model.query_backward(tables, anchors, r_lit, side, d_q[block], d_entity, d_core)
+            start += anchors.size
+        state.fuse_backward(rel, cache, d_r_lit, grads)
 
     loss = total * inv_n
     if not np.isfinite(loss):
@@ -350,11 +376,24 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
         loss += lam * (np.sum(tables.entity ** 2) + np.sum(tables.relation ** 2))
         grads["entity"] += 2 * lam * tables.entity
         grads["relation"] += 2 * lam * tables.relation
+    name = _first_non_finite(grads)
+    if name is not None:
+        raise TrainingError(
+            f"non-finite gradient for parameter {name} on batch starting with triple "
+            f"{tuple(batch[0])}"
+        )
     return loss, grads
 
 
 def optimizer_step(grads: dict[str, np.ndarray], state: ModelState) -> None:
-    state.optimizer.step(state.parameters(), grads)
+    """Apply one optimizer update; a parameter that becomes non-finite raises TrainingError."""
+    params = state.parameters()
+    state.optimizer.step(params, grads)
+    name = _first_non_finite(params)
+    if name is not None:
+        raise TrainingError(
+            f"parameter {name} is non-finite after optimizer step {state.optimizer.step_count}"
+        )
 
 
 def train(graph: KnowledgeGraph, config: TrainConfig,
@@ -397,8 +436,15 @@ def train(graph: KnowledgeGraph, config: TrainConfig,
 
 
 def save_checkpoint(state: ModelState, history: dict, directory: str) -> None:
-    """Write a checkpoint directory atomically (write-then-rename)."""
-    tmp = directory.rstrip("/") + ".tmp"
+    """Write a checkpoint directory so that an interruption leaves a valid one.
+
+    The new checkpoint is written to ``<directory>.tmp``; the old one is
+    renamed to ``<directory>.old`` before the new one is renamed into
+    place, and deleted only after that.  If the process dies between the
+    two renames, :func:`load_checkpoint` reads ``<directory>.old``.
+    """
+    base = directory.rstrip("/")
+    tmp, old = base + ".tmp", base + ".old"
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
     os.makedirs(tmp)
@@ -414,16 +460,28 @@ def save_checkpoint(state: ModelState, history: dict, directory: str) -> None:
         json.dump(history, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if os.path.exists(directory):
-        shutil.rmtree(directory)
+        if os.path.exists(old):
+            shutil.rmtree(old)
+        os.rename(directory, old)
     os.rename(tmp, directory)
+    if os.path.exists(old):
+        shutil.rmtree(old)
 
 
 def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
     """Rebuild a saved state through the training constructor, then copy its arrays in.
 
     A stored parameter set that does not match the configured model
-    name for name and shape for shape is a :class:`ConfigError`.
+    name for name and shape for shape is a :class:`ConfigError`.  When
+    ``directory`` is missing but an interrupted :func:`save_checkpoint`
+    left ``<directory>.old``, that checkpoint is read.
     """
+    if not os.path.isdir(directory):
+        old = directory.rstrip("/") + ".old"
+        if not os.path.isdir(old):
+            raise ConfigError(f"checkpoint_dir {directory!r} does not exist")
+        logger.warning("%s is missing; reading the previous checkpoint %s", directory, old)
+        directory = old
     with open(os.path.join(directory, "checkpoint.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):

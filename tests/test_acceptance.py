@@ -22,7 +22,7 @@ from litrel.evaluation import (
     evaluate,
     group_by_correlation,
     group_by_frequency,
-    rank_triple,
+    rank_triples,
 )
 from litrel.fusion import param_count
 from litrel.kernels import STAT_NAMES
@@ -194,7 +194,7 @@ def exhaustive_rank(scores, true_index, filtered):
     return (min(positions) + max(positions)) / 2.0
 
 
-def test_criterion_4_ranking_oracle():
+def test_criterion_4_ranking_oracle(monkeypatch):
     with criterion(4, "filtered ranks vs exhaustive sort"):
         from litrel import scoring
 
@@ -211,25 +211,31 @@ def test_criterion_4_ranking_oracle():
             # round scores' inputs to force ties occasionally
             state.tables.entity[...] = np.round(state.tables.entity, 1)
             state.tables.relation[...] = np.round(state.tables.relation, 1)
-            records = []
-            for triple in graph.train:
-                h, r, t = (int(x) for x in triple)
-                rec = rank_triple(triple, state, graph)
-                r_lit = state.fused_relation(r)
-                tails = scoring.score_all_tails(h, r_lit, state.model, state.tables)
-                heads = scoring.score_all_heads(t, r_lit, state.model, state.tables)
-                f_t = graph.filter_tails.get((h, r), set()) - {t}
-                f_h = graph.filter_heads.get((r, t), set()) - {h}
-                assert rec.tail_rank == exhaustive_rank(tails, t, f_t)
-                assert rec.head_rank == exhaustive_rank(heads, h, f_h)
-                records.append(rec)
-            mrr, hits1, hits10 = compute_metrics(records)
-            ranks = np.array(
-                [x for rec in records for x in (rec.head_rank, rec.tail_rank)]
-            )
-            assert mrr == float(np.mean(1.0 / ranks))
-            assert hits1 == float(np.mean(ranks <= 1))
-            assert hits10 == float(np.mean(ranks <= 10))
+            triples = graph.train
+            # whole relation groups per block, then blocks of 2 rows (groups split)
+            for block_scores in (scoring.BLOCK_SCORES, 2 * graph.num_entities):
+                monkeypatch.setattr(scoring, "BLOCK_SCORES", block_scores)
+                ranks = rank_triples(state, graph, triples)
+                # the oracle reads the very blocks the ranker scored
+                step = scoring.block_rows(graph.num_entities)
+                for r, group in scoring.relation_groups(triples[:, 1]):
+                    r_lit = state.fused_relation(r)
+                    for start in range(0, group.size, step):
+                        rows = group[start:start + step]
+                        heads, tails = triples[rows, 0], triples[rows, 2]
+                        tail_scores = scoring.score_all_tails(heads, r_lit, state.model, state.tables)
+                        head_scores = scoring.score_all_heads(tails, r_lit, state.model, state.tables)
+                        for k, i in enumerate(rows):
+                            h, t = int(heads[k]), int(tails[k])
+                            f_t = graph.filter_tails.get((h, r), set()) - {t}
+                            f_h = graph.filter_heads.get((r, t), set()) - {h}
+                            assert ranks[i, 1] == exhaustive_rank(tail_scores[k], t, f_t)
+                            assert ranks[i, 0] == exhaustive_rank(head_scores[k], h, f_h)
+            mrr, hits1, hits10 = compute_metrics(ranks)
+            pooled = ranks.reshape(-1)  # head rank, tail rank per triple
+            assert mrr == float(np.mean(1.0 / pooled))
+            assert hits1 == float(np.mean(pooled <= 1))
+            assert hits10 == float(np.mean(pooled <= 10))
 
 
 # --- 5: synthetic correlation benefit -----------------------------------

@@ -1,6 +1,8 @@
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from litrel.data import (
     KnowledgeGraph,
@@ -165,3 +167,33 @@ class TestSerialization:
         g1 = build_graph([("a", "r", "b"), ("c", "r", "d")], [], [], [])
         g2 = build_graph([("c", "r", "d"), ("a", "r", "b")], [], [], [])
         assert g1.entities == g2.entities
+
+
+# any label a vocabulary file can hold: one label per line
+LABELS = st.text(min_size=1, max_size=6).filter(lambda label: "\n" not in label)
+
+
+class TestLabelRoundTrip:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.tuples(LABELS, LABELS, LABELS), min_size=1, max_size=8),
+        st.lists(st.tuples(LABELS, LABELS, st.floats(-1e3, 1e3)), max_size=6),
+    )
+    def test_build_save_load_keeps_vocabularies_and_triples(self, triples, literals):
+        graph = build_graph(triples, triples[:1], triples[-1:], literals)
+        with tempfile.TemporaryDirectory() as directory:
+            graph.save(directory)
+            loaded = KnowledgeGraph.load(directory)
+        for name in ("entities", "relations", "attributes"):
+            assert getattr(loaded, name).labels == getattr(graph, name).labels
+        for split in ("train", "valid", "test"):
+            np.testing.assert_array_equal(loaded.split(split), graph.split(split))
+        e, r = loaded.entities.labels, loaded.relations.labels
+        assert {(e[h], r[rel], e[t]) for h, rel, t in loaded.train} == set(triples)
+
+    @pytest.mark.parametrize("label", ["", "two\nlines"], ids=["empty", "newline"])
+    def test_label_a_vocabulary_file_cannot_hold_is_rejected(self, label):
+        with pytest.raises(ValidationError, match="label"):
+            build_graph([("a", "r", label)], [], [], [])
+        with pytest.raises(ValidationError, match="label"):
+            build_graph([("a", "r", "b")], [], [], [("a", label, 1.0)])

@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from litrel import scoring
 from litrel.data import build_graph
 from litrel.errors import ValidationError
 from litrel.evaluation import (
-    RankRecord,
-    _rank_of,
     compute_metrics,
     evaluate,
+    filtered_ranks,
     frequency_threshold_from_fraction,
     group_by_correlation,
     group_by_frequency,
     pearson,
-    rank_triple,
+    rank_triples,
 )
 from litrel.training import TrainConfig, init_state
 
@@ -36,68 +36,72 @@ def brute_force_rank(scores, true_index, filtered, tie_policy="realistic"):
     return (min(positions) + max(positions)) / 2.0
 
 
+def rank_of(scores, true_index, filtered, tie_policy):
+    """The block ranker on a one-row block."""
+    block = np.array([scores], dtype=np.float64)
+    return filtered_ranks(block, np.array([true_index]), [filtered], tie_policy)[0]
+
+
 class TestRankOf:
     def test_unique_best_is_rank_one(self):
-        assert _rank_of(np.array([0.1, 0.9, 0.3]), 1, set(), "realistic") == 1.0
+        assert rank_of(np.array([0.1, 0.9, 0.3]), 1, set(), "realistic") == 1.0
 
     def test_all_equal_four_candidates(self):
         scores = np.zeros(4)
-        assert _rank_of(scores, 2, set(), "realistic") == 2.5
-        assert _rank_of(scores, 2, set(), "optimistic") == 1.0
-        assert _rank_of(scores, 2, set(), "pessimistic") == 4.0
+        assert rank_of(scores, 2, set(), "realistic") == 2.5
+        assert rank_of(scores, 2, set(), "optimistic") == 1.0
+        assert rank_of(scores, 2, set(), "pessimistic") == 4.0
 
     def test_filtering_removes_better_competitor(self):
         scores = np.array([5.0, 3.0, 1.0])
-        assert _rank_of(scores, 1, set(), "realistic") == 2.0
-        assert _rank_of(scores, 1, {0}, "realistic") == 1.0
+        assert rank_of(scores, 1, set(), "realistic") == 2.0
+        assert rank_of(scores, 1, {0}, "realistic") == 1.0
 
     def test_true_entity_never_filtered(self):
         scores = np.array([5.0, 3.0, 1.0])
-        assert _rank_of(scores, 1, {0, 1}, "realistic") == 1.0
+        assert rank_of(scores, 1, {0, 1}, "realistic") == 1.0
 
     @pytest.mark.parametrize("policy", ["realistic", "optimistic", "pessimistic"])
     def test_matches_exhaustive_sort_oracle(self, policy, rng):
         for _ in range(50):
             n = int(rng.integers(1, 9))
+            rows = int(rng.integers(1, 5))
             # coarse grid forces frequent ties
-            scores = rng.integers(0, 3, size=n).astype(np.float64)
-            true_index = int(rng.integers(n))
-            filtered = {
-                int(i) for i in rng.integers(0, n, size=int(rng.integers(0, n)))
-            }
-            assert _rank_of(scores, true_index, filtered, policy) == brute_force_rank(
-                scores, true_index, filtered, policy
-            )
+            scores = rng.integers(0, 3, size=(rows, n)).astype(np.float64)
+            targets = rng.integers(n, size=rows)
+            filtered = [
+                {int(i) for i in rng.integers(0, n, size=int(rng.integers(0, n)))}
+                for _ in range(rows)
+            ]
+            expected = [
+                brute_force_rank(scores[b], int(targets[b]), filtered[b], policy)
+                for b in range(rows)
+            ]
+            ranks = filtered_ranks(scores.copy(), targets, filtered, policy)
+            assert ranks.tolist() == expected
 
 
 class TestMetrics:
     def test_hand_arithmetic(self):
-        records = [
-            RankRecord(0, 0, 0, head_rank=1.0, tail_rank=2.0),
-            RankRecord(0, 0, 0, head_rank=10.0, tail_rank=1.0),
-        ]
-        mrr, hits1, hits10 = compute_metrics(records)
+        # one [head rank, tail rank] row per triple
+        ranks = np.array([[1.0, 2.0], [10.0, 1.0]])
+        mrr, hits1, hits10 = compute_metrics(ranks)
         assert mrr == pytest.approx((1 + 0.5 + 0.1 + 1) / 4)
         assert hits1 == 0.5
         assert hits10 == 1.0
 
     def test_two_ranks_per_triple(self):
-        records = [RankRecord(0, 0, 0, head_rank=1.0, tail_rank=4.0)]
-        mrr, hits1, hits10 = compute_metrics(records)
+        mrr, hits1, hits10 = compute_metrics(np.array([[1.0, 4.0]]))
         assert mrr == pytest.approx((1 + 0.25) / 2)
         assert hits1 == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            compute_metrics([])
+            compute_metrics(np.zeros((0, 2)))
 
     def test_bounds(self, rng):
-        records = [
-            RankRecord(0, 0, 0, head_rank=float(rng.integers(1, 50)),
-                       tail_rank=float(rng.integers(1, 50)))
-            for _ in range(20)
-        ]
-        mrr, hits1, hits10 = compute_metrics(records)
+        ranks = rng.integers(1, 50, size=(20, 2)).astype(np.float64)
+        mrr, hits1, hits10 = compute_metrics(ranks)
         assert 0 < mrr <= 1
         assert 0 <= hits1 <= hits10 <= 1
 
@@ -109,28 +113,34 @@ class TestFilteredRanking:
         return init_state(toy_graph, config)
 
     def test_filtered_never_worse_than_raw(self, toy_graph, trained_state):
-        for triple in toy_graph.test:
-            rec = rank_triple(triple, trained_state, toy_graph)
-            h, r, t = (int(x) for x in triple)
-            raw_tail = _rank_of(
-                __import__("litrel.scoring", fromlist=["score_all_tails"]).score_all_tails(
-                    h, trained_state.fused_relation(r), trained_state.model,
-                    trained_state.tables,
-                ),
-                t, set(), "realistic",
-            )
-            assert rec.tail_rank <= raw_tail
+        test = toy_graph.test
+        ranks = rank_triples(trained_state, toy_graph, test)
+        for rel, rows in scoring.relation_groups(test[:, 1]):
+            r_lit = trained_state.fused_relation(rel)
+            scores = scoring.score_all_tails(test[rows, 0], r_lit, trained_state.model,
+                                             trained_state.tables)
+            raw = filtered_ranks(scores, test[rows, 2], [set()] * rows.size)
+            assert (ranks[rows, 1] <= raw).all()
 
     def test_rank_bounds(self, toy_graph, trained_state):
         n = toy_graph.num_entities
-        for triple in toy_graph.test:
-            rec = rank_triple(triple, trained_state, toy_graph)
-            assert 1.0 <= rec.head_rank <= n
-            assert 1.0 <= rec.tail_rank <= n
+        ranks = rank_triples(trained_state, toy_graph, toy_graph.test)
+        assert ranks.shape == (toy_graph.test.shape[0], 2)
+        assert ((1.0 <= ranks) & (ranks <= n)).all()
+
+    @pytest.mark.parametrize("model,parts", [("distmult", 1), ("complex", 2)])
+    def test_fusion_runs_once_per_relation(self, toy_graph, model, parts):
+        state = init_state(toy_graph, TrainConfig(model=model, fusion="linear",
+                                                  dim_entity=6, dim_relation=6))
+        forward = state.fusion.forward
+        calls = []
+        state.fusion.forward = lambda *args: calls.append(1) or forward(*args)
+        evaluate(state, toy_graph, split="train")
+        assert len(calls) == parts * np.unique(toy_graph.train[:, 1]).size
 
     def test_unknown_tie_policy(self, toy_graph, trained_state):
         with pytest.raises(ValidationError):
-            rank_triple(toy_graph.test[0], trained_state, toy_graph, tie_policy="hopeful")
+            rank_triples(trained_state, toy_graph, toy_graph.test, tie_policy="hopeful")
 
 
 class TestPearson:

@@ -7,6 +7,7 @@ from litrel.scoring import (
     make_model,
     score_all_heads,
     score_all_tails,
+    similarities,
     similarities_backward,
 )
 
@@ -58,7 +59,7 @@ def reference_score(spec, tables, h, t, r_lit):
 
 
 def tail_score(h, r_lit, t, model, tables):
-    return score_all_tails(h, r_lit, model, tables)[t]
+    return score_all_tails(np.array([h]), r_lit, model, tables)[0, t]
 
 
 class TestSingleScores:
@@ -121,16 +122,16 @@ class TestSingleScores:
         tables = random_tables(rng, "rotate")
         model = make_model("rotate")
         with pytest.raises(ShapeError, match="phase"):
-            score_all_tails(0, np.zeros(6), model, tables)
+            score_all_tails(np.array([0]), np.zeros(6), model, tables)
         with pytest.raises(ShapeError, match="phase"):
-            score_all_heads(1, np.zeros(6), model, tables)
+            score_all_heads(np.array([1]), np.zeros(6), model, tables)
 
     def test_tucker_requires_core(self):
         tables = EmbeddingTables(entity=np.zeros((2, 2)), relation=np.zeros((1, 2)))
         with pytest.raises(ShapeError, match="core"):
-            score_all_tails(0, np.zeros(2), make_model("tucker"), tables)
+            score_all_tails(np.array([0]), np.zeros(2), make_model("tucker"), tables)
         with pytest.raises(ShapeError, match="core"):
-            score_all_heads(1, np.zeros(2), make_model("tucker"), tables)
+            score_all_heads(np.array([1]), np.zeros(2), make_model("tucker"), tables)
 
     def test_tucker_matches_einsum(self, rng):
         tables = random_tables(rng, "tucker")
@@ -149,15 +150,19 @@ class TestSingleScores:
         assert tail_score(0, np.zeros(2), 1, model, tables) == -3.0
 
 
+# a block of anchors with a repeat, so that per-anchor accumulation is exercised
+ANCHORS = np.array([1, 3, 1, 0])
+
+
 class TestBatchedScoring:
     @pytest.mark.parametrize("spec", list(MODEL_SPECS))
     def test_all_tails_matches_loop(self, spec, rng):
         tables = random_tables(rng, spec)
         model = spec_model(spec)
         r_lit = rng.normal(size=MODEL_SPECS[spec][3])
-        batched = score_all_tails(0, r_lit, model, tables)
-        assert batched.shape == (5,)
-        looped = [reference_score(spec, tables, 0, t, r_lit) for t in range(5)]
+        batched = score_all_tails(ANCHORS, r_lit, model, tables)
+        assert batched.shape == (ANCHORS.size, 5)
+        looped = [[reference_score(spec, tables, h, t, r_lit) for t in range(5)] for h in ANCHORS]
         np.testing.assert_allclose(batched, looped, atol=1e-9)
 
     @pytest.mark.parametrize("spec", list(MODEL_SPECS))
@@ -165,9 +170,9 @@ class TestBatchedScoring:
         tables = random_tables(rng, spec)
         model = spec_model(spec)
         r_lit = rng.normal(size=MODEL_SPECS[spec][3])
-        batched = score_all_heads(1, r_lit, model, tables)
-        assert batched.shape == (5,)
-        looped = [reference_score(spec, tables, h, 1, r_lit) for h in range(5)]
+        batched = score_all_heads(ANCHORS, r_lit, model, tables)
+        assert batched.shape == (ANCHORS.size, 5)
+        looped = [[reference_score(spec, tables, h, t, r_lit) for h in range(5)] for t in ANCHORS]
         np.testing.assert_allclose(batched, looped, atol=1e-9)
 
     def test_distmult_heads_equals_tails_swapped(self, rng):
@@ -175,15 +180,15 @@ class TestBatchedScoring:
         model = make_model("distmult")
         r_lit = rng.normal(size=6)
         np.testing.assert_allclose(
-            score_all_heads(2, r_lit, model, tables),
-            score_all_tails(2, r_lit, model, tables),
+            score_all_heads(ANCHORS, r_lit, model, tables),
+            score_all_tails(ANCHORS, r_lit, model, tables),
         )
 
     def test_transe_translation_hits_maximum(self):
         # entity 2 sits exactly at e_0 + r: its tail score is the max (0)
         entity = np.array([[0.0, 0.0], [3.0, 3.0], [1.0, 2.0]])
         tables = EmbeddingTables(entity=entity, relation=np.zeros((1, 2)))
-        scores = score_all_tails(0, np.array([1.0, 2.0]), make_model("transe"), tables)
+        scores = score_all_tails(np.array([0]), np.array([1.0, 2.0]), make_model("transe"), tables)[0]
         assert scores[2] == 0.0
         assert scores.argmax() == 2
 
@@ -195,20 +200,20 @@ class TestBackwardPasses:
         tables = random_tables(rng, spec)
         model = spec_model(spec)
         r_lit = rng.normal(size=MODEL_SPECS[spec][3])
-        g = rng.normal(size=5)
-        anchor = 1
+        g = rng.normal(size=(ANCHORS.size, 5))
         query_side = side[:-1]  # "tail" or "head"
 
         def objective():
             if side == "tails":
-                return float(g @ score_all_tails(anchor, r_lit, model, tables))
-            return float(g @ score_all_heads(anchor, r_lit, model, tables))
+                return float(np.sum(g * score_all_tails(ANCHORS, r_lit, model, tables)))
+            return float(np.sum(g * score_all_heads(ANCHORS, r_lit, model, tables)))
 
         d_entity = np.zeros_like(tables.entity)
         d_core = np.zeros_like(tables.core) if tables.core is not None else None
-        q = model.query(tables, anchor, r_lit, query_side)
-        d_q = similarities_backward(model.norm, q, tables.entity, g, d_entity)
-        d_r_lit = model.query_backward(tables, anchor, r_lit, query_side, d_q, d_entity, d_core)
+        q = model.query(tables, ANCHORS, r_lit, query_side)
+        scores = similarities(model.norm, q, tables.entity)
+        d_q = similarities_backward(model.norm, q, tables.entity, scores, g, d_entity)
+        d_r_lit = model.query_backward(tables, ANCHORS, r_lit, query_side, d_q, d_entity, d_core)
 
         h = 1e-6
         tensors = [(tables.entity, d_entity), (r_lit, d_r_lit)]
@@ -226,3 +231,40 @@ class TestBackwardPasses:
                 flat[i] = orig
                 num = (plus - minus) / (2 * h)
                 assert abs(num - aflat[i]) <= 1e-4 * max(1e-5, abs(num), abs(aflat[i]))
+
+
+def direct_l2_backward(q, entity, g):
+    """Gradients of sum(g * -||q_b - e_j||) from the unexpanded differences."""
+    diff = q[:, None, :] - entity[None, :, :]
+    n = np.sqrt((diff ** 2).sum(axis=-1))
+    unit = diff / np.maximum(n, 1e-12)[..., None]
+    return -(g[..., None] * unit).sum(axis=1), (g[..., None] * unit).sum(axis=0)
+
+
+class TestDistanceKernel:
+    """The expanded L2 kernel against the direct formula on (near-)coincident pairs."""
+
+    @pytest.fixture
+    def block(self, rng):
+        entity = rng.normal(size=(6, 8)) * 3.0
+        offsets = [0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0]
+        q = np.stack([entity[i] + off * rng.normal(size=8) for i, off in enumerate(offsets)])
+        q = np.concatenate([q, entity[[2]]])  # a second exact hit on entity 2
+        return q, entity
+
+    def test_zero_and_near_zero_distances_match_direct_formula(self, block):
+        q, entity = block
+        scores = similarities(2, q, entity)
+        direct = -np.sqrt(((q[:, None, :] - entity[None, :, :]) ** 2).sum(axis=-1))
+        assert scores[0, 0] == 0.0
+        assert scores[-1, 2] == 0.0
+        np.testing.assert_allclose(scores, direct, rtol=1e-8, atol=0.0)
+
+    def test_gradients_match_direct_formula(self, block, rng):
+        q, entity = block
+        g = rng.normal(size=(q.shape[0], entity.shape[0]))
+        d_entity = np.zeros_like(entity)
+        d_q = similarities_backward(2, q, entity, similarities(2, q, entity), g, d_entity)
+        want_q, want_entity = direct_l2_backward(q, entity, g)
+        np.testing.assert_allclose(d_q, want_q, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(d_entity, want_entity, rtol=1e-8, atol=1e-10)

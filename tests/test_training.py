@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
-from litrel import training
+from litrel import scoring, training
 from litrel.data import build_graph
-from litrel.errors import ConfigError
+from litrel.errors import ConfigError, TrainingError
 from litrel.fusion import param_count
 from litrel.training import ModelState, Optimizer, TrainConfig, symmetric_lcwa_loss, train
 
@@ -63,8 +65,6 @@ class TestLoss:
         assert loss == pytest.approx(2 * np.log(2), abs=1e-12)
 
     def test_matches_independent_softmax_ce(self, small_graph):
-        from litrel import scoring
-
         state = training.init_state(small_graph, make_config())
         batch = small_graph.train[:3]
         loss, _ = symmetric_lcwa_loss(batch, state)
@@ -72,8 +72,8 @@ class TestLoss:
         for h, r, t in batch:
             r_lit = state.tables.relation[r]
             for side_scores, true in (
-                (scoring.score_all_tails(int(h), r_lit, state.model, state.tables), int(t)),
-                (scoring.score_all_heads(int(t), r_lit, state.model, state.tables), int(h)),
+                (scoring.score_all_tails(np.array([h]), r_lit, state.model, state.tables)[0], int(t)),
+                (scoring.score_all_heads(np.array([t]), r_lit, state.model, state.tables)[0], int(h)),
             ):
                 exp = np.exp(side_scores - side_scores.max())
                 expected += -np.log(exp[true] / exp.sum())
@@ -104,6 +104,40 @@ class TestLoss:
             l_vanilla, _ = symmetric_lcwa_loss(triple[None, :], vanilla)
             l_gated, _ = symmetric_lcwa_loss(triple[None, :], gated)
             assert l_gated == pytest.approx(l_vanilla, abs=1e-6)
+
+
+    @pytest.mark.parametrize("model,dim_relation", [
+        ("transe", 6), ("distmult", 6), ("complex", 6), ("rotate", 3), ("tucker", 4),
+    ])
+    def test_blocks_split_inside_a_relation_group(self, small_graph, monkeypatch, model, dim_relation):
+        state = training.init_state(small_graph, make_config(
+            model=model, dim_relation=dim_relation, fusion="gated", aggregation="learnable"))
+        # repeated triples give repeated anchors inside one block
+        batch = np.concatenate([small_graph.train, small_graph.train[:3]])
+        whole_loss, whole = symmetric_lcwa_loss(batch, state)
+        for rows_per_block in (1, 2, 3):
+            monkeypatch.setattr(scoring, "BLOCK_SCORES", rows_per_block * small_graph.num_entities)
+            loss, grads = symmetric_lcwa_loss(batch, state)
+            assert abs(loss - whole_loss) <= 1e-12 * abs(whole_loss)
+            for name, grad in grads.items():
+                assert np.abs(grad - whole[name]).max() <= 1e-12 * np.abs(whole[name]).max()
+
+
+class TestNonFiniteGuard:
+    def test_non_finite_gradient_names_parameter(self, small_graph):
+        state = training.init_state(small_graph, make_config(l2=1e-3))
+        unused = small_graph.relations["s"]
+        state.tables.relation[unused, 0] = np.nan
+        batch = small_graph.train[small_graph.train[:, 1] != unused]
+        with pytest.raises(TrainingError, match="gradient for parameter relation"):
+            symmetric_lcwa_loss(batch, state)
+
+    def test_non_finite_update_names_parameter(self, small_graph):
+        state = training.init_state(small_graph, make_config(learning_rate=1e308))
+        _, grads = symmetric_lcwa_loss(small_graph.train, state)
+        training.optimizer_step(grads, state)  # each Adam step moves a parameter by ~1e308
+        with np.errstate(over="ignore"), pytest.raises(TrainingError, match="parameter entity is non-finite"):
+            training.optimizer_step(grads, state)
 
 
 class TestOptimizer:
@@ -216,3 +250,29 @@ class TestCheckpoint:
         training.save_checkpoint(state, history, directory)  # overwrite is clean
         loaded, _ = training.load_checkpoint(directory)
         assert loaded.config.model == "distmult"
+
+    def test_failed_swap_leaves_a_loadable_checkpoint(self, small_graph, tmp_path, monkeypatch):
+        state, history = train(small_graph, make_config(epochs=1))
+        directory = str(tmp_path / "ckpt")
+        training.save_checkpoint(state, history, directory)
+        saved = {name: arr.copy() for name, arr in state.parameters().items()}
+        state.tables.entity += 1.0
+        rename = os.rename
+
+        def rename_fails_for_new_checkpoint(src, dst):
+            if src.endswith(".tmp"):
+                raise OSError("killed before the new checkpoint was in place")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", rename_fails_for_new_checkpoint)
+        with pytest.raises(OSError, match="killed"):
+            training.save_checkpoint(state, history, directory)
+        monkeypatch.undo()
+        loaded, _ = training.load_checkpoint(directory)
+        for name, arr in loaded.parameters().items():
+            np.testing.assert_array_equal(arr, saved[name])
+        # the next save puts the new checkpoint in place and drops the old one
+        training.save_checkpoint(state, history, directory)
+        loaded, _ = training.load_checkpoint(directory)
+        np.testing.assert_array_equal(loaded.tables.entity, state.tables.entity)
+        assert sorted(os.listdir(tmp_path)) == ["ckpt"]
