@@ -10,11 +10,13 @@ map, yielding the vectors fed into fusion.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from litrel import kernels
+from litrel import kernels, scoring
 from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, ValidationError
 from litrel.kernels import NUM_STATS, STAT_NAMES
@@ -75,19 +77,16 @@ def build_profiles(
     values = graph.literals.values
     present = graph.literals.present
     num_entities = graph.num_entities
-    profiles: dict[int, RelationLiteralProfile] = {}
-    for relation in range(graph.num_relations):
+    empty = np.zeros((graph.num_attributes, NUM_STATS))
+    profiles = {
+        relation: RelationLiteralProfile(relation=relation, u_head=empty.copy(), u_tail=empty.copy())
+        for relation in range(graph.num_relations)
+    }
+    for relation, rows in scoring.relation_groups(graph.train[:, 1]):
         sides = []
-        rel_triples = graph.train[graph.train[:, 1] == relation]
         for column in (HEAD, TAIL):
-            members = rel_triples[:, column]
-            if not multiset_rows:
-                members = np.unique(members)
-            else:
-                members = np.sort(members)
-            if members.size == 0:
-                sides.append(np.zeros((graph.num_attributes, NUM_STATS)))
-                continue
+            members = graph.train[rows, column]
+            members = np.sort(members) if multiset_rows else np.unique(members)
             if aggregate_over_all_rows:
                 padded = np.zeros((num_entities, graph.num_attributes))
                 padded[members] = values[members]
@@ -96,9 +95,7 @@ def build_profiles(
                 sides.append(kernels.column_stats(padded, padded_mask))
             else:
                 sides.append(kernels.column_stats(values[members], present[members]))
-        profiles[relation] = RelationLiteralProfile(
-            relation=relation, u_head=sides[0], u_tail=sides[1]
-        )
+        profiles[relation].u_head, profiles[relation].u_tail = sides
     return profiles
 
 
@@ -148,8 +145,13 @@ def literal_vectors_backward(
     return d_weights, d_bias
 
 
-def save_profiles(profiles: dict[int, RelationLiteralProfile], directory: str) -> None:
-    """Serialize profiles as stacked (|R|, |A|, 11) arrays."""
+def save_profiles(profiles: dict[int, RelationLiteralProfile], directory: str,
+                  options: dict | None = None) -> None:
+    """Serialize profiles as stacked (|R|, |A|, 11) arrays.
+
+    ``options`` (the :func:`build_profiles` keywords the profiles were
+    built with) is recorded next to them in ``options.json``.
+    """
     num_relations = len(profiles)
     if num_relations == 0:
         u_head = u_tail = np.zeros((0, 0, NUM_STATS))
@@ -157,12 +159,35 @@ def save_profiles(profiles: dict[int, RelationLiteralProfile], directory: str) -
         u_head = np.stack([profiles[r].u_head for r in range(num_relations)])
         u_tail = np.stack([profiles[r].u_tail for r in range(num_relations)])
     save_arrays(directory, {"u_head": u_head, "u_tail": u_tail})
+    if options is not None:
+        with open(os.path.join(directory, "options.json"), "w", encoding="utf-8") as fh:
+            json.dump(options, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
-def load_profiles(directory: str) -> dict[int, RelationLiteralProfile]:
+def load_profiles(directory: str, num_relations: int | None = None,
+                  num_attributes: int | None = None) -> dict[int, RelationLiteralProfile]:
+    """Read profiles written by :func:`save_profiles`, checking their shapes.
+
+    ``u_head.npy`` and ``u_tail.npy`` must both exist with the same
+    (|R|, |A|, 11) shape, and |R| and |A| must equal ``num_relations``
+    and ``num_attributes`` where those are given; otherwise a
+    :class:`ValidationError` names the file.
+    """
     arrays = load_arrays(directory)
-    u_head = arrays["u_head"]
-    u_tail = arrays["u_tail"]
+    expected = None
+    for name in ("u_head", "u_tail"):
+        path = os.path.join(directory, name + ".npy")
+        if name not in arrays:
+            raise ValidationError(f"{path} is missing")
+        shape = arrays[name].shape
+        if expected is None and len(shape) == 3:
+            expected = (num_relations if num_relations is not None else shape[0],
+                        num_attributes if num_attributes is not None else shape[1],
+                        NUM_STATS)
+        if shape != expected:
+            raise ValidationError(f"{path} has shape {shape}, expected {expected or '(|R|, |A|, 11)'}")
+    u_head, u_tail = arrays["u_head"], arrays["u_tail"]
     return {
         r: RelationLiteralProfile(relation=r, u_head=u_head[r], u_tail=u_tail[r])
         for r in range(u_head.shape[0])

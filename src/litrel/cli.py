@@ -121,14 +121,11 @@ def cmd_preprocess(config: dict, output_dir: str) -> int:
     test = _load_split(config["test_path"])
     literals = load_literals(config["literals_path"]) if config["literals_path"] else []
     graph = build_graph(train, valid, test, literals)
-    profiles = aggregation.build_profiles(
-        graph,
-        aggregate_over_all_rows=bool(config["aggregate_over_all_rows"]),
-        multiset_rows=bool(config["multiset_rows"]),
-    )
+    options = {key: bool(config[key]) for key in ("aggregate_over_all_rows", "multiset_rows")}
+    profiles = aggregation.build_profiles(graph, **options)
     artifact_dir = config["artifact_dir"] or os.path.join(output_dir, "artifact")
     graph.save(artifact_dir)
-    aggregation.save_profiles(profiles, os.path.join(artifact_dir, "profiles"))
+    aggregation.save_profiles(profiles, os.path.join(artifact_dir, "profiles"), options)
     stats = {
         "entities": graph.num_entities,
         "relations": graph.num_relations,
@@ -167,7 +164,7 @@ def cmd_train(config: dict, output_dir: str) -> int:
     profiles = None
     profile_dir = os.path.join(config["artifact_dir"], "profiles")
     if train_cfg.fusion_enabled and os.path.isdir(profile_dir):
-        profiles = aggregation.load_profiles(profile_dir)
+        profiles = aggregation.load_profiles(profile_dir, graph.num_relations, graph.num_attributes)
     state, history = training.train(graph, train_cfg, profiles=profiles)
     checkpoint_dir = config["checkpoint_dir"] or os.path.join(output_dir, "checkpoint")
     training.save_checkpoint(state, history, checkpoint_dir)

@@ -187,6 +187,36 @@ def frequency_threshold_from_fraction(graph: KnowledgeGraph, fraction: float) ->
     return fraction * graph.train.shape[0]
 
 
+# Relative tolerance of the moment estimates in :func:`group_by_correlation`.
+_R_TOL = 1e-9
+
+
+def _pair_coefficients(x, y, hm, tm):
+    """Moment estimates of |Pearson's r| for every (head, tail) attribute pair.
+
+    ``x``/``y`` are the head/tail literal rows of a relation's triples and
+    ``hm``/``tm`` their presence masks; pair (a, b) runs over the rows
+    where both cells are present.  Returns |A| x |A| arrays
+    ``(n, abs_r, unsure, tol)``: the pair counts, the estimates from the
+    raw moments, the pairs that need the exact :func:`pearson` whatever
+    the threshold (fewer than 2 rows, or a variance within ``_R_TOL`` of
+    its sum of squares), and the rounding tolerance of each estimate.
+    """
+    hm, tm = hm.astype(np.float64), tm.astype(np.float64)
+    x, y = x * hm, y * tm
+    n = hm.T @ tm
+    sx, sy, sxy = x.T @ tm, hm.T @ y, x.T @ y
+    sxx, syy = (x * x).T @ tm, hm.T @ (y * y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vx = sxx - sx * sx / n
+        vy = syy - sy * sy / n
+        abs_r = np.abs(sxy - sx * sy / n) / np.sqrt(vx * vy)
+        # the raw sums round to about n * eps of each sum of squares
+        tol = _R_TOL + 8 * n * np.finfo(np.float64).eps * (sxx / vx + syy / vy)
+    unsure = (n < 2) | (vx <= _R_TOL * sxx) | (vy <= _R_TOL * syy)
+    return n, abs_r, unsure, tol
+
+
 def group_by_correlation(
     graph: KnowledgeGraph, threshold: float, min_samples: int = 3
 ) -> RelationGrouping:
@@ -196,34 +226,38 @@ def group_by_correlation(
     pair, over the relation's training triples where both values are
     present, reaches |Pearson coefficient| >= threshold.  Pairs with
     fewer than ``min_samples`` complete observations are skipped.
+
+    All pairs of a relation are estimated at once from masked moment
+    products.  An estimate farther than its rounding tolerance from the
+    threshold decides its pair; only the pairs too close to call are
+    recomputed with :func:`pearson`, so the partition is the one the
+    exact coefficients give.
     """
     if not 0 <= threshold <= 1:
         raise ValidationError("correlation threshold must be within [0, 1]")
     values = graph.literals.values
     present = graph.literals.present
+    groups = dict(scoring.relation_groups(graph.train[:, 1]))
+    no_rows = np.zeros(0, dtype=np.int64)
     partition = {}
     for relation in range(graph.num_relations):
-        triples = graph.train[graph.train[:, 1] == relation]
-        correlated = False
-        if triples.shape[0] >= min_samples and graph.num_attributes > 0:
-            heads = triples[:, 0]
-            tails = triples[:, 2]
-            head_mask = present[heads]   # (n, |A|)
-            tail_mask = present[tails]
-            for ha in range(graph.num_attributes):
-                if correlated:
-                    break
-                if head_mask[:, ha].sum() < min_samples:
-                    continue
-                for ta in range(graph.num_attributes):
-                    both = head_mask[:, ha] & tail_mask[:, ta]
-                    if int(both.sum()) < min_samples:
-                        continue
-                    coef = pearson(values[heads[both], ha], values[tails[both], ta])
-                    if abs(coef) >= threshold:
-                        correlated = True
-                        break
-        partition[relation] = "correlated" if correlated else "less-correlated"
+        partition[relation] = "less-correlated"
+        rows = groups.get(relation, no_rows)
+        if rows.size < min_samples or graph.num_attributes == 0:
+            continue
+        heads, tails = graph.train[rows, 0], graph.train[rows, 2]
+        n, abs_r, unsure, tol = _pair_coefficients(
+            values[heads], values[tails], present[heads], present[tails])
+        candidate = n >= min_samples
+        unsure |= np.abs(abs_r - threshold) <= tol
+        if (abs_r[candidate & ~unsure] >= threshold).any():
+            partition[relation] = "correlated"
+            continue
+        for a, b in zip(*np.nonzero(candidate & unsure)):
+            both = present[heads, a] & present[tails, b]
+            if abs(pearson(values[heads[both], a], values[tails[both], b])) >= threshold:
+                partition[relation] = "correlated"
+                break
     return RelationGrouping(
         kind="correlation",
         threshold=float(threshold),

@@ -20,8 +20,8 @@ tails, and exact identities let both sides build their queries:
 * RotatE:   tails ``q = e_h * exp(i theta)``, heads
   ``q = e_t * exp(-i theta)``, since a rotation preserves the norm;
 * TuckER:   the core contracted with ``r_lit`` once per query matrix,
-  ``W_r = core x_2 r_lit`` (D_e x D_e); tails ``q = e_h @ W_r``, heads
-  ``q = e_t @ W_r.T``.
+  ``W_r = core x_2 r_lit = r_lit @ core`` (D_e x D_e, a batched matrix
+  product); tails ``q = e_h @ W_r``, heads ``q = e_t @ W_r.T``.
 
 Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
 the distance kernel is one matrix product plus row norms.  The
@@ -169,11 +169,11 @@ class TuckER:
     def query(self, tables, anchors, r_lit, side):
         if tables.core is None:
             raise ShapeError("tucker scoring requires a core tensor")
-        w = np.einsum("pqs,q->ps", tables.core, r_lit)
+        w = r_lit @ tables.core
         return tables.entity[anchors] @ (w if side == "tail" else w.T)
 
     def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
-        w = np.einsum("pqs,q->ps", tables.core, r_lit)
+        w = r_lit @ tables.core
         e = tables.entity[anchors]
         if side == "tail":
             np.add.at(d_entity, anchors, d_q @ w.T)
@@ -182,8 +182,9 @@ class TuckER:
             np.add.at(d_entity, anchors, d_q @ w)
             d_w = d_q.T @ e
         if d_core is not None:
-            d_core += np.einsum("ps,q->pqs", d_w, r_lit)
-        return np.einsum("pqs,ps->q", tables.core, d_w)
+            d_core += np.einsum("ps,q->pqs", d_w, r_lit)  # outer product, faster than broadcasting
+        # d_r_lit[q] = sum_ps core[p, q, s] d_w[p, s]: one matrix-vector product per p
+        return (tables.core @ d_w[:, :, None]).sum(axis=0)[:, 0]
 
 
 def make_model(kind: str, transe_norm: int = 2):

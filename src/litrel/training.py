@@ -498,12 +498,12 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
     config.validate()
     stored = load_arrays(os.path.join(directory, "params"))
     profile_dir = os.path.join(directory, "profiles")
-    profiles = load_profiles(profile_dir) if os.path.isdir(profile_dir) else {}
+    num_relations = len(stored.get("relation", ()))
+    profiles = load_profiles(profile_dir, num_relations) if os.path.isdir(profile_dir) else {}
     if config.fusion_enabled and not profiles:
         raise ConfigError(f"{directory}: fused checkpoint has no literal profiles")
     num_attributes = next(iter(profiles.values())).u_head.shape[0] if profiles else 0
-    state = _new_state(config, len(stored.get("entity", ())), len(stored.get("relation", ())),
-                       num_attributes, profiles)
+    state = _new_state(config, len(stored.get("entity", ())), num_relations, num_attributes, profiles)
     params = state.parameters()
     if set(params) != set(stored):
         raise ConfigError(

@@ -79,6 +79,20 @@ class TestPreprocess:
         out = capsys.readouterr().out
         assert "entities: 8" in out
 
+    @pytest.mark.parametrize("options", [
+        {"aggregate_over_all_rows": False, "multiset_rows": False},
+        {"aggregate_over_all_rows": True, "multiset_rows": True},
+    ])
+    def test_profile_options_recorded_next_to_profiles(self, dataset, tmp_path, options):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        artifact = str(tmp_path / "artifact")
+        assert main(["--config", str(config), "preprocess",
+                     "--train-path", dataset["train"], "--literals-path", dataset["literals"],
+                     "--artifact-dir", artifact]) == 0
+        with open(os.path.join(artifact, "profiles", "options.json")) as fh:
+            assert json.load(fh) == options
+
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         a1 = str(tmp_path / "a1")
         a2 = str(tmp_path / "a2")
@@ -295,6 +309,29 @@ class TestTrainEvaluateClassify:
         assert self.evaluate(pipeline) == 1
         err = capsys.readouterr().err
         assert "test.npy: triple 0 has tail index 999 outside 0..7" in err
+        assert "internal error" not in err
+
+    def test_profile_relation_count_mismatch_is_validation_error(self, pipeline, capsys):
+        path = os.path.join(pipeline["artifact"], "profiles", "u_head.npy")
+        np.save(path, np.load(path)[:1])
+        assert train(pipeline["artifact"], str(pipeline["tmp"] / "c2"), extra=("--fusion", "linear")) == 1
+        err = capsys.readouterr().err
+        assert "u_head.npy has shape (1, 2, 11), expected (2, 2, 11)" in err
+        assert "internal error" not in err
+
+    def test_missing_profile_array_is_validation_error(self, pipeline, capsys):
+        os.remove(os.path.join(pipeline["artifact"], "profiles", "u_tail.npy"))
+        assert train(pipeline["artifact"], str(pipeline["tmp"] / "c2"), extra=("--fusion", "linear")) == 1
+        err = capsys.readouterr().err
+        assert "u_tail.npy is missing" in err
+        assert "internal error" not in err
+
+    def test_checkpoint_profile_mismatch_is_validation_error(self, pipeline, capsys):
+        path = os.path.join(pipeline["checkpoint"], "profiles", "u_tail.npy")
+        np.save(path, np.load(path)[:, :, :5])
+        assert self.evaluate(pipeline) == 1
+        err = capsys.readouterr().err
+        assert "u_tail.npy has shape (2, 2, 5), expected (2, 2, 11)" in err
         assert "internal error" not in err
 
     def test_missing_artifact_is_validation_error(self, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from litrel import scoring
 from litrel.data import build_graph
@@ -17,6 +18,7 @@ from litrel.evaluation import (
     rank_triples,
 )
 from litrel.training import TrainConfig, init_state
+from tests.conftest import random_graph
 
 
 def brute_force_rank(scores, true_index, filtered, tie_policy="realistic"):
@@ -221,6 +223,101 @@ class TestGroupings:
         graph = build_graph(triples, [], [], literals)
         grouping = group_by_correlation(graph, threshold=0.9)
         assert grouping.partition[graph.relations["r"]] == "less-correlated"
+
+
+def loop_correlation_partition(graph, threshold, min_samples=3):
+    """Oracle: one exact ``pearson`` per (relation, head attribute, tail attribute) pair."""
+    values = graph.literals.values
+    present = graph.literals.present
+    partition = {}
+    for relation in range(graph.num_relations):
+        triples = graph.train[graph.train[:, 1] == relation]
+        correlated = False
+        if triples.shape[0] >= min_samples and graph.num_attributes > 0:
+            heads = triples[:, 0]
+            tails = triples[:, 2]
+            head_mask = present[heads]
+            tail_mask = present[tails]
+            for ha in range(graph.num_attributes):
+                if correlated:
+                    break
+                if head_mask[:, ha].sum() < min_samples:
+                    continue
+                for ta in range(graph.num_attributes):
+                    both = head_mask[:, ha] & tail_mask[:, ta]
+                    if int(both.sum()) < min_samples:
+                        continue
+                    coef = pearson(values[heads[both], ha], values[tails[both], ta])
+                    if abs(coef) >= threshold:
+                        correlated = True
+                        break
+        partition[relation] = "correlated" if correlated else "less-correlated"
+    return partition
+
+
+THRESHOLDS = (0.0, 0.3, 0.5, 0.8, 0.95, 0.99, 1.0)
+
+
+class TestCorrelationOracle:
+    def assert_matches_loop(self, graph, thresholds=THRESHOLDS, min_samples=(0, 1, 2, 3, 5)):
+        for threshold in thresholds:
+            for k in min_samples:
+                expected = loop_correlation_partition(graph, threshold, k)
+                assert group_by_correlation(graph, threshold, k).partition == expected, (threshold, k)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_matches_loop(random_graph(rng, num_entities=12, num_relations=4,
+                                              num_attributes=3, triples_per_relation=10))
+
+    def test_constant_and_coarse_columns(self):
+        rng = np.random.default_rng(11)
+        entities = [f"e{i}" for i in range(10)]
+        triples = [(entities[i], "r", entities[(3 * i + 1) % 10]) for i in range(10)]
+        triples += [(entities[i], "s", entities[(i + 5) % 10]) for i in range(0, 10, 2)]
+        literals = [(e, "const", 7.0) for e in entities]
+        literals += [(e, "coarse", float(rng.integers(0, 2))) for e in entities]
+        graph = build_graph(triples, [], [], literals)
+        self.assert_matches_loop(graph)
+        # every pair of a constant column has coefficient 0, which threshold 0 still counts
+        assert set(group_by_correlation(graph, 0.0).partition.values()) == {"correlated"}
+
+    @pytest.mark.parametrize("rows", [3, 4, 7, 10, 31])
+    def test_perfectly_linear_pair(self, rows):
+        triples = [(f"h{i}", "r", f"t{i}") for i in range(rows)]
+        literals = [(f"h{i}", "x", 0.1 * i) for i in range(rows)]
+        literals += [(f"t{i}", "y", -3.7 * i + 2.0) for i in range(rows)]
+        graph = build_graph(triples, [], [], literals)
+        self.assert_matches_loop(graph, thresholds=(0.0, 0.999999, 1.0))
+        assert group_by_correlation(graph, 0.999999).partition[0] == "correlated"
+
+    def test_min_samples_boundary(self):
+        # 5 triples, the head attribute present on 4 of them
+        triples = [(f"h{i}", "r", f"t{i}") for i in range(5)]
+        literals = [(f"h{i}", "x", float(i * i)) for i in range(4)] + [("h4", "z", 1.0)]
+        literals += [(f"t{i}", "y", float(i)) for i in range(5)]
+        graph = build_graph(triples, [], [], literals)
+        self.assert_matches_loop(graph, min_samples=(3, 4, 5, 6))
+        relation = graph.relations["r"]
+        assert group_by_correlation(graph, 0.5, 4).partition[relation] == "correlated"
+        assert group_by_correlation(graph, 0.5, 5).partition[relation] == "less-correlated"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 7)),
+                 min_size=1, max_size=30),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 3)), max_size=24),
+        st.sampled_from(THRESHOLDS),
+        st.integers(0, 4),
+    )
+    def test_arbitrary_small_graphs(self, triples, literals, threshold, min_samples):
+        graph = build_graph(
+            [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in triples], [], [],
+            [(f"e{e}", f"a{a}", float(v)) for e, a, v in literals],
+        )
+        expected = loop_correlation_partition(graph, threshold, min_samples)
+        assert group_by_correlation(graph, threshold, min_samples).partition == expected
 
 
 class TestEvaluate:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from litrel.kernels import NUM_STATS, STAT_NAMES, column_stats
 
@@ -131,3 +133,51 @@ class TestKnownValues:
         out = column_stats(values, mask)
         np.testing.assert_array_equal(out[1], np.zeros(NUM_STATS))
         assert out[0, STAT_NAMES.index("count")] == 3.0
+
+
+@st.composite
+def populations(draw):
+    """(values, mask) with n in 1..40 rows and 0..8 columns.
+
+    Values are either coarse (five levels, so the mode ties often) or
+    drawn from [0, 1]; each column is kept as drawn, made all equal, or
+    emptied (no present cell, every value 0).
+    """
+    n = draw(st.integers(1, 40))
+    num_attrs = draw(st.integers(0, 8))
+    coarse = draw(st.booleans())
+    elements = (st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) if coarse
+                else st.floats(0.0, 1.0, allow_subnormal=False))
+    values = draw(hnp.arrays(np.float64, (n, num_attrs), elements=elements))
+    mask = draw(hnp.arrays(np.bool_, (n, num_attrs)))
+    for a in range(num_attrs):
+        layout = draw(st.sampled_from(["drawn", "all equal", "empty"]))
+        if layout == "all equal":
+            values[:, a] = values[0, a]
+            mask[:, a] = True
+        elif layout == "empty":
+            mask[:, a] = False
+    return np.where(mask, values, 0.0), mask
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(populations())
+    def test_matches_loop_reference(self, case):
+        values, mask = case
+        np.testing.assert_allclose(column_stats(values, mask), loop_stats(values, mask), atol=1e-12)
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_median_and_iqr_bit_identical_to_np_quantile(self, rng, coarse):
+        median, iqr = STAT_NAMES.index("median"), STAT_NAMES.index("iqr")
+        for rows in range(1, 50):
+            values = rng.normal(size=(rows, 7))
+            if coarse:
+                values = np.round(values * 2) + 3.0  # ties, no signed zeros
+            out = column_stats(values, np.ones(values.shape, dtype=bool))
+            q25, q50, q75 = (np.quantile(values, q, axis=0) for q in (0.25, 0.5, 0.75))
+            np.testing.assert_array_equal(out[:, median], q50)
+            np.testing.assert_array_equal(out[:, iqr], q75 - q25)
+
+    def test_no_columns_is_empty(self):
+        assert column_stats(np.zeros((5, 0)), np.zeros((5, 0), dtype=bool)).shape == (0, NUM_STATS)
