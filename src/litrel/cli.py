@@ -19,7 +19,7 @@ import os
 import sys
 
 from litrel import aggregation, training
-from litrel.data import KnowledgeGraph, build_graph, load_literals, load_triples
+from litrel.data import KnowledgeGraph, build_graph, load_literals, load_triples, vocabulary_digests
 from litrel.downstream import (
     confusion_counts,
     export_embeddings,
@@ -153,9 +153,24 @@ def _load_artifact(config: dict) -> KnowledgeGraph:
 
 
 def _load_checkpoint(config: dict):
+    """Load the configured checkpoint, which must come from the configured artifact.
+
+    The SHA-256 digests of the artifact's vocabulary files recorded at
+    training time must equal those of ``artifact_dir``; otherwise the
+    indices in the checkpoint mean other entities or relations.
+    """
     if config["checkpoint_dir"] is None:
         raise ConfigError("checkpoint_dir is not set; run train first")
-    return training.load_checkpoint(config["checkpoint_dir"])
+    state, history = training.load_checkpoint(config["checkpoint_dir"])
+    recorded = state.artifact if isinstance(state.artifact, dict) else {}
+    digests = vocabulary_digests(config["artifact_dir"])
+    differ = [name for name, digest in digests.items() if recorded.get(name) != digest]
+    if differ:
+        raise ConfigError(
+            f"checkpoint {config['checkpoint_dir']} was not trained on artifact "
+            f"{config['artifact_dir']}: {', '.join(differ)} differ"
+        )
+    return state, history
 
 
 def cmd_train(config: dict, output_dir: str) -> int:
@@ -166,6 +181,7 @@ def cmd_train(config: dict, output_dir: str) -> int:
     if train_cfg.fusion_enabled and os.path.isdir(profile_dir):
         profiles = aggregation.load_profiles(profile_dir, graph.num_relations, graph.num_attributes)
     state, history = training.train(graph, train_cfg, profiles=profiles)
+    state.artifact = vocabulary_digests(config["artifact_dir"])
     checkpoint_dir = config["checkpoint_dir"] or os.path.join(output_dir, "checkpoint")
     training.save_checkpoint(state, history, checkpoint_dir)
     echo_config(config, checkpoint_dir)
@@ -192,11 +208,6 @@ def _parse_threshold(raw, graph: KnowledgeGraph, group_by: str) -> float:
 def cmd_evaluate(config: dict, output_dir: str) -> int:
     graph = _load_artifact(config)
     state, _ = _load_checkpoint(config)
-    if state.tables.entity.shape[0] != graph.num_entities:
-        raise ValidationError(
-            f"checkpoint has {state.tables.entity.shape[0]} entities, "
-            f"artifact has {graph.num_entities}"
-        )
     grouping = None
     if config["group_by"] == "frequency":
         grouping = group_by_frequency(

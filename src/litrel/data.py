@@ -14,6 +14,7 @@ dump of the triple stores and the normalized literal matrix.
 from __future__ import annotations
 
 import datetime
+import hashlib
 import json
 import logging
 import math
@@ -178,6 +179,15 @@ class KnowledgeGraph:
         _check_artifact(graph, directory)
         _build_filter_index(graph)
         return graph
+
+
+def vocabulary_digests(directory: str) -> dict[str, str]:
+    """SHA-256 hex digest of each vocabulary file of an artifact, by file name."""
+    digests = {}
+    for name in ("entities.txt", "relations.txt", "attributes.txt"):
+        with open(os.path.join(directory, name), "rb") as fh:
+            digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return digests
 
 
 def _check_artifact(graph: KnowledgeGraph, directory: str) -> None:

@@ -7,11 +7,12 @@ evaluated entity itself) are filtered out before ranking.  Ties resolve
 to the realistic rank (mean of best and worst rank among equal scores)
 by default; optimistic and pessimistic policies are available.
 
-Ranking runs per relation: the fused relation vector is computed once,
-then each block of at most :func:`scoring.block_rows` of the relation's
-triples is scored as one B x |E| matrix per side.  Filtering sets each row's
-known-true competitors to -inf, and the better and tied entries are
-counted row-wise.
+Ranking fuses the relation table once, as |R| rows ``r_lit``; then each
+block of at most :func:`scoring.block_rows` triples, in input order and
+so spanning relations, is scored as one B x |E| matrix per side with
+each triple's ``r_lit`` row.  Filtering sets each row's known-true
+competitors to -inf, and the better and tied entries are counted
+row-wise.
 
 Relations can additionally be partitioned into frequent vs long-tail
 groups (by training-triple count) or correlated vs less-correlated
@@ -119,18 +120,18 @@ def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray,
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     ranks = np.empty((triples.shape[0], 2))
     model, tables = state.model, state.tables
+    r_lit, _ = state.fuse_forward(np.arange(tables.relation.shape[0]))
     step = scoring.block_rows(tables.entity.shape[0])
-    for rel, group in scoring.relation_groups(triples[:, 1]):
-        r_lit = state.fused_relation(rel)
-        for start in range(0, group.size, step):
-            rows = group[start:start + step]
-            heads, tails = triples[rows, 0], triples[rows, 2]
-            known_heads = [graph.filter_heads.get((rel, t), ()) for t in tails.tolist()]
-            known_tails = [graph.filter_tails.get((h, rel), ()) for h in heads.tolist()]
-            ranks[rows, 0] = filtered_ranks(
-                scoring.score_all_heads(tails, r_lit, model, tables), heads, known_heads, tie_policy)
-            ranks[rows, 1] = filtered_ranks(
-                scoring.score_all_tails(heads, r_lit, model, tables), tails, known_tails, tie_policy)
+    for start in range(0, triples.shape[0], step):
+        block = triples[start:start + step]
+        heads, rels, tails = block.T
+        r_rows = r_lit[rels]
+        known_heads = [graph.filter_heads.get((r, t), ()) for _, r, t in block.tolist()]
+        known_tails = [graph.filter_tails.get((h, r), ()) for h, r, _ in block.tolist()]
+        ranks[start:start + step, 0] = filtered_ranks(
+            scoring.score_all_heads(tails, r_rows, model, tables), heads, known_heads, tie_policy)
+        ranks[start:start + step, 1] = filtered_ranks(
+            scoring.score_all_tails(heads, r_rows, model, tables), tails, known_tails, tie_policy)
     return ranks
 
 

@@ -1,15 +1,17 @@
-"""Fusion of aggregated literal vectors with relation embeddings.
+"""Fusion of aggregated literal rows with relation embeddings.
 
-Given the per-relation literal vectors l_h, l_t (length |A|) and the
-relation embedding r (length D), the fused embedding is
+The fusion runs on G stacked rows at once: given the literal rows L_h,
+L_t (G x |A|) and the relation rows R (G x D), with X = [L_h, R, L_t]
+(G x (2|A| + D)), the fused rows are
 
-* linear:  W.T @ [l_h, r, l_t] + b
-* gated:   z * tanh(W.T @ [l_h, r, l_t]) + (1 - z) * r,
-           z = sigmoid(Wg_lh.T @ l_h + Wg_r.T @ r + Wg_lt.T @ l_t + bg)
+* linear:  X @ W + b
+* gated:   Z * tanh(X @ W) + (1 - Z) * R,
+           Z = sigmoid(L_h @ Wg_lh + R @ Wg_r + L_t @ Wg_lt + bg)
 
 Both variants are pure functions of their inputs with hand-written
-backward passes; parameters are plain float64 arrays mutated only by the
-optimizer.
+backward passes, in which every parameter gradient is one matrix product
+summed over the rows; parameters are plain float64 arrays mutated only
+by the optimizer.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ def param_count(kind: str, dim: int, num_attributes: int, learnable_aggregation:
 
 
 class LinearFusion:
-    """r_lit = W.T @ [l_h, r, l_t] + b with W of shape (2|A| + D, D)."""
+    """R_lit = [L_h, R, L_t] @ W + b with W of shape (2|A| + D, D)."""
 
     kind = "linear"
 
@@ -65,17 +67,14 @@ class LinearFusion:
         return {"fusion.weight": self.weight, "fusion.bias": self.bias}
 
     def forward(self, l_h, r, l_t):
-        x = _concat_checked(l_h, r, l_t, self.num_attributes, self.dim)
-        r_lit = self.weight.T @ x + self.bias
-        return r_lit, {"x": x}
+        x = _stack(l_h, r, l_t, self.num_attributes, self.dim)
+        return x @ self.weight + self.bias, {"x": x}
 
     def backward(self, cache, d_r_lit, grads):
         x = cache["x"]
-        grads["fusion.weight"] += np.outer(x, d_r_lit)
-        grads["fusion.bias"] += d_r_lit
-        d_x = self.weight @ d_r_lit
-        a = self.num_attributes
-        return d_x[:a], d_x[a:a + self.dim], d_x[a + self.dim:]
+        grads["fusion.weight"] += x.T @ d_r_lit
+        grads["fusion.bias"] += d_r_lit.sum(axis=0)
+        return _split(d_r_lit @ self.weight.T, self.num_attributes, self.dim)
 
 
 class GatedFusion:
@@ -101,49 +100,46 @@ class GatedFusion:
             "fusion.gate_bias": self.gate_bias,
         }
 
+    def _gate(self):
+        """The three gate matrices stacked like X = [L_h, R, L_t]."""
+        return np.concatenate([self.gate_head, self.gate_rel, self.gate_tail])
+
     def forward(self, l_h, r, l_t):
-        x = _concat_checked(l_h, r, l_t, self.num_attributes, self.dim)
-        h = np.tanh(self.weight.T @ x)
-        z_pre = self.gate_head.T @ l_h + self.gate_rel.T @ r + self.gate_tail.T @ l_t + self.gate_bias
-        z = _sigmoid(z_pre)
+        x = _stack(l_h, r, l_t, self.num_attributes, self.dim)
+        h = np.tanh(x @ self.weight)
+        z = _sigmoid(x @ self._gate() + self.gate_bias)
         r_lit = z * h + (1.0 - z) * r
-        return r_lit, {"x": x, "h": h, "z": z, "l_h": l_h, "r": r, "l_t": l_t}
+        return r_lit, {"x": x, "h": h, "z": z}
 
     def backward(self, cache, d_r_lit, grads):
         x, h, z = cache["x"], cache["h"], cache["z"]
-        l_h, r, l_t = cache["l_h"], cache["r"], cache["l_t"]
         a = self.num_attributes
+        r = x[:, a:a + self.dim]
 
-        d_z = d_r_lit * (h - r)
-        d_h = d_r_lit * z
-        d_r = d_r_lit * (1.0 - z)
-
-        d_pre = d_h * (1.0 - h * h)
-        grads["fusion.weight"] += np.outer(x, d_pre)
-        d_x = self.weight @ d_pre
-        d_l_h = d_x[:a].copy()
-        d_r = d_r + d_x[a:a + self.dim]
-        d_l_t = d_x[a + self.dim:].copy()
-
-        d_z_pre = d_z * z * (1.0 - z)
-        grads["fusion.gate_head"] += np.outer(l_h, d_z_pre)
-        grads["fusion.gate_rel"] += np.outer(r, d_z_pre)
-        grads["fusion.gate_tail"] += np.outer(l_t, d_z_pre)
-        grads["fusion.gate_bias"] += d_z_pre
-        d_l_h += self.gate_head @ d_z_pre
-        d_r = d_r + self.gate_rel @ d_z_pre
-        d_l_t += self.gate_tail @ d_z_pre
-        return d_l_h, d_r, d_l_t
+        d_pre = d_r_lit * z * (1.0 - h * h)
+        d_z_pre = d_r_lit * (h - r) * z * (1.0 - z)
+        grads["fusion.weight"] += x.T @ d_pre
+        d_gate = x.T @ d_z_pre
+        grads["fusion.gate_head"] += d_gate[:a]
+        grads["fusion.gate_rel"] += d_gate[a:a + self.dim]
+        grads["fusion.gate_tail"] += d_gate[a + self.dim:]
+        grads["fusion.gate_bias"] += d_z_pre.sum(axis=0)
+        d_l_h, d_r, d_l_t = _split(d_pre @ self.weight.T + d_z_pre @ self._gate().T, a, self.dim)
+        return d_l_h, d_r + d_r_lit * (1.0 - z), d_l_t
 
 
-def _concat_checked(l_h, r, l_t, num_attributes, dim):
-    if l_h.shape != (num_attributes,):
-        raise ShapeError(f"l_h has shape {l_h.shape}, expected ({num_attributes},)")
-    if l_t.shape != (num_attributes,):
-        raise ShapeError(f"l_t has shape {l_t.shape}, expected ({num_attributes},)")
-    if r.shape != (dim,):
-        raise ShapeError(f"r has shape {r.shape}, expected ({dim},)")
-    return np.concatenate([l_h, r, l_t])
+def _stack(l_h, r, l_t, num_attributes, dim):
+    """X = [L_h, R, L_t]; an operand that is not (G, width) is a ShapeError naming it."""
+    rows = r.shape[0] if r.ndim == 2 else "G"
+    for name, block, width in (("l_h", l_h, num_attributes), ("r", r, dim), ("l_t", l_t, num_attributes)):
+        if block.shape != (rows, width):
+            raise ShapeError(f"{name} has shape {block.shape}, expected ({rows}, {width})")
+    return np.concatenate([l_h, r, l_t], axis=1)
+
+
+def _split(d_x, num_attributes, dim):
+    """Column blocks (d_L_h, d_R, d_L_t) of a gradient on X."""
+    return d_x[:, :num_attributes], d_x[:, num_attributes:num_attributes + dim], d_x[:, num_attributes + dim:]
 
 
 def make_fusion(kind: str, dim: int, num_attributes: int, rng: np.random.Generator):

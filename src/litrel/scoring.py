@@ -1,9 +1,9 @@
 """Triple scoring as per-model query matrices plus a shared similarity kernel.
 
-Every model scores one side of a block of triples that share a relation
-by turning the anchor entities and the fused relation vector ``r_lit``
-into a B x D query matrix ``Q``, one row per anchor, then comparing
-every row with every entity in one of two kernels:
+Every model scores one side of a block of triples by turning the anchor
+entities and their fused relation rows ``r_lit`` (B x D_r, one row per
+anchor, so a block may span relations) into a B x D query matrix ``Q``,
+then comparing every row with every entity in one of two kernels:
 
 * dot product ``Q @ E.T`` (``norm = None``): DistMult, ComplEx, TuckER;
 * negative Lp distance ``-||q_b - e_j||_p`` (``norm = 1`` or ``2``):
@@ -19,9 +19,11 @@ tails, and exact identities let both sides build their queries:
   ``Re(<e_h, r, conj(e_t)>)`` equals ``Re(<e_h, conj(conj(r) * e_t)>)``;
 * RotatE:   tails ``q = e_h * exp(i theta)``, heads
   ``q = e_t * exp(-i theta)``, since a rotation preserves the norm;
-* TuckER:   the core contracted with ``r_lit`` once per query matrix,
-  ``W_r = core x_2 r_lit = r_lit @ core`` (D_e x D_e, a batched matrix
-  product); tails ``q = e_h @ W_r``, heads ``q = e_t @ W_r.T``.
+* TuckER:   the core contracted with each row's ``e_anchor`` and
+  ``r_lit`` in Khatri-Rao form: tails ``q = (e_h (x) r) @ core`` with
+  the core as a (D_e*D_r) x D_e matrix, heads ``q = (r (x) e_t) @ core.T``
+  with the core as a D_e x (D_r*D_e) matrix; the D_e*D_r-wide rows are
+  built :data:`BLOCK_SCORES` entries at a time.
 
 Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
 the distance kernel is one matrix product plus row norms.  The
@@ -42,7 +44,7 @@ Backward passes accumulate into caller-provided dense gradient buffers
 :func:`similarities_backward` returns the gradient w.r.t. the query
 matrix and each model's ``query_backward`` adds the anchor rows'
 gradients with ``np.add.at`` (a repeated anchor adds up) and returns
-the gradient w.r.t. the fused relation vector.
+the B x D_r gradient w.r.t. the fused relation rows.
 """
 
 from __future__ import annotations
@@ -101,8 +103,7 @@ class TransE:
 
     def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
         np.add.at(d_entity, anchors, d_q)
-        d_r = d_q.sum(axis=0)
-        return d_r if side == "tail" else -d_r
+        return d_q if side == "tail" else -d_q
 
 
 class DistMult:
@@ -115,7 +116,7 @@ class DistMult:
 
     def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
         np.add.at(d_entity, anchors, d_q * r_lit)
-        return np.einsum("bd,bd->d", d_q, tables.entity[anchors])
+        return d_q * tables.entity[anchors]
 
 
 class ComplEx:
@@ -134,7 +135,7 @@ class ComplEx:
         else:
             d_e, d_r = g * r, np.conj(g) * e
         np.add.at(d_entity, anchors, _packed(d_e))
-        return _packed(d_r.sum(axis=0))
+        return _packed(d_r)
 
 
 class RotatE:
@@ -158,7 +159,7 @@ class RotatE:
         g = _complex(d_q)
         np.add.at(d_entity, anchors, _packed(g * np.conj(rotation)))
         # dq/dtheta = sign * i * q
-        return sign * np.imag(g * np.conj(q)).sum(axis=0)
+        return sign * np.imag(g * np.conj(q))
 
 
 class TuckER:
@@ -166,25 +167,45 @@ class TuckER:
 
     norm = None
 
+    @staticmethod
+    def _factors(core, e, r_lit, side):
+        """Operands ``(a, b)`` and a matrix view ``M`` of the core: row by row ``q = (a (x) b) @ M``."""
+        if side == "tail":
+            return e, r_lit, core.reshape(-1, core.shape[-1])
+        return r_lit, e, core.reshape(core.shape[0], -1).T
+
+    @staticmethod
+    def _khatri_rao(a, b):
+        """``(rows, a[rows] (x) b[rows])`` for chunks of rows of at most ``BLOCK_SCORES`` entries."""
+        width = a.shape[1] * b.shape[1]
+        step = max(1, BLOCK_SCORES // width)
+        for start in range(0, a.shape[0], step):
+            rows = slice(start, start + step)
+            yield rows, (a[rows, :, None] * b[rows, None, :]).reshape(-1, width)
+
     def query(self, tables, anchors, r_lit, side):
         if tables.core is None:
             raise ShapeError("tucker scoring requires a core tensor")
-        w = r_lit @ tables.core
-        return tables.entity[anchors] @ (w if side == "tail" else w.T)
+        a, b, m = self._factors(tables.core, tables.entity[anchors], r_lit, side)
+        q = np.empty((a.shape[0], m.shape[1]))
+        for rows, kr in self._khatri_rao(a, b):
+            q[rows] = kr @ m
+        return q
 
     def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
-        w = r_lit @ tables.core
         e = tables.entity[anchors]
-        if side == "tail":
-            np.add.at(d_entity, anchors, d_q @ w.T)
-            d_w = e.T @ d_q
-        else:
-            np.add.at(d_entity, anchors, d_q @ w)
-            d_w = d_q.T @ e
-        if d_core is not None:
-            d_core += np.einsum("ps,q->pqs", d_w, r_lit)  # outer product, faster than broadcasting
-        # d_r_lit[q] = sum_ps core[p, q, s] d_w[p, s]: one matrix-vector product per p
-        return (tables.core @ d_w[:, :, None]).sum(axis=0)[:, 0]
+        a, b, m = self._factors(tables.core, e, r_lit, side)
+        d_m = None if d_core is None else self._factors(d_core, e, r_lit, side)[2]  # adds into d_core
+        d_a, d_b = np.empty_like(a), np.empty_like(b)
+        for rows, kr in self._khatri_rao(a, b):
+            d_kr = (d_q[rows] @ m.T).reshape(-1, a.shape[1], b.shape[1])
+            d_a[rows] = np.einsum("bij,bj->bi", d_kr, b[rows])
+            d_b[rows] = np.einsum("bij,bi->bj", d_kr, a[rows])
+            if d_m is not None:
+                d_m += kr.T @ d_q[rows]
+        d_e, d_r = (d_a, d_b) if side == "tail" else (d_b, d_a)
+        np.add.at(d_entity, anchors, d_e)
+        return d_r
 
 
 def make_model(kind: str, transe_norm: int = 2):
@@ -274,10 +295,10 @@ def similarities_backward(norm, q, entity, scores, g, d_entity) -> np.ndarray:
 
 
 def score_all_tails(heads: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
-    """B x |E| scores of (heads[b], r, e) for every entity e."""
+    """B x |E| scores of (heads[b], r_b, e) for every entity e; ``r_lit`` is B x D_r."""
     return similarities(model.norm, model.query(tables, heads, r_lit, "tail"), tables.entity)
 
 
 def score_all_heads(tails: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
-    """B x |E| scores of (e, r, tails[b]) for every entity e."""
+    """B x |E| scores of (e, r_b, tails[b]) for every entity e; ``r_lit`` is B x D_r."""
     return similarities(model.norm, model.query(tables, tails, r_lit, "head"), tables.entity)

@@ -4,9 +4,10 @@ Each training triple contributes two cross-entropy terms: softmax over
 the scores of all candidate tails against the true tail, and softmax
 over all candidate heads against the true head.  No inverse triples are
 ever materialized.  The batch loss is the mean over triples.  The fused
-relation vector is computed once per relation group of a batch; the
-query rows of all groups are scored as matrices against the entity
-table (1-vs-all scoring), so no step runs per triple.
+relation rows of a batch's distinct relations come from one fusion
+call; each triple side takes its relation's row, and the query rows of
+the whole batch are scored as matrices against the entity table (1-vs-all
+scoring), so no step runs per triple or per relation.
 
 Gradients are computed analytically and flow into the embedding tables,
 the fusion parameters and, when the learnable aggregation combination is
@@ -16,8 +17,8 @@ deterministic given the seed.  A non-finite loss stops training with a
 parameter, naming the parameter.
 
 A fused model has one fusion block.  ComplEx runs that block on the real
-and the imaginary half of its relation vector (block width D_r/2), so
-both halves share its parameters.
+and the imaginary half of each relation row (block width D_r/2, two
+fusion rows per relation), so both halves share its parameters.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import logging
 import os
 import shutil
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -34,8 +35,6 @@ from litrel import fusion as fusion_mod
 from litrel import scoring
 from litrel.aggregation import (
     AGGREGATION_KINDS,
-    LearnableAggregationParams,
-    RelationLiteralProfile,
     build_profiles,
     literal_vectors,
     literal_vectors_backward,
@@ -50,7 +49,7 @@ from litrel.serialize import load_arrays, save_arrays
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass
@@ -164,10 +163,10 @@ class ModelState:
     fusion: object = None                   # LinearFusion, GatedFusion or None (vanilla)
     agg_weights: np.ndarray | None = None   # (11,)
     agg_bias: np.ndarray | None = None      # (1,)
-    profiles: dict[int, RelationLiteralProfile] = field(default_factory=dict)
+    profiles: tuple | None = None           # (u_head, u_tail), each (|R|, |A|, 11)
     optimizer: Optimizer | None = None
+    artifact: dict | None = None            # SHA-256 of the artifact's vocabulary files
     _model: object = None
-    _static_literals: dict[int, tuple] = field(default_factory=dict)
 
     @property
     def model(self):
@@ -177,15 +176,12 @@ class ModelState:
 
     @property
     def fusion_parts(self) -> int:
-        """Slices of a relation row that the fusion block runs on (ComplEx: re, im)."""
+        """Fusion rows per relation row (ComplEx: its real and imaginary half)."""
         return 2 if self.config.model == "complex" else 1
 
     @property
     def learnable_aggregation(self) -> bool:
         return self.agg_weights is not None
-
-    def agg_params(self) -> LearnableAggregationParams:
-        return LearnableAggregationParams(weights=self.agg_weights, bias=self.agg_bias)
 
     def parameters(self) -> dict[str, np.ndarray]:
         params = {"entity": self.tables.entity, "relation": self.tables.relation}
@@ -204,60 +200,44 @@ class ModelState:
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters().values())
 
-    # --- literal vectors ------------------------------------------------
-
-    def literal_vectors_for(self, relation: int):
-        cfg = self.config
-        if not cfg.fusion_enabled:
-            return None, None
-        if cfg.aggregation == "learnable":
-            return literal_vectors(self.profiles[relation], "learnable", self.agg_params())
-        cached = self._static_literals.get(relation)
-        if cached is None:
-            cached = literal_vectors(self.profiles[relation], cfg.aggregation)
-            self._static_literals[relation] = cached
-        return cached
-
-    # --- fused relation vector -----------------------------------------
+    # --- fused relation rows --------------------------------------------
 
     def fused_relation(self, relation: int) -> np.ndarray:
-        r_lit, _ = self.fuse_forward(relation)
-        return r_lit
+        """The (D_r,) fused vector of one relation."""
+        return self.fuse_forward(np.array([relation]))[0][0]
 
-    def fuse_forward(self, relation: int):
-        row = self.tables.relation[relation]
+    def fuse_forward(self, relations: np.ndarray):
+        """G x D_r fused rows of the relations (an index array), plus the backward cache."""
+        rows = self.tables.relation[relations]
         if self.fusion is None:
-            return row.copy(), None
-        l_h, l_t = self.literal_vectors_for(relation)
-        outputs, caches = [], []
-        for part in row.reshape(self.fusion_parts, -1):
-            output, cache = self.fusion.forward(l_h, part, l_t)
-            outputs.append(output)
-            caches.append(cache)
-        return np.concatenate(outputs), caches
-
-    def fuse_backward(self, relation: int, caches, d_r_lit, grads) -> None:
-        d_row = grads["relation"][relation]
-        if self.fusion is None:
-            d_row += d_r_lit
-            return
-        d_l_h = d_l_t = 0.0
+            return rows, None
+        l_h, l_t = literal_vectors(self.profiles, relations, self.config.aggregation,
+                                   self.agg_weights, self.agg_bias)
         parts = self.fusion_parts
-        for cache, d_out, d_in in zip(caches, d_r_lit.reshape(parts, -1), d_row.reshape(parts, -1)):
-            d_l_h_part, d_in_part, d_l_t_part = self.fusion.backward(cache, d_out, grads)
-            d_in += d_in_part
-            d_l_h = d_l_h + d_l_h_part
-            d_l_t = d_l_t + d_l_t_part
-        if self.learnable_aggregation:
-            d_w, d_b = literal_vectors_backward(
-                self.profiles[relation], self.agg_params(), d_l_h, d_l_t
-            )
-            grads["agg.weights"] += d_w
-            grads["agg.bias"] += d_b
+        r_lit, cache = self.fusion.forward(np.repeat(l_h, parts, axis=0),
+                                           rows.reshape(parts * len(rows), -1),
+                                           np.repeat(l_t, parts, axis=0))
+        return r_lit.reshape(rows.shape), cache
+
+    def fuse_backward(self, relations: np.ndarray, cache, d_r_lit, grads) -> None:
+        """Accumulate the gradients of the rows :meth:`fuse_forward` returned for ``relations``."""
+        d_rows = d_r_lit
+        if self.fusion is not None:
+            parts, count = self.fusion_parts, len(d_r_lit)
+            d_l_h, d_rows, d_l_t = self.fusion.backward(cache, d_r_lit.reshape(parts * count, -1), grads)
+            if self.learnable_aggregation:
+                d_w, d_b = literal_vectors_backward(
+                    self.profiles, relations, self.agg_weights, self.agg_bias,
+                    d_l_h.reshape(count, parts, -1).sum(axis=1),
+                    d_l_t.reshape(count, parts, -1).sum(axis=1),
+                )
+                grads["agg.weights"] += d_w
+                grads["agg.bias"] += d_b
+        np.add.at(grads["relation"], relations, d_rows.reshape(d_r_lit.shape))
 
 
 def _new_state(config: TrainConfig, num_entities: int, num_relations: int,
-               num_attributes: int, profiles: dict[int, RelationLiteralProfile]) -> ModelState:
+               num_attributes: int, profiles) -> ModelState:
     """The one constructor behind :func:`init_state` and :func:`load_checkpoint`.
 
     Draws from the seed's stream in a fixed order: entity rows, relation
@@ -288,12 +268,16 @@ def _new_state(config: TrainConfig, num_entities: int, num_relations: int,
     return state
 
 
-def init_state(graph: KnowledgeGraph, config: TrainConfig,
-               profiles: dict[int, RelationLiteralProfile] | None = None) -> ModelState:
-    """Allocate and initialize all trainable tensors for a run."""
+def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles=None) -> ModelState:
+    """Allocate and initialize all trainable tensors for a run.
+
+    ``profiles`` is the ``(u_head, u_tail)`` pair of
+    :func:`litrel.aggregation.build_profiles`, built from ``graph`` when
+    not given; a vanilla model keeps none.
+    """
     config.validate()
     if not config.fusion_enabled:
-        profiles = {}
+        profiles = None
     elif graph.num_attributes == 0:
         raise ConfigError("fusion requires literal attributes, but the graph has none")
     elif profiles is None:
@@ -309,12 +293,12 @@ def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
 def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
     """Mean per-triple loss (tail-side CE + head-side CE) and its gradients.
 
-    The triples of one relation share ``r_lit``: each relation group runs
-    the fusion forward once and builds the query rows of both sides.  The
-    query rows of the whole batch are then scored against the entity
-    table in blocks of :func:`scoring.block_rows` rows, with a row-wise
-    stable softmax, and each group turns its rows' query gradients into
-    one ``r_lit`` gradient for the fusion backward.
+    One fusion call builds the ``r_lit`` rows of the batch's distinct
+    relations, and each triple takes its relation's row for the query
+    rows of both sides.  The query rows of the whole batch are scored
+    against the entity table in blocks of :func:`scoring.block_rows`
+    rows, with a row-wise stable softmax; the per-row ``r_lit`` gradients
+    are summed per relation with one scatter-add for one fusion backward.
 
     Returns ``(loss, grads)`` where grads maps parameter names to arrays
     matching :meth:`ModelState.parameters`.  A non-finite loss or
@@ -328,17 +312,15 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
     entity = tables.entity
     grads = state.zero_grads()
     d_entity, d_core = grads["entity"], grads.get("core")
-    inv_n = 1.0 / batch.shape[0]
+    n = batch.shape[0]
+    inv_n = 1.0 / n
 
-    groups, queries, targets = [], [], []
-    for rel, rows in scoring.relation_groups(batch[:, 1]):
-        r_lit, cache = state.fuse_forward(rel)
-        heads, tails = batch[rows, 0], batch[rows, 2]
-        sides = ((heads, "tail"), (tails, "head"))
-        queries += [model.query(tables, anchors, r_lit, side) for anchors, side in sides]
-        targets += [tails, heads]
-        groups.append((rel, r_lit, cache, sides))
-    q, targets = np.concatenate(queries), np.concatenate(targets)
+    relations, inverse = np.unique(batch[:, 1], return_inverse=True)
+    r_lit, cache = state.fuse_forward(relations)
+    r_rows = r_lit[inverse]
+    sides = ((batch[:, 0], "tail"), (batch[:, 2], "head"))
+    q = np.concatenate([model.query(tables, anchors, r_rows, side) for anchors, side in sides])
+    targets = np.concatenate([batch[:, 2], batch[:, 0]])
 
     total = 0.0
     d_q = np.empty_like(q)
@@ -355,14 +337,11 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
         p[picked] -= inv_n
         d_q[block] = scoring.similarities_backward(model.norm, q[block], entity, scores, p, d_entity)
 
-    start = 0
-    for rel, r_lit, cache, sides in groups:
-        d_r_lit = np.zeros_like(r_lit)
-        for anchors, side in sides:
-            block = slice(start, start + anchors.size)
-            d_r_lit += model.query_backward(tables, anchors, r_lit, side, d_q[block], d_entity, d_core)
-            start += anchors.size
-        state.fuse_backward(rel, cache, d_r_lit, grads)
+    d_rows = sum(model.query_backward(tables, anchors, r_rows, side, d_q[k * n:(k + 1) * n], d_entity, d_core)
+                 for k, (anchors, side) in enumerate(sides))
+    d_r_lit = np.zeros_like(r_lit)
+    np.add.at(d_r_lit, inverse, d_rows)
+    state.fuse_backward(relations, cache, d_r_lit, grads)
 
     loss = total * inv_n
     if not np.isfinite(loss):
@@ -396,8 +375,7 @@ def optimizer_step(grads: dict[str, np.ndarray], state: ModelState) -> None:
         )
 
 
-def train(graph: KnowledgeGraph, config: TrainConfig,
-          profiles: dict[int, RelationLiteralProfile] | None = None):
+def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
     """Run the full optimization loop.
 
     Returns ``(state, history)`` where history holds the per-epoch loss
@@ -448,13 +426,13 @@ def save_checkpoint(state: ModelState, history: dict, directory: str) -> None:
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
     os.makedirs(tmp)
-    meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.config)}
+    meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.config), "artifact": state.artifact}
     with open(os.path.join(tmp, "checkpoint.json"), "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     save_arrays(os.path.join(tmp, "params"), state.parameters())
     save_arrays(os.path.join(tmp, "optimizer"), state.optimizer.state_arrays())
-    if state.profiles:
+    if state.profiles is not None:
         save_profiles(state.profiles, os.path.join(tmp, "profiles"))
     with open(os.path.join(tmp, "history.json"), "w", encoding="utf-8") as fh:
         json.dump(history, fh, indent=2, sort_keys=True)
@@ -499,11 +477,12 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
     stored = load_arrays(os.path.join(directory, "params"))
     profile_dir = os.path.join(directory, "profiles")
     num_relations = len(stored.get("relation", ()))
-    profiles = load_profiles(profile_dir, num_relations) if os.path.isdir(profile_dir) else {}
-    if config.fusion_enabled and not profiles:
+    profiles = load_profiles(profile_dir, num_relations) if os.path.isdir(profile_dir) else None
+    if config.fusion_enabled and profiles is None:
         raise ConfigError(f"{directory}: fused checkpoint has no literal profiles")
-    num_attributes = next(iter(profiles.values())).u_head.shape[0] if profiles else 0
+    num_attributes = profiles[0].shape[1] if profiles is not None else 0
     state = _new_state(config, len(stored.get("entity", ())), num_relations, num_attributes, profiles)
+    state.artifact = meta.get("artifact")
     params = state.parameters()
     if set(params) != set(stored):
         raise ConfigError(

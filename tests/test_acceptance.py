@@ -162,9 +162,10 @@ def test_criterion_3_aggregation_oracle():
                 literal_density=float(rng.uniform(0.2, 1.0)),
             )
             profiles = build_profiles(graph)
-            for rel, profile in profiles.items():
+            for rel in range(graph.num_relations):
                 triples = graph.train[graph.train[:, 1] == rel]
-                for side, computed in (("head", profile.u_head), ("tail", profile.u_tail)):
+                for side, u in zip(("head", "tail"), profiles):
+                    computed = u[rel]
                     col = 0 if side == "head" else 2
                     entities = sorted(set(int(x) for x in triples[:, col]))
                     values = graph.literals.values[entities]
@@ -173,16 +174,11 @@ def test_criterion_3_aggregation_oracle():
                     np.testing.assert_allclose(computed, expected, atol=1e-9)
                 weights = rng.uniform(-1, 1, size=11)
                 bias = np.array([float(rng.normal())])
-                from litrel.aggregation import LearnableAggregationParams
-
-                l_h, l_t = literal_vectors(
-                    profile, "learnable",
-                    LearnableAggregationParams(weights=weights, bias=bias),
-                )
-                direct_h = 1.0 / (1.0 + np.exp(-(profile.u_head @ weights + bias[0])))
-                direct_t = 1.0 / (1.0 + np.exp(-(profile.u_tail @ weights + bias[0])))
-                np.testing.assert_allclose(l_h, direct_h, atol=1e-12)
-                np.testing.assert_allclose(l_t, direct_t, atol=1e-12)
+                l_h, l_t = literal_vectors(profiles, np.array([rel]), "learnable", weights, bias)
+                direct_h = 1.0 / (1.0 + np.exp(-(profiles[0][rel] @ weights + bias[0])))
+                direct_t = 1.0 / (1.0 + np.exp(-(profiles[1][rel] @ weights + bias[0])))
+                np.testing.assert_allclose(l_h[0], direct_h, atol=1e-12)
+                np.testing.assert_allclose(l_t[0], direct_t, atol=1e-12)
 
 
 # --- 4: ranking oracle --------------------------------------------------
@@ -212,25 +208,23 @@ def test_criterion_4_ranking_oracle(monkeypatch):
             state.tables.entity[...] = np.round(state.tables.entity, 1)
             state.tables.relation[...] = np.round(state.tables.relation, 1)
             triples = graph.train
-            # whole relation groups per block, then blocks of 2 rows (groups split)
+            r_lit = np.stack([state.fused_relation(r) for r in range(graph.num_relations)])
+            # the whole split in one block, then blocks of 2 rows
             for block_scores in (scoring.BLOCK_SCORES, 2 * graph.num_entities):
                 monkeypatch.setattr(scoring, "BLOCK_SCORES", block_scores)
                 ranks = rank_triples(state, graph, triples)
-                # the oracle reads the very blocks the ranker scored
+                # the oracle reads the very blocks the ranker scored: input order, spanning relations
                 step = scoring.block_rows(graph.num_entities)
-                for r, group in scoring.relation_groups(triples[:, 1]):
-                    r_lit = state.fused_relation(r)
-                    for start in range(0, group.size, step):
-                        rows = group[start:start + step]
-                        heads, tails = triples[rows, 0], triples[rows, 2]
-                        tail_scores = scoring.score_all_tails(heads, r_lit, state.model, state.tables)
-                        head_scores = scoring.score_all_heads(tails, r_lit, state.model, state.tables)
-                        for k, i in enumerate(rows):
-                            h, t = int(heads[k]), int(tails[k])
-                            f_t = graph.filter_tails.get((h, r), set()) - {t}
-                            f_h = graph.filter_heads.get((r, t), set()) - {h}
-                            assert ranks[i, 1] == exhaustive_rank(tail_scores[k], t, f_t)
-                            assert ranks[i, 0] == exhaustive_rank(head_scores[k], h, f_h)
+                for start in range(0, triples.shape[0], step):
+                    block = triples[start:start + step]
+                    r_rows = r_lit[block[:, 1]]
+                    tail_scores = scoring.score_all_tails(block[:, 0], r_rows, state.model, state.tables)
+                    head_scores = scoring.score_all_heads(block[:, 2], r_rows, state.model, state.tables)
+                    for k, (h, r, t) in enumerate(block.tolist()):
+                        f_t = graph.filter_tails.get((h, r), set()) - {t}
+                        f_h = graph.filter_heads.get((r, t), set()) - {h}
+                        assert ranks[start + k, 1] == exhaustive_rank(tail_scores[k], t, f_t)
+                        assert ranks[start + k, 0] == exhaustive_rank(head_scores[k], h, f_h)
             mrr, hits1, hits10 = compute_metrics(ranks)
             pooled = ranks.reshape(-1)  # head rank, tail rank per triple
             assert mrr == float(np.mean(1.0 / pooled))

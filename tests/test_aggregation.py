@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from litrel.aggregation import (
-    LearnableAggregationParams,
     build_profiles,
     collect_side_rows,
     literal_vectors,
@@ -114,24 +113,24 @@ class TestBuildProfiles:
             [("e1", "a", 0.2), ("e2", "a", 0.4), ("e3", "a", 1.0)],
         )
         # normalized column: e1 -> 0, e2 -> 0.25, e3 -> 1; head rows are e1, e2
-        profile = build_profiles(graph)[graph.relations["r"]]
-        row = {name: profile.u_head[0, i] for i, name in enumerate(STAT_NAMES)}
+        u_head, _ = build_profiles(graph)
+        row = {name: u_head[graph.relations["r"], 0, i] for i, name in enumerate(STAT_NAMES)}
         expected = reference_stats([0.0, 0.25], 2)
         for name in STAT_NAMES:
             assert row[name] == pytest.approx(expected[name], abs=1e-12), name
 
     def test_unseen_relation_zero_profiles(self):
         graph = build_graph([("a", "r", "b")], [("a", "s", "b")], [], [("a", "x", 1.0)])
-        profile = build_profiles(graph)[graph.relations["s"]]
-        assert not profile.u_head.any()
-        assert not profile.u_tail.any()
+        u_head, u_tail = build_profiles(graph)
+        assert u_head.shape == u_tail.shape == (2, 1, len(STAT_NAMES))
+        assert not u_head[graph.relations["s"]].any()
+        assert not u_tail[graph.relations["s"]].any()
 
     def test_absent_cells_count_zero(self):
         graph = build_graph(
             [("a", "r", "b")], [], [], [("b", "x", 1.0), ("c", "x", 2.0)]
         )
-        profile = build_profiles(graph)[graph.relations["r"]]
-        head_row = profile.u_head[0]
+        head_row = build_profiles(graph)[0][graph.relations["r"], 0]
         assert head_row[STAT_NAMES.index("count")] == 0.0
         assert head_row[STAT_NAMES.index("mean")] == 0.0  # stored zeros
 
@@ -142,10 +141,8 @@ class TestBuildProfiles:
         shuffled = list(triples)
         rng.shuffle(shuffled)
         g2 = build_graph(shuffled, [], [], lits)
-        p1, p2 = build_profiles(g1), build_profiles(g2)
-        for r in p1:
-            np.testing.assert_allclose(p1[r].u_head, p2[r].u_head)
-            np.testing.assert_allclose(p1[r].u_tail, p2[r].u_tail)
+        for u1, u2 in zip(build_profiles(g1), build_profiles(g2)):
+            np.testing.assert_allclose(u1, u2)
 
     def test_monotonic_max_and_count(self):
         base = [("e1", "r", "t"), ("e2", "r", "t")]
@@ -153,106 +150,99 @@ class TestBuildProfiles:
         small = build_graph(base, [], [], lits)
         grown = build_graph(base + [("e3", "r", "t")], [], [], lits)
         i_max, i_count = STAT_NAMES.index("max"), STAT_NAMES.index("count")
-        p_small = build_profiles(small)[small.relations["r"]].u_head[0]
-        p_grown = build_profiles(grown)[grown.relations["r"]].u_head[0]
+        p_small = build_profiles(small)[0][small.relations["r"], 0]
+        p_grown = build_profiles(grown)[0][grown.relations["r"], 0]
         assert p_grown[i_max] > p_small[i_max]
         assert p_grown[i_count] >= p_small[i_count]
 
     def test_std_squared_is_variance(self, rng):
         graph = random_graph(rng)
-        for profile in build_profiles(graph).values():
-            for u in (profile.u_head, profile.u_tail):
-                np.testing.assert_allclose(
-                    u[:, STAT_NAMES.index("std")] ** 2,
-                    u[:, STAT_NAMES.index("variance")],
-                    atol=1e-9,
-                )
+        for u in build_profiles(graph):
+            np.testing.assert_allclose(
+                u[:, :, STAT_NAMES.index("std")] ** 2,
+                u[:, :, STAT_NAMES.index("variance")],
+                atol=1e-9,
+            )
 
     def test_min_median_max_ordering(self, rng):
         graph = random_graph(rng, num_entities=10, triples_per_relation=8)
-        for profile in build_profiles(graph).values():
-            for u in (profile.u_head, profile.u_tail):
-                assert (u[:, STAT_NAMES.index("min")] <= u[:, STAT_NAMES.index("median")] + 1e-12).all()
-                assert (u[:, STAT_NAMES.index("median")] <= u[:, STAT_NAMES.index("max")] + 1e-12).all()
+        for u in build_profiles(graph):
+            assert (u[..., STAT_NAMES.index("min")] <= u[..., STAT_NAMES.index("median")] + 1e-12).all()
+            assert (u[..., STAT_NAMES.index("median")] <= u[..., STAT_NAMES.index("max")] + 1e-12).all()
 
     def test_aggregate_over_all_rows_dilutes_mean(self):
         graph = build_graph(
             [("e1", "r", "e2")], [], [],
             [("e1", "a", 1.0), ("e2", "a", 0.5), ("e3", "a", 0.0)],
         )
-        default = build_profiles(graph)[graph.relations["r"]]
-        padded = build_profiles(graph, aggregate_over_all_rows=True)[graph.relations["r"]]
-        i_mean = STAT_NAMES.index("mean")
-        assert padded.u_head[0, i_mean] < default.u_head[0, i_mean]
+        r, i_mean = graph.relations["r"], STAT_NAMES.index("mean")
+        default, _ = build_profiles(graph)
+        padded, _ = build_profiles(graph, aggregate_over_all_rows=True)
+        assert padded[r, 0, i_mean] < default[r, 0, i_mean]
 
     def test_multiset_rows_weight_repeats(self):
         graph = build_graph(
             [("e1", "r", "t"), ("e1", "r", "u"), ("e2", "r", "t")], [], [],
             [("e1", "a", 1.0), ("e2", "a", 0.0), ("t", "a", 0.5), ("u", "a", 0.25)],
         )
-        i_mean = STAT_NAMES.index("mean")
-        set_profile = build_profiles(graph)[graph.relations["r"]]
-        multi_profile = build_profiles(graph, multiset_rows=True)[graph.relations["r"]]
-        assert set_profile.u_head[0, i_mean] == pytest.approx(0.5)
-        assert multi_profile.u_head[0, i_mean] == pytest.approx(2.0 / 3.0)
+        r, i_mean = graph.relations["r"], STAT_NAMES.index("mean")
+        set_head, _ = build_profiles(graph)
+        multi_head, _ = build_profiles(graph, multiset_rows=True)
+        assert set_head[r, 0, i_mean] == pytest.approx(0.5)
+        assert multi_head[r, 0, i_mean] == pytest.approx(2.0 / 3.0)
+
+
+# every relation, one repeated: the rows follow the index array
+RELATIONS = np.array([1, 0, 1])
 
 
 class TestLiteralVectors:
     def test_fixed_kind_selects_column(self, rng):
-        graph = random_graph(rng)
-        profile = build_profiles(graph)[0]
-        l_h, l_t = literal_vectors(profile, "min")
-        np.testing.assert_array_equal(l_h, profile.u_head[:, STAT_NAMES.index("min")])
-        np.testing.assert_array_equal(l_t, profile.u_tail[:, STAT_NAMES.index("min")])
+        u_head, u_tail = profiles = build_profiles(random_graph(rng))
+        l_h, l_t = literal_vectors(profiles, RELATIONS, "min")
+        np.testing.assert_array_equal(l_h, u_head[RELATIONS, :, STAT_NAMES.index("min")])
+        np.testing.assert_array_equal(l_t, u_tail[RELATIONS, :, STAT_NAMES.index("min")])
 
     def test_learnable_zero_params_gives_half(self, rng):
-        graph = random_graph(rng)
-        profile = build_profiles(graph)[0]
-        params = LearnableAggregationParams(weights=np.zeros(11), bias=0.0)
-        l_h, l_t = literal_vectors(profile, "learnable", params)
+        profiles = build_profiles(random_graph(rng))
+        l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", np.zeros(11), np.zeros(1))
         np.testing.assert_allclose(l_h, 0.5)
         np.testing.assert_allclose(l_t, 0.5)
 
     def test_learnable_mean_selector(self, rng):
-        graph = random_graph(rng)
-        profile = build_profiles(graph)[0]
+        u_head, _ = profiles = build_profiles(random_graph(rng))
         weights = np.zeros(11)
         weights[STAT_NAMES.index("mean")] = 1.0
-        params = LearnableAggregationParams(weights=weights, bias=0.0)
-        l_h, _ = literal_vectors(profile, "learnable", params)
-        expected = 1.0 / (1.0 + np.exp(-profile.u_head[:, STAT_NAMES.index("mean")]))
+        l_h, _ = literal_vectors(profiles, RELATIONS, "learnable", weights, np.zeros(1))
+        expected = 1.0 / (1.0 + np.exp(-u_head[RELATIONS, :, STAT_NAMES.index("mean")]))
         np.testing.assert_allclose(l_h, expected, atol=1e-12)
         # sigmoid(0.3) spot value
         assert 1.0 / (1.0 + math.exp(-0.3)) == pytest.approx(0.574443, abs=1e-6)
 
     def test_learnable_outputs_strictly_inside_unit_interval(self, rng):
-        graph = random_graph(rng)
-        profile = build_profiles(graph)[0]
-        params = LearnableAggregationParams(weights=rng.normal(size=11), bias=0.3)
-        for vec in literal_vectors(profile, "learnable", params):
+        profiles = build_profiles(random_graph(rng))
+        for vec in literal_vectors(profiles, RELATIONS, "learnable", rng.normal(size=11), np.array([0.3])):
+            assert vec.shape == (RELATIONS.size, 3)
             assert (vec > 0).all() and (vec < 1).all()
 
     def test_learnable_requires_params(self, rng):
-        profile = build_profiles(random_graph(rng))[0]
+        profiles = build_profiles(random_graph(rng))
         with pytest.raises(ConfigError):
-            literal_vectors(profile, "learnable")
+            literal_vectors(profiles, RELATIONS, "learnable")
 
     def test_learnable_gradient_matches_finite_differences(self, rng):
         graph = random_graph(rng)
-        profile = build_profiles(graph)[0]
+        profiles = build_profiles(graph)
         weights = rng.normal(size=11)
-        bias = 0.2
-        d_l_h = rng.normal(size=graph.num_attributes)
-        d_l_t = rng.normal(size=graph.num_attributes)
+        bias = np.array([0.2])
+        d_l_h = rng.normal(size=(RELATIONS.size, graph.num_attributes))
+        d_l_t = rng.normal(size=(RELATIONS.size, graph.num_attributes))
 
         def objective(w, b):
-            params = LearnableAggregationParams(weights=w, bias=b)
-            l_h, l_t = literal_vectors(profile, "learnable", params)
-            return float(d_l_h @ l_h + d_l_t @ l_t)
+            l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", w, b)
+            return float(np.sum(d_l_h * l_h) + np.sum(d_l_t * l_t))
 
-        d_w, d_b = literal_vectors_backward(
-            profile, LearnableAggregationParams(weights=weights, bias=bias), d_l_h, d_l_t
-        )
+        d_w, d_b = literal_vectors_backward(profiles, RELATIONS, weights, bias, d_l_h, d_l_t)
         h = 1e-6
         for i in range(11):
             bumped = weights.copy()
@@ -263,7 +253,7 @@ class TestLiteralVectors:
             num = (plus - minus) / (2 * h)
             assert abs(num - d_w[i]) <= 1e-4 * max(1e-6, abs(num), abs(d_w[i]))
         num_b = (objective(weights, bias + h) - objective(weights, bias - h)) / (2 * h)
-        assert abs(num_b - d_b) <= 1e-4 * max(1e-6, abs(num_b), abs(d_b))
+        assert abs(num_b - d_b[0]) <= 1e-4 * max(1e-6, abs(num_b), abs(d_b[0]))
 
 
 class TestProfileSerialization:
@@ -271,7 +261,6 @@ class TestProfileSerialization:
         profiles = build_profiles(random_graph(rng))
         save_profiles(profiles, str(tmp_path / "profiles"))
         loaded = load_profiles(str(tmp_path / "profiles"))
-        assert loaded.keys() == profiles.keys()
-        for r in profiles:
-            np.testing.assert_array_equal(loaded[r].u_head, profiles[r].u_head)
-            np.testing.assert_array_equal(loaded[r].u_tail, profiles[r].u_tail)
+        assert len(loaded) == 2
+        for got, want in zip(loaded, profiles):
+            np.testing.assert_array_equal(got, want)

@@ -216,6 +216,24 @@ class TestTrainEvaluateClassify:
         predictions = open(os.path.join(out_dir, "predictions.tsv")).read().splitlines()
         assert len(predictions) == 2
 
+    @pytest.mark.parametrize("command", ["evaluate", "classify"])
+    def test_checkpoint_from_another_artifact_is_config_error(self, pipeline, dataset, capsys, command):
+        # the same entities and one relation more: relation index 1 ("rents") now means "q"
+        tmp = pipeline["tmp"]
+        train_path = tmp / "train_q.tsv"
+        train_path.write_text(open(dataset["train"]).read() + "p0\tq\th0\n")
+        other = str(tmp / "other")
+        assert preprocess(dict(dataset, train=str(train_path)), other) == 0
+        args = ["--output-dir", str(tmp / "out"), command,
+                "--artifact-dir", other, "--checkpoint-dir", pipeline["checkpoint"]]
+        if command == "classify":
+            args += ["--labels-path", dataset["labels"]]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint {pipeline['checkpoint']} was not trained on artifact {other}" in err
+        assert "relations.txt differ" in err
+        assert "internal error" not in err
+
     def test_missing_checkpoint_is_validation_error(self, pipeline, capsys):
         code = main([
             "evaluate",

@@ -17,7 +17,7 @@ from litrel.evaluation import (
     pearson,
     rank_triples,
 )
-from litrel.training import TrainConfig, init_state
+from litrel.training import TrainConfig, init_state, symmetric_lcwa_loss
 from tests.conftest import random_graph
 
 
@@ -117,12 +117,10 @@ class TestFilteredRanking:
     def test_filtered_never_worse_than_raw(self, toy_graph, trained_state):
         test = toy_graph.test
         ranks = rank_triples(trained_state, toy_graph, test)
-        for rel, rows in scoring.relation_groups(test[:, 1]):
-            r_lit = trained_state.fused_relation(rel)
-            scores = scoring.score_all_tails(test[rows, 0], r_lit, trained_state.model,
-                                             trained_state.tables)
-            raw = filtered_ranks(scores, test[rows, 2], [set()] * rows.size)
-            assert (ranks[rows, 1] <= raw).all()
+        r_lit = np.stack([trained_state.fused_relation(r) for r in test[:, 1]])
+        scores = scoring.score_all_tails(test[:, 0], r_lit, trained_state.model, trained_state.tables)
+        raw = filtered_ranks(scores, test[:, 2], [set()] * test.shape[0])
+        assert (ranks[:, 1] <= raw).all()
 
     def test_rank_bounds(self, toy_graph, trained_state):
         n = toy_graph.num_entities
@@ -130,15 +128,19 @@ class TestFilteredRanking:
         assert ranks.shape == (toy_graph.test.shape[0], 2)
         assert ((1.0 <= ranks) & (ranks <= n)).all()
 
-    @pytest.mark.parametrize("model,parts", [("distmult", 1), ("complex", 2)])
-    def test_fusion_runs_once_per_relation(self, toy_graph, model, parts):
+    @pytest.mark.parametrize("model", ["distmult", "complex"])
+    def test_fusion_runs_once_per_ranking_and_batch(self, toy_graph, model):
         state = init_state(toy_graph, TrainConfig(model=model, fusion="linear",
                                                   dim_entity=6, dim_relation=6))
-        forward = state.fusion.forward
         calls = []
-        state.fusion.forward = lambda *args: calls.append(1) or forward(*args)
-        evaluate(state, toy_graph, split="train")
-        assert len(calls) == parts * np.unique(toy_graph.train[:, 1]).size
+        for name in ("forward", "backward"):
+            method = getattr(state.fusion, name)
+            setattr(state.fusion, name,
+                    lambda *args, name=name, method=method: calls.append(name) or method(*args))
+        rank_triples(state, toy_graph, toy_graph.train)  # two relations, ComplEx: two halves each
+        assert calls == ["forward"]
+        symmetric_lcwa_loss(toy_graph.train, state)
+        assert calls == ["forward", "forward", "backward"]
 
     def test_unknown_tie_policy(self, toy_graph, trained_state):
         with pytest.raises(ValidationError):

@@ -11,30 +11,40 @@ def zeroed(block):
     return block
 
 
+# fused rows per call: the forward pass runs on stacked rows
+G = 3
+
+
+def rows(rng, width):
+    return rng.normal(size=(G, width))
+
+
 class TestLinearFusion:
     def test_zero_weights_annihilate(self, rng):
         block = zeroed(LinearFusion(4, 2, rng))
-        out, _ = block.forward(rng.normal(size=2), rng.normal(size=4), rng.normal(size=2))
-        np.testing.assert_array_equal(out, np.zeros(4))
+        out, _ = block.forward(rows(rng, 2), rows(rng, 4), rows(rng, 2))
+        np.testing.assert_array_equal(out, np.zeros((G, 4)))
 
     def test_identity_block_passes_relation_through(self, rng):
         block = zeroed(LinearFusion(3, 2, rng))
         block.weight[2:5, :] = np.eye(3)  # identity on the r block of [l_h, r, l_t]
-        r = rng.normal(size=3)
-        out, _ = block.forward(np.ones(2), r, np.ones(2))
+        r = rows(rng, 3)
+        out, _ = block.forward(np.ones((G, 2)), r, np.ones((G, 2)))
         np.testing.assert_allclose(out, r)
 
     def test_output_dimension_fixed(self, rng):
         block = LinearFusion(5, 3, rng)
-        out, _ = block.forward(rng.normal(size=3), rng.normal(size=5), rng.normal(size=3))
-        assert out.shape == (5,)
+        out, _ = block.forward(rows(rng, 3), rows(rng, 5), rows(rng, 3))
+        assert out.shape == (G, 5)
 
     def test_shape_mismatch_names_operand(self, rng):
         block = LinearFusion(4, 2, rng)
         with pytest.raises(ShapeError, match="l_h"):
-            block.forward(np.zeros(3), np.zeros(4), np.zeros(2))
+            block.forward(np.zeros((G, 3)), np.zeros((G, 4)), np.zeros((G, 2)))
         with pytest.raises(ShapeError, match="r has"):
-            block.forward(np.zeros(2), np.zeros(5), np.zeros(2))
+            block.forward(np.zeros((G, 2)), np.zeros((G, 5)), np.zeros((G, 2)))
+        with pytest.raises(ShapeError, match=r"l_t has shape \(2, 2\), expected \(3, 2\)"):
+            block.forward(np.zeros((G, 2)), np.zeros((G, 4)), np.zeros((2, 2)))
 
 
 class TestGatedFusion:
@@ -44,10 +54,10 @@ class TestGatedFusion:
         block.gate_rel[...] = 0
         block.gate_tail[...] = 0
         block.gate_bias[...] = 0
-        l_h, r, l_t = np.array([0.4]), rng.normal(size=3), np.array([0.9])
+        l_h, r, l_t = np.array([[0.4], [0.1], [0.7]]), rows(rng, 3), np.array([[0.9], [0.2], [0.5]])
         out, _ = block.forward(l_h, r, l_t)
-        x = np.concatenate([l_h, r, l_t])
-        expected = 0.5 * np.tanh(block.weight.T @ x) + 0.5 * r
+        x = np.concatenate([l_h, r, l_t], axis=1)
+        expected = 0.5 * np.tanh(x @ block.weight) + 0.5 * r
         np.testing.assert_allclose(out, expected)
 
     def test_hand_computed_small_case(self):
@@ -57,7 +67,7 @@ class TestGatedFusion:
         for p in block.parameters().values():
             p[...] = 0.1
         block.gate_bias[...] = 0.0
-        l_h, r, l_t = np.array([1.0]), np.array([1.0, -1.0]), np.array([0.0])
+        l_h, r, l_t = np.array([[1.0]]), np.array([[1.0, -1.0]]), np.array([[0.0]])
         # x = [1, 1, -1, 0]; W.T x = 0.1 * (1 + 1 - 1 + 0) = 0.1 per output
         # z_pre = 0.1*1 + 0.1*(1 - 1) + 0.1*0 = 0.1 per output
         z = 1.0 / (1.0 + np.exp(-0.1))
@@ -67,11 +77,11 @@ class TestGatedFusion:
 
     def test_saturated_gate_selects_literal_branch(self, rng):
         block = GatedFusion(4, 2, rng)
-        l_h, r, l_t = rng.normal(size=2), rng.normal(size=4), rng.normal(size=2)
-        x = np.concatenate([l_h, r, l_t])
+        l_h, r, l_t = rows(rng, 2), rows(rng, 4), rows(rng, 2)
+        x = np.concatenate([l_h, r, l_t], axis=1)
         block.gate_bias[...] = 30.0
         out, _ = block.forward(l_h, r, l_t)
-        np.testing.assert_allclose(out, np.tanh(block.weight.T @ x), atol=1e-9)
+        np.testing.assert_allclose(out, np.tanh(x @ block.weight), atol=1e-9)
         block.gate_bias[...] = -30.0
         out, _ = block.forward(l_h, r, l_t)
         np.testing.assert_allclose(out, r, atol=1e-9)
@@ -83,8 +93,8 @@ class TestGatedFusion:
         block.gate_rel[...] = 0
         block.gate_tail[...] = 0
         block.gate_bias[...] = -30.0
-        r = rng.normal(size=4)
-        out, _ = block.forward(rng.normal(size=2), r, rng.normal(size=2))
+        r = rows(rng, 4)
+        out, _ = block.forward(rows(rng, 2), r, rows(rng, 2))
         np.testing.assert_allclose(out, r, atol=1e-9)
 
 
@@ -119,24 +129,24 @@ class TestGradients:
     def test_backward_matches_finite_differences(self, kind, rng):
         dim, attrs = 4, 3
         block = make_fusion(kind, dim, attrs, rng)
-        l_h = rng.normal(size=attrs)
-        r = rng.normal(size=dim)
-        l_t = rng.normal(size=attrs)
-        upstream = rng.normal(size=dim)
+        l_h, r, l_t = rows(rng, attrs), rows(rng, dim), rows(rng, attrs)
+        upstream = rows(rng, dim)
 
         def objective():
             out, _ = block.forward(l_h, r, l_t)
-            return float(upstream @ out)
+            return float(np.sum(upstream * out))
 
         _, cache = block.forward(l_h, r, l_t)
         grads = {name: np.zeros_like(p) for name, p in block.parameters().items()}
         d_l_h, d_r, d_l_t = block.backward(cache, upstream, grads)
 
         h = 1e-6
-        # parameter gradients
-        for name, p in block.parameters().items():
-            flat = p.reshape(-1)
-            analytic = grads[name].reshape(-1)
+        # parameter gradients, then input gradients
+        tensors = [(p, grads[name]) for name, p in block.parameters().items()]
+        tensors += [(l_h, d_l_h), (r, d_r), (l_t, d_l_t)]
+        for tensor, analytic in tensors:
+            flat = tensor.reshape(-1)
+            analytic = analytic.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
@@ -144,16 +154,5 @@ class TestGradients:
                 flat[i] = orig - h
                 minus = objective()
                 flat[i] = orig
-                num = (plus - minus) / (2 * h)
-                assert abs(num - analytic[i]) <= 1e-4 * max(1e-6, abs(num), abs(analytic[i])), name
-        # input gradients
-        for vec, analytic in ((l_h, d_l_h), (r, d_r), (l_t, d_l_t)):
-            for i in range(vec.size):
-                orig = vec[i]
-                vec[i] = orig + h
-                plus = objective()
-                vec[i] = orig - h
-                minus = objective()
-                vec[i] = orig
                 num = (plus - minus) / (2 * h)
                 assert abs(num - analytic[i]) <= 1e-4 * max(1e-6, abs(num), abs(analytic[i]))

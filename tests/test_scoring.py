@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from litrel import scoring
 from litrel.errors import ShapeError
 from litrel.scoring import (
     EmbeddingTables,
@@ -59,7 +60,7 @@ def reference_score(spec, tables, h, t, r_lit):
 
 
 def tail_score(h, r_lit, t, model, tables):
-    return score_all_tails(np.array([h]), r_lit, model, tables)[0, t]
+    return score_all_tails(np.array([h]), r_lit[None, :], model, tables)[0, t]
 
 
 class TestSingleScores:
@@ -122,16 +123,16 @@ class TestSingleScores:
         tables = random_tables(rng, "rotate")
         model = make_model("rotate")
         with pytest.raises(ShapeError, match="phase"):
-            score_all_tails(np.array([0]), np.zeros(6), model, tables)
+            score_all_tails(np.array([0]), np.zeros((1, 6)), model, tables)
         with pytest.raises(ShapeError, match="phase"):
-            score_all_heads(np.array([1]), np.zeros(6), model, tables)
+            score_all_heads(np.array([1]), np.zeros((1, 6)), model, tables)
 
     def test_tucker_requires_core(self):
         tables = EmbeddingTables(entity=np.zeros((2, 2)), relation=np.zeros((1, 2)))
         with pytest.raises(ShapeError, match="core"):
-            score_all_tails(np.array([0]), np.zeros(2), make_model("tucker"), tables)
+            score_all_tails(np.array([0]), np.zeros((1, 2)), make_model("tucker"), tables)
         with pytest.raises(ShapeError, match="core"):
-            score_all_heads(np.array([1]), np.zeros(2), make_model("tucker"), tables)
+            score_all_heads(np.array([1]), np.zeros((1, 2)), make_model("tucker"), tables)
 
     def test_tucker_matches_einsum(self, rng):
         tables = random_tables(rng, "tucker")
@@ -154,31 +155,38 @@ class TestSingleScores:
 ANCHORS = np.array([1, 3, 1, 0])
 
 
+def distinct_rows(rng, spec):
+    """One fused relation row per anchor, all different, as in a block spanning relations."""
+    return rng.normal(size=(ANCHORS.size, MODEL_SPECS[spec][3]))
+
+
 class TestBatchedScoring:
     @pytest.mark.parametrize("spec", list(MODEL_SPECS))
     def test_all_tails_matches_loop(self, spec, rng):
         tables = random_tables(rng, spec)
         model = spec_model(spec)
-        r_lit = rng.normal(size=MODEL_SPECS[spec][3])
+        r_lit = distinct_rows(rng, spec)
         batched = score_all_tails(ANCHORS, r_lit, model, tables)
         assert batched.shape == (ANCHORS.size, 5)
-        looped = [[reference_score(spec, tables, h, t, r_lit) for t in range(5)] for h in ANCHORS]
+        looped = [[reference_score(spec, tables, h, t, r_b) for t in range(5)]
+                  for h, r_b in zip(ANCHORS, r_lit)]
         np.testing.assert_allclose(batched, looped, atol=1e-9)
 
     @pytest.mark.parametrize("spec", list(MODEL_SPECS))
     def test_all_heads_matches_loop(self, spec, rng):
         tables = random_tables(rng, spec)
         model = spec_model(spec)
-        r_lit = rng.normal(size=MODEL_SPECS[spec][3])
+        r_lit = distinct_rows(rng, spec)
         batched = score_all_heads(ANCHORS, r_lit, model, tables)
         assert batched.shape == (ANCHORS.size, 5)
-        looped = [[reference_score(spec, tables, h, t, r_lit) for h in range(5)] for t in ANCHORS]
+        looped = [[reference_score(spec, tables, h, t, r_b) for h in range(5)]
+                  for t, r_b in zip(ANCHORS, r_lit)]
         np.testing.assert_allclose(batched, looped, atol=1e-9)
 
     def test_distmult_heads_equals_tails_swapped(self, rng):
         tables = random_tables(rng, "distmult")
         model = make_model("distmult")
-        r_lit = rng.normal(size=6)
+        r_lit = distinct_rows(rng, "distmult")
         np.testing.assert_allclose(
             score_all_heads(ANCHORS, r_lit, model, tables),
             score_all_tails(ANCHORS, r_lit, model, tables),
@@ -188,7 +196,7 @@ class TestBatchedScoring:
         # entity 2 sits exactly at e_0 + r: its tail score is the max (0)
         entity = np.array([[0.0, 0.0], [3.0, 3.0], [1.0, 2.0]])
         tables = EmbeddingTables(entity=entity, relation=np.zeros((1, 2)))
-        scores = score_all_tails(np.array([0]), np.array([1.0, 2.0]), make_model("transe"), tables)[0]
+        scores = score_all_tails(np.array([0]), np.array([[1.0, 2.0]]), make_model("transe"), tables)[0]
         assert scores[2] == 0.0
         assert scores.argmax() == 2
 
@@ -199,7 +207,7 @@ class TestBackwardPasses:
     def test_weighted_gradients_match_finite_differences(self, spec, side, rng):
         tables = random_tables(rng, spec)
         model = spec_model(spec)
-        r_lit = rng.normal(size=MODEL_SPECS[spec][3])
+        r_lit = distinct_rows(rng, spec)
         g = rng.normal(size=(ANCHORS.size, 5))
         query_side = side[:-1]  # "tail" or "head"
 
@@ -231,6 +239,25 @@ class TestBackwardPasses:
                 flat[i] = orig
                 num = (plus - minus) / (2 * h)
                 assert abs(num - aflat[i]) <= 1e-4 * max(1e-5, abs(num), abs(aflat[i]))
+
+    @pytest.mark.parametrize("side", ["tail", "head"])
+    def test_tucker_chunks_match_one_chunk(self, side, rng, monkeypatch):
+        # the D_e*D_r-wide Khatri-Rao rows are built BLOCK_SCORES entries at a time
+        tables = random_tables(rng, "tucker")
+        model = spec_model("tucker")
+        r_lit = distinct_rows(rng, "tucker")
+        d_q = rng.normal(size=(ANCHORS.size, 6))
+
+        def run():
+            d_entity, d_core = np.zeros_like(tables.entity), np.zeros_like(tables.core)
+            q = model.query(tables, ANCHORS, r_lit, side)
+            d_r_lit = model.query_backward(tables, ANCHORS, r_lit, side, d_q, d_entity, d_core)
+            return q, d_r_lit, d_entity, d_core
+
+        whole = run()
+        monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 4)  # one row per chunk
+        for got, want in zip(run(), whole):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 def direct_l2_backward(q, entity, g):
