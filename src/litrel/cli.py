@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import os
 import sys
 
@@ -76,6 +77,8 @@ def load_config(path: str | None) -> dict:
                 loaded = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} does not hold a JSON object")
         unknown = set(loaded) - set(config)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -195,14 +198,20 @@ def cmd_train(config: dict, output_dir: str) -> int:
 def _parse_threshold(raw, graph: KnowledgeGraph, group_by: str) -> float:
     if raw is None:
         raise ConfigError(f"--group-by {group_by} requires --threshold")
-    if isinstance(raw, str) and raw.endswith("%"):
-        fraction = float(raw[:-1]) / 100.0
-        if group_by != "frequency":
-            raise ConfigError("percentage thresholds apply to frequency grouping only")
-        absolute = frequency_threshold_from_fraction(graph, fraction)
-        logger.info("frequency threshold %s -> %.1f training triples", raw, absolute)
-        return absolute
-    return float(raw)
+    percent = isinstance(raw, str) and raw.endswith("%")
+    try:
+        value = float(raw[:-1] if percent else raw)
+    except (TypeError, ValueError):
+        value = math.nan
+    if isinstance(raw, bool) or not math.isfinite(value):
+        raise ConfigError(f"threshold {raw!r} is not a finite number")
+    if not percent:
+        return value
+    if group_by != "frequency":
+        raise ConfigError("percentage thresholds apply to frequency grouping only")
+    absolute = frequency_threshold_from_fraction(graph, value / 100.0)
+    logger.info("frequency threshold %s -> %.1f training triples", raw, absolute)
+    return absolute
 
 
 def cmd_evaluate(config: dict, output_dir: str) -> int:

@@ -19,7 +19,7 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class LiteralMatrix:
 
 @dataclass
 class KnowledgeGraph:
-    """Indexed triple stores plus literal matrix and filter indices."""
+    """Indexed triple stores plus literal matrix."""
 
     entities: Vocab
     relations: Vocab
@@ -105,10 +105,6 @@ class KnowledgeGraph:
     valid: np.ndarray
     test: np.ndarray
     literals: LiteralMatrix
-    # (head, relation) -> set of true tails; (relation, tail) -> set of true
-    # heads; built over train + valid + test.
-    filter_tails: dict = field(default_factory=dict)
-    filter_heads: dict = field(default_factory=dict)
 
     @property
     def num_entities(self) -> int:
@@ -177,7 +173,6 @@ class KnowledgeGraph:
             ),
         )
         _check_artifact(graph, directory)
-        _build_filter_index(graph)
         return graph
 
 
@@ -359,7 +354,7 @@ def build_graph(train, valid, test, literals) -> KnowledgeGraph:
             values[mask, a] = (raw[mask, a] - lo) / (hi - lo)
         # hi == lo: constant column normalizes to 0 to keep the matrix finite
 
-    graph = KnowledgeGraph(
+    return KnowledgeGraph(
         entities=entities,
         relations=relations,
         attributes=attributes,
@@ -368,14 +363,3 @@ def build_graph(train, valid, test, literals) -> KnowledgeGraph:
         test=test_idx,
         literals=LiteralMatrix(values=values, present=present, raw_min=raw_min, raw_max=raw_max),
     )
-    _build_filter_index(graph)
-    return graph
-
-
-def _build_filter_index(graph: KnowledgeGraph) -> None:
-    graph.filter_tails = {}
-    graph.filter_heads = {}
-    for split in (graph.train, graph.valid, graph.test):
-        for head, relation, tail in split:
-            graph.filter_tails.setdefault((int(head), int(relation)), set()).add(int(tail))
-            graph.filter_heads.setdefault((int(relation), int(tail)), set()).add(int(head))

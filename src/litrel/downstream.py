@@ -164,6 +164,6 @@ def micro_f1(predictions, gold) -> float:
 
 def confusion_counts(predictions, gold, num_classes: int) -> np.ndarray:
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    for p, g in zip(predictions, gold):
-        counts[int(g), int(p)] += 1
+    np.add.at(counts, (np.asarray(gold, dtype=np.int64),
+                       np.asarray(predictions, dtype=np.int64)), 1)
     return counts

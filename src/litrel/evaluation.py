@@ -10,9 +10,10 @@ by default; optimistic and pessimistic policies are available.
 Ranking fuses the relation table once, as |R| rows ``r_lit``; then each
 block of at most :func:`scoring.block_rows` triples, in input order and
 so spanning relations, is scored as one B x |E| matrix per side with
-each triple's ``r_lit`` row.  Filtering sets each row's known-true
-competitors to -inf, and the better and tied entries are counted
-row-wise.
+each triple's ``r_lit`` row.  The filter is read from the splits on each
+call: the known triples are sorted by an int64 key per side, and each
+block finds its rows' known-true competitors by binary search.  Filtering
+sets them to -inf, and the better and tied entries are counted row-wise.
 
 Relations can additionally be partitioned into frequent vs long-tail
 groups (by training-triple count) or correlated vs less-correlated
@@ -25,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -89,21 +89,20 @@ class EvaluationReport:
         return "\n".join(lines)
 
 
-def filtered_ranks(scores: np.ndarray, targets: np.ndarray, known,
+def filtered_ranks(scores: np.ndarray, targets: np.ndarray, known: tuple[np.ndarray, np.ndarray],
                    tie_policy: str = "realistic") -> np.ndarray:
     """Filtered rank of entity ``targets[b]`` in row ``b`` of a B x |E| score matrix.
 
-    ``known[b]`` holds the entities known to complete row ``b``; all of
-    them except ``targets[b]`` are filtered out by setting their scores
+    ``known`` is a ``(rows, cols)`` pair of index arrays: entity
+    ``cols[i]`` is known to complete row ``rows[i]``.  All known entities
+    of a row except its target are filtered out by setting their scores
     to -inf, in place.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
     rows = np.arange(targets.size)
     true = scores[rows, targets]
-    sizes = np.fromiter(map(len, known), dtype=np.int64, count=len(known))
-    competitors = np.fromiter(chain.from_iterable(known), dtype=np.int64, count=int(sizes.sum()))
-    scores[np.repeat(rows, sizes), competitors] = -np.inf
+    scores[known] = -np.inf
     scores[rows, targets] = true
     better = np.count_nonzero(scores > true[:, None], axis=1)
     ties = np.count_nonzero(scores == true[:, None], axis=1) - 1  # excluding the target
@@ -114,20 +113,33 @@ def filtered_ranks(scores: np.ndarray, targets: np.ndarray, known,
     return better + 1 + ties / 2.0
 
 
+def _known_entities(keys: np.ndarray, entities: np.ndarray, queries: np.ndarray):
+    """``(rows, cols)`` of every entity filed under key ``queries[row]`` in sorted ``keys``."""
+    start, stop = (np.searchsorted(keys, queries, side) for side in ("left", "right"))
+    sizes = stop - start
+    rows = np.repeat(np.arange(queries.size), sizes)
+    return rows, entities[np.arange(rows.size) + np.repeat(start - np.cumsum(sizes) + sizes, sizes)]
+
+
 def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray,
                  tie_policy: str = "realistic") -> np.ndarray:
     """(N, 2) filtered [head rank, tail rank] of every triple under the trained model."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     ranks = np.empty((triples.shape[0], 2))
     model, tables = state.model, state.tables
-    r_lit, _ = state.fuse_forward(np.arange(tables.relation.shape[0]))
-    step = scoring.block_rows(tables.entity.shape[0])
+    n_e, n_r = graph.num_entities, graph.num_relations
+    # a known triple files its tail under key r|E| + h and its head under (|R| + r)|E| + t
+    h, r, t = np.concatenate([graph.train, graph.valid, graph.test]).T
+    keys = np.concatenate([r * n_e + h, (n_r + r) * n_e + t])
+    order = np.argsort(keys, kind="stable")
+    keys, entities = keys[order], np.concatenate([t, h])[order]
+    r_lit, _ = state.fuse_forward(np.arange(n_r))
+    step = scoring.block_rows(n_e)
     for start in range(0, triples.shape[0], step):
-        block = triples[start:start + step]
-        heads, rels, tails = block.T
+        heads, rels, tails = triples[start:start + step].T
         r_rows = r_lit[rels]
-        known_heads = [graph.filter_heads.get((r, t), ()) for _, r, t in block.tolist()]
-        known_tails = [graph.filter_tails.get((h, r), ()) for h, r, _ in block.tolist()]
+        known_heads = _known_entities(keys, entities, (n_r + rels) * n_e + tails)
+        known_tails = _known_entities(keys, entities, rels * n_e + heads)
         ranks[start:start + step, 0] = filtered_ranks(
             scoring.score_all_heads(tails, r_rows, model, tables), heads, known_heads, tie_policy)
         ranks[start:start + step, 1] = filtered_ranks(

@@ -25,9 +25,11 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import shutil
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -71,6 +73,13 @@ class TrainConfig:
     valid_every: int = 0                 # 0 disables periodic validation MRR
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
+                                      or not math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.fusion not in (None, "none") + fusion_mod.FUSION_KINDS:

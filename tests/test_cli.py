@@ -198,6 +198,26 @@ class TestTrainEvaluateClassify:
         report = json.loads(open(os.path.join(out_dir, "report.json")).read())
         assert report["grouping"] == "correlation"
 
+    @pytest.mark.parametrize("group_by, threshold", [
+        ("correlation", "abc"),
+        ("correlation", "5x%"),
+        ("frequency", "abc%"),
+        ("frequency", "nan"),
+    ])
+    def test_malformed_threshold_is_config_error(self, pipeline, capsys, group_by, threshold):
+        code = main([
+            "--output-dir", str(pipeline["tmp"] / "eval_bad"),
+            "evaluate",
+            "--artifact-dir", pipeline["artifact"],
+            "--checkpoint-dir", pipeline["checkpoint"],
+            "--group-by", group_by,
+            "--threshold", threshold,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"threshold {threshold!r} is not a finite number" in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("classifier", ["knn", "svm"])
     def test_classify(self, pipeline, dataset, classifier, capsys):
         out_dir = str(pipeline["tmp"] / f"cls_{classifier}")
@@ -279,6 +299,13 @@ class TestTrainEvaluateClassify:
         assert self.evaluate(pipeline) == 1
         err = capsys.readouterr().err
         assert pipeline["checkpoint"] in err
+        assert "internal error" not in err
+
+    def test_checkpoint_config_of_wrong_type_is_config_error(self, pipeline, capsys):
+        self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m["config"].update(epochs="2"))
+        assert self.evaluate(pipeline) == 1
+        err = capsys.readouterr().err
+        assert "epochs must be an integer, got '2'" in err
         assert "internal error" not in err
 
     def test_missing_parameter_array_is_config_error(self, pipeline, capsys):
@@ -434,3 +461,24 @@ class TestConfigPrecedence:
         meta = json.loads(open(os.path.join(checkpoint, "checkpoint.json")).read())
         assert "aggregate_over_all_rows" not in meta["config"]
         assert "multiset_rows" not in meta["config"]
+
+    @pytest.mark.parametrize("content, message", [
+        ('5', "does not hold a JSON object"),
+        ('["epochs"]', "does not hold a JSON object"),
+        ('{"epochs": "2"}', "epochs must be an integer, got '2'"),
+        ('{"epochs": 2.0}', "epochs must be an integer, got 2.0"),
+        ('{"batch_size": true}', "batch_size must be an integer, got True"),
+        ('{"learning_rate": "0.1"}', "learning_rate must be a finite number, got '0.1'"),
+    ])
+    def test_wrongly_typed_config_file_is_config_error(self, dataset, tmp_path, capsys,
+                                                       content, message):
+        artifact = str(tmp_path / "artifact")
+        assert preprocess(dataset, artifact) == 0
+        config = tmp_path / "run.json"
+        config.write_text(content)
+        code = main(["--config", str(config), "train", "--artifact-dir", artifact,
+                     "--checkpoint-dir", str(tmp_path / "ckpt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err

@@ -111,11 +111,6 @@ class TestBuildGraph:
         assert present[toy_graph.entities["alice"], toy_graph.attributes["income"]]
         assert not present[toy_graph.entities["alice"], toy_graph.attributes["rent"]]
 
-    def test_filter_index_covers_all_splits(self, toy_graph):
-        for split in (toy_graph.train, toy_graph.valid, toy_graph.test):
-            for h, r, t in split:
-                assert int(t) in toy_graph.filter_tails[(int(h), int(r))]
-
     def test_duplicate_triples_deduplicated_with_warning(self, caplog):
         graph = build_graph([("a", "r", "b"), ("a", "r", "b")], [], [], [])
         assert graph.train.shape[0] == 1
@@ -154,9 +149,9 @@ class TestSerialization:
         assert loaded.relations == toy_graph.relations
         assert loaded.attributes == toy_graph.attributes
         np.testing.assert_array_equal(loaded.train, toy_graph.train)
+        np.testing.assert_array_equal(loaded.valid, toy_graph.valid)
         np.testing.assert_array_equal(loaded.test, toy_graph.test)
         np.testing.assert_array_equal(loaded.literals.values, toy_graph.literals.values)
-        assert loaded.filter_tails == toy_graph.filter_tails
 
     def test_vocab_round_trip(self, tmp_path):
         vocab = Vocab.from_items(["b", "a", "c"])

@@ -207,3 +207,11 @@ class TestConfusion:
         counts = confusion_counts([0, 1, 1], [0, 0, 1], num_classes=2)
         np.testing.assert_array_equal(counts, [[1, 1], [0, 1]])
         assert counts.sum() == 3
+
+    def test_matches_loop_randomly(self, rng):
+        predictions = rng.integers(0, 5, size=200)
+        gold = rng.integers(0, 5, size=200)
+        expected = np.zeros((5, 5), dtype=np.int64)
+        for p, g in zip(predictions, gold):
+            expected[g, p] += 1
+        np.testing.assert_array_equal(confusion_counts(predictions, gold, num_classes=5), expected)

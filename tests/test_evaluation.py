@@ -1,11 +1,13 @@
 import math
+from itertools import chain
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from litrel import scoring
-from litrel.data import build_graph
+from litrel.data import KnowledgeGraph, LiteralMatrix, Vocab, build_graph
 from litrel.errors import ValidationError
 from litrel.evaluation import (
     compute_metrics,
@@ -38,10 +40,16 @@ def brute_force_rank(scores, true_index, filtered, tie_policy="realistic"):
     return (min(positions) + max(positions)) / 2.0
 
 
+def as_index(filtered_rows):
+    """The ``(rows, cols)`` form of one set of filtered entities per row."""
+    pairs = [(b, e) for b, filtered in enumerate(filtered_rows) for e in sorted(filtered)]
+    return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+
 def rank_of(scores, true_index, filtered, tie_policy):
     """The block ranker on a one-row block."""
     block = np.array([scores], dtype=np.float64)
-    return filtered_ranks(block, np.array([true_index]), [filtered], tie_policy)[0]
+    return filtered_ranks(block, np.array([true_index]), as_index([filtered]), tie_policy)[0]
 
 
 class TestRankOf:
@@ -79,7 +87,7 @@ class TestRankOf:
                 brute_force_rank(scores[b], int(targets[b]), filtered[b], policy)
                 for b in range(rows)
             ]
-            ranks = filtered_ranks(scores.copy(), targets, filtered, policy)
+            ranks = filtered_ranks(scores.copy(), targets, as_index(filtered), policy)
             assert ranks.tolist() == expected
 
 
@@ -119,7 +127,7 @@ class TestFilteredRanking:
         ranks = rank_triples(trained_state, toy_graph, test)
         r_lit = np.stack([trained_state.fused_relation(r) for r in test[:, 1]])
         scores = scoring.score_all_tails(test[:, 0], r_lit, trained_state.model, trained_state.tables)
-        raw = filtered_ranks(scores, test[:, 2], [set()] * test.shape[0])
+        raw = filtered_ranks(scores, test[:, 2], as_index([set()] * test.shape[0]))
         assert (ranks[:, 1] <= raw).all()
 
     def test_rank_bounds(self, toy_graph, trained_state):
@@ -145,6 +153,109 @@ class TestFilteredRanking:
     def test_unknown_tie_policy(self, toy_graph, trained_state):
         with pytest.raises(ValidationError):
             rank_triples(trained_state, toy_graph, toy_graph.test, tie_policy="hopeful")
+
+
+def reference_rank_triples(state, graph, triples, tie_policy):
+    """The former ranker: dicts of filter sets over the splits, flattened per block."""
+    filter_tails, filter_heads = {}, {}
+    for split in (graph.train, graph.valid, graph.test):
+        for head, relation, tail in split:
+            filter_tails.setdefault((int(head), int(relation)), set()).add(int(tail))
+            filter_heads.setdefault((int(relation), int(tail)), set()).add(int(head))
+
+    def ranks_of(scores, targets, known):
+        rows = np.arange(targets.size)
+        true = scores[rows, targets]
+        sizes = np.fromiter(map(len, known), dtype=np.int64, count=len(known))
+        competitors = np.fromiter(chain.from_iterable(known), dtype=np.int64, count=int(sizes.sum()))
+        scores[np.repeat(rows, sizes), competitors] = -np.inf
+        scores[rows, targets] = true
+        better = np.count_nonzero(scores > true[:, None], axis=1)
+        ties = np.count_nonzero(scores == true[:, None], axis=1) - 1
+        if tie_policy == "optimistic":
+            return better + 1.0
+        if tie_policy == "pessimistic":
+            return better + ties + 1.0
+        return better + 1 + ties / 2.0
+
+    ranks = np.empty((triples.shape[0], 2))
+    model, tables = state.model, state.tables
+    r_lit, _ = state.fuse_forward(np.arange(tables.relation.shape[0]))
+    step = scoring.block_rows(tables.entity.shape[0])
+    for start in range(0, triples.shape[0], step):
+        block = triples[start:start + step]
+        heads, rels, tails = block.T
+        r_rows = r_lit[rels]
+        known_heads = [filter_heads.get((r, t), ()) for _, r, t in block.tolist()]
+        known_tails = [filter_tails.get((h, r), ()) for h, r, _ in block.tolist()]
+        ranks[start:start + step, 0] = ranks_of(
+            scoring.score_all_heads(tails, r_rows, model, tables), heads, known_heads)
+        ranks[start:start + step, 1] = ranks_of(
+            scoring.score_all_tails(heads, r_rows, model, tables), tails, known_tails)
+    return ranks
+
+
+@st.composite
+def split_graphs(draw):
+    """An index-level graph whose splits share triples and entities.
+
+    The last train triple is repeated in valid and test; entity ``n`` is
+    only in valid and entity ``n + 1`` only in test; the last relation
+    has no triples.
+    """
+    n = draw(st.integers(1, 5))
+    num_relations = draw(st.integers(1, 3))
+
+    def triples(min_size):
+        triple = st.tuples(st.integers(0, n - 1), st.integers(0, num_relations - 1),
+                           st.integers(0, n - 1))
+        return draw(st.lists(triple, min_size=min_size, max_size=10, unique=True))
+
+    train, valid, test = triples(1), triples(0), triples(0)
+    for split in (valid, test):
+        if train[-1] not in split:
+            split.append(train[-1])
+    valid.append((n, draw(st.integers(0, num_relations - 1)), draw(st.integers(0, n - 1))))
+    test.append((draw(st.integers(0, n)), draw(st.integers(0, num_relations - 1)), n + 1))
+    arrays = [np.array(split, dtype=np.int64).reshape(-1, 3) for split in (train, valid, test)]
+    return KnowledgeGraph(
+        entities=Vocab(f"e{i}" for i in range(n + 2)),
+        relations=Vocab(f"r{i}" for i in range(num_relations + 1)),
+        attributes=Vocab([]),
+        train=arrays[0], valid=arrays[1], test=arrays[2],
+        literals=LiteralMatrix(values=np.zeros((n + 2, 0)), present=np.zeros((n + 2, 0), bool),
+                               raw_min=np.zeros(0), raw_max=np.zeros(0)),
+    )
+
+
+class TestFilterFromSplits:
+    @settings(max_examples=60, deadline=None)
+    @given(graph=split_graphs(), model=st.sampled_from(["distmult", "transe"]),
+           tied=st.booleans(), rows_per_block=st.sampled_from([1, 2, None]),
+           seed=st.integers(0, 100))
+    def test_matches_dict_of_sets_ranker(self, graph, model, tied, rows_per_block, seed):
+        state = init_state(graph, TrainConfig(model=model, dim_entity=4, dim_relation=4, seed=seed))
+        for table in (state.tables.entity, state.tables.relation):
+            table[...] = 0.0 if tied else np.round(table, 1)  # all scores tie, or many do
+        triples = np.concatenate([graph.train, graph.valid, graph.test])
+        block_scores = scoring.BLOCK_SCORES if rows_per_block is None else (
+            rows_per_block * graph.num_entities)
+        with mock.patch.object(scoring, "BLOCK_SCORES", block_scores):
+            for policy in ("realistic", "optimistic", "pessimistic"):
+                ranks = rank_triples(state, graph, triples, policy)
+                np.testing.assert_array_equal(
+                    ranks, reference_rank_triples(state, graph, triples, policy))
+        if tied:
+            # every score is 0: a pessimistic rank is |E| minus the other entities
+            # known to complete that side, counted over all three splits
+            known = set(map(tuple, triples.tolist()))
+            entities = range(graph.num_entities)
+            expected = [
+                [graph.num_entities - sum((x, r, t) in known for x in entities if x != h),
+                 graph.num_entities - sum((h, r, x) in known for x in entities if x != t)]
+                for h, r, t in triples.tolist()
+            ]
+            np.testing.assert_array_equal(rank_triples(state, graph, triples, "pessimistic"), expected)
 
 
 class TestPearson:
