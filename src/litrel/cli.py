@@ -195,6 +195,12 @@ def cmd_train(config: dict, output_dir: str) -> int:
     return 0
 
 
+def _typed(config: dict, key: str, kind: str):
+    """``config[key]``, checked as :class:`TrainConfig` checks its fields."""
+    training.check_type(key, config[key], kind)
+    return config[key]
+
+
 def _parse_threshold(raw, graph: KnowledgeGraph, group_by: str) -> float:
     if raw is None:
         raise ConfigError(f"--group-by {group_by} requires --threshold")
@@ -226,7 +232,7 @@ def cmd_evaluate(config: dict, output_dir: str) -> int:
         grouping = group_by_correlation(
             graph,
             _parse_threshold(config["threshold"], graph, "correlation"),
-            min_samples=int(config["min_corr_samples"]),
+            min_samples=_typed(config, "min_corr_samples", "int"),
         )
     elif config["group_by"] is not None:
         raise ConfigError(f"unknown group_by {config['group_by']!r}")
@@ -253,16 +259,16 @@ def cmd_classify(config: dict, output_dir: str) -> int:
     classifier = config["classifier"]
     if classifier == "knn":
         predictions = knn_classify(
-            train_feats, labeled.train_labels, test_feats, k=int(config["knn_k"])
+            train_feats, labeled.train_labels, test_feats, k=_typed(config, "knn_k", "int")
         )
     elif classifier == "svm":
         model = svm_train(
             train_feats,
             labeled.train_labels,
-            epochs=int(config["svm_epochs"]),
-            lr=float(config["svm_lr"]),
-            reg=float(config["svm_reg"]),
-            seed=int(config["seed"]),
+            epochs=_typed(config, "svm_epochs", "int"),
+            lr=_typed(config, "svm_lr", "float"),
+            reg=_typed(config, "svm_reg", "float"),
+            seed=_typed(config, "seed", "int"),
         )
         predictions = model.predict(test_feats)
     else:

@@ -234,7 +234,8 @@ def relation_groups(relations: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return list(zip(values.tolist(), np.split(order, starts[1:])))
 
 
-def _sq_norms(rows):
+def sq_norms(rows):
+    """Squared L2 norm of each row."""
     return np.einsum("ij,ij->i", rows, rows)
 
 
@@ -252,13 +253,13 @@ def similarities(norm, q: np.ndarray, entity: np.ndarray) -> np.ndarray:
         return q @ entity.T
     if norm == 1:
         return -np.stack([np.abs(row - entity).sum(axis=1) for row in q])
-    q_sq, entity_sq = _sq_norms(q), _sq_norms(entity)
+    q_sq, entity_sq = sq_norms(q), sq_norms(entity)
     sq = q @ entity.T
     sq *= -2.0
     sq += q_sq[:, None]
     sq += entity_sq
     rows, cols = np.nonzero(sq <= _cancel_bound(q_sq, entity_sq)[:, None])
-    sq[rows, cols] = _sq_norms(q[rows] - entity[cols])
+    sq[rows, cols] = sq_norms(q[rows] - entity[cols])
     np.sqrt(sq, out=sq)
     return np.negative(sq, out=sq)
 
@@ -282,7 +283,7 @@ def similarities_backward(norm, q, entity, scores, g, d_entity) -> np.ndarray:
         return d_q
     # score = -n with n = ||q - e||: dq = sum_j w_j (e_j - q), de_j = w_j (q - e_j), w = g / n
     dist = -scores
-    near = dist <= np.sqrt(_cancel_bound(_sq_norms(q), _sq_norms(entity)))[:, None]
+    near = dist <= np.sqrt(_cancel_bound(sq_norms(q), sq_norms(entity)))[:, None]
     w = np.divide(g, dist, out=np.zeros_like(g), where=~near)
     d_entity += w.T @ q - w.sum(axis=0)[:, None] * entity
     d_q = w @ entity - w.sum(axis=1)[:, None] * q

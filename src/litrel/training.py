@@ -54,6 +54,18 @@ logger = logging.getLogger(__name__)
 CHECKPOINT_VERSION = 3
 
 
+def check_type(name: str, value, kind: str) -> None:
+    """Raise ConfigError unless ``value`` is an int (kind ``"int"``) or a finite number (``"float"``).
+
+    A bool is neither; values of other kinds are not checked.
+    """
+    if kind == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if kind == "float" and (isinstance(value, bool) or not isinstance(value, Real)
+                            or not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     """Declarative description of one training run."""
@@ -74,12 +86,7 @@ class TrainConfig:
 
     def validate(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, Real)
-                                      or not math.isfinite(value)):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            check_type(f.name, getattr(self, f.name), f.type)
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.fusion not in (None, "none") + fusion_mod.FUSION_KINDS:

@@ -236,6 +236,33 @@ class TestTrainEvaluateClassify:
         predictions = open(os.path.join(out_dir, "predictions.tsv")).read().splitlines()
         assert len(predictions) == 2
 
+    @pytest.mark.parametrize("command, keys, message", [
+        ("classify", {"knn_k": "x"}, "knn_k must be an integer, got 'x'"),
+        ("classify", {"knn_k": 2.5}, "knn_k must be an integer, got 2.5"),
+        ("classify", {"classifier": "svm", "svm_epochs": True},
+         "svm_epochs must be an integer, got True"),
+        ("classify", {"classifier": "svm", "svm_lr": "0.1"},
+         "svm_lr must be a finite number, got '0.1'"),
+        ("classify", {"classifier": "svm", "svm_reg": float("nan")},
+         "svm_reg must be a finite number, got nan"),
+        ("evaluate", {"group_by": "correlation", "threshold": 0.2, "min_corr_samples": "3"},
+         "min_corr_samples must be an integer, got '3'"),
+    ])
+    def test_wrongly_typed_command_key_is_config_error(self, pipeline, dataset, capsys,
+                                                       command, keys, message):
+        config = pipeline["tmp"] / "run.json"
+        config.write_text(json.dumps({
+            "artifact_dir": pipeline["artifact"],
+            "checkpoint_dir": pipeline["checkpoint"],
+            "labels_path": dataset["labels"],
+            **keys,
+        }))
+        code = main(["--config", str(config), "--output-dir", str(pipeline["tmp"] / "out"), command])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err
+
     @pytest.mark.parametrize("command", ["evaluate", "classify"])
     def test_checkpoint_from_another_artifact_is_config_error(self, pipeline, dataset, capsys, command):
         # the same entities and one relation more: relation index 1 ("rents") now means "q"

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from litrel import scoring
 from litrel.data import build_graph
 from litrel.downstream import (
     LinearSvm,
@@ -41,6 +46,25 @@ def brute_force_knn(train_feats, train_labels, x, k):
     return min(votes, key=lambda lab: (-len(votes[lab]), np.mean(votes[lab]), lab))
 
 
+@st.composite
+def knn_inputs(draw):
+    """Tie-forcing grids with repeated rows, a scale and a common offset."""
+    num_train = draw(st.integers(1, 20))
+    dim = draw(st.integers(1, 4))
+    grid = hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(dim)),
+                      elements=st.integers(-2, 2).map(float))
+    train_feats = draw(grid)
+    # repeat some training rows, then fill up to num_train
+    repeats = draw(st.lists(st.integers(0, train_feats.shape[0] - 1), max_size=num_train))
+    train_feats = np.vstack([train_feats, train_feats[repeats]])[:num_train]
+    train_feats = np.vstack([train_feats, np.zeros((num_train - train_feats.shape[0], dim))])
+    test_feats = np.vstack([draw(grid), train_feats[:draw(st.integers(0, 3))]])
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    offset = draw(st.sampled_from([0.0, 1e6]))
+    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=num_train, max_size=num_train)))
+    return train_feats * scale + offset, labels, test_feats * scale + offset
+
+
 class TestLoadLabeledNodes:
     def test_basic_parse(self, toy_graph, tmp_path):
         path = tmp_path / "labels.tsv"
@@ -60,6 +84,13 @@ class TestLoadLabeledNodes:
         path = tmp_path / "labels.tsv"
         path.write_text("alice\tperson\tvalidation\n")
         with pytest.raises(ParseError, match="split"):
+            load_labeled_nodes(str(path), toy_graph)
+
+    def test_repeated_node_rejected(self, toy_graph, tmp_path):
+        # one entity in both splits with two labels would leak test nodes into training
+        path = tmp_path / "labels.tsv"
+        path.write_text("alice\tperson\ttrain\nbob\tperson\ttrain\nalice\tplace\ttest\n")
+        with pytest.raises(ValidationError, match="'alice' is listed on lines 1 and 3"):
             load_labeled_nodes(str(path), toy_graph)
 
 
@@ -127,6 +158,32 @@ class TestKnn:
         p1 = knn_classify(train_feats, train_labels, test_feats, 3)
         p2 = knn_classify(train_feats, train_labels, test_feats, 3)
         np.testing.assert_array_equal(p1, p2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(inputs=knn_inputs(), rows_per_block=st.sampled_from([1, 2, 3, None]))
+    def test_blocks_match_brute_force_for_every_k(self, inputs, rows_per_block):
+        train_feats, train_labels, test_feats = inputs
+        num_train = train_feats.shape[0]
+        block_scores = scoring.BLOCK_SCORES if rows_per_block is None else rows_per_block * num_train
+        with mock.patch.object(scoring, "BLOCK_SCORES", block_scores):
+            for k in range(1, num_train + 1):
+                preds = knn_classify(train_feats, train_labels, test_feats, k)
+                expected = [brute_force_knn(train_feats, train_labels, x, k) for x in test_feats]
+                assert preds.tolist() == expected, k
+
+    @pytest.mark.parametrize("train, labels, test, message", [
+        (np.zeros(3), np.zeros(3), np.zeros((1, 1)), "train features must be 2-D"),
+        (np.zeros((3, 2)), np.zeros(3), np.zeros(2), "test features must be 2-D"),
+        (np.zeros((3, 2)), np.zeros(3), np.zeros((1, 3)), "feature widths differ: train 2, test 3"),
+        (np.zeros((3, 2)), np.zeros(2), np.zeros((1, 2)), "expected 3 train labels"),
+        (np.array([[0.0, 0.0], [0.0, np.nan], [np.inf, 0.0]]), np.zeros(3), np.zeros((1, 2)),
+         "train feature row 1 is not finite"),
+        (np.zeros((3, 2)), np.zeros(3), np.array([[0.0, 0.0], [0.0, 0.0], [-np.inf, 0.0]]),
+         "test feature row 2 is not finite"),
+    ])
+    def test_malformed_inputs_rejected(self, train, labels, test, message):
+        with pytest.raises(ValidationError, match=message):
+            knn_classify(train, labels.astype(np.int64), test, k=1)
 
 
 class TestSvm:
