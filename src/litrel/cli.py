@@ -82,6 +82,9 @@ def load_config(path: str | None) -> dict:
         unknown = set(loaded) - set(config)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in loaded.items():
+            if key.endswith(("_path", "_dir")) and value is not None and not isinstance(value, str):
+                raise ConfigError(f"{key} must be a string or null, got {value!r}")
         config.update(loaded)
     return config
 
@@ -124,7 +127,8 @@ def cmd_preprocess(config: dict, output_dir: str) -> int:
     test = _load_split(config["test_path"])
     literals = load_literals(config["literals_path"]) if config["literals_path"] else []
     graph = build_graph(train, valid, test, literals)
-    options = {key: bool(config[key]) for key in ("aggregate_over_all_rows", "multiset_rows")}
+    options = {key: _typed(config, key, "bool")
+               for key in ("aggregate_over_all_rows", "multiset_rows")}
     profiles = aggregation.build_profiles(graph, **options)
     artifact_dir = config["artifact_dir"] or os.path.join(output_dir, "artifact")
     graph.save(artifact_dir)

@@ -228,6 +228,12 @@ def svm_train(
     seed: int = 0,
 ) -> LinearSvm:
     """One-vs-rest linear SVM via subgradient descent on hinge loss."""
+    if epochs < 0:
+        raise ValidationError(f"SVM epochs must be non-negative, got {epochs}")
+    if lr <= 0:
+        raise ValidationError(f"SVM learning rate must be positive, got {lr}")
+    if reg < 0:
+        raise ValidationError(f"SVM regularization must be non-negative, got {reg}")
     feats = np.asarray(train_feats, dtype=np.float64)
     labels = np.asarray(train_labels, dtype=np.int64)
     classes = np.unique(labels)

@@ -55,10 +55,12 @@ CHECKPOINT_VERSION = 3
 
 
 def check_type(name: str, value, kind: str) -> None:
-    """Raise ConfigError unless ``value`` is an int (kind ``"int"``) or a finite number (``"float"``).
+    """Raise ConfigError unless ``value`` is of ``kind``: ``"int"``, ``"float"`` (finite) or ``"bool"``.
 
-    A bool is neither; values of other kinds are not checked.
+    A bool is neither an int nor a float; other kinds are not checked.
     """
+    if kind == "bool" and not isinstance(value, bool):
+        raise ConfigError(f"{name} must be true or false, got {value!r}")
     if kind == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     if kind == "float" and (isinstance(value, bool) or not isinstance(value, Real)
@@ -120,7 +122,10 @@ class TrainConfig:
 
 
 class Optimizer:
-    """Adam (beta1=0.9, beta2=0.999, eps=1e-8) or plain SGD, in-place."""
+    """Adam (beta1=0.9, beta2=0.999, eps=1e-8) or plain SGD, in-place.
+
+    One lives for one :func:`train` call; checkpoints do not store it.
+    """
 
     def __init__(self, kind: str, learning_rate: float):
         if kind not in ("adam", "sgd"):
@@ -153,22 +158,6 @@ class Optimizer:
             v_hat = v / (1 - b2 ** t)
             p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {"step_count": np.array([self.step_count], dtype=np.int64)}
-        for name, arr in self.moment1.items():
-            out["m1." + name] = arr
-        for name, arr in self.moment2.items():
-            out["m2." + name] = arr
-        return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        self.step_count = int(arrays["step_count"][0])
-        for name, arr in arrays.items():
-            if name.startswith("m1."):
-                self.moment1[name[3:]] = arr
-            elif name.startswith("m2."):
-                self.moment2[name[3:]] = arr
-
 
 @dataclass
 class ModelState:
@@ -176,19 +165,12 @@ class ModelState:
 
     config: TrainConfig
     tables: EmbeddingTables
+    model: object                           # the scoring model of config.model
     fusion: object = None                   # LinearFusion, GatedFusion or None (vanilla)
     agg_weights: np.ndarray | None = None   # (11,)
     agg_bias: np.ndarray | None = None      # (1,)
     profiles: tuple | None = None           # (u_head, u_tail), each (|R|, |A|, 11)
-    optimizer: Optimizer | None = None
     artifact: dict | None = None            # SHA-256 of the artifact's vocabulary files
-    _model: object = None
-
-    @property
-    def model(self):
-        if self._model is None:
-            self._model = scoring.make_model(self.config.model, self.config.transe_norm)
-        return self._model
 
     @property
     def fusion_parts(self) -> int:
@@ -273,14 +255,14 @@ def _new_state(config: TrainConfig, num_entities: int, num_relations: int,
         core = rng.uniform(-1.0, 1.0, size=(config.dim_entity, config.dim_relation, config.dim_entity)) * 0.1
     tables = EmbeddingTables(entity=entity, relation=relation, core=core)
 
-    state = ModelState(config=config, tables=tables, profiles=profiles)
+    model = scoring.make_model(config.model, config.transe_norm)
+    state = ModelState(config=config, tables=tables, model=model, profiles=profiles)
     if config.fusion_enabled:
         dim = config.dim_relation // state.fusion_parts
         state.fusion = fusion_mod.make_fusion(config.fusion, dim, num_attributes, rng)
         if config.aggregation == "learnable":
             state.agg_weights = rng.uniform(-0.5, 0.5, size=NUM_STATS)
             state.agg_bias = np.zeros(1)
-    state.optimizer = Optimizer(config.optimizer, config.learning_rate)
     return state
 
 
@@ -380,14 +362,17 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
     return loss, grads
 
 
-def optimizer_step(grads: dict[str, np.ndarray], state: ModelState) -> None:
-    """Apply one optimizer update; a parameter that becomes non-finite raises TrainingError."""
+def optimizer_step(optimizer: Optimizer, grads: dict[str, np.ndarray], state: ModelState) -> None:
+    """Apply one update to the parameters of ``state``.
+
+    A parameter that becomes non-finite raises :class:`TrainingError`.
+    """
     params = state.parameters()
-    state.optimizer.step(params, grads)
+    optimizer.step(params, grads)
     name = _first_non_finite(params)
     if name is not None:
         raise TrainingError(
-            f"parameter {name} is non-finite after optimizer step {state.optimizer.step_count}"
+            f"parameter {name} is non-finite after optimizer step {optimizer.step_count}"
         )
 
 
@@ -398,6 +383,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
     trace and any periodic validation MRR values.
     """
     state = init_state(graph, config, profiles=profiles)
+    optimizer = Optimizer(config.optimizer, config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)  # separate stream from init
     n = graph.train.shape[0]
     history = {"loss": [], "valid_mrr": {}}
@@ -407,7 +393,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
         for start in range(0, n, config.batch_size):
             batch = graph.train[perm[start:start + config.batch_size]]
             loss, grads = symmetric_lcwa_loss(batch, state)
-            optimizer_step(grads, state)
+            optimizer_step(optimizer, grads, state)
             epoch_loss += loss * batch.shape[0]
         epoch_loss /= n
         history["loss"].append(epoch_loss)
@@ -447,7 +433,6 @@ def save_checkpoint(state: ModelState, history: dict, directory: str) -> None:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     save_arrays(os.path.join(tmp, "params"), state.parameters())
-    save_arrays(os.path.join(tmp, "optimizer"), state.optimizer.state_arrays())
     if state.profiles is not None:
         save_profiles(state.profiles, os.path.join(tmp, "profiles"))
     with open(os.path.join(tmp, "history.json"), "w", encoding="utf-8") as fh:
@@ -511,9 +496,6 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
                 f"{directory}: parameter {name} has shape {stored[name].shape}, expected {arr.shape}"
             )
         arr[...] = stored[name]
-    opt_dir = os.path.join(directory, "optimizer")
-    if os.path.isdir(opt_dir):
-        state.optimizer.load_state_arrays(load_arrays(opt_dir))
     with open(os.path.join(directory, "history.json"), encoding="utf-8") as fh:
         history = json.load(fh)
     return state, history

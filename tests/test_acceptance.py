@@ -8,6 +8,7 @@ import contextlib
 import json
 import os
 import statistics
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -374,8 +375,8 @@ def run_pipeline(dataset_dir, out_dir):
         "--artifact-dir", artifact,
         "--checkpoint-dir", checkpoint,
     ]) == 0
-    history = open(os.path.join(checkpoint, "history.json"), "rb").read()
-    report = open(os.path.join(out_dir, "report.json"), "rb").read()
+    history = Path(checkpoint, "history.json").read_bytes()
+    report = Path(out_dir, "report.json").read_bytes()
     return history, report
 
 

@@ -1,12 +1,13 @@
 import filecmp
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from litrel.cli import main
-from litrel.serialize import load_arrays
+from litrel.serialize import load_arrays, save_arrays
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ class TestPreprocess:
     def test_writes_artifact_and_stats(self, dataset, tmp_path, capsys):
         artifact = str(tmp_path / "artifact")
         assert preprocess(dataset, artifact) == 0
-        stats = json.loads(open(os.path.join(artifact, "stats.json")).read())
+        stats = json.loads(Path(artifact, "stats.json").read_text())
         assert stats["entities"] == 8
         assert stats["relations"] == 2
         assert stats["attributes"] == 2
@@ -92,6 +93,21 @@ class TestPreprocess:
                      "--artifact-dir", artifact]) == 0
         with open(os.path.join(artifact, "profiles", "options.json")) as fh:
             assert json.load(fh) == options
+
+    @pytest.mark.parametrize("options, message", [
+        ({"multiset_rows": "false"}, "multiset_rows must be true or false, got 'false'"),
+        ({"aggregate_over_all_rows": 1}, "aggregate_over_all_rows must be true or false, got 1"),
+    ])
+    def test_non_bool_profile_option_is_config_error(self, dataset, tmp_path, capsys,
+                                                     options, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(options))
+        artifact = tmp_path / "artifact"
+        assert main(["--config", str(config), "preprocess",
+                     "--train-path", dataset["train"], "--literals-path", dataset["literals"],
+                     "--artifact-dir", str(artifact)]) == 1
+        assert message in capsys.readouterr().err
+        assert not artifact.exists()
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
         a1 = str(tmp_path / "a1")
@@ -164,7 +180,7 @@ class TestTrainEvaluateClassify:
             "--checkpoint-dir", pipeline["checkpoint"],
         ])
         assert code == 0
-        report = json.loads(open(os.path.join(out_dir, "report.json")).read())
+        report = json.loads(Path(out_dir, "report.json").read_text())
         assert 0 < report["mrr"] <= 1
         assert report["num_triples"] == 1
         assert "all triples" in capsys.readouterr().out
@@ -180,7 +196,7 @@ class TestTrainEvaluateClassify:
             "--threshold", "2.55%",
         ])
         assert code == 0
-        report = json.loads(open(os.path.join(out_dir, "report.json")).read())
+        report = json.loads(Path(out_dir, "report.json").read_text())
         assert report["grouping"] == "frequency"
         assert set(report["groups"]) == {"frequent", "long-tail"}
 
@@ -195,7 +211,7 @@ class TestTrainEvaluateClassify:
             "--threshold", "0.2",
         ])
         assert code == 0
-        report = json.loads(open(os.path.join(out_dir, "report.json")).read())
+        report = json.loads(Path(out_dir, "report.json").read_text())
         assert report["grouping"] == "correlation"
 
     @pytest.mark.parametrize("group_by, threshold", [
@@ -230,10 +246,10 @@ class TestTrainEvaluateClassify:
             "--classifier", classifier,
         ])
         assert code == 0
-        payload = json.loads(open(os.path.join(out_dir, "classification.json")).read())
+        payload = json.loads(Path(out_dir, "classification.json").read_text())
         assert 0 <= payload["micro_f1"] <= 1
         assert payload["labels"] == ["house", "person"]
-        predictions = open(os.path.join(out_dir, "predictions.tsv")).read().splitlines()
+        predictions = Path(out_dir, "predictions.tsv").read_text().splitlines()
         assert len(predictions) == 2
 
     @pytest.mark.parametrize("command, keys, message", [
@@ -247,6 +263,14 @@ class TestTrainEvaluateClassify:
          "svm_reg must be a finite number, got nan"),
         ("evaluate", {"group_by": "correlation", "threshold": 0.2, "min_corr_samples": "3"},
          "min_corr_samples must be an integer, got '3'"),
+        ("classify", {"classifier": "svm", "svm_epochs": -5},
+         "SVM epochs must be non-negative, got -5"),
+        ("classify", {"classifier": "svm", "svm_lr": -1.0},
+         "SVM learning rate must be positive, got -1.0"),
+        ("classify", {"classifier": "svm", "svm_lr": 0.0},
+         "SVM learning rate must be positive, got 0.0"),
+        ("classify", {"classifier": "svm", "svm_reg": -3.0},
+         "SVM regularization must be non-negative, got -3.0"),
     ])
     def test_wrongly_typed_command_key_is_config_error(self, pipeline, dataset, capsys,
                                                        command, keys, message):
@@ -268,7 +292,7 @@ class TestTrainEvaluateClassify:
         # the same entities and one relation more: relation index 1 ("rents") now means "q"
         tmp = pipeline["tmp"]
         train_path = tmp / "train_q.tsv"
-        train_path.write_text(open(dataset["train"]).read() + "p0\tq\th0\n")
+        train_path.write_text(Path(dataset["train"]).read_text() + "p0\tq\th0\n")
         other = str(tmp / "other")
         assert preprocess(dict(dataset, train=str(train_path)), other) == 0
         args = ["--output-dir", str(tmp / "out"), command,
@@ -334,6 +358,20 @@ class TestTrainEvaluateClassify:
         err = capsys.readouterr().err
         assert "epochs must be an integer, got '2'" in err
         assert "internal error" not in err
+
+    def test_checkpoint_with_optimizer_state_evaluates_the_same(self, pipeline):
+        # earlier checkpoints of the same version also stored Adam's step count and moments
+        assert self.evaluate(pipeline) == 0
+        report = Path(pipeline["tmp"], "eval", "report.json").read_bytes()
+        params = load_arrays(os.path.join(pipeline["checkpoint"], "params"))
+        moments = {"step_count": np.array([5], dtype=np.int64)}
+        for name, arr in params.items():
+            moments["m1." + name] = np.full_like(arr, 0.5)
+            moments["m2." + name] = np.full_like(arr, 0.25)
+        save_arrays(os.path.join(pipeline["checkpoint"], "optimizer"), moments)
+        os.remove(os.path.join(pipeline["tmp"], "eval", "report.json"))
+        assert self.evaluate(pipeline) == 0
+        assert Path(pipeline["tmp"], "eval", "report.json").read_bytes() == report
 
     def test_missing_parameter_array_is_config_error(self, pipeline, capsys):
         os.remove(os.path.join(pipeline["checkpoint"], "params", "fusion.bias.npy"))
@@ -467,9 +505,9 @@ class TestConfigPrecedence:
             "--checkpoint-dir", checkpoint,
         ])
         assert code == 0
-        meta = json.loads(open(os.path.join(checkpoint, "checkpoint.json")).read())
+        meta = json.loads(Path(checkpoint, "checkpoint.json").read_text())
         assert meta["config"]["model"] == "distmult"
-        echoed = json.loads(open(os.path.join(checkpoint, "config.json")).read())
+        echoed = json.loads(Path(checkpoint, "config.json").read_text())
         assert echoed["model"] == "distmult"
         assert echoed["epochs"] == 1
 
@@ -485,7 +523,7 @@ class TestConfigPrecedence:
         checkpoint = str(tmp_path / "ckpt")
         assert main(["--config", str(config), "train", "--checkpoint-dir", checkpoint,
                      "--dim-entity", "8", "--dim-relation", "8", "--epochs", "1"]) == 0
-        meta = json.loads(open(os.path.join(checkpoint, "checkpoint.json")).read())
+        meta = json.loads(Path(checkpoint, "checkpoint.json").read_text())
         assert "aggregate_over_all_rows" not in meta["config"]
         assert "multiset_rows" not in meta["config"]
 
@@ -496,6 +534,9 @@ class TestConfigPrecedence:
         ('{"epochs": 2.0}', "epochs must be an integer, got 2.0"),
         ('{"batch_size": true}', "batch_size must be an integer, got True"),
         ('{"learning_rate": "0.1"}', "learning_rate must be a finite number, got '0.1'"),
+        ('{"train_path": 0}', "train_path must be a string or null, got 0"),
+        ('{"labels_path": false}', "labels_path must be a string or null, got False"),
+        ('{"checkpoint_dir": ["c"]}', "checkpoint_dir must be a string or null, got ['c']"),
     ])
     def test_wrongly_typed_config_file_is_config_error(self, dataset, tmp_path, capsys,
                                                        content, message):

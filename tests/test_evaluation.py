@@ -1,5 +1,6 @@
 import math
 from itertools import chain
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -468,8 +469,8 @@ class TestEvaluate:
         save_report(report, json_path, table_path)
         import json
 
-        payload = json.loads(open(json_path).read())
+        payload = json.loads(Path(json_path).read_text())
         assert payload["mrr"] == pytest.approx(report.mrr)
         assert payload["grouping"] == "frequency"
-        table = open(table_path).read()
+        table = Path(table_path).read_text()
         assert "all triples" in table

@@ -133,11 +133,13 @@ class TestNonFiniteGuard:
             symmetric_lcwa_loss(batch, state)
 
     def test_non_finite_update_names_parameter(self, small_graph):
-        state = training.init_state(small_graph, make_config(learning_rate=1e308))
+        config = make_config(learning_rate=1e308)
+        state = training.init_state(small_graph, config)
+        optimizer = Optimizer(config.optimizer, config.learning_rate)
         _, grads = symmetric_lcwa_loss(small_graph.train, state)
-        training.optimizer_step(grads, state)  # each Adam step moves a parameter by ~1e308
+        training.optimizer_step(optimizer, grads, state)  # each Adam step moves a parameter by ~1e308
         with np.errstate(over="ignore"), pytest.raises(TrainingError, match="parameter entity is non-finite"):
-            training.optimizer_step(grads, state)
+            training.optimizer_step(optimizer, grads, state)
 
 
 class TestOptimizer:
@@ -231,6 +233,9 @@ class TestCheckpoint:
         state, history = train(small_graph, config)
         directory = str(tmp_path / "ckpt")
         training.save_checkpoint(state, history, directory)
+        # no optimizer state: nothing resumes training from a checkpoint
+        expected = {"checkpoint.json", "params", "history.json"}
+        assert set(os.listdir(directory)) == expected | ({"profiles"} if fusion_kind else set())
         loaded, loaded_history = training.load_checkpoint(directory)
         assert loaded_history["loss"] == history["loss"]
         original = state.parameters()
