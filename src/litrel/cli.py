@@ -266,13 +266,16 @@ def cmd_classify(config: dict, output_dir: str) -> int:
             train_feats, labeled.train_labels, test_feats, k=_typed(config, "knn_k", "int")
         )
     elif classifier == "svm":
+        seed = _typed(config, "seed", "int")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         model = svm_train(
             train_feats,
             labeled.train_labels,
             epochs=_typed(config, "svm_epochs", "int"),
             lr=_typed(config, "svm_lr", "float"),
             reg=_typed(config, "svm_reg", "float"),
-            seed=_typed(config, "seed", "int"),
+            seed=seed,
         )
         predictions = model.predict(test_feats)
     else:

@@ -10,10 +10,12 @@ by default; optimistic and pessimistic policies are available.
 Ranking fuses the relation table once, as |R| rows ``r_lit``; then each
 block of at most :func:`scoring.block_rows` triples, in input order and
 so spanning relations, is scored as one B x |E| matrix per side with
-each triple's ``r_lit`` row.  The filter is read from the splits on each
-call: the known triples are sorted by an int64 key per side, and each
-block finds its rows' known-true competitors by binary search.  Filtering
-sets them to -inf, and the better and tied entries are counted row-wise.
+each triple's ``r_lit`` row, in the one score buffer of a
+:class:`scoring.SimilarityBlocks`, and compared in one reused mask.  The
+filter is read from the splits on each call: the known triples are
+sorted by an int64 key per side, and each block finds its rows'
+known-true competitors by binary search.  Filtering sets them to -inf,
+and the better and tied entries are counted row-wise.
 
 Relations can additionally be partitioned into frequent vs long-tail
 groups (by training-triple count) or correlated vs less-correlated
@@ -90,13 +92,14 @@ class EvaluationReport:
 
 
 def filtered_ranks(scores: np.ndarray, targets: np.ndarray, known: tuple[np.ndarray, np.ndarray],
-                   tie_policy: str = "realistic") -> np.ndarray:
+                   tie_policy: str = "realistic", mask: np.ndarray | None = None) -> np.ndarray:
     """Filtered rank of entity ``targets[b]`` in row ``b`` of a B x |E| score matrix.
 
     ``known`` is a ``(rows, cols)`` pair of index arrays: entity
     ``cols[i]`` is known to complete row ``rows[i]``.  All known entities
     of a row except its target are filtered out by setting their scores
-    to -inf, in place.
+    to -inf, in place.  ``mask``, a boolean array with at least B rows of
+    |E| entries, is the comparison buffer when given.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
@@ -104,8 +107,9 @@ def filtered_ranks(scores: np.ndarray, targets: np.ndarray, known: tuple[np.ndar
     true = scores[rows, targets]
     scores[known] = -np.inf
     scores[rows, targets] = true
-    better = np.count_nonzero(scores > true[:, None], axis=1)
-    ties = np.count_nonzero(scores == true[:, None], axis=1) - 1  # excluding the target
+    mask = np.empty(scores.shape, dtype=bool) if mask is None else mask[:scores.shape[0]]
+    better = np.count_nonzero(np.greater(scores, true[:, None], out=mask), axis=1)
+    ties = np.count_nonzero(np.equal(scores, true[:, None], out=mask), axis=1) - 1  # excluding the target
     if tie_policy == "optimistic":
         return better + 1.0
     if tie_policy == "pessimistic":
@@ -135,15 +139,19 @@ def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray,
     keys, entities = keys[order], np.concatenate([t, h])[order]
     r_lit, _ = state.fuse_forward(np.arange(n_r))
     step = scoring.block_rows(n_e)
+    blocks = scoring.SimilarityBlocks(model.norm, tables.entity, min(step, triples.shape[0]))
+    mask = np.empty((blocks.rows, n_e), dtype=bool)
     for start in range(0, triples.shape[0], step):
         heads, rels, tails = triples[start:start + step].T
         r_rows = r_lit[rels]
         known_heads = _known_entities(keys, entities, (n_r + rels) * n_e + tails)
         known_tails = _known_entities(keys, entities, rels * n_e + heads)
         ranks[start:start + step, 0] = filtered_ranks(
-            scoring.score_all_heads(tails, r_rows, model, tables), heads, known_heads, tie_policy)
+            scoring.score_all_heads(tails, r_rows, model, tables, blocks), heads, known_heads,
+            tie_policy, mask)
         ranks[start:start + step, 1] = filtered_ranks(
-            scoring.score_all_tails(heads, r_rows, model, tables), tails, known_tails, tie_policy)
+            scoring.score_all_tails(heads, r_rows, model, tables, blocks), tails, known_tails,
+            tie_policy, mask)
     return ranks
 
 

@@ -25,14 +25,19 @@ tails, and exact identities let both sides build their queries:
   with the core as a D_e x (D_r*D_e) matrix; the D_e*D_r-wide rows are
   built :data:`BLOCK_SCORES` entries at a time.
 
+The kernels live in :class:`SimilarityBlocks`, one per call site (a
+training loss, a ranking call): it computes the entity table's squared
+norms once and reuses its B x |E| and |E| x D buffers for every block.
+
 Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
 the distance kernel is one matrix product plus row norms.  The
 expansion loses every digit when ``q`` lies on ``e`` (a zero distance
 reads as a rounding residue such as -6e-8, and its gradient direction is
 noise), so the pairs whose expanded square is within ``_CANCEL`` times
 the rounding scale ``||q||^2 + max ||e||^2`` are recomputed directly
-as ``||q - e||^2``, which is exactly 0 for equal rows.  The L1 kernel
-keeps the direct form, one query row at a time.
+as ``||q - e||^2``, which is exactly 0 for equal rows.  A row minimum
+screens the rows first, so only rows holding such a pair are searched.
+The L1 kernel keeps the direct form, one query row at a time.
 
 Complex-valued layouts pack real parts in the first half of a row and
 imaginary parts in the second half.  The rotation model stores relation
@@ -41,7 +46,7 @@ absorb the 2*pi periodicity, so no modular wrapping is applied.
 
 Backward passes accumulate into caller-provided dense gradient buffers
 (the softmax training loss makes entity gradients dense anyway):
-:func:`similarities_backward` returns the gradient w.r.t. the query
+:meth:`SimilarityBlocks.backward` returns the gradient w.r.t. the query
 matrix and each model's ``query_backward`` adds the anchor rows'
 gradients with ``np.add.at`` (a repeated anchor adds up) and returns
 the B x D_r gradient w.r.t. the fused relation rows.
@@ -239,67 +244,132 @@ def sq_norms(rows):
     return np.einsum("ij,ij->i", rows, rows)
 
 
-def _cancel_bound(q_sq, entity_sq):
-    """Per query row, the squared distance below which the expansion is recomputed."""
-    return _CANCEL * (q_sq + entity_sq.max())
+class SimilarityBlocks:
+    """The similarity kernel of one call site, over blocks of at most ``rows`` query rows.
 
-
-def similarities(norm, q: np.ndarray, entity: np.ndarray) -> np.ndarray:
-    """B x |E| scores of the query rows ``q`` against every entity row.
-
+    ``forward(q)`` scores the rows of ``q`` against every entity row:
     ``q @ E.T`` for ``norm = None``, else ``-||q_b - e_j||_p``.
+    ``backward`` is its gradient.  The entity table's squared norms are
+    computed once, at construction; the B x |E| score and weight
+    buffers and the |E| x D product buffers are allocated once and
+    written with ``out=`` on every block, so the scores a ``forward``
+    returns are a view that the next ``forward`` overwrites.  The entity
+    table must not change while the kernel is in use.
     """
-    if norm is None:
-        return q @ entity.T
-    if norm == 1:
-        return -np.stack([np.abs(row - entity).sum(axis=1) for row in q])
-    q_sq, entity_sq = sq_norms(q), sq_norms(entity)
-    sq = q @ entity.T
-    sq *= -2.0
-    sq += q_sq[:, None]
-    sq += entity_sq
-    rows, cols = np.nonzero(sq <= _cancel_bound(q_sq, entity_sq)[:, None])
-    sq[rows, cols] = sq_norms(q[rows] - entity[cols])
-    np.sqrt(sq, out=sq)
-    return np.negative(sq, out=sq)
 
+    def __init__(self, norm, entity: np.ndarray, rows: int):
+        self.norm = norm
+        self.entity = entity
+        self.rows = rows
+        self._scores = np.empty((rows, entity.shape[0]))
+        self._product = np.empty_like(entity)
+        if norm is not None:
+            self._other = np.empty_like(entity)
+        if norm == 2:
+            self._weights = np.empty_like(self._scores)
+            self._entity_sq = sq_norms(entity)
+            self._entity_sq_max = self._entity_sq.max()
 
-def similarities_backward(norm, q, entity, scores, g, d_entity) -> np.ndarray:
-    """Backward of :func:`similarities` for upstream gradient ``g`` (B x |E|).
+    def _cancel_bound(self, q):
+        """Per query row, the squared distance below which the expansion is recomputed."""
+        return _CANCEL * (sq_norms(q) + self._entity_sq_max)
 
-    ``scores`` is the forward output; the L2 kernel reuses its distances.
-    Accumulates the entity-row gradients into ``d_entity`` and returns
-    the gradient w.r.t. ``q``.
-    """
-    if norm is None:
-        d_entity += g.T @ q
-        return g @ entity
-    if norm == 1:
-        d_q = np.empty_like(q)
-        for b, (row, g_row) in enumerate(zip(q, g)):
-            unit = np.sign(row - entity)
-            d_entity += g_row[:, None] * unit
-            d_q[b] = -(unit.T @ g_row)
+    def forward(self, q: np.ndarray) -> np.ndarray:
+        """B x |E| scores of the query rows ``q``: a view of the kernel's score buffer."""
+        if q.shape[0] > self.rows:
+            raise ShapeError(f"{q.shape[0]} query rows exceed the block of {self.rows}")
+        entity, out = self.entity, self._scores[:q.shape[0]]
+        if self.norm is None:
+            return np.matmul(q, entity.T, out=out)
+        if self.norm == 1:
+            diff = self._product
+            for row, out_row in zip(q, out):
+                np.subtract(row, entity, out=diff)
+                np.abs(diff, out=diff)
+                np.sum(diff, axis=1, out=out_row)
+            return np.negative(out, out=out)
+        sq = np.matmul(q, entity.T, out=out)
+        sq *= -2.0
+        sq += sq_norms(q)[:, None]
+        sq += self._entity_sq
+        bound = self._cancel_bound(q)
+        # fmin skips NaN, so a row screens in exactly when some entry passes the test below
+        near = np.flatnonzero(np.fmin.reduce(sq, axis=1) <= bound)
+        rows, cols = _pairs_within(near, sq[near], bound[near])
+        sq[rows, cols] = sq_norms(q[rows] - entity[cols])
+        np.sqrt(sq, out=sq)
+        return np.negative(sq, out=sq)
+
+    def backward(self, q, scores, g, d_entity, d_q=None) -> np.ndarray:
+        """Backward of :meth:`forward` for upstream gradient ``g`` (B x |E|).
+
+        ``scores`` is the forward output; the L2 kernel reuses its
+        distances.  Accumulates the entity-row gradients into
+        ``d_entity`` and writes the gradient w.r.t. ``q`` into ``d_q``
+        (a new B x D array when not given), which it returns.
+        """
+        entity = self.entity
+        if d_q is None:
+            d_q = np.empty_like(q)
+        if self.norm is None:
+            d_entity += np.matmul(g.T, q, out=self._product)
+            return np.matmul(g, entity, out=d_q)
+        if self.norm == 1:
+            unit, weighted = self._product, self._other
+            for row, g_row, d_row in zip(q, g, d_q):
+                np.subtract(row, entity, out=unit)
+                np.sign(unit, out=unit)
+                d_entity += np.multiply(g_row[:, None], unit, out=weighted)
+                d_row[...] = -(unit.T @ g_row)
+            return d_q
+        # score = -n with n = ||q - e||: dq = sum_j w_j (e_j - q), de_j = w_j (q - e_j), w = g / n
+        bound = np.sqrt(self._cancel_bound(q))
+        near = np.flatnonzero(-np.fmax.reduce(scores, axis=1) <= bound)
+        rows, cols = _pairs_within(near, -scores[near], bound[near])
+        w = np.negative(scores, out=self._weights[:q.shape[0]])
+        with np.errstate(divide="ignore", invalid="ignore"):  # the near pairs, zeroed next
+            np.divide(g, w, out=w)
+        w[rows, cols] = 0.0
+        product = np.matmul(w.T, q, out=self._product)
+        product -= np.multiply(w.sum(axis=0)[:, None], entity, out=self._other)
+        d_entity += product
+        np.matmul(w, entity, out=d_q)
+        d_q -= w.sum(axis=1)[:, None] * q
+        diff = q[rows] - entity[cols]
+        pair = (g[rows, cols] / np.maximum(-scores[rows, cols], _NORM_EPS))[:, None] * diff
+        np.add.at(d_entity, cols, pair)
+        np.add.at(d_q, rows, -pair)
         return d_q
-    # score = -n with n = ||q - e||: dq = sum_j w_j (e_j - q), de_j = w_j (q - e_j), w = g / n
-    dist = -scores
-    near = dist <= np.sqrt(_cancel_bound(sq_norms(q), sq_norms(entity)))[:, None]
-    w = np.divide(g, dist, out=np.zeros_like(g), where=~near)
-    d_entity += w.T @ q - w.sum(axis=0)[:, None] * entity
-    d_q = w @ entity - w.sum(axis=1)[:, None] * q
-    rows, cols = np.nonzero(near)
-    diff = q[rows] - entity[cols]
-    pair = (g[rows, cols] / np.maximum(dist[rows, cols], _NORM_EPS))[:, None] * diff
-    np.add.at(d_entity, cols, pair)
-    np.add.at(d_q, rows, -pair)
-    return d_q
 
 
-def score_all_tails(heads: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
-    """B x |E| scores of (heads[b], r_b, e) for every entity e; ``r_lit`` is B x D_r."""
-    return similarities(model.norm, model.query(tables, heads, r_lit, "tail"), tables.entity)
+def _pairs_within(rows, values, bound):
+    """``(rows, cols)`` of the entries ``values[i, j] <= bound[i]``, row-major; ``values[i]`` is row ``rows[i]``."""
+    sub_rows, cols = np.nonzero(values <= bound[:, None])
+    return rows[sub_rows], cols
 
 
-def score_all_heads(tails: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables) -> np.ndarray:
-    """B x |E| scores of (e, r_b, tails[b]) for every entity e; ``r_lit`` is B x D_r."""
-    return similarities(model.norm, model.query(tables, tails, r_lit, "head"), tables.entity)
+def _score_all(anchors, r_lit, model, tables, side, blocks):
+    q = model.query(tables, anchors, r_lit, side)
+    if blocks is None:
+        blocks = SimilarityBlocks(model.norm, tables.entity, q.shape[0])
+    return blocks.forward(q)
+
+
+def score_all_tails(heads: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables,
+                    blocks: SimilarityBlocks | None = None) -> np.ndarray:
+    """B x |E| scores of (heads[b], r_b, e) for every entity e; ``r_lit`` is B x D_r.
+
+    ``blocks``, a :class:`SimilarityBlocks` of ``model.norm`` over
+    ``tables.entity``, is reused across calls; the scores are then a view
+    of its buffer.
+    """
+    return _score_all(heads, r_lit, model, tables, "tail", blocks)
+
+
+def score_all_heads(tails: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables,
+                    blocks: SimilarityBlocks | None = None) -> np.ndarray:
+    """B x |E| scores of (e, r_b, tails[b]) for every entity e; ``r_lit`` is B x D_r.
+
+    ``blocks`` as in :func:`score_all_tails`.
+    """
+    return _score_all(tails, r_lit, model, tables, "head", blocks)

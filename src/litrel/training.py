@@ -107,6 +107,10 @@ class TrainConfig:
             raise ConfigError("rotate stores phase vectors: dim_relation must be dim_entity // 2")
         if self.epochs < 0 or self.batch_size <= 0:
             raise ConfigError("epochs must be >= 0 and batch_size positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.valid_every < 0:
+            raise ConfigError(f"valid_every must be >= 0, got {self.valid_every}")
         if self.learning_rate <= 0:
             raise ConfigError("learning_rate must be positive")
         if self.optimizer not in ("adam", "sgd"):
@@ -125,6 +129,10 @@ class Optimizer:
     """Adam (beta1=0.9, beta2=0.999, eps=1e-8) or plain SGD, in-place.
 
     One lives for one :func:`train` call; checkpoints do not store it.
+    A step computes the textbook update with ``out=`` into one scratch
+    array shared by all parameters and into the gradient itself, so it
+    allocates nothing after the first step and leaves the gradients
+    overwritten.
     """
 
     def __init__(self, kind: str, learning_rate: float):
@@ -135,28 +143,44 @@ class Optimizer:
         self.step_count = 0
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
+        self._scratch = np.empty(0)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
+        """Update ``params`` in place from ``grads``, whose arrays it consumes."""
         self.step_count += 1
+        for name, p in params.items():
+            if grads[name].shape != p.shape:
+                raise TrainingError(f"gradient shape mismatch for {name}: {grads[name].shape} vs {p.shape}")
         if self.kind == "sgd":
             for name, p in params.items():
-                p -= self.learning_rate * grads[name]
+                g = grads[name]
+                g *= self.learning_rate
+                p -= g
             return
         b1, b2, eps = 0.9, 0.999, 1e-8
         t = self.step_count
+        largest = max((p.size for p in params.values()), default=0)
+        if self._scratch.size < largest:
+            self._scratch = np.empty(largest)
         for name, p in params.items():
             g = grads[name]
-            if g.shape != p.shape:
-                raise TrainingError(f"gradient shape mismatch for {name}: {g.shape} vs {p.shape}")
-            m = self.moment1.setdefault(name, np.zeros_like(p))
-            v = self.moment2.setdefault(name, np.zeros_like(p))
+            s = self._scratch[:p.size].reshape(p.shape)
+            if name not in self.moment1:
+                self.moment1[name], self.moment2[name] = np.zeros_like(p), np.zeros_like(p)
+            m, v = self.moment1[name], self.moment2[name]
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(1 - b1, g, out=s)
             v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            p -= self.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+            np.multiply(1 - b2, g, out=s)
+            s *= g
+            v += s
+            np.divide(m, 1 - b1 ** t, out=s)  # m_hat
+            s *= self.learning_rate
+            np.divide(v, 1 - b2 ** t, out=g)  # v_hat, in the consumed gradient
+            np.sqrt(g, out=g)
+            g += eps
+            s /= g
+            p -= s
 
 
 @dataclass
@@ -285,7 +309,9 @@ def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles=None) -> Mod
 
 
 def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
-    return next((name for name, arr in arrays.items() if not np.isfinite(arr).all()), None)
+    """Name of the first array holding a NaN or an infinity: its min or max is then not finite."""
+    return next((name for name, arr in arrays.items()
+                 if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max()))), None)
 
 
 def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
@@ -295,7 +321,8 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
     relations, and each triple takes its relation's row for the query
     rows of both sides.  The query rows of the whole batch are scored
     against the entity table in blocks of :func:`scoring.block_rows`
-    rows, with a row-wise stable softmax; the per-row ``r_lit`` gradients
+    rows by one :class:`scoring.SimilarityBlocks`, with a row-wise stable
+    softmax in one reused buffer; the per-row ``r_lit`` gradients
     are summed per relation with one scatter-add for one fusion backward.
 
     Returns ``(loss, grads)`` where grads maps parameter names to arrays
@@ -323,17 +350,19 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
     total = 0.0
     d_q = np.empty_like(q)
     step = scoring.block_rows(entity.shape[0])
+    blocks = scoring.SimilarityBlocks(model.norm, entity, min(step, q.shape[0]))
+    softmax = np.empty((blocks.rows, entity.shape[0]))
     for start in range(0, q.shape[0], step):
         block = slice(start, start + step)
-        scores = scoring.similarities(model.norm, q[block], entity)
+        scores = blocks.forward(q[block])
         picked = np.arange(scores.shape[0]), targets[block]
-        p = scores - scores.max(axis=1, keepdims=True)
+        p = np.subtract(scores, scores.max(axis=1, keepdims=True), out=softmax[:scores.shape[0]])
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
         total -= np.log(np.maximum(p[picked], 1e-300)).sum()
         p *= inv_n
         p[picked] -= inv_n
-        d_q[block] = scoring.similarities_backward(model.norm, q[block], entity, scores, p, d_entity)
+        blocks.backward(q[block], scores, p, d_entity, d_q[block])
 
     d_rows = sum(model.query_backward(tables, anchors, r_rows, side, d_q[k * n:(k + 1) * n], d_entity, d_core)
                  for k, (anchors, side) in enumerate(sides))
@@ -363,7 +392,7 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
 
 
 def optimizer_step(optimizer: Optimizer, grads: dict[str, np.ndarray], state: ModelState) -> None:
-    """Apply one update to the parameters of ``state``.
+    """Apply one update to the parameters of ``state``, consuming ``grads``.
 
     A parameter that becomes non-finite raises :class:`TrainingError`.
     """

@@ -271,6 +271,7 @@ class TestTrainEvaluateClassify:
          "SVM learning rate must be positive, got 0.0"),
         ("classify", {"classifier": "svm", "svm_reg": -3.0},
          "SVM regularization must be non-negative, got -3.0"),
+        ("classify", {"classifier": "svm", "seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_wrongly_typed_command_key_is_config_error(self, pipeline, dataset, capsys,
                                                        command, keys, message):
@@ -549,4 +550,33 @@ class TestConfigPrecedence:
         assert code == 1
         err = capsys.readouterr().err
         assert message in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"seed": -1}', "seed must be >= 0, got -1"),
+        ('{"valid_every": -1, "epochs": 1}', "valid_every must be >= 0, got -1"),
+    ])
+    def test_out_of_range_train_config_is_config_error(self, dataset, tmp_path, capsys,
+                                                       content, message):
+        artifact = str(tmp_path / "artifact")
+        assert preprocess(dataset, artifact) == 0
+        config = tmp_path / "run.json"
+        config.write_text(content)
+        checkpoint = tmp_path / "ckpt"
+        code = main(["--config", str(config), "train", "--artifact-dir", artifact,
+                     "--checkpoint-dir", str(checkpoint)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err
+        assert not checkpoint.exists()
+
+    def test_negative_seed_flag_is_config_error(self, dataset, tmp_path, capsys):
+        artifact = str(tmp_path / "artifact")
+        assert preprocess(dataset, artifact) == 0
+        code = main(["--seed", "-1", "train", "--artifact-dir", artifact,
+                     "--checkpoint-dir", str(tmp_path / "ckpt")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err
         assert "internal error" not in err

@@ -120,14 +120,15 @@ def reference_loss(batch, state):
         targets += [tails, heads]
         groups.append((rel, r_lit, cache, sides))
     q, targets = np.concatenate(queries), np.concatenate(targets)
-    scores = scoring.similarities(model.norm, q, tables.entity)
+    blocks = scoring.SimilarityBlocks(model.norm, tables.entity, q.shape[0])
+    scores = blocks.forward(q)
     picked = np.arange(q.shape[0]), targets
     p = np.exp(scores - scores.max(axis=1, keepdims=True))
     p /= p.sum(axis=1, keepdims=True)
     loss = -np.log(p[picked]).sum() * inv_n
     p *= inv_n
     p[picked] -= inv_n
-    d_q = scoring.similarities_backward(model.norm, q, tables.entity, scores, p, d_entity)
+    d_q = blocks.backward(q, scores, p, d_entity)
     start = 0
     for rel, r_lit, cache, sides in groups:
         d_r_lit = np.zeros_like(r_lit)

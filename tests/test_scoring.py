@@ -5,11 +5,10 @@ from litrel import scoring
 from litrel.errors import ShapeError
 from litrel.scoring import (
     EmbeddingTables,
+    SimilarityBlocks,
     make_model,
     score_all_heads,
     score_all_tails,
-    similarities,
-    similarities_backward,
 )
 
 # spec id -> (model kind, transe norm, D_e, D_r)
@@ -219,8 +218,9 @@ class TestBackwardPasses:
         d_entity = np.zeros_like(tables.entity)
         d_core = np.zeros_like(tables.core) if tables.core is not None else None
         q = model.query(tables, ANCHORS, r_lit, query_side)
-        scores = similarities(model.norm, q, tables.entity)
-        d_q = similarities_backward(model.norm, q, tables.entity, scores, g, d_entity)
+        blocks = SimilarityBlocks(model.norm, tables.entity, q.shape[0])
+        scores = blocks.forward(q)
+        d_q = blocks.backward(q, scores, g, d_entity)
         d_r_lit = model.query_backward(tables, ANCHORS, r_lit, query_side, d_q, d_entity, d_core)
 
         h = 1e-6
@@ -281,7 +281,7 @@ class TestDistanceKernel:
 
     def test_zero_and_near_zero_distances_match_direct_formula(self, block):
         q, entity = block
-        scores = similarities(2, q, entity)
+        scores = SimilarityBlocks(2, entity, q.shape[0]).forward(q)
         direct = -np.sqrt(((q[:, None, :] - entity[None, :, :]) ** 2).sum(axis=-1))
         assert scores[0, 0] == 0.0
         assert scores[-1, 2] == 0.0
@@ -291,7 +291,8 @@ class TestDistanceKernel:
         q, entity = block
         g = rng.normal(size=(q.shape[0], entity.shape[0]))
         d_entity = np.zeros_like(entity)
-        d_q = similarities_backward(2, q, entity, similarities(2, q, entity), g, d_entity)
+        blocks = SimilarityBlocks(2, entity, q.shape[0])
+        d_q = blocks.backward(q, blocks.forward(q), g, d_entity)
         want_q, want_entity = direct_l2_backward(q, entity, g)
         np.testing.assert_allclose(d_q, want_q, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(d_entity, want_entity, rtol=1e-8, atol=1e-10)

@@ -1,7 +1,10 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litrel import scoring, training
 from litrel.data import build_graph
@@ -48,6 +51,12 @@ class TestConfigValidation:
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
             make_config(model="conve").validate()
+
+    @pytest.mark.parametrize("key, value", [("seed", -1), ("valid_every", -1)])
+    def test_negative_seed_and_valid_every_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be >= 0, got {value}"):
+            make_config(**{key: value}).validate()
+        make_config(**{key: 0}).validate()
 
 
 class TestLoss:
@@ -162,6 +171,70 @@ class TestOptimizer:
             params = {"p": np.array([2.0])}
             opt.step(params, {"p": np.array([0.0])})
             assert params["p"][0] == 2.0
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_in_place_steps_equal_textbook_expressions(self, kind, rng):
+        lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+        shapes = {"entity": (7, 3), "relation": (2, 3), "agg.bias": (1,)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        want = {name: p.copy() for name, p in params.items()}
+        m = {name: np.zeros(shape) for name, shape in shapes.items()}
+        v = {name: np.zeros(shape) for name, shape in shapes.items()}
+        opt = Optimizer(kind, lr)
+        for t in range(1, 5):
+            grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+            for name, g in grads.items():
+                if kind == "sgd":
+                    want[name] = want[name] - lr * g
+                    continue
+                m[name] = b1 * m[name] + (1 - b1) * g
+                v[name] = b2 * v[name] + (1 - b2) * g * g
+                m_hat = m[name] / (1 - b1 ** t)
+                v_hat = v[name] / (1 - b2 ** t)
+                want[name] = want[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            opt.step(params, {name: g.copy() for name, g in grads.items()})
+            for name, p in params.items():
+                assert np.array_equal(p, want[name]), (t, name)
+
+    @pytest.mark.parametrize("kind", ["adam", "sgd"])
+    def test_step_allocates_no_parameter_sized_array(self, kind, rng):
+        shapes = {"entity": (20000, 8), "relation": (30, 8)}
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        opt = Optimizer(kind, 0.01)
+        opt.step(params, {name: rng.normal(size=shape) for name, shape in shapes.items()})
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            opt.step(params, grads)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < params["entity"].nbytes // 4
+
+    def test_shape_mismatch_rejected(self):
+        for kind in ("sgd", "adam"):
+            with pytest.raises(TrainingError, match="gradient shape mismatch for p"):
+                Optimizer(kind, 0.1).step({"p": np.zeros(2)}, {"p": np.zeros(1)})
+
+
+GUARD_GRAPH = build_graph(
+    [("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a")], [], [],
+    [("a", "x", 1.0), ("b", "x", 2.0), ("c", "y", 3.0)],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name_index=st.integers(0, 10), position=st.integers(0, 10**6),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+def test_non_finite_guard_flags_any_position(name_index, position, bad):
+    state = training.init_state(GUARD_GRAPH, make_config(fusion="gated", aggregation="learnable",
+                                                        optimizer="sgd"))
+    params = state.parameters()
+    name = list(params)[name_index % len(params)]
+    params[name].reshape(-1)[position % params[name].size] = bad
+    with pytest.raises(TrainingError, match=f"parameter {name} is non-finite"):
+        training.optimizer_step(Optimizer("sgd", 0.1), state.zero_grads(), state)
 
 
 class TestParameterCounts:
