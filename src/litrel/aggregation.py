@@ -12,7 +12,6 @@ map, yielding the G x |A| head and tail rows fed into fusion.
 
 from __future__ import annotations
 
-import json
 import os
 
 import numpy as np
@@ -21,7 +20,7 @@ from litrel import kernels, scoring
 from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, ValidationError
 from litrel.kernels import NUM_STATS, STAT_NAMES
-from litrel.serialize import load_arrays, save_arrays
+from litrel.serialize import load_arrays, save_arrays, save_json
 
 AGGREGATION_KINDS = STAT_NAMES + ("learnable",)
 
@@ -125,9 +124,7 @@ def save_profiles(profiles, directory: str, options: dict | None = None) -> None
     u_head, u_tail = profiles
     save_arrays(directory, {"u_head": u_head, "u_tail": u_tail})
     if options is not None:
-        with open(os.path.join(directory, "options.json"), "w", encoding="utf-8") as fh:
-            json.dump(options, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(os.path.join(directory, "options.json"), options)
 
 
 def load_profiles(directory: str, num_relations: int | None = None,

@@ -5,6 +5,11 @@ keys can be overridden by command-line flags.  Every command writes the
 effective configuration it ran with into its output directory, so any
 artifact can be reproduced from the files next to it.
 
+``KEYS`` declares every key once: its kind, default, bound and the
+commands that take it as a flag (see :class:`litrel.training.Key`).
+Each value is checked as it enters, from the file in :func:`load_config`
+and from a flag in :func:`apply_overrides`, whichever command runs.
+
 Exit codes: 0 success, 1 validation/configuration error, 2 runtime or
 numerical failure.
 """
@@ -13,9 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
-import math
 import os
 import sys
 
@@ -38,67 +41,63 @@ from litrel.evaluation import (
     group_by_frequency,
     save_report,
 )
-from litrel.fusion import FUSION_KINDS
-from litrel.scoring import MODEL_KINDS
-from litrel.training import TrainConfig
+from litrel.serialize import load_json, save_json
+from litrel.training import Key, TrainConfig
 
 logger = logging.getLogger(__name__)
 
-TRAIN_FIELDS = {f.name for f in dataclasses.fields(TrainConfig)}
-
-DEFAULT_CONFIG = {
-    "train_path": None,
-    "valid_path": None,
-    "test_path": None,
-    "literals_path": None,
-    "labels_path": None,
-    "artifact_dir": None,
-    "checkpoint_dir": None,
-    "aggregate_over_all_rows": False,  # preprocess keys that shape the literal
-    "multiset_rows": False,            # profiles; see aggregation.build_profiles
-    "group_by": None,            # "frequency" or "correlation"
-    "threshold": None,           # absolute count / coefficient, or "2.55%"
-    "min_corr_samples": 3,
-    "tie_policy": "realistic",
-    "classifier": "knn",
-    "knn_k": 5,
-    "svm_epochs": 200,
-    "svm_lr": 0.1,
-    "svm_reg": 1e-4,
+# every config key: the TrainConfig fields, then the keys the commands read
+KEYS = {f.name: f.metadata["key"] for f in dataclasses.fields(TrainConfig)} | {
+    "train_path": Key("path", flag=("preprocess",)),
+    "valid_path": Key("path", flag=("preprocess",)),
+    "test_path": Key("path", flag=("preprocess",)),
+    "literals_path": Key("path", flag=("preprocess",)),
+    "labels_path": Key("path", flag=("classify",)),
+    "artifact_dir": Key("path", flag=("preprocess", "train", "evaluate", "classify")),
+    "checkpoint_dir": Key("path", flag=("train", "evaluate", "classify")),
+    # preprocess keys that shape the literal profiles; see aggregation.build_profiles
+    "aggregate_over_all_rows": Key("bool", False),
+    "multiset_rows": Key("bool", False),
+    "group_by": Key((None, "frequency", "correlation"), flag=("evaluate",)),
+    "threshold": Key("percent", flag=("evaluate",)),  # absolute count / coefficient, or "2.55%"
+    # a coefficient from 2 samples is always +-1
+    "min_corr_samples": Key("int", 3, ">= 3"),
+    "tie_policy": Key(TIE_POLICIES, "realistic", flag=("evaluate",)),
+    "classifier": Key(("knn", "svm"), "knn", flag=("classify",)),
+    "knn_k": Key("int", 5, flag=("classify",)),
+    # svm_train range-checks these three
+    "svm_epochs": Key("int", 200),
+    "svm_lr": Key("float", 0.1),
+    "svm_reg": Key("float", 1e-4),
 }
 
 
 def load_config(path: str | None) -> dict:
-    config = dict(DEFAULT_CONFIG)
-    config.update({f.name: getattr(TrainConfig(), f.name) for f in dataclasses.fields(TrainConfig)})
+    config = {name: key.default for name, key in KEYS.items()}
     if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"cannot parse config file {path}: {exc}") from None
+        loaded = load_json(path, "config file")
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {path} does not hold a JSON object")
         unknown = set(loaded) - set(config)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in loaded.items():
-            if key.endswith(("_path", "_dir")) and value is not None and not isinstance(value, str):
-                raise ConfigError(f"{key} must be a string or null, got {value!r}")
+        for name, value in loaded.items():
+            KEYS[name].check(name, value)
         config.update(loaded)
     return config
 
 
 def apply_overrides(config: dict, args: argparse.Namespace) -> dict:
-    for key in config:
-        value = getattr(args, key, None)
+    for name, key in KEYS.items():
+        value = getattr(args, name, None)
         if value is not None:
-            config[key] = value
+            key.check(name, value)
+            config[name] = value
     return config
 
 
 def train_config_from(config: dict) -> TrainConfig:
-    kwargs = {name: config[name] for name in TRAIN_FIELDS}
+    kwargs = {f.name: config[f.name] for f in dataclasses.fields(TrainConfig)}
     if kwargs["fusion"] == "none":
         kwargs["fusion"] = None
     cfg = TrainConfig(**kwargs)
@@ -108,27 +107,25 @@ def train_config_from(config: dict) -> TrainConfig:
 
 def echo_config(config: dict, directory: str) -> None:
     os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "config.json"), "w", encoding="utf-8") as fh:
-        json.dump(config, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(os.path.join(directory, "config.json"), config)
 
 
 def _load_split(path: str | None):
     return load_triples(path) if path else []
 
 
-def cmd_preprocess(config: dict, output_dir: str) -> int:
+def cmd_preprocess(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
+    """Build the graph artifact and literal profiles."""
     if config["train_path"] is None:
         raise ConfigError("preprocess requires train_path")
-    if config["fusion"] not in (None, "none") and config["literals_path"] is None:
+    if train_cfg.fusion_enabled and config["literals_path"] is None:
         raise ConfigError("fusion is enabled but no literals_path is configured")
     train = load_triples(config["train_path"])
     valid = _load_split(config["valid_path"])
     test = _load_split(config["test_path"])
     literals = load_literals(config["literals_path"]) if config["literals_path"] else []
     graph = build_graph(train, valid, test, literals)
-    options = {key: _typed(config, key, "bool")
-               for key in ("aggregate_over_all_rows", "multiset_rows")}
+    options = {key: config[key] for key in ("aggregate_over_all_rows", "multiset_rows")}
     profiles = aggregation.build_profiles(graph, **options)
     artifact_dir = config["artifact_dir"] or os.path.join(output_dir, "artifact")
     graph.save(artifact_dir)
@@ -143,9 +140,7 @@ def cmd_preprocess(config: dict, output_dir: str) -> int:
         "test_triples": int(graph.test.shape[0]),
         "literals": int(graph.literals.present.sum()),
     }
-    with open(os.path.join(artifact_dir, "stats.json"), "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(os.path.join(artifact_dir, "stats.json"), stats)
     echo_config(config, artifact_dir)
     for key in ("entities", "relations", "triples", "attributes", "literals"):
         print(f"{key}: {stats[key]:,}")
@@ -180,9 +175,9 @@ def _load_checkpoint(config: dict):
     return state, history
 
 
-def cmd_train(config: dict, output_dir: str) -> int:
+def cmd_train(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
+    """Train a model from a preprocessed artifact."""
     graph = _load_artifact(config)
-    train_cfg = train_config_from(config)
     profiles = None
     profile_dir = os.path.join(config["artifact_dir"], "profiles")
     if train_cfg.fusion_enabled and os.path.isdir(profile_dir):
@@ -199,32 +194,21 @@ def cmd_train(config: dict, output_dir: str) -> int:
     return 0
 
 
-def _typed(config: dict, key: str, kind: str):
-    """``config[key]``, checked as :class:`TrainConfig` checks its fields."""
-    training.check_type(key, config[key], kind)
-    return config[key]
-
-
 def _parse_threshold(raw, graph: KnowledgeGraph, group_by: str) -> float:
+    """The absolute threshold of ``raw``, which ``KEYS["threshold"]`` has checked."""
     if raw is None:
         raise ConfigError(f"--group-by {group_by} requires --threshold")
-    percent = isinstance(raw, str) and raw.endswith("%")
-    try:
-        value = float(raw[:-1] if percent else raw)
-    except (TypeError, ValueError):
-        value = math.nan
-    if isinstance(raw, bool) or not math.isfinite(value):
-        raise ConfigError(f"threshold {raw!r} is not a finite number")
-    if not percent:
-        return value
+    if not (isinstance(raw, str) and raw.endswith("%")):
+        return float(raw)
     if group_by != "frequency":
         raise ConfigError("percentage thresholds apply to frequency grouping only")
-    absolute = frequency_threshold_from_fraction(graph, value / 100.0)
+    absolute = frequency_threshold_from_fraction(graph, float(raw[:-1]) / 100.0)
     logger.info("frequency threshold %s -> %.1f training triples", raw, absolute)
     return absolute
 
 
-def cmd_evaluate(config: dict, output_dir: str) -> int:
+def cmd_evaluate(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
+    """Filtered link-prediction metrics."""
     graph = _load_artifact(config)
     state, _ = _load_checkpoint(config)
     grouping = None
@@ -236,10 +220,8 @@ def cmd_evaluate(config: dict, output_dir: str) -> int:
         grouping = group_by_correlation(
             graph,
             _parse_threshold(config["threshold"], graph, "correlation"),
-            min_samples=_typed(config, "min_corr_samples", "int"),
+            min_samples=config["min_corr_samples"],
         )
-    elif config["group_by"] is not None:
-        raise ConfigError(f"unknown group_by {config['group_by']!r}")
     report = evaluate(state, graph, grouping=grouping, tie_policy=config["tie_policy"])
     os.makedirs(output_dir, exist_ok=True)
     save_report(
@@ -252,7 +234,8 @@ def cmd_evaluate(config: dict, output_dir: str) -> int:
     return 0
 
 
-def cmd_classify(config: dict, output_dir: str) -> int:
+def cmd_classify(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
+    """Node classification from a checkpoint."""
     graph = _load_artifact(config)
     if config["labels_path"] is None:
         raise ConfigError("classify requires labels_path")
@@ -262,93 +245,54 @@ def cmd_classify(config: dict, output_dir: str) -> int:
     test_feats = export_embeddings(state, labeled.test_nodes)
     classifier = config["classifier"]
     if classifier == "knn":
-        predictions = knn_classify(
-            train_feats, labeled.train_labels, test_feats, k=_typed(config, "knn_k", "int")
-        )
-    elif classifier == "svm":
-        seed = _typed(config, "seed", "int")
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        predictions = knn_classify(train_feats, labeled.train_labels, test_feats, k=config["knn_k"])
+    else:
         model = svm_train(
             train_feats,
             labeled.train_labels,
-            epochs=_typed(config, "svm_epochs", "int"),
-            lr=_typed(config, "svm_lr", "float"),
-            reg=_typed(config, "svm_reg", "float"),
-            seed=seed,
+            epochs=config["svm_epochs"],
+            lr=config["svm_lr"],
+            reg=config["svm_reg"],
+            seed=config["seed"],
         )
         predictions = model.predict(test_feats)
-    else:
-        raise ConfigError(f"unknown classifier {classifier!r}")
     score = micro_f1(predictions, labeled.test_labels)
     os.makedirs(output_dir, exist_ok=True)
     with open(os.path.join(output_dir, "predictions.tsv"), "w", encoding="utf-8") as fh:
         for node, pred in zip(labeled.test_nodes, predictions):
             fh.write(f"{graph.entities.labels[node]}\t{labeled.label_names[pred]}\n")
     counts = confusion_counts(predictions, labeled.test_labels, len(labeled.label_names))
-    with open(os.path.join(output_dir, "classification.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "classifier": classifier,
-                "micro_f1": score,
-                "labels": labeled.label_names,
-                "confusion": counts.tolist(),
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    save_json(os.path.join(output_dir, "classification.json"), {
+        "classifier": classifier,
+        "micro_f1": score,
+        "labels": labeled.label_names,
+        "confusion": counts.tolist(),
+    })
     echo_config(config, output_dir)
     print(f"micro-F1 ({classifier}): {score:.4f}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the program and its commands; each key's flag comes from its :class:`Key`."""
     parser = argparse.ArgumentParser(
         prog="litrel",
         description="Knowledge-graph embeddings with literal-enriched relations",
     )
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--seed", type=int, help="override the configured seed")
     parser.add_argument("--output-dir", default=".", help="directory for command outputs")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pre = sub.add_parser("preprocess", help="build the graph artifact and literal profiles")
-    pre.add_argument("--train-path", dest="train_path")
-    pre.add_argument("--valid-path", dest="valid_path")
-    pre.add_argument("--test-path", dest="test_path")
-    pre.add_argument("--literals-path", dest="literals_path")
-    pre.add_argument("--artifact-dir", dest="artifact_dir")
-
-    tr = sub.add_parser("train", help="train a model from a preprocessed artifact")
-    tr.add_argument("--artifact-dir", dest="artifact_dir")
-    tr.add_argument("--checkpoint-dir", dest="checkpoint_dir")
-    tr.add_argument("--model", choices=MODEL_KINDS)
-    tr.add_argument("--fusion", choices=("none",) + FUSION_KINDS)
-    tr.add_argument("--aggregation")
-    tr.add_argument("--epochs", type=int)
-    tr.add_argument("--batch-size", dest="batch_size", type=int)
-    tr.add_argument("--learning-rate", dest="learning_rate", type=float)
-    tr.add_argument("--dim-entity", dest="dim_entity", type=int)
-    tr.add_argument("--dim-relation", dest="dim_relation", type=int)
-    tr.add_argument("--optimizer", choices=("adam", "sgd"))
-
-    ev = sub.add_parser("evaluate", help="filtered link-prediction metrics")
-    ev.add_argument("--artifact-dir", dest="artifact_dir")
-    ev.add_argument("--checkpoint-dir", dest="checkpoint_dir")
-    ev.add_argument("--group-by", dest="group_by", choices=("frequency", "correlation"))
-    ev.add_argument("--threshold")
-    ev.add_argument("--tie-policy", dest="tie_policy",
-                    choices=TIE_POLICIES)
-
-    cl = sub.add_parser("classify", help="node classification from a checkpoint")
-    cl.add_argument("--artifact-dir", dest="artifact_dir")
-    cl.add_argument("--checkpoint-dir", dest="checkpoint_dir")
-    cl.add_argument("--labels-path", dest="labels_path")
-    cl.add_argument("--classifier", choices=("knn", "svm"))
-    cl.add_argument("--knn-k", dest="knn_k", type=int)
+    parsers = {"litrel": parser}
+    for name, command in COMMANDS.items():
+        parsers[name] = sub.add_parser(name, help=command.__doc__)
+    for name, key in KEYS.items():
+        for command in key.flag:
+            parsers[command].add_argument(
+                "--" + name.replace("_", "-"), dest=name,
+                type={"int": int, "float": float}.get(key.kind),
+                metavar="{" + ",".join(filter(None, key.kind)) + "}" if isinstance(key.kind, tuple) else None,
+            )
     return parser
 
 
@@ -367,10 +311,10 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = load_config(args.config)
-        config = apply_overrides(config, args)
-        return COMMANDS[args.command](config, args.output_dir)
-    except (ParseError, ValidationError, FileNotFoundError) as exc:
+        config = apply_overrides(load_config(args.config), args)
+        return COMMANDS[args.command](config, train_config_from(config), args.output_dir)
+    except (ParseError, ValidationError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TrainingError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import datetime
 import hashlib
-import json
 import logging
 import math
 import os
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from litrel.errors import ParseError, ValidationError
-from litrel.serialize import load_arrays, save_arrays
+from litrel.serialize import load_arrays, load_json, save_arrays, save_json
 
 logger = logging.getLogger(__name__)
 
@@ -72,8 +71,11 @@ class Vocab:
 
     @classmethod
     def load(cls, path: str) -> "Vocab":
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            return cls([line.rstrip("\n") for line in fh if line != "\n"])
+        try:
+            with open(path, encoding="utf-8", newline="\n") as fh:
+                return cls([line.rstrip("\n") for line in fh if line != "\n"])
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 @dataclass
@@ -147,9 +149,7 @@ class KnowledgeGraph:
             "relations": len(self.relations),
             "attributes": len(self.attributes),
         }
-        with open(os.path.join(directory, "graph.json"), "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        save_json(os.path.join(directory, "graph.json"), meta)
 
     @classmethod
     def load(cls, directory: str) -> "KnowledgeGraph":
@@ -188,8 +188,7 @@ def vocabulary_digests(directory: str) -> dict[str, str]:
 def _check_artifact(graph: KnowledgeGraph, directory: str) -> None:
     """Reject an artifact whose version, sizes or triple indices disagree with its vocabularies."""
     meta_path = os.path.join(directory, "graph.json")
-    with open(meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = load_json(meta_path)
     if not isinstance(meta, dict):
         meta = {}
     if meta.get("version") != ARTIFACT_VERSION:
@@ -228,6 +227,27 @@ def _bad_line(path: str, lineno: int, fields: list[str], labels: tuple[str, ...]
     return ParseError(f"{path}:{lineno}: empty {name} label")
 
 
+def read_tsv(path: str):
+    """Yield ``(lineno, fields)`` for each non-empty line of a tab-separated UTF-8 file.
+
+    Lines are streamed, never read all at once.  Bytes that are not
+    UTF-8 raise a :class:`ParseError` naming the line; only then is the
+    file read a second time, to find that line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if line:
+                    yield lineno, line.split("\t")
+    except UnicodeDecodeError as exc:
+        # the same line splitting, with each undecodable byte read as a surrogate U+DC80..U+DCFF
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            lineno = next(lineno for lineno, line in enumerate(fh, start=1)
+                          if any("\udc80" <= char <= "\udcff" for char in line))
+        raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_triples(path: str) -> list[tuple[str, str, str]]:
     """Read a tab-separated triple file into (head, relation, tail) labels.
 
@@ -235,15 +255,10 @@ def load_triples(path: str) -> list[tuple[str, str, str]]:
     :func:`build_graph` where it can be reported.
     """
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or "" in fields:
-                raise _bad_line(path, lineno, fields, ("head", "relation", "tail"))
-            triples.append((fields[0], fields[1], fields[2]))
+    for lineno, fields in read_tsv(path):
+        if len(fields) != 3 or "" in fields:
+            raise _bad_line(path, lineno, fields, ("head", "relation", "tail"))
+        triples.append((fields[0], fields[1], fields[2]))
     return triples
 
 
@@ -253,24 +268,17 @@ def load_literals(path: str) -> list[tuple[str, str, float]]:
     Non-finite values are rejected: the literal matrix must stay finite.
     """
     literals = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3 or not fields[0] or not fields[1]:
-                raise _bad_line(path, lineno, fields, ("entity", "attribute"))
-            entity, attribute, token = fields
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: cannot parse numeric value {token!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(f"{path}:{lineno}: non-finite value {token!r}")
-            literals.append((entity, attribute, value))
+    for lineno, fields in read_tsv(path):
+        if len(fields) != 3 or not fields[0] or not fields[1]:
+            raise _bad_line(path, lineno, fields, ("entity", "attribute"))
+        entity, attribute, token = fields
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: cannot parse numeric value {token!r}") from None
+        if not math.isfinite(value):
+            raise ParseError(f"{path}:{lineno}: non-finite value {token!r}")
+        literals.append((entity, attribute, value))
     return literals
 
 

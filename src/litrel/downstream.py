@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from litrel import scoring
-from litrel.data import KnowledgeGraph
+from litrel.data import KnowledgeGraph, read_tsv
 from litrel.errors import ParseError, ValidationError
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -38,28 +38,21 @@ def load_labeled_nodes(path: str, graph: KnowledgeGraph) -> LabeledNodes:
     rows = []
     unknown = []
     first_line: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            node, label, split = fields
-            if split not in ("train", "test"):
-                raise ParseError(f"{path}:{lineno}: split must be 'train' or 'test', got {split!r}")
-            if node in first_line:
-                raise ValidationError(
-                    f"{path}: node {node!r} is listed on lines {first_line[node]} and {lineno}"
-                )
-            first_line[node] = lineno
-            if node not in graph.entities:
-                unknown.append(node)
-                continue
-            rows.append((graph.entities[node], label, split))
+    for lineno, fields in read_tsv(path):
+        if len(fields) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        node, label, split = fields
+        if split not in ("train", "test"):
+            raise ParseError(f"{path}:{lineno}: split must be 'train' or 'test', got {split!r}")
+        if node in first_line:
+            raise ValidationError(
+                f"{path}: node {node!r} is listed on lines {first_line[node]} and {lineno}"
+            )
+        first_line[node] = lineno
+        if node not in graph.entities:
+            unknown.append(node)
+            continue
+        rows.append((graph.entities[node], label, split))
     if unknown:
         raise ValidationError(f"label file references unknown nodes: {sorted(unknown)}")
     label_names = sorted({label for _, label, _ in rows})

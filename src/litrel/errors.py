@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-The CLI maps ParseError/ValidationError/ConfigError to exit code 1 and
-TrainingError (plus anything unexpected) to exit code 2.
+The CLI maps ParseError/ValidationError/ConfigError, and the OS errors
+of a path that is missing, unreadable or of the wrong type, to exit
+code 1, and TrainingError (plus anything unexpected) to exit code 2.
 """
 
 

@@ -25,7 +25,6 @@ pairs), and per-group MRR is reported next to the all-triples row.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +33,7 @@ import numpy as np
 from litrel import scoring
 from litrel.data import KnowledgeGraph
 from litrel.errors import ValidationError
+from litrel.serialize import save_json
 
 TIE_POLICIES = ("realistic", "optimistic", "pessimistic")
 
@@ -328,9 +328,7 @@ def evaluate(
 
 
 def save_report(report: EvaluationReport, json_path: str, table_path: str | None = None) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(json_path, report.to_dict())
     if table_path is not None:
         with open(table_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_table() + "\n")

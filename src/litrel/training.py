@@ -23,12 +23,11 @@ fusion rows per relation), so both halves share its parameters.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
 import shutil
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -47,56 +46,83 @@ from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, TrainingError
 from litrel.kernels import NUM_STATS
 from litrel.scoring import MODEL_KINDS, EmbeddingTables
-from litrel.serialize import load_arrays, save_arrays
+from litrel.serialize import load_arrays, load_json, save_arrays, save_json
 
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_VERSION = 3
 
 
-def check_type(name: str, value, kind: str) -> None:
-    """Raise ConfigError unless ``value`` is of ``kind``: ``"int"``, ``"float"`` (finite) or ``"bool"``.
+@dataclass(frozen=True)
+class Key:
+    """One configuration key: its kind, default, bound and command-line flag.
 
-    A bool is neither an int nor a float; other kinds are not checked.
+    ``kind`` is ``"int"``, ``"float"`` (finite), ``"bool"``, ``"path"``
+    (a string or null), ``"percent"`` (a finite number, or a string
+    holding one with an optional trailing ``%``) or a tuple of the
+    allowed values.  A bool is neither an int nor a float.  ``bound`` is
+    ``">= x"`` or ``"> x"``.  ``flag`` names the commands that take the
+    key as ``--key-name``; ``"litrel"`` puts it before the command.
     """
-    if kind == "bool" and not isinstance(value, bool):
-        raise ConfigError(f"{name} must be true or false, got {value!r}")
-    if kind == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    if kind == "float" and (isinstance(value, bool) or not isinstance(value, Real)
-                            or not math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+    kind: str | tuple
+    default: object = None
+    bound: str | None = None
+    flag: tuple[str, ...] = ()
+
+    def check(self, name: str, value) -> None:
+        """Raise ConfigError unless ``value`` is of this key's kind and within its bound."""
+        kind, number = self.kind, not isinstance(value, bool) and isinstance(value, Real)
+        if isinstance(kind, tuple):
+            if not any(type(value) is type(allowed) and value == allowed for allowed in kind):
+                raise ConfigError(f"{name} must be one of {', '.join(map(repr, kind))}, got {value!r}")
+        elif kind == "bool" and not isinstance(value, bool):
+            raise ConfigError(f"{name} must be true or false, got {value!r}")
+        elif kind == "int" and not (number and isinstance(value, Integral)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        elif kind == "float" and not (number and math.isfinite(value)):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        elif kind == "path" and value is not None and not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string or null, got {value!r}")
+        elif kind == "percent" and value is not None:
+            try:
+                parsed = float(value[:-1] if isinstance(value, str) and value.endswith("%") else value)
+            except (TypeError, ValueError):
+                parsed = math.nan
+            if isinstance(value, bool) or not math.isfinite(parsed):
+                raise ConfigError(f"{name} {value!r} is not a finite number")
+        if self.bound is not None:
+            op, limit = self.bound.split()
+            if not (value >= float(limit) if op == ">=" else value > float(limit)):
+                raise ConfigError(f"{name} must be {self.bound}, got {value!r}")
+
+
+def _key(kind, default, bound=None, flag=("train",)):
+    """A :class:`TrainConfig` field whose metadata holds its :class:`Key`."""
+    return field(default=default, metadata={"key": Key(kind, default, bound, flag)})
 
 
 @dataclass
 class TrainConfig:
     """Declarative description of one training run."""
 
-    model: str = "distmult"
-    fusion: str | None = None            # "linear", "gated" or None (vanilla)
-    aggregation: str = "mean"
-    dim_entity: int = 32
-    dim_relation: int = 32
-    epochs: int = 100
-    batch_size: int = 256
-    learning_rate: float = 1e-3
-    optimizer: str = "adam"
-    seed: int = 0
-    transe_norm: int = 2
-    l2: float = 0.0
-    valid_every: int = 0                 # 0 disables periodic validation MRR
+    model: str = _key(MODEL_KINDS, "distmult")
+    fusion: str | None = _key((None, "none") + fusion_mod.FUSION_KINDS, None)  # None, "none": vanilla
+    aggregation: str = _key(AGGREGATION_KINDS, "mean")
+    dim_entity: int = _key("int", 32, "> 0")
+    dim_relation: int = _key("int", 32, "> 0")
+    epochs: int = _key("int", 100, ">= 0")
+    batch_size: int = _key("int", 256, "> 0")
+    learning_rate: float = _key("float", 1e-3, "> 0")
+    optimizer: str = _key(("adam", "sgd"), "adam")
+    seed: int = _key("int", 0, ">= 0", flag=("litrel",))
+    transe_norm: int = _key((1, 2), 2, flag=())
+    l2: float = _key("float", 0.0, ">= 0", flag=())
+    valid_every: int = _key("int", 0, ">= 0", flag=())  # 0 disables periodic validation MRR
 
     def validate(self) -> None:
         for f in fields(self):
-            check_type(f.name, getattr(self, f.name), f.type)
-        if self.model not in MODEL_KINDS:
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.fusion not in (None, "none") + fusion_mod.FUSION_KINDS:
-            raise ConfigError(f"unknown fusion kind {self.fusion!r}")
-        if self.aggregation not in AGGREGATION_KINDS:
-            raise ConfigError(f"unknown aggregation kind {self.aggregation!r}")
-        if self.dim_entity <= 0 or self.dim_relation <= 0:
-            raise ConfigError("embedding dimensions must be positive")
+            f.metadata["key"].check(f.name, getattr(self, f.name))
         if self.model in ("complex", "rotate") and self.dim_entity % 2:
             raise ConfigError(f"{self.model} requires an even entity dimension")
         if self.model == "complex" and self.dim_relation % 2:
@@ -105,20 +131,6 @@ class TrainConfig:
             raise ConfigError(f"{self.model} requires dim_relation == dim_entity")
         if self.model == "rotate" and self.dim_relation != self.dim_entity // 2:
             raise ConfigError("rotate stores phase vectors: dim_relation must be dim_entity // 2")
-        if self.epochs < 0 or self.batch_size <= 0:
-            raise ConfigError("epochs must be >= 0 and batch_size positive")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.valid_every < 0:
-            raise ConfigError(f"valid_every must be >= 0, got {self.valid_every}")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.transe_norm not in (1, 2):
-            raise ConfigError("transe_norm must be 1 or 2")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be non-negative")
 
     @property
     def fusion_enabled(self) -> bool:
@@ -458,15 +470,11 @@ def save_checkpoint(state: ModelState, history: dict, directory: str) -> None:
         shutil.rmtree(tmp)
     os.makedirs(tmp)
     meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.config), "artifact": state.artifact}
-    with open(os.path.join(tmp, "checkpoint.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(os.path.join(tmp, "checkpoint.json"), meta)
     save_arrays(os.path.join(tmp, "params"), state.parameters())
     if state.profiles is not None:
         save_profiles(state.profiles, os.path.join(tmp, "profiles"))
-    with open(os.path.join(tmp, "history.json"), "w", encoding="utf-8") as fh:
-        json.dump(history, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(os.path.join(tmp, "history.json"), history)
     if os.path.exists(directory):
         if os.path.exists(old):
             shutil.rmtree(old)
@@ -490,8 +498,7 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
             raise ConfigError(f"checkpoint_dir {directory!r} does not exist")
         logger.warning("%s is missing; reading the previous checkpoint %s", directory, old)
         directory = old
-    with open(os.path.join(directory, "checkpoint.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = load_json(os.path.join(directory, "checkpoint.json"))
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise ConfigError(f"{directory}: checkpoint.json has no config object")
     if meta.get("version") != CHECKPOINT_VERSION:
@@ -525,6 +532,4 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
                 f"{directory}: parameter {name} has shape {stored[name].shape}, expected {arr.shape}"
             )
         arr[...] = stored[name]
-    with open(os.path.join(directory, "history.json"), encoding="utf-8") as fh:
-        history = json.load(fh)
-    return state, history
+    return state, load_json(os.path.join(directory, "history.json"))

@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import json
 import os
@@ -6,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from litrel.cli import main
+from litrel.cli import KEYS, build_parser, main
 from litrel.serialize import load_arrays, save_arrays
+from litrel.training import TrainConfig
 
 
 @pytest.fixture
@@ -158,15 +160,16 @@ class TestPreprocess:
         assert not artifact.exists()
 
 
-class TestTrainEvaluateClassify:
-    @pytest.fixture
-    def pipeline(self, dataset, tmp_path):
-        artifact = str(tmp_path / "artifact")
-        checkpoint = str(tmp_path / "checkpoint")
-        assert preprocess(dataset, artifact) == 0
-        assert train(artifact, checkpoint, extra=("--fusion", "linear")) == 0
-        return {"artifact": artifact, "checkpoint": checkpoint, "tmp": tmp_path}
+@pytest.fixture
+def pipeline(dataset, tmp_path):
+    artifact = str(tmp_path / "artifact")
+    checkpoint = str(tmp_path / "checkpoint")
+    assert preprocess(dataset, artifact) == 0
+    assert train(artifact, checkpoint, extra=("--fusion", "linear")) == 0
+    return {"artifact": artifact, "checkpoint": checkpoint, "tmp": tmp_path}
 
+
+class TestTrainEvaluateClassify:
     def test_train_writes_checkpoint(self, pipeline, capsys):
         assert os.path.exists(os.path.join(pipeline["checkpoint"], "checkpoint.json"))
         assert os.path.isdir(os.path.join(pipeline["checkpoint"], "params"))
@@ -580,3 +583,183 @@ class TestConfigPrecedence:
         err = capsys.readouterr().err
         assert "seed must be >= 0, got -1" in err
         assert "internal error" not in err
+
+
+class TestInputErrors:
+    def classify(self, pipeline, labels, extra=()):
+        return main(["--output-dir", str(pipeline["tmp"] / "cls"), *extra, "classify",
+                     "--artifact-dir", pipeline["artifact"],
+                     "--checkpoint-dir", pipeline["checkpoint"], "--labels-path", labels])
+
+    def assert_error(self, capsys, *fragments):
+        err = capsys.readouterr().err
+        for fragment in fragments:
+            assert fragment in err
+        assert "internal error" not in err
+
+    def test_directory_as_train_path_is_error(self, tmp_path, capsys):
+        assert main(["preprocess", "--train-path", str(tmp_path),
+                     "--artifact-dir", str(tmp_path / "artifact")]) == 1
+        self.assert_error(capsys, "Is a directory", str(tmp_path))
+
+    def test_directory_as_labels_path_is_error(self, pipeline, capsys):
+        assert self.classify(pipeline, str(pipeline["tmp"])) == 1
+        self.assert_error(capsys, "Is a directory", str(pipeline["tmp"]))
+
+    def test_file_as_output_dir_is_error(self, dataset, pipeline, capsys):
+        # preprocess makes <output-dir>/artifact inside the file; classify makes the file itself
+        taken = pipeline["tmp"] / "taken"
+        taken.write_text("")
+        assert main(["--output-dir", str(taken), "preprocess",
+                     "--train-path", dataset["train"]]) == 1
+        self.assert_error(capsys, "Not a directory", str(taken))
+        assert self.classify(pipeline, dataset["labels"], extra=("--output-dir", str(taken))) == 1
+        self.assert_error(capsys, "File exists", str(taken))
+
+    def test_unreadable_input_is_error(self, dataset, tmp_path, capsys, monkeypatch):
+        def refuse(path):
+            raise PermissionError(13, "Permission denied", path)
+        monkeypatch.setattr("litrel.cli.load_triples", refuse)
+        assert preprocess(dataset, str(tmp_path / "artifact")) == 1
+        self.assert_error(capsys, "Permission denied", dataset["train"])
+
+    @pytest.mark.parametrize("name", ["train", "literals", "labels"])
+    def test_non_utf8_input_is_parse_error(self, dataset, pipeline, capsys, name):
+        path = Path(dataset[name])
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + b"caf\xe9\t" + lines[1].split(b"\t", 1)[1] + b"".join(lines[2:]))
+        if name == "labels":
+            code = self.classify(pipeline, str(path))
+        else:
+            code = preprocess(dataset, str(pipeline["tmp"] / "again"))
+        assert code == 1
+        self.assert_error(capsys, f"{path}:2: not UTF-8 text")
+
+    @pytest.mark.parametrize("where, name", [
+        ("checkpoint", "checkpoint.json"),
+        ("checkpoint", "history.json"),
+        ("artifact", "graph.json"),
+    ])
+    def test_truncated_json_is_parse_error(self, dataset, pipeline, capsys, where, name):
+        path = Path(pipeline[where], name)
+        path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2])
+        assert self.classify(pipeline, dataset["labels"]) == 1
+        self.assert_error(capsys, f"cannot parse JSON file {path}")
+
+    def test_non_utf8_vocabulary_is_parse_error(self, dataset, pipeline, capsys):
+        path = Path(pipeline["artifact"], "entities.txt")
+        path.write_bytes(path.read_bytes().replace(b"h1", b"h\xff"))
+        assert self.classify(pipeline, dataset["labels"]) == 1
+        self.assert_error(capsys, f"{path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("where, name", [("artifact", "arrays/train.npy"),
+                                             ("checkpoint", "params/entity.npy")])
+    def test_truncated_array_is_parse_error(self, dataset, pipeline, capsys, where, name):
+        path = Path(pipeline[where], name)
+        path.write_bytes(path.read_bytes()[:100])
+        assert self.classify(pipeline, dataset["labels"]) == 1
+        self.assert_error(capsys, f"cannot read array file {path}")
+
+    def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
+        config = tmp_path / "run.json"
+        config.write_bytes(b'{"model": "caf\xe9"}')
+        assert main(["--config", str(config), "preprocess"]) == 1
+        self.assert_error(capsys, f"cannot parse config file {config}")
+
+
+# the flags (dest, type) of each command, as they were before the key table generated them
+PARSER_FLAGS = {
+    "litrel": [("config", None), ("output_dir", None), ("seed", "int"), ("verbose", None)],
+    "preprocess": [("artifact_dir", None), ("literals_path", None), ("test_path", None),
+                   ("train_path", None), ("valid_path", None)],
+    "train": [("aggregation", None), ("artifact_dir", None), ("batch_size", "int"),
+              ("checkpoint_dir", None), ("dim_entity", "int"), ("dim_relation", "int"),
+              ("epochs", "int"), ("fusion", None), ("learning_rate", "float"), ("model", None),
+              ("optimizer", None)],
+    "evaluate": [("artifact_dir", None), ("checkpoint_dir", None), ("group_by", None),
+                 ("threshold", None), ("tie_policy", None)],
+    "classify": [("artifact_dir", None), ("checkpoint_dir", None), ("classifier", None),
+                 ("knn_k", "int"), ("labels_path", None)],
+}
+
+
+def readme_key_row(name, key):
+    kind = ", ".join(map(json.dumps, key.kind)) if isinstance(key.kind, tuple) else key.kind
+    flags = ", ".join(f"`{command}`" for command in key.flag)
+    return f"| `{name}` | {kind} | `{json.dumps(key.default)}` | {key.bound or ''} | {flags} |"
+
+
+class TestKeyTable:
+    def test_every_default_passes_its_key(self):
+        for name, key in KEYS.items():
+            key.check(name, key.default)
+        TrainConfig().validate()
+        assert len(KEYS) == 31
+
+    def test_flags_are_unchanged(self):
+        parser = build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        for command, flags in PARSER_FLAGS.items():
+            actions = (parser if command == "litrel" else commands[command])._actions
+            assert sorted((a.dest, getattr(a.type, "__name__", None)) for a in actions
+                          if a.option_strings and a.dest != "help") == flags, command
+
+    def test_readme_table_lists_every_key(self):
+        lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| key | kind | default | bound | flag |") + 2
+        end = lines.index("", start)
+        assert lines[start:end] == [readme_key_row(name, key) for name, key in KEYS.items()]
+
+    @pytest.fixture
+    def artifact(self, dataset, tmp_path):
+        artifact = str(tmp_path / "artifact")
+        assert preprocess(dataset, artifact) == 0
+        return artifact
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_fusion_none_trains_vanilla(self, artifact, tmp_path, source):
+        checkpoint = tmp_path / "ckpt"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"fusion": "none"}))
+        extra = ("--fusion", "none") if source == "flag" else ()
+        prefix = ["--config", str(config)] if source == "config" else []
+        assert main([*prefix, "train", "--artifact-dir", artifact, "--checkpoint-dir", str(checkpoint),
+                     "--dim-entity", "8", "--dim-relation", "8", "--epochs", "1", *extra]) == 0
+        meta = json.loads(Path(checkpoint, "checkpoint.json").read_text())
+        assert meta["config"]["fusion"] is None
+        assert sorted(load_arrays(str(checkpoint / "params"))) == ["entity", "relation"]
+        assert not (checkpoint / "profiles").exists()
+
+    @pytest.mark.parametrize("command, keys, message", [
+        ("evaluate", {"group_by": "correlation", "threshold": 0.2, "min_corr_samples": -3},
+         "min_corr_samples must be >= 3, got -3"),
+        ("classify", {"classifier": "knn", "svm_lr": "x"}, "svm_lr must be a finite number, got 'x'"),
+        ("preprocess", {"svm_epochs": 1.5}, "svm_epochs must be an integer, got 1.5"),
+        ("preprocess", {"threshold": True}, "threshold True is not a finite number"),
+        ("preprocess", {"model": "complex", "dim_entity": 5, "dim_relation": 5},
+         "complex requires an even entity dimension"),
+    ])
+    def test_every_command_checks_every_key(self, artifact, tmp_path, capsys, command, keys, message):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(keys))
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--output-dir", str(out), command]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "internal error" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--model", "conve"), ("--fusion", "concat"),
+                                             ("--optimizer", "rmsprop")])
+    def test_bad_flag_choice_is_config_error(self, artifact, tmp_path, capsys, flag, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({flag[2:]: value}))
+        args = ["train", "--artifact-dir", artifact, "--checkpoint-dir", str(tmp_path / "ckpt")]
+        assert main(["--config", str(config), *args]) == 1
+        from_file = capsys.readouterr().err
+        assert main([*args, flag, value]) == 1
+        from_flag = capsys.readouterr().err
+        assert from_flag == from_file
+        assert f"{flag[2:]} must be one of" in from_flag
+        assert not (tmp_path / "ckpt").exists()
