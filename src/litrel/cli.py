@@ -179,9 +179,9 @@ def cmd_train(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
     """Train a model from a preprocessed artifact."""
     graph = _load_artifact(config)
     profiles = None
-    profile_dir = os.path.join(config["artifact_dir"], "profiles")
-    if train_cfg.fusion_enabled and os.path.isdir(profile_dir):
-        profiles = aggregation.load_profiles(profile_dir, graph.num_relations, graph.num_attributes)
+    if train_cfg.fusion_enabled:
+        profiles = aggregation.load_profiles(os.path.join(config["artifact_dir"], "profiles"),
+                                             graph.num_relations, graph.num_attributes)
     state, history = training.train(graph, train_cfg, profiles=profiles)
     state.artifact = vocabulary_digests(config["artifact_dir"])
     checkpoint_dir = config["checkpoint_dir"] or os.path.join(output_dir, "checkpoint")

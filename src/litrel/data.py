@@ -91,10 +91,6 @@ class LiteralMatrix:
     raw_min: np.ndarray  # float64, |A|
     raw_max: np.ndarray  # float64, |A|
 
-    @property
-    def num_attributes(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class KnowledgeGraph:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from litrel import scoring
-from litrel.data import KnowledgeGraph, read_tsv
+from litrel.data import KnowledgeGraph, _bad_line, read_tsv
 from litrel.errors import ParseError, ValidationError
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -39,8 +39,8 @@ def load_labeled_nodes(path: str, graph: KnowledgeGraph) -> LabeledNodes:
     unknown = []
     first_line: dict[str, int] = {}
     for lineno, fields in read_tsv(path):
-        if len(fields) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        if len(fields) != 3 or not fields[0] or not fields[1]:
+            raise _bad_line(path, lineno, fields, ("node", "class"))
         node, label, split = fields
         if split not in ("train", "test"):
             raise ParseError(f"{path}:{lineno}: split must be 'train' or 'test', got {split!r}")

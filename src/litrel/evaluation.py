@@ -20,7 +20,8 @@ and the better and tied entries are counted row-wise.
 Relations can additionally be partitioned into frequent vs long-tail
 groups (by training-triple count) or correlated vs less-correlated
 groups (by the best |Pearson coefficient| over head/tail attribute
-pairs), and per-group MRR is reported next to the all-triples row.
+pairs), as one array of |R| group labels, and per-group MRR is
+reported next to the all-triples row.
 """
 
 from __future__ import annotations
@@ -43,12 +44,8 @@ class RelationGrouping:
     """Partition of relations into two labeled groups."""
 
     kind: str                    # "frequency" or "correlation"
-    threshold: float
-    partition: dict[int, str]    # relation -> group label
+    partition: np.ndarray        # |R| group labels: relation r is in group partition[r]
     labels: tuple[str, str]      # (upper group, lower group)
-
-    def group_of(self, relation: int) -> str:
-        return self.partition[relation]
 
 
 @dataclass
@@ -189,16 +186,8 @@ def group_by_frequency(graph: KnowledgeGraph, threshold_count: float) -> Relatio
     if threshold_count < 0:
         raise ValidationError("frequency threshold must be >= 0")
     counts = np.bincount(graph.train[:, 1], minlength=graph.num_relations)
-    partition = {
-        r: "frequent" if counts[r] > threshold_count else "long-tail"
-        for r in range(graph.num_relations)
-    }
-    return RelationGrouping(
-        kind="frequency",
-        threshold=float(threshold_count),
-        partition=partition,
-        labels=("frequent", "long-tail"),
-    )
+    labels = ("frequent", "long-tail")
+    return RelationGrouping("frequency", np.where(counts > threshold_count, *labels), labels)
 
 
 def frequency_threshold_from_fraction(graph: KnowledgeGraph, fraction: float) -> float:
@@ -258,12 +247,9 @@ def group_by_correlation(
         raise ValidationError("correlation threshold must be within [0, 1]")
     values = graph.literals.values
     present = graph.literals.present
-    groups = dict(scoring.relation_groups(graph.train[:, 1]))
-    no_rows = np.zeros(0, dtype=np.int64)
-    partition = {}
-    for relation in range(graph.num_relations):
-        partition[relation] = "less-correlated"
-        rows = groups.get(relation, no_rows)
+    labels = ("correlated", "less-correlated")
+    partition = np.full(graph.num_relations, labels[1])
+    for relation, rows in scoring.relation_groups(graph.train[:, 1]):
         if rows.size < min_samples or graph.num_attributes == 0:
             continue
         heads, tails = graph.train[rows, 0], graph.train[rows, 2]
@@ -272,19 +258,14 @@ def group_by_correlation(
         candidate = n >= min_samples
         unsure |= np.abs(abs_r - threshold) <= tol
         if (abs_r[candidate & ~unsure] >= threshold).any():
-            partition[relation] = "correlated"
+            partition[relation] = labels[0]
             continue
         for a, b in zip(*np.nonzero(candidate & unsure)):
             both = present[heads, a] & present[tails, b]
             if abs(pearson(values[heads[both], a], values[tails[both], b])) >= threshold:
-                partition[relation] = "correlated"
+                partition[relation] = labels[0]
                 break
-    return RelationGrouping(
-        kind="correlation",
-        threshold=float(threshold),
-        partition=partition,
-        labels=("correlated", "less-correlated"),
-    )
+    return RelationGrouping("correlation", partition, labels)
 
 
 def evaluate(
@@ -305,25 +286,16 @@ def evaluate(
     )
     if grouping is not None:
         report.grouping_kind = grouping.kind
-        relations = np.unique(triples[:, 1]).tolist()
+        groups = grouping.partition[triples[:, 1]]
         for label in grouping.labels:
-            members = [r for r in relations if grouping.group_of(r) == label]
-            group_ranks = ranks[np.isin(triples[:, 1], members)]
-            if group_ranks.size:
-                g_mrr, g_h1, g_h10 = compute_metrics(group_ranks)
-                report.group_metrics[label] = {
-                    "num_triples": group_ranks.shape[0],
-                    "mrr": g_mrr,
-                    "hits_at_1": g_h1,
-                    "hits_at_10": g_h10,
-                }
-            else:
-                report.group_metrics[label] = {
-                    "num_triples": 0,
-                    "mrr": None,
-                    "hits_at_1": None,
-                    "hits_at_10": None,
-                }
+            group_ranks = ranks[groups == label]
+            g_mrr, g_h1, g_h10 = compute_metrics(group_ranks) if group_ranks.size else (None,) * 3
+            report.group_metrics[label] = {
+                "num_triples": group_ranks.shape[0],
+                "mrr": g_mrr,
+                "hits_at_1": g_h1,
+                "hits_at_10": g_h10,
+            }
     return report
 
 

@@ -2,6 +2,7 @@ import argparse
 import filecmp
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,28 @@ class TestTrainEvaluateClassify:
         assert code == 0
         report = json.loads(Path(out_dir, "report.json").read_text())
         assert report["grouping"] == "correlation"
+
+    def test_group_without_test_triples_has_null_metrics(self, pipeline):
+        # no relation has more than 100000 training triples, so "frequent" is empty
+        out_dir = pipeline["tmp"] / "eval_empty_group"
+        assert main([
+            "--output-dir", str(out_dir),
+            "evaluate",
+            "--artifact-dir", pipeline["artifact"],
+            "--checkpoint-dir", pipeline["checkpoint"],
+            "--group-by", "frequency",
+            "--threshold", "100000",
+        ]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["groups"]["frequent"] == {
+            "num_triples": 0, "mrr": None, "hits_at_1": None, "hits_at_10": None,
+        }
+        assert report["groups"]["long-tail"]["num_triples"] == 1
+        assert report["groups"]["long-tail"]["mrr"] == report["mrr"]
+        rows = (out_dir / "report.txt").read_text().splitlines()
+        assert rows[1].split() == ["frequent", "0", "--", "--", "--"]
+        assert rows[2].split()[:2] == ["long-tail", "1"]
+        assert "--" not in rows[2]
 
     @pytest.mark.parametrize("group_by, threshold", [
         ("correlation", "abc"),
@@ -440,6 +463,16 @@ class TestTrainEvaluateClassify:
         assert "u_tail.npy is missing" in err
         assert "internal error" not in err
 
+    def test_fused_train_without_artifact_profiles_is_error(self, pipeline, capsys):
+        # profiles rebuilt here would ignore the profile options the artifact was built with
+        profile_dir = os.path.join(pipeline["artifact"], "profiles")
+        shutil.rmtree(profile_dir)
+        assert train(pipeline["artifact"], str(pipeline["tmp"] / "c2"), extra=("--fusion", "linear")) == 1
+        err = capsys.readouterr().err
+        assert profile_dir in err
+        assert "internal error" not in err
+        assert train(pipeline["artifact"], str(pipeline["tmp"] / "c3")) == 0
+
     def test_checkpoint_profile_mismatch_is_validation_error(self, pipeline, capsys):
         path = os.path.join(pipeline["checkpoint"], "profiles", "u_tail.npy")
         np.save(path, np.load(path)[:, :, :5])
@@ -622,6 +655,18 @@ class TestInputErrors:
         monkeypatch.setattr("litrel.cli.load_triples", refuse)
         assert preprocess(dataset, str(tmp_path / "artifact")) == 1
         self.assert_error(capsys, "Permission denied", dataset["train"])
+
+    @pytest.mark.parametrize("text, error", [
+        ("p0\t\ttrain\np3\t\ttest\n", ":1: empty class label"),
+        ("p0\tperson\ttrain\n\tperson\ttest\n", ":2: empty node label"),
+    ])
+    def test_empty_label_in_label_file_is_parse_error(self, pipeline, capsys, text, error):
+        labels = pipeline["tmp"] / "empty_label.tsv"
+        labels.write_text(text)
+        assert main(["--output-dir", str(pipeline["tmp"] / "cls"), "classify",
+                     "--artifact-dir", pipeline["artifact"], "--checkpoint-dir", pipeline["checkpoint"],
+                     "--labels-path", str(labels), "--knn-k", "1"]) == 1
+        self.assert_error(capsys, f"{labels}{error}")
 
     @pytest.mark.parametrize("name", ["train", "literals", "labels"])
     def test_non_utf8_input_is_parse_error(self, dataset, pipeline, capsys, name):
