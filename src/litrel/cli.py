@@ -41,7 +41,7 @@ from litrel.evaluation import (
     group_by_frequency,
     save_report,
 )
-from litrel.serialize import load_json, save_json
+from litrel.serialize import check_replaceable, current, load_json, replacing, save_json
 from litrel.training import Key, TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -106,8 +106,9 @@ def train_config_from(config: dict) -> TrainConfig:
 
 
 def echo_config(config: dict, directory: str) -> None:
-    os.makedirs(directory, exist_ok=True)
-    save_json(os.path.join(directory, "config.json"), config)
+    """Write ``config.json`` into an existing output directory, swapped in whole."""
+    with replacing(os.path.join(directory, "config.json")) as tmp:
+        save_json(tmp, config)
 
 
 def _load_split(path: str | None):
@@ -120,6 +121,8 @@ def cmd_preprocess(config: dict, train_cfg: TrainConfig, output_dir: str) -> int
         raise ConfigError("preprocess requires train_path")
     if train_cfg.fusion_enabled and config["literals_path"] is None:
         raise ConfigError("fusion is enabled but no literals_path is configured")
+    artifact_dir = config["artifact_dir"] or os.path.join(output_dir, "artifact")
+    check_replaceable(artifact_dir, "graph.json", "artifact_dir")
     train = load_triples(config["train_path"])
     valid = _load_split(config["valid_path"])
     test = _load_split(config["test_path"])
@@ -127,9 +130,6 @@ def cmd_preprocess(config: dict, train_cfg: TrainConfig, output_dir: str) -> int
     graph = build_graph(train, valid, test, literals)
     options = {key: config[key] for key in ("aggregate_over_all_rows", "multiset_rows")}
     profiles = aggregation.build_profiles(graph, **options)
-    artifact_dir = config["artifact_dir"] or os.path.join(output_dir, "artifact")
-    graph.save(artifact_dir)
-    aggregation.save_profiles(profiles, os.path.join(artifact_dir, "profiles"), options)
     stats = {
         "entities": graph.num_entities,
         "relations": graph.num_relations,
@@ -140,22 +140,30 @@ def cmd_preprocess(config: dict, train_cfg: TrainConfig, output_dir: str) -> int
         "test_triples": int(graph.test.shape[0]),
         "literals": int(graph.literals.present.sum()),
     }
-    save_json(os.path.join(artifact_dir, "stats.json"), stats)
-    echo_config(config, artifact_dir)
+    with replacing(artifact_dir) as tmp:
+        graph.save(tmp)
+        aggregation.save_profiles(profiles, os.path.join(tmp, "profiles"), options)
+        save_json(os.path.join(tmp, "stats.json"), stats)
+        save_json(os.path.join(tmp, "config.json"), config)
     for key in ("entities", "relations", "triples", "attributes", "literals"):
         print(f"{key}: {stats[key]:,}")
     return 0
 
 
-def _load_artifact(config: dict) -> KnowledgeGraph:
-    artifact_dir = config["artifact_dir"]
-    if artifact_dir is None or not os.path.isdir(artifact_dir):
-        raise ConfigError(f"artifact_dir {artifact_dir!r} does not exist; run preprocess first")
-    return KnowledgeGraph.load(artifact_dir)
+def _load_artifact(config: dict) -> tuple[KnowledgeGraph, str]:
+    """The configured artifact and the directory it was read from.
+
+    That is ``artifact_dir``, or ``<artifact_dir>.old`` when a
+    preprocess was killed between the two renames of its swap.
+    """
+    artifact_dir = current(config["artifact_dir"]) if config["artifact_dir"] else None
+    if artifact_dir is None:
+        raise ConfigError(f"artifact_dir {config['artifact_dir']!r} does not exist; run preprocess first")
+    return KnowledgeGraph.load(artifact_dir), artifact_dir
 
 
-def _load_checkpoint(config: dict):
-    """Load the configured checkpoint, which must come from the configured artifact.
+def _load_checkpoint(config: dict, artifact_dir: str):
+    """Load the configured checkpoint, which must come from the artifact in ``artifact_dir``.
 
     The SHA-256 digests of the artifact's vocabulary files recorded at
     training time must equal those of ``artifact_dir``; otherwise the
@@ -165,7 +173,7 @@ def _load_checkpoint(config: dict):
         raise ConfigError("checkpoint_dir is not set; run train first")
     state, history = training.load_checkpoint(config["checkpoint_dir"])
     recorded = state.artifact if isinstance(state.artifact, dict) else {}
-    digests = vocabulary_digests(config["artifact_dir"])
+    digests = vocabulary_digests(artifact_dir)
     differ = [name for name, digest in digests.items() if recorded.get(name) != digest]
     if differ:
         raise ConfigError(
@@ -177,16 +185,16 @@ def _load_checkpoint(config: dict):
 
 def cmd_train(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
     """Train a model from a preprocessed artifact."""
-    graph = _load_artifact(config)
+    checkpoint_dir = config["checkpoint_dir"] or os.path.join(output_dir, "checkpoint")
+    check_replaceable(checkpoint_dir, "checkpoint.json", "checkpoint_dir")
+    graph, artifact_dir = _load_artifact(config)
     profiles = None
     if train_cfg.fusion_enabled:
-        profiles = aggregation.load_profiles(os.path.join(config["artifact_dir"], "profiles"),
+        profiles = aggregation.load_profiles(os.path.join(artifact_dir, "profiles"),
                                              graph.num_relations, graph.num_attributes)
     state, history = training.train(graph, train_cfg, profiles=profiles)
-    state.artifact = vocabulary_digests(config["artifact_dir"])
-    checkpoint_dir = config["checkpoint_dir"] or os.path.join(output_dir, "checkpoint")
-    training.save_checkpoint(state, history, checkpoint_dir)
-    echo_config(config, checkpoint_dir)
+    state.artifact = vocabulary_digests(artifact_dir)
+    training.save_checkpoint(state, history, checkpoint_dir, config)
     if history["loss"]:
         print(f"final loss: {history['loss'][-1]:.6f} over {train_cfg.epochs} epochs")
     print(f"trainable parameters: {state.parameter_count():,}")
@@ -209,8 +217,8 @@ def _parse_threshold(raw, graph: KnowledgeGraph, group_by: str) -> float:
 
 def cmd_evaluate(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
     """Filtered link-prediction metrics."""
-    graph = _load_artifact(config)
-    state, _ = _load_checkpoint(config)
+    graph, artifact_dir = _load_artifact(config)
+    state, _ = _load_checkpoint(config, artifact_dir)
     grouping = None
     if config["group_by"] == "frequency":
         grouping = group_by_frequency(
@@ -236,10 +244,10 @@ def cmd_evaluate(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
 
 def cmd_classify(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
     """Node classification from a checkpoint."""
-    graph = _load_artifact(config)
+    graph, artifact_dir = _load_artifact(config)
     if config["labels_path"] is None:
         raise ConfigError("classify requires labels_path")
-    state, _ = _load_checkpoint(config)
+    state, _ = _load_checkpoint(config, artifact_dir)
     labeled = load_labeled_nodes(config["labels_path"], graph)
     train_feats = export_embeddings(state, labeled.train_nodes)
     test_feats = export_embeddings(state, labeled.test_nodes)
@@ -257,17 +265,20 @@ def cmd_classify(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
         )
         predictions = model.predict(test_feats)
     score = micro_f1(predictions, labeled.test_labels)
+    # --output-dir may be shared or "."; each file is swapped in on its own
     os.makedirs(output_dir, exist_ok=True)
-    with open(os.path.join(output_dir, "predictions.tsv"), "w", encoding="utf-8") as fh:
+    with (replacing(os.path.join(output_dir, "predictions.tsv")) as tmp,
+          open(tmp, "w", encoding="utf-8") as fh):
         for node, pred in zip(labeled.test_nodes, predictions):
             fh.write(f"{graph.entities.labels[node]}\t{labeled.label_names[pred]}\n")
     counts = confusion_counts(predictions, labeled.test_labels, len(labeled.label_names))
-    save_json(os.path.join(output_dir, "classification.json"), {
-        "classifier": classifier,
-        "micro_f1": score,
-        "labels": labeled.label_names,
-        "confusion": counts.tolist(),
-    })
+    with replacing(os.path.join(output_dir, "classification.json")) as tmp:
+        save_json(tmp, {
+            "classifier": classifier,
+            "micro_f1": score,
+            "labels": labeled.label_names,
+            "confusion": counts.tolist(),
+        })
     echo_config(config, output_dir)
     print(f"micro-F1 ({classifier}): {score:.4f}")
     return 0

@@ -34,7 +34,7 @@ import numpy as np
 from litrel import scoring
 from litrel.data import KnowledgeGraph
 from litrel.errors import ValidationError
-from litrel.serialize import save_json
+from litrel.serialize import replacing, save_json
 
 TIE_POLICIES = ("realistic", "optimistic", "pessimistic")
 
@@ -300,7 +300,9 @@ def evaluate(
 
 
 def save_report(report: EvaluationReport, json_path: str, table_path: str | None = None) -> None:
-    save_json(json_path, report.to_dict())
+    """Write the report as JSON and, given ``table_path``, as a table; each file is swapped in whole."""
+    with replacing(json_path) as tmp:
+        save_json(tmp, report.to_dict())
     if table_path is not None:
-        with open(table_path, "w", encoding="utf-8") as fh:
+        with replacing(table_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             fh.write(report.to_table() + "\n")

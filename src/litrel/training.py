@@ -26,7 +26,6 @@ from __future__ import annotations
 import logging
 import math
 import os
-import shutil
 from dataclasses import asdict, dataclass, field, fields
 from numbers import Integral, Real
 
@@ -46,7 +45,7 @@ from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, TrainingError
 from litrel.kernels import NUM_STATS
 from litrel.scoring import MODEL_KINDS, EmbeddingTables
-from litrel.serialize import load_arrays, load_json, save_arrays, save_json
+from litrel.serialize import current, load_arrays, load_json, replacing, save_arrays, save_json
 
 logger = logging.getLogger(__name__)
 
@@ -456,32 +455,23 @@ def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
 # --- checkpointing ------------------------------------------------------
 
 
-def save_checkpoint(state: ModelState, history: dict, directory: str) -> None:
+def save_checkpoint(state: ModelState, history: dict, directory: str, config: dict | None = None) -> None:
     """Write a checkpoint directory so that an interruption leaves a valid one.
 
-    The new checkpoint is written to ``<directory>.tmp``; the old one is
-    renamed to ``<directory>.old`` before the new one is renamed into
-    place, and deleted only after that.  If the process dies between the
-    two renames, :func:`load_checkpoint` reads ``<directory>.old``.
+    The directory is swapped in whole by :func:`litrel.serialize.replacing`;
+    ``config``, the command's effective configuration, is written next
+    to it as ``config.json`` inside the same swap.
     """
-    base = directory.rstrip("/")
-    tmp, old = base + ".tmp", base + ".old"
-    if os.path.exists(tmp):
-        shutil.rmtree(tmp)
-    os.makedirs(tmp)
-    meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.config), "artifact": state.artifact}
-    save_json(os.path.join(tmp, "checkpoint.json"), meta)
-    save_arrays(os.path.join(tmp, "params"), state.parameters())
-    if state.profiles is not None:
-        save_profiles(state.profiles, os.path.join(tmp, "profiles"))
-    save_json(os.path.join(tmp, "history.json"), history)
-    if os.path.exists(directory):
-        if os.path.exists(old):
-            shutil.rmtree(old)
-        os.rename(directory, old)
-    os.rename(tmp, directory)
-    if os.path.exists(old):
-        shutil.rmtree(old)
+    with replacing(directory) as tmp:
+        os.makedirs(tmp)
+        meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.config), "artifact": state.artifact}
+        save_json(os.path.join(tmp, "checkpoint.json"), meta)
+        save_arrays(os.path.join(tmp, "params"), state.parameters())
+        if state.profiles is not None:
+            save_profiles(state.profiles, os.path.join(tmp, "profiles"))
+        save_json(os.path.join(tmp, "history.json"), history)
+        if config is not None:
+            save_json(os.path.join(tmp, "config.json"), config)
 
 
 def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
@@ -492,12 +482,10 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
     ``directory`` is missing but an interrupted :func:`save_checkpoint`
     left ``<directory>.old``, that checkpoint is read.
     """
-    if not os.path.isdir(directory):
-        old = directory.rstrip("/") + ".old"
-        if not os.path.isdir(old):
-            raise ConfigError(f"checkpoint_dir {directory!r} does not exist")
-        logger.warning("%s is missing; reading the previous checkpoint %s", directory, old)
-        directory = old
+    found = current(directory)
+    if found is None:
+        raise ConfigError(f"checkpoint_dir {directory!r} does not exist")
+    directory = found
     meta = load_json(os.path.join(directory, "checkpoint.json"))
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise ConfigError(f"{directory}: checkpoint.json has no config object")

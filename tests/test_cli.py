@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from litrel.cli import KEYS, build_parser, main
+from litrel.data import vocabulary_digests
+from litrel.evaluation import EvaluationReport
 from litrel.serialize import load_arrays, save_arrays
 from litrel.training import TrainConfig
 
@@ -520,6 +522,168 @@ class TestDeterminism:
         p1 = load_arrays(os.path.join(c1, "params"))
         p2 = load_arrays(os.path.join(c2, "params"))
         assert not np.array_equal(p1["entity"], p2["entity"])
+
+
+def evaluate(artifact_dir, checkpoint_dir, output_dir):
+    return main(["--output-dir", output_dir, "evaluate",
+                 "--artifact-dir", artifact_dir, "--checkpoint-dir", checkpoint_dir])
+
+
+def classify(artifact_dir, checkpoint_dir, output_dir, labels_path):
+    return main(["--seed", "0", "--output-dir", output_dir, "classify",
+                 "--artifact-dir", artifact_dir, "--checkpoint-dir", checkpoint_dir,
+                 "--labels-path", labels_path])
+
+
+def snapshot(*directories):
+    """{path: (inode, bytes)} of every file under ``directories``."""
+    files = {}
+    for directory in directories:
+        for root, _, names in os.walk(directory):
+            for name in names:
+                path = os.path.join(root, name)
+                files[path] = (os.stat(path).st_ino, Path(path).read_bytes())
+    return files
+
+
+def fail_if_called(*args, **kwargs):
+    raise AssertionError("work started before the output directory was checked")
+
+
+class TestOutputSwap:
+    """Outputs are written beside their target and renamed into place, never rewritten in place."""
+
+    def test_rerun_swaps_every_output_in_whole(self, dataset, tmp_path, monkeypatch):
+        artifact, checkpoint, out = (str(tmp_path / name) for name in ("artifact", "checkpoint", "out"))
+
+        def run():
+            # a trailing "/" must still put the .tmp/.old siblings next to the directory
+            assert preprocess(dataset, artifact + "/") == 0
+            assert train(artifact, checkpoint + "/", extra=("--fusion", "linear")) == 0
+            # evaluate and classify share one output directory
+            assert evaluate(artifact, checkpoint, out) == 0
+            assert classify(artifact, checkpoint, out, dataset["labels"]) == 0
+
+        run()
+        first = snapshot(artifact, checkpoint, out)
+        renames = []
+        for name in ("rename", "replace"):
+            def record(src, dst, *args, real=getattr(os, name), **kwargs):
+                renames.append((dst, os.path.lexists(dst)))
+                return real(src, dst, *args, **kwargs)
+            monkeypatch.setattr(os, name, record)
+        run()
+        monkeypatch.undo()
+        second = snapshot(artifact, checkpoint, out)
+        assert set(second) == set(first)
+        assert {path for path in first if second[path][0] == first[path][0]} == set()
+        assert {path: data for path, (_, data) in second.items()} == \
+            {path: data for path, (_, data) in first.items()}
+        assert renames and [dst for dst, existed in renames if existed] == []
+        leftovers = [name for _, dirs, names in os.walk(tmp_path) for name in dirs + names
+                     if name.endswith((".tmp", ".old"))]
+        assert leftovers == []
+
+    def test_failed_classification_write_keeps_previous_outputs(self, dataset, pipeline, monkeypatch):
+        out = str(pipeline["tmp"] / "out")
+        assert classify(pipeline["artifact"], pipeline["checkpoint"], out, dataset["labels"]) == 0
+        before = snapshot(out)
+        dump = json.dump
+
+        def dump_fails_midway(document, fh, **kwargs):
+            if "classification.json" in fh.name:
+                fh.write("{")
+                raise OSError(28, "No space left on device")
+            dump(document, fh, **kwargs)
+
+        monkeypatch.setattr(json, "dump", dump_fails_midway)
+        assert classify(pipeline["artifact"], pipeline["checkpoint"], out, dataset["labels"]) == 2
+        assert sorted(os.listdir(out)) == ["classification.json", "config.json", "predictions.tsv"]
+        assert {p: data for p, (_, data) in snapshot(out).items()} == \
+            {p: data for p, (_, data) in before.items()}
+
+    def test_failed_report_write_keeps_previous_outputs(self, pipeline, monkeypatch):
+        out = str(pipeline["tmp"] / "out")
+        assert evaluate(pipeline["artifact"], pipeline["checkpoint"], out) == 0
+        before = snapshot(out)
+
+        def table_fails(self):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(EvaluationReport, "to_table", table_fails)
+        assert evaluate(pipeline["artifact"], pipeline["checkpoint"], out) == 2
+        assert sorted(os.listdir(out)) == ["config.json", "report.json", "report.txt"]
+        assert {p: data for p, (_, data) in snapshot(out).items()} == \
+            {p: data for p, (_, data) in before.items()}
+
+    def test_failed_artifact_swap_leaves_a_usable_artifact(self, dataset, pipeline, monkeypatch, caplog):
+        tmp, artifact = pipeline["tmp"], pipeline["artifact"]
+        rename = os.rename
+
+        def rename_fails_for_new_artifact(src, dst):
+            if src.endswith(".tmp"):
+                raise OSError("killed before the new artifact was in place")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", rename_fails_for_new_artifact)
+        assert preprocess(dataset, artifact) == 2
+        monkeypatch.undo()
+        assert not os.path.exists(artifact)
+        checkpoint = str(tmp / "checkpoint2")
+        assert train(artifact, checkpoint, extra=("--fusion", "linear")) == 0
+        assert any("left by an interrupted write" in r.getMessage() for r in caplog.records)
+        recorded = json.loads(Path(checkpoint, "checkpoint.json").read_text())["artifact"]
+        assert recorded == vocabulary_digests(artifact + ".old")
+        assert evaluate(artifact, checkpoint, str(tmp / "eval")) == 0
+        assert classify(artifact, checkpoint, str(tmp / "cls"), dataset["labels"]) == 0
+        # the next preprocess puts the new artifact in place and drops the old one
+        assert preprocess(dataset, artifact) == 0
+        assert sorted(name for name in os.listdir(tmp) if name.startswith("artifact")) == ["artifact"]
+
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    @pytest.mark.parametrize("spelling", ["victim", "victim/"])
+    def test_foreign_directory_is_refused_before_work(self, dataset, pipeline, capsys, monkeypatch,
+                                                      command, spelling):
+        tmp = pipeline["tmp"]
+        (tmp / "victim").mkdir()
+        (tmp / "victim" / "notes.txt").write_text("keep me\n")
+        monkeypatch.setattr("litrel.cli.load_triples", fail_if_called)
+        monkeypatch.setattr("litrel.training.train", fail_if_called)
+        directory = str(tmp / spelling)
+        if command == "preprocess":
+            code = preprocess(dataset, directory)
+        else:
+            code = train(pipeline["artifact"], directory)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(tmp / "victim") in err
+        assert "internal error" not in err
+        assert os.listdir(tmp / "victim") == ["notes.txt"]
+        assert (tmp / "victim" / "notes.txt").read_text() == "keep me\n"
+        assert not [name for name in os.listdir(tmp) if name.startswith("victim.")]
+
+    @pytest.mark.parametrize("command, marker", [("preprocess", "graph.json"),
+                                                 ("train", "checkpoint.json")])
+    @pytest.mark.parametrize("directory, inside", [(".", ""), ("..", "sub")])
+    def test_working_directory_is_refused_before_work(self, dataset, pipeline, capsys, monkeypatch,
+                                                      command, marker, directory, inside):
+        # a previous output, so only the working-directory rule refuses it
+        target = Path(pipeline["artifact"] if command == "preprocess" else pipeline["checkpoint"])
+        (target / inside).mkdir(exist_ok=True)
+        before = snapshot(target)
+        monkeypatch.chdir(target / inside)
+        monkeypatch.setattr("litrel.cli.load_triples", fail_if_called)
+        monkeypatch.setattr("litrel.training.train", fail_if_called)
+        if command == "preprocess":
+            code = preprocess(dataset, directory)
+        else:
+            code = train(pipeline["artifact"], directory)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{directory!r} is or contains the working directory" in err
+        assert snapshot(target) == before
+        assert not [name for name in os.listdir(target.parent) if name.endswith((".tmp", ".old"))]
+        assert (target / marker).exists()
 
 
 class TestConfigPrecedence:
