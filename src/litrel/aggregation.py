@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from litrel import kernels, scoring
+from litrel import kernels
 from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, ValidationError
 from litrel.kernels import NUM_STATS, STAT_NAMES
@@ -25,17 +25,6 @@ from litrel.serialize import load_arrays, save_arrays, save_json
 AGGREGATION_KINDS = STAT_NAMES + ("learnable",)
 
 HEAD, TAIL = 0, 2  # triple column of the side entity
-
-
-def collect_side_rows(graph: KnowledgeGraph, relation: int, side: str) -> set[int]:
-    """Distinct entities on the given side of a relation in the training split."""
-    if not 0 <= relation < graph.num_relations:
-        raise ValidationError(f"relation index {relation} out of range")
-    if side not in ("head", "tail"):
-        raise ValidationError(f"side must be 'head' or 'tail', got {side!r}")
-    column = HEAD if side == "head" else TAIL
-    rows = graph.train[graph.train[:, 1] == relation, column]
-    return set(int(e) for e in rows)
 
 
 def build_profiles(
@@ -51,27 +40,30 @@ def build_profiles(
     of distinct entities occurring on that side of the relation in
     training.  With ``aggregate_over_all_rows`` the statistics instead run
     over all |E| rows with non-participating rows zeroed (the
-    dilute-toward-zero reading, kept for ablation); ``count`` still counts
-    present cells of participating rows only.  With ``multiset_rows`` an
-    entity contributes once per training triple it appears in.
+    dilute-toward-zero reading, kept for ablation; the literal values
+    must be >= 0, as normalized ones are); ``count`` still counts present
+    cells of participating rows only, and an entity counts once however
+    many triples it is in.  With ``multiset_rows`` (and not
+    ``aggregate_over_all_rows``) an entity contributes once per training
+    triple it appears in.
+
+    Each side is one :func:`litrel.kernels.column_stats` call over the
+    populations of all relations, sorted by (relation, entity).
     """
     values = graph.literals.values
-    present = graph.literals.present
     num_entities = graph.num_entities
+    if aggregate_over_all_rows and (values < 0).any():
+        raise ValidationError("aggregate_over_all_rows needs literal values >= 0")
     shape = (graph.num_relations, graph.num_attributes, NUM_STATS)
     profiles = np.zeros(shape), np.zeros(shape)
-    for relation, rows in scoring.relation_groups(graph.train[:, 1]):
-        for u, column in zip(profiles, (HEAD, TAIL)):
-            members = graph.train[rows, column]
-            members = np.sort(members) if multiset_rows else np.unique(members)
-            if aggregate_over_all_rows:
-                padded = np.zeros((num_entities, graph.num_attributes))
-                padded[members] = values[members]
-                padded_mask = np.zeros((num_entities, graph.num_attributes), dtype=bool)
-                padded_mask[members] = present[members]
-                u[relation] = kernels.column_stats(padded, padded_mask)
-            else:
-                u[relation] = kernels.column_stats(values[members], present[members])
+    for u, column in zip(profiles, (HEAD, TAIL)):
+        keys = graph.train[:, 1] * num_entities + graph.train[:, column]
+        keys = np.sort(keys) if multiset_rows and not aggregate_over_all_rows else np.unique(keys)
+        relations, members = np.divmod(keys, num_entities)
+        starts = np.flatnonzero(np.diff(relations, prepend=-1))
+        zeros = num_entities - np.diff(starts, append=len(keys)) if aggregate_over_all_rows else None
+        u[relations[starts]] = kernels.column_stats(
+            values[members], graph.literals.present[members], starts, zeros)
     return profiles
 
 

@@ -17,6 +17,7 @@ numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import os
@@ -315,15 +316,35 @@ COMMANDS = {
 }
 
 
+@contextlib.contextmanager
+def _logging_to_stderr(verbose: bool):
+    """Log to the current ``sys.stderr`` while a command runs.
+
+    Only when the root logger has no handler: an application that
+    installed its own keeps them, and gets the records instead.
+    """
+    root = logging.getLogger()
+    if root.handlers:
+        yield
+        return
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    level = root.level
+    root.addHandler(handler)
+    root.setLevel(logging.DEBUG if verbose else logging.INFO)
+    try:
+        yield
+    finally:
+        root.removeHandler(handler)
+        root.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
-        config = apply_overrides(load_config(args.config), args)
-        return COMMANDS[args.command](config, train_config_from(config), args.output_dir)
+        with _logging_to_stderr(args.verbose):
+            config = apply_overrides(load_config(args.config), args)
+            return COMMANDS[args.command](config, train_config_from(config), args.output_dir)
     except (ParseError, ValidationError, FileNotFoundError, IsADirectoryError,
             NotADirectoryError, FileExistsError, PermissionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

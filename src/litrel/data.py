@@ -6,6 +6,10 @@ File formats are plain UTF-8 text, one record per line, tab-separated:
 * literal file:  ``entity<TAB>attribute<TAB>value`` with a decimal or
   scientific-notation real value
 
+The readers take a file in chunks of whole lines and split each chunk
+in bulk, interning labels into integer ids (:class:`Records`); only the
+error path reads a file line by line, to name the line that failed.
+
 A preprocessed graph serializes to a directory holding one vocabulary
 text file per vocabulary (line number = index) and an ``arrays.npz``
 dump of the triple stores and the normalized literal matrix.
@@ -18,7 +22,9 @@ import hashlib
 import logging
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain, count
 
 import numpy as np
 
@@ -223,12 +229,22 @@ def _bad_line(path: str, lineno: int, fields: list[str], labels: tuple[str, ...]
     return ParseError(f"{path}:{lineno}: empty {name} label")
 
 
+def _undecodable(path: str, exc: UnicodeDecodeError) -> ParseError:
+    """The error for a file that is not UTF-8, naming its first undecodable line."""
+    # the same line splitting, with each undecodable byte read as a surrogate U+DC80..U+DCFF
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lineno = next(lineno for lineno, line in enumerate(fh, start=1)
+                      if any("\udc80" <= char <= "\udcff" for char in line))
+    return ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})")
+
+
 def read_tsv(path: str):
     """Yield ``(lineno, fields)`` for each non-empty line of a tab-separated UTF-8 file.
 
-    Lines are streamed, never read all at once.  Bytes that are not
-    UTF-8 raise a :class:`ParseError` naming the line; only then is the
-    file read a second time, to find that line.
+    The per-line reader: it serves small files such as label files, and
+    the error path of the bulk readers, which rescan a file
+    with it to name the line that failed.  Bytes that are not UTF-8
+    raise a :class:`ParseError` naming the line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -237,45 +253,131 @@ def read_tsv(path: str):
                 if line:
                     yield lineno, line.split("\t")
     except UnicodeDecodeError as exc:
-        # the same line splitting, with each undecodable byte read as a surrogate U+DC80..U+DCFF
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            lineno = next(lineno for lineno, line in enumerate(fh, start=1)
-                          if any("\udc80" <= char <= "\udcff" for char in line))
-        raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+        raise _undecodable(path, exc) from None
 
 
-def load_triples(path: str) -> list[tuple[str, str, str]]:
-    """Read a tab-separated triple file into (head, relation, tail) labels.
+CHUNK_CHARS = 1 << 16
+
+
+def _line_chunks(path: str):
+    """Yield the non-empty lines of a UTF-8 text file as lists, a chunk at a time.
+
+    A chunk is about ``CHUNK_CHARS`` characters of whole lines, so a file
+    is never read all at once.  A line ends at ``\n``, ``\r\n`` or a
+    lone ``\r``, as :func:`read_tsv` counts them.  Bytes that are not
+    UTF-8 raise a :class:`ParseError` naming the line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            while chunk := fh.read(CHUNK_CHARS) + fh.readline():
+                lines = list(filter(None, chunk.split("\n")))
+                if lines:
+                    yield lines
+    except UnicodeDecodeError as exc:
+        raise _undecodable(path, exc) from None
+
+
+def _rescan(path: str, check) -> ParseError:
+    """The error ``check(lineno, fields)`` raises on the first bad line of ``path``."""
+    for lineno, fields in read_tsv(path):
+        check(lineno, fields)
+    return ParseError(f"{path}: changed while it was read")
+
+
+# the label table of each label field: entities 0, relations or attributes 1
+_KINDS = {False: (0, 1, 0), True: (0, 1)}
+
+
+def _tables():
+    """Two empty label tables; looking up a new label gives it the next id."""
+    return defaultdict(count().__next__), defaultdict(count().__next__)
+
+
+def _interned(tables, kinds, columns) -> np.ndarray:
+    """(n, len(kinds)) ids of the label columns, each interned in ``tables[kind]``."""
+    return np.stack([np.fromiter(map(tables[kind].__getitem__, column), np.int64, len(column))
+                     for kind, column in zip(kinds, columns)], axis=1)
+
+
+@dataclass
+class Records:
+    """The records of one input file, with their labels interned as ids.
+
+    ``ids`` has one row per record, in file order: (head, relation, tail)
+    for a triple file, (entity, attribute) for a literal file.  Column 1
+    indexes ``labels[1]`` (relation or attribute labels), the other
+    columns index ``labels[0]`` (entity labels); an id is the order of
+    the label's first appearance.  A literal file's values are
+    ``values``, one per record.
+    """
+
+    ids: np.ndarray  # int64, (n, 3) or (n, 2)
+    labels: tuple[list[str], list[str]]
+    values: np.ndarray | None = None  # float64, (n,)
+
+
+def _load_records(path: str, check, literal: bool) -> Records:
+    """Parse a three-field file in bulk, a chunk of lines at a time.
+
+    Each chunk is split once, its labels are interned through one table
+    per label kind and its values parsed with ``float``.  When a chunk
+    holds a bad line, :func:`_rescan` finds the first one with ``check``.
+    """
+    tables = _tables()
+    kinds = _KINDS[literal]
+    ids, values = [], []
+    for lines in _line_chunks(path):
+        # a "\n" field between lines: each line has 3 fields iff they sit at every 4th place
+        fields = "\t\n\t".join(lines).split("\t")
+        if len(fields) != 4 * len(lines) - 1 or fields[3::4].count("\n") != len(lines) - 1:
+            raise _rescan(path, check)
+        labels = [fields[i::4] for i in range(len(kinds))]
+        if any("" in column for column in labels):
+            raise _rescan(path, check)
+        ids.append(_interned(tables, kinds, labels))
+        if literal:
+            try:
+                values.append(np.fromiter(map(float, fields[2::4]), np.float64, len(lines)))
+            except ValueError:
+                raise _rescan(path, check) from None
+            if not np.isfinite(values[-1]).all():
+                raise _rescan(path, check)
+    ids = np.concatenate(ids) if ids else np.empty((0, len(kinds)), dtype=np.int64)
+    return Records(ids, (list(tables[0]), list(tables[1])),
+                   np.concatenate(values or [np.empty(0)]) if literal else None)
+
+
+def load_triples(path: str) -> Records:
+    """Read a tab-separated triple file into (head, relation, tail) records.
 
     Order and duplicates are preserved; deduplication happens in
     :func:`build_graph` where it can be reported.
     """
-    triples = []
-    for lineno, fields in read_tsv(path):
+    def check(lineno, fields):
         if len(fields) != 3 or "" in fields:
             raise _bad_line(path, lineno, fields, ("head", "relation", "tail"))
-        triples.append((fields[0], fields[1], fields[2]))
-    return triples
+
+    return _load_records(path, check, literal=False)
 
 
-def load_literals(path: str) -> list[tuple[str, str, float]]:
-    """Read a literal file into (entity, attribute, value) records.
+def load_literals(path: str) -> Records:
+    """Read a literal file into (entity, attribute) records and their values.
 
+    Values parse as Python ``float`` does (``1e3``, ``1_000``).
     Non-finite values are rejected: the literal matrix must stay finite.
     """
-    literals = []
-    for lineno, fields in read_tsv(path):
+    def check(lineno, fields):
         if len(fields) != 3 or not fields[0] or not fields[1]:
             raise _bad_line(path, lineno, fields, ("entity", "attribute"))
-        entity, attribute, token = fields
+        token = fields[2]
         try:
             value = float(token)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: cannot parse numeric value {token!r}") from None
         if not math.isfinite(value):
             raise ParseError(f"{path}:{lineno}: non-finite value {token!r}")
-        literals.append((entity, attribute, value))
-    return literals
+
+    return _load_records(path, check, literal=True)
 
 
 def date_to_decimal(year: int, month: int, day: int) -> float:
@@ -291,72 +393,86 @@ def date_to_decimal(year: int, month: int, day: int) -> float:
     return (year * 10000 + month * 100 + day) / 10000.0
 
 
+def _records(rows, literal: bool) -> Records:
+    """``rows`` as :class:`Records`: records as they are, else a sequence of label tuples."""
+    if isinstance(rows, Records):
+        return rows
+    columns = list(zip(*rows)) or [()] * 3
+    tables = _tables()
+    ids = _interned(tables, _KINDS[literal], columns)
+    return Records(ids, (list(tables[0]), list(tables[1])),
+                   np.array(columns[2], dtype=np.float64) if literal else None)
+
+
+def _repeated(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an integer array that equal an earlier row."""
+    order = np.lexsort(rows.T)  # stable: equal rows stay in input order
+    ordered = rows[order]
+    repeated = np.zeros(len(rows), dtype=bool)
+    repeated[order[1:][(ordered[1:] == ordered[:-1]).all(axis=1)]] = True
+    return repeated
+
+
 def build_graph(train, valid, test, literals) -> KnowledgeGraph:
-    """Index label-level triples and literals into a KnowledgeGraph.
+    """Index triples and literals into a KnowledgeGraph.
 
-    Vocabularies cover every label appearing in any split or literal
-    record, so valid/test entities are always resolvable.  Duplicate
-    triples within a split and repeated (entity, attribute) literal
-    assertions are reported via logging; the latter resolve
-    last-write-wins.  Normalization statistics use the full literal set.
+    Each split is :class:`Records` from :func:`load_triples` or a
+    sequence of (head, relation, tail) labels; ``literals`` is
+    :class:`Records` from :func:`load_literals` or a sequence of
+    (entity, attribute, value).  Vocabularies cover every label
+    appearing in any split or literal record, so valid/test entities are
+    always resolvable.  Duplicate triples within a split and repeated
+    (entity, attribute) literal assertions are reported via logging; the
+    latter resolve last-write-wins.  Normalization statistics use the
+    full literal set.
     """
-    entity_labels = set()
-    relation_labels = set()
-    attribute_labels = set()
-    for split in (train, valid, test):
-        for head, relation, tail in split:
-            entity_labels.add(head)
-            entity_labels.add(tail)
-            relation_labels.add(relation)
-    for entity, attribute, _ in literals:
-        entity_labels.add(entity)
-        attribute_labels.add(attribute)
+    splits = [_records(split, literal=False) for split in (train, valid, test)]
+    literals = _records(literals, literal=True)
+    entities = Vocab.from_items(chain.from_iterable(r.labels[0] for r in (*splits, literals)))
+    relations = Vocab.from_items(chain.from_iterable(r.labels[1] for r in splits))
+    attributes = Vocab.from_items(literals.labels[1])
 
-    entities = Vocab.from_items(entity_labels)
-    relations = Vocab.from_items(relation_labels)
-    attributes = Vocab.from_items(attribute_labels)
+    def indexed(records, vocabs):
+        """The records' ids as vocabulary indices, column by column."""
+        lookup = [np.fromiter(map(vocab.index.__getitem__, labels), np.int64, len(labels))
+                  for vocab, labels in zip(vocabs, records.labels)]
+        kinds = _KINDS[records.values is not None]
+        return np.stack([lookup[kind][records.ids[:, j]] for j, kind in enumerate(kinds)], axis=1)
 
-    def index_split(split, name):
-        seen = set()
-        rows = []
-        for head, relation, tail in split:
-            row = (entities[head], relations[relation], entities[tail])
-            if row in seen:
-                logger.warning("duplicate triple in %s split: (%s, %s, %s)", name, head, relation, tail)
-                continue
-            seen.add(row)
-            rows.append(row)
-        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    def index_split(records, name):
+        rows = indexed(records, (entities, relations))
+        repeated = _repeated(rows)
+        for i in np.flatnonzero(repeated):
+            h, r, t = rows[i]
+            logger.warning("duplicate triple in %s split: (%s, %s, %s)", name,
+                           entities.labels[h], relations.labels[r], entities.labels[t])
+        return rows[~repeated]
 
-    train_idx = index_split(train, "train")
-    valid_idx = index_split(valid, "valid")
-    test_idx = index_split(test, "test")
+    train_idx, valid_idx, test_idx = map(index_split, splits, ("train", "valid", "test"))
 
-    raw = np.zeros((len(entities), len(attributes)), dtype=np.float64)
-    present = np.zeros((len(entities), len(attributes)), dtype=bool)
-    for entity, attribute, value in literals:
-        e, a = entities[entity], attributes[attribute]
-        if present[e, a]:
-            logger.warning(
-                "duplicate literal for (%s, %s): keeping later value %r", entity, attribute, value
-            )
-        raw[e, a] = value
-        present[e, a] = True
+    cells = indexed(literals, (entities, attributes))
+    values = literals.values
+    repeated = _repeated(cells)
+    for i in np.flatnonzero(repeated):
+        e, a = cells[i]
+        logger.warning("duplicate literal for (%s, %s): keeping later value %r",
+                       entities.labels[e], attributes.labels[a], float(values[i]))
+    if repeated.any():
+        last = ~_repeated(cells[::-1])[::-1]
+        cells, values = cells[last], values[last]
+    shape = (len(entities), len(attributes))
+    raw = np.zeros(shape, dtype=np.float64)
+    present = np.zeros(shape, dtype=bool)
+    raw[cells[:, 0], cells[:, 1]] = values
+    present[cells[:, 0], cells[:, 1]] = True
 
-    raw_min = np.zeros(len(attributes), dtype=np.float64)
-    raw_max = np.zeros(len(attributes), dtype=np.float64)
-    values = np.zeros_like(raw)
-    for a in range(len(attributes)):
-        mask = present[:, a]
-        if not mask.any():
-            continue
-        lo = raw[mask, a].min()
-        hi = raw[mask, a].max()
-        raw_min[a] = lo
-        raw_max[a] = hi
-        if hi > lo:
-            values[mask, a] = (raw[mask, a] - lo) / (hi - lo)
-        # hi == lo: constant column normalizes to 0 to keep the matrix finite
+    seen = present.any(axis=0)
+    raw_min = np.where(seen, raw.min(axis=0, where=present, initial=np.inf), 0.0)
+    raw_max = np.where(seen, raw.max(axis=0, where=present, initial=-np.inf), 0.0)
+    # a constant column (raw_max == raw_min) normalizes to 0 to keep the matrix finite
+    spread = raw_max > raw_min
+    values = np.where(present & spread,
+                      (raw - raw_min) / np.where(spread, raw_max - raw_min, 1.0), 0.0)
 
     return KnowledgeGraph(
         entities=entities,

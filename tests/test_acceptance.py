@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_graph
-from litrel.aggregation import build_profiles, collect_side_rows, literal_vectors
+from litrel.aggregation import build_profiles, literal_vectors
 from litrel.cli import main as cli_main
 from litrel.data import build_graph
 from litrel.downstream import knn_classify, micro_f1, svm_train

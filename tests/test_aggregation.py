@@ -6,16 +6,16 @@ import pytest
 
 from litrel.aggregation import (
     build_profiles,
-    collect_side_rows,
     literal_vectors,
     literal_vectors_backward,
     load_profiles,
     save_profiles,
 )
 from litrel.data import build_graph
-from litrel.errors import ConfigError
+from litrel.errors import ConfigError, ValidationError
 from litrel.kernels import STAT_NAMES, column_stats
 from tests.conftest import random_graph
+from tests.test_kernels import assert_stats_match, exact_stats
 
 
 def reference_quantile(values, q):
@@ -91,19 +91,30 @@ class TestAggregateColumn:
             assert aggregate_column(values, present, kind) == pytest.approx(expected, abs=1e-9)
 
 
-class TestCollectSideRows:
+class TestSidePopulations:
+    """The populations build_profiles aggregates, read through ``count``."""
+
+    COUNT = STAT_NAMES.index("count")
+
     def test_head_side(self):
-        graph = build_graph([("a", "r", "b"), ("c", "r", "b")], [], [], [])
-        heads = collect_side_rows(graph, graph.relations["r"], "head")
-        assert heads == {graph.entities["a"], graph.entities["c"]}
+        graph = build_graph([("a", "r", "b"), ("c", "r", "b")], [], [],
+                            [("a", "x", 1.0), ("b", "x", 2.0), ("c", "x", 3.0)])
+        u_head, _ = build_profiles(graph)
+        assert u_head[graph.relations["r"], 0, self.COUNT] == 2.0
 
     def test_tail_side_dedups(self):
-        graph = build_graph([("a", "r", "b"), ("c", "r", "b")], [], [], [])
-        assert collect_side_rows(graph, graph.relations["r"], "tail") == {graph.entities["b"]}
+        graph = build_graph([("a", "r", "b"), ("c", "r", "b")], [], [],
+                            [("a", "x", 1.0), ("b", "x", 2.0), ("c", "x", 3.0)])
+        _, u_tail = build_profiles(graph)
+        assert u_tail[graph.relations["r"], 0, self.COUNT] == 1.0
 
     def test_relation_unseen_in_training(self):
-        graph = build_graph([("a", "r", "b")], [("a", "s", "b")], [], [])
-        assert collect_side_rows(graph, graph.relations["s"], "head") == set()
+        graph = build_graph([("a", "r", "b")], [("a", "s", "b")], [],
+                            [("a", "x", 1.0), ("b", "x", 2.0)])
+        u_head, u_tail = build_profiles(graph)
+        assert u_head[graph.relations["r"], 0, self.COUNT] == 1.0
+        assert not u_head[graph.relations["s"]].any()
+        assert not u_tail[graph.relations["s"]].any()
 
 
 class TestBuildProfiles:
@@ -190,6 +201,65 @@ class TestBuildProfiles:
         multi_head, _ = build_profiles(graph, multiset_rows=True)
         assert set_head[r, 0, i_mean] == pytest.approx(0.5)
         assert multi_head[r, 0, i_mean] == pytest.approx(2.0 / 3.0)
+
+
+def reference_profiles(graph, aggregate_over_all_rows=False, multiset_rows=False):
+    """The per-relation loop build_profiles replaced, on explicit population blocks.
+
+    With ``aggregate_over_all_rows`` each population is an |E| x |A|
+    block holding the members' rows and zeros elsewhere; assigning the
+    members' rows folds a repeated member into one row.
+    """
+    values, present = graph.literals.values, graph.literals.present
+    shape = (graph.num_relations, graph.num_attributes, len(STAT_NAMES))
+    profiles = np.zeros(shape), np.zeros(shape)
+    for relation in np.unique(graph.train[:, 1]):
+        rows = graph.train[:, 1] == relation
+        for u, column in zip(profiles, (0, 2)):
+            members = graph.train[rows, column]
+            members = np.sort(members) if multiset_rows else np.unique(members)
+            if aggregate_over_all_rows:
+                padded = np.zeros(values.shape)
+                padded[members] = values[members]
+                padded_mask = np.zeros(present.shape, dtype=bool)
+                padded_mask[members] = present[members]
+                u[relation] = exact_stats(padded, padded_mask)
+            else:
+                u[relation] = exact_stats(values[members], present[members])
+    return profiles
+
+
+class TestProfilesAgainstRelationLoop:
+    @pytest.mark.parametrize("aggregate_over_all_rows", [False, True])
+    @pytest.mark.parametrize("multiset_rows", [False, True])
+    def test_matches_reference(self, rng, aggregate_over_all_rows, multiset_rows):
+        options = {"aggregate_over_all_rows": aggregate_over_all_rows,
+                   "multiset_rows": multiset_rows}
+        for _ in range(20):
+            # few entities, so members repeat within a relation and zero rows are common
+            graph = random_graph(rng, num_entities=int(rng.integers(2, 12)),
+                                 num_relations=int(rng.integers(1, 6)),
+                                 num_attributes=int(rng.integers(1, 5)),
+                                 triples_per_relation=int(rng.integers(1, 15)),
+                                 literal_density=0.6)
+            for actual, expected in zip(build_profiles(graph, **options),
+                                        reference_profiles(graph, **options)):
+                assert_stats_match(actual, expected)
+
+    def test_multiset_rows_change_nothing_over_all_rows(self):
+        graph = build_graph(
+            [("e1", "r", "t"), ("e1", "r", "u"), ("e2", "r", "t")], [], [],
+            [("e1", "a", 1.0), ("e2", "a", 0.0), ("t", "a", 0.5), ("u", "a", 0.25)],
+        )
+        padded = build_profiles(graph, aggregate_over_all_rows=True)
+        both = build_profiles(graph, aggregate_over_all_rows=True, multiset_rows=True)
+        for u, v in zip(padded, both):
+            np.testing.assert_array_equal(u, v)
+
+    def test_negative_values_cannot_be_padded(self, toy_graph):
+        toy_graph.literals.values[0, 0] = -0.5
+        with pytest.raises(ValidationError, match="aggregate_over_all_rows"):
+            build_profiles(toy_graph, aggregate_over_all_rows=True)
 
 
 # every relation, one repeated: the rows follow the index array

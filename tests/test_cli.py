@@ -1,6 +1,9 @@
 import argparse
+import contextlib
 import filecmp
+import io
 import json
+import logging
 import os
 import shutil
 from pathlib import Path
@@ -161,6 +164,38 @@ class TestPreprocess:
         assert code == 1
         assert "bad.tsv:2: empty head label" in capsys.readouterr().err
         assert not artifact.exists()
+
+    def test_each_call_logs_to_the_current_stderr(self, dataset, tmp_path, monkeypatch):
+        # as in a fresh process, which has no root handler (pytest installs its own)
+        monkeypatch.setattr(logging.root, "handlers", [])
+        with open(dataset["train"], "a") as fh:
+            fh.write("p0\trents\th0\n")
+        streams = [io.StringIO(), io.StringIO()]
+        for i, stream in enumerate(streams):
+            with contextlib.redirect_stderr(stream):
+                assert preprocess(dataset, str(tmp_path / f"artifact{i}")) == 0
+        for stream in streams:
+            assert stream.getvalue() == (
+                "WARNING litrel.data: duplicate triple in train split: (p0, rents, h0)\n")
+        assert logging.root.handlers == []
+
+    def test_handlers_of_an_application_are_kept(self, dataset, tmp_path, monkeypatch):
+        messages = []
+
+        class Collect(logging.Handler):
+            def emit(self, record):
+                messages.append(record.getMessage())
+
+        handler = Collect()
+        monkeypatch.setattr(logging.root, "handlers", [handler])
+        with open(dataset["train"], "a") as fh:
+            fh.write("p0\trents\th0\n")
+        stream = io.StringIO()
+        with contextlib.redirect_stderr(stream):
+            assert preprocess(dataset, str(tmp_path / "artifact")) == 0
+        assert logging.root.handlers == [handler]
+        assert messages == ["duplicate triple in train split: (p0, rents, h0)"]
+        assert stream.getvalue() == ""
 
 
 @pytest.fixture

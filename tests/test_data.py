@@ -1,4 +1,7 @@
+import logging
+import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from litrel.data import (
     date_to_decimal,
     load_literals,
     load_triples,
+    read_tsv,
 )
 from litrel.errors import ParseError, ValidationError
 
@@ -21,13 +25,24 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def rows(records):
+    """The records as label tuples in file order; a literal's third field is its value."""
+    entities, others = records.labels
+    tables = (entities, others, entities)
+    labels = [tuple(tables[j][i] for j, i in enumerate(row)) for row in records.ids.tolist()]
+    if records.values is None:
+        return labels
+    return [(entity, attribute, value)
+            for (entity, attribute), value in zip(labels, records.values.tolist())]
+
+
 class TestLoadTriples:
     def test_basic_line(self, tmp_path):
         path = write(tmp_path, "t.tsv", "Alice\trents\tHouse1\n")
-        assert load_triples(path) == [("Alice", "rents", "House1")]
+        assert rows(load_triples(path)) == [("Alice", "rents", "House1")]
 
     def test_empty_file(self, tmp_path):
-        assert load_triples(write(tmp_path, "t.tsv", "")) == []
+        assert rows(load_triples(write(tmp_path, "t.tsv", ""))) == []
 
     def test_wrong_field_count_names_line(self, tmp_path):
         path = write(tmp_path, "t.tsv", "a\tr\tb\nbad\tline\n")
@@ -45,17 +60,17 @@ class TestLoadTriples:
 
     def test_preserves_order_and_duplicates(self, tmp_path):
         path = write(tmp_path, "t.tsv", "a\tr\tb\na\tr\tb\nc\tr\td\n")
-        assert load_triples(path) == [("a", "r", "b"), ("a", "r", "b"), ("c", "r", "d")]
+        assert rows(load_triples(path)) == [("a", "r", "b"), ("a", "r", "b"), ("c", "r", "d")]
 
 
 class TestLoadLiterals:
     def test_basic_parse(self, tmp_path):
         path = write(tmp_path, "l.tsv", "Alice\tmonthlyIncome\t3000\n")
-        assert load_literals(path) == [("Alice", "monthlyIncome", 3000.0)]
+        assert rows(load_literals(path)) == [("Alice", "monthlyIncome", 3000.0)]
 
     def test_scientific_notation(self, tmp_path):
         path = write(tmp_path, "l.tsv", "House1\tmonthlyRent\t1e3\n")
-        assert load_literals(path) == [("House1", "monthlyRent", 1000.0)]
+        assert rows(load_literals(path)) == [("House1", "monthlyRent", 1000.0)]
 
     def test_nan_rejected(self, tmp_path):
         path = write(tmp_path, "l.tsv", "Alice\tmonthlyIncome\tNaN\n")
@@ -192,3 +207,123 @@ class TestLabelRoundTrip:
             build_graph([("a", "r", label)], [], [], [])
         with pytest.raises(ValidationError, match="label"):
             build_graph([("a", "r", "b")], [], [], [("a", label, 1.0)])
+
+
+FIELD = st.text(st.sampled_from("ab\x00é\x0b\x85 "), min_size=1, max_size=3)
+ENDINGS = ["\n", "\r\n", "\r", "\n\n", "\r\r\n"]
+
+
+class TestBulkReader:
+    """Files of several chunks: the bulk path against what each line says."""
+
+    @staticmethod
+    def triple_lines(count):
+        return [f"h{i % 97}\tr{i % 5}\tt{i}" for i in range(count)]
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["1", "7", "default"])
+    def test_line_endings_and_blank_lines_across_chunks(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr("litrel.data.CHUNK_CHARS", chunk)
+        lines = self.triple_lines(15000)
+        endings = ["\n", "\r\n", "\r", "\n\n", "\r\n\r\n", "\r\r"]  # the last three add a blank line
+        text = "".join(line + endings[i % len(endings)] for i, line in enumerate(lines))
+        path = tmp_path / "t.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert len(text) > 3 * 65536
+        assert rows(load_triples(str(path))) == [tuple(line.split("\t")) for line in lines]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(FIELD, FIELD, FIELD, st.sampled_from(ENDINGS)), max_size=12),
+           st.integers(1, 30))
+    def test_matches_the_line_reader(self, lines, chunk):
+        text = "".join("\t".join(fields) + ending for *fields, ending in lines)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "t.tsv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            with mock.patch("litrel.data.CHUNK_CHARS", chunk):
+                assert rows(load_triples(path)) == [tuple(fields) for *fields, _ in lines]
+            assert [tuple(fields) for _, fields in read_tsv(path)] == rows(load_triples(path))
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = write(tmp_path, "l.tsv", "a\tx\t1\n\nb\tx\t2")
+        assert rows(load_literals(path)) == [("a", "x", 1.0), ("b", "x", 2.0)]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("h\tr", "expected 3 tab-separated fields, got 2"),
+        ("h\tr\tt\tx", "expected 3 tab-separated fields, got 4"),
+        ("h\t\tt", "empty relation label"),
+        ("\tr\tt", "empty head label"),
+    ], ids=["two", "four", "relation", "head"])
+    def test_bad_triple_after_the_first_chunk_names_its_line(self, tmp_path, bad, message):
+        lines = self.triple_lines(12000)
+        lines[9000] = ""          # blank lines count toward line numbers
+        lines[10001] = bad
+        lines[11000] = "only"     # a later bad line is not the one reported
+        path = write(tmp_path, "t.tsv", "\n".join(lines) + "\n")
+        assert os.path.getsize(path) > 65536 * 2
+        with pytest.raises(ParseError) as info:
+            load_triples(path)
+        assert str(info.value) == f"{path}:10002: {message}"
+
+    @pytest.mark.parametrize("bad, message", [
+        ("e\ta\tabc", "cannot parse numeric value 'abc'"),
+        ("e\ta\t", "cannot parse numeric value ''"),
+        ("e\ta\tinf", "non-finite value 'inf'"),
+        ("e\ta\tNaN", "non-finite value 'NaN'"),
+        ("e\t\t1", "empty attribute label"),
+        ("e\ta", "expected 3 tab-separated fields, got 2"),
+    ], ids=["garbage", "empty", "inf", "nan", "attribute", "fields"])
+    def test_bad_literal_after_the_first_chunk_names_its_line(self, tmp_path, bad, message):
+        lines = [f"e{i}\ta{i % 7}\t{i * 0.5}" for i in range(20000)]
+        lines[15000] = bad
+        lines[17000] = "e\ta\tnope"
+        path = write(tmp_path, "l.tsv", "\r\n".join(lines) + "\r\n")
+        with pytest.raises(ParseError) as info:
+            load_literals(path)
+        assert str(info.value) == f"{path}:15001: {message}"
+
+    def test_values_parse_as_python_float(self, tmp_path):
+        path = write(tmp_path, "l.tsv", "a\tx\t1_000\nb\tx\t 2.5 \nc\tx\t-1E-3\nd\tx\t0x1\n")
+        with pytest.raises(ParseError, match=":4: cannot parse numeric value '0x1'"):
+            load_literals(path)
+        path = write(tmp_path, "l.tsv", "a\tx\t1_000\nb\tx\t 2.5 \nc\tx\t-1E-3\n")
+        assert rows(load_literals(path)) == [("a", "x", 1000.0), ("b", "x", 2.5), ("c", "x", -0.001)]
+
+    def test_labels_keep_str_semantics(self, tmp_path):
+        # numpy string arrays would drop the trailing NUL and merge "a\x00" into "a"
+        text = "a\x00\tr\tb\na\tr\tb\nÄ\tréel\t日本\n"
+        graph = build_graph(load_triples(write(tmp_path, "t.tsv", text)), [], [],
+                            load_literals(write(tmp_path, "l.tsv", "a\x00\tx\x00\t1\na\tx\t2\n")))
+        assert graph.entities.labels == ["a", "a\x00", "b", "Ä", "日本"]
+        assert graph.relations.labels == ["r", "réel"]
+        assert graph.attributes.labels == ["x", "x\x00"]
+        assert graph.train.shape == (3, 3)
+        assert graph.literals.present.sum() == 2
+
+    def test_duplicate_warnings_keep_their_text_and_order(self, tmp_path, caplog):
+        train = write(tmp_path, "train.tsv", "a\tr\tb\nc\tr\td\na\tr\tb\nc\tr\td\na\tr\tb\n")
+        valid = write(tmp_path, "valid.tsv", "b\ts\ta\nb\ts\ta\n")
+        literals = write(tmp_path, "l.tsv", "b\tx\t3\na\tx\t1.5\nb\tx\t1e1\na\tx\t2\nb\tx\t7\n")
+        caplog.set_level(logging.WARNING, logger="litrel.data")
+        graph = build_graph(load_triples(train), load_triples(valid), [], load_literals(literals))
+        assert [r.getMessage() for r in caplog.records] == [
+            "duplicate triple in train split: (a, r, b)",
+            "duplicate triple in train split: (c, r, d)",
+            "duplicate triple in train split: (a, r, b)",
+            "duplicate triple in valid split: (b, s, a)",
+            "duplicate literal for (b, x): keeping later value 10.0",
+            "duplicate literal for (a, x): keeping later value 2.0",
+            "duplicate literal for (b, x): keeping later value 7.0",
+        ]
+        e = graph.entities
+        assert rows_of(graph.train, e, graph.relations) == [("a", "r", "b"), ("c", "r", "d")]
+        # last write wins: a -> 2, b -> 7, normalized over [2, 7]
+        x = graph.attributes["x"]
+        assert graph.literals.values[e["a"], x] == 0.0
+        assert graph.literals.values[e["b"], x] == 1.0
+        assert (graph.literals.raw_min[x], graph.literals.raw_max[x]) == (2.0, 7.0)
+
+
+def rows_of(triples, entities, relations):
+    return [(entities.labels[h], relations.labels[r], entities.labels[t]) for h, r, t in triples]

@@ -181,3 +181,86 @@ class TestProperties:
 
     def test_no_columns_is_empty(self):
         assert column_stats(np.zeros((5, 0)), np.zeros((5, 0), dtype=bool)).shape == (0, NUM_STATS)
+
+
+ORDER_STATS = [STAT_NAMES.index(name)
+               for name in ("median", "mode", "min", "max", "count", "iqr", "range")]
+REDUCTIONS = [STAT_NAMES.index(name) for name in ("mean", "sum", "variance", "std")]
+
+
+def exact_stats(values, mask):
+    """loop_stats with median and IQR from np.quantile, which the kernel equals bit for bit."""
+    out = loop_stats(values, mask)
+    if len(values):
+        q25, q50, q75 = np.quantile(values, [0.25, 0.5, 0.75], axis=0)
+        out[:, STAT_NAMES.index("median")] = q50
+        out[:, STAT_NAMES.index("iqr")] = q75 - q25
+    return out
+
+
+def assert_stats_match(actual, expected):
+    """Order statistics, mode and count exactly; the reductions to 1e-12."""
+    np.testing.assert_array_equal(actual[..., ORDER_STATS], expected[..., ORDER_STATS])
+    np.testing.assert_allclose(actual[..., REDUCTIONS], expected[..., REDUCTIONS], atol=1e-12)
+
+
+@st.composite
+def segmented(draw):
+    """(values, mask, starts, zeros): 1..6 populations of 1..30 rows, values in [0, 1].
+
+    Columns may be coarse (ties), constant or empty as in
+    :func:`populations`; ``zeros`` is each population's count of
+    all-zero rows left out of the block.
+    """
+    num_attrs = draw(st.integers(0, 6))
+    lengths = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
+    n = sum(lengths)
+    coarse = draw(st.booleans())
+    elements = (st.sampled_from([0.0, 0.25, 0.5, 1.0]) if coarse
+                else st.floats(0.0, 1.0, allow_subnormal=False))
+    values = draw(hnp.arrays(np.float64, (n, num_attrs), elements=elements))
+    mask = draw(hnp.arrays(np.bool_, (n, num_attrs)))
+    for a in range(num_attrs):
+        layout = draw(st.sampled_from(["drawn", "all equal", "empty"]))
+        if layout == "all equal":
+            values[:, a] = values[0, a]
+            mask[:, a] = True
+        elif layout == "empty":
+            mask[:, a] = False
+    starts = np.cumsum([0] + lengths[:-1])
+    zeros = np.array(draw(st.lists(st.integers(0, 40), min_size=len(lengths),
+                                   max_size=len(lengths))))
+    return np.where(mask, values, 0.0), mask, starts, zeros
+
+
+class TestSegments:
+    """One segmented call against a loop over the populations."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(segmented())
+    def test_matches_per_segment_loop(self, case):
+        values, mask, starts, _ = case
+        ends = np.append(starts[1:], len(values))
+        expected = np.stack([exact_stats(values[a:b], mask[a:b]) for a, b in zip(starts, ends)])
+        assert_stats_match(column_stats(values, mask, starts), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(segmented())
+    def test_zero_rows_match_an_explicit_padded_block(self, case):
+        values, mask, starts, zeros = case
+        ends = np.append(starts[1:], len(values))
+        expected = []
+        for a, b, z in zip(starts, ends, zeros):
+            padded = np.vstack([values[a:b], np.zeros((z, values.shape[1]))])
+            padded_mask = np.vstack([mask[a:b], np.zeros((z, values.shape[1]), dtype=bool)])
+            expected.append(exact_stats(padded, padded_mask))
+        assert_stats_match(column_stats(values, mask, starts, zeros), np.stack(expected))
+
+    def test_single_population_is_the_first_segment(self, rng):
+        values, mask = random_case(rng, 12, 5)
+        np.testing.assert_array_equal(column_stats(values, mask),
+                                      column_stats(values, mask, np.array([0]))[0])
+
+    def test_no_segments(self):
+        out = column_stats(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool), np.array([], dtype=int))
+        assert out.shape == (0, 3, NUM_STATS)
