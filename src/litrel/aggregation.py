@@ -63,7 +63,7 @@ def build_profiles(
         starts = np.flatnonzero(np.diff(relations, prepend=-1))
         zeros = num_entities - np.diff(starts, append=len(keys)) if aggregate_over_all_rows else None
         u[relations[starts]] = kernels.column_stats(
-            values[members], graph.literals.present[members], starts, zeros)
+            values, graph.literals.present, starts, zeros, members)
     return profiles
 
 
@@ -72,35 +72,39 @@ def _sigmoid(x):
 
 
 def literal_vectors(profiles, relations: np.ndarray, kind: str,
-                    weights: np.ndarray | None = None, bias: np.ndarray | None = None):
+                    weights: np.ndarray | None = None, bias: np.ndarray | None = None,
+                    cache: dict | None = None):
     """G x |A| head and tail literal rows of the relations (an index array).
 
     A fixed kind slices its statistic column; ``learnable`` applies
-    sigmoid(U @ weights + bias) to the (G, |A|, 11) head and tail blocks.
+    sigmoid(U @ weights + bias) to the (G, |A|, 11) head and tail blocks
+    and, when given a ``cache`` dict, stores those blocks as ``rows`` and
+    its two outputs as ``outputs`` there for :func:`literal_vectors_backward`.
     """
     u_head, u_tail = profiles
     if kind == "learnable":
         if weights is None or bias is None:
             raise ConfigError("learnable aggregation requires weights and bias")
-        return (_sigmoid(u_head[relations] @ weights + bias),
-                _sigmoid(u_tail[relations] @ weights + bias))
+        rows = u_head[relations], u_tail[relations]
+        outputs = _sigmoid(rows[0] @ weights + bias), _sigmoid(rows[1] @ weights + bias)
+        if cache is not None:
+            cache.update(rows=rows, outputs=outputs)
+        return outputs
     if kind not in STAT_NAMES:
         raise ValidationError(f"unknown aggregation kind {kind!r}")
     column = STAT_NAMES.index(kind)
     return u_head[relations, :, column], u_tail[relations, :, column]
 
 
-def literal_vectors_backward(profiles, relations: np.ndarray, weights: np.ndarray,
-                             bias: np.ndarray, d_l_h: np.ndarray, d_l_t: np.ndarray):
+def literal_vectors_backward(cache: dict, d_l_h: np.ndarray, d_l_t: np.ndarray):
     """Gradient of the learnable reduction w.r.t. its weights (11,) and bias (1,).
 
-    ``d_l_h`` and ``d_l_t`` are the upstream G x |A| gradients on the
-    rows :func:`literal_vectors` returned for the same relations.
+    ``cache`` is the dict a learnable :func:`literal_vectors` call
+    filled; ``d_l_h`` and ``d_l_t`` are the upstream G x |A| gradients
+    on the rows that call returned.
     """
     d_weights, d_bias = np.zeros(NUM_STATS), np.zeros(1)
-    for u, d_l in zip(profiles, (d_l_h, d_l_t)):
-        u = u[relations]
-        y = _sigmoid(u @ weights + bias)
+    for u, y, d_l in zip(cache["rows"], cache["outputs"], (d_l_h, d_l_t)):
         g = d_l * y * (1.0 - y)
         d_weights += np.tensordot(g, u, axes=2)
         d_bias += g.sum()

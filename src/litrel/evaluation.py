@@ -134,7 +134,7 @@ def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray,
     keys = np.concatenate([r * n_e + h, (n_r + r) * n_e + t])
     order = np.argsort(keys, kind="stable")
     keys, entities = keys[order], np.concatenate([t, h])[order]
-    r_lit, _ = state.fuse_forward(np.arange(n_r))
+    r_lit = state.fuse_forward(np.arange(n_r))[0]  # its cache holds gathered profile rows: drop it
     step = scoring.block_rows(n_e)
     blocks = scoring.SimilarityBlocks(model.norm, tables.entity, min(step, triples.shape[0]))
     mask = np.empty((blocks.rows, n_e), dtype=bool)

@@ -4,7 +4,12 @@ Profile building computes 11 descriptive statistics per attribute column
 for every relation's head and tail populations, which is the dominant
 preprocessing cost on real datasets.  One :func:`column_stats` call
 computes them for every population at once: the populations are
-consecutive row segments of one block, cut at ``starts``.  Conventions:
+consecutive row segments of one block, cut at ``starts``.  The segments
+are taken a window at a time, the ones starting within the same
+:data:`BLOCK_CELLS` cells, and only a window's rows are gathered, so
+the kernel's temporaries stay within a few times that budget, or one
+longer segment.  Segments are independent, so the windowing changes no
+result.  Conventions:
 
 * statistic column order: mean, median, mode, min, max, sum, count,
   variance, std, iqr, range
@@ -16,12 +21,12 @@ consecutive row segments of one block, cut at ``starts``.  Conventions:
 * signed zeros: -0.0 and 0.0 compare equal, so either may be reported
   where both occur (normalized literals never hold -0.0)
 
-Segments whose lengths round up to the same power of two are copied
-into one (segments, |A|, longest length) block, padded with NaN (which
-sorts last), and sorted along the last axis with one ``np.sort``; there
-are at most log2(n) + 1 such blocks, and padding at most doubles the
-cells sorted.  Every order statistic is read from a sorted block at
-per-segment offsets:
+Within a window, segments whose lengths round up to the same power of
+two are copied into one (segments, |A|, longest length) block, padded
+with NaN (which sorts last), and sorted along the last axis with one
+``np.sort``; a window has at most log2(n) + 1 such blocks, and padding
+at most doubles the cells sorted.  Every order statistic is read from a
+sorted block at per-segment offsets:
 
 * min and max are a segment's first and last sorted values, range
   their difference;
@@ -52,6 +57,9 @@ STAT_NAMES = (
 )
 NUM_STATS = len(STAT_NAMES)
 
+# Cells per window of segments: 2 MiB of float64 values.
+BLOCK_CELLS = 1 << 18
+
 
 def using_numba() -> bool:
     """Always False: the statistics kernel is numpy only.
@@ -63,14 +71,14 @@ def using_numba() -> bool:
 
 
 def column_stats(values: np.ndarray, mask: np.ndarray, starts: np.ndarray | None = None,
-                 zeros: np.ndarray | None = None) -> np.ndarray:
+                 zeros: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
     """Per-column statistics of one row population, or of each row segment.
 
     Parameters
     ----------
-    values : float64 array, shape (n, |A|)
-        Finite, normalized literal rows of the populations (absent cells hold 0).
-    mask : bool array, shape (n, |A|)
+    values : float64 array, shape (N, |A|)
+        Finite, normalized literal rows (absent cells hold 0).
+    mask : bool array, shape (N, |A|)
         Presence mask aligned with ``values``; feeds only ``count``.
     starts : int array, shape (S,), optional
         The first row of each population: increasing from 0, and every
@@ -78,6 +86,9 @@ def column_stats(values: np.ndarray, mask: np.ndarray, starts: np.ndarray | None
     zeros : int array, shape (S,), optional
         All-zero absent rows each population holds beyond its rows in
         ``values``; requires ``values >= 0``.
+    rows : int array, shape (n,), optional
+        The rows of ``values`` and ``mask`` that the populations consist
+        of, in order (a row may repeat); without it, all N rows in order.
 
     Returns
     -------
@@ -86,13 +97,18 @@ def column_stats(values: np.ndarray, mask: np.ndarray, starts: np.ndarray | None
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     mask = np.ascontiguousarray(mask, dtype=bool)
-    n, num_attrs = values.shape
+    n, num_attrs = len(values) if rows is None else len(rows), values.shape[1]
     single = starts is None
     starts = np.zeros(min(n, 1), dtype=np.intp) if single else np.asarray(starts, dtype=np.intp)
     zeros = np.zeros(len(starts), dtype=np.int64) if zeros is None else np.asarray(zeros, np.int64)
     out = np.zeros((1 if single else len(starts), num_attrs, NUM_STATS))
     if len(starts) and num_attrs:
-        _segment_stats(values, mask, starts, zeros, out)
+        # windows of consecutive segments starting within the same BLOCK_CELLS cells
+        first = np.flatnonzero(np.diff(starts // max(1, BLOCK_CELLS // num_attrs), prepend=-1))
+        for lo, hi in zip(first, np.append(first[1:], len(starts))):
+            begin, end = starts[lo], starts[hi] if hi < len(starts) else n
+            pick = slice(begin, end) if rows is None else rows[begin:end]
+            _segment_stats(values[pick], mask[pick], starts[lo:hi] - begin, zeros[lo:hi], out[lo:hi])
     return out[0] if single else out
 
 

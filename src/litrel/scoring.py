@@ -25,9 +25,13 @@ tails, and exact identities let both sides build their queries:
   with the core as a D_e x (D_r*D_e) matrix; the D_e*D_r-wide rows are
   built :data:`BLOCK_SCORES` entries at a time.
 
-The kernels live in :class:`SimilarityBlocks`, one per call site (a
-training loss, a ranking call): it computes the entity table's squared
-norms once and reuses its B x |E| and |E| x D buffers for every block.
+The kernels live in :class:`SimilarityBlocks`, one per training run or
+ranking call: it reuses its B x |E| and |E| x D buffers for every block,
+and :meth:`SimilarityBlocks.refresh` re-reads the entity table's squared
+norms after the optimizer has changed the table in place.  TuckER keeps
+its Khatri-Rao chunks and their products in scratch arrays of its own,
+grown on demand, so scoring and training allocate no chunk-sized array
+after the first call.
 
 Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
 the distance kernel is one matrix product plus row norms.  The
@@ -54,6 +58,7 @@ the B x D_r gradient w.r.t. the fused relation rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,9 +173,24 @@ class RotatE:
 
 
 class TuckER:
-    """score = core tensor contracted with e_h, r and e_t."""
+    """score = core tensor contracted with e_h, r and e_t.
+
+    The Khatri-Rao chunks, then their gradients, and the chunk products
+    of the core gradient are written into two scratch arrays that live
+    as long as the model and grow when a larger chunk needs them.
+    """
 
     norm = None
+
+    def __init__(self):
+        self._scratch: dict[str, np.ndarray] = {}
+
+    def _buffer(self, name, shape):
+        """A C-contiguous scratch array of ``shape``, reusing the one named ``name``."""
+        size = math.prod(shape)
+        if name not in self._scratch or self._scratch[name].size < size:
+            self._scratch[name] = np.empty(size)
+        return self._scratch[name][:size].reshape(shape)
 
     @staticmethod
     def _factors(core, e, r_lit, side):
@@ -179,14 +199,17 @@ class TuckER:
             return e, r_lit, core.reshape(-1, core.shape[-1])
         return r_lit, e, core.reshape(core.shape[0], -1).T
 
-    @staticmethod
-    def _khatri_rao(a, b):
-        """``(rows, a[rows] (x) b[rows])`` for chunks of rows of at most ``BLOCK_SCORES`` entries."""
+    def _khatri_rao(self, a, b):
+        """``(rows, a[rows] (x) b[rows])`` for chunks of rows of at most ``BLOCK_SCORES`` entries.
+
+        Each chunk is a view of the one scratch chunk, which the next overwrites.
+        """
         width = a.shape[1] * b.shape[1]
         step = max(1, BLOCK_SCORES // width)
         for start in range(0, a.shape[0], step):
             rows = slice(start, start + step)
-            yield rows, (a[rows, :, None] * b[rows, None, :]).reshape(-1, width)
+            kr = self._buffer("kr", (min(step, a.shape[0] - start), a.shape[1], b.shape[1]))
+            yield rows, np.multiply(a[rows, :, None], b[rows, None, :], out=kr).reshape(-1, width)
 
     def query(self, tables, anchors, r_lit, side):
         if tables.core is None:
@@ -194,7 +217,7 @@ class TuckER:
         a, b, m = self._factors(tables.core, tables.entity[anchors], r_lit, side)
         q = np.empty((a.shape[0], m.shape[1]))
         for rows, kr in self._khatri_rao(a, b):
-            q[rows] = kr @ m
+            np.matmul(kr, m, out=q[rows])
         return q
 
     def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
@@ -203,11 +226,11 @@ class TuckER:
         d_m = None if d_core is None else self._factors(d_core, e, r_lit, side)[2]  # adds into d_core
         d_a, d_b = np.empty_like(a), np.empty_like(b)
         for rows, kr in self._khatri_rao(a, b):
-            d_kr = (d_q[rows] @ m.T).reshape(-1, a.shape[1], b.shape[1])
-            d_a[rows] = np.einsum("bij,bj->bi", d_kr, b[rows])
-            d_b[rows] = np.einsum("bij,bi->bj", d_kr, a[rows])
             if d_m is not None:
-                d_m += kr.T @ d_q[rows]
+                d_m += np.matmul(kr.T, d_q[rows], out=self._buffer("d_core", m.shape))
+            d_kr = np.matmul(d_q[rows], m.T, out=kr).reshape(-1, a.shape[1], b.shape[1])  # kr is spent
+            np.einsum("bij,bj->bi", d_kr, b[rows], out=d_a[rows])
+            np.einsum("bij,bi->bj", d_kr, a[rows], out=d_b[rows])
         d_e, d_r = (d_a, d_b) if side == "tail" else (d_b, d_a)
         np.add.at(d_entity, anchors, d_e)
         return d_r
@@ -239,22 +262,23 @@ def relation_groups(relations: np.ndarray) -> list[tuple[int, np.ndarray]]:
     return list(zip(values.tolist(), np.split(order, starts[1:])))
 
 
-def sq_norms(rows):
-    """Squared L2 norm of each row."""
-    return np.einsum("ij,ij->i", rows, rows)
+def sq_norms(rows, out=None):
+    """Squared L2 norm of each row, into ``out`` when given."""
+    return np.einsum("ij,ij->i", rows, rows, out=out)
 
 
 class SimilarityBlocks:
-    """The similarity kernel of one call site, over blocks of at most ``rows`` query rows.
+    """The similarity kernel of one run or call, over blocks of at most ``rows`` query rows.
 
     ``forward(q)`` scores the rows of ``q`` against every entity row:
     ``q @ E.T`` for ``norm = None``, else ``-||q_b - e_j||_p``.
-    ``backward`` is its gradient.  The entity table's squared norms are
-    computed once, at construction; the B x |E| score and weight
-    buffers and the |E| x D product buffers are allocated once and
-    written with ``out=`` on every block, so the scores a ``forward``
-    returns are a view that the next ``forward`` overwrites.  The entity
-    table must not change while the kernel is in use.
+    ``backward`` is its gradient.  The B x |E| score and weight buffers
+    and the |E| x D product buffers are allocated once and written with
+    ``out=`` on every block, so the scores a ``forward`` returns are a
+    view that the next ``forward`` overwrites.  The kernel reads the
+    entity table it was built on; the L2 kernel also caches the table's
+    squared row norms, so after the table changes in place (an optimizer
+    step) :meth:`refresh` must run before the next ``forward``.
     """
 
     def __init__(self, norm, entity: np.ndarray, rows: int):
@@ -267,7 +291,13 @@ class SimilarityBlocks:
             self._other = np.empty_like(entity)
         if norm == 2:
             self._weights = np.empty_like(self._scores)
-            self._entity_sq = sq_norms(entity)
+            self._entity_sq = np.empty(entity.shape[0])
+        self.refresh()
+
+    def refresh(self) -> None:
+        """Re-read the entity table after an in-place change: recompute its squared norms."""
+        if self.norm == 2:
+            sq_norms(self.entity, out=self._entity_sq)
             self._entity_sq_max = self._entity_sq.max()
 
     def _cancel_bound(self, q):

@@ -9,6 +9,15 @@ call; each triple side takes its relation's row, and the query rows of
 the whole batch are scored as matrices against the entity table (1-vs-all
 scoring), so no step runs per triple or per relation.
 
+The loss calls of one run share one :class:`Workspace`: the gradient
+arrays, zeroed in place each step; the similarity kernel over the entity
+table, whose cached norms each step refreshes; the softmax block; and
+the query-gradient buffer.  With TuckER's own Khatri-Rao scratch, a step
+after the first allocates nothing the size of a table or a score block.
+The workspace is dropped after the last loss call, so the kernel's
+buffers are gone when the last optimizer step runs; in a one-step run
+that is when Adam allocates its moments.
+
 Gradients are computed analytically and flow into the embedding tables,
 the fusion parameters and, when the learnable aggregation combination is
 configured, its 12 scalars.  Everything is float64 numpy; runs are
@@ -42,7 +51,7 @@ from litrel.aggregation import (
     save_profiles,
 )
 from litrel.data import KnowledgeGraph
-from litrel.errors import ConfigError, TrainingError
+from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from litrel.kernels import NUM_STATS
 from litrel.scoring import MODEL_KINDS, EmbeddingTables
 from litrel.serialize import current, load_arrays, load_json, replacing, save_arrays, save_json
@@ -240,16 +249,22 @@ class ModelState:
         return self.fuse_forward(np.array([relation]))[0][0]
 
     def fuse_forward(self, relations: np.ndarray):
-        """G x D_r fused rows of the relations (an index array), plus the backward cache."""
+        """G x D_r fused rows of the relations (an index array), plus the backward cache.
+
+        The cache is the fusion block's, which also carries the learnable
+        aggregation's gathered profile rows and outputs under ``literals``.
+        """
         rows = self.tables.relation[relations]
         if self.fusion is None:
             return rows, None
+        literals = {}
         l_h, l_t = literal_vectors(self.profiles, relations, self.config.aggregation,
-                                   self.agg_weights, self.agg_bias)
+                                   self.agg_weights, self.agg_bias, literals)
         parts = self.fusion_parts
         r_lit, cache = self.fusion.forward(np.repeat(l_h, parts, axis=0),
                                            rows.reshape(parts * len(rows), -1),
                                            np.repeat(l_t, parts, axis=0))
+        cache["literals"] = literals
         return r_lit.reshape(rows.shape), cache
 
     def fuse_backward(self, relations: np.ndarray, cache, d_r_lit, grads) -> None:
@@ -260,7 +275,7 @@ class ModelState:
             d_l_h, d_rows, d_l_t = self.fusion.backward(cache, d_r_lit.reshape(parts * count, -1), grads)
             if self.learnable_aggregation:
                 d_w, d_b = literal_vectors_backward(
-                    self.profiles, relations, self.agg_weights, self.agg_bias,
+                    cache["literals"],
                     d_l_h.reshape(count, parts, -1).sum(axis=1),
                     d_l_t.reshape(count, parts, -1).sum(axis=1),
                 )
@@ -325,30 +340,74 @@ def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
                  if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max()))), None)
 
 
-def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
+class Workspace:
+    """The buffers that the loss calls of one training run share.
+
+    ``grads`` holds one gradient array per parameter of ``state``, zeroed
+    at the start of every call and returned by it (the optimizer then
+    consumes them); ``blocks`` is the similarity kernel over the entity
+    table, refreshed on every call because the optimizer changes the
+    table in place; ``softmax`` holds one block of probabilities and
+    ``d_q`` the query gradients of up to ``rows`` triples, two query rows
+    each.  ``square`` is the scratch of the L2 penalty, when there is one.
+    """
+
+    def __init__(self, state: ModelState, rows: int):
+        entity = state.tables.entity
+        self.rows = rows
+        self.grads = state.zero_grads()
+        self.blocks = scoring.SimilarityBlocks(
+            state.model.norm, entity, min(scoring.block_rows(entity.shape[0]), 2 * rows))
+        self.softmax = np.empty((self.blocks.rows, entity.shape[0]))
+        self.d_q = np.empty((2 * rows, entity.shape[1]))
+        self.square = None
+        if state.config.l2 > 0:
+            self.square = np.empty(max(entity.size, state.tables.relation.size))
+        self._used = False  # as built, the gradients are zero and the kernel current
+
+    def begin(self, state: ModelState, rows: int) -> None:
+        """Make the buffers ready for a call on ``rows`` triples of ``state``."""
+        if self.blocks.entity is not state.tables.entity:
+            raise ShapeError("the workspace was built for another model state")
+        if rows > self.rows:
+            raise ShapeError(f"a batch of {rows} triples exceeds the workspace's {self.rows}")
+        if self._used:
+            for grad in self.grads.values():
+                grad.fill(0.0)
+            self.blocks.refresh()
+        self._used = True
+
+
+def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspace | None = None):
     """Mean per-triple loss (tail-side CE + head-side CE) and its gradients.
 
     One fusion call builds the ``r_lit`` rows of the batch's distinct
     relations, and each triple takes its relation's row for the query
     rows of both sides.  The query rows of the whole batch are scored
     against the entity table in blocks of :func:`scoring.block_rows`
-    rows by one :class:`scoring.SimilarityBlocks`, with a row-wise stable
-    softmax in one reused buffer; the per-row ``r_lit`` gradients
-    are summed per relation with one scatter-add for one fusion backward.
+    rows by the workspace's :class:`scoring.SimilarityBlocks`, with a
+    row-wise stable softmax in its softmax buffer; the per-row ``r_lit``
+    gradients are summed per relation with one scatter-add for one
+    fusion backward.
 
+    ``workspace``, a :class:`Workspace` of ``state`` for at least this
+    many triples, holds the buffers; a new one is made when not given.
     Returns ``(loss, grads)`` where grads maps parameter names to arrays
-    matching :meth:`ModelState.parameters`.  A non-finite loss or
-    gradient raises :class:`TrainingError`.
+    matching :meth:`ModelState.parameters`; they are the workspace's, so
+    the next call with the same workspace overwrites them.  A non-finite
+    loss or gradient raises :class:`TrainingError`.
     """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     if batch.shape[0] == 0:
         raise ConfigError("empty batch")
+    n = batch.shape[0]
+    if workspace is None:
+        workspace = Workspace(state, n)
+    workspace.begin(state, n)
     model = state.model
     tables = state.tables
-    entity = tables.entity
-    grads = state.zero_grads()
+    grads, blocks = workspace.grads, workspace.blocks
     d_entity, d_core = grads["entity"], grads.get("core")
-    n = batch.shape[0]
     inv_n = 1.0 / n
 
     relations, inverse = np.unique(batch[:, 1], return_inverse=True)
@@ -359,15 +418,14 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
     targets = np.concatenate([batch[:, 2], batch[:, 0]])
 
     total = 0.0
-    d_q = np.empty_like(q)
-    step = scoring.block_rows(entity.shape[0])
-    blocks = scoring.SimilarityBlocks(model.norm, entity, min(step, q.shape[0]))
-    softmax = np.empty((blocks.rows, entity.shape[0]))
+    d_q = workspace.d_q[:2 * n]
+    step = scoring.block_rows(tables.entity.shape[0])
     for start in range(0, q.shape[0], step):
         block = slice(start, start + step)
         scores = blocks.forward(q[block])
         picked = np.arange(scores.shape[0]), targets[block]
-        p = np.subtract(scores, scores.max(axis=1, keepdims=True), out=softmax[:scores.shape[0]])
+        p = np.subtract(scores, scores.max(axis=1, keepdims=True),
+                        out=workspace.softmax[:scores.shape[0]])
         np.exp(p, out=p)
         p /= p.sum(axis=1, keepdims=True)
         total -= np.log(np.maximum(p[picked], 1e-300)).sum()
@@ -389,10 +447,12 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState):
             f"|relation|={np.linalg.norm(tables.relation):.3e}"
         )
     if state.config.l2 > 0:
-        lam = state.config.l2
-        loss += lam * (np.sum(tables.entity ** 2) + np.sum(tables.relation ** 2))
-        grads["entity"] += 2 * lam * tables.entity
-        grads["relation"] += 2 * lam * tables.relation
+        lam, sums = state.config.l2, []
+        for name, table in (("entity", tables.entity), ("relation", tables.relation)):
+            square = workspace.square[:table.size].reshape(table.shape)
+            sums.append(np.multiply(table, table, out=square).sum())
+            grads[name] += np.multiply(2 * lam, table, out=square)
+        loss += lam * (sums[0] + sums[1])
     name = _first_non_finite(grads)
     if name is not None:
         raise TrainingError(
@@ -419,20 +479,29 @@ def optimizer_step(optimizer: Optimizer, grads: dict[str, np.ndarray], state: Mo
 def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
     """Run the full optimization loop.
 
-    Returns ``(state, history)`` where history holds the per-epoch loss
-    trace and any periodic validation MRR values.
+    Every loss call uses one :class:`Workspace`, which is released after
+    the last one, before the last optimizer step.  Returns
+    ``(state, history)`` where history holds the per-epoch loss trace and
+    any periodic validation MRR values.
     """
+    n = graph.train.shape[0]
+    if n == 0 and config.epochs > 0:
+        raise ValidationError("split 'train' is empty")
     state = init_state(graph, config, profiles=profiles)
     optimizer = Optimizer(config.optimizer, config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)  # separate stream from init
-    n = graph.train.shape[0]
     history = {"loss": [], "valid_mrr": {}}
+    steps = config.epochs * -(-n // config.batch_size)
+    workspace = Workspace(state, min(config.batch_size, n)) if steps else None
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = graph.train[perm[start:start + config.batch_size]]
-            loss, grads = symmetric_lcwa_loss(batch, state)
+            loss, grads = symmetric_lcwa_loss(batch, state, workspace)
+            steps -= 1
+            if not steps:
+                workspace = None  # released before the last step (Adam's first, in a one-step run)
             optimizer_step(optimizer, grads, state)
             epoch_loss += loss * batch.shape[0]
         epoch_loss /= n

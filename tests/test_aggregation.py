@@ -312,7 +312,9 @@ class TestLiteralVectors:
             l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", w, b)
             return float(np.sum(d_l_h * l_h) + np.sum(d_l_t * l_t))
 
-        d_w, d_b = literal_vectors_backward(profiles, RELATIONS, weights, bias, d_l_h, d_l_t)
+        cache = {}
+        literal_vectors(profiles, RELATIONS, "learnable", weights, bias, cache)
+        d_w, d_b = literal_vectors_backward(cache, d_l_h, d_l_t)
         h = 1e-6
         for i in range(11):
             bumped = weights.copy()

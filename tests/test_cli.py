@@ -848,6 +848,15 @@ class TestInputErrors:
         assert self.classify(pipeline, dataset["labels"], extra=("--output-dir", str(taken))) == 1
         self.assert_error(capsys, "File exists", str(taken))
 
+    def test_empty_training_split_is_validation_error(self, dataset, tmp_path, capsys):
+        Path(dataset["train"]).write_text("")
+        artifact, checkpoint = str(tmp_path / "artifact"), str(tmp_path / "checkpoint")
+        assert preprocess(dataset, artifact) == 0
+        assert train(artifact, checkpoint, extra=("--epochs", "1")) == 1
+        self.assert_error(capsys, "split 'train' is empty")
+        assert not os.path.exists(checkpoint)
+        assert train(artifact, checkpoint, extra=("--epochs", "0")) == 0
+
     def test_unreadable_input_is_error(self, dataset, tmp_path, capsys, monkeypatch):
         def refuse(path):
             raise PermissionError(13, "Permission denied", path)

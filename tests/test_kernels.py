@@ -1,8 +1,12 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from litrel import kernels
 from litrel.kernels import NUM_STATS, STAT_NAMES, column_stats
 
 
@@ -264,3 +268,34 @@ class TestSegments:
     def test_no_segments(self):
         out = column_stats(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool), np.array([], dtype=int))
         assert out.shape == (0, 3, NUM_STATS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(segmented(), st.integers(1, 40))
+    def test_windows_and_gathered_rows_change_nothing(self, case, cells):
+        # segments are independent: any window budget, and gathering the rows inside
+        # the kernel, must give the one-window result bit for bit
+        values, mask, starts, zeros = case
+        whole = column_stats(values, mask, starts, zeros)
+        order = np.random.default_rng(len(values)).permutation(len(values))
+        source_values, source_mask = np.empty_like(values), np.empty_like(mask)
+        source_values[order], source_mask[order] = values, mask
+        with mock.patch.object(kernels, "BLOCK_CELLS", cells):
+            np.testing.assert_array_equal(column_stats(values, mask, starts, zeros), whole)
+            np.testing.assert_array_equal(
+                column_stats(source_values, source_mask, starts, zeros, order), whole)
+
+    def test_window_temporaries_stay_within_the_budget(self, rng):
+        # 2000 segments of 10 rows and 20 columns, windows of 2^12 cells: the temporaries
+        # scale with a window, not with the 3.2 MB of rows
+        values, mask = random_case(rng, 20000, 20)
+        values, starts = np.abs(values), np.arange(0, 20000, 10)
+        whole = column_stats(values, mask, starts)
+        with mock.patch.object(kernels, "BLOCK_CELLS", 1 << 12):
+            tracemalloc.start()
+            try:
+                sliced = column_stats(values, mask, starts, rows=np.arange(20000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        np.testing.assert_array_equal(sliced, whole)
+        assert peak - sliced.nbytes < values.nbytes // 4

@@ -149,3 +149,22 @@ def test_score_all_tails_and_heads_reuse_the_given_blocks(rng):
     want = tails.copy()
     assert np.shares_memory(tails, scoring.score_all_heads(heads[:2], r_lit[:2], model, tables, blocks))
     np.testing.assert_array_equal(want, scoring.score_all_tails(heads, r_lit, model, tables))
+
+
+@pytest.mark.parametrize("norm", [None, 1, 2])
+def test_refresh_after_an_in_place_update_equals_a_new_kernel(norm, rng):
+    entity = rng.normal(size=(40, 6))
+    blocks = scoring.SimilarityBlocks(norm, entity, 5)
+    q, g = rng.normal(size=(5, 6)), rng.normal(size=(5, 40))
+    blocks.backward(q, blocks.forward(q), g, np.zeros_like(entity), np.empty_like(q))
+    entity *= 3.0  # an optimizer step changes the table in place, and its norms with it
+    entity[7] += 1.0
+    q[0] = entity[7]  # one pair on the L2 recomputation path, whose bound reads the largest norm
+    blocks.refresh()
+    fresh = scoring.SimilarityBlocks(norm, entity.copy(), 5)
+    got, want = blocks.forward(q), fresh.forward(q)
+    assert np.array_equal(got, want)
+    got_d_entity, want_d_entity = np.zeros_like(entity), np.zeros_like(entity)
+    got_d_q = blocks.backward(q, got, g, got_d_entity)
+    assert np.array_equal(got_d_q, fresh.backward(q, want, g, want_d_entity))
+    assert np.array_equal(got_d_entity, want_d_entity)

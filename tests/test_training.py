@@ -1,5 +1,6 @@
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from litrel import scoring, training
 from litrel.data import build_graph
-from litrel.errors import ConfigError, TrainingError
+from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from litrel.fusion import param_count
 from litrel.training import ModelState, Optimizer, TrainConfig, symmetric_lcwa_loss, train
 
@@ -291,6 +292,115 @@ class TestTrainLoop:
         graph = build_graph([("a", "r", "b")], [], [], [])
         with pytest.raises(ConfigError, match="literal"):
             train(graph, make_config(fusion="linear"))
+
+
+MODEL_DIMS = {"transe": 6, "distmult": 6, "complex": 6, "rotate": 3, "tucker": 4}  # dim_relation
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("model", sorted(MODEL_DIMS))
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("fusion_kind,aggregation,l2", [
+        pytest.param(None, "mean", 0.0, id="vanilla"),
+        pytest.param("linear", "median", 1e-3, id="linear-l2"),
+        pytest.param("gated", "learnable", 0.0, id="gated-learnable"),
+    ])
+    def test_reused_workspace_equals_fresh_calls(self, small_graph, monkeypatch, model, optimizer,
+                                                 fusion_kind, aggregation, l2):
+        # two query rows per block and one row per Khatri-Rao chunk: every buffer is reused within a call
+        monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * small_graph.num_entities)
+        config = make_config(model=model, dim_relation=MODEL_DIMS[model], fusion=fusion_kind,
+                             aggregation=aggregation, optimizer=optimizer, l2=l2)
+        reused, fresh = training.init_state(small_graph, config), training.init_state(small_graph, config)
+        optimizers = Optimizer(optimizer, 0.05), Optimizer(optimizer, 0.05)
+        workspace = training.Workspace(reused, 4)
+        rng = np.random.default_rng(1)
+        for _ in range(2):
+            perm = rng.permutation(len(small_graph.train))
+            for start in (0, 4):  # batches of 4 and 2 triples
+                batch = small_graph.train[perm[start:start + 4]]
+                got_loss, got = symmetric_lcwa_loss(batch, reused, workspace)
+                want_loss, want = symmetric_lcwa_loss(batch, fresh)
+                assert got_loss == want_loss
+                assert got.keys() == want.keys()
+                for name, grad in want.items():
+                    assert np.array_equal(got[name], grad), name
+                training.optimizer_step(optimizers[0], got, reused)
+                training.optimizer_step(optimizers[1], want, fresh)
+        for name, param in fresh.parameters().items():
+            assert np.array_equal(reused.parameters()[name], param), name
+
+    def test_workspace_of_another_state_or_a_smaller_batch_is_rejected(self, small_graph):
+        state = training.init_state(small_graph, make_config())
+        workspace = training.Workspace(state, 2)
+        with pytest.raises(ShapeError, match="a batch of 3 triples exceeds the workspace's 2"):
+            symmetric_lcwa_loss(small_graph.train[:3], state, workspace)
+        with pytest.raises(ShapeError, match="another model state"):
+            symmetric_lcwa_loss(small_graph.train[:2], training.init_state(small_graph, make_config()),
+                                workspace)
+
+    @pytest.mark.parametrize("model,fusion_kind", [
+        ("transe", None), ("distmult", "linear"), ("tucker", "gated"),
+    ])
+    def test_steps_after_the_first_allocate_less_than_an_entity_table(self, monkeypatch, model,
+                                                                     fusion_kind):
+        rng = np.random.default_rng(3)
+        entities = [f"e{i}" for i in range(4000)]
+        triples = {(entities[h], f"r{h % 3}", entities[t]) for h, t in rng.integers(4000, size=(40, 2))}
+        literals = [(e, "x", float(i % 7)) for i, e in enumerate(entities)]
+        graph = build_graph(sorted(triples), [], [], literals)
+        config = make_config(model=model, dim_entity=32, dim_relation=32, fusion=fusion_kind,
+                             aggregation="learnable", epochs=2, batch_size=8)
+        starts, peaks = [], []
+        loss_fn, step_fn = training.symmetric_lcwa_loss, training.optimizer_step
+
+        def loss(*args):
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+            return loss_fn(*args)
+
+        def step(*args):
+            step_fn(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+
+        monkeypatch.setattr(training, "symmetric_lcwa_loss", loss)
+        monkeypatch.setattr(training, "optimizer_step", step)
+        tracemalloc.start()
+        try:
+            train(graph, config)
+        finally:
+            tracemalloc.stop()
+        assert graph.num_entities == 4000 and len(peaks) == 2 * -(-len(graph.train) // 8)
+        assert max(peaks[1:]) < graph.num_entities * 32 * 8
+
+    @pytest.mark.parametrize("batch_size, live", [(6, [0]), (3, [1, 0])])
+    def test_kernel_is_released_before_the_last_optimizer_step(self, small_graph, monkeypatch,
+                                                              batch_size, live):
+        kernels, seen = [], []
+
+        class Recorded(scoring.SimilarityBlocks):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(weakref.ref(self))
+
+        step_fn = training.optimizer_step
+
+        def step(*args):
+            seen.append(sum(ref() is not None for ref in kernels))
+            step_fn(*args)
+
+        monkeypatch.setattr(scoring, "SimilarityBlocks", Recorded)
+        monkeypatch.setattr(training, "optimizer_step", step)
+        train(small_graph, make_config(model="transe", epochs=1, batch_size=batch_size))
+        assert len(kernels) == 1
+        assert seen == live
+
+    def test_empty_training_split_is_rejected_unless_no_epoch_runs(self):
+        graph = build_graph([], [("a", "r", "b")], [], [])
+        with pytest.raises(ValidationError, match="split 'train' is empty"):
+            train(graph, make_config(epochs=1))
+        _, history = train(graph, make_config(epochs=0))
+        assert history["loss"] == []
 
 
 class TestCheckpoint:
