@@ -15,8 +15,9 @@ table, whose cached norms each step refreshes; the softmax block; and
 the query-gradient buffer.  With TuckER's own Khatri-Rao scratch, a step
 after the first allocates nothing the size of a table or a score block.
 The workspace is dropped after the last loss call, so the kernel's
-buffers are gone when the last optimizer step runs; in a one-step run
-that is when Adam allocates its moments.
+buffers are gone when the last optimizer step runs (in a one-step run
+that is when Adam allocates its moments), and before each periodic
+validation, whose ranking builds its own kernel.
 
 Gradients are computed analytically and flow into the embedding tables,
 the fusion parameters and, when the learnable aggregation combination is
@@ -349,7 +350,7 @@ class Workspace:
     table, refreshed on every call because the optimizer changes the
     table in place; ``softmax`` holds one block of probabilities and
     ``d_q`` the query gradients of up to ``rows`` triples, two query rows
-    each.  ``square`` is the scratch of the L2 penalty, when there is one.
+    each.
     """
 
     def __init__(self, state: ModelState, rows: int):
@@ -360,10 +361,6 @@ class Workspace:
             state.model.norm, entity, min(scoring.block_rows(entity.shape[0]), 2 * rows))
         self.softmax = np.empty((self.blocks.rows, entity.shape[0]))
         self.d_q = np.empty((2 * rows, entity.shape[1]))
-        self.square = None
-        if state.config.l2 > 0:
-            self.square = np.empty(max(entity.size, state.tables.relation.size))
-        self._used = False  # as built, the gradients are zero and the kernel current
 
     def begin(self, state: ModelState, rows: int) -> None:
         """Make the buffers ready for a call on ``rows`` triples of ``state``."""
@@ -371,11 +368,9 @@ class Workspace:
             raise ShapeError("the workspace was built for another model state")
         if rows > self.rows:
             raise ShapeError(f"a batch of {rows} triples exceeds the workspace's {self.rows}")
-        if self._used:
-            for grad in self.grads.values():
-                grad.fill(0.0)
-            self.blocks.refresh()
-        self._used = True
+        for grad in self.grads.values():
+            grad.fill(0.0)
+        self.blocks.refresh()
 
 
 def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspace | None = None):
@@ -447,12 +442,10 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
             f"|relation|={np.linalg.norm(tables.relation):.3e}"
         )
     if state.config.l2 > 0:
-        lam, sums = state.config.l2, []
-        for name, table in (("entity", tables.entity), ("relation", tables.relation)):
-            square = workspace.square[:table.size].reshape(table.shape)
-            sums.append(np.multiply(table, table, out=square).sum())
-            grads[name] += np.multiply(2 * lam, table, out=square)
-        loss += lam * (sums[0] + sums[1])
+        lam = state.config.l2
+        loss += lam * (np.sum(tables.entity ** 2) + np.sum(tables.relation ** 2))
+        grads["entity"] += 2 * lam * tables.entity
+        grads["relation"] += 2 * lam * tables.relation
     name = _first_non_finite(grads)
     if name is not None:
         raise TrainingError(
@@ -479,8 +472,9 @@ def optimizer_step(optimizer: Optimizer, grads: dict[str, np.ndarray], state: Mo
 def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
     """Run the full optimization loop.
 
-    Every loss call uses one :class:`Workspace`, which is released after
-    the last one, before the last optimizer step.  Returns
+    The loss calls share one :class:`Workspace`.  It is released after the
+    last one, before the last optimizer step, and before each periodic
+    validation, after which the next step builds a new one.  Returns
     ``(state, history)`` where history holds the per-epoch loss trace and
     any periodic validation MRR values.
     """
@@ -492,12 +486,14 @@ def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
     rng = np.random.default_rng(config.seed + 1)  # separate stream from init
     history = {"loss": [], "valid_mrr": {}}
     steps = config.epochs * -(-n // config.batch_size)
-    workspace = Workspace(state, min(config.batch_size, n)) if steps else None
+    workspace = None
     for epoch in range(config.epochs):
         perm = rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = graph.train[perm[start:start + config.batch_size]]
+            if workspace is None:
+                workspace = Workspace(state, min(config.batch_size, n))
             loss, grads = symmetric_lcwa_loss(batch, state, workspace)
             steps -= 1
             if not steps:
@@ -513,6 +509,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
         ):
             from litrel.evaluation import evaluate
 
+            workspace = None  # ranking builds its own kernel; the next step builds a new workspace
             report = evaluate(state, graph, split="valid")
             history["valid_mrr"][epoch + 1] = report.mrr
             logger.info("epoch %d: loss %.6f valid MRR %.4f", epoch + 1, epoch_loss, report.mrr)

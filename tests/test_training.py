@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litrel import scoring, training
+from litrel import evaluation, scoring, training
 from litrel.data import build_graph
 from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from litrel.fusion import param_count
@@ -394,6 +394,32 @@ class TestWorkspace:
         train(small_graph, make_config(model="transe", epochs=1, batch_size=batch_size))
         assert len(kernels) == 1
         assert seen == live
+
+    def test_kernel_is_released_before_each_validation(self, monkeypatch):
+        graph = build_graph([("a", "r", "b"), ("b", "r", "c"), ("c", "r", "d"), ("d", "r", "a")],
+                            [("a", "r", "c")], [], [])
+        config = make_config(model="transe", epochs=3, batch_size=3, valid_every=1)
+        kernels, seen = [], []
+
+        class Recorded(scoring.SimilarityBlocks):
+            def __init__(self, *args):
+                super().__init__(*args)
+                kernels.append(weakref.ref(self))
+
+        evaluate_fn = evaluation.evaluate
+
+        def evaluate(*args, **kwargs):
+            seen.append(sum(ref() is not None for ref in kernels))
+            return evaluate_fn(*args, **kwargs)
+
+        want = train(graph, config)
+        monkeypatch.setattr(scoring, "SimilarityBlocks", Recorded)
+        monkeypatch.setattr(evaluation, "evaluate", evaluate)
+        got = train(graph, config)
+        assert seen == [0, 0, 0]
+        assert got[1] == want[1] and sorted(got[1]["valid_mrr"]) == [1, 2, 3]
+        for name, param in want[0].parameters().items():
+            assert np.array_equal(got[0].parameters()[name], param), name
 
     def test_empty_training_split_is_rejected_unless_no_epoch_runs(self):
         graph = build_graph([], [("a", "r", "b")], [], [])
