@@ -20,7 +20,7 @@ from litrel import kernels
 from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, ValidationError
 from litrel.kernels import NUM_STATS, STAT_NAMES
-from litrel.serialize import load_arrays, save_arrays, save_json
+from litrel.serialize import array_fault, load_arrays, save_arrays, save_json
 
 AGGREGATION_KINDS = STAT_NAMES + ("learnable",)
 
@@ -123,26 +123,21 @@ def save_profiles(profiles, directory: str, options: dict | None = None) -> None
         save_json(os.path.join(directory, "options.json"), options)
 
 
-def load_profiles(directory: str, num_relations: int | None = None,
-                  num_attributes: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def load_profiles(directory: str, num_relations: int,
+                  num_attributes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read ``(u_head, u_tail)`` written by :func:`save_profiles`, checking their shapes.
 
-    ``u_head.npy`` and ``u_tail.npy`` must both exist with the same
-    (|R|, |A|, 11) shape, and |R| and |A| must equal ``num_relations``
-    and ``num_attributes`` where those are given; otherwise a
+    ``u_head.npy`` and ``u_tail.npy`` must both exist as float64 arrays
+    of shape (``num_relations``, ``num_attributes``, 11); otherwise a
     :class:`ValidationError` names the file.
     """
     arrays = load_arrays(directory)
-    expected = None
+    expected = (num_relations, num_attributes, NUM_STATS)
     for name in ("u_head", "u_tail"):
         path = os.path.join(directory, name + ".npy")
         if name not in arrays:
             raise ValidationError(f"{path} is missing")
-        shape = arrays[name].shape
-        if expected is None and len(shape) == 3:
-            expected = (num_relations if num_relations is not None else shape[0],
-                        num_attributes if num_attributes is not None else shape[1],
-                        NUM_STATS)
-        if shape != expected:
-            raise ValidationError(f"{path} has shape {shape}, expected {expected or '(|R|, |A|, 11)'}")
+        fault = array_fault(arrays[name], "float64", expected)
+        if fault is not None:
+            raise ValidationError(f"{path} {fault}")
     return arrays["u_head"], arrays["u_tail"]

@@ -163,12 +163,14 @@ def _load_artifact(config: dict) -> tuple[KnowledgeGraph, str]:
     return KnowledgeGraph.load(artifact_dir), artifact_dir
 
 
-def _load_checkpoint(config: dict, artifact_dir: str):
-    """Load the configured checkpoint, which must come from the artifact in ``artifact_dir``.
+def _load_checkpoint(config: dict, graph: KnowledgeGraph, artifact_dir: str):
+    """Load the configured checkpoint, which must come from ``graph``, read from ``artifact_dir``.
 
     The SHA-256 digests of the artifact's vocabulary files recorded at
-    training time must equal those of ``artifact_dir``; otherwise the
-    indices in the checkpoint mean other entities or relations.
+    training time must equal those of ``artifact_dir``, and the entity
+    and relation tables must have a row per entity and relation of
+    ``graph``; otherwise the indices in the checkpoint mean other
+    entities or relations.
     """
     if config["checkpoint_dir"] is None:
         raise ConfigError("checkpoint_dir is not set; run train first")
@@ -181,6 +183,13 @@ def _load_checkpoint(config: dict, artifact_dir: str):
             f"checkpoint {config['checkpoint_dir']} was not trained on artifact "
             f"{config['artifact_dir']}: {', '.join(differ)} differ"
         )
+    for name, table, size in (("entities", state.tables.entity, graph.num_entities),
+                              ("relations", state.tables.relation, graph.num_relations)):
+        if len(table) != size:
+            raise ConfigError(
+                f"checkpoint {config['checkpoint_dir']} has rows for {len(table)} {name}, "
+                f"but artifact {config['artifact_dir']} has {size}"
+            )
     return state, history
 
 
@@ -219,7 +228,7 @@ def _parse_threshold(raw, graph: KnowledgeGraph, group_by: str) -> float:
 def cmd_evaluate(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
     """Filtered link-prediction metrics."""
     graph, artifact_dir = _load_artifact(config)
-    state, _ = _load_checkpoint(config, artifact_dir)
+    state, _ = _load_checkpoint(config, graph, artifact_dir)
     grouping = None
     if config["group_by"] == "frequency":
         grouping = group_by_frequency(
@@ -248,7 +257,7 @@ def cmd_classify(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
     graph, artifact_dir = _load_artifact(config)
     if config["labels_path"] is None:
         raise ConfigError("classify requires labels_path")
-    state, _ = _load_checkpoint(config, artifact_dir)
+    state, _ = _load_checkpoint(config, graph, artifact_dir)
     labeled = load_labeled_nodes(config["labels_path"], graph)
     train_feats = export_embeddings(state, labeled.train_nodes)
     test_feats = export_embeddings(state, labeled.test_nodes)

@@ -29,7 +29,7 @@ from itertools import chain, count
 import numpy as np
 
 from litrel.errors import ParseError, ValidationError
-from litrel.serialize import load_arrays, load_json, save_arrays, save_json
+from litrel.serialize import array_fault, load_arrays, load_json, save_arrays, save_json
 
 logger = logging.getLogger(__name__)
 
@@ -160,7 +160,8 @@ class KnowledgeGraph:
         relations = Vocab.load(os.path.join(directory, "relations.txt"))
         attributes = Vocab.load(os.path.join(directory, "attributes.txt"))
         arrays = load_arrays(os.path.join(directory, "arrays"))
-        graph = cls(
+        _check_artifact(directory, entities, relations, attributes, arrays)
+        return cls(
             entities=entities,
             relations=relations,
             attributes=attributes,
@@ -174,8 +175,6 @@ class KnowledgeGraph:
                 raw_max=arrays["raw_max"],
             ),
         )
-        _check_artifact(graph, directory)
-        return graph
 
 
 def vocabulary_digests(directory: str) -> dict[str, str]:
@@ -187,8 +186,15 @@ def vocabulary_digests(directory: str) -> dict[str, str]:
     return digests
 
 
-def _check_artifact(graph: KnowledgeGraph, directory: str) -> None:
-    """Reject an artifact whose version, sizes or triple indices disagree with its vocabularies."""
+def _check_artifact(directory: str, entities: Vocab, relations: Vocab, attributes: Vocab,
+                    arrays: dict[str, np.ndarray]) -> None:
+    """Reject an artifact whose version, sizes, arrays or triple indices disagree with its vocabularies.
+
+    Each array of :meth:`KnowledgeGraph.save` must be there, of its
+    dtype and of its shape: a split (N, 3) integers, the literal values
+    (|E|, |A|) float64, their presence mask (|E|, |A|) bool and the raw
+    column minima and maxima (|A|,) float64.
+    """
     meta_path = os.path.join(directory, "graph.json")
     meta = load_json(meta_path)
     if not isinstance(meta, dict):
@@ -198,15 +204,28 @@ def _check_artifact(graph: KnowledgeGraph, directory: str) -> None:
             f"{meta_path}: artifact version {meta.get('version')!r} is not supported "
             f"(expected {ARTIFACT_VERSION}); run preprocess again"
         )
-    sizes = {"entities": graph.num_entities, "relations": graph.num_relations,
-             "attributes": graph.num_attributes}
+    sizes = {"entities": len(entities), "relations": len(relations), "attributes": len(attributes)}
     for name, size in sizes.items():
         if meta.get(name) != size:
             raise ValidationError(f"{meta_path}: records {meta.get(name)!r} {name}, "
                                   f"but {name}.txt holds {size}")
-    bounds = np.array([graph.num_entities, graph.num_relations, graph.num_entities])
+    n_e, n_r, n_a = sizes.values()
+    layout = {name: ("integer", ("N", 3)) for name in ("train", "valid", "test")} | {
+        "literal_values": ("float64", (n_e, n_a)),
+        "literal_present": ("bool", (n_e, n_a)),
+        "raw_min": ("float64", (n_a,)),
+        "raw_max": ("float64", (n_a,)),
+    }
+    for name, (dtype, shape) in layout.items():
+        path = os.path.join(directory, "arrays", name + ".npy")
+        if name not in arrays:
+            raise ValidationError(f"{path} is missing")
+        fault = array_fault(arrays[name], dtype, shape)
+        if fault is not None:
+            raise ValidationError(f"{path} {fault}")
+    bounds = np.array([n_e, n_r, n_e])
     for name in ("train", "valid", "test"):
-        triples = graph.split(name)
+        triples = arrays[name]
         bad = (triples < 0) | (triples >= bounds)
         if bad.any():
             row, column = np.argwhere(bad)[0]

@@ -118,6 +118,21 @@ def load_arrays(directory: str) -> dict[str, np.ndarray]:
     return out
 
 
+def array_fault(array: np.ndarray, dtype: str, shape: tuple) -> str | None:
+    """How ``array`` departs from ``dtype`` and ``shape``, or None when it does not.
+
+    ``dtype`` is a dtype name, or ``"integer"`` for any integer type.  A
+    ``shape`` entry that is not an int, such as ``"|E|"``, names a length
+    that any value matches.
+    """
+    if not (array.dtype.kind in "iu" if dtype == "integer" else array.dtype == dtype):
+        return f"has dtype {array.dtype}, expected {dtype}"
+    if array.ndim != len(shape) or any(isinstance(want, int) and got != want
+                                       for got, want in zip(array.shape, shape)):
+        return f"has shape {array.shape}, expected ({', '.join(map(str, shape))}{',' * (len(shape) == 1)})"
+    return None
+
+
 def save_json(path: str, document) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2, sort_keys=True)

@@ -48,18 +48,16 @@ from litrel.aggregation import (
     build_profiles,
     literal_vectors,
     literal_vectors_backward,
-    load_profiles,
-    save_profiles,
 )
 from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from litrel.kernels import NUM_STATS
 from litrel.scoring import MODEL_KINDS, EmbeddingTables
-from litrel.serialize import current, load_arrays, load_json, replacing, save_arrays, save_json
+from litrel.serialize import array_fault, current, load_arrays, load_json, replacing, save_arrays, save_json
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,10 @@ class Optimizer:
 
 @dataclass
 class ModelState:
-    """Everything trainable plus the frozen literal profiles."""
+    """Everything trainable, plus the frozen literal profiles while training.
+
+    A loaded checkpoint's relation rows are fused: it has no fusion block or profiles.
+    """
 
     config: TrainConfig
     tables: EmbeddingTables
@@ -285,22 +286,30 @@ class ModelState:
         np.add.at(grads["relation"], relations, d_rows.reshape(d_r_lit.shape))
 
 
-def _new_state(config: TrainConfig, num_entities: int, num_relations: int,
-               num_attributes: int, profiles) -> ModelState:
-    """The one constructor behind :func:`init_state` and :func:`load_checkpoint`.
+def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles=None) -> ModelState:
+    """Allocate and initialize all trainable tensors for a run.
 
-    Draws from the seed's stream in a fixed order: entity rows, relation
-    rows, the TuckER core, the fusion block, the learnable-aggregation
-    weights.
+    ``profiles`` is the ``(u_head, u_tail)`` pair of
+    :func:`litrel.aggregation.build_profiles`, built from ``graph`` when
+    not given; a vanilla model keeps none.  Draws from the seed's stream
+    in a fixed order: entity rows, relation rows, the TuckER core, the
+    fusion block, the learnable-aggregation weights.
     """
+    config.validate()
+    if not config.fusion_enabled:
+        profiles = None
+    elif graph.num_attributes == 0:
+        raise ConfigError("fusion requires literal attributes, but the graph has none")
+    elif profiles is None:
+        profiles = build_profiles(graph)
     rng = np.random.default_rng(config.seed)
 
     def glorot_rows(count, dim):
         limit = np.sqrt(6.0 / (2 * dim))
         return rng.uniform(-limit, limit, size=(count, dim))
 
-    entity = glorot_rows(num_entities, config.dim_entity)
-    relation = glorot_rows(num_relations, config.dim_relation)
+    entity = glorot_rows(graph.num_entities, config.dim_entity)
+    relation = glorot_rows(graph.num_relations, config.dim_relation)
     core = None
     if config.model == "tucker":
         core = rng.uniform(-1.0, 1.0, size=(config.dim_entity, config.dim_relation, config.dim_entity)) * 0.1
@@ -310,29 +319,11 @@ def _new_state(config: TrainConfig, num_entities: int, num_relations: int,
     state = ModelState(config=config, tables=tables, model=model, profiles=profiles)
     if config.fusion_enabled:
         dim = config.dim_relation // state.fusion_parts
-        state.fusion = fusion_mod.make_fusion(config.fusion, dim, num_attributes, rng)
+        state.fusion = fusion_mod.make_fusion(config.fusion, dim, graph.num_attributes, rng)
         if config.aggregation == "learnable":
             state.agg_weights = rng.uniform(-0.5, 0.5, size=NUM_STATS)
             state.agg_bias = np.zeros(1)
     return state
-
-
-def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles=None) -> ModelState:
-    """Allocate and initialize all trainable tensors for a run.
-
-    ``profiles`` is the ``(u_head, u_tail)`` pair of
-    :func:`litrel.aggregation.build_profiles`, built from ``graph`` when
-    not given; a vanilla model keeps none.
-    """
-    config.validate()
-    if not config.fusion_enabled:
-        profiles = None
-    elif graph.num_attributes == 0:
-        raise ConfigError("fusion requires literal attributes, but the graph has none")
-    elif profiles is None:
-        profiles = build_profiles(graph)
-    return _new_state(config, graph.num_entities, graph.num_relations,
-                      graph.num_attributes, profiles)
 
 
 def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
@@ -522,29 +513,35 @@ def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
 
 
 def save_checkpoint(state: ModelState, history: dict, directory: str, config: dict | None = None) -> None:
-    """Write a checkpoint directory so that an interruption leaves a valid one.
+    """Write the model that inference scores with, so that an interruption leaves a valid checkpoint.
 
-    The directory is swapped in whole by :func:`litrel.serialize.replacing`;
-    ``config``, the command's effective configuration, is written next
-    to it as ``config.json`` inside the same swap.
+    ``params/`` holds the entity table, the fused relation rows (the
+    :meth:`ModelState.fuse_forward` call of ranking) and TuckER's core;
+    no fusion block, aggregation weights or profiles.  The directory is
+    swapped in whole by :func:`litrel.serialize.replacing`; ``config``,
+    the command's effective configuration, is written next to it as
+    ``config.json`` inside the same swap.
     """
+    tables = state.tables
+    params = {"entity": tables.entity, "relation": state.fuse_forward(np.arange(len(tables.relation)))[0]}
+    if tables.core is not None:
+        params["core"] = tables.core
     with replacing(directory) as tmp:
         os.makedirs(tmp)
         meta = {"version": CHECKPOINT_VERSION, "config": asdict(state.config), "artifact": state.artifact}
         save_json(os.path.join(tmp, "checkpoint.json"), meta)
-        save_arrays(os.path.join(tmp, "params"), state.parameters())
-        if state.profiles is not None:
-            save_profiles(state.profiles, os.path.join(tmp, "profiles"))
+        save_arrays(os.path.join(tmp, "params"), params)
         save_json(os.path.join(tmp, "history.json"), history)
         if config is not None:
             save_json(os.path.join(tmp, "config.json"), config)
 
 
 def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
-    """Rebuild a saved state through the training constructor, then copy its arrays in.
+    """The stored tables as a state without fusion block or profiles, and the history.
 
     A stored parameter set that does not match the configured model
-    name for name and shape for shape is a :class:`ConfigError`.  When
+    name for name, or an array that is not a finite float64 array of
+    the configured shape, is a :class:`ConfigError` naming it.  When
     ``directory`` is missing but an interrupted :func:`save_checkpoint`
     left ``<directory>.old``, that checkpoint is read.
     """
@@ -558,7 +555,7 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
     if meta.get("version") != CHECKPOINT_VERSION:
         raise ConfigError(
             f"{directory}: checkpoint version {meta.get('version')!r} is not supported "
-            f"(expected {CHECKPOINT_VERSION})"
+            f"(expected {CHECKPOINT_VERSION}); train the model again"
         )
     unknown = set(meta["config"]) - {f.name for f in fields(TrainConfig)}
     if unknown:
@@ -566,24 +563,23 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
     config = TrainConfig(**meta["config"])
     config.validate()
     stored = load_arrays(os.path.join(directory, "params"))
-    profile_dir = os.path.join(directory, "profiles")
-    num_relations = len(stored.get("relation", ()))
-    profiles = load_profiles(profile_dir, num_relations) if os.path.isdir(profile_dir) else None
-    if config.fusion_enabled and profiles is None:
-        raise ConfigError(f"{directory}: fused checkpoint has no literal profiles")
-    num_attributes = profiles[0].shape[1] if profiles is not None else 0
-    state = _new_state(config, len(stored.get("entity", ())), num_relations, num_attributes, profiles)
-    state.artifact = meta.get("artifact")
-    params = state.parameters()
-    if set(params) != set(stored):
+    d_e, d_r = config.dim_entity, config.dim_relation
+    shapes = {"entity": ("|E|", d_e), "relation": ("|R|", d_r), "core": (d_e, d_r, d_e)}
+    if config.model != "tucker":
+        del shapes["core"]
+    if set(shapes) != set(stored):
         raise ConfigError(
             f"{directory}: checkpoint parameters do not match the {config.model} model: "
-            f"missing {sorted(set(params) - set(stored))}, extra {sorted(set(stored) - set(params))}"
+            f"missing {sorted(set(shapes) - set(stored))}, extra {sorted(set(stored) - set(shapes))}"
         )
-    for name, arr in params.items():
-        if stored[name].shape != arr.shape:
-            raise ConfigError(
-                f"{directory}: parameter {name} has shape {stored[name].shape}, expected {arr.shape}"
-            )
-        arr[...] = stored[name]
+    for name, shape in shapes.items():
+        fault = array_fault(stored[name], "float64", shape)
+        if fault is not None:
+            raise ConfigError(f"{directory}: parameter {name} {fault}")
+    name = _first_non_finite(stored)
+    if name is not None:
+        raise ConfigError(f"{directory}: parameter {name} holds a non-finite value")
+    tables = EmbeddingTables(stored["entity"], stored["relation"], stored.get("core"))
+    state = ModelState(config, tables, scoring.make_model(config.model, config.transe_norm),
+                       artifact=meta.get("artifact"))
     return state, load_json(os.path.join(directory, "history.json"))

@@ -332,7 +332,7 @@ class TestProfileSerialization:
     def test_round_trip(self, rng, tmp_path):
         profiles = build_profiles(random_graph(rng))
         save_profiles(profiles, str(tmp_path / "profiles"))
-        loaded = load_profiles(str(tmp_path / "profiles"))
+        loaded = load_profiles(str(tmp_path / "profiles"), *profiles[0].shape[:2])
         assert len(loaded) == 2
         for got, want in zip(loaded, profiles):
             np.testing.assert_array_equal(got, want)

@@ -393,10 +393,13 @@ class TestTrainEvaluateClassify:
             "--checkpoint-dir", pipeline["checkpoint"],
         ])
 
-    def test_unknown_checkpoint_version_is_config_error(self, pipeline, capsys):
-        self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m.update(version=99))
+    @pytest.mark.parametrize("version", [99, 3])
+    def test_unknown_checkpoint_version_is_config_error(self, pipeline, capsys, version):
+        # version 3 stored the fusion block and the profiles instead of the fused relation rows
+        self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m.update(version=version))
         assert self.evaluate(pipeline) == 1
-        assert "version 99" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"checkpoint version {version} is not supported (expected 4); train the model again" in err
 
     def test_unknown_checkpoint_config_key_is_config_error(self, pipeline, capsys):
         self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m["config"].update(bogus=1))
@@ -424,7 +427,7 @@ class TestTrainEvaluateClassify:
         assert "internal error" not in err
 
     def test_checkpoint_with_optimizer_state_evaluates_the_same(self, pipeline):
-        # earlier checkpoints of the same version also stored Adam's step count and moments
+        # a directory the format does not name, such as Adam's step count and moments, is not read
         assert self.evaluate(pipeline) == 0
         report = Path(pipeline["tmp"], "eval", "report.json").read_bytes()
         params = load_arrays(os.path.join(pipeline["checkpoint"], "params"))
@@ -438,18 +441,50 @@ class TestTrainEvaluateClassify:
         assert Path(pipeline["tmp"], "eval", "report.json").read_bytes() == report
 
     def test_missing_parameter_array_is_config_error(self, pipeline, capsys):
-        os.remove(os.path.join(pipeline["checkpoint"], "params", "fusion.bias.npy"))
+        os.remove(os.path.join(pipeline["checkpoint"], "params", "relation.npy"))
         assert self.evaluate(pipeline) == 1
         err = capsys.readouterr().err
-        assert "missing ['fusion.bias']" in err
+        assert "missing ['relation']" in err
         assert "internal error" not in err
 
     def test_misshaped_parameter_array_is_config_error(self, pipeline, capsys):
-        path = os.path.join(pipeline["checkpoint"], "params", "fusion.weight.npy")
+        path = os.path.join(pipeline["checkpoint"], "params", "relation.npy")
         np.save(path, np.load(path)[:, :-1])
         assert self.evaluate(pipeline) == 1
         err = capsys.readouterr().err
-        assert "fusion.weight has shape (12, 7), expected (12, 8)" in err
+        assert "relation has shape (2, 7), expected (|R|, 8)" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("corrupt, message", [
+        pytest.param(lambda a: np.where(a == a.max(), np.nan, a), "entity holds a non-finite value",
+                     id="nan"),
+        pytest.param(lambda a: np.float64(1.0), "entity has shape (), expected (|E|, 8)", id="0-d"),
+        pytest.param(lambda a: a.astype(np.float32), "entity has dtype float32, expected float64",
+                     id="float32"),
+    ])
+    def test_corrupt_parameter_array_is_config_error(self, pipeline, capsys, corrupt, message):
+        path = os.path.join(pipeline["checkpoint"], "params", "entity.npy")
+        np.save(path, corrupt(np.load(path)))
+        assert self.evaluate(pipeline) == 1
+        err = capsys.readouterr().err
+        assert f"{pipeline['checkpoint']}: parameter {message}" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "classify"])
+    @pytest.mark.parametrize("table, name, kept, size", [("entity", "entities", 7, 8),
+                                                         ("relation", "relations", 1, 2)])
+    def test_checkpoint_rows_must_match_the_artifact(self, pipeline, dataset, capsys, command,
+                                                     table, name, kept, size):
+        path = os.path.join(pipeline["checkpoint"], "params", table + ".npy")
+        np.save(path, np.load(path)[:kept])
+        args = ["--output-dir", str(pipeline["tmp"] / "out"), command,
+                "--artifact-dir", pipeline["artifact"], "--checkpoint-dir", pipeline["checkpoint"]]
+        if command == "classify":
+            args += ["--labels-path", dataset["labels"]]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert (f"checkpoint {pipeline['checkpoint']} has rows for {kept} {name}, "
+                f"but artifact {pipeline['artifact']} has {size}") in err
         assert "internal error" not in err
 
     def edit_graph_meta(self, artifact, edit):
@@ -509,14 +544,6 @@ class TestTrainEvaluateClassify:
         assert profile_dir in err
         assert "internal error" not in err
         assert train(pipeline["artifact"], str(pipeline["tmp"] / "c3")) == 0
-
-    def test_checkpoint_profile_mismatch_is_validation_error(self, pipeline, capsys):
-        path = os.path.join(pipeline["checkpoint"], "profiles", "u_tail.npy")
-        np.save(path, np.load(path)[:, :, :5])
-        assert self.evaluate(pipeline) == 1
-        err = capsys.readouterr().err
-        assert "u_tail.npy has shape (2, 2, 5), expected (2, 2, 11)" in err
-        assert "internal error" not in err
 
     def test_missing_artifact_is_validation_error(self, tmp_path):
         code = main(["train", "--artifact-dir", str(tmp_path / "nope")])
@@ -912,6 +939,28 @@ class TestInputErrors:
         path.write_bytes(path.read_bytes()[:100])
         assert self.classify(pipeline, dataset["labels"]) == 1
         self.assert_error(capsys, f"cannot read array file {path}")
+
+    @pytest.mark.parametrize("name, corrupt, message", [
+        pytest.param("train", None, "is missing", id="no-train"),
+        pytest.param("raw_min", None, "is missing", id="no-raw_min"),
+        pytest.param("literal_values", lambda a: a[:-5], "has shape (3, 2), expected (8, 2)",
+                     id="short-literal_values"),
+        pytest.param("literal_present", lambda a: a[:, :-1], "has shape (8, 1), expected (8, 2)",
+                     id="narrow-literal_present"),
+        pytest.param("raw_max", lambda a: a[:-1], "has shape (1,), expected (2,)", id="short-raw_max"),
+        pytest.param("test", lambda a: a.ravel(), "has shape (3,), expected (N, 3)", id="flat-test"),
+        pytest.param("test", lambda a: a.astype(np.float64), "has dtype float64, expected integer",
+                     id="float-test"),
+    ])
+    def test_corrupt_artifact_array_is_validation_error(self, dataset, pipeline, capsys, name,
+                                                        corrupt, message):
+        path = os.path.join(pipeline["artifact"], "arrays", name + ".npy")
+        if corrupt is None:
+            os.remove(path)
+        else:
+            np.save(path, corrupt(np.load(path)))
+        assert self.classify(pipeline, dataset["labels"]) == 1
+        self.assert_error(capsys, f"{path} {message}")
 
     def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"

@@ -436,25 +436,51 @@ class TestCheckpoint:
         pytest.param("distmult", "gated", "learnable", id="gated-learnable"),
         ("complex", "linear", "mean"),
         ("tucker", "gated", "learnable"),
+        ("transe", "gated", "mean"),
+        ("rotate", "linear", "learnable"),
     ])
     def test_round_trip(self, small_graph, tmp_path, model, fusion_kind, aggregation):
-        config = make_config(model=model, epochs=2, fusion=fusion_kind, aggregation=aggregation)
+        config = make_config(model=model, epochs=2, fusion=fusion_kind, aggregation=aggregation,
+                             dim_relation=3 if model == "rotate" else 6)
         state, history = train(small_graph, config)
         directory = str(tmp_path / "ckpt")
         training.save_checkpoint(state, history, directory)
         # no optimizer state: nothing resumes training from a checkpoint
-        expected = {"checkpoint.json", "params", "history.json"}
-        assert set(os.listdir(directory)) == expected | ({"profiles"} if fusion_kind else set())
+        assert set(os.listdir(directory)) == {"checkpoint.json", "params", "history.json"}
+        tables = {"entity", "relation"} | ({"core"} if model == "tucker" else set())
+        assert {name[:-4] for name in os.listdir(os.path.join(directory, "params"))} == tables
         loaded, loaded_history = training.load_checkpoint(directory)
         assert loaded_history["loss"] == history["loss"]
-        original = state.parameters()
-        assert set(loaded.parameters()) == set(original)
-        for name, arr in loaded.parameters().items():
-            np.testing.assert_array_equal(arr, original[name])
-        # loss continues identically after reload
-        l1, _ = symmetric_lcwa_loss(small_graph.train, state)
-        l2, _ = symmetric_lcwa_loss(small_graph.train, loaded)
-        assert l1 == l2
+        assert loaded.config == state.config
+        assert loaded.fusion is None and loaded.profiles is None
+        fused = state.fuse_forward(np.arange(small_graph.num_relations))[0]
+        assert fused.tobytes() == loaded.tables.relation.tobytes()
+        for name in tables - {"relation"}:
+            np.testing.assert_array_equal(loaded.parameters()[name], state.parameters()[name])
+        ranks = evaluation.rank_triples(state, small_graph, small_graph.train)
+        assert evaluation.rank_triples(loaded, small_graph, small_graph.train).tobytes() == ranks.tobytes()
+        if fusion_kind is None:
+            # loss continues identically after reload
+            l1, _ = symmetric_lcwa_loss(small_graph.train, state)
+            l2, _ = symmetric_lcwa_loss(small_graph.train, loaded)
+            assert l1 == l2
+
+    def test_fused_checkpoint_loads_and_evaluates_without_fusion_or_random_init(
+            self, small_graph, tmp_path, monkeypatch):
+        config = make_config(model="tucker", epochs=1, fusion="gated", aggregation="learnable")
+        state, history = train(small_graph, config)
+        directory = str(tmp_path / "ckpt")
+        training.save_checkpoint(state, history, directory)
+        expected = evaluation.evaluate(state, small_graph, split="train")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the load path must not call this")
+
+        for target in ("litrel.aggregation.literal_vectors", "litrel.training.literal_vectors",
+                       "litrel.fusion.make_fusion", "numpy.random.default_rng"):
+            monkeypatch.setattr(target, fail)
+        loaded, _ = training.load_checkpoint(directory)
+        assert evaluation.evaluate(loaded, small_graph, split="train") == expected
 
     def test_atomic_overwrite(self, small_graph, tmp_path):
         config = make_config(epochs=1)
