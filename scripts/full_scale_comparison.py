@@ -1,7 +1,8 @@
 """Full-scale harness: literal-fused vs vanilla models on a real dataset.
 
-NOT part of CI — this trains four models end to end and can take hours
-depending on the dataset size and the epoch budget.  The success
+A full run trains four models end to end and can take hours depending
+on the dataset size and the epoch budget; the tests only smoke-test it,
+one epoch on a tiny graph (``tests/test_scripts.py``).  The success
 criterion is directional: for each scoring model, the fused variant
 should reach a higher filtered test MRR than its vanilla counterpart
 under the identical budget.

@@ -1,8 +1,10 @@
 """Per-relation aggregation of entity literals into head/tail vectors.
 
 For every relation two |A| x 11 statistic matrices are precomputed, one
-over the literal rows of the relation's head entities and one over its
-tail entities (training split only, to avoid evaluation leakage).  They
+over the literal rows of the distinct entities on its head side and one
+over those on its tail side, each entity once (training split only, to
+avoid evaluation leakage).  Absent cells hold 0 and enter every
+statistic but ``count``; entities outside a relation enter none.  They
 are held, in memory as on disk, as two (|R|, |A|, 11) arrays
 ``(u_head, u_tail)``.  For an array of G relations, a configured
 aggregation kind selects one statistic column of their rows, or the
@@ -20,50 +22,34 @@ from litrel import kernels
 from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, ValidationError
 from litrel.kernels import NUM_STATS, STAT_NAMES
-from litrel.serialize import array_fault, load_arrays, save_arrays, save_json
+from litrel.serialize import array_fault, load_arrays, save_arrays
 
 AGGREGATION_KINDS = STAT_NAMES + ("learnable",)
 
 HEAD, TAIL = 0, 2  # triple column of the side entity
 
 
-def build_profiles(
-    graph: KnowledgeGraph,
-    aggregate_over_all_rows: bool = False,
-    multiset_rows: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
+def build_profiles(graph: KnowledgeGraph) -> tuple[np.ndarray, np.ndarray]:
     """Head and tail statistic arrays ``(u_head, u_tail)``, each (|R|, |A|, 11).
 
     Row ``[r, a]`` holds the statistics of attribute ``a`` in
     :data:`litrel.kernels.STAT_NAMES` order; a relation without training
-    triples keeps zeros.  By default the population for a side is the set
-    of distinct entities occurring on that side of the relation in
-    training.  With ``aggregate_over_all_rows`` the statistics instead run
-    over all |E| rows with non-participating rows zeroed (the
-    dilute-toward-zero reading, kept for ablation; the literal values
-    must be >= 0, as normalized ones are); ``count`` still counts present
-    cells of participating rows only, and an entity counts once however
-    many triples it is in.  With ``multiset_rows`` (and not
-    ``aggregate_over_all_rows``) an entity contributes once per training
-    triple it appears in.
+    triples keeps zeros.  The population for a side is the set of
+    distinct entities occurring on that side of the relation in
+    training: an entity counts once however many triples it is in.
 
     Each side is one :func:`litrel.kernels.column_stats` call over the
     populations of all relations, sorted by (relation, entity).
     """
-    values = graph.literals.values
     num_entities = graph.num_entities
-    if aggregate_over_all_rows and (values < 0).any():
-        raise ValidationError("aggregate_over_all_rows needs literal values >= 0")
     shape = (graph.num_relations, graph.num_attributes, NUM_STATS)
     profiles = np.zeros(shape), np.zeros(shape)
     for u, column in zip(profiles, (HEAD, TAIL)):
-        keys = graph.train[:, 1] * num_entities + graph.train[:, column]
-        keys = np.sort(keys) if multiset_rows and not aggregate_over_all_rows else np.unique(keys)
+        keys = np.unique(graph.train[:, 1] * num_entities + graph.train[:, column])
         relations, members = np.divmod(keys, num_entities)
         starts = np.flatnonzero(np.diff(relations, prepend=-1))
-        zeros = num_entities - np.diff(starts, append=len(keys)) if aggregate_over_all_rows else None
         u[relations[starts]] = kernels.column_stats(
-            values, graph.literals.present, starts, zeros, members)
+            graph.literals.values, graph.literals.present, members, starts)
     return profiles
 
 
@@ -111,25 +97,19 @@ def literal_vectors_backward(cache: dict, d_l_h: np.ndarray, d_l_t: np.ndarray):
     return d_weights, d_bias
 
 
-def save_profiles(profiles, directory: str, options: dict | None = None) -> None:
-    """Write ``(u_head, u_tail)`` as ``u_head.npy`` and ``u_tail.npy``.
-
-    ``options`` (the :func:`build_profiles` keywords the profiles were
-    built with) is recorded next to them in ``options.json``.
-    """
+def save_profiles(profiles, directory: str) -> None:
+    """Write ``(u_head, u_tail)`` as ``u_head.npy`` and ``u_tail.npy``."""
     u_head, u_tail = profiles
     save_arrays(directory, {"u_head": u_head, "u_tail": u_tail})
-    if options is not None:
-        save_json(os.path.join(directory, "options.json"), options)
 
 
 def load_profiles(directory: str, num_relations: int,
                   num_attributes: int) -> tuple[np.ndarray, np.ndarray]:
     """Read ``(u_head, u_tail)`` written by :func:`save_profiles`, checking their shapes.
 
-    ``u_head.npy`` and ``u_tail.npy`` must both exist as float64 arrays
-    of shape (``num_relations``, ``num_attributes``, 11); otherwise a
-    :class:`ValidationError` names the file.
+    ``u_head.npy`` and ``u_tail.npy`` must both exist as finite float64
+    arrays of shape (``num_relations``, ``num_attributes``, 11);
+    otherwise a :class:`ValidationError` names the file.
     """
     arrays = load_arrays(directory)
     expected = (num_relations, num_attributes, NUM_STATS)

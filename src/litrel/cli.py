@@ -56,9 +56,6 @@ KEYS = {f.name: f.metadata["key"] for f in dataclasses.fields(TrainConfig)} | {
     "labels_path": Key("path", flag=("classify",)),
     "artifact_dir": Key("path", flag=("preprocess", "train", "evaluate", "classify")),
     "checkpoint_dir": Key("path", flag=("train", "evaluate", "classify")),
-    # preprocess keys that shape the literal profiles; see aggregation.build_profiles
-    "aggregate_over_all_rows": Key("bool", False),
-    "multiset_rows": Key("bool", False),
     "group_by": Key((None, "frequency", "correlation"), flag=("evaluate",)),
     "threshold": Key("percent", flag=("evaluate",)),  # absolute count / coefficient, or "2.55%"
     # a coefficient from 2 samples is always +-1
@@ -129,8 +126,7 @@ def cmd_preprocess(config: dict, train_cfg: TrainConfig, output_dir: str) -> int
     test = _load_split(config["test_path"])
     literals = load_literals(config["literals_path"]) if config["literals_path"] else []
     graph = build_graph(train, valid, test, literals)
-    options = {key: config[key] for key in ("aggregate_over_all_rows", "multiset_rows")}
-    profiles = aggregation.build_profiles(graph, **options)
+    profiles = aggregation.build_profiles(graph)
     stats = {
         "entities": graph.num_entities,
         "relations": graph.num_relations,
@@ -143,7 +139,7 @@ def cmd_preprocess(config: dict, train_cfg: TrainConfig, output_dir: str) -> int
     }
     with replacing(artifact_dir) as tmp:
         graph.save(tmp)
-        aggregation.save_profiles(profiles, os.path.join(tmp, "profiles"), options)
+        aggregation.save_profiles(profiles, os.path.join(tmp, "profiles"))
         save_json(os.path.join(tmp, "stats.json"), stats)
         save_json(os.path.join(tmp, "config.json"), config)
     for key in ("entities", "relations", "triples", "attributes", "literals"):

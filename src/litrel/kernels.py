@@ -4,12 +4,12 @@ Profile building computes 11 descriptive statistics per attribute column
 for every relation's head and tail populations, which is the dominant
 preprocessing cost on real datasets.  One :func:`column_stats` call
 computes them for every population at once: the populations are
-consecutive row segments of one block, cut at ``starts``.  The segments
-are taken a window at a time, the ones starting within the same
-:data:`BLOCK_CELLS` cells, and only a window's rows are gathered, so
-the kernel's temporaries stay within a few times that budget, or one
-longer segment.  Segments are independent, so the windowing changes no
-result.  Conventions:
+consecutive segments of ``rows``, the indices of their literal rows, cut
+at ``starts``.  The segments are taken a window at a time, the ones
+starting within the same :data:`BLOCK_CELLS` cells, and only a window's
+rows are gathered, so the kernel's temporaries stay within a few times
+that budget, or one longer segment.  Segments are independent, so the
+windowing changes no result.  Conventions:
 
 * statistic column order: mean, median, mode, min, max, sum, count,
   variance, std, iqr, range
@@ -17,7 +17,6 @@ result.  Conventions:
 * median / IQR quantiles: linear interpolation at position (n - 1) * q
 * variance: population variance (divide by n); std = sqrt(variance)
 * count: number of present (masked) cells only
-* an empty row population (n = 0, or no columns) yields all-zero statistics
 * signed zeros: -0.0 and 0.0 compare equal, so either may be reported
   where both occur (normalized literals never hold -0.0)
 
@@ -40,11 +39,7 @@ sorted block at per-segment offsets:
   (smallest value) on ties.
 
 sum, count, mean and variance are ``np.add.reduceat`` sums over the
-unsorted rows of each segment.  A segment may also stand for ``zeros``
-all-zero rows that the block leaves out (values must then be >= 0, so
-that those rows sort first): they enter the order statistics and the
-mode through the offsets, the mean and variance through n, and add
-nothing to sum or count.
+unsorted rows of each segment.
 """
 
 from __future__ import annotations
@@ -70,9 +65,9 @@ def using_numba() -> bool:
     return False
 
 
-def column_stats(values: np.ndarray, mask: np.ndarray, starts: np.ndarray | None = None,
-                 zeros: np.ndarray | None = None, rows: np.ndarray | None = None) -> np.ndarray:
-    """Per-column statistics of one row population, or of each row segment.
+def column_stats(values: np.ndarray, mask: np.ndarray, rows: np.ndarray,
+                 starts: np.ndarray) -> np.ndarray:
+    """Per-column statistics of each row segment.
 
     Parameters
     ----------
@@ -80,62 +75,54 @@ def column_stats(values: np.ndarray, mask: np.ndarray, starts: np.ndarray | None
         Finite, normalized literal rows (absent cells hold 0).
     mask : bool array, shape (N, |A|)
         Presence mask aligned with ``values``; feeds only ``count``.
-    starts : int array, shape (S,), optional
-        The first row of each population: increasing from 0, and every
-        segment non-empty.  Without it all rows are one population.
-    zeros : int array, shape (S,), optional
-        All-zero absent rows each population holds beyond its rows in
-        ``values``; requires ``values >= 0``.
-    rows : int array, shape (n,), optional
+    rows : int array, shape (n,)
         The rows of ``values`` and ``mask`` that the populations consist
-        of, in order (a row may repeat); without it, all N rows in order.
+        of, in order (a row may repeat).
+    starts : int array, shape (S,)
+        The first position in ``rows`` of each population: increasing
+        from 0, and every segment non-empty.
 
     Returns
     -------
-    float64 array of shape (|A|, 11) in ``STAT_NAMES`` order without
-    ``starts``, else (S, |A|, 11).
+    float64 array of shape (S, |A|, 11) in ``STAT_NAMES`` order.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     mask = np.ascontiguousarray(mask, dtype=bool)
-    n, num_attrs = len(values) if rows is None else len(rows), values.shape[1]
-    single = starts is None
-    starts = np.zeros(min(n, 1), dtype=np.intp) if single else np.asarray(starts, dtype=np.intp)
-    zeros = np.zeros(len(starts), dtype=np.int64) if zeros is None else np.asarray(zeros, np.int64)
-    out = np.zeros((1 if single else len(starts), num_attrs, NUM_STATS))
+    rows, starts = np.asarray(rows, dtype=np.intp), np.asarray(starts, dtype=np.intp)
+    num_attrs = values.shape[1]
+    out = np.zeros((len(starts), num_attrs, NUM_STATS))
     if len(starts) and num_attrs:
         # windows of consecutive segments starting within the same BLOCK_CELLS cells
         first = np.flatnonzero(np.diff(starts // max(1, BLOCK_CELLS // num_attrs), prepend=-1))
         for lo, hi in zip(first, np.append(first[1:], len(starts))):
-            begin, end = starts[lo], starts[hi] if hi < len(starts) else n
-            pick = slice(begin, end) if rows is None else rows[begin:end]
-            _segment_stats(values[pick], mask[pick], starts[lo:hi] - begin, zeros[lo:hi], out[lo:hi])
-    return out[0] if single else out
+            begin, end = starts[lo], starts[hi] if hi < len(starts) else len(rows)
+            pick = rows[begin:end]
+            _segment_stats(values[pick], mask[pick], starts[lo:hi] - begin, out[lo:hi])
+    return out
 
 
-def _segment_stats(values, mask, starts, zeros, out) -> None:
+def _segment_stats(values, mask, starts, out) -> None:
     """Fill ``out`` (S, |A|, 11) with the statistics of each segment; see the module docstring."""
     lengths = np.diff(starts, append=len(values))
-    sizes = lengths + zeros
     sums = np.add.reduceat(values, starts, axis=0)
-    mean = sums / sizes[:, None]
+    mean = sums / lengths[:, None]
     squares = np.repeat(mean, lengths, axis=0)
     np.subtract(values, squares, out=squares)
     squares *= squares
-    squares = np.add.reduceat(squares, starts, axis=0) + zeros[:, None] * mean * mean
     out[..., 0] = mean
     out[..., 5] = sums
     out[..., 6] = np.add.reduceat(mask, starts, axis=0, dtype=np.int64)
-    out[..., 7] = squares / sizes[:, None]
+    out[..., 7] = np.add.reduceat(squares, starts, axis=0) / lengths[:, None]
     out[..., 8] = np.sqrt(out[..., 7])
     # segments whose lengths round up to the same power of two share one sorted block
     buckets = np.ceil(np.log2(lengths))
     for bucket in np.unique(buckets):
         segments = np.flatnonzero(buckets == bucket)
-        _order_stats(values, starts[segments], lengths[segments], zeros[segments], segments, out)
+        _order_stats(values, starts[segments], lengths[segments], segments, out)
     out[..., 10] = out[..., 4] - out[..., 3]
 
 
-def _order_stats(values, starts, lengths, zeros, segments, out) -> None:
+def _order_stats(values, starts, lengths, segments, out) -> None:
     """Median, mode, min, max and IQR of k segments into ``out[segments]``.
 
     The segments' columns are copied into one (k, |A|, W) block, W the
@@ -147,17 +134,16 @@ def _order_stats(values, starts, lengths, zeros, segments, out) -> None:
     block = np.full((k, width, values.shape[1]), np.nan)
     block[valid] = values[(starts[:, None] + np.arange(width))[valid]]
     block = np.sort(block.transpose(0, 2, 1), axis=2)
-    sizes = lengths + zeros
 
     def at(i):
-        """The (k, |A|) values at sorted position ``i`` (k,) of each population, zero rows first."""
-        return np.where((i < zeros)[:, None], 0.0, block[np.arange(k), :, np.maximum(i - zeros, 0)])
+        """The (k, |A|) values at sorted position ``i`` (k,) of each segment."""
+        return block[np.arange(k), :, i]
 
     def quantile(q):
-        position = (sizes - 1) * q
+        position = (lengths - 1) * q
         lo = position.astype(np.int64)
         t = (position - lo)[:, None]
-        a, b = at(lo), at(np.minimum(lo + 1, sizes - 1))
+        a, b = at(lo), at(np.minimum(lo + 1, lengths - 1))
         diff = b - a
         return np.where(t >= 0.5, b - diff * (1 - t), a + diff * t)
 
@@ -168,13 +154,9 @@ def _order_stats(values, starts, lengths, zeros, segments, out) -> None:
     runs = np.zeros(block.shape, dtype=np.int64)
     runs.flat[flat] = np.diff(flat, append=runs.size)
     runs *= valid[:, None, :]
-    first = block[..., 0]
-    runs[..., 0] += np.where(first == 0, zeros[:, None], 0)  # the zero rows join a leading zero run
     best = runs.argmax(axis=2)[..., None]  # the longest run, the first (smallest value) on ties
-    mode = np.take_along_axis(block, best, axis=2)[..., 0]
-    alone = (first != 0) & (zeros[:, None] >= np.take_along_axis(runs, best, axis=2)[..., 0])
     out[segments, :, 1] = quantile(0.5)
-    out[segments, :, 2] = np.where(alone, 0.0, mode)  # a run of zero rows alone, as long or longer
-    out[segments, :, 3] = at(np.zeros_like(sizes))
-    out[segments, :, 4] = at(sizes - 1)
+    out[segments, :, 2] = np.take_along_axis(block, best, axis=2)[..., 0]
+    out[segments, :, 3] = block[..., 0]
+    out[segments, :, 4] = at(lengths - 1)
     out[segments, :, 9] = quantile(0.75) - quantile(0.25)

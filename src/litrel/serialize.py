@@ -23,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 import shutil
 
@@ -123,14 +124,21 @@ def array_fault(array: np.ndarray, dtype: str, shape: tuple) -> str | None:
 
     ``dtype`` is a dtype name, or ``"integer"`` for any integer type.  A
     ``shape`` entry that is not an int, such as ``"|E|"``, names a length
-    that any value matches.
+    that any value matches.  A float array must also be finite.
     """
     if not (array.dtype.kind in "iu" if dtype == "integer" else array.dtype == dtype):
         return f"has dtype {array.dtype}, expected {dtype}"
     if array.ndim != len(shape) or any(isinstance(want, int) and got != want
                                        for got, want in zip(array.shape, shape)):
         return f"has shape {array.shape}, expected ({', '.join(map(str, shape))}{',' * (len(shape) == 1)})"
+    if array.dtype.kind == "f" and not finite(array):
+        return "holds a non-finite value"
     return None
+
+
+def finite(array: np.ndarray) -> bool:
+    """Whether ``array`` holds no NaN and no infinity: then its min and max are finite."""
+    return not array.size or (math.isfinite(array.min()) and math.isfinite(array.max()))
 
 
 def save_json(path: str, document) -> None:

@@ -53,7 +53,8 @@ from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from litrel.kernels import NUM_STATS
 from litrel.scoring import MODEL_KINDS, EmbeddingTables
-from litrel.serialize import array_fault, current, load_arrays, load_json, replacing, save_arrays, save_json
+from litrel.serialize import (array_fault, current, finite, load_arrays, load_json, replacing,
+                             save_arrays, save_json)
 
 logger = logging.getLogger(__name__)
 
@@ -327,9 +328,8 @@ def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles=None) -> Mod
 
 
 def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
-    """Name of the first array holding a NaN or an infinity: its min or max is then not finite."""
-    return next((name for name, arr in arrays.items()
-                 if arr.size and not (math.isfinite(arr.min()) and math.isfinite(arr.max()))), None)
+    """Name of the first array holding a NaN or an infinity."""
+    return next((name for name, arr in arrays.items() if not finite(arr)), None)
 
 
 class Workspace:
@@ -576,9 +576,6 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
         fault = array_fault(stored[name], "float64", shape)
         if fault is not None:
             raise ConfigError(f"{directory}: parameter {name} {fault}")
-    name = _first_non_finite(stored)
-    if name is not None:
-        raise ConfigError(f"{directory}: parameter {name} holds a non-finite value")
     tables = EmbeddingTables(stored["entity"], stored["relation"], stored.get("core"))
     state = ModelState(config, tables, scoring.make_model(config.model, config.transe_norm),
                        artifact=meta.get("artifact"))

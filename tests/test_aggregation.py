@@ -12,10 +12,10 @@ from litrel.aggregation import (
     save_profiles,
 )
 from litrel.data import build_graph
-from litrel.errors import ConfigError, ValidationError
-from litrel.kernels import STAT_NAMES, column_stats
+from litrel.errors import ConfigError
+from litrel.kernels import STAT_NAMES
 from tests.conftest import random_graph
-from tests.test_kernels import assert_stats_match, exact_stats
+from tests.test_kernels import assert_stats_match, exact_stats, stats
 
 
 def reference_quantile(values, q):
@@ -55,7 +55,7 @@ def aggregate_column(values, present_count, kind):
     column = np.asarray(values, dtype=np.float64).reshape(-1, 1)
     mask = np.zeros(column.shape, dtype=bool)
     mask[:present_count, 0] = True
-    return float(column_stats(column, mask)[0, STAT_NAMES.index(kind)])
+    return float(stats(column, mask)[0, STAT_NAMES.index(kind)])
 
 
 class TestAggregateColumn:
@@ -75,8 +75,13 @@ class TestAggregateColumn:
         assert aggregate_column([0.0, 0.0, 0.0], 3, "variance") == 0.0
 
     def test_empty_population_is_zero_for_all_kinds(self):
+        # a relation with no training triples has empty head and tail populations
+        graph = build_graph([("a", "r", "b")], [("a", "s", "b")], [],
+                            [("a", "x", 1.0), ("b", "x", 2.0)])
+        profiles = build_profiles(graph)
         for kind in STAT_NAMES:
-            assert aggregate_column([], 0, kind) == 0.0
+            for side in literal_vectors(profiles, np.array([graph.relations["s"]]), kind):
+                assert not side.any(), kind
 
     def test_count_uses_present_only(self):
         assert aggregate_column([0.5, 0.0, 0.0], 1, "count") == 1.0
@@ -181,85 +186,31 @@ class TestBuildProfiles:
             assert (u[..., STAT_NAMES.index("min")] <= u[..., STAT_NAMES.index("median")] + 1e-12).all()
             assert (u[..., STAT_NAMES.index("median")] <= u[..., STAT_NAMES.index("max")] + 1e-12).all()
 
-    def test_aggregate_over_all_rows_dilutes_mean(self):
-        graph = build_graph(
-            [("e1", "r", "e2")], [], [],
-            [("e1", "a", 1.0), ("e2", "a", 0.5), ("e3", "a", 0.0)],
-        )
-        r, i_mean = graph.relations["r"], STAT_NAMES.index("mean")
-        default, _ = build_profiles(graph)
-        padded, _ = build_profiles(graph, aggregate_over_all_rows=True)
-        assert padded[r, 0, i_mean] < default[r, 0, i_mean]
 
-    def test_multiset_rows_weight_repeats(self):
-        graph = build_graph(
-            [("e1", "r", "t"), ("e1", "r", "u"), ("e2", "r", "t")], [], [],
-            [("e1", "a", 1.0), ("e2", "a", 0.0), ("t", "a", 0.5), ("u", "a", 0.25)],
-        )
-        r, i_mean = graph.relations["r"], STAT_NAMES.index("mean")
-        set_head, _ = build_profiles(graph)
-        multi_head, _ = build_profiles(graph, multiset_rows=True)
-        assert set_head[r, 0, i_mean] == pytest.approx(0.5)
-        assert multi_head[r, 0, i_mean] == pytest.approx(2.0 / 3.0)
-
-
-def reference_profiles(graph, aggregate_over_all_rows=False, multiset_rows=False):
-    """The per-relation loop build_profiles replaced, on explicit population blocks.
-
-    With ``aggregate_over_all_rows`` each population is an |E| x |A|
-    block holding the members' rows and zeros elsewhere; assigning the
-    members' rows folds a repeated member into one row.
-    """
+def reference_profiles(graph):
+    """The per-relation loop build_profiles replaced, on explicit population blocks."""
     values, present = graph.literals.values, graph.literals.present
     shape = (graph.num_relations, graph.num_attributes, len(STAT_NAMES))
     profiles = np.zeros(shape), np.zeros(shape)
     for relation in np.unique(graph.train[:, 1]):
         rows = graph.train[:, 1] == relation
         for u, column in zip(profiles, (0, 2)):
-            members = graph.train[rows, column]
-            members = np.sort(members) if multiset_rows else np.unique(members)
-            if aggregate_over_all_rows:
-                padded = np.zeros(values.shape)
-                padded[members] = values[members]
-                padded_mask = np.zeros(present.shape, dtype=bool)
-                padded_mask[members] = present[members]
-                u[relation] = exact_stats(padded, padded_mask)
-            else:
-                u[relation] = exact_stats(values[members], present[members])
+            members = np.unique(graph.train[rows, column])
+            u[relation] = exact_stats(values[members], present[members])
     return profiles
 
 
 class TestProfilesAgainstRelationLoop:
-    @pytest.mark.parametrize("aggregate_over_all_rows", [False, True])
-    @pytest.mark.parametrize("multiset_rows", [False, True])
-    def test_matches_reference(self, rng, aggregate_over_all_rows, multiset_rows):
-        options = {"aggregate_over_all_rows": aggregate_over_all_rows,
-                   "multiset_rows": multiset_rows}
+    def test_matches_reference(self, rng):
         for _ in range(20):
-            # few entities, so members repeat within a relation and zero rows are common
+            # few entities, so members repeat within a relation
             graph = random_graph(rng, num_entities=int(rng.integers(2, 12)),
                                  num_relations=int(rng.integers(1, 6)),
                                  num_attributes=int(rng.integers(1, 5)),
                                  triples_per_relation=int(rng.integers(1, 15)),
                                  literal_density=0.6)
-            for actual, expected in zip(build_profiles(graph, **options),
-                                        reference_profiles(graph, **options)):
+            for actual, expected in zip(build_profiles(graph), reference_profiles(graph)):
                 assert_stats_match(actual, expected)
-
-    def test_multiset_rows_change_nothing_over_all_rows(self):
-        graph = build_graph(
-            [("e1", "r", "t"), ("e1", "r", "u"), ("e2", "r", "t")], [], [],
-            [("e1", "a", 1.0), ("e2", "a", 0.0), ("t", "a", 0.5), ("u", "a", 0.25)],
-        )
-        padded = build_profiles(graph, aggregate_over_all_rows=True)
-        both = build_profiles(graph, aggregate_over_all_rows=True, multiset_rows=True)
-        for u, v in zip(padded, both):
-            np.testing.assert_array_equal(u, v)
-
-    def test_negative_values_cannot_be_padded(self, toy_graph):
-        toy_graph.literals.values[0, 0] = -0.5
-        with pytest.raises(ValidationError, match="aggregate_over_all_rows"):
-            build_profiles(toy_graph, aggregate_over_all_rows=True)
 
 
 # every relation, one repeated: the rows follow the index array

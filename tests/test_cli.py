@@ -88,33 +88,16 @@ class TestPreprocess:
         out = capsys.readouterr().out
         assert "entities: 8" in out
 
-    @pytest.mark.parametrize("options", [
-        {"aggregate_over_all_rows": False, "multiset_rows": False},
-        {"aggregate_over_all_rows": True, "multiset_rows": True},
-    ])
-    def test_profile_options_recorded_next_to_profiles(self, dataset, tmp_path, options):
+    @pytest.mark.parametrize("key", ["aggregate_over_all_rows", "multiset_rows"])
+    def test_removed_profile_option_is_unknown_key(self, dataset, tmp_path, capsys, key):
+        # a side's population is always its distinct training entities
         config = tmp_path / "config.json"
-        config.write_text(json.dumps(options))
-        artifact = str(tmp_path / "artifact")
-        assert main(["--config", str(config), "preprocess",
-                     "--train-path", dataset["train"], "--literals-path", dataset["literals"],
-                     "--artifact-dir", artifact]) == 0
-        with open(os.path.join(artifact, "profiles", "options.json")) as fh:
-            assert json.load(fh) == options
-
-    @pytest.mark.parametrize("options, message", [
-        ({"multiset_rows": "false"}, "multiset_rows must be true or false, got 'false'"),
-        ({"aggregate_over_all_rows": 1}, "aggregate_over_all_rows must be true or false, got 1"),
-    ])
-    def test_non_bool_profile_option_is_config_error(self, dataset, tmp_path, capsys,
-                                                     options, message):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(options))
+        config.write_text(json.dumps({key: False}))
         artifact = tmp_path / "artifact"
         assert main(["--config", str(config), "preprocess",
                      "--train-path", dataset["train"], "--literals-path", dataset["literals"],
                      "--artifact-dir", str(artifact)]) == 1
-        assert message in capsys.readouterr().err
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
         assert not artifact.exists()
 
     def test_rerun_is_byte_identical(self, dataset, tmp_path):
@@ -536,7 +519,7 @@ class TestTrainEvaluateClassify:
         assert "internal error" not in err
 
     def test_fused_train_without_artifact_profiles_is_error(self, pipeline, capsys):
-        # profiles rebuilt here would ignore the profile options the artifact was built with
+        # train reads the profiles the artifact holds and does not rebuild them
         profile_dir = os.path.join(pipeline["artifact"], "profiles")
         shutil.rmtree(profile_dir)
         assert train(pipeline["artifact"], str(pipeline["tmp"] / "c2"), extra=("--fusion", "linear")) == 1
@@ -774,22 +757,6 @@ class TestConfigPrecedence:
         assert echoed["model"] == "distmult"
         assert echoed["epochs"] == 1
 
-    def test_profile_options_are_not_training_config(self, dataset, tmp_path):
-        artifact = str(tmp_path / "artifact")
-        assert preprocess(dataset, artifact) == 0
-        config = tmp_path / "run.json"
-        config.write_text(json.dumps({
-            "artifact_dir": artifact,
-            "aggregate_over_all_rows": True,
-            "multiset_rows": True,
-        }))
-        checkpoint = str(tmp_path / "ckpt")
-        assert main(["--config", str(config), "train", "--checkpoint-dir", checkpoint,
-                     "--dim-entity", "8", "--dim-relation", "8", "--epochs", "1"]) == 0
-        meta = json.loads(Path(checkpoint, "checkpoint.json").read_text())
-        assert "aggregate_over_all_rows" not in meta["config"]
-        assert "multiset_rows" not in meta["config"]
-
     @pytest.mark.parametrize("content, message", [
         ('5', "does not hold a JSON object"),
         ('["epochs"]', "does not hold a JSON object"),
@@ -948,6 +915,10 @@ class TestInputErrors:
         pytest.param("literal_present", lambda a: a[:, :-1], "has shape (8, 1), expected (8, 2)",
                      id="narrow-literal_present"),
         pytest.param("raw_max", lambda a: a[:-1], "has shape (1,), expected (2,)", id="short-raw_max"),
+        pytest.param("literal_values", lambda a: np.where(a == a.max(), np.nan, a),
+                     "holds a non-finite value", id="nan-literal_values"),
+        pytest.param("raw_max", lambda a: np.where(a == a.max(), np.inf, a),
+                     "holds a non-finite value", id="inf-raw_max"),
         pytest.param("test", lambda a: a.ravel(), "has shape (3,), expected (N, 3)", id="flat-test"),
         pytest.param("test", lambda a: a.astype(np.float64), "has dtype float64, expected integer",
                      id="float-test"),
@@ -961,6 +932,17 @@ class TestInputErrors:
             np.save(path, corrupt(np.load(path)))
         assert self.classify(pipeline, dataset["labels"]) == 1
         self.assert_error(capsys, f"{path} {message}")
+
+    def test_non_finite_profile_is_validation_error(self, pipeline, capsys):
+        path = os.path.join(pipeline["artifact"], "profiles", "u_head.npy")
+        u_head = np.load(path)
+        u_head[0, 0, 0] = np.inf
+        np.save(path, u_head)
+        checkpoint = pipeline["tmp"] / "c2"
+        assert train(pipeline["artifact"], str(checkpoint),
+                     extra=("--fusion", "gated", "--aggregation", "learnable")) == 1
+        self.assert_error(capsys, f"{path} holds a non-finite value")
+        assert not checkpoint.exists()
 
     def test_non_utf8_config_file_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "run.json"
@@ -996,7 +978,7 @@ class TestKeyTable:
         for name, key in KEYS.items():
             key.check(name, key.default)
         TrainConfig().validate()
-        assert len(KEYS) == 31
+        assert len(KEYS) == 29
 
     def test_flags_are_unchanged(self):
         parser = build_parser()

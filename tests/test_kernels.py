@@ -74,6 +74,18 @@ def loop_stats(values, mask):
     return out
 
 
+def stats(values, mask, starts=None):
+    """:func:`column_stats` over every row of ``values`` in order, cut at ``starts``.
+
+    Without ``starts`` the rows are one population, and the result is its
+    (|A|, 11) statistics.
+    """
+    rows = np.arange(len(values))
+    if starts is None:
+        return column_stats(values, mask, rows, np.array([0]))[0]
+    return column_stats(values, mask, rows, starts)
+
+
 def random_case(rng, rows, cols, density=0.7):
     values = rng.normal(size=(rows, cols))
     mask = rng.random(size=(rows, cols)) < density
@@ -89,7 +101,7 @@ class TestStatLayout:
 
     def test_output_shape(self, rng):
         values, mask = random_case(rng, 9, 4)
-        assert column_stats(values, mask).shape == (4, NUM_STATS)
+        assert stats(values, mask).shape == (4, NUM_STATS)
 
 
 class TestPathEquivalence:
@@ -97,7 +109,7 @@ class TestPathEquivalence:
         for rows, cols in [(1, 1), (2, 3), (7, 5), (40, 8)]:
             values, mask = random_case(rng, rows, cols)
             np.testing.assert_allclose(
-                loop_stats(values, mask), column_stats(values, mask), atol=1e-12
+                loop_stats(values, mask), stats(values, mask), atol=1e-12
             )
 
     def test_agreement_with_ties_and_empty_columns(self, rng):
@@ -106,13 +118,13 @@ class TestPathEquivalence:
         mask = np.ascontiguousarray(rng.random(size=(20, 6)) < 0.3)
         values = np.ascontiguousarray(np.where(mask, values, 0.0))
         np.testing.assert_allclose(
-            loop_stats(values, mask), column_stats(values, mask), atol=1e-12
+            loop_stats(values, mask), stats(values, mask), atol=1e-12
         )
 
     def test_non_contiguous_and_integer_inputs_coerced(self, rng):
         values, mask = random_case(rng, 3, 15)
         # transposed views are not C-contiguous; 0/1 integers stand in for bools
-        out = column_stats(values.T, mask.T.astype(np.int64))
+        out = stats(values.T, mask.T.astype(np.int64))
         expected = loop_stats(np.ascontiguousarray(values.T), np.ascontiguousarray(mask.T))
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -121,7 +133,7 @@ class TestKnownValues:
     def test_two_row_example(self):
         values = np.array([[0.2], [0.4]])
         mask = np.ones((2, 1), dtype=bool)
-        out = column_stats(values, mask)[0]
+        out = stats(values, mask)[0]
         expected = {
             "mean": 0.3, "median": 0.3, "mode": 0.2, "min": 0.2, "max": 0.4,
             "sum": 0.6, "count": 2.0, "variance": 0.01, "std": 0.1,
@@ -134,7 +146,7 @@ class TestKnownValues:
         values = np.zeros((3, 2))
         mask = np.zeros((3, 2), dtype=bool)
         mask[:, 0] = True
-        out = column_stats(values, mask)
+        out = stats(values, mask)
         np.testing.assert_array_equal(out[1], np.zeros(NUM_STATS))
         assert out[0, STAT_NAMES.index("count")] == 3.0
 
@@ -169,7 +181,7 @@ class TestProperties:
     @given(populations())
     def test_matches_loop_reference(self, case):
         values, mask = case
-        np.testing.assert_allclose(column_stats(values, mask), loop_stats(values, mask), atol=1e-12)
+        np.testing.assert_allclose(stats(values, mask), loop_stats(values, mask), atol=1e-12)
 
     @pytest.mark.parametrize("coarse", [False, True])
     def test_median_and_iqr_bit_identical_to_np_quantile(self, rng, coarse):
@@ -178,13 +190,13 @@ class TestProperties:
             values = rng.normal(size=(rows, 7))
             if coarse:
                 values = np.round(values * 2) + 3.0  # ties, no signed zeros
-            out = column_stats(values, np.ones(values.shape, dtype=bool))
+            out = stats(values, np.ones(values.shape, dtype=bool))
             q25, q50, q75 = (np.quantile(values, q, axis=0) for q in (0.25, 0.5, 0.75))
             np.testing.assert_array_equal(out[:, median], q50)
             np.testing.assert_array_equal(out[:, iqr], q75 - q25)
 
     def test_no_columns_is_empty(self):
-        assert column_stats(np.zeros((5, 0)), np.zeros((5, 0), dtype=bool)).shape == (0, NUM_STATS)
+        assert stats(np.zeros((5, 0)), np.zeros((5, 0), dtype=bool)).shape == (0, NUM_STATS)
 
 
 ORDER_STATS = [STAT_NAMES.index(name)
@@ -210,11 +222,10 @@ def assert_stats_match(actual, expected):
 
 @st.composite
 def segmented(draw):
-    """(values, mask, starts, zeros): 1..6 populations of 1..30 rows, values in [0, 1].
+    """(values, mask, starts): 1..6 populations of 1..30 rows, values in [0, 1].
 
     Columns may be coarse (ties), constant or empty as in
-    :func:`populations`; ``zeros`` is each population's count of
-    all-zero rows left out of the block.
+    :func:`populations`.
     """
     num_attrs = draw(st.integers(0, 6))
     lengths = draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))
@@ -232,9 +243,7 @@ def segmented(draw):
         elif layout == "empty":
             mask[:, a] = False
     starts = np.cumsum([0] + lengths[:-1])
-    zeros = np.array(draw(st.lists(st.integers(0, 40), min_size=len(lengths),
-                                   max_size=len(lengths))))
-    return np.where(mask, values, 0.0), mask, starts, zeros
+    return np.where(mask, values, 0.0), mask, starts
 
 
 class TestSegments:
@@ -243,30 +252,21 @@ class TestSegments:
     @settings(max_examples=200, deadline=None)
     @given(segmented())
     def test_matches_per_segment_loop(self, case):
-        values, mask, starts, _ = case
+        values, mask, starts = case
         ends = np.append(starts[1:], len(values))
         expected = np.stack([exact_stats(values[a:b], mask[a:b]) for a, b in zip(starts, ends)])
-        assert_stats_match(column_stats(values, mask, starts), expected)
-
-    @settings(max_examples=200, deadline=None)
-    @given(segmented())
-    def test_zero_rows_match_an_explicit_padded_block(self, case):
-        values, mask, starts, zeros = case
-        ends = np.append(starts[1:], len(values))
-        expected = []
-        for a, b, z in zip(starts, ends, zeros):
-            padded = np.vstack([values[a:b], np.zeros((z, values.shape[1]))])
-            padded_mask = np.vstack([mask[a:b], np.zeros((z, values.shape[1]), dtype=bool)])
-            expected.append(exact_stats(padded, padded_mask))
-        assert_stats_match(column_stats(values, mask, starts, zeros), np.stack(expected))
+        assert_stats_match(stats(values, mask, starts), expected)
 
     def test_single_population_is_the_first_segment(self, rng):
         values, mask = random_case(rng, 12, 5)
-        np.testing.assert_array_equal(column_stats(values, mask),
-                                      column_stats(values, mask, np.array([0]))[0])
+        more_values, more_mask = random_case(rng, 7, 5)
+        segments = stats(np.vstack([values, more_values]), np.vstack([mask, more_mask]),
+                         np.array([0, 12]))
+        np.testing.assert_array_equal(stats(values, mask), segments[0])
 
     def test_no_segments(self):
-        out = column_stats(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool), np.array([], dtype=int))
+        out = column_stats(np.zeros((0, 3)), np.zeros((0, 3), dtype=bool),
+                           np.array([], dtype=int), np.array([], dtype=int))
         assert out.shape == (0, 3, NUM_STATS)
 
     @settings(max_examples=100, deadline=None)
@@ -274,26 +274,26 @@ class TestSegments:
     def test_windows_and_gathered_rows_change_nothing(self, case, cells):
         # segments are independent: any window budget, and gathering the rows inside
         # the kernel, must give the one-window result bit for bit
-        values, mask, starts, zeros = case
-        whole = column_stats(values, mask, starts, zeros)
+        values, mask, starts = case
+        whole = stats(values, mask, starts)
         order = np.random.default_rng(len(values)).permutation(len(values))
         source_values, source_mask = np.empty_like(values), np.empty_like(mask)
         source_values[order], source_mask[order] = values, mask
         with mock.patch.object(kernels, "BLOCK_CELLS", cells):
-            np.testing.assert_array_equal(column_stats(values, mask, starts, zeros), whole)
+            np.testing.assert_array_equal(stats(values, mask, starts), whole)
             np.testing.assert_array_equal(
-                column_stats(source_values, source_mask, starts, zeros, order), whole)
+                column_stats(source_values, source_mask, order, starts), whole)
 
     def test_window_temporaries_stay_within_the_budget(self, rng):
         # 2000 segments of 10 rows and 20 columns, windows of 2^12 cells: the temporaries
         # scale with a window, not with the 3.2 MB of rows
         values, mask = random_case(rng, 20000, 20)
         values, starts = np.abs(values), np.arange(0, 20000, 10)
-        whole = column_stats(values, mask, starts)
+        whole = stats(values, mask, starts)
         with mock.patch.object(kernels, "BLOCK_CELLS", 1 << 12):
             tracemalloc.start()
             try:
-                sliced = column_stats(values, mask, starts, rows=np.arange(20000))
+                sliced = stats(values, mask, starts)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
