@@ -171,6 +171,29 @@ class TestBuildProfiles:
         assert p_grown[i_max] > p_small[i_max]
         assert p_grown[i_count] >= p_small[i_count]
 
+    def test_entities_outside_the_relation_do_not_dilute(self):
+        # e3 has a literal but no r triple: the head population is e1 alone
+        graph = build_graph(
+            [("e1", "r", "e2")], [], [],
+            [("e1", "a", 1.0), ("e2", "a", 0.5), ("e3", "a", 0.0)],
+        )
+        r, i_mean, i_count = graph.relations["r"], STAT_NAMES.index("mean"), STAT_NAMES.index("count")
+        u_head, u_tail = build_profiles(graph)
+        assert u_head[r, 0, i_mean] == pytest.approx(1.0)
+        assert u_tail[r, 0, i_mean] == pytest.approx(0.5)
+        assert u_head[r, 0, i_count] == u_tail[r, 0, i_count] == 1.0
+
+    def test_repeated_members_count_once(self):
+        # e1 heads two r triples and still weighs as one row
+        graph = build_graph(
+            [("e1", "r", "t"), ("e1", "r", "u"), ("e2", "r", "t")], [], [],
+            [("e1", "a", 1.0), ("e2", "a", 0.0), ("t", "a", 0.5), ("u", "a", 0.25)],
+        )
+        r, i_mean, i_count = graph.relations["r"], STAT_NAMES.index("mean"), STAT_NAMES.index("count")
+        u_head, _ = build_profiles(graph)
+        assert u_head[r, 0, i_mean] == pytest.approx(0.5)
+        assert u_head[r, 0, i_count] == 2.0
+
     def test_std_squared_is_variance(self, rng):
         graph = random_graph(rng)
         for u in build_profiles(graph):

@@ -88,6 +88,12 @@ class TestPreprocess:
         out = capsys.readouterr().out
         assert "entities: 8" in out
 
+    def test_profiles_are_the_two_stat_tensors(self, dataset, tmp_path):
+        # the population convention is fixed, so nothing records it next to the profiles
+        artifact = tmp_path / "artifact"
+        assert preprocess(dataset, str(artifact)) == 0
+        assert sorted(os.listdir(artifact / "profiles")) == ["u_head.npy", "u_tail.npy"]
+
     @pytest.mark.parametrize("key", ["aggregate_over_all_rows", "multiset_rows"])
     def test_removed_profile_option_is_unknown_key(self, dataset, tmp_path, capsys, key):
         # a side's population is always its distinct training entities

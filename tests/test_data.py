@@ -17,6 +17,7 @@ from litrel.data import (
     read_tsv,
 )
 from litrel.errors import ParseError, ValidationError
+from litrel.serialize import array_fault
 
 
 def write(tmp_path, name, text):
@@ -177,6 +178,19 @@ class TestSerialization:
         g1 = build_graph([("a", "r", "b"), ("c", "r", "d")], [], [], [])
         g2 = build_graph([("c", "r", "d"), ("a", "r", "b")], [], [], [])
         assert g1.entities == g2.entities
+
+
+class TestArrayFault:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_is_a_fault(self, bad):
+        array = np.zeros((3, 2))
+        array[1, 1] = bad
+        assert array_fault(array, "float64", ("|E|", 2)) == "holds a non-finite value"
+
+    def test_finite_and_empty_arrays_pass(self):
+        assert array_fault(np.linspace(-1.0, 1.0, 6).reshape(3, 2), "float64", ("|E|", 2)) is None
+        assert array_fault(np.zeros((0, 2)), "float64", ("|E|", 2)) is None
+        assert array_fault(np.arange(6).reshape(2, 3), "integer", ("N", 3)) is None
 
 
 # any label a vocabulary file can hold: one label per line

@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 from unittest import mock
 
@@ -256,6 +257,48 @@ class TestSegments:
         ends = np.append(starts[1:], len(values))
         expected = np.stack([exact_stats(values[a:b], mask[a:b]) for a, b in zip(starts, ends)])
         assert_stats_match(stats(values, mask, starts), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(segmented(), st.data())
+    def test_zero_rows_match_an_explicit_padded_block(self, case, data):
+        # a population padded with all-zero rows, as a sweep builds it: the extra
+        # entries of ``rows`` point at one all-zero row appended to the source
+        values, mask, starts = case
+        ends = np.append(starts[1:], len(values))
+        zeros = data.draw(st.lists(st.integers(0, 40), min_size=len(starts),
+                                   max_size=len(starts)))
+        zero_row = len(values)
+        source_values = np.vstack([values, np.zeros((1, values.shape[1]))])
+        source_mask = np.vstack([mask, np.zeros((1, values.shape[1]), dtype=bool)])
+        rows, padded_starts, expected = [], [], []
+        for a, b, z in zip(starts, ends, zeros):
+            padded_starts.append(len(rows))
+            rows += list(range(a, b)) + [zero_row] * z
+            expected.append(exact_stats(source_values[rows[padded_starts[-1]:]],
+                                        source_mask[rows[padded_starts[-1]:]]))
+        assert_stats_match(column_stats(source_values, source_mask, np.array(rows),
+                                        np.array(padded_starts)),
+                           np.stack(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(segmented(), st.data())
+    def test_repeated_rows_match_an_explicit_repeated_block(self, case, data):
+        # a multiset population: ``rows`` names a source row once per occurrence
+        values, mask, starts = case
+        ends = np.append(starts[1:], len(values))
+        rows, repeated_starts, expected = [], [], []
+        for a, b in zip(starts, ends):
+            members = data.draw(st.lists(st.integers(a, b - 1), min_size=1, max_size=40))
+            repeated_starts.append(len(rows))
+            rows += members
+            expected.append(exact_stats(values[members], mask[members]))
+        assert_stats_match(column_stats(values, mask, np.array(rows), np.array(repeated_starts)),
+                           np.stack(expected))
+
+    def test_every_argument_is_required(self):
+        parameters = inspect.signature(column_stats).parameters
+        assert list(parameters) == ["values", "mask", "rows", "starts"]
+        assert all(p.default is inspect.Parameter.empty for p in parameters.values())
 
     def test_single_population_is_the_first_segment(self, rng):
         values, mask = random_case(rng, 12, 5)
