@@ -7,15 +7,17 @@ evaluated entity itself) are filtered out before ranking.  Ties resolve
 to the realistic rank (mean of best and worst rank among equal scores)
 by default; optimistic and pessimistic policies are available.
 
-Ranking fuses the relation table once, as |R| rows ``r_lit``; then each
-block of at most :func:`scoring.block_rows` triples, in input order and
-so spanning relations, is scored as one B x |E| matrix per side with
-each triple's ``r_lit`` row, in the one score buffer of a
-:class:`scoring.SimilarityBlocks`, and compared in one reused mask.  The
-filter is read from the splits on each call: the known triples are
-sorted by an int64 key per side, and each block finds its rows'
-known-true competitors by binary search.  Filtering sets them to -inf,
-and the better and tied entries are counted row-wise.
+Ranking fuses the relation table once, as |R| rows ``r_lit``.  The
+triples, in input order and so spanning relations, are split into the
+two lanes of :func:`scoring.lane_blocks`, and each lane block is scored
+as one B x |E| matrix per side with each triple's ``r_lit`` row, in the
+score buffer of the lane's :class:`scoring.SimilarityBlocks`, and
+compared in the lane's mask.  The queries of one block per lane are
+built on the calling thread; the lanes then score and rank on two
+threads.  The filter is read from the splits on each call: the known
+triples are sorted by an int64 key per side, and each block finds its
+rows' known-true competitors by binary search.  Filtering sets them to
+-inf, and the better and tied entries are counted row-wise.
 
 Relations can additionally be partitioned into frequent vs long-tail
 groups (by training-triple count) or correlated vs less-correlated
@@ -135,20 +137,28 @@ def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray,
     order = np.argsort(keys, kind="stable")
     keys, entities = keys[order], np.concatenate([t, h])[order]
     r_lit = state.fuse_forward(np.arange(n_r))[0]  # its cache holds gathered profile rows: drop it
-    step = scoring.block_rows(n_e)
-    blocks = scoring.SimilarityBlocks(model.norm, tables.entity, min(step, triples.shape[0]))
-    mask = np.empty((blocks.rows, n_e), dtype=bool)
-    for start in range(0, triples.shape[0], step):
-        heads, rels, tails = triples[start:start + step].T
-        r_rows = r_lit[rels]
+    lane_blocks = scoring.lane_blocks(triples.shape[0], n_e)
+    rows = min(scoring.lane_rows(n_e), -(-triples.shape[0] // scoring.LANES))
+    lanes = [(scoring.SimilarityBlocks(model.norm, tables.entity, rows), np.empty((rows, n_e), dtype=bool))
+             for _ in range(scoring.LANES)]
+
+    def rank(lane, block, q_heads, q_tails):
+        """Filtered ranks of ``triples[block]`` from their query rows, with one lane's buffers."""
+        kernel, mask = lane
+        heads, rels, tails = triples[block].T
         known_heads = _known_entities(keys, entities, (n_r + rels) * n_e + tails)
         known_tails = _known_entities(keys, entities, rels * n_e + heads)
-        ranks[start:start + step, 0] = filtered_ranks(
-            scoring.score_all_heads(tails, r_rows, model, tables, blocks), heads, known_heads,
-            tie_policy, mask)
-        ranks[start:start + step, 1] = filtered_ranks(
-            scoring.score_all_tails(heads, r_rows, model, tables, blocks), tails, known_tails,
-            tie_policy, mask)
+        ranks[block, 0] = filtered_ranks(kernel.forward(q_heads), heads, known_heads, tie_policy, mask)
+        ranks[block, 1] = filtered_ranks(kernel.forward(q_tails), tails, known_tails, tie_policy, mask)
+
+    for i in range(len(lane_blocks[0])):
+        # the i-th block of every lane: its queries are built on this thread, then scored on the lanes
+        blocks, q_heads, q_tails = [lane[i] for lane in lane_blocks if i < len(lane)], [], []
+        for heads, rels, tails in (triples[block].T for block in blocks):
+            r_rows = r_lit[rels]
+            q_heads.append(model.query(tables, tails, r_rows, "head"))
+            q_tails.append(model.query(tables, heads, r_rows, "tail"))
+        scoring.fan_out(rank, lanes, blocks, q_heads, q_tails)
     return ranks
 
 

@@ -25,13 +25,21 @@ tails, and exact identities let both sides build their queries:
   with the core as a D_e x (D_r*D_e) matrix; the D_e*D_r-wide rows are
   built :data:`BLOCK_SCORES` entries at a time.
 
-The kernels live in :class:`SimilarityBlocks`, one per training run or
-ranking call: it reuses its B x |E| and |E| x D buffers for every block,
-and :meth:`SimilarityBlocks.refresh` re-reads the entity table's squared
-norms after the optimizer has changed the table in place.  TuckER keeps
-its Khatri-Rao chunks and their products in scratch arrays of its own,
-grown on demand, so scoring and training allocate no chunk-sized array
-after the first call.
+The kernels live in :class:`SimilarityBlocks`, one per lane of a training
+run or ranking call: it reuses its B x |E| and |E| x D buffers for every
+block, and :meth:`SimilarityBlocks.refresh` re-reads the entity table's
+squared norms after the optimizer has changed the table in place.
+TuckER keeps its Khatri-Rao chunks and their products in a
+:class:`Scratch` of its own, grown on demand, so scoring and training
+allocate no chunk-sized array after the first call.
+
+The block loops of training and ranking split their query rows into
+:data:`LANES` contiguous lanes, each scored in blocks of
+:func:`lane_rows` rows (:func:`lane_blocks`) by a kernel of its own,
+and :func:`fan_out` runs the lanes on a thread pool.  The split depends only
+on the row count and |E|, so results do not depend on the number of
+threads.  The models' ``query``/``query_backward`` stay on the calling
+thread: TuckER's scratch is not shared between threads.
 
 Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
 the distance kernel is one matrix product plus row norms.  The
@@ -58,17 +66,25 @@ the B x D_r gradient w.r.t. the fused relation rows.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
+import litrel
 from litrel.errors import ConfigError, ShapeError
 
 MODEL_KINDS = ("transe", "distmult", "complex", "rotate", "tucker")
 
 # Score entries per block: a B x |E| float64 score matrix stays at 2 MiB.
 BLOCK_SCORES = 1 << 18
+
+# Contiguous parts of a block loop's query rows, scored on threads of their
+# own; their blocks share the BLOCK_SCORES budget.
+LANES = 2
 
 _NORM_EPS = 1e-12
 # Expanded squared distances within this multiple of their rounding scale
@@ -172,25 +188,32 @@ class RotatE:
         return sign * np.imag(g * np.conj(q))
 
 
+class Scratch:
+    """Named scratch arrays that live as long as their owner and grow when a larger one is needed."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name, shape):
+        """A C-contiguous float64 array of ``shape``, reusing the one named ``name``."""
+        size = math.prod(shape)
+        if name not in self._arrays or self._arrays[name].size < size:
+            self._arrays[name] = np.empty(size)
+        return self._arrays[name][:size].reshape(shape)
+
+
 class TuckER:
     """score = core tensor contracted with e_h, r and e_t.
 
     The Khatri-Rao chunks, then their gradients, and the chunk products
-    of the core gradient are written into two scratch arrays that live
-    as long as the model and grow when a larger chunk needs them.
+    of the core gradient are written into the two arrays of the model's
+    :class:`Scratch`.
     """
 
     norm = None
 
     def __init__(self):
-        self._scratch: dict[str, np.ndarray] = {}
-
-    def _buffer(self, name, shape):
-        """A C-contiguous scratch array of ``shape``, reusing the one named ``name``."""
-        size = math.prod(shape)
-        if name not in self._scratch or self._scratch[name].size < size:
-            self._scratch[name] = np.empty(size)
-        return self._scratch[name][:size].reshape(shape)
+        self._buffer = Scratch()
 
     @staticmethod
     def _factors(core, e, r_lit, side):
@@ -255,6 +278,50 @@ def block_rows(num_entities: int) -> int:
     return max(1, BLOCK_SCORES // num_entities)
 
 
+def lane_rows(num_entities: int) -> int:
+    """Query rows per block of one lane: its share of :func:`block_rows`, at least one row."""
+    return max(1, block_rows(num_entities) // LANES)
+
+
+def lane_blocks(count: int, num_entities: int) -> list[list[slice]]:
+    """Per lane, the row blocks it scores, out of ``count`` rows.
+
+    The rows are cut into ``LANES`` contiguous parts, the earlier ones
+    taking the remainder, and each part into blocks of :func:`lane_rows`
+    rows.
+    """
+    step, size = lane_rows(num_entities), -(-count // LANES)
+    parts = [range(min(k * size, count), min((k + 1) * size, count)) for k in range(LANES)]
+    return [[slice(start, min(start + step, part.stop)) for start in part[::step]] for part in parts]
+
+
+def lane_threads() -> int:
+    """Threads that run the lanes: ``min(LANES, usable CPUs)``, or 1 where BLAS runs threads itself."""
+    if not litrel.SINGLE_THREADED_BLAS:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(LANES, cpus)
+
+
+@functools.cache
+def _pool(threads: int) -> futures.ThreadPoolExecutor:
+    return futures.ThreadPoolExecutor(threads, thread_name_prefix="litrel-lane")
+
+
+def fan_out(fn, *iterables) -> list:
+    """``[fn(*args) for args in zip(*iterables)]``, on :func:`lane_threads` threads.
+
+    With one thread the calls run on the calling thread.  Otherwise every
+    call has finished when the first exception is raised.
+    """
+    threads = lane_threads()
+    if threads == 1:
+        return [fn(*args) for args in zip(*iterables)]
+    pending = [_pool(threads).submit(fn, *args) for args in zip(*iterables)]
+    futures.wait(pending)
+    return [f.result() for f in pending]
+
+
 def relation_groups(relations: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """``(relation, row indices)`` per distinct relation, ascending, rows in input order."""
     order = np.argsort(relations, kind="stable")
@@ -268,17 +335,19 @@ def sq_norms(rows, out=None):
 
 
 class SimilarityBlocks:
-    """The similarity kernel of one run or call, over blocks of at most ``rows`` query rows.
+    """The similarity kernel of one lane, over blocks of at most ``rows`` query rows.
 
     ``forward(q)`` scores the rows of ``q`` against every entity row:
     ``q @ E.T`` for ``norm = None``, else ``-||q_b - e_j||_p``.
-    ``backward`` is its gradient.  The B x |E| score and weight buffers
-    and the |E| x D product buffers are allocated once and written with
-    ``out=`` on every block, so the scores a ``forward`` returns are a
-    view that the next ``forward`` overwrites.  The kernel reads the
-    entity table it was built on; the L2 kernel also caches the table's
-    squared row norms, so after the table changes in place (an optimizer
-    step) :meth:`refresh` must run before the next ``forward``.
+    ``backward`` is its gradient, for an upstream gradient written into
+    :meth:`upstream`; :meth:`flush` completes the entity gradient of a
+    run of ``backward`` calls.  The B x |E| score buffer and the |E| x D
+    product buffer are allocated once and written with ``out=`` on every
+    block, so the scores a ``forward`` returns are a view that the next
+    ``forward`` overwrites.  The kernel reads the entity table it was
+    built on; the L2 kernel also caches the table's squared row norms,
+    so after the table changes in place (an optimizer step)
+    :meth:`refresh` must run before the next ``forward``.
     """
 
     def __init__(self, norm, entity: np.ndarray, rows: int):
@@ -287,11 +356,10 @@ class SimilarityBlocks:
         self.rows = rows
         self._scores = np.empty((rows, entity.shape[0]))
         self._product = np.empty_like(entity)
-        if norm is not None:
-            self._other = np.empty_like(entity)
         if norm == 2:
-            self._weights = np.empty_like(self._scores)
+            self._upstream = None  # allocated by the first upstream(): ranking never asks
             self._entity_sq = np.empty(entity.shape[0])
+            self._deferred = np.zeros(entity.shape[0])
         self.refresh()
 
     def refresh(self) -> None:
@@ -330,12 +398,26 @@ class SimilarityBlocks:
         np.sqrt(sq, out=sq)
         return np.negative(sq, out=sq)
 
+    def upstream(self, rows: int) -> np.ndarray:
+        """The ``rows`` x |E| buffer to write a block's upstream gradient into.
+
+        Only the L2 backward reads the scores, so for the other kernels
+        this is the score buffer itself and writing it overwrites the
+        scores of the last ``forward``.
+        """
+        if self.norm != 2:
+            return self._scores[:rows]
+        if self._upstream is None:
+            self._upstream = np.empty_like(self._scores)
+        return self._upstream[:rows]
+
     def backward(self, q, scores, g, d_entity, d_q=None) -> np.ndarray:
         """Backward of :meth:`forward` for upstream gradient ``g`` (B x |E|).
 
         ``scores`` is the forward output; the L2 kernel reuses its
-        distances.  Accumulates the entity-row gradients into
-        ``d_entity`` and writes the gradient w.r.t. ``q`` into ``d_q``
+        distances and overwrites ``g``.  Accumulates the entity-row
+        gradients into ``d_entity`` (the L2 kernel defers one term to
+        :meth:`flush`) and writes the gradient w.r.t. ``q`` into ``d_q``
         (a new B x D array when not given), which it returns.
         """
         entity = self.entity
@@ -345,31 +427,43 @@ class SimilarityBlocks:
             d_entity += np.matmul(g.T, q, out=self._product)
             return np.matmul(g, entity, out=d_q)
         if self.norm == 1:
-            unit, weighted = self._product, self._other
+            unit = self._product
             for row, g_row, d_row in zip(q, g, d_q):
                 np.subtract(row, entity, out=unit)
                 np.sign(unit, out=unit)
-                d_entity += np.multiply(g_row[:, None], unit, out=weighted)
                 d_row[...] = -(unit.T @ g_row)
+                unit *= g_row[:, None]
+                d_entity += unit
             return d_q
-        # score = -n with n = ||q - e||: dq = sum_j w_j (e_j - q), de_j = w_j (q - e_j), w = g / n
+        # score = -n with n = ||q - e||: dq = sum_j w_j (e_j - q), de_j = w_j (q - e_j), w = g / n;
+        # v = g / score = -w is written into g, and flush adds -sum_b w_bj e_j
         bound = np.sqrt(self._cancel_bound(q))
         near = np.flatnonzero(-np.fmax.reduce(scores, axis=1) <= bound)
         rows, cols = _pairs_within(near, -scores[near], bound[near])
-        w = np.negative(scores, out=self._weights[:q.shape[0]])
+        g_near = g[rows, cols]
         with np.errstate(divide="ignore", invalid="ignore"):  # the near pairs, zeroed next
-            np.divide(g, w, out=w)
-        w[rows, cols] = 0.0
-        product = np.matmul(w.T, q, out=self._product)
-        product -= np.multiply(w.sum(axis=0)[:, None], entity, out=self._other)
-        d_entity += product
-        np.matmul(w, entity, out=d_q)
-        d_q -= w.sum(axis=1)[:, None] * q
+            v = np.divide(g, scores, out=g)
+        v[rows, cols] = 0.0
+        d_entity -= np.matmul(v.T, q, out=self._product)
+        self._deferred += v.sum(axis=0)
+        np.matmul(v, entity, out=d_q)
+        d_q -= v.sum(axis=1)[:, None] * q
+        np.negative(d_q, out=d_q)
         diff = q[rows] - entity[cols]
-        pair = (g[rows, cols] / np.maximum(-scores[rows, cols], _NORM_EPS))[:, None] * diff
+        pair = (g_near / np.maximum(-scores[rows, cols], _NORM_EPS))[:, None] * diff
         np.add.at(d_entity, cols, pair)
         np.add.at(d_q, rows, -pair)
         return d_q
+
+    def flush(self, d_entity) -> None:
+        """Add the entity-gradient term the ``backward`` calls since the last flush deferred.
+
+        Only the L2 kernel defers one: ``-sum_b w_bj e_j``, summed over
+        the blocks into one |E| vector and multiplied out here once.
+        """
+        if self.norm == 2:
+            d_entity += np.multiply(self._deferred[:, None], self.entity, out=self._product)
+            self._deferred.fill(0.0)
 
 
 def _pairs_within(rows, values, bound):

@@ -9,15 +9,20 @@ call; each triple side takes its relation's row, and the query rows of
 the whole batch are scored as matrices against the entity table (1-vs-all
 scoring), so no step runs per triple or per relation.
 
-The loss calls of one run share one :class:`Workspace`: the gradient
-arrays, zeroed in place each step; the similarity kernel over the entity
-table, whose cached norms each step refreshes; the softmax block; and
-the query-gradient buffer.  With TuckER's own Khatri-Rao scratch, a step
-after the first allocates nothing the size of a table or a score block.
-The workspace is dropped after the last loss call, so the kernel's
-buffers are gone when the last optimizer step runs (in a one-step run
-that is when Adam allocates its moments), and before each periodic
-validation, whose ranking builds its own kernel.
+The query rows of a batch are split into two lanes
+(:data:`litrel.scoring.LANES`), which score their blocks on two threads
+while the queries, the query gradients and the fusion stay on the
+calling thread.  The loss calls of one run share one :class:`Workspace`:
+the gradient arrays, zeroed in place each step; per lane, a similarity
+kernel over the entity table, whose cached norms each step refreshes and
+whose score buffer also holds the softmax, and an entity-gradient
+partial; and the query-gradient buffer.  With TuckER's own Khatri-Rao
+scratch and the state's scratch for the learnable aggregation's profile
+rows, a step after the first allocates nothing the size of a table or a
+score block.  The workspace is dropped after the last loss call, so the
+kernels' buffers are gone when the last optimizer step runs (in a
+one-step run that is when Adam allocates its moments), and before each
+periodic validation, whose ranking builds its own kernels.
 
 Gradients are computed analytically and flow into the embedding tables,
 the fusion parameters and, when the learnable aggregation combination is
@@ -218,6 +223,8 @@ class ModelState:
     agg_bias: np.ndarray | None = None      # (1,)
     profiles: tuple | None = None           # (u_head, u_tail), each (|R|, |A|, 11)
     artifact: dict | None = None            # SHA-256 of the artifact's vocabulary files
+    # the learnable aggregation's gathered profile rows, reused by every fuse_forward
+    scratch: scoring.Scratch = field(default_factory=scoring.Scratch, repr=False, compare=False)
 
     @property
     def fusion_parts(self) -> int:
@@ -255,14 +262,15 @@ class ModelState:
         """G x D_r fused rows of the relations (an index array), plus the backward cache.
 
         The cache is the fusion block's, which also carries the learnable
-        aggregation's gathered profile rows and outputs under ``literals``.
+        aggregation's gathered profile rows and outputs under ``literals``;
+        the rows are views of :attr:`scratch`, valid until the next call.
         """
         rows = self.tables.relation[relations]
         if self.fusion is None:
             return rows, None
         literals = {}
         l_h, l_t = literal_vectors(self.profiles, relations, self.config.aggregation,
-                                   self.agg_weights, self.agg_bias, literals)
+                                   self.agg_weights, self.agg_bias, literals, self.scratch)
         parts = self.fusion_parts
         r_lit, cache = self.fusion.forward(np.repeat(l_h, parts, axis=0),
                                            rows.reshape(parts * len(rows), -1),
@@ -337,31 +345,58 @@ class Workspace:
 
     ``grads`` holds one gradient array per parameter of ``state``, zeroed
     at the start of every call and returned by it (the optimizer then
-    consumes them); ``blocks`` is the similarity kernel over the entity
-    table, refreshed on every call because the optimizer changes the
-    table in place; ``softmax`` holds one block of probabilities and
-    ``d_q`` the query gradients of up to ``rows`` triples, two query rows
-    each.
+    consumes them).  Each of the :data:`scoring.LANES` lanes has a
+    similarity kernel over the entity table in ``lanes``, refreshed on
+    every call because the optimizer changes the table in place, and an
+    entity-gradient partial in ``partials``; the first lane's partial is
+    ``grads["entity"]`` itself.  ``d_q`` holds the query gradients of up
+    to ``rows`` triples, two query rows each.
     """
 
     def __init__(self, state: ModelState, rows: int):
         entity = state.tables.entity
         self.rows = rows
         self.grads = state.zero_grads()
-        self.blocks = scoring.SimilarityBlocks(
-            state.model.norm, entity, min(scoring.block_rows(entity.shape[0]), 2 * rows))
-        self.softmax = np.empty((self.blocks.rows, entity.shape[0]))
+        lane_rows = min(scoring.lane_rows(entity.shape[0]), -(-2 * rows // scoring.LANES))
+        self.lanes = [scoring.SimilarityBlocks(state.model.norm, entity, lane_rows)
+                      for _ in range(scoring.LANES)]
+        self.partials = [self.grads["entity"]] + [np.empty_like(entity) for _ in self.lanes[1:]]
         self.d_q = np.empty((2 * rows, entity.shape[1]))
 
     def begin(self, state: ModelState, rows: int) -> None:
         """Make the buffers ready for a call on ``rows`` triples of ``state``."""
-        if self.blocks.entity is not state.tables.entity:
+        if self.lanes[0].entity is not state.tables.entity:
             raise ShapeError("the workspace was built for another model state")
         if rows > self.rows:
             raise ShapeError(f"a batch of {rows} triples exceeds the workspace's {self.rows}")
         for grad in self.grads.values():
             grad.fill(0.0)
-        self.blocks.refresh()
+        for partial in self.partials[1:]:
+            partial.fill(0.0)
+        for blocks in self.lanes:
+            blocks.refresh()
+
+
+def _lane_loss(blocks, d_entity, lane, q, targets, d_q, inv_n) -> float:
+    """Summed cross-entropy of the query rows of the blocks ``lane``, with their gradients.
+
+    Takes a row-wise stable softmax in the kernel's upstream buffer,
+    writes the query gradients into ``d_q`` and accumulates the
+    entity-row gradients into ``d_entity``.
+    """
+    total = 0.0
+    for block in lane:
+        scores = blocks.forward(q[block])
+        picked = np.arange(scores.shape[0]), targets[block]
+        p = np.subtract(scores, scores.max(axis=1, keepdims=True), out=blocks.upstream(scores.shape[0]))
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        total -= np.log(np.maximum(p[picked], 1e-300)).sum()
+        p *= inv_n
+        p[picked] -= inv_n
+        blocks.backward(q[block], scores, p, d_entity, d_q[block])
+    blocks.flush(d_entity)
+    return total
 
 
 def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspace | None = None):
@@ -369,12 +404,13 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
 
     One fusion call builds the ``r_lit`` rows of the batch's distinct
     relations, and each triple takes its relation's row for the query
-    rows of both sides.  The query rows of the whole batch are scored
-    against the entity table in blocks of :func:`scoring.block_rows`
-    rows by the workspace's :class:`scoring.SimilarityBlocks`, with a
-    row-wise stable softmax in its softmax buffer; the per-row ``r_lit``
-    gradients are summed per relation with one scatter-add for one
-    fusion backward.
+    rows of both sides.  The query rows of the whole batch, built on the
+    calling thread, are split into :func:`scoring.lane_blocks`; each lane
+    scores its blocks against the entity table with its own
+    :class:`scoring.SimilarityBlocks` and entity-gradient partial, and
+    :func:`scoring.fan_out` runs the lanes.  Their losses and partials
+    are summed in lane order.  The per-row ``r_lit`` gradients are
+    summed per relation with one scatter-add for one fusion backward.
 
     ``workspace``, a :class:`Workspace` of ``state`` for at least this
     many triples, holds the buffers; a new one is made when not given.
@@ -392,7 +428,7 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     workspace.begin(state, n)
     model = state.model
     tables = state.tables
-    grads, blocks = workspace.grads, workspace.blocks
+    grads = workspace.grads
     d_entity, d_core = grads["entity"], grads.get("core")
     inv_n = 1.0 / n
 
@@ -403,21 +439,12 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     q = np.concatenate([model.query(tables, anchors, r_rows, side) for anchors, side in sides])
     targets = np.concatenate([batch[:, 2], batch[:, 0]])
 
-    total = 0.0
     d_q = workspace.d_q[:2 * n]
-    step = scoring.block_rows(tables.entity.shape[0])
-    for start in range(0, q.shape[0], step):
-        block = slice(start, start + step)
-        scores = blocks.forward(q[block])
-        picked = np.arange(scores.shape[0]), targets[block]
-        p = np.subtract(scores, scores.max(axis=1, keepdims=True),
-                        out=workspace.softmax[:scores.shape[0]])
-        np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        total -= np.log(np.maximum(p[picked], 1e-300)).sum()
-        p *= inv_n
-        p[picked] -= inv_n
-        blocks.backward(q[block], scores, p, d_entity, d_q[block])
+    totals = scoring.fan_out(
+        lambda blocks, partial, lane: _lane_loss(blocks, partial, lane, q, targets, d_q, inv_n),
+        workspace.lanes, workspace.partials, scoring.lane_blocks(2 * n, tables.entity.shape[0]))
+    for partial in workspace.partials[1:]:
+        d_entity += partial
 
     d_rows = sum(model.query_backward(tables, anchors, r_rows, side, d_q[k * n:(k + 1) * n], d_entity, d_core)
                  for k, (anchors, side) in enumerate(sides))
@@ -425,7 +452,7 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     np.add.at(d_r_lit, inverse, d_rows)
     state.fuse_backward(relations, cache, d_r_lit, grads)
 
-    loss = total * inv_n
+    loss = sum(totals) * inv_n
     if not np.isfinite(loss):
         raise TrainingError(
             f"non-finite loss on batch starting with triple {tuple(batch[0])}; "

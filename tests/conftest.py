@@ -1,3 +1,5 @@
+# litrel first: loaded before numpy, it gives BLAS one thread, and only then do the lanes run on threads
+import litrel  # noqa: F401
 import numpy as np
 import pytest
 

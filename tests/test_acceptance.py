@@ -216,9 +216,8 @@ def test_criterion_4_ranking_oracle(monkeypatch):
                 monkeypatch.setattr(scoring, "BLOCK_SCORES", block_scores)
                 ranks = rank_triples(state, graph, triples)
                 # the oracle reads the very blocks the ranker scored: input order, spanning relations
-                step = scoring.block_rows(graph.num_entities)
-                for start in range(0, triples.shape[0], step):
-                    block = triples[start:start + step]
+                for rows in sum(scoring.lane_blocks(triples.shape[0], graph.num_entities), []):
+                    start, block = rows.start, triples[rows]
                     r_rows = r_lit[block[:, 1]]
                     tail_scores = scoring.score_all_tails(block[:, 0], r_rows, state.model, state.tables)
                     head_scores = scoring.score_all_heads(block[:, 2], r_rows, state.model, state.tables)

@@ -182,16 +182,15 @@ def reference_rank_triples(state, graph, triples, tie_policy):
     ranks = np.empty((triples.shape[0], 2))
     model, tables = state.model, state.tables
     r_lit, _ = state.fuse_forward(np.arange(tables.relation.shape[0]))
-    step = scoring.block_rows(tables.entity.shape[0])
-    for start in range(0, triples.shape[0], step):
-        block = triples[start:start + step]
+    for rows in sum(scoring.lane_blocks(triples.shape[0], tables.entity.shape[0]), []):
+        block = triples[rows]
         heads, rels, tails = block.T
         r_rows = r_lit[rels]
         known_heads = [filter_heads.get((r, t), ()) for _, r, t in block.tolist()]
         known_tails = [filter_tails.get((h, r), ()) for h, r, _ in block.tolist()]
-        ranks[start:start + step, 0] = ranks_of(
+        ranks[rows, 0] = ranks_of(
             scoring.score_all_heads(tails, r_rows, model, tables), heads, known_heads)
-        ranks[start:start + step, 1] = ranks_of(
+        ranks[rows, 1] = ranks_of(
             scoring.score_all_tails(heads, r_rows, model, tables), tails, known_tails)
     return ranks
 

@@ -1,0 +1,198 @@
+"""The lanes of the training loss and of ranking.
+
+Two lanes must agree with one (``scoring.LANES = 1``) up to summation
+order, to 1e-12 relative, and a given number of lanes must give
+bit-identical results whether the lanes run on the calling thread or on
+a pool of threads, since the split into lanes depends only on the row
+count and |E|.
+"""
+
+import os
+import subprocess
+import sys
+import time
+
+import numpy as np
+import pytest
+
+import litrel
+from conftest import random_graph
+from litrel import scoring
+from litrel.evaluation import rank_triples
+from litrel.training import TrainConfig, init_state, symmetric_lcwa_loss
+
+# name: (model, transe_norm, dim_entity, dim_relation)
+SPECS = {
+    "transe": ("transe", 2, 6, 6),
+    "transe-l1": ("transe", 1, 6, 6),
+    "distmult": ("distmult", 2, 6, 6),
+    "complex": ("complex", 2, 6, 6),
+    "rotate": ("rotate", 2, 6, 3),
+    "tucker": ("tucker", 2, 6, 4),
+}
+
+
+def make_state(spec, fusion, num_entities=8, seed=3):
+    model, norm, dim_entity, dim_relation = SPECS[spec]
+    graph = random_graph(np.random.default_rng(5), num_entities=num_entities, num_relations=4,
+                         num_attributes=3, triples_per_relation=6)
+    config = TrainConfig(model=model, transe_norm=norm, fusion=fusion, dim_entity=dim_entity,
+                         dim_relation=dim_relation, seed=seed)
+    return graph, init_state(graph, config)
+
+
+def loss_and_grads(batch, state):
+    loss, grads = symmetric_lcwa_loss(batch, state)
+    return loss, {name: grad.copy() for name, grad in grads.items()}
+
+
+def with_threads(monkeypatch, threads):
+    monkeypatch.setattr(scoring, "lane_threads", lambda: threads)
+
+
+@pytest.mark.parametrize("fusion", [None, "linear", "gated"])
+@pytest.mark.parametrize("spec", list(SPECS))
+@pytest.mark.parametrize("rows_per_block,triples", [
+    pytest.param(6, 5, id="rows-not-a-multiple-of-the-lane-block"),  # 10 rows, lane blocks of 3
+    pytest.param(None, 3, id="smaller-than-one-lane-block"),
+    pytest.param(None, 1, id="one-triple"),
+])
+def test_two_lanes_equal_one_lane(monkeypatch, spec, fusion, rows_per_block, triples):
+    graph, state = make_state(spec, fusion)
+    if rows_per_block is not None:
+        monkeypatch.setattr(scoring, "BLOCK_SCORES", rows_per_block * graph.num_entities)
+    batch = graph.train[:triples]
+    loss, grads = loss_and_grads(batch, state)
+    monkeypatch.setattr(scoring, "LANES", 1)
+    want_loss, want = loss_and_grads(batch, state)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert grads.keys() == want.keys()
+    for name, grad in want.items():
+        assert np.abs(grads[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
+
+
+@pytest.mark.parametrize("spec", list(SPECS))
+def test_threads_give_bit_identical_loss_gradients_and_ranks(monkeypatch, spec):
+    graph, state = make_state(spec, "gated")
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 4 * graph.num_entities)
+    results = []
+    for threads in (1, 2):
+        with_threads(monkeypatch, threads)
+        loss, grads = loss_and_grads(graph.train[:7], state)
+        results.append((loss, grads, rank_triples(state, graph, graph.train)))
+    (loss, grads, ranks), (want_loss, want, want_ranks) = results
+    assert loss == want_loss
+    for name, grad in want.items():
+        assert np.array_equal(grads[name], grad), name
+    assert np.array_equal(ranks, want_ranks)
+
+
+def test_two_lane_tucker_ranks_equal_serial_ranks(monkeypatch):
+    # lane blocks of 32 triples whose queries take several Khatri-Rao chunks each: the
+    # queries are built on the calling thread only, so the two threads never share the scratch
+    graph = random_graph(np.random.default_rng(5), num_entities=40, num_relations=4,
+                         num_attributes=3, triples_per_relation=40)
+    state = init_state(graph, TrainConfig(model="tucker", fusion="linear", dim_entity=16,
+                                          dim_relation=16, seed=11))
+    triples = np.concatenate([graph.train] * 4)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 64 * graph.num_entities)
+    with_threads(monkeypatch, 1)
+    serial = rank_triples(state, graph, triples)
+    with_threads(monkeypatch, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert np.array_equal(rank_triples(state, graph, triples), serial)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_more_threads_than_cores_under_a_short_switch_interval(monkeypatch):
+    # four lanes on four threads, switching every microsecond: a lost write to a shared
+    # buffer would change the loss, a gradient or a rank
+    graph, state = make_state("transe", "linear", num_entities=30)
+    monkeypatch.setattr(scoring, "LANES", 4)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 8 * graph.num_entities)
+    with_threads(monkeypatch, 1)
+    want_loss, want = loss_and_grads(graph.train, state)
+    want_ranks = rank_triples(state, graph, graph.train)
+    with_threads(monkeypatch, 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            loss, grads = loss_and_grads(graph.train, state)
+            assert loss == want_loss
+            for name, grad in want.items():
+                assert np.array_equal(grads[name], grad), name
+            assert np.array_equal(rank_triples(state, graph, graph.train), want_ranks)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 23])
+@pytest.mark.parametrize("lanes", [1, 2, 3])
+def test_lane_blocks_cut_contiguous_parts_into_lane_rows(monkeypatch, count, lanes):
+    monkeypatch.setattr(scoring, "LANES", lanes)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 10)  # block_rows 6 over 10 entities
+    step = scoring.lane_rows(10)
+    got = scoring.lane_blocks(count, 10)
+    assert len(got) == lanes
+    flat = [block for lane in got for block in lane]
+    assert [i for block in flat for i in range(block.start, block.stop)] == list(range(count))
+    assert all(0 < block.stop - block.start <= step for block in flat)
+    sizes = [sum(block.stop - block.start for block in lane) for lane in got]
+    assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= max(1, lanes - 1)
+    assert all(block.start == lane[0].start + i * step for lane in got for i, block in enumerate(lane))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_fan_out_returns_the_results_in_order(monkeypatch, threads):
+    with_threads(monkeypatch, threads)
+    assert scoring.fan_out(lambda a, b: a * b, [1, 2, 3], [4, 5, 6]) == [4, 10, 18]
+
+
+def test_fan_out_on_threads_waits_for_every_call_before_raising(monkeypatch):
+    with_threads(monkeypatch, 2)
+    finished = []
+
+    def call(item):
+        if item == 0:
+            raise ValueError("lane 0")
+        time.sleep(0.05)  # still running when lane 0 fails
+        finished.append(item)
+
+    with pytest.raises(ValueError, match="lane 0"):
+        scoring.fan_out(call, [0, 1])
+    assert finished == [1]
+
+
+def test_lanes_stay_on_the_calling_thread_unless_blas_is_single_threaded(monkeypatch):
+    monkeypatch.setattr(litrel, "SINGLE_THREADED_BLAS", False)
+    assert scoring.lane_threads() == 1
+    monkeypatch.setattr(litrel, "SINGLE_THREADED_BLAS", True)
+    assert scoring.lane_threads() == min(scoring.LANES, len(os.sched_getaffinity(0)))
+
+
+def run_python(code, **env):
+    clean = {k: v for k, v in os.environ.items() if k not in litrel.BLAS_THREAD_VARIABLES}
+    clean["PYTHONPATH"] = os.path.dirname(os.path.dirname(litrel.__file__))
+    clean.update(env)
+    result = subprocess.run([sys.executable, "-c", code], env=clean, capture_output=True,
+                            text=True, timeout=60, check=True)
+    return result.stdout.split()
+
+
+def test_litrel_gives_blas_one_thread_before_numpy_loads():
+    code = ("import litrel, os; from litrel import scoring; "
+            "print(*[os.environ[v] for v in litrel.BLAS_THREAD_VARIABLES], litrel.SINGLE_THREADED_BLAS)")
+    assert run_python(code) == ["1", "1", "1", "True"]
+    # a setting of one's own is kept, and then BLAS runs the threads
+    assert run_python(code, OPENBLAS_NUM_THREADS="2") == ["2", "1", "1", "False"]
+
+
+def test_numpy_loaded_first_keeps_the_lanes_on_the_calling_thread():
+    code = ("import numpy, litrel, os; from litrel import scoring; "
+            "print('OPENBLAS_NUM_THREADS' in os.environ, litrel.SINGLE_THREADED_BLAS, scoring.lane_threads())")
+    assert run_python(code) == ["False", "False", "1"]

@@ -129,6 +129,7 @@ def reference_loss(batch, state):
     p *= inv_n
     p[picked] -= inv_n
     d_q = blocks.backward(q, scores, p, d_entity)
+    blocks.flush(d_entity)
     start = 0
     for rel, r_lit, cache, sides in groups:
         d_r_lit = np.zeros_like(r_lit)

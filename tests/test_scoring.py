@@ -220,7 +220,8 @@ class TestBackwardPasses:
         q = model.query(tables, ANCHORS, r_lit, query_side)
         blocks = SimilarityBlocks(model.norm, tables.entity, q.shape[0])
         scores = blocks.forward(q)
-        d_q = blocks.backward(q, scores, g, d_entity)
+        d_q = blocks.backward(q, scores, g.copy(), d_entity)  # the L2 kernel overwrites its g
+        blocks.flush(d_entity)
         d_r_lit = model.query_backward(tables, ANCHORS, r_lit, query_side, d_q, d_entity, d_core)
 
         h = 1e-6
@@ -292,7 +293,8 @@ class TestDistanceKernel:
         g = rng.normal(size=(q.shape[0], entity.shape[0]))
         d_entity = np.zeros_like(entity)
         blocks = SimilarityBlocks(2, entity, q.shape[0])
-        d_q = blocks.backward(q, blocks.forward(q), g, d_entity)
+        d_q = blocks.backward(q, blocks.forward(q), g.copy(), d_entity)  # the kernel overwrites its g
+        blocks.flush(d_entity)
         want_q, want_entity = direct_l2_backward(q, entity, g)
         np.testing.assert_allclose(d_q, want_q, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(d_entity, want_entity, rtol=1e-8, atol=1e-10)

@@ -5,6 +5,9 @@ former free functions: every call allocates its B x |E| and |E| x D
 arrays.  :class:`scoring.SimilarityBlocks` writes the same arithmetic
 into buffers it owns, so scores and gradients must be bit-identical to
 them, block after block, and consecutive blocks must share one buffer.
+The L2 backward defers its ``-sum_b w_bj e_j`` entity term to
+``SimilarityBlocks.flush``, so the reference sums the column weights
+over the blocks too and adds that term in ``fresh_flush``.
 """
 
 import tracemalloc
@@ -42,7 +45,7 @@ def fresh_similarities(norm, q, entity):
     return np.negative(sq, out=sq)
 
 
-def fresh_similarities_backward(norm, q, entity, scores, g, d_entity):
+def fresh_similarities_backward(norm, q, entity, scores, g, d_entity, deferred):
     if norm is None:
         d_entity += g.T @ q
         return g @ entity
@@ -56,7 +59,8 @@ def fresh_similarities_backward(norm, q, entity, scores, g, d_entity):
     dist = -scores
     near = dist <= np.sqrt(_cancel_bound(scoring.sq_norms(q), scoring.sq_norms(entity)))[:, None]
     w = np.divide(g, dist, out=np.zeros_like(g), where=~near)
-    d_entity += w.T @ q - w.sum(axis=0)[:, None] * entity
+    d_entity += w.T @ q
+    deferred += w.sum(axis=0)
     d_q = w @ entity - w.sum(axis=1)[:, None] * q
     rows, cols = np.nonzero(near)
     diff = q[rows] - entity[cols]
@@ -64,6 +68,11 @@ def fresh_similarities_backward(norm, q, entity, scores, g, d_entity):
     np.add.at(d_entity, cols, pair)
     np.add.at(d_q, rows, -pair)
     return d_q
+
+
+def fresh_flush(norm, entity, d_entity, deferred):
+    if norm == 2:
+        d_entity -= deferred[:, None] * entity
 
 
 # how far a query row sits from the entity it is placed on: exactly on it,
@@ -94,6 +103,7 @@ def kernel_cases(draw):
 def test_blocks_are_bit_identical_to_fresh_allocation(case):
     norm, entity, q, g, block = case
     d_entity, want_d_entity = np.zeros_like(entity), np.zeros_like(entity)
+    deferred = np.zeros(entity.shape[0])
     d_q = np.empty_like(q)
     with mock.patch.object(scoring, "BLOCK_SCORES", block * entity.shape[0]):
         step = scoring.block_rows(entity.shape[0])
@@ -103,16 +113,20 @@ def test_blocks_are_bit_identical_to_fresh_allocation(case):
     for start in range(0, q.shape[0], step):
         rows = slice(start, start + step)
         want = fresh_similarities(norm, q[rows], entity)
-        want_d_q = fresh_similarities_backward(norm, q[rows], entity, want, g[rows], want_d_entity)
+        want_d_q = fresh_similarities_backward(norm, q[rows], entity, want, g[rows], want_d_entity,
+                                               deferred)
         scores = blocks.forward(q[rows])
         assert np.array_equal(scores, want)
-        got_d_q = blocks.backward(q[rows], scores, g[rows], d_entity, d_q[rows])
+        got_d_q = blocks.backward(q[rows], scores, g[rows].copy(), d_entity, d_q[rows])
         assert np.shares_memory(got_d_q, d_q)
         assert np.array_equal(got_d_q, want_d_q)
         assert np.array_equal(d_entity, want_d_entity)
         if previous is not None:
             assert np.shares_memory(scores, previous)
         previous = scores
+    blocks.flush(d_entity)
+    fresh_flush(norm, entity, want_d_entity, deferred)
+    assert np.array_equal(d_entity, want_d_entity)
 
 
 @pytest.mark.parametrize("norm", [None, 1, 2])
@@ -156,7 +170,9 @@ def test_refresh_after_an_in_place_update_equals_a_new_kernel(norm, rng):
     entity = rng.normal(size=(40, 6))
     blocks = scoring.SimilarityBlocks(norm, entity, 5)
     q, g = rng.normal(size=(5, 6)), rng.normal(size=(5, 40))
-    blocks.backward(q, blocks.forward(q), g, np.zeros_like(entity), np.empty_like(q))
+    d_entity = np.zeros_like(entity)
+    blocks.backward(q, blocks.forward(q), g.copy(), d_entity, np.empty_like(q))
+    blocks.flush(d_entity)
     entity *= 3.0  # an optimizer step changes the table in place, and its norms with it
     entity[7] += 1.0
     q[0] = entity[7]  # one pair on the L2 recomputation path, whose bound reads the largest norm
@@ -165,6 +181,8 @@ def test_refresh_after_an_in_place_update_equals_a_new_kernel(norm, rng):
     got, want = blocks.forward(q), fresh.forward(q)
     assert np.array_equal(got, want)
     got_d_entity, want_d_entity = np.zeros_like(entity), np.zeros_like(entity)
-    got_d_q = blocks.backward(q, got, g, got_d_entity)
-    assert np.array_equal(got_d_q, fresh.backward(q, want, g, want_d_entity))
+    got_d_q = blocks.backward(q, got, g.copy(), got_d_entity)
+    assert np.array_equal(got_d_q, fresh.backward(q, want, g.copy(), want_d_entity))
+    blocks.flush(got_d_entity)
+    fresh.flush(want_d_entity)
     assert np.array_equal(got_d_entity, want_d_entity)

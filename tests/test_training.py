@@ -346,25 +346,38 @@ class TestWorkspace:
                                                                      fusion_kind):
         rng = np.random.default_rng(3)
         entities = [f"e{i}" for i in range(4000)]
-        triples = {(entities[h], f"r{h % 3}", entities[t]) for h, t in rng.integers(4000, size=(40, 2))}
-        literals = [(e, "x", float(i % 7)) for i, e in enumerate(entities)]
+        # a relation per triple, so every batch of 8 spans 8 relations, and 24 attributes: the
+        # learnable aggregation's (G, |A|, 11) profile block is then 8 x 2 KiB in every step
+        triples = {(entities[h], f"r{i}", entities[t]) for i, (h, t) in enumerate(rng.integers(4000, size=(40, 2)))}
+        literals = [(e, f"x{i % 24}", float(i % 7)) for i, e in enumerate(entities)]
         graph = build_graph(sorted(triples), [], [], literals)
         config = make_config(model=model, dim_entity=32, dim_relation=32, fusion=fusion_kind,
                              aggregation="learnable", epochs=2, batch_size=8)
-        starts, peaks = [], []
-        loss_fn, step_fn = training.symmetric_lcwa_loss, training.optimizer_step
+        starts, peaks, carried, gathers = [], [], [], []
+        loss_fn, step_fn, vectors_fn = (training.symmetric_lcwa_loss, training.optimizer_step,
+                                        training.literal_vectors)
 
         def loss(*args):
             tracemalloc.reset_peak()
             starts.append(tracemalloc.get_traced_memory()[0])
+            carried.append(0)
             return loss_fn(*args)
+
+        def vectors(profiles, relations, *args):
+            # its own peak: the step's peak so far is carried past the reset
+            before, carried[-1] = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = vectors_fn(profiles, relations, *args)
+            gathers.append((tracemalloc.get_traced_memory()[1] - before, len(relations)))
+            return result
 
         def step(*args):
             step_fn(*args)
-            peaks.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+            peaks.append(max(tracemalloc.get_traced_memory()[1], carried[-1]) - starts[-1])
 
         monkeypatch.setattr(training, "symmetric_lcwa_loss", loss)
         monkeypatch.setattr(training, "optimizer_step", step)
+        monkeypatch.setattr(training, "literal_vectors", vectors)
         tracemalloc.start()
         try:
             train(graph, config)
@@ -372,10 +385,14 @@ class TestWorkspace:
             tracemalloc.stop()
         assert graph.num_entities == 4000 and len(peaks) == 2 * -(-len(graph.train) // 8)
         assert max(peaks[1:]) < graph.num_entities * 32 * 8
+        # later steps gather the profile rows into the state's scratch: less than one block
+        assert len(gathers) == (0 if fusion_kind is None else len(peaks))
+        assert all(peak < relations * graph.num_attributes * 11 * 8 for peak, relations in gathers[1:])
 
-    @pytest.mark.parametrize("batch_size, live", [(6, [0]), (3, [1, 0])])
+    @pytest.mark.parametrize("batch_size, live", [(6, [0]), (3, [scoring.LANES, 0])])
     def test_kernel_is_released_before_the_last_optimizer_step(self, small_graph, monkeypatch,
                                                               batch_size, live):
+        # one kernel per lane
         kernels, seen = [], []
 
         class Recorded(scoring.SimilarityBlocks):
@@ -392,7 +409,7 @@ class TestWorkspace:
         monkeypatch.setattr(scoring, "SimilarityBlocks", Recorded)
         monkeypatch.setattr(training, "optimizer_step", step)
         train(small_graph, make_config(model="transe", epochs=1, batch_size=batch_size))
-        assert len(kernels) == 1
+        assert len(kernels) == scoring.LANES
         assert seen == live
 
     def test_kernel_is_released_before_each_validation(self, monkeypatch):
