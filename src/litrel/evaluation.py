@@ -12,7 +12,9 @@ triples, in input order and so spanning relations, are split into the
 two lanes of :func:`scoring.lane_blocks`, and each lane block is scored
 as one B x |E| matrix per side with each triple's ``r_lit`` row, in the
 score buffer of the lane's :class:`scoring.SimilarityBlocks`, and
-compared in the lane's mask.  The queries of one block per lane are
+compared in the lane's mask; both hold the kernel's
+:func:`scoring.lane_rows` rows and are allocated on the calling
+thread, before the lanes start.  The queries of one block per lane are
 built on the calling thread; the lanes then score and rank on two
 threads.  The filter is read from the splits on each call: the known
 triples are sorted by an int64 key per side, and each block finds its
@@ -138,9 +140,8 @@ def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray,
     keys, entities = keys[order], np.concatenate([t, h])[order]
     r_lit = state.fuse_forward(np.arange(n_r))[0]  # its cache holds gathered profile rows: drop it
     lane_blocks = scoring.lane_blocks(triples.shape[0], n_e)
-    rows = min(scoring.lane_rows(n_e), -(-triples.shape[0] // scoring.LANES))
-    lanes = [(scoring.SimilarityBlocks(model.norm, tables.entity, rows), np.empty((rows, n_e), dtype=bool))
-             for _ in range(scoring.LANES)]
+    kernels = [scoring.SimilarityBlocks(model.norm, tables.entity) for _ in range(scoring.LANES)]
+    lanes = [(kernel, np.empty((kernel.rows, n_e), dtype=bool)) for kernel in kernels]
 
     def rank(lane, block, q_heads, q_tails):
         """Filtered ranks of ``triples[block]`` from their query rows, with one lane's buffers."""

@@ -26,17 +26,19 @@ tails, and exact identities let both sides build their queries:
   built :data:`BLOCK_SCORES` entries at a time.
 
 The kernels live in :class:`SimilarityBlocks`, one per lane of a training
-run or ranking call: it reuses its B x |E| and |E| x D buffers for every
-block, and :meth:`SimilarityBlocks.refresh` re-reads the entity table's
-squared norms after the optimizer has changed the table in place.
+run or ranking call: it sizes its buffers itself, at :func:`lane_rows`
+rows by |E| and |E| x D, allocates them when it is built and reuses them
+for every block, and :meth:`SimilarityBlocks.refresh` re-reads the entity
+table's squared norms after the optimizer has changed the table in place.
 TuckER keeps its Khatri-Rao chunks and their products in a
 :class:`Scratch` of its own, grown on demand, so scoring and training
 allocate no chunk-sized array after the first call.
 
 The block loops of training and ranking split their query rows into
 :data:`LANES` contiguous lanes, each scored in blocks of
-:func:`lane_rows` rows (:func:`lane_blocks`) by a kernel of its own,
-and :func:`fan_out` runs the lanes on a thread pool.  The split depends only
+:func:`lane_rows` rows (:func:`lane_blocks`) by a kernel of its own, and
+:func:`fan_out` runs the lanes on a thread pool.  :func:`block_rows` and
+:func:`lane_rows` alone decide the block shape.  The split depends only
 on the row count and |E|, so results do not depend on the number of
 threads.  The models' ``query``/``query_backward`` stay on the calling
 thread: TuckER's scratch is not shared between threads.
@@ -335,26 +337,31 @@ def sq_norms(rows, out=None):
 
 
 class SimilarityBlocks:
-    """The similarity kernel of one lane, over blocks of at most ``rows`` query rows.
+    """The similarity kernel of one lane, over blocks of at most :func:`lane_rows` query rows.
 
     ``forward(q)`` scores the rows of ``q`` against every entity row:
     ``q @ E.T`` for ``norm = None``, else ``-||q_b - e_j||_p``.
     ``backward`` is its gradient, for an upstream gradient written into
     :meth:`upstream`; :meth:`flush` completes the entity gradient of a
-    run of ``backward`` calls.  The B x |E| score buffer and the |E| x D
-    product buffer are allocated once and written with ``out=`` on every
-    block, so the scores a ``forward`` returns are a view that the next
-    ``forward`` overwrites.  The kernel reads the entity table it was
-    built on; the L2 kernel also caches the table's squared row norms,
-    so after the table changes in place (an optimizer step)
-    :meth:`refresh` must run before the next ``forward``.
+    run of ``backward`` calls.  The :func:`lane_rows` x |E| score buffer
+    and the |E| x D product buffer are allocated once, by the
+    constructor, and written with ``out=`` on every block, so the scores
+    a ``forward`` returns are a view that the next ``forward``
+    overwrites.  The kernel reads the entity table it was built on; the
+    L2 kernel also caches the table's squared row norms, so after the
+    table changes in place (an optimizer step) :meth:`refresh` must run
+    before the next ``forward``.
     """
 
-    def __init__(self, norm, entity: np.ndarray, rows: int):
+    def __init__(self, norm, entity: np.ndarray):
         self.norm = norm
         self.entity = entity
-        self.rows = rows
-        self._scores = np.empty((rows, entity.shape[0]))
+        self.rows = lane_rows(entity.shape[0])
+        # Allocated here, on the constructing thread, not on first use on a lane thread: glibc
+        # serves each thread from a malloc arena of its own, and allocating these buffers on the
+        # lane threads raised rank-hubs' peak RSS from 61.4 to 66.9 MiB (2-CPU AMD EPYC VM; 61.25
+        # MiB under MALLOC_ARENA_MAX=1).
+        self._scores = np.empty((self.rows, entity.shape[0]))
         self._product = np.empty_like(entity)
         if norm == 2:
             self._upstream = None  # allocated by the first upstream(): ranking never asks
@@ -470,30 +477,3 @@ def _pairs_within(rows, values, bound):
     """``(rows, cols)`` of the entries ``values[i, j] <= bound[i]``, row-major; ``values[i]`` is row ``rows[i]``."""
     sub_rows, cols = np.nonzero(values <= bound[:, None])
     return rows[sub_rows], cols
-
-
-def _score_all(anchors, r_lit, model, tables, side, blocks):
-    q = model.query(tables, anchors, r_lit, side)
-    if blocks is None:
-        blocks = SimilarityBlocks(model.norm, tables.entity, q.shape[0])
-    return blocks.forward(q)
-
-
-def score_all_tails(heads: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables,
-                    blocks: SimilarityBlocks | None = None) -> np.ndarray:
-    """B x |E| scores of (heads[b], r_b, e) for every entity e; ``r_lit`` is B x D_r.
-
-    ``blocks``, a :class:`SimilarityBlocks` of ``model.norm`` over
-    ``tables.entity``, is reused across calls; the scores are then a view
-    of its buffer.
-    """
-    return _score_all(heads, r_lit, model, tables, "tail", blocks)
-
-
-def score_all_heads(tails: np.ndarray, r_lit: np.ndarray, model, tables: EmbeddingTables,
-                    blocks: SimilarityBlocks | None = None) -> np.ndarray:
-    """B x |E| scores of (e, r_b, tails[b]) for every entity e; ``r_lit`` is B x D_r.
-
-    ``blocks`` as in :func:`score_all_tails`.
-    """
-    return _score_all(tails, r_lit, model, tables, "head", blocks)

@@ -12,17 +12,19 @@ scoring), so no step runs per triple or per relation.
 The query rows of a batch are split into two lanes
 (:data:`litrel.scoring.LANES`), which score their blocks on two threads
 while the queries, the query gradients and the fusion stay on the
-calling thread.  The loss calls of one run share one :class:`Workspace`:
-the gradient arrays, zeroed in place each step; per lane, a similarity
-kernel over the entity table, whose cached norms each step refreshes and
-whose score buffer also holds the softmax, and an entity-gradient
-partial; and the query-gradient buffer.  With TuckER's own Khatri-Rao
-scratch and the state's scratch for the learnable aggregation's profile
-rows, a step after the first allocates nothing the size of a table or a
-score block.  The workspace is dropped after the last loss call, so the
-kernels' buffers are gone when the last optimizer step runs (in a
-one-step run that is when Adam allocates its moments), and before each
-periodic validation, whose ranking builds its own kernels.
+calling thread.  The loss calls of one run share one
+:class:`Workspace`: the gradient arrays, zeroed in place each step; per
+lane, a similarity kernel over the entity table, which sizes its blocks
+itself (:func:`litrel.scoring.lane_rows`), whose cached norms each step
+refreshes and whose score buffer also holds the softmax, and an
+entity-gradient partial; and the query-gradient scratch.  With TuckER's
+own Khatri-Rao scratch and the state's scratch for the learnable
+aggregation's profile rows, a step after the first allocates nothing the
+size of a table or a score block.  The workspace is dropped after the
+last loss call, so the kernels' buffers are gone when the last optimizer
+step runs (in a one-step run that is when Adam allocates its moments),
+and before each periodic validation, whose ranking builds its own
+kernels.
 
 Gradients are computed analytically and flow into the embedding tables,
 the fusion parameters and, when the learnable aggregation combination is
@@ -154,10 +156,10 @@ class Optimizer:
     """Adam (beta1=0.9, beta2=0.999, eps=1e-8) or plain SGD, in-place.
 
     One lives for one :func:`train` call; checkpoints do not store it.
-    A step computes the textbook update with ``out=`` into one scratch
-    array shared by all parameters and into the gradient itself, so it
-    allocates nothing after the first step and leaves the gradients
-    overwritten.
+    A step computes the textbook update with ``out=`` into one
+    :class:`scoring.Scratch` array shared by all parameters and into the
+    gradient itself, so it allocates nothing after the first step and
+    leaves the gradients overwritten.
     """
 
     def __init__(self, kind: str, learning_rate: float):
@@ -168,7 +170,7 @@ class Optimizer:
         self.step_count = 0
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
-        self._scratch = np.empty(0)
+        self._scratch = scoring.Scratch()
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Update ``params`` in place from ``grads``, whose arrays it consumes."""
@@ -184,12 +186,9 @@ class Optimizer:
             return
         b1, b2, eps = 0.9, 0.999, 1e-8
         t = self.step_count
-        largest = max((p.size for p in params.values()), default=0)
-        if self._scratch.size < largest:
-            self._scratch = np.empty(largest)
         for name, p in params.items():
             g = grads[name]
-            s = self._scratch[:p.size].reshape(p.shape)
+            s = self._scratch("update", p.shape)
             if name not in self.moment1:
                 self.moment1[name], self.moment2[name] = np.zeros_like(p), np.zeros_like(p)
             m, v = self.moment1[name], self.moment2[name]
@@ -349,26 +348,21 @@ class Workspace:
     similarity kernel over the entity table in ``lanes``, refreshed on
     every call because the optimizer changes the table in place, and an
     entity-gradient partial in ``partials``; the first lane's partial is
-    ``grads["entity"]`` itself.  ``d_q`` holds the query gradients of up
-    to ``rows`` triples, two query rows each.
+    ``grads["entity"]`` itself.  ``scratch`` holds the query gradients,
+    two rows per triple, grown to the largest batch on the calling thread.
     """
 
-    def __init__(self, state: ModelState, rows: int):
+    def __init__(self, state: ModelState):
         entity = state.tables.entity
-        self.rows = rows
         self.grads = state.zero_grads()
-        lane_rows = min(scoring.lane_rows(entity.shape[0]), -(-2 * rows // scoring.LANES))
-        self.lanes = [scoring.SimilarityBlocks(state.model.norm, entity, lane_rows)
-                      for _ in range(scoring.LANES)]
+        self.lanes = [scoring.SimilarityBlocks(state.model.norm, entity) for _ in range(scoring.LANES)]
         self.partials = [self.grads["entity"]] + [np.empty_like(entity) for _ in self.lanes[1:]]
-        self.d_q = np.empty((2 * rows, entity.shape[1]))
+        self.scratch = scoring.Scratch()
 
-    def begin(self, state: ModelState, rows: int) -> None:
-        """Make the buffers ready for a call on ``rows`` triples of ``state``."""
+    def begin(self, state: ModelState) -> None:
+        """Make the buffers ready for a call on ``state``."""
         if self.lanes[0].entity is not state.tables.entity:
             raise ShapeError("the workspace was built for another model state")
-        if rows > self.rows:
-            raise ShapeError(f"a batch of {rows} triples exceeds the workspace's {self.rows}")
         for grad in self.grads.values():
             grad.fill(0.0)
         for partial in self.partials[1:]:
@@ -412,8 +406,8 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     are summed in lane order.  The per-row ``r_lit`` gradients are
     summed per relation with one scatter-add for one fusion backward.
 
-    ``workspace``, a :class:`Workspace` of ``state`` for at least this
-    many triples, holds the buffers; a new one is made when not given.
+    ``workspace``, a :class:`Workspace` of ``state``, holds the buffers;
+    a new one is made when not given.
     Returns ``(loss, grads)`` where grads maps parameter names to arrays
     matching :meth:`ModelState.parameters`; they are the workspace's, so
     the next call with the same workspace overwrites them.  A non-finite
@@ -424,8 +418,8 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
         raise ConfigError("empty batch")
     n = batch.shape[0]
     if workspace is None:
-        workspace = Workspace(state, n)
-    workspace.begin(state, n)
+        workspace = Workspace(state)
+    workspace.begin(state)
     model = state.model
     tables = state.tables
     grads = workspace.grads
@@ -439,7 +433,7 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     q = np.concatenate([model.query(tables, anchors, r_rows, side) for anchors, side in sides])
     targets = np.concatenate([batch[:, 2], batch[:, 0]])
 
-    d_q = workspace.d_q[:2 * n]
+    d_q = workspace.scratch("d_q", (2 * n, tables.entity.shape[1]))
     totals = scoring.fan_out(
         lambda blocks, partial, lane: _lane_loss(blocks, partial, lane, q, targets, d_q, inv_n),
         workspace.lanes, workspace.partials, scoring.lane_blocks(2 * n, tables.entity.shape[0]))
@@ -511,7 +505,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
         for start in range(0, n, config.batch_size):
             batch = graph.train[perm[start:start + config.batch_size]]
             if workspace is None:
-                workspace = Workspace(state, min(config.batch_size, n))
+                workspace = Workspace(state)
             loss, grads = symmetric_lcwa_loss(batch, state, workspace)
             steps -= 1
             if not steps:

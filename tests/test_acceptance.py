@@ -219,8 +219,10 @@ def test_criterion_4_ranking_oracle(monkeypatch):
                 for rows in sum(scoring.lane_blocks(triples.shape[0], graph.num_entities), []):
                     start, block = rows.start, triples[rows]
                     r_rows = r_lit[block[:, 1]]
-                    tail_scores = scoring.score_all_tails(block[:, 0], r_rows, state.model, state.tables)
-                    head_scores = scoring.score_all_heads(block[:, 2], r_rows, state.model, state.tables)
+                    tail_scores, head_scores = (
+                        scoring.SimilarityBlocks(state.model.norm, state.tables.entity).forward(
+                            state.model.query(state.tables, anchors, r_rows, side))
+                        for anchors, side in ((block[:, 0], "tail"), (block[:, 2], "head")))
                     for k, (h, r, t) in enumerate(block.tolist()):
                         f_t = {kt for kh, kr, kt in known if (kh, kr) == (h, r)} - {t}
                         f_h = {kh for kh, kr, kt in known if (kr, kt) == (r, t)} - {h}

@@ -127,7 +127,8 @@ class TestFilteredRanking:
         test = toy_graph.test
         ranks = rank_triples(trained_state, toy_graph, test)
         r_lit = np.stack([trained_state.fused_relation(r) for r in test[:, 1]])
-        scores = scoring.score_all_tails(test[:, 0], r_lit, trained_state.model, trained_state.tables)
+        q = trained_state.model.query(trained_state.tables, test[:, 0], r_lit, "tail")
+        scores = scoring.SimilarityBlocks(trained_state.model.norm, trained_state.tables.entity).forward(q)
         raw = filtered_ranks(scores, test[:, 2], as_index([set()] * test.shape[0]))
         assert (ranks[:, 1] <= raw).all()
 
@@ -182,6 +183,7 @@ def reference_rank_triples(state, graph, triples, tie_policy):
     ranks = np.empty((triples.shape[0], 2))
     model, tables = state.model, state.tables
     r_lit, _ = state.fuse_forward(np.arange(tables.relation.shape[0]))
+    blocks = scoring.SimilarityBlocks(model.norm, tables.entity)
     for rows in sum(scoring.lane_blocks(triples.shape[0], tables.entity.shape[0]), []):
         block = triples[rows]
         heads, rels, tails = block.T
@@ -189,9 +191,9 @@ def reference_rank_triples(state, graph, triples, tie_policy):
         known_heads = [filter_heads.get((r, t), ()) for _, r, t in block.tolist()]
         known_tails = [filter_tails.get((h, r), ()) for h, r, _ in block.tolist()]
         ranks[rows, 0] = ranks_of(
-            scoring.score_all_heads(tails, r_rows, model, tables), heads, known_heads)
+            blocks.forward(model.query(tables, tails, r_rows, "head")), heads, known_heads)
         ranks[rows, 1] = ranks_of(
-            scoring.score_all_tails(heads, r_rows, model, tables), tails, known_tails)
+            blocks.forward(model.query(tables, heads, r_rows, "tail")), tails, known_tails)
     return ranks
 
 

@@ -120,7 +120,7 @@ def reference_loss(batch, state):
         targets += [tails, heads]
         groups.append((rel, r_lit, cache, sides))
     q, targets = np.concatenate(queries), np.concatenate(targets)
-    blocks = scoring.SimilarityBlocks(model.norm, tables.entity, q.shape[0])
+    blocks = scoring.SimilarityBlocks(model.norm, tables.entity)
     scores = blocks.forward(q)
     picked = np.arange(q.shape[0]), targets
     p = np.exp(scores - scores.max(axis=1, keepdims=True))

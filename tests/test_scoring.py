@@ -3,13 +3,7 @@ import pytest
 
 from litrel import scoring
 from litrel.errors import ShapeError
-from litrel.scoring import (
-    EmbeddingTables,
-    SimilarityBlocks,
-    make_model,
-    score_all_heads,
-    score_all_tails,
-)
+from litrel.scoring import EmbeddingTables, SimilarityBlocks, make_model
 
 # spec id -> (model kind, transe norm, D_e, D_r)
 MODEL_SPECS = {
@@ -58,8 +52,13 @@ def reference_score(spec, tables, h, t, r_lit):
     return np.einsum("p,pqs,q,s->", e_h, tables.core, r_lit, e_t)
 
 
+def all_scores(anchors, r_lit, model, tables, side):
+    """B x |E| scores of the ``side`` queries of ``anchors`` against every entity."""
+    return SimilarityBlocks(model.norm, tables.entity).forward(model.query(tables, anchors, r_lit, side))
+
+
 def tail_score(h, r_lit, t, model, tables):
-    return score_all_tails(np.array([h]), r_lit[None, :], model, tables)[0, t]
+    return all_scores(np.array([h]), r_lit[None, :], model, tables, "tail")[0, t]
 
 
 class TestSingleScores:
@@ -122,16 +121,16 @@ class TestSingleScores:
         tables = random_tables(rng, "rotate")
         model = make_model("rotate")
         with pytest.raises(ShapeError, match="phase"):
-            score_all_tails(np.array([0]), np.zeros((1, 6)), model, tables)
+            all_scores(np.array([0]), np.zeros((1, 6)), model, tables, "tail")
         with pytest.raises(ShapeError, match="phase"):
-            score_all_heads(np.array([1]), np.zeros((1, 6)), model, tables)
+            all_scores(np.array([1]), np.zeros((1, 6)), model, tables, "head")
 
     def test_tucker_requires_core(self):
         tables = EmbeddingTables(entity=np.zeros((2, 2)), relation=np.zeros((1, 2)))
         with pytest.raises(ShapeError, match="core"):
-            score_all_tails(np.array([0]), np.zeros((1, 2)), make_model("tucker"), tables)
+            all_scores(np.array([0]), np.zeros((1, 2)), make_model("tucker"), tables, "tail")
         with pytest.raises(ShapeError, match="core"):
-            score_all_heads(np.array([1]), np.zeros((1, 2)), make_model("tucker"), tables)
+            all_scores(np.array([1]), np.zeros((1, 2)), make_model("tucker"), tables, "head")
 
     def test_tucker_matches_einsum(self, rng):
         tables = random_tables(rng, "tucker")
@@ -165,7 +164,7 @@ class TestBatchedScoring:
         tables = random_tables(rng, spec)
         model = spec_model(spec)
         r_lit = distinct_rows(rng, spec)
-        batched = score_all_tails(ANCHORS, r_lit, model, tables)
+        batched = all_scores(ANCHORS, r_lit, model, tables, "tail")
         assert batched.shape == (ANCHORS.size, 5)
         looped = [[reference_score(spec, tables, h, t, r_b) for t in range(5)]
                   for h, r_b in zip(ANCHORS, r_lit)]
@@ -176,7 +175,7 @@ class TestBatchedScoring:
         tables = random_tables(rng, spec)
         model = spec_model(spec)
         r_lit = distinct_rows(rng, spec)
-        batched = score_all_heads(ANCHORS, r_lit, model, tables)
+        batched = all_scores(ANCHORS, r_lit, model, tables, "head")
         assert batched.shape == (ANCHORS.size, 5)
         looped = [[reference_score(spec, tables, h, t, r_b) for h in range(5)]
                   for t, r_b in zip(ANCHORS, r_lit)]
@@ -187,15 +186,15 @@ class TestBatchedScoring:
         model = make_model("distmult")
         r_lit = distinct_rows(rng, "distmult")
         np.testing.assert_allclose(
-            score_all_heads(ANCHORS, r_lit, model, tables),
-            score_all_tails(ANCHORS, r_lit, model, tables),
+            all_scores(ANCHORS, r_lit, model, tables, "head"),
+            all_scores(ANCHORS, r_lit, model, tables, "tail"),
         )
 
     def test_transe_translation_hits_maximum(self):
         # entity 2 sits exactly at e_0 + r: its tail score is the max (0)
         entity = np.array([[0.0, 0.0], [3.0, 3.0], [1.0, 2.0]])
         tables = EmbeddingTables(entity=entity, relation=np.zeros((1, 2)))
-        scores = score_all_tails(np.array([0]), np.array([[1.0, 2.0]]), make_model("transe"), tables)[0]
+        scores = all_scores(np.array([0]), np.array([[1.0, 2.0]]), make_model("transe"), tables, "tail")[0]
         assert scores[2] == 0.0
         assert scores.argmax() == 2
 
@@ -211,14 +210,12 @@ class TestBackwardPasses:
         query_side = side[:-1]  # "tail" or "head"
 
         def objective():
-            if side == "tails":
-                return float(np.sum(g * score_all_tails(ANCHORS, r_lit, model, tables)))
-            return float(np.sum(g * score_all_heads(ANCHORS, r_lit, model, tables)))
+            return float(np.sum(g * all_scores(ANCHORS, r_lit, model, tables, query_side)))
 
         d_entity = np.zeros_like(tables.entity)
         d_core = np.zeros_like(tables.core) if tables.core is not None else None
         q = model.query(tables, ANCHORS, r_lit, query_side)
-        blocks = SimilarityBlocks(model.norm, tables.entity, q.shape[0])
+        blocks = SimilarityBlocks(model.norm, tables.entity)
         scores = blocks.forward(q)
         d_q = blocks.backward(q, scores, g.copy(), d_entity)  # the L2 kernel overwrites its g
         blocks.flush(d_entity)
@@ -282,7 +279,7 @@ class TestDistanceKernel:
 
     def test_zero_and_near_zero_distances_match_direct_formula(self, block):
         q, entity = block
-        scores = SimilarityBlocks(2, entity, q.shape[0]).forward(q)
+        scores = SimilarityBlocks(2, entity).forward(q)
         direct = -np.sqrt(((q[:, None, :] - entity[None, :, :]) ** 2).sum(axis=-1))
         assert scores[0, 0] == 0.0
         assert scores[-1, 2] == 0.0
@@ -292,7 +289,7 @@ class TestDistanceKernel:
         q, entity = block
         g = rng.normal(size=(q.shape[0], entity.shape[0]))
         d_entity = np.zeros_like(entity)
-        blocks = SimilarityBlocks(2, entity, q.shape[0])
+        blocks = SimilarityBlocks(2, entity)
         d_q = blocks.backward(q, blocks.forward(q), g.copy(), d_entity)  # the kernel overwrites its g
         blocks.flush(d_entity)
         want_q, want_entity = direct_l2_backward(q, entity, g)

@@ -11,6 +11,7 @@ over the blocks too and adds that term in ``fresh_flush``.
 """
 
 import tracemalloc
+from concurrent import futures
 from unittest import mock
 
 import numpy as np
@@ -105,10 +106,10 @@ def test_blocks_are_bit_identical_to_fresh_allocation(case):
     d_entity, want_d_entity = np.zeros_like(entity), np.zeros_like(entity)
     deferred = np.zeros(entity.shape[0])
     d_q = np.empty_like(q)
-    with mock.patch.object(scoring, "BLOCK_SCORES", block * entity.shape[0]):
-        step = scoring.block_rows(entity.shape[0])
+    with mock.patch.object(scoring, "BLOCK_SCORES", scoring.LANES * block * entity.shape[0]):
+        blocks = scoring.SimilarityBlocks(norm, entity)
+    step = blocks.rows
     assert step == block
-    blocks = scoring.SimilarityBlocks(norm, entity, min(step, q.shape[0]))
     previous = None
     for start in range(0, q.shape[0], step):
         rows = slice(start, start + step)
@@ -129,46 +130,64 @@ def test_blocks_are_bit_identical_to_fresh_allocation(case):
     assert np.array_equal(d_entity, want_d_entity)
 
 
-@pytest.mark.parametrize("norm", [None, 1, 2])
-def test_block_allocates_no_block_or_table_sized_array(norm, rng):
-    # 8000 x 16 entities, 16-row blocks: a B x |E| or |E| x D float64 array is 1 MiB
+def one_mib_case(rng, norm):
+    """A kernel over 8000 x 16 entities in 16-row blocks, where a B x |E| or |E| x D float64 array is 1 MiB.
+
+    Returns it with a block of query rows, an upstream gradient and the two gradient buffers.
+    """
     entity = rng.normal(size=(8000, 16))
     q, g = rng.normal(size=(16, 16)), rng.normal(size=(16, 8000))
     q[0] = entity[3]  # one pair on the L2 recomputation path
-    blocks = scoring.SimilarityBlocks(norm, entity, 16)
-    d_entity, d_q = np.zeros_like(entity), np.empty_like(q)
-    blocks.backward(q, blocks.forward(q), g, d_entity, d_q)
+    blocks = scoring.SimilarityBlocks(norm, entity)
+    assert blocks.rows == 16
+    return blocks, q, g, np.zeros_like(entity), np.empty_like(q)
+
+
+def traced_peak(fn):
+    """The peak traced allocation while ``fn()`` runs, above what was traced before."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        blocks.backward(q, blocks.forward(q), g, d_entity, d_q)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < entity.nbytes // 4
 
 
-def test_block_larger_than_its_buffer_is_rejected(rng):
-    blocks = scoring.SimilarityBlocks(2, rng.normal(size=(5, 3)), 2)
+@pytest.mark.parametrize("norm", [None, 1, 2])
+def test_block_allocates_no_block_or_table_sized_array(norm, rng):
+    blocks, q, g, d_entity, d_q = one_mib_case(rng, norm)
+    blocks.backward(q, blocks.forward(q), g, d_entity, d_q)
+    peak = traced_peak(lambda: blocks.backward(q, blocks.forward(q), g, d_entity, d_q))
+    assert peak < blocks.entity.nbytes // 4
+
+
+@pytest.mark.parametrize("norm", [None, 1, 2])
+def test_first_block_on_another_thread_allocates_no_block_or_table_sized_array(norm, rng):
+    # the kernel's buffers belong to the thread that builds it: a lane thread that allocated them
+    # on first use would hold them in a malloc arena of its own
+    blocks, q, g, d_entity, d_q = one_mib_case(rng, norm)
+
+    def first_block():
+        blocks.backward(q, blocks.forward(q), g, d_entity, d_q)
+        blocks.flush(d_entity)
+
+    with futures.ThreadPoolExecutor(1) as lane:
+        peak = traced_peak(lambda: lane.submit(first_block).result(timeout=60))
+    assert peak < blocks.entity.nbytes // 4
+
+
+def test_block_larger_than_its_buffer_is_rejected(rng, monkeypatch):
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * scoring.LANES * 5)  # two rows per lane over 5 entities
+    blocks = scoring.SimilarityBlocks(2, rng.normal(size=(5, 3)))
     with pytest.raises(ShapeError, match="3 query rows exceed the block of 2"):
         blocks.forward(rng.normal(size=(3, 3)))
-
-
-def test_score_all_tails_and_heads_reuse_the_given_blocks(rng):
-    tables = scoring.EmbeddingTables(entity=rng.normal(size=(6, 4)), relation=rng.normal(size=(2, 4)))
-    model = scoring.make_model("transe")
-    blocks = scoring.SimilarityBlocks(model.norm, tables.entity, 3)
-    heads, r_lit = np.array([0, 1, 2]), rng.normal(size=(3, 4))
-    tails = scoring.score_all_tails(heads, r_lit, model, tables, blocks)
-    want = tails.copy()
-    assert np.shares_memory(tails, scoring.score_all_heads(heads[:2], r_lit[:2], model, tables, blocks))
-    np.testing.assert_array_equal(want, scoring.score_all_tails(heads, r_lit, model, tables))
 
 
 @pytest.mark.parametrize("norm", [None, 1, 2])
 def test_refresh_after_an_in_place_update_equals_a_new_kernel(norm, rng):
     entity = rng.normal(size=(40, 6))
-    blocks = scoring.SimilarityBlocks(norm, entity, 5)
+    blocks = scoring.SimilarityBlocks(norm, entity)
     q, g = rng.normal(size=(5, 6)), rng.normal(size=(5, 40))
     d_entity = np.zeros_like(entity)
     blocks.backward(q, blocks.forward(q), g.copy(), d_entity, np.empty_like(q))
@@ -177,7 +196,7 @@ def test_refresh_after_an_in_place_update_equals_a_new_kernel(norm, rng):
     entity[7] += 1.0
     q[0] = entity[7]  # one pair on the L2 recomputation path, whose bound reads the largest norm
     blocks.refresh()
-    fresh = scoring.SimilarityBlocks(norm, entity.copy(), 5)
+    fresh = scoring.SimilarityBlocks(norm, entity.copy())
     got, want = blocks.forward(q), fresh.forward(q)
     assert np.array_equal(got, want)
     got_d_entity, want_d_entity = np.zeros_like(entity), np.zeros_like(entity)

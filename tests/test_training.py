@@ -81,10 +81,9 @@ class TestLoss:
         expected = 0.0
         for h, r, t in batch:
             r_lit = state.tables.relation[r]
-            for side_scores, true in (
-                (scoring.score_all_tails(np.array([h]), r_lit, state.model, state.tables)[0], int(t)),
-                (scoring.score_all_heads(np.array([t]), r_lit, state.model, state.tables)[0], int(h)),
-            ):
+            for anchor, side, true in ((h, "tail", int(t)), (t, "head", int(h))):
+                q = state.model.query(state.tables, np.array([anchor]), r_lit, side)
+                side_scores = scoring.SimilarityBlocks(state.model.norm, state.tables.entity).forward(q)[0]
                 exp = np.exp(side_scores - side_scores.max())
                 expected += -np.log(exp[true] / exp.sum())
         assert loss == pytest.approx(expected / batch.shape[0], abs=1e-10)
@@ -313,7 +312,7 @@ class TestWorkspace:
                              aggregation=aggregation, optimizer=optimizer, l2=l2)
         reused, fresh = training.init_state(small_graph, config), training.init_state(small_graph, config)
         optimizers = Optimizer(optimizer, 0.05), Optimizer(optimizer, 0.05)
-        workspace = training.Workspace(reused, 4)
+        workspace = training.Workspace(reused)
         rng = np.random.default_rng(1)
         for _ in range(2):
             perm = rng.permutation(len(small_graph.train))
@@ -330,11 +329,8 @@ class TestWorkspace:
         for name, param in fresh.parameters().items():
             assert np.array_equal(reused.parameters()[name], param), name
 
-    def test_workspace_of_another_state_or_a_smaller_batch_is_rejected(self, small_graph):
-        state = training.init_state(small_graph, make_config())
-        workspace = training.Workspace(state, 2)
-        with pytest.raises(ShapeError, match="a batch of 3 triples exceeds the workspace's 2"):
-            symmetric_lcwa_loss(small_graph.train[:3], state, workspace)
+    def test_workspace_of_another_state_is_rejected(self, small_graph):
+        workspace = training.Workspace(training.init_state(small_graph, make_config()))
         with pytest.raises(ShapeError, match="another model state"):
             symmetric_lcwa_loss(small_graph.train[:2], training.init_state(small_graph, make_config()),
                                 workspace)
