@@ -251,21 +251,14 @@ def svm_train(
 
 
 def micro_f1(predictions, gold) -> float:
-    """Micro-averaged F1; equals accuracy for single-label multi-class."""
+    """Micro-averaged F1, which for single-label multi-class is the accuracy: correct / n."""
     predictions = np.asarray(predictions, dtype=np.int64)
     gold = np.asarray(gold, dtype=np.int64)
     if predictions.shape != gold.shape:
         raise ValidationError(f"length mismatch: {predictions.shape} vs {gold.shape}")
     if predictions.shape[0] == 0:
         raise ValidationError("empty prediction list")
-    tp = int((predictions == gold).sum())
-    fp = int((predictions != gold).sum())
-    fn = fp  # each wrong single-label prediction is one FP and one FN
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    if precision + recall == 0:
-        return 0.0
-    return 2 * precision * recall / (precision + recall)
+    return int((predictions == gold).sum()) / predictions.shape[0]
 
 
 def confusion_counts(predictions, gold, num_classes: int) -> np.ndarray:

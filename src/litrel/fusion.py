@@ -6,7 +6,7 @@ L_t (G x |A|) and the relation rows R (G x D), with X = [L_h, R, L_t]
 
 * linear:  X @ W + b
 * gated:   Z * tanh(X @ W) + (1 - Z) * R,
-           Z = sigmoid(L_h @ Wg_lh + R @ Wg_r + L_t @ Wg_lt + bg)
+           Z = sigmoid(X @ Wg + bg)
 
 Both variants are pure functions of their inputs with hand-written
 backward passes, in which every parameter gradient is one matrix product
@@ -18,13 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from litrel.aggregation import _sigmoid
 from litrel.errors import ConfigError, ShapeError
 
 FUSION_KINDS = ("linear", "gated")
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
 
 
 def _glorot(rng, shape):
@@ -33,29 +30,8 @@ def _glorot(rng, shape):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def param_count(kind: str, dim: int, num_attributes: int, learnable_aggregation: bool) -> int:
-    """Trainable scalars a fusion block adds over the base model.
-
-    linear: dim^2 + 2*|A|*dim + dim; gated: 2*dim^2 + 4*|A|*dim + dim;
-    +12 when the learnable aggregation combination is enabled.
-    """
-    if dim <= 0 or num_attributes < 0:
-        raise ConfigError("dimensions must be positive")
-    if kind == "linear":
-        total = dim * dim + 2 * num_attributes * dim + dim
-    elif kind == "gated":
-        total = 2 * dim * dim + 4 * num_attributes * dim + dim
-    else:
-        raise ConfigError(f"unknown fusion kind {kind!r}")
-    if learnable_aggregation:
-        total += 12
-    return total
-
-
 class LinearFusion:
     """R_lit = [L_h, R, L_t] @ W + b with W of shape (2|A| + D, D)."""
-
-    kind = "linear"
 
     def __init__(self, dim: int, num_attributes: int, rng: np.random.Generator):
         self.dim = dim
@@ -78,36 +54,27 @@ class LinearFusion:
 
 
 class GatedFusion:
-    """Gate between the transformed literal signal and the raw embedding."""
+    """Gate between the transformed literal signal and the raw embedding.
 
-    kind = "gated"
+    The gate ``Wg`` spans X = [L_h, R, L_t] like ``W``; it is initialized
+    block-wise, one Glorot draw per (|A|, D), (D, D) and (|A|, D) block.
+    """
 
     def __init__(self, dim: int, num_attributes: int, rng: np.random.Generator):
         self.dim = dim
         self.num_attributes = num_attributes
         self.weight = _glorot(rng, (2 * num_attributes + dim, dim))
-        self.gate_head = _glorot(rng, (num_attributes, dim))
-        self.gate_rel = _glorot(rng, (dim, dim))
-        self.gate_tail = _glorot(rng, (num_attributes, dim))
+        self.gate = np.concatenate([_glorot(rng, (rows, dim))
+                                    for rows in (num_attributes, dim, num_attributes)])
         self.gate_bias = np.zeros(dim)
 
     def parameters(self):
-        return {
-            "fusion.weight": self.weight,
-            "fusion.gate_head": self.gate_head,
-            "fusion.gate_rel": self.gate_rel,
-            "fusion.gate_tail": self.gate_tail,
-            "fusion.gate_bias": self.gate_bias,
-        }
-
-    def _gate(self):
-        """The three gate matrices stacked like X = [L_h, R, L_t]."""
-        return np.concatenate([self.gate_head, self.gate_rel, self.gate_tail])
+        return {"fusion.weight": self.weight, "fusion.gate": self.gate, "fusion.gate_bias": self.gate_bias}
 
     def forward(self, l_h, r, l_t):
         x = _stack(l_h, r, l_t, self.num_attributes, self.dim)
         h = np.tanh(x @ self.weight)
-        z = _sigmoid(x @ self._gate() + self.gate_bias)
+        z = _sigmoid(x @ self.gate + self.gate_bias)
         r_lit = z * h + (1.0 - z) * r
         return r_lit, {"x": x, "h": h, "z": z}
 
@@ -119,12 +86,9 @@ class GatedFusion:
         d_pre = d_r_lit * z * (1.0 - h * h)
         d_z_pre = d_r_lit * (h - r) * z * (1.0 - z)
         grads["fusion.weight"] += x.T @ d_pre
-        d_gate = x.T @ d_z_pre
-        grads["fusion.gate_head"] += d_gate[:a]
-        grads["fusion.gate_rel"] += d_gate[a:a + self.dim]
-        grads["fusion.gate_tail"] += d_gate[a + self.dim:]
+        grads["fusion.gate"] += x.T @ d_z_pre
         grads["fusion.gate_bias"] += d_z_pre.sum(axis=0)
-        d_l_h, d_r, d_l_t = _split(d_pre @ self.weight.T + d_z_pre @ self._gate().T, a, self.dim)
+        d_l_h, d_r, d_l_t = _split(d_pre @ self.weight.T + d_z_pre @ self.gate.T, a, self.dim)
         return d_l_h, d_r + d_r_lit * (1.0 - z), d_l_t
 
 

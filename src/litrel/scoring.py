@@ -343,14 +343,14 @@ class SimilarityBlocks:
     ``q @ E.T`` for ``norm = None``, else ``-||q_b - e_j||_p``.
     ``backward`` is its gradient, for an upstream gradient written into
     :meth:`upstream`; :meth:`flush` completes the entity gradient of a
-    run of ``backward`` calls.  The :func:`lane_rows` x |E| score buffer
-    and the |E| x D product buffer are allocated once, by the
-    constructor, and written with ``out=`` on every block, so the scores
-    a ``forward`` returns are a view that the next ``forward``
-    overwrites.  The kernel reads the entity table it was built on; the
-    L2 kernel also caches the table's squared row norms, so after the
-    table changes in place (an optimizer step) :meth:`refresh` must run
-    before the next ``forward``.
+    run of ``backward`` calls.  The :func:`lane_rows` x |E| score buffer,
+    the L2 kernel's upstream buffer of that shape and the |E| x D product
+    buffer are allocated once, by the constructor, and written with
+    ``out=`` on every block, so the scores a ``forward`` returns are a
+    view that the next ``forward`` overwrites.  The kernel reads the
+    entity table it was built on; the L2 kernel also caches the table's
+    squared row norms, so after the table changes in place (an optimizer
+    step) :meth:`refresh` must run before the next ``forward``.
     """
 
     def __init__(self, norm, entity: np.ndarray):
@@ -363,8 +363,8 @@ class SimilarityBlocks:
         # MiB under MALLOC_ARENA_MAX=1).
         self._scores = np.empty((self.rows, entity.shape[0]))
         self._product = np.empty_like(entity)
+        self._upstream = np.empty_like(self._scores) if norm == 2 else self._scores
         if norm == 2:
-            self._upstream = None  # allocated by the first upstream(): ranking never asks
             self._entity_sq = np.empty(entity.shape[0])
             self._deferred = np.zeros(entity.shape[0])
         self.refresh()
@@ -412,10 +412,6 @@ class SimilarityBlocks:
         this is the score buffer itself and writing it overwrites the
         scores of the last ``forward``.
         """
-        if self.norm != 2:
-            return self._scores[:rows]
-        if self._upstream is None:
-            self._upstream = np.empty_like(self._scores)
         return self._upstream[:rows]
 
     def backward(self, q, scores, g, d_entity, d_q=None) -> np.ndarray:

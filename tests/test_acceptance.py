@@ -25,7 +25,6 @@ from litrel.evaluation import (
     group_by_frequency,
     rank_triples,
 )
-from litrel.fusion import param_count
 from litrel.kernels import STAT_NAMES
 from litrel.training import TrainConfig, init_state, symmetric_lcwa_loss, train
 
@@ -115,7 +114,6 @@ def test_criterion_2_parameter_audit(rng):
                     if learnable:
                         expected += 12
                     assert state.parameter_count() == base + expected
-                    assert param_count(fusion, dim, attrs, learnable) == expected
 
 
 # --- 3: aggregation oracle ----------------------------------------------
@@ -292,9 +290,7 @@ def test_criterion_6_ablation_equivalence(toy_graph):
         gated.tables.entity[...] = vanilla.tables.entity
         gated.tables.relation[...] = vanilla.tables.relation
         block = gated.fusion
-        block.gate_head[...] = 0.0
-        block.gate_rel[...] = 0.0
-        block.gate_tail[...] = 0.0
+        block.gate[...] = 0.0
         block.gate_bias[...] = -30.0
         for triple in toy_graph.train:
             l_v, _ = symmetric_lcwa_loss(triple[None, :], vanilla)

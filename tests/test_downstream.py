@@ -253,6 +253,13 @@ class TestMicroF1:
         with pytest.raises(ValidationError):
             micro_f1([], [])
 
+    def test_is_exactly_correct_over_n(self):
+        # 2PR / (P + R) with P = R = k / n misses k / n by an ulp in 1,588 of these cases
+        for n in range(1, 200):
+            gold = np.zeros(n, dtype=np.int64)
+            for k in range(n + 1):
+                assert micro_f1(np.arange(n) >= k, gold) == k / n, (k, n)
+
     def test_matches_accuracy_randomly(self, rng):
         preds = rng.integers(0, 4, size=50)
         gold = rng.integers(0, 4, size=50)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from litrel.errors import ConfigError, ShapeError
-from litrel.fusion import GatedFusion, LinearFusion, make_fusion, param_count
+from litrel.errors import ShapeError
+from litrel.fusion import GatedFusion, LinearFusion, make_fusion
 
 
 def zeroed(block):
@@ -50,9 +50,7 @@ class TestLinearFusion:
 class TestGatedFusion:
     def test_zero_gate_interpolates_evenly(self, rng):
         block = GatedFusion(3, 1, rng)
-        block.gate_head[...] = 0
-        block.gate_rel[...] = 0
-        block.gate_tail[...] = 0
+        block.gate[...] = 0
         block.gate_bias[...] = 0
         l_h, r, l_t = np.array([[0.4], [0.1], [0.7]]), rows(rng, 3), np.array([[0.9], [0.2], [0.5]])
         out, _ = block.forward(l_h, r, l_t)
@@ -89,39 +87,37 @@ class TestGatedFusion:
     def test_saturated_low_gate_robust_to_gate_weights(self, rng):
         # gate weights zero, strong negative bias: output is the raw relation
         block = GatedFusion(4, 2, rng)
-        block.gate_head[...] = 0
-        block.gate_rel[...] = 0
-        block.gate_tail[...] = 0
+        block.gate[...] = 0
         block.gate_bias[...] = -30.0
         r = rows(rng, 4)
         out, _ = block.forward(rows(rng, 2), r, rows(rng, 2))
         np.testing.assert_allclose(out, r, atol=1e-9)
 
 
-class TestParamCount:
-    @pytest.mark.parametrize(
-        "kind,dim,attrs,learnable,expected",
-        [
-            ("linear", 200, 7, False, 43000),
-            ("gated", 200, 7, True, 85812),
-            ("linear", 1, 0, False, 2),
-            ("linear", 200, 7, True, 43012),
-            ("gated", 200, 7, False, 85800),
-        ],
-    )
-    def test_formula_values(self, kind, dim, attrs, learnable, expected):
-        assert param_count(kind, dim, attrs, learnable) == expected
+def glorot(rng, rows, cols):
+    limit = np.sqrt(6.0 / (rows + cols))
+    return rng.uniform(-limit, limit, size=(rows, cols))
 
+
+class TestParamCount:
     @pytest.mark.parametrize("kind", ["linear", "gated"])
     @pytest.mark.parametrize("dim,attrs", [(1, 1), (3, 2), (8, 5), (16, 0), (7, 11), (32, 3)])
     def test_matches_allocated_scalars(self, kind, dim, attrs, rng):
         block = make_fusion(kind, dim, attrs, rng)
         allocated = sum(p.size for p in block.parameters().values())
-        assert allocated == param_count(kind, dim, attrs, False)
+        if kind == "linear":
+            assert allocated == dim * dim + 2 * attrs * dim + dim
+        else:
+            assert allocated == 2 * dim * dim + 4 * attrs * dim + dim
 
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigError):
-            param_count("attention", 4, 2, False)
+    @pytest.mark.parametrize("dim,attrs", [(1, 1), (3, 2), (16, 0), (7, 11)])
+    def test_gate_is_three_glorot_blocks_drawn_after_the_weight(self, dim, attrs):
+        block = GatedFusion(dim, attrs, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        np.testing.assert_array_equal(block.weight, glorot(rng, 2 * attrs + dim, dim))
+        expected = [glorot(rng, attrs, dim), glorot(rng, dim, dim), glorot(rng, attrs, dim)]
+        np.testing.assert_array_equal(block.gate, np.concatenate(expected))
+        assert list(block.parameters()) == ["fusion.weight", "fusion.gate", "fusion.gate_bias"]
 
 
 class TestGradients:

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import random_graph
 from litrel import scoring
+from litrel.fusion import LinearFusion
 from litrel.kernels import STAT_NAMES
 from litrel.training import TrainConfig, init_state, symmetric_lcwa_loss
 
@@ -44,36 +45,43 @@ def reference_literals_backward(state, rel, d_l_h, d_l_t):
     return u_head.T @ g_h + u_tail.T @ g_t, g_h.sum() + g_t.sum()
 
 
+def xblocks(block, m):
+    """The (L_h, R, L_t) row blocks of a matrix over X, such as the gate."""
+    a, d = block.num_attributes, block.dim
+    return m[:a], m[a:a + d], m[a + d:]
+
+
 def vector_fusion_forward(block, l_h, r, l_t):
     x = np.concatenate([l_h, r, l_t])
-    if block.kind == "linear":
+    if isinstance(block, LinearFusion):
         return block.weight.T @ x + block.bias, {"x": x}
     h = np.tanh(block.weight.T @ x)
-    z = _sigmoid(block.gate_head.T @ l_h + block.gate_rel.T @ r + block.gate_tail.T @ l_t
-                 + block.gate_bias)
+    gate_head, gate_rel, gate_tail = xblocks(block, block.gate)
+    z = _sigmoid(gate_head.T @ l_h + gate_rel.T @ r + gate_tail.T @ l_t + block.gate_bias)
     return z * h + (1.0 - z) * r, {"x": x, "h": h, "z": z, "l_h": l_h, "r": r, "l_t": l_t}
 
 
 def vector_fusion_backward(block, cache, d_r_lit, grads):
-    x, a, d = cache["x"], block.num_attributes, block.dim
-    if block.kind == "linear":
+    x = cache["x"]
+    if isinstance(block, LinearFusion):
         grads["fusion.weight"] += np.outer(x, d_r_lit)
         grads["fusion.bias"] += d_r_lit
-        d_x = block.weight @ d_r_lit
-        return d_x[:a], d_x[a:a + d], d_x[a + d:]
+        return xblocks(block, block.weight @ d_r_lit)
     h, z, l_h, r, l_t = (cache[k] for k in ("h", "z", "l_h", "r", "l_t"))
     d_z = d_r_lit * (h - r)
     d_pre = d_r_lit * z * (1.0 - h * h)
     grads["fusion.weight"] += np.outer(x, d_pre)
-    d_x = block.weight @ d_pre
+    d_x_h, d_x_r, d_x_t = xblocks(block, block.weight @ d_pre)
     d_z_pre = d_z * z * (1.0 - z)
-    grads["fusion.gate_head"] += np.outer(l_h, d_z_pre)
-    grads["fusion.gate_rel"] += np.outer(r, d_z_pre)
-    grads["fusion.gate_tail"] += np.outer(l_t, d_z_pre)
+    gate_head, gate_rel, gate_tail = xblocks(block, block.gate)
+    d_head, d_rel, d_tail = xblocks(block, grads["fusion.gate"])
+    d_head += np.outer(l_h, d_z_pre)
+    d_rel += np.outer(r, d_z_pre)
+    d_tail += np.outer(l_t, d_z_pre)
     grads["fusion.gate_bias"] += d_z_pre
-    return (d_x[:a] + block.gate_head @ d_z_pre,
-            d_r_lit * (1.0 - z) + d_x[a:a + d] + block.gate_rel @ d_z_pre,
-            d_x[a + d:] + block.gate_tail @ d_z_pre)
+    return (d_x_h + gate_head @ d_z_pre,
+            d_r_lit * (1.0 - z) + d_x_r + gate_rel @ d_z_pre,
+            d_x_t + gate_tail @ d_z_pre)
 
 
 def reference_fuse_forward(state, rel):

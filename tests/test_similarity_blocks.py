@@ -165,11 +165,15 @@ def test_block_allocates_no_block_or_table_sized_array(norm, rng):
 @pytest.mark.parametrize("norm", [None, 1, 2])
 def test_first_block_on_another_thread_allocates_no_block_or_table_sized_array(norm, rng):
     # the kernel's buffers belong to the thread that builds it: a lane thread that allocated them
-    # on first use would hold them in a malloc arena of its own
+    # on first use would hold them in a malloc arena of its own; the upstream gradient is written
+    # into the kernel's own buffer, as training writes it
     blocks, q, g, d_entity, d_q = one_mib_case(rng, norm)
 
     def first_block():
-        blocks.backward(q, blocks.forward(q), g, d_entity, d_q)
+        scores = blocks.forward(q)
+        upstream = blocks.upstream(len(q))
+        upstream[...] = g
+        blocks.backward(q, scores, upstream, d_entity, d_q)
         blocks.flush(d_entity)
 
     with futures.ThreadPoolExecutor(1) as lane:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from litrel import evaluation, scoring, training
 from litrel.data import build_graph
 from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
-from litrel.fusion import param_count
 from litrel.training import ModelState, Optimizer, TrainConfig, symmetric_lcwa_loss, train
 
 
@@ -105,9 +104,7 @@ class TestLoss:
         gated.tables.entity[...] = vanilla.tables.entity
         gated.tables.relation[...] = vanilla.tables.relation
         block = gated.fusion
-        block.gate_head[...] = 0
-        block.gate_rel[...] = 0
-        block.gate_tail[...] = 0
+        block.gate[...] = 0
         block.gate_bias[...] = -30.0
         for triple in small_graph.train:
             l_vanilla, _ = symmetric_lcwa_loss(triple[None, :], vanilla)
@@ -252,9 +249,9 @@ class TestParameterCounts:
             small_graph, make_config(fusion=fusion_kind, aggregation=aggregation)
         )
         delta = state.parameter_count() - base_parameter_count(state)
-        assert delta == param_count(
-            fusion_kind, 6, small_graph.num_attributes, aggregation == "learnable"
-        )
+        attrs = small_graph.num_attributes
+        expected = 6 * 6 + 2 * attrs * 6 + 6 if fusion_kind == "linear" else 2 * 6 * 6 + 4 * attrs * 6 + 6
+        assert delta == expected + (12 if aggregation == "learnable" else 0)
 
     def test_tucker_core_registered(self, small_graph):
         state = training.init_state(
@@ -267,7 +264,7 @@ class TestParameterCounts:
         shared = training.init_state(
             small_graph, make_config(model="complex", fusion="linear")
         )
-        block_scalars = param_count("linear", 3, small_graph.num_attributes, False)
+        block_scalars = 3 * 3 + 2 * small_graph.num_attributes * 3 + 3
         assert shared.parameter_count() - base_parameter_count(shared) == block_scalars
 
 
