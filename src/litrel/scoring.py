@@ -6,8 +6,8 @@ anchor, so a block may span relations) into a B x D query matrix ``Q``,
 then comparing every row with every entity in one of two kernels:
 
 * dot product ``Q @ E.T`` (``norm = None``): DistMult, ComplEx, TuckER;
-* negative Lp distance ``-||q_b - e_j||_p`` (``norm = 1`` or ``2``):
-  TransE, and RotatE with p = 2 over the packed re/im row.
+* negative L2 distance ``-||q_b - e_j||`` (``norm = 2``): TransE, and
+  RotatE over the packed re/im row.
 
 So "higher is better" for every model, and a block scores as a B x |E|
 matrix.  The tail side anchors on the heads, the head side on the
@@ -51,7 +51,6 @@ noise), so the pairs whose expanded square is within ``_CANCEL`` times
 the rounding scale ``||q||^2 + max ||e||^2`` are recomputed directly
 as ``||q - e||^2``, which is exactly 0 for equal rows.  A row minimum
 screens the rows first, so only rows holding such a pair are searched.
-The L1 kernel keeps the direct form, one query row at a time.
 
 Complex-valued layouts pack real parts in the first half of a row and
 imaginary parts in the second half.  The rotation model stores relation
@@ -118,12 +117,9 @@ def _packed(z):
 
 
 class TransE:
-    """score = -|| e_h + r - e_t ||_p (p = 2 by default, 1 by config)."""
+    """score = -|| e_h + r - e_t ||."""
 
-    def __init__(self, norm: int = 2):
-        if norm not in (1, 2):
-            raise ConfigError(f"transe norm must be 1 or 2, got {norm}")
-        self.norm = norm
+    norm = 2
 
     def query(self, tables, anchors, r_lit, side):
         e = tables.entity[anchors]
@@ -261,9 +257,9 @@ class TuckER:
         return d_r
 
 
-def make_model(kind: str, transe_norm: int = 2):
+def make_model(kind: str):
     if kind == "transe":
-        return TransE(norm=transe_norm)
+        return TransE()
     if kind == "distmult":
         return DistMult()
     if kind == "complex":
@@ -340,7 +336,7 @@ class SimilarityBlocks:
     """The similarity kernel of one lane, over blocks of at most :func:`lane_rows` query rows.
 
     ``forward(q)`` scores the rows of ``q`` against every entity row:
-    ``q @ E.T`` for ``norm = None``, else ``-||q_b - e_j||_p``.
+    ``q @ E.T`` for ``norm = None``, ``-||q_b - e_j||`` for ``norm = 2``.
     ``backward`` is its gradient, for an upstream gradient written into
     :meth:`upstream`; :meth:`flush` completes the entity gradient of a
     run of ``backward`` calls.  The :func:`lane_rows` x |E| score buffer,
@@ -386,13 +382,6 @@ class SimilarityBlocks:
         entity, out = self.entity, self._scores[:q.shape[0]]
         if self.norm is None:
             return np.matmul(q, entity.T, out=out)
-        if self.norm == 1:
-            diff = self._product
-            for row, out_row in zip(q, out):
-                np.subtract(row, entity, out=diff)
-                np.abs(diff, out=diff)
-                np.sum(diff, axis=1, out=out_row)
-            return np.negative(out, out=out)
         sq = np.matmul(q, entity.T, out=out)
         sq *= -2.0
         sq += sq_norms(q)[:, None]
@@ -429,15 +418,6 @@ class SimilarityBlocks:
         if self.norm is None:
             d_entity += np.matmul(g.T, q, out=self._product)
             return np.matmul(g, entity, out=d_q)
-        if self.norm == 1:
-            unit = self._product
-            for row, g_row, d_row in zip(q, g, d_q):
-                np.subtract(row, entity, out=unit)
-                np.sign(unit, out=unit)
-                d_row[...] = -(unit.T @ g_row)
-                unit *= g_row[:, None]
-                d_entity += unit
-            return d_q
         # score = -n with n = ||q - e||: dq = sum_j w_j (e_j - q), de_j = w_j (q - e_j), w = g / n;
         # v = g / score = -w is written into g, and flush adds -sum_b w_bj e_j
         bound = np.sqrt(self._cancel_bound(q))

@@ -65,7 +65,7 @@ from litrel.serialize import (array_fault, current, finite, load_arrays, load_js
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,6 @@ class TrainConfig:
     learning_rate: float = _key("float", 1e-3, "> 0")
     optimizer: str = _key(("adam", "sgd"), "adam")
     seed: int = _key("int", 0, ">= 0", flag=("litrel",))
-    transe_norm: int = _key((1, 2), 2, flag=())
-    l2: float = _key("float", 0.0, ">= 0", flag=())
     valid_every: int = _key("int", 0, ">= 0", flag=())  # 0 disables periodic validation MRR
 
     def validate(self) -> None:
@@ -323,7 +321,7 @@ def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles=None) -> Mod
         core = rng.uniform(-1.0, 1.0, size=(config.dim_entity, config.dim_relation, config.dim_entity)) * 0.1
     tables = EmbeddingTables(entity=entity, relation=relation, core=core)
 
-    model = scoring.make_model(config.model, config.transe_norm)
+    model = scoring.make_model(config.model)
     state = ModelState(config=config, tables=tables, model=model, profiles=profiles)
     if config.fusion_enabled:
         dim = config.dim_relation // state.fusion_parts
@@ -453,11 +451,6 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
             f"|entity|={np.linalg.norm(tables.entity):.3e} "
             f"|relation|={np.linalg.norm(tables.relation):.3e}"
         )
-    if state.config.l2 > 0:
-        lam = state.config.l2
-        loss += lam * (np.sum(tables.entity ** 2) + np.sum(tables.relation ** 2))
-        grads["entity"] += 2 * lam * tables.entity
-        grads["relation"] += 2 * lam * tables.relation
     name = _first_non_finite(grads)
     if name is not None:
         raise TrainingError(
@@ -598,6 +591,5 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
         if fault is not None:
             raise ConfigError(f"{directory}: parameter {name} {fault}")
     tables = EmbeddingTables(stored["entity"], stored["relation"], stored.get("core"))
-    state = ModelState(config, tables, scoring.make_model(config.model, config.transe_norm),
-                       artifact=meta.get("artifact"))
+    state = ModelState(config, tables, scoring.make_model(config.model), artifact=meta.get("artifact"))
     return state, load_json(os.path.join(directory, "history.json"))

@@ -94,9 +94,10 @@ class TestPreprocess:
         assert preprocess(dataset, str(artifact)) == 0
         assert sorted(os.listdir(artifact / "profiles")) == ["u_head.npy", "u_tail.npy"]
 
-    @pytest.mark.parametrize("key", ["aggregate_over_all_rows", "multiset_rows"])
-    def test_removed_profile_option_is_unknown_key(self, dataset, tmp_path, capsys, key):
-        # a side's population is always its distinct training entities
+    # a side's population is always its distinct training entities; TransE is always L2 and the
+    # loss has no weight penalty
+    @pytest.mark.parametrize("key", ["aggregate_over_all_rows", "multiset_rows", "transe_norm", "l2"])
+    def test_removed_key_is_unknown_key(self, dataset, tmp_path, capsys, key):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: False}))
         artifact = tmp_path / "artifact"
@@ -382,19 +383,22 @@ class TestTrainEvaluateClassify:
             "--checkpoint-dir", pipeline["checkpoint"],
         ])
 
-    @pytest.mark.parametrize("version", [99, 3])
+    @pytest.mark.parametrize("version", [99, 3, 4])
     def test_unknown_checkpoint_version_is_config_error(self, pipeline, capsys, version):
-        # version 3 stored the fusion block and the profiles instead of the fused relation rows
+        # version 3 stored the fusion block and the profiles instead of the fused relation rows;
+        # version 4's config held the removed transe_norm and l2 keys
         self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m.update(version=version))
         assert self.evaluate(pipeline) == 1
         err = capsys.readouterr().err
-        assert f"checkpoint version {version} is not supported (expected 4); train the model again" in err
+        assert f"checkpoint version {version} is not supported (expected 5); train the model again" in err
 
-    def test_unknown_checkpoint_config_key_is_config_error(self, pipeline, capsys):
-        self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m["config"].update(bogus=1))
+    @pytest.mark.parametrize("key", ["bogus", "l2"])
+    def test_unknown_checkpoint_config_key_is_config_error(self, pipeline, capsys, key):
+        # the version check runs first, so this message means the checkpoint is of the current version
+        self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m["config"].update({key: 1}))
         assert self.evaluate(pipeline) == 1
         err = capsys.readouterr().err
-        assert "bogus" in err
+        assert f"unknown checkpoint config keys: ['{key}']" in err
         assert "internal error" not in err
 
     @pytest.mark.parametrize("edit", [
@@ -984,7 +988,7 @@ class TestKeyTable:
         for name, key in KEYS.items():
             key.check(name, key.default)
         TrainConfig().validate()
-        assert len(KEYS) == 29
+        assert len(KEYS) == 27
 
     def test_flags_are_unchanged(self):
         parser = build_parser()

@@ -5,24 +5,18 @@ from litrel import scoring
 from litrel.errors import ShapeError
 from litrel.scoring import EmbeddingTables, SimilarityBlocks, make_model
 
-# spec id -> (model kind, transe norm, D_e, D_r)
+# model kind -> (D_e, D_r)
 MODEL_SPECS = {
-    "transe": ("transe", 2, 6, 6),
-    "transe_l1": ("transe", 1, 6, 6),
-    "distmult": ("distmult", 2, 6, 6),
-    "complex": ("complex", 2, 6, 6),
-    "rotate": ("rotate", 2, 6, 3),
-    "tucker": ("tucker", 2, 6, 4),
+    "transe": (6, 6),
+    "distmult": (6, 6),
+    "complex": (6, 6),
+    "rotate": (6, 3),
+    "tucker": (6, 4),
 }
 
 
-def spec_model(spec):
-    kind, norm, _, _ = MODEL_SPECS[spec]
-    return make_model(kind, transe_norm=norm)
-
-
-def random_tables(rng, spec, num_entities=5):
-    kind, _, dim_e, dim_r = MODEL_SPECS[spec]
+def random_tables(rng, kind, num_entities=5):
+    dim_e, dim_r = MODEL_SPECS[kind]
     core = rng.normal(size=(dim_e, dim_r, dim_e)) if kind == "tucker" else None
     return EmbeddingTables(
         entity=rng.normal(size=(num_entities, dim_e)),
@@ -36,13 +30,11 @@ def as_complex(row):
     return row[:m] + 1j * row[m:]
 
 
-def reference_score(spec, tables, h, t, r_lit):
+def reference_score(kind, tables, h, t, r_lit):
     """Closed-form score of one triple (h, r, t), written per model."""
-    kind, norm, _, _ = MODEL_SPECS[spec]
     e_h, e_t = tables.entity[h], tables.entity[t]
     if kind == "transe":
-        diff = e_h + r_lit - e_t
-        return -np.abs(diff).sum() if norm == 1 else -np.sqrt(np.sum(diff ** 2))
+        return -np.sqrt(np.sum((e_h + r_lit - e_t) ** 2))
     if kind == "distmult":
         return np.sum(e_h * r_lit * e_t)
     if kind == "complex":
@@ -141,43 +133,36 @@ class TestSingleScores:
         )
         assert tail_score(0, r_lit, 1, model, tables) == pytest.approx(expected)
 
-    def test_transe_l1_config(self):
-        tables = EmbeddingTables(
-            entity=np.array([[0.0, 0.0], [1.0, -2.0]]), relation=np.zeros((1, 2))
-        )
-        model = make_model("transe", transe_norm=1)
-        assert tail_score(0, np.zeros(2), 1, model, tables) == -3.0
-
 
 # a block of anchors with a repeat, so that per-anchor accumulation is exercised
 ANCHORS = np.array([1, 3, 1, 0])
 
 
-def distinct_rows(rng, spec):
+def distinct_rows(rng, kind):
     """One fused relation row per anchor, all different, as in a block spanning relations."""
-    return rng.normal(size=(ANCHORS.size, MODEL_SPECS[spec][3]))
+    return rng.normal(size=(ANCHORS.size, MODEL_SPECS[kind][1]))
 
 
 class TestBatchedScoring:
-    @pytest.mark.parametrize("spec", list(MODEL_SPECS))
-    def test_all_tails_matches_loop(self, spec, rng):
-        tables = random_tables(rng, spec)
-        model = spec_model(spec)
-        r_lit = distinct_rows(rng, spec)
+    @pytest.mark.parametrize("kind", list(MODEL_SPECS))
+    def test_all_tails_matches_loop(self, kind, rng):
+        tables = random_tables(rng, kind)
+        model = make_model(kind)
+        r_lit = distinct_rows(rng, kind)
         batched = all_scores(ANCHORS, r_lit, model, tables, "tail")
         assert batched.shape == (ANCHORS.size, 5)
-        looped = [[reference_score(spec, tables, h, t, r_b) for t in range(5)]
+        looped = [[reference_score(kind, tables, h, t, r_b) for t in range(5)]
                   for h, r_b in zip(ANCHORS, r_lit)]
         np.testing.assert_allclose(batched, looped, atol=1e-9)
 
-    @pytest.mark.parametrize("spec", list(MODEL_SPECS))
-    def test_all_heads_matches_loop(self, spec, rng):
-        tables = random_tables(rng, spec)
-        model = spec_model(spec)
-        r_lit = distinct_rows(rng, spec)
+    @pytest.mark.parametrize("kind", list(MODEL_SPECS))
+    def test_all_heads_matches_loop(self, kind, rng):
+        tables = random_tables(rng, kind)
+        model = make_model(kind)
+        r_lit = distinct_rows(rng, kind)
         batched = all_scores(ANCHORS, r_lit, model, tables, "head")
         assert batched.shape == (ANCHORS.size, 5)
-        looped = [[reference_score(spec, tables, h, t, r_b) for h in range(5)]
+        looped = [[reference_score(kind, tables, h, t, r_b) for h in range(5)]
                   for t, r_b in zip(ANCHORS, r_lit)]
         np.testing.assert_allclose(batched, looped, atol=1e-9)
 
@@ -200,12 +185,12 @@ class TestBatchedScoring:
 
 
 class TestBackwardPasses:
-    @pytest.mark.parametrize("spec", list(MODEL_SPECS))
+    @pytest.mark.parametrize("kind", list(MODEL_SPECS))
     @pytest.mark.parametrize("side", ["tails", "heads"])
-    def test_weighted_gradients_match_finite_differences(self, spec, side, rng):
-        tables = random_tables(rng, spec)
-        model = spec_model(spec)
-        r_lit = distinct_rows(rng, spec)
+    def test_weighted_gradients_match_finite_differences(self, kind, side, rng):
+        tables = random_tables(rng, kind)
+        model = make_model(kind)
+        r_lit = distinct_rows(rng, kind)
         g = rng.normal(size=(ANCHORS.size, 5))
         query_side = side[:-1]  # "tail" or "head"
 
@@ -242,7 +227,7 @@ class TestBackwardPasses:
     def test_tucker_chunks_match_one_chunk(self, side, rng, monkeypatch):
         # the D_e*D_r-wide Khatri-Rao rows are built BLOCK_SCORES entries at a time
         tables = random_tables(rng, "tucker")
-        model = spec_model("tucker")
+        model = make_model("tucker")
         r_lit = distinct_rows(rng, "tucker")
         d_q = rng.normal(size=(ANCHORS.size, 6))
 

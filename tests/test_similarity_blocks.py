@@ -33,8 +33,6 @@ def _cancel_bound(q_sq, entity_sq):
 def fresh_similarities(norm, q, entity):
     if norm is None:
         return q @ entity.T
-    if norm == 1:
-        return -np.stack([np.abs(row - entity).sum(axis=1) for row in q])
     q_sq, entity_sq = scoring.sq_norms(q), scoring.sq_norms(entity)
     sq = q @ entity.T
     sq *= -2.0
@@ -50,13 +48,6 @@ def fresh_similarities_backward(norm, q, entity, scores, g, d_entity, deferred):
     if norm is None:
         d_entity += g.T @ q
         return g @ entity
-    if norm == 1:
-        d_q = np.empty_like(q)
-        for b, (row, g_row) in enumerate(zip(q, g)):
-            unit = np.sign(row - entity)
-            d_entity += g_row[:, None] * unit
-            d_q[b] = -(unit.T @ g_row)
-        return d_q
     dist = -scores
     near = dist <= np.sqrt(_cancel_bound(scoring.sq_norms(q), scoring.sq_norms(entity)))[:, None]
     w = np.divide(g, dist, out=np.zeros_like(g), where=~near)
@@ -83,7 +74,7 @@ OFFSETS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0)
 
 @st.composite
 def kernel_cases(draw):
-    norm = draw(st.sampled_from([None, 1, 2]))
+    norm = draw(st.sampled_from([None, 2]))
     num_entities = draw(st.integers(2, 7))
     dim = draw(st.integers(1, 5))
     num_rows = draw(st.integers(1, 9))
@@ -154,7 +145,7 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("norm", [None, 1, 2])
+@pytest.mark.parametrize("norm", [None, 2])
 def test_block_allocates_no_block_or_table_sized_array(norm, rng):
     blocks, q, g, d_entity, d_q = one_mib_case(rng, norm)
     blocks.backward(q, blocks.forward(q), g, d_entity, d_q)
@@ -162,7 +153,7 @@ def test_block_allocates_no_block_or_table_sized_array(norm, rng):
     assert peak < blocks.entity.nbytes // 4
 
 
-@pytest.mark.parametrize("norm", [None, 1, 2])
+@pytest.mark.parametrize("norm", [None, 2])
 def test_first_block_on_another_thread_allocates_no_block_or_table_sized_array(norm, rng):
     # the kernel's buffers belong to the thread that builds it: a lane thread that allocated them
     # on first use would hold them in a malloc arena of its own; the upstream gradient is written
@@ -188,7 +179,7 @@ def test_block_larger_than_its_buffer_is_rejected(rng, monkeypatch):
         blocks.forward(rng.normal(size=(3, 3)))
 
 
-@pytest.mark.parametrize("norm", [None, 1, 2])
+@pytest.mark.parametrize("norm", [None, 2])
 def test_refresh_after_an_in_place_update_equals_a_new_kernel(norm, rng):
     entity = rng.normal(size=(40, 6))
     blocks = scoring.SimilarityBlocks(norm, entity)
