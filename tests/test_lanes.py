@@ -53,6 +53,7 @@ def with_threads(monkeypatch, threads):
 @pytest.mark.parametrize("model", list(MODEL_DIMS))
 @pytest.mark.parametrize("rows_per_block,triples", [
     pytest.param(6, 5, id="rows-not-a-multiple-of-the-lane-block"),  # 10 rows, lane blocks of 3
+    pytest.param(6, 6, id="rows-a-multiple-of-the-lane-block"),  # 12 rows, two full blocks a lane
     pytest.param(None, 3, id="smaller-than-one-lane-block"),
     pytest.param(None, 1, id="one-triple"),
 ])

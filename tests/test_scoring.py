@@ -66,6 +66,14 @@ class TestSingleScores:
         model = make_model("transe")
         assert tail_score(0, np.array([0.0, 1.0]), 1, model, tables) == 0.0
 
+    def test_transe_is_the_euclidean_distance(self):
+        # |(0, 0) - (1, -2)| is sqrt(5) in L2; an L1 distance would read 3
+        tables = EmbeddingTables(
+            entity=np.array([[0.0, 0.0], [1.0, -2.0]]), relation=np.zeros((1, 2))
+        )
+        model = make_model("transe")
+        assert tail_score(0, np.zeros(2), 1, model, tables) == pytest.approx(-np.sqrt(5.0))
+
     def test_distmult_hand_arithmetic(self):
         tables = EmbeddingTables(
             entity=np.array([[1.0, 2.0], [5.0, 6.0]]), relation=np.zeros((1, 2))
