@@ -20,7 +20,7 @@ import numpy as np
 
 from litrel import kernels
 from litrel.data import KnowledgeGraph
-from litrel.errors import ConfigError, ValidationError
+from litrel.errors import ValidationError
 from litrel.kernels import NUM_STATS, STAT_NAMES
 from litrel.serialize import array_fault, load_arrays, save_arrays
 
@@ -57,32 +57,26 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def literal_vectors(profiles, relations: np.ndarray, kind: str,
-                    weights: np.ndarray | None = None, bias: np.ndarray | None = None,
-                    cache: dict | None = None, scratch=None):
+def literal_vectors(profiles, relations: np.ndarray, kind: str, weights, bias, cache: dict, scratch):
     """G x |A| head and tail literal rows of the relations (an index array).
 
-    A fixed kind slices its statistic column; ``learnable`` applies
-    sigmoid(U @ weights + bias) to the (G, |A|, 11) head and tail blocks
-    and, when given a ``cache`` dict, stores those blocks as ``rows`` and
-    its two outputs as ``outputs`` there for :func:`literal_vectors_backward`.
-    With a :class:`litrel.scoring.Scratch`, the blocks are gathered into
-    its ``u_head`` and ``u_tail`` arrays, which the next call overwrites;
-    the ids must then be valid row indices, which the caller has checked.
+    A fixed kind slices its statistic column, and ignores ``weights``,
+    ``bias``, ``cache`` and ``scratch``.  ``learnable`` gathers the
+    (G, |A|, 11) head and tail blocks into the ``u_head`` and ``u_tail``
+    arrays of the :class:`litrel.scoring.Scratch` ``scratch``, which the
+    next call overwrites (the ids must be valid row indices, which the
+    caller has checked), applies sigmoid(U @ weights + bias) to them and
+    stores the blocks as ``rows`` and its two outputs as ``outputs`` in
+    the ``cache`` dict for :func:`literal_vectors_backward`.
     """
     u_head, u_tail = profiles
     if kind == "learnable":
-        if weights is None or bias is None:
-            raise ConfigError("learnable aggregation requires weights and bias")
-        if scratch is None:
-            rows = u_head[relations], u_tail[relations]
-        else:  # mode "raise" would gather through a temporary copy
-            shape = (len(relations),) + u_head.shape[1:]
-            rows = tuple(np.take(u, relations, axis=0, out=scratch(name, shape), mode="wrap")
-                         for name, u in (("u_head", u_head), ("u_tail", u_tail)))
+        # mode "raise" would gather through a temporary copy
+        shape = (len(relations),) + u_head.shape[1:]
+        rows = tuple(np.take(u, relations, axis=0, out=scratch(name, shape), mode="wrap")
+                     for name, u in (("u_head", u_head), ("u_tail", u_tail)))
         outputs = _sigmoid(rows[0] @ weights + bias), _sigmoid(rows[1] @ weights + bias)
-        if cache is not None:
-            cache.update(rows=rows, outputs=outputs)
+        cache.update(rows=rows, outputs=outputs)
         return outputs
     if kind not in STAT_NAMES:
         raise ValidationError(f"unknown aggregation kind {kind!r}")

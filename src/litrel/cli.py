@@ -58,15 +58,9 @@ KEYS = {f.name: f.metadata["key"] for f in dataclasses.fields(TrainConfig)} | {
     "checkpoint_dir": Key("path", flag=("train", "evaluate", "classify")),
     "group_by": Key((None, "frequency", "correlation"), flag=("evaluate",)),
     "threshold": Key("percent", flag=("evaluate",)),  # absolute count / coefficient, or "2.55%"
-    # a coefficient from 2 samples is always +-1
-    "min_corr_samples": Key("int", 3, ">= 3"),
     "tie_policy": Key(TIE_POLICIES, "realistic", flag=("evaluate",)),
     "classifier": Key(("knn", "svm"), "knn", flag=("classify",)),
     "knn_k": Key("int", 5, flag=("classify",)),
-    # svm_train range-checks these three
-    "svm_epochs": Key("int", 200),
-    "svm_lr": Key("float", 0.1),
-    "svm_reg": Key("float", 1e-4),
 }
 
 
@@ -232,10 +226,7 @@ def cmd_evaluate(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
         )
     elif config["group_by"] == "correlation":
         grouping = group_by_correlation(
-            graph,
-            _parse_threshold(config["threshold"], graph, "correlation"),
-            min_samples=config["min_corr_samples"],
-        )
+            graph, _parse_threshold(config["threshold"], graph, "correlation"))
     report = evaluate(state, graph, grouping=grouping, tie_policy=config["tie_policy"])
     os.makedirs(output_dir, exist_ok=True)
     save_report(
@@ -261,15 +252,7 @@ def cmd_classify(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
     if classifier == "knn":
         predictions = knn_classify(train_feats, labeled.train_labels, test_feats, k=config["knn_k"])
     else:
-        model = svm_train(
-            train_feats,
-            labeled.train_labels,
-            epochs=config["svm_epochs"],
-            lr=config["svm_lr"],
-            reg=config["svm_reg"],
-            seed=config["seed"],
-        )
-        predictions = model.predict(test_feats)
+        predictions = svm_train(train_feats, labeled.train_labels, config["seed"]).predict(test_feats)
     score = micro_f1(predictions, labeled.test_labels)
     # --output-dir may be shared or "."; each file is swapped in on its own
     os.makedirs(output_dir, exist_ok=True)

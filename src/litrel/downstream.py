@@ -19,6 +19,11 @@ from litrel.errors import ParseError, ValidationError
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
 _TINY = np.finfo(np.float64).smallest_subnormal
 
+# The SVM's fixed schedule: full-batch subgradient epochs, step size and L2 weight.
+SVM_EPOCHS = 200
+SVM_LR = 0.1
+SVM_REG = 1e-4
+
 
 @dataclass
 class LabeledNodes:
@@ -212,21 +217,12 @@ class LinearSvm:
         return np.argmax(self.decision(feats), axis=1).astype(np.int64)
 
 
-def svm_train(
-    train_feats,
-    train_labels,
-    epochs: int = 200,
-    lr: float = 0.1,
-    reg: float = 1e-4,
-    seed: int = 0,
-) -> LinearSvm:
-    """One-vs-rest linear SVM via subgradient descent on hinge loss."""
-    if epochs < 0:
-        raise ValidationError(f"SVM epochs must be non-negative, got {epochs}")
-    if lr <= 0:
-        raise ValidationError(f"SVM learning rate must be positive, got {lr}")
-    if reg < 0:
-        raise ValidationError(f"SVM regularization must be non-negative, got {reg}")
+def svm_train(train_feats, train_labels, seed: int) -> LinearSvm:
+    """One-vs-rest linear SVM via subgradient descent on hinge loss.
+
+    Runs :data:`SVM_EPOCHS` full-batch steps of size :data:`SVM_LR` with
+    L2 weight :data:`SVM_REG`, from weights drawn from ``seed``.
+    """
     feats = np.asarray(train_feats, dtype=np.float64)
     labels = np.asarray(train_labels, dtype=np.int64)
     classes = np.unique(labels)
@@ -241,12 +237,12 @@ def svm_train(
     )
     signs = -np.ones((n, num_classes))
     signs[np.arange(n), labels] = 1.0
-    for _ in range(epochs):
+    for _ in range(SVM_EPOCHS):
         scores = feats @ model.weights.T + model.biases
         active = (1.0 - signs * scores) > 0            # hinge subgradient support
         coef = -(signs * active) / n                   # d loss / d scores
-        model.weights -= lr * (coef.T @ feats + 2.0 * reg * model.weights)
-        model.biases -= lr * coef.sum(axis=0)
+        model.weights -= SVM_LR * (coef.T @ feats + 2.0 * SVM_REG * model.weights)
+        model.biases -= SVM_LR * coef.sum(axis=0)
     return model
 
 

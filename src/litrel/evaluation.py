@@ -93,14 +93,14 @@ class EvaluationReport:
 
 
 def filtered_ranks(scores: np.ndarray, targets: np.ndarray, known: tuple[np.ndarray, np.ndarray],
-                   tie_policy: str = "realistic", mask: np.ndarray | None = None) -> np.ndarray:
+                   tie_policy: str, mask: np.ndarray) -> np.ndarray:
     """Filtered rank of entity ``targets[b]`` in row ``b`` of a B x |E| score matrix.
 
     ``known`` is a ``(rows, cols)`` pair of index arrays: entity
     ``cols[i]`` is known to complete row ``rows[i]``.  All known entities
     of a row except its target are filtered out by setting their scores
     to -inf, in place.  ``mask``, a boolean array with at least B rows of
-    |E| entries, is the comparison buffer when given.
+    |E| entries, is the comparison buffer.
     """
     if tie_policy not in TIE_POLICIES:
         raise ValidationError(f"unknown tie policy {tie_policy!r}")
@@ -108,7 +108,7 @@ def filtered_ranks(scores: np.ndarray, targets: np.ndarray, known: tuple[np.ndar
     true = scores[rows, targets]
     scores[known] = -np.inf
     scores[rows, targets] = true
-    mask = np.empty(scores.shape, dtype=bool) if mask is None else mask[:scores.shape[0]]
+    mask = mask[:scores.shape[0]]
     better = np.count_nonzero(np.greater(scores, true[:, None], out=mask), axis=1)
     ties = np.count_nonzero(np.equal(scores, true[:, None], out=mask), axis=1) - 1  # excluding the target
     if tie_policy == "optimistic":
@@ -211,6 +211,10 @@ def frequency_threshold_from_fraction(graph: KnowledgeGraph, fraction: float) ->
 # Relative tolerance of the moment estimates in :func:`group_by_correlation`.
 _R_TOL = 1e-9
 
+# Complete observations a pair needs in :func:`group_by_correlation`: a
+# coefficient from 2 samples is always +-1.
+MIN_CORR_SAMPLES = 3
+
 
 def _pair_coefficients(x, y, hm, tm):
     """Moment estimates of |Pearson's r| for every (head, tail) attribute pair.
@@ -238,15 +242,13 @@ def _pair_coefficients(x, y, hm, tm):
     return n, abs_r, unsure, tol
 
 
-def group_by_correlation(
-    graph: KnowledgeGraph, threshold: float, min_samples: int = 3
-) -> RelationGrouping:
+def group_by_correlation(graph: KnowledgeGraph, threshold: float) -> RelationGrouping:
     """Split relations by head/tail attribute correlation over training triples.
 
     A relation is "correlated" iff some (head attribute, tail attribute)
     pair, over the relation's training triples where both values are
     present, reaches |Pearson coefficient| >= threshold.  Pairs with
-    fewer than ``min_samples`` complete observations are skipped.
+    fewer than :data:`MIN_CORR_SAMPLES` complete observations are skipped.
 
     All pairs of a relation are estimated at once from masked moment
     products.  An estimate farther than its rounding tolerance from the
@@ -261,12 +263,12 @@ def group_by_correlation(
     labels = ("correlated", "less-correlated")
     partition = np.full(graph.num_relations, labels[1])
     for relation, rows in scoring.relation_groups(graph.train[:, 1]):
-        if rows.size < min_samples or graph.num_attributes == 0:
+        if rows.size < MIN_CORR_SAMPLES or graph.num_attributes == 0:
             continue
         heads, tails = graph.train[rows, 0], graph.train[rows, 2]
         n, abs_r, unsure, tol = _pair_coefficients(
             values[heads], values[tails], present[heads], present[tails])
-        candidate = n >= min_samples
+        candidate = n >= MIN_CORR_SAMPLES
         unsure |= np.abs(abs_r - threshold) <= tol
         if (abs_r[candidate & ~unsure] >= threshold).any():
             partition[relation] = labels[0]
@@ -310,10 +312,9 @@ def evaluate(
     return report
 
 
-def save_report(report: EvaluationReport, json_path: str, table_path: str | None = None) -> None:
-    """Write the report as JSON and, given ``table_path``, as a table; each file is swapped in whole."""
+def save_report(report: EvaluationReport, json_path: str, table_path: str) -> None:
+    """Write the report as JSON and as a table; each file is swapped in whole."""
     with replacing(json_path) as tmp:
         save_json(tmp, report.to_dict())
-    if table_path is not None:
-        with replacing(table_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(report.to_table() + "\n")
+    with replacing(table_path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(report.to_table() + "\n")

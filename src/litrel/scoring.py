@@ -125,7 +125,7 @@ class TransE:
         e = tables.entity[anchors]
         return e + r_lit if side == "tail" else e - r_lit
 
-    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core):
         np.add.at(d_entity, anchors, d_q)
         return d_q if side == "tail" else -d_q
 
@@ -138,7 +138,7 @@ class DistMult:
     def query(self, tables, anchors, r_lit, side):
         return tables.entity[anchors] * r_lit
 
-    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core):
         np.add.at(d_entity, anchors, d_q * r_lit)
         return d_q * tables.entity[anchors]
 
@@ -152,7 +152,7 @@ class ComplEx:
         e, r = _complex(tables.entity[anchors]), _complex(r_lit)
         return _packed(e * r if side == "tail" else np.conj(r) * e)
 
-    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core):
         e, r, g = _complex(tables.entity[anchors]), _complex(r_lit), _complex(d_q)
         if side == "tail":
             d_e, d_r = g * np.conj(r), g * np.conj(e)
@@ -176,7 +176,7 @@ class RotatE:
         sign = 1.0 if side == "tail" else -1.0
         return _packed(_complex(tables.entity[anchors]) * np.exp(sign * 1j * r_lit))
 
-    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core):
         sign = 1.0 if side == "tail" else -1.0
         rotation = np.exp(sign * 1j * r_lit)
         q = _complex(tables.entity[anchors]) * rotation
@@ -241,14 +241,13 @@ class TuckER:
             np.matmul(kr, m, out=q[rows])
         return q
 
-    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core=None):
+    def query_backward(self, tables, anchors, r_lit, side, d_q, d_entity, d_core):
         e = tables.entity[anchors]
         a, b, m = self._factors(tables.core, e, r_lit, side)
-        d_m = None if d_core is None else self._factors(d_core, e, r_lit, side)[2]  # adds into d_core
+        d_m = self._factors(d_core, e, r_lit, side)[2]  # adds into d_core
         d_a, d_b = np.empty_like(a), np.empty_like(b)
         for rows, kr in self._khatri_rao(a, b):
-            if d_m is not None:
-                d_m += np.matmul(kr.T, d_q[rows], out=self._buffer("d_core", m.shape))
+            d_m += np.matmul(kr.T, d_q[rows], out=self._buffer("d_core", m.shape))
             d_kr = np.matmul(d_q[rows], m.T, out=kr).reshape(-1, a.shape[1], b.shape[1])  # kr is spent
             np.einsum("bij,bj->bi", d_kr, b[rows], out=d_a[rows])
             np.einsum("bij,bi->bj", d_kr, a[rows], out=d_b[rows])
@@ -403,18 +402,16 @@ class SimilarityBlocks:
         """
         return self._upstream[:rows]
 
-    def backward(self, q, scores, g, d_entity, d_q=None) -> np.ndarray:
+    def backward(self, q, scores, g, d_entity, d_q) -> np.ndarray:
         """Backward of :meth:`forward` for upstream gradient ``g`` (B x |E|).
 
         ``scores`` is the forward output; the L2 kernel reuses its
         distances and overwrites ``g``.  Accumulates the entity-row
         gradients into ``d_entity`` (the L2 kernel defers one term to
-        :meth:`flush`) and writes the gradient w.r.t. ``q`` into ``d_q``
-        (a new B x D array when not given), which it returns.
+        :meth:`flush`) and writes the gradient w.r.t. ``q`` into the
+        B x D array ``d_q``, which it returns.
         """
         entity = self.entity
-        if d_q is None:
-            d_q = np.empty_like(q)
         if self.norm is None:
             d_entity += np.matmul(g.T, q, out=self._product)
             return np.matmul(g, entity, out=d_q)

@@ -553,7 +553,10 @@ def save_checkpoint(state: ModelState, history: dict, directory: str, config: di
 def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
     """The stored tables as a state without fusion block or profiles, and the history.
 
-    A stored parameter set that does not match the configured model
+    The stored config must name every :class:`TrainConfig` field and no
+    other key; a field it lacks is not filled with its default, since a
+    default model kind would read another model's tables.  A stored
+    parameter set that does not match the configured model
     name for name, or an array that is not a finite float64 array of
     the configured shape, is a :class:`ConfigError` naming it.  When
     ``directory`` is missing but an interrupted :func:`save_checkpoint`
@@ -571,9 +574,13 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
             f"{directory}: checkpoint version {meta.get('version')!r} is not supported "
             f"(expected {CHECKPOINT_VERSION}); train the model again"
         )
-    unknown = set(meta["config"]) - {f.name for f in fields(TrainConfig)}
+    names = {f.name for f in fields(TrainConfig)}
+    unknown = set(meta["config"]) - names
     if unknown:
         raise ConfigError(f"{directory}: unknown checkpoint config keys: {sorted(unknown)}")
+    missing = names - set(meta["config"])
+    if missing:
+        raise ConfigError(f"{directory}: checkpoint config lacks keys: {sorted(missing)}")
     config = TrainConfig(**meta["config"])
     config.validate()
     stored = load_arrays(os.path.join(directory, "params"))

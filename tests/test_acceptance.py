@@ -5,7 +5,6 @@ under plain ``pytest`` the test outcome itself is the pass/fail signal.
 """
 
 import contextlib
-import json
 import os
 import statistics
 from pathlib import Path
@@ -26,6 +25,7 @@ from litrel.evaluation import (
     rank_triples,
 )
 from litrel.kernels import STAT_NAMES
+from litrel.scoring import Scratch
 from litrel.training import TrainConfig, init_state, symmetric_lcwa_loss, train
 
 
@@ -173,7 +173,8 @@ def test_criterion_3_aggregation_oracle():
                     np.testing.assert_allclose(computed, expected, atol=1e-9)
                 weights = rng.uniform(-1, 1, size=11)
                 bias = np.array([float(rng.normal())])
-                l_h, l_t = literal_vectors(profiles, np.array([rel]), "learnable", weights, bias)
+                l_h, l_t = literal_vectors(profiles, np.array([rel]), "learnable", weights, bias,
+                                           {}, Scratch())
                 direct_h = 1.0 / (1.0 + np.exp(-(profiles[0][rel] @ weights + bias[0])))
                 direct_t = 1.0 / (1.0 + np.exp(-(profiles[1][rel] @ weights + bias[0])))
                 np.testing.assert_allclose(l_h[0], direct_h, atol=1e-12)
@@ -338,7 +339,7 @@ def test_criterion_8_node_classification():
         tr, te = order[:split], order[split:]
         knn_preds = knn_classify(feats[tr], labels[tr], feats[te], k=5)
         assert micro_f1(knn_preds, labels[te]) >= 0.95
-        svm = svm_train(feats[tr], labels[tr], epochs=300, lr=0.1)
+        svm = svm_train(feats[tr], labels[tr], seed=0)
         svm_preds = svm.predict(feats[te])
         assert micro_f1(svm_preds, labels[te]) >= 0.95
         assert micro_f1(knn_preds, labels[te]) == float((knn_preds == labels[te]).mean())

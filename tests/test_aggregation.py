@@ -12,8 +12,8 @@ from litrel.aggregation import (
     save_profiles,
 )
 from litrel.data import build_graph
-from litrel.errors import ConfigError
 from litrel.kernels import STAT_NAMES
+from litrel.scoring import Scratch
 from tests.conftest import random_graph
 from tests.test_kernels import assert_stats_match, exact_stats, stats
 
@@ -80,7 +80,8 @@ class TestAggregateColumn:
                             [("a", "x", 1.0), ("b", "x", 2.0)])
         profiles = build_profiles(graph)
         for kind in STAT_NAMES:
-            for side in literal_vectors(profiles, np.array([graph.relations["s"]]), kind):
+            for side in literal_vectors(profiles, np.array([graph.relations["s"]]), kind,
+                                        None, None, {}, Scratch()):
                 assert not side.any(), kind
 
     def test_count_uses_present_only(self):
@@ -243,13 +244,13 @@ RELATIONS = np.array([1, 0, 1])
 class TestLiteralVectors:
     def test_fixed_kind_selects_column(self, rng):
         u_head, u_tail = profiles = build_profiles(random_graph(rng))
-        l_h, l_t = literal_vectors(profiles, RELATIONS, "min")
+        l_h, l_t = literal_vectors(profiles, RELATIONS, "min", None, None, {}, Scratch())
         np.testing.assert_array_equal(l_h, u_head[RELATIONS, :, STAT_NAMES.index("min")])
         np.testing.assert_array_equal(l_t, u_tail[RELATIONS, :, STAT_NAMES.index("min")])
 
     def test_learnable_zero_params_gives_half(self, rng):
         profiles = build_profiles(random_graph(rng))
-        l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", np.zeros(11), np.zeros(1))
+        l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", np.zeros(11), np.zeros(1), {}, Scratch())
         np.testing.assert_allclose(l_h, 0.5)
         np.testing.assert_allclose(l_t, 0.5)
 
@@ -257,7 +258,7 @@ class TestLiteralVectors:
         u_head, _ = profiles = build_profiles(random_graph(rng))
         weights = np.zeros(11)
         weights[STAT_NAMES.index("mean")] = 1.0
-        l_h, _ = literal_vectors(profiles, RELATIONS, "learnable", weights, np.zeros(1))
+        l_h, _ = literal_vectors(profiles, RELATIONS, "learnable", weights, np.zeros(1), {}, Scratch())
         expected = 1.0 / (1.0 + np.exp(-u_head[RELATIONS, :, STAT_NAMES.index("mean")]))
         np.testing.assert_allclose(l_h, expected, atol=1e-12)
         # sigmoid(0.3) spot value
@@ -265,14 +266,10 @@ class TestLiteralVectors:
 
     def test_learnable_outputs_strictly_inside_unit_interval(self, rng):
         profiles = build_profiles(random_graph(rng))
-        for vec in literal_vectors(profiles, RELATIONS, "learnable", rng.normal(size=11), np.array([0.3])):
+        for vec in literal_vectors(profiles, RELATIONS, "learnable", rng.normal(size=11), np.array([0.3]),
+                                   {}, Scratch()):
             assert vec.shape == (RELATIONS.size, 3)
             assert (vec > 0).all() and (vec < 1).all()
-
-    def test_learnable_requires_params(self, rng):
-        profiles = build_profiles(random_graph(rng))
-        with pytest.raises(ConfigError):
-            literal_vectors(profiles, RELATIONS, "learnable")
 
     def test_learnable_gradient_matches_finite_differences(self, rng):
         graph = random_graph(rng)
@@ -283,11 +280,11 @@ class TestLiteralVectors:
         d_l_t = rng.normal(size=(RELATIONS.size, graph.num_attributes))
 
         def objective(w, b):
-            l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", w, b)
+            l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", w, b, {}, Scratch())
             return float(np.sum(d_l_h * l_h) + np.sum(d_l_t * l_t))
 
         cache = {}
-        literal_vectors(profiles, RELATIONS, "learnable", weights, bias, cache)
+        literal_vectors(profiles, RELATIONS, "learnable", weights, bias, cache, Scratch())
         d_w, d_b = literal_vectors_backward(cache, d_l_h, d_l_t)
         h = 1e-6
         for i in range(11):

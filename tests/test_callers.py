@@ -1,18 +1,18 @@
-"""Every function, class and training key of the package has a user outside the tests.
+"""Every function, class, configuration key and import of the package has a user outside the tests.
 
 A reference is a name, an attribute or an imported name, in any Python
 file under ``src/``, ``scripts/`` or ``pipebench/``.  Dunder methods are
-called by the language and are exempt.  A :class:`TrainConfig` field
+called by the language and are exempt.  A key of ``litrel.cli.KEYS``
 either has a command-line flag or is set by name, as a keyword argument
 or a dict key, in ``scripts/`` or ``pipebench/``: a key that only a
-config file reaches is code that no run needs.
+config file reaches is code that no run needs.  A module under ``src/``
+or ``scripts/`` uses every name it imports.
 """
 
 import ast
-import dataclasses
 import pathlib
 
-from litrel.training import TrainConfig
+from litrel.cli import KEYS
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "scripts", "pipebench")
@@ -58,7 +58,27 @@ def assigned_names(paths):
 
 
 def test_every_train_config_field_has_a_flag_or_a_caller_that_sets_it():
+    """Every ``cli.KEYS`` entry, the :class:`TrainConfig` fields among them."""
     set_by_name = assigned_names(p for d in ("scripts", "pipebench") for p in (ROOT / d).rglob("*.py"))
-    config_only = [f.name for f in dataclasses.fields(TrainConfig)
-                   if not f.metadata["key"].flag and f.name not in set_by_name]
-    assert config_only == [], f"TrainConfig fields with no flag, set by name in no script: {config_only}"
+    config_only = [name for name, key in KEYS.items() if not key.flag and name not in set_by_name]
+    assert config_only == [], f"config keys with no flag, set by name in no script: {config_only}"
+
+
+def unused_imports(path):
+    """Names that ``path`` imports and never reads; ``__all__`` entries count as read."""
+    imported, read = {}, set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            imported.update((alias.asname or alias.name.partition(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]:
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(imported.items(), key=lambda item: item[1]) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [entry for d in ("src", "scripts") for path in sorted((ROOT / d).rglob("*.py"))
+              for entry in unused_imports(path)]
+    assert unused == [], f"imported and never used: {unused}"

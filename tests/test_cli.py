@@ -94,9 +94,10 @@ class TestPreprocess:
         assert preprocess(dataset, str(artifact)) == 0
         assert sorted(os.listdir(artifact / "profiles")) == ["u_head.npy", "u_tail.npy"]
 
-    # a side's population is always its distinct training entities; TransE is always L2 and the
-    # loss has no weight penalty
-    @pytest.mark.parametrize("key", ["aggregate_over_all_rows", "multiset_rows", "transe_norm", "l2"])
+    # a side's population is always its distinct training entities; TransE is always L2, the
+    # loss has no weight penalty, and the correlation minimum and SVM schedule are fixed
+    @pytest.mark.parametrize("key", ["aggregate_over_all_rows", "multiset_rows", "transe_norm", "l2",
+                                     "min_corr_samples", "svm_epochs", "svm_lr", "svm_reg"])
     def test_removed_key_is_unknown_key(self, dataset, tmp_path, capsys, key):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({key: False}))
@@ -308,22 +309,8 @@ class TestTrainEvaluateClassify:
     @pytest.mark.parametrize("command, keys, message", [
         ("classify", {"knn_k": "x"}, "knn_k must be an integer, got 'x'"),
         ("classify", {"knn_k": 2.5}, "knn_k must be an integer, got 2.5"),
-        ("classify", {"classifier": "svm", "svm_epochs": True},
-         "svm_epochs must be an integer, got True"),
-        ("classify", {"classifier": "svm", "svm_lr": "0.1"},
-         "svm_lr must be a finite number, got '0.1'"),
-        ("classify", {"classifier": "svm", "svm_reg": float("nan")},
-         "svm_reg must be a finite number, got nan"),
-        ("evaluate", {"group_by": "correlation", "threshold": 0.2, "min_corr_samples": "3"},
-         "min_corr_samples must be an integer, got '3'"),
-        ("classify", {"classifier": "svm", "svm_epochs": -5},
-         "SVM epochs must be non-negative, got -5"),
-        ("classify", {"classifier": "svm", "svm_lr": -1.0},
-         "SVM learning rate must be positive, got -1.0"),
-        ("classify", {"classifier": "svm", "svm_lr": 0.0},
-         "SVM learning rate must be positive, got 0.0"),
-        ("classify", {"classifier": "svm", "svm_reg": -3.0},
-         "SVM regularization must be non-negative, got -3.0"),
+        ("evaluate", {"tie_policy": "best"},
+         "tie_policy must be one of 'realistic', 'optimistic', 'pessimistic', got 'best'"),
         ("classify", {"classifier": "svm", "seed": -1}, "seed must be >= 0, got -1"),
     ])
     def test_wrongly_typed_command_key_is_config_error(self, pipeline, dataset, capsys,
@@ -400,6 +387,16 @@ class TestTrainEvaluateClassify:
         err = capsys.readouterr().err
         assert f"unknown checkpoint config keys: ['{key}']" in err
         assert "internal error" not in err
+
+    # no default may stand in for a stored value: a TransE checkpoint without "model" would rank as DistMult
+    @pytest.mark.parametrize("key", ["model", "fusion"])
+    def test_checkpoint_config_missing_key_is_config_error(self, pipeline, capsys, key):
+        self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m["config"].pop(key))
+        assert self.evaluate(pipeline) == 1
+        err = capsys.readouterr().err
+        assert f"checkpoint config lacks keys: ['{key}']" in err
+        assert "internal error" not in err
+        assert not (pipeline["tmp"] / "eval").exists()
 
     @pytest.mark.parametrize("edit", [
         pytest.param(lambda m: m.pop("config"), id="missing"),
@@ -988,7 +985,7 @@ class TestKeyTable:
         for name, key in KEYS.items():
             key.check(name, key.default)
         TrainConfig().validate()
-        assert len(KEYS) == 27
+        assert len(KEYS) == 23
 
     def test_flags_are_unchanged(self):
         parser = build_parser()
@@ -1026,13 +1023,14 @@ class TestKeyTable:
         assert not (checkpoint / "profiles").exists()
 
     @pytest.mark.parametrize("command, keys, message", [
-        ("evaluate", {"group_by": "correlation", "threshold": 0.2, "min_corr_samples": -3},
-         "min_corr_samples must be >= 3, got -3"),
-        ("classify", {"classifier": "knn", "svm_lr": "x"}, "svm_lr must be a finite number, got 'x'"),
-        ("preprocess", {"svm_epochs": 1.5}, "svm_epochs must be an integer, got 1.5"),
+        ("evaluate", {"classifier": "svn"}, "classifier must be one of 'knn', 'svm', got 'svn'"),
+        ("classify", {"tie_policy": "best"},
+         "tie_policy must be one of 'realistic', 'optimistic', 'pessimistic', got 'best'"),
+        ("preprocess", {"knn_k": "x"}, "knn_k must be an integer, got 'x'"),
         ("preprocess", {"threshold": True}, "threshold True is not a finite number"),
         ("preprocess", {"model": "complex", "dim_entity": 5, "dim_relation": 5},
          "complex requires an even entity dimension"),
+        ("train", {"labels_path": 3}, "labels_path must be a string or null, got 3"),
     ])
     def test_every_command_checks_every_key(self, artifact, tmp_path, capsys, command, keys, message):
         config = tmp_path / "run.json"

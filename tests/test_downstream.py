@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from litrel import scoring
-from litrel.data import build_graph
 from litrel.downstream import (
+    SVM_REG,
     LinearSvm,
     confusion_counts,
     export_embeddings,
@@ -189,7 +189,7 @@ class TestKnn:
 class TestSvm:
     def test_separable_reaches_full_accuracy(self, rng):
         train_feats, train_labels = cluster_data(rng, [(0, 0), (6, 6)], 15)
-        model = svm_train(train_feats, train_labels, epochs=300, lr=0.1)
+        model = svm_train(train_feats, train_labels, seed=0)
         preds = model.predict(train_feats)
         assert micro_f1(preds, train_labels) == 1.0
 
@@ -217,15 +217,17 @@ class TestSvm:
 
     def test_loss_non_increasing_overall(self, rng):
         train_feats, train_labels = cluster_data(rng, [(0, 0), (3, 3), (0, 4)], 10)
-        model0 = svm_train(train_feats, train_labels, epochs=0, lr=0.05)
-        model1 = svm_train(train_feats, train_labels, epochs=150, lr=0.05)
-        l0 = svm_hinge_loss(model0, train_feats, train_labels, reg=1e-4)
-        l1 = svm_hinge_loss(model1, train_feats, train_labels, reg=1e-4)
+        trained = svm_train(train_feats, train_labels, seed=5)
+        # the weights svm_train starts from: seed 5's draw, zero biases
+        initial = LinearSvm(weights=np.random.default_rng(5).normal(0.0, 0.01, size=trained.weights.shape),
+                            biases=np.zeros_like(trained.biases))
+        l0 = svm_hinge_loss(initial, train_feats, train_labels, reg=SVM_REG)
+        l1 = svm_hinge_loss(trained, train_feats, train_labels, reg=SVM_REG)
         assert l1 < l0
 
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
-            svm_train(np.zeros((3, 2)), np.zeros(3, dtype=np.int64))
+            svm_train(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), seed=0)
 
     def test_seeded_determinism(self, rng):
         train_feats, train_labels = cluster_data(rng, [(0, 0), (5, 5)], 8)

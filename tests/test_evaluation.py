@@ -11,6 +11,7 @@ from litrel import scoring
 from litrel.data import KnowledgeGraph, LiteralMatrix, Vocab, build_graph
 from litrel.errors import ValidationError
 from litrel.evaluation import (
+    MIN_CORR_SAMPLES,
     compute_metrics,
     evaluate,
     filtered_ranks,
@@ -50,7 +51,8 @@ def as_index(filtered_rows):
 def rank_of(scores, true_index, filtered, tie_policy):
     """The block ranker on a one-row block."""
     block = np.array([scores], dtype=np.float64)
-    return filtered_ranks(block, np.array([true_index]), as_index([filtered]), tie_policy)[0]
+    mask = np.empty(block.shape, dtype=bool)
+    return filtered_ranks(block, np.array([true_index]), as_index([filtered]), tie_policy, mask)[0]
 
 
 class TestRankOf:
@@ -88,7 +90,9 @@ class TestRankOf:
                 brute_force_rank(scores[b], int(targets[b]), filtered[b], policy)
                 for b in range(rows)
             ]
-            ranks = filtered_ranks(scores.copy(), targets, as_index(filtered), policy)
+            # a mask with more rows than the block, as a lane's is
+            mask = np.empty((rows + 2, n), dtype=bool)
+            ranks = filtered_ranks(scores.copy(), targets, as_index(filtered), policy, mask)
             assert ranks.tolist() == expected
 
 
@@ -129,7 +133,8 @@ class TestFilteredRanking:
         r_lit = np.stack([trained_state.fused_relation(r) for r in test[:, 1]])
         q = trained_state.model.query(trained_state.tables, test[:, 0], r_lit, "tail")
         scores = scoring.SimilarityBlocks(trained_state.model.norm, trained_state.tables.entity).forward(q)
-        raw = filtered_ranks(scores, test[:, 2], as_index([set()] * test.shape[0]))
+        raw = filtered_ranks(scores, test[:, 2], as_index([set()] * test.shape[0]), "realistic",
+                             np.empty(scores.shape, dtype=bool))
         assert (ranks[:, 1] <= raw).all()
 
     def test_rank_bounds(self, toy_graph, trained_state):
@@ -323,12 +328,16 @@ class TestGroupings:
         # heads of "common" have a = i, tails have b = 2(i+1)+1: perfectly linear
         grouping = group_by_correlation(skewed_graph, threshold=0.9)
         assert grouping.partition[skewed_graph.relations["common"]] == "correlated"
-        # "rare" has only one training triple: below min_samples
+        # "rare" has only one training triple: below MIN_CORR_SAMPLES
         assert grouping.partition[skewed_graph.relations["rare"]] == "less-correlated"
 
-    def test_correlation_requires_min_samples(self, skewed_graph):
-        grouping = group_by_correlation(skewed_graph, threshold=0.0, min_samples=100)
-        assert all(v == "less-correlated" for v in grouping.partition)
+    def test_correlation_requires_min_samples(self):
+        # two triples: a coefficient from 2 samples is always +-1, so it never counts
+        triples = [(f"h{i}", "r", f"t{i}") for i in range(2)]
+        literals = [(f"h{i}", "x", float(i)) for i in range(2)]
+        literals += [(f"t{i}", "y", 2.0 * i) for i in range(2)]
+        graph = build_graph(triples, [], [], literals)
+        assert group_by_correlation(graph, threshold=0.0).partition.tolist() == ["less-correlated"]
 
     def test_uncorrelated_attributes_stay_below_threshold(self):
         rng = np.random.default_rng(5)
@@ -340,7 +349,7 @@ class TestGroupings:
         assert grouping.partition[graph.relations["r"]] == "less-correlated"
 
 
-def loop_correlation_partition(graph, threshold, min_samples=3):
+def loop_correlation_partition(graph, threshold):
     """Oracle: one exact ``pearson`` per (relation, head attribute, tail attribute) pair."""
     values = graph.literals.values
     present = graph.literals.present
@@ -348,7 +357,7 @@ def loop_correlation_partition(graph, threshold, min_samples=3):
     for relation in range(graph.num_relations):
         triples = graph.train[graph.train[:, 1] == relation]
         correlated = False
-        if triples.shape[0] >= min_samples and graph.num_attributes > 0:
+        if triples.shape[0] >= MIN_CORR_SAMPLES and graph.num_attributes > 0:
             heads = triples[:, 0]
             tails = triples[:, 2]
             head_mask = present[heads]
@@ -356,11 +365,11 @@ def loop_correlation_partition(graph, threshold, min_samples=3):
             for ha in range(graph.num_attributes):
                 if correlated:
                     break
-                if head_mask[:, ha].sum() < min_samples:
+                if head_mask[:, ha].sum() < MIN_CORR_SAMPLES:
                     continue
                 for ta in range(graph.num_attributes):
                     both = head_mask[:, ha] & tail_mask[:, ta]
-                    if int(both.sum()) < min_samples:
+                    if int(both.sum()) < MIN_CORR_SAMPLES:
                         continue
                     coef = pearson(values[heads[both], ha], values[tails[both], ta])
                     if abs(coef) >= threshold:
@@ -374,12 +383,11 @@ THRESHOLDS = (0.0, 0.3, 0.5, 0.8, 0.95, 0.99, 1.0)
 
 
 class TestCorrelationOracle:
-    def assert_matches_loop(self, graph, thresholds=THRESHOLDS, min_samples=(0, 1, 2, 3, 5)):
+    def assert_matches_loop(self, graph, thresholds=THRESHOLDS):
         for threshold in thresholds:
-            for k in min_samples:
-                expected = list(loop_correlation_partition(graph, threshold, k).values())
-                partition = group_by_correlation(graph, threshold, k).partition
-                assert partition.tolist() == expected, (threshold, k)
+            expected = list(loop_correlation_partition(graph, threshold).values())
+            partition = group_by_correlation(graph, threshold).partition
+            assert partition.tolist() == expected, threshold
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_graphs(self, seed):
@@ -409,15 +417,15 @@ class TestCorrelationOracle:
         assert group_by_correlation(graph, 0.999999).partition[0] == "correlated"
 
     def test_min_samples_boundary(self):
-        # 5 triples, the head attribute present on 4 of them
-        triples = [(f"h{i}", "r", f"t{i}") for i in range(5)]
-        literals = [(f"h{i}", "x", float(i * i)) for i in range(4)] + [("h4", "z", 1.0)]
-        literals += [(f"t{i}", "y", float(i)) for i in range(5)]
-        graph = build_graph(triples, [], [], literals)
-        self.assert_matches_loop(graph, min_samples=(3, 4, 5, 6))
-        relation = graph.relations["r"]
-        assert group_by_correlation(graph, 0.5, 4).partition[relation] == "correlated"
-        assert group_by_correlation(graph, 0.5, 5).partition[relation] == "less-correlated"
+        # 5 triples, the head attribute present on MIN_CORR_SAMPLES of them, then on one fewer,
+        # where the 2 remaining pairs would read a coefficient of 1
+        for present, label in ((MIN_CORR_SAMPLES, "correlated"), (MIN_CORR_SAMPLES - 1, "less-correlated")):
+            triples = [(f"h{i}", "r", f"t{i}") for i in range(5)]
+            literals = [(f"h{i}", "x", float(i * i)) for i in range(present)] + [("h4", "z", 1.0)]
+            literals += [(f"t{i}", "y", float(i)) for i in range(5)]
+            graph = build_graph(triples, [], [], literals)
+            self.assert_matches_loop(graph)
+            assert group_by_correlation(graph, 0.5).partition[graph.relations["r"]] == label, present
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -425,15 +433,14 @@ class TestCorrelationOracle:
                  min_size=1, max_size=30),
         st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 3)), max_size=24),
         st.sampled_from(THRESHOLDS),
-        st.integers(0, 4),
     )
-    def test_arbitrary_small_graphs(self, triples, literals, threshold, min_samples):
+    def test_arbitrary_small_graphs(self, triples, literals, threshold):
         graph = build_graph(
             [(f"e{h}", f"r{r}", f"e{t}") for h, r, t in triples], [], [],
             [(f"e{e}", f"a{a}", float(v)) for e, a, v in literals],
         )
-        expected = list(loop_correlation_partition(graph, threshold, min_samples).values())
-        assert group_by_correlation(graph, threshold, min_samples).partition.tolist() == expected
+        expected = list(loop_correlation_partition(graph, threshold).values())
+        assert group_by_correlation(graph, threshold).partition.tolist() == expected
 
 
 class TestEvaluate:

@@ -136,7 +136,7 @@ def reference_loss(batch, state):
     loss = -np.log(p[picked]).sum() * inv_n
     p *= inv_n
     p[picked] -= inv_n
-    d_q = blocks.backward(q, scores, p, d_entity)
+    d_q = blocks.backward(q, scores, p, d_entity, np.empty_like(q))
     blocks.flush(d_entity)
     start = 0
     for rel, r_lit, cache, sides in groups:

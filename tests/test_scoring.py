@@ -210,7 +210,8 @@ class TestBackwardPasses:
         q = model.query(tables, ANCHORS, r_lit, query_side)
         blocks = SimilarityBlocks(model.norm, tables.entity)
         scores = blocks.forward(q)
-        d_q = blocks.backward(q, scores, g.copy(), d_entity)  # the L2 kernel overwrites its g
+        # the L2 kernel overwrites its g
+        d_q = blocks.backward(q, scores, g.copy(), d_entity, np.empty_like(q))
         blocks.flush(d_entity)
         d_r_lit = model.query_backward(tables, ANCHORS, r_lit, query_side, d_q, d_entity, d_core)
 
@@ -283,7 +284,8 @@ class TestDistanceKernel:
         g = rng.normal(size=(q.shape[0], entity.shape[0]))
         d_entity = np.zeros_like(entity)
         blocks = SimilarityBlocks(2, entity)
-        d_q = blocks.backward(q, blocks.forward(q), g.copy(), d_entity)  # the kernel overwrites its g
+        # the kernel overwrites its g
+        d_q = blocks.backward(q, blocks.forward(q), g.copy(), d_entity, np.empty_like(q))
         blocks.flush(d_entity)
         want_q, want_entity = direct_l2_backward(q, entity, g)
         np.testing.assert_allclose(d_q, want_q, rtol=1e-8, atol=1e-10)

@@ -195,8 +195,9 @@ def test_refresh_after_an_in_place_update_equals_a_new_kernel(norm, rng):
     got, want = blocks.forward(q), fresh.forward(q)
     assert np.array_equal(got, want)
     got_d_entity, want_d_entity = np.zeros_like(entity), np.zeros_like(entity)
-    got_d_q = blocks.backward(q, got, g.copy(), got_d_entity)
-    assert np.array_equal(got_d_q, fresh.backward(q, want, g.copy(), want_d_entity))
+    got_d_q = blocks.backward(q, got, g.copy(), got_d_entity, np.empty_like(q))
+    want_d_q = fresh.backward(q, want, g.copy(), want_d_entity, np.empty_like(q))
+    assert np.array_equal(got_d_q, want_d_q)
     blocks.flush(got_d_entity)
     fresh.flush(want_d_entity)
     assert np.array_equal(got_d_entity, want_d_entity)

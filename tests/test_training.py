@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from litrel import evaluation, scoring, training
 from litrel.data import build_graph
 from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
-from litrel.training import ModelState, Optimizer, TrainConfig, symmetric_lcwa_loss, train
+from litrel.training import Optimizer, TrainConfig, symmetric_lcwa_loss, train
 
 
 def make_config(**overrides):
