@@ -14,9 +14,6 @@ Expected dataset layout (tab-separated)::
     <dir>/test.tsv
     <dir>/literals.tsv   entity<TAB>attribute<TAB>numeric value
 
-Datasets with date-typed attributes should be converted to decimals
-beforehand (see ``litrel.data.date_to_decimal``).
-
 Usage::
 
     python scripts/full_scale_comparison.py --data-dir path/to/dataset \
@@ -62,7 +59,7 @@ def run_one(graph, model, fusion, args):
     report = evaluate(state, graph, split="test")
     return {
         "model": model,
-        "fusion": fusion or "none",
+        "fusion": fusion,
         "mrr": report.mrr,
         "hits_at_1": report.hits1,
         "hits_at_10": report.hits10,
@@ -94,7 +91,7 @@ def main():
     )
     results = []
     for model in args.models:
-        for fusion in (None, args.fusion):
+        for fusion in ("none", args.fusion):
             result = run_one(graph, model, fusion, args)
             results.append(result)
             print(

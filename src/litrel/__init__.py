@@ -24,7 +24,6 @@ from litrel.data import (  # noqa: E402
     KnowledgeGraph,
     LiteralMatrix,
     build_graph,
-    date_to_decimal,
     load_literals,
     load_triples,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "KnowledgeGraph",
     "LiteralMatrix",
     "build_graph",
-    "date_to_decimal",
     "load_literals",
     "load_triples",
     "ParseError",

@@ -78,8 +78,6 @@ def literal_vectors(profiles, relations: np.ndarray, kind: str, weights, bias, c
         outputs = _sigmoid(rows[0] @ weights + bias), _sigmoid(rows[1] @ weights + bias)
         cache.update(rows=rows, outputs=outputs)
         return outputs
-    if kind not in STAT_NAMES:
-        raise ValidationError(f"unknown aggregation kind {kind!r}")
     column = STAT_NAMES.index(kind)
     return u_head[relations, :, column], u_tail[relations, :, column]
 

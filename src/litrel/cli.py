@@ -89,10 +89,7 @@ def apply_overrides(config: dict, args: argparse.Namespace) -> dict:
 
 
 def train_config_from(config: dict) -> TrainConfig:
-    kwargs = {f.name: config[f.name] for f in dataclasses.fields(TrainConfig)}
-    if kwargs["fusion"] == "none":
-        kwargs["fusion"] = None
-    cfg = TrainConfig(**kwargs)
+    cfg = TrainConfig(**{f.name: config[f.name] for f in dataclasses.fields(TrainConfig)})
     cfg.validate()
     return cfg
 

@@ -17,7 +17,6 @@ dump of the triple stores and the normalized literal matrix.
 
 from __future__ import annotations
 
-import datetime
 import hashlib
 import logging
 import math
@@ -397,19 +396,6 @@ def load_literals(path: str) -> Records:
             raise ParseError(f"{path}:{lineno}: non-finite value {token!r}")
 
     return _load_records(path, check, literal=True)
-
-
-def date_to_decimal(year: int, month: int, day: int) -> float:
-    """Encode a calendar date as YYYY.MMDD with fixed decimal positions.
-
-    E.g. (2001, 5, 17) -> 2001.0517.  Used to map date attributes onto the
-    numeric literal pipeline.
-    """
-    try:
-        datetime.date(year, month, day)
-    except ValueError as exc:
-        raise ValidationError(f"invalid date ({year}, {month}, {day}): {exc}") from None
-    return (year * 10000 + month * 100 + day) / 10000.0
 
 
 def _records(rows, literal: bool) -> Records:

@@ -19,9 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from litrel.aggregation import _sigmoid
-from litrel.errors import ConfigError, ShapeError
-
-FUSION_KINDS = ("linear", "gated")
 
 
 def _glorot(rng, shape):
@@ -43,7 +40,7 @@ class LinearFusion:
         return {"fusion.weight": self.weight, "fusion.bias": self.bias}
 
     def forward(self, l_h, r, l_t):
-        x = _stack(l_h, r, l_t, self.num_attributes, self.dim)
+        x = np.concatenate([l_h, r, l_t], axis=1)
         return x @ self.weight + self.bias, {"x": x}
 
     def backward(self, cache, d_r_lit, grads):
@@ -72,7 +69,7 @@ class GatedFusion:
         return {"fusion.weight": self.weight, "fusion.gate": self.gate, "fusion.gate_bias": self.gate_bias}
 
     def forward(self, l_h, r, l_t):
-        x = _stack(l_h, r, l_t, self.num_attributes, self.dim)
+        x = np.concatenate([l_h, r, l_t], axis=1)
         h = np.tanh(x @ self.weight)
         z = _sigmoid(x @ self.gate + self.gate_bias)
         r_lit = z * h + (1.0 - z) * r
@@ -92,23 +89,10 @@ class GatedFusion:
         return d_l_h, d_r + d_r_lit * (1.0 - z), d_l_t
 
 
-def _stack(l_h, r, l_t, num_attributes, dim):
-    """X = [L_h, R, L_t]; an operand that is not (G, width) is a ShapeError naming it."""
-    rows = r.shape[0] if r.ndim == 2 else "G"
-    for name, block, width in (("l_h", l_h, num_attributes), ("r", r, dim), ("l_t", l_t, num_attributes)):
-        if block.shape != (rows, width):
-            raise ShapeError(f"{name} has shape {block.shape}, expected ({rows}, {width})")
-    return np.concatenate([l_h, r, l_t], axis=1)
-
-
 def _split(d_x, num_attributes, dim):
     """Column blocks (d_L_h, d_R, d_L_t) of a gradient on X."""
     return d_x[:, :num_attributes], d_x[:, num_attributes:num_attributes + dim], d_x[:, num_attributes + dim:]
 
 
-def make_fusion(kind: str, dim: int, num_attributes: int, rng: np.random.Generator):
-    if kind == "linear":
-        return LinearFusion(dim, num_attributes, rng)
-    if kind == "gated":
-        return GatedFusion(dim, num_attributes, rng)
-    raise ConfigError(f"unknown fusion kind {kind!r}")
+# the fusion block of each fusion kind, built as ``FUSIONS[kind](dim, num_attributes, rng)``
+FUSIONS = {"linear": LinearFusion, "gated": GatedFusion}

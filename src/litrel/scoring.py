@@ -25,11 +25,14 @@ tails, and exact identities let both sides build their queries:
   with the core as a D_e x (D_r*D_e) matrix; the D_e*D_r-wide rows are
   built :data:`BLOCK_SCORES` entries at a time.
 
-The kernels live in :class:`SimilarityBlocks`, one per lane of a training
-run or ranking call: it sizes its buffers itself, at :func:`lane_rows`
-rows by |E| and |E| x D, allocates them when it is built and reuses them
-for every block, and :meth:`SimilarityBlocks.refresh` re-reads the entity
-table's squared norms after the optimizer has changed the table in place.
+The kernels live in :class:`SimilarityBlocks`, one per lane of a ranking
+call, and in its subclass :class:`GradientBlocks`, which adds the
+backward pass, one per lane of a training run: each sizes its buffers
+itself, a :func:`lane_rows` x |E| score buffer plus, for the backward
+pass only, an |E| x D product buffer, allocates them when it is built
+and reuses them for every block, and :meth:`SimilarityBlocks.refresh`
+re-reads the entity table's squared norms after the optimizer has
+changed the table in place.
 TuckER keeps its Khatri-Rao chunks and their products in a
 :class:`Scratch` of its own, grown on demand, so scoring and training
 allocate no chunk-sized array after the first call.
@@ -59,7 +62,7 @@ absorb the 2*pi periodicity, so no modular wrapping is applied.
 
 Backward passes accumulate into caller-provided dense gradient buffers
 (the softmax training loss makes entity gradients dense anyway):
-:meth:`SimilarityBlocks.backward` returns the gradient w.r.t. the query
+:meth:`GradientBlocks.backward` returns the gradient w.r.t. the query
 matrix and each model's ``query_backward`` adds the anchor rows'
 gradients with ``np.add.at`` (a repeated anchor adds up) and returns
 the B x D_r gradient w.r.t. the fused relation rows.
@@ -76,9 +79,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import litrel
-from litrel.errors import ConfigError, ShapeError
-
-MODEL_KINDS = ("transe", "distmult", "complex", "rotate", "tucker")
+from litrel.errors import ShapeError
 
 # Score entries per block: a B x |E| float64 score matrix stays at 2 MiB.
 BLOCK_SCORES = 1 << 18
@@ -101,10 +102,6 @@ class EmbeddingTables:
     entity: np.ndarray              # float64, |E| x D_e
     relation: np.ndarray            # float64, |R| x D_r
     core: np.ndarray | None = None  # float64, D_e x D_r x D_e (tucker only)
-
-    @property
-    def dim_entity(self) -> int:
-        return self.entity.shape[1]
 
 
 def _complex(rows):
@@ -168,11 +165,6 @@ class RotatE:
     norm = 2
 
     def query(self, tables, anchors, r_lit, side):
-        if r_lit.shape[-1] != tables.dim_entity // 2:
-            raise ShapeError(
-                f"rotate phase vector has length {r_lit.shape[-1]}, "
-                f"expected D_e/2 = {tables.dim_entity // 2}"
-            )
         sign = 1.0 if side == "tail" else -1.0
         return _packed(_complex(tables.entity[anchors]) * np.exp(sign * 1j * r_lit))
 
@@ -233,8 +225,6 @@ class TuckER:
             yield rows, np.multiply(a[rows, :, None], b[rows, None, :], out=kr).reshape(-1, width)
 
     def query(self, tables, anchors, r_lit, side):
-        if tables.core is None:
-            raise ShapeError("tucker scoring requires a core tensor")
         a, b, m = self._factors(tables.core, tables.entity[anchors], r_lit, side)
         q = np.empty((a.shape[0], m.shape[1]))
         for rows, kr in self._khatri_rao(a, b):
@@ -256,18 +246,8 @@ class TuckER:
         return d_r
 
 
-def make_model(kind: str):
-    if kind == "transe":
-        return TransE()
-    if kind == "distmult":
-        return DistMult()
-    if kind == "complex":
-        return ComplEx()
-    if kind == "rotate":
-        return RotatE()
-    if kind == "tucker":
-        return TuckER()
-    raise ConfigError(f"unknown model kind {kind!r}")
+# the scoring model of each model kind
+MODELS = {"transe": TransE, "distmult": DistMult, "complex": ComplEx, "rotate": RotatE, "tucker": TuckER}
 
 
 def block_rows(num_entities: int) -> int:
@@ -332,20 +312,18 @@ def sq_norms(rows, out=None):
 
 
 class SimilarityBlocks:
-    """The similarity kernel of one lane, over blocks of at most :func:`lane_rows` query rows.
+    """The forward similarity kernel of one lane, over blocks of at most :func:`lane_rows` query rows.
 
     ``forward(q)`` scores the rows of ``q`` against every entity row:
     ``q @ E.T`` for ``norm = None``, ``-||q_b - e_j||`` for ``norm = 2``.
-    ``backward`` is its gradient, for an upstream gradient written into
-    :meth:`upstream`; :meth:`flush` completes the entity gradient of a
-    run of ``backward`` calls.  The :func:`lane_rows` x |E| score buffer,
-    the L2 kernel's upstream buffer of that shape and the |E| x D product
-    buffer are allocated once, by the constructor, and written with
-    ``out=`` on every block, so the scores a ``forward`` returns are a
-    view that the next ``forward`` overwrites.  The kernel reads the
-    entity table it was built on; the L2 kernel also caches the table's
-    squared row norms, so after the table changes in place (an optimizer
-    step) :meth:`refresh` must run before the next ``forward``.
+    The :func:`lane_rows` x |E| score buffer is allocated once, by the
+    constructor, and written with ``out=`` on every block, so the scores
+    a ``forward`` returns are a view that the next ``forward``
+    overwrites.  The kernel reads the entity table it was built on; the
+    L2 kernel also caches the table's squared row norms, so after the
+    table changes in place (an optimizer step) :meth:`refresh` must run
+    before the next ``forward``.  Ranking uses this kernel;
+    :class:`GradientBlocks` adds the backward pass.
     """
 
     def __init__(self, norm, entity: np.ndarray):
@@ -357,11 +335,8 @@ class SimilarityBlocks:
         # lane threads raised rank-hubs' peak RSS from 61.4 to 66.9 MiB (2-CPU AMD EPYC VM; 61.25
         # MiB under MALLOC_ARENA_MAX=1).
         self._scores = np.empty((self.rows, entity.shape[0]))
-        self._product = np.empty_like(entity)
-        self._upstream = np.empty_like(self._scores) if norm == 2 else self._scores
         if norm == 2:
             self._entity_sq = np.empty(entity.shape[0])
-            self._deferred = np.zeros(entity.shape[0])
         self.refresh()
 
     def refresh(self) -> None:
@@ -392,6 +367,24 @@ class SimilarityBlocks:
         sq[rows, cols] = sq_norms(q[rows] - entity[cols])
         np.sqrt(sq, out=sq)
         return np.negative(sq, out=sq)
+
+
+class GradientBlocks(SimilarityBlocks):
+    """A :class:`SimilarityBlocks` kernel with the backward pass, for a training lane.
+
+    ``backward`` is the gradient of ``forward``, for an upstream gradient
+    written into :meth:`upstream`; :meth:`flush` completes the entity
+    gradient of a run of ``backward`` calls.  The |E| x D product buffer
+    and the L2 kernel's upstream buffer, of the score buffer's shape,
+    are allocated by the constructor too.
+    """
+
+    def __init__(self, norm, entity: np.ndarray):
+        super().__init__(norm, entity)
+        self._product = np.empty_like(entity)
+        self._upstream = np.empty_like(self._scores) if norm == 2 else self._scores
+        if norm == 2:
+            self._deferred = np.zeros(entity.shape[0])
 
     def upstream(self, rows: int) -> np.ndarray:
         """The ``rows`` x |E| buffer to write a block's upstream gradient into.

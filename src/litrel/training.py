@@ -59,13 +59,13 @@ from litrel.aggregation import (
 from litrel.data import KnowledgeGraph
 from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from litrel.kernels import NUM_STATS
-from litrel.scoring import MODEL_KINDS, EmbeddingTables
+from litrel.scoring import EmbeddingTables
 from litrel.serialize import (array_fault, current, finite, load_arrays, load_json, replacing,
                              save_arrays, save_json)
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ def _key(kind, default, bound=None, flag=("train",)):
 class TrainConfig:
     """Declarative description of one training run."""
 
-    model: str = _key(MODEL_KINDS, "distmult")
-    fusion: str | None = _key((None, "none") + fusion_mod.FUSION_KINDS, None)  # None, "none": vanilla
+    model: str = _key(tuple(scoring.MODELS), "distmult")
+    fusion: str = _key(("none", *fusion_mod.FUSIONS), "none")  # "none": vanilla
     aggregation: str = _key(AGGREGATION_KINDS, "mean")
     dim_entity: int = _key("int", 32, "> 0")
     dim_relation: int = _key("int", 32, "> 0")
@@ -138,8 +138,6 @@ class TrainConfig:
             f.metadata["key"].check(f.name, getattr(self, f.name))
         if self.model in ("complex", "rotate") and self.dim_entity % 2:
             raise ConfigError(f"{self.model} requires an even entity dimension")
-        if self.model == "complex" and self.dim_relation % 2:
-            raise ConfigError("complex requires an even relation dimension")
         if self.model in ("transe", "distmult", "complex") and self.dim_relation != self.dim_entity:
             raise ConfigError(f"{self.model} requires dim_relation == dim_entity")
         if self.model == "rotate" and self.dim_relation != self.dim_entity // 2:
@@ -147,7 +145,7 @@ class TrainConfig:
 
     @property
     def fusion_enabled(self) -> bool:
-        return self.fusion not in (None, "none")
+        return self.fusion != "none"
 
 
 class Optimizer:
@@ -161,8 +159,6 @@ class Optimizer:
     """
 
     def __init__(self, kind: str, learning_rate: float):
-        if kind not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {kind!r}")
         self.kind = kind
         self.learning_rate = learning_rate
         self.step_count = 0
@@ -321,11 +317,10 @@ def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles=None) -> Mod
         core = rng.uniform(-1.0, 1.0, size=(config.dim_entity, config.dim_relation, config.dim_entity)) * 0.1
     tables = EmbeddingTables(entity=entity, relation=relation, core=core)
 
-    model = scoring.make_model(config.model)
-    state = ModelState(config=config, tables=tables, model=model, profiles=profiles)
+    state = ModelState(config=config, tables=tables, model=scoring.MODELS[config.model](), profiles=profiles)
     if config.fusion_enabled:
         dim = config.dim_relation // state.fusion_parts
-        state.fusion = fusion_mod.make_fusion(config.fusion, dim, graph.num_attributes, rng)
+        state.fusion = fusion_mod.FUSIONS[config.fusion](dim, graph.num_attributes, rng)
         if config.aggregation == "learnable":
             state.agg_weights = rng.uniform(-0.5, 0.5, size=NUM_STATS)
             state.agg_bias = np.zeros(1)
@@ -353,7 +348,7 @@ class Workspace:
     def __init__(self, state: ModelState):
         entity = state.tables.entity
         self.grads = state.zero_grads()
-        self.lanes = [scoring.SimilarityBlocks(state.model.norm, entity) for _ in range(scoring.LANES)]
+        self.lanes = [scoring.GradientBlocks(state.model.norm, entity) for _ in range(scoring.LANES)]
         self.partials = [self.grads["entity"]] + [np.empty_like(entity) for _ in self.lanes[1:]]
         self.scratch = scoring.Scratch()
 
@@ -399,7 +394,7 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     rows of both sides.  The query rows of the whole batch, built on the
     calling thread, are split into :func:`scoring.lane_blocks`; each lane
     scores its blocks against the entity table with its own
-    :class:`scoring.SimilarityBlocks` and entity-gradient partial, and
+    :class:`scoring.GradientBlocks` and entity-gradient partial, and
     :func:`scoring.fan_out` runs the lanes.  Their losses and partials
     are summed in lane order.  The per-row ``r_lit`` gradients are
     summed per relation with one scatter-add for one fusion backward.
@@ -598,5 +593,5 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
         if fault is not None:
             raise ConfigError(f"{directory}: parameter {name} {fault}")
     tables = EmbeddingTables(stored["entity"], stored["relation"], stored.get("core"))
-    state = ModelState(config, tables, scoring.make_model(config.model), artifact=meta.get("artifact"))
+    state = ModelState(config, tables, scoring.MODELS[config.model](), artifact=meta.get("artifact"))
     return state, load_json(os.path.join(directory, "history.json"))

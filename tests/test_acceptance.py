@@ -77,7 +77,7 @@ def test_criterion_1_gradient_suite(rng):
         batch = graph.train[:3]
         worst = 0.0
         for model, (de, dr) in GRAD_DIMS.items():
-            settings = [(None, "mean")]
+            settings = [("none", "mean")]
             settings += [
                 (fusion, agg)
                 for fusion in ("linear", "gated")
@@ -267,7 +267,7 @@ def test_criterion_5_synthetic_correlation_benefit():
         assert grouping.partition[graph.relations["rents"]] == "correlated"
         for seed in (0, 1, 2):
             results = {}
-            for fusion in (None, "linear"):
+            for fusion in ("none", "linear"):
                 config = TrainConfig(
                     model="distmult", fusion=fusion, aggregation="mean",
                     dim_entity=16, dim_relation=16, epochs=10, batch_size=64,
@@ -275,8 +275,8 @@ def test_criterion_5_synthetic_correlation_benefit():
                 )
                 state, _ = train(graph, config)
                 results[fusion] = evaluate(state, graph, split="test").mrr
-            print(f"  seed {seed}: vanilla {results[None]:.4f} fused {results['linear']:.4f}")
-            assert results["linear"] > results[None]
+            print(f"  seed {seed}: vanilla {results['none']:.4f} fused {results['linear']:.4f}")
+            assert results["linear"] > results["none"]
 
 
 # --- 6: ablation equivalence --------------------------------------------

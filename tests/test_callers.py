@@ -1,7 +1,9 @@
 """Every function, class, configuration key and import of the package has a user outside the tests.
 
 A reference is a name, an attribute or an imported name, in any Python
-file under ``src/``, ``scripts/`` or ``pipebench/``.  Dunder methods are
+file under ``src/``, ``scripts/`` or ``pipebench/``.  A re-export is not
+one: an ``__init__.py`` import, and its ``__all__`` entry, only pass a
+name on to callers that may not exist.  Dunder methods are
 called by the language and are exempt.  A key of ``litrel.cli.KEYS``
 either has a command-line flag or is set by name, as a keyword argument
 or a dict key, in ``scripts/`` or ``pipebench/``: a key that only a
@@ -19,6 +21,7 @@ CALLER_DIRS = ("src", "scripts", "pipebench")
 
 
 def referenced_names(paths):
+    """Names, attributes and imported names; ``__all__`` strings are not names."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -26,9 +29,17 @@ def referenced_names(paths):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            elif isinstance(node, (ast.Import, ast.ImportFrom)) and path.name != "__init__.py":
                 names.update(alias.name.rpartition(".")[2] for alias in node.names)
     return names
+
+
+def test_a_re_export_is_not_a_caller(tmp_path):
+    package, module = tmp_path / "__init__.py", tmp_path / "user.py"
+    package.write_text('from litrel.data import helper\n\n__all__ = ["helper"]\n')
+    module.write_text("from litrel.data import helper\n")
+    assert "helper" not in referenced_names([package])
+    assert "helper" in referenced_names([package, module])
 
 
 def definitions(path):

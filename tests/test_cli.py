@@ -370,14 +370,15 @@ class TestTrainEvaluateClassify:
             "--checkpoint-dir", pipeline["checkpoint"],
         ])
 
-    @pytest.mark.parametrize("version", [99, 3, 4])
+    @pytest.mark.parametrize("version", [99, 3, 4, 5])
     def test_unknown_checkpoint_version_is_config_error(self, pipeline, capsys, version):
         # version 3 stored the fusion block and the profiles instead of the fused relation rows;
-        # version 4's config held the removed transe_norm and l2 keys
+        # version 4's config held the removed transe_norm and l2 keys; version 5 stored a vanilla
+        # model's fusion as null
         self.edit_checkpoint_meta(pipeline["checkpoint"], lambda m: m.update(version=version))
         assert self.evaluate(pipeline) == 1
         err = capsys.readouterr().err
-        assert f"checkpoint version {version} is not supported (expected 5); train the model again" in err
+        assert f"checkpoint version {version} is not supported (expected 6); train the model again" in err
 
     @pytest.mark.parametrize("key", ["bogus", "l2"])
     def test_unknown_checkpoint_config_key_is_config_error(self, pipeline, capsys, key):
@@ -1018,7 +1019,7 @@ class TestKeyTable:
         assert main([*prefix, "train", "--artifact-dir", artifact, "--checkpoint-dir", str(checkpoint),
                      "--dim-entity", "8", "--dim-relation", "8", "--epochs", "1", *extra]) == 0
         meta = json.loads(Path(checkpoint, "checkpoint.json").read_text())
-        assert meta["config"]["fusion"] is None
+        assert meta["config"]["fusion"] == "none"
         assert sorted(load_arrays(str(checkpoint / "params"))) == ["entity", "relation"]
         assert not (checkpoint / "profiles").exists()
 

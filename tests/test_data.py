@@ -11,7 +11,6 @@ from litrel.data import (
     KnowledgeGraph,
     Vocab,
     build_graph,
-    date_to_decimal,
     load_literals,
     load_triples,
     read_tsv,
@@ -90,19 +89,6 @@ class TestLoadLiterals:
         path = write(tmp_path, "l.tsv", "Alice\tmonthlyIncome\tabc\n")
         with pytest.raises(ParseError, match="'abc'"):
             load_literals(path)
-
-
-class TestDateToDecimal:
-    @pytest.mark.parametrize(
-        "ymd,expected",
-        [((2001, 5, 17), 2001.0517), ((1999, 12, 31), 1999.1231), ((2000, 1, 1), 2000.0101)],
-    )
-    def test_fixed_positions(self, ymd, expected):
-        assert date_to_decimal(*ymd) == expected
-
-    def test_invalid_date(self):
-        with pytest.raises(ValidationError):
-            date_to_decimal(2001, 2, 30)
 
 
 class TestBuildGraph:

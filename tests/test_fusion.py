@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from litrel.errors import ShapeError
-from litrel.fusion import GatedFusion, LinearFusion, make_fusion
+from litrel.fusion import FUSIONS, GatedFusion, LinearFusion
 
 
 def zeroed(block):
@@ -36,15 +35,6 @@ class TestLinearFusion:
         block = LinearFusion(5, 3, rng)
         out, _ = block.forward(rows(rng, 3), rows(rng, 5), rows(rng, 3))
         assert out.shape == (G, 5)
-
-    def test_shape_mismatch_names_operand(self, rng):
-        block = LinearFusion(4, 2, rng)
-        with pytest.raises(ShapeError, match="l_h"):
-            block.forward(np.zeros((G, 3)), np.zeros((G, 4)), np.zeros((G, 2)))
-        with pytest.raises(ShapeError, match="r has"):
-            block.forward(np.zeros((G, 2)), np.zeros((G, 5)), np.zeros((G, 2)))
-        with pytest.raises(ShapeError, match=r"l_t has shape \(2, 2\), expected \(3, 2\)"):
-            block.forward(np.zeros((G, 2)), np.zeros((G, 4)), np.zeros((2, 2)))
 
 
 class TestGatedFusion:
@@ -103,7 +93,7 @@ class TestParamCount:
     @pytest.mark.parametrize("kind", ["linear", "gated"])
     @pytest.mark.parametrize("dim,attrs", [(1, 1), (3, 2), (8, 5), (16, 0), (7, 11), (32, 3)])
     def test_matches_allocated_scalars(self, kind, dim, attrs, rng):
-        block = make_fusion(kind, dim, attrs, rng)
+        block = FUSIONS[kind](dim, attrs, rng)
         allocated = sum(p.size for p in block.parameters().values())
         if kind == "linear":
             assert allocated == dim * dim + 2 * attrs * dim + dim
@@ -124,7 +114,7 @@ class TestGradients:
     @pytest.mark.parametrize("kind", ["linear", "gated"])
     def test_backward_matches_finite_differences(self, kind, rng):
         dim, attrs = 4, 3
-        block = make_fusion(kind, dim, attrs, rng)
+        block = FUSIONS[kind](dim, attrs, rng)
         l_h, r, l_t = rows(rng, attrs), rows(rng, dim), rows(rng, attrs)
         upstream = rows(rng, dim)
 

@@ -49,7 +49,7 @@ def with_threads(monkeypatch, threads):
     monkeypatch.setattr(scoring, "lane_threads", lambda: threads)
 
 
-@pytest.mark.parametrize("fusion", [None, "linear", "gated"])
+@pytest.mark.parametrize("fusion", [pytest.param("none", id="None"), "linear", "gated"])
 @pytest.mark.parametrize("model", list(MODEL_DIMS))
 @pytest.mark.parametrize("rows_per_block,triples", [
     pytest.param(6, 5, id="rows-not-a-multiple-of-the-lane-block"),  # 10 rows, lane blocks of 3

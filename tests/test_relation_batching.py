@@ -128,7 +128,7 @@ def reference_loss(batch, state):
         targets += [tails, heads]
         groups.append((rel, r_lit, cache, sides))
     q, targets = np.concatenate(queries), np.concatenate(targets)
-    blocks = scoring.SimilarityBlocks(model.norm, tables.entity)
+    blocks = scoring.GradientBlocks(model.norm, tables.entity)
     scores = blocks.forward(q)
     picked = np.arange(q.shape[0]), targets
     p = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -166,7 +166,7 @@ def batches(graph):
 
 
 @pytest.mark.parametrize("aggregation", ["mean", "learnable"])
-@pytest.mark.parametrize("fusion", [None, "linear", "gated"])
+@pytest.mark.parametrize("fusion", [pytest.param("none", id="None"), "linear", "gated"])
 @pytest.mark.parametrize("model", list(DIMS))
 def test_batched_loss_matches_per_relation_loop(model, fusion, aggregation):
     rng = np.random.default_rng(5)

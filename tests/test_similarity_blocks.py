@@ -2,11 +2,11 @@
 
 ``fresh_similarities`` and ``fresh_similarities_backward`` below are the
 former free functions: every call allocates its B x |E| and |E| x D
-arrays.  :class:`scoring.SimilarityBlocks` writes the same arithmetic
+arrays.  :class:`scoring.GradientBlocks` writes the same arithmetic
 into buffers it owns, so scores and gradients must be bit-identical to
 them, block after block, and consecutive blocks must share one buffer.
 The L2 backward defers its ``-sum_b w_bj e_j`` entity term to
-``SimilarityBlocks.flush``, so the reference sums the column weights
+``GradientBlocks.flush``, so the reference sums the column weights
 over the blocks too and adds that term in ``fresh_flush``.
 """
 
@@ -98,7 +98,7 @@ def test_blocks_are_bit_identical_to_fresh_allocation(case):
     deferred = np.zeros(entity.shape[0])
     d_q = np.empty_like(q)
     with mock.patch.object(scoring, "BLOCK_SCORES", scoring.LANES * block * entity.shape[0]):
-        blocks = scoring.SimilarityBlocks(norm, entity)
+        blocks = scoring.GradientBlocks(norm, entity)
     step = blocks.rows
     assert step == block
     previous = None
@@ -129,7 +129,7 @@ def one_mib_case(rng, norm):
     entity = rng.normal(size=(8000, 16))
     q, g = rng.normal(size=(16, 16)), rng.normal(size=(16, 8000))
     q[0] = entity[3]  # one pair on the L2 recomputation path
-    blocks = scoring.SimilarityBlocks(norm, entity)
+    blocks = scoring.GradientBlocks(norm, entity)
     assert blocks.rows == 16
     return blocks, q, g, np.zeros_like(entity), np.empty_like(q)
 
@@ -172,6 +172,17 @@ def test_first_block_on_another_thread_allocates_no_block_or_table_sized_array(n
     assert peak < blocks.entity.nbytes // 4
 
 
+@pytest.mark.parametrize("norm", [None, 2])
+def test_ranking_kernel_allocates_only_its_scores_and_norms(norm, rng):
+    # the forward kernel holds a rows x |E| score buffer and, for L2, the |E| entity norms: no
+    # |E| x D product buffer and no upstream buffer, which only the backward pass writes
+    entity = rng.normal(size=(8000, 16))
+    kernels = []
+    peak = traced_peak(lambda: kernels.append(scoring.SimilarityBlocks(norm, entity)))
+    floats = kernels[0].rows * len(entity) + (len(entity) if norm == 2 else 0)
+    assert floats * 8 <= peak < floats * 8 + 4096
+
+
 def test_block_larger_than_its_buffer_is_rejected(rng, monkeypatch):
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * scoring.LANES * 5)  # two rows per lane over 5 entities
     blocks = scoring.SimilarityBlocks(2, rng.normal(size=(5, 3)))
@@ -182,7 +193,7 @@ def test_block_larger_than_its_buffer_is_rejected(rng, monkeypatch):
 @pytest.mark.parametrize("norm", [None, 2])
 def test_refresh_after_an_in_place_update_equals_a_new_kernel(norm, rng):
     entity = rng.normal(size=(40, 6))
-    blocks = scoring.SimilarityBlocks(norm, entity)
+    blocks = scoring.GradientBlocks(norm, entity)
     q, g = rng.normal(size=(5, 6)), rng.normal(size=(5, 40))
     d_entity = np.zeros_like(entity)
     blocks.backward(q, blocks.forward(q), g.copy(), d_entity, np.empty_like(q))
@@ -191,7 +202,7 @@ def test_refresh_after_an_in_place_update_equals_a_new_kernel(norm, rng):
     entity[7] += 1.0
     q[0] = entity[7]  # one pair on the L2 recomputation path, whose bound reads the largest norm
     blocks.refresh()
-    fresh = scoring.SimilarityBlocks(norm, entity.copy())
+    fresh = scoring.GradientBlocks(norm, entity.copy())
     got, want = blocks.forward(q), fresh.forward(q)
     assert np.array_equal(got, want)
     got_d_entity, want_d_entity = np.zeros_like(entity), np.zeros_like(entity)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litrel import evaluation, scoring, training
+from litrel import fusion as fusion_mod
 from litrel.data import build_graph
 from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
 from litrel.training import Optimizer, TrainConfig, symmetric_lcwa_loss, train
@@ -15,7 +16,7 @@ from litrel.training import Optimizer, TrainConfig, symmetric_lcwa_loss, train
 
 def make_config(**overrides):
     base = dict(
-        model="distmult", fusion=None, aggregation="mean",
+        model="distmult", fusion="none", aggregation="mean",
         dim_entity=6, dim_relation=6, epochs=0, batch_size=8,
         learning_rate=1e-2, seed=7,
     )
@@ -299,7 +300,7 @@ class TestWorkspace:
     @pytest.mark.parametrize("model", sorted(MODEL_DIMS))
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     @pytest.mark.parametrize("fusion_kind,aggregation", [
-        pytest.param(None, "mean", id="vanilla"),
+        pytest.param("none", "mean", id="vanilla"),
         pytest.param("linear", "median", id="linear-median"),
         pytest.param("gated", "learnable", id="gated-learnable"),
     ])
@@ -335,7 +336,7 @@ class TestWorkspace:
                                 workspace)
 
     @pytest.mark.parametrize("model,fusion_kind", [
-        ("transe", None), ("distmult", "linear"), ("tucker", "gated"),
+        pytest.param("transe", "none", id="transe-None"), ("distmult", "linear"), ("tucker", "gated"),
     ])
     def test_steps_after_the_first_allocate_less_than_an_entity_table(self, monkeypatch, model,
                                                                      fusion_kind):
@@ -381,7 +382,7 @@ class TestWorkspace:
         assert graph.num_entities == 4000 and len(peaks) == 2 * -(-len(graph.train) // 8)
         assert max(peaks[1:]) < graph.num_entities * 32 * 8
         # later steps gather the profile rows into the state's scratch: less than one block
-        assert len(gathers) == (0 if fusion_kind is None else len(peaks))
+        assert len(gathers) == (0 if fusion_kind == "none" else len(peaks))
         assert all(peak < relations * graph.num_attributes * 11 * 8 for peak, relations in gathers[1:])
 
     @pytest.mark.parametrize("batch_size, live", [(6, [0]), (3, [scoring.LANES, 0])])
@@ -390,7 +391,7 @@ class TestWorkspace:
         # one kernel per lane
         kernels, seen = [], []
 
-        class Recorded(scoring.SimilarityBlocks):
+        class Recorded(scoring.GradientBlocks):
             def __init__(self, *args):
                 super().__init__(*args)
                 kernels.append(weakref.ref(self))
@@ -401,7 +402,7 @@ class TestWorkspace:
             seen.append(sum(ref() is not None for ref in kernels))
             step_fn(*args)
 
-        monkeypatch.setattr(scoring, "SimilarityBlocks", Recorded)
+        monkeypatch.setattr(scoring, "GradientBlocks", Recorded)
         monkeypatch.setattr(training, "optimizer_step", step)
         train(small_graph, make_config(model="transe", epochs=1, batch_size=batch_size))
         assert len(kernels) == scoring.LANES
@@ -413,7 +414,7 @@ class TestWorkspace:
         config = make_config(model="transe", epochs=3, batch_size=3, valid_every=1)
         kernels, seen = [], []
 
-        class Recorded(scoring.SimilarityBlocks):
+        class Recorded(scoring.GradientBlocks):
             def __init__(self, *args):
                 super().__init__(*args)
                 kernels.append(weakref.ref(self))
@@ -425,7 +426,7 @@ class TestWorkspace:
             return evaluate_fn(*args, **kwargs)
 
         want = train(graph, config)
-        monkeypatch.setattr(scoring, "SimilarityBlocks", Recorded)
+        monkeypatch.setattr(scoring, "GradientBlocks", Recorded)
         monkeypatch.setattr(evaluation, "evaluate", evaluate)
         got = train(graph, config)
         assert seen == [0, 0, 0]
@@ -443,7 +444,7 @@ class TestWorkspace:
 
 class TestCheckpoint:
     @pytest.mark.parametrize("model,fusion_kind,aggregation", [
-        pytest.param("distmult", None, "mean", id="None-mean"),
+        pytest.param("distmult", "none", "mean", id="None-mean"),
         pytest.param("distmult", "linear", "mean", id="linear-mean"),
         pytest.param("distmult", "gated", "learnable", id="gated-learnable"),
         ("complex", "linear", "mean"),
@@ -471,7 +472,7 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.parameters()[name], state.parameters()[name])
         ranks = evaluation.rank_triples(state, small_graph, small_graph.train)
         assert evaluation.rank_triples(loaded, small_graph, small_graph.train).tobytes() == ranks.tobytes()
-        if fusion_kind is None:
+        if fusion_kind == "none":
             # loss continues identically after reload
             l1, _ = symmetric_lcwa_loss(small_graph.train, state)
             l2, _ = symmetric_lcwa_loss(small_graph.train, loaded)
@@ -489,8 +490,10 @@ class TestCheckpoint:
             raise AssertionError("the load path must not call this")
 
         for target in ("litrel.aggregation.literal_vectors", "litrel.training.literal_vectors",
-                       "litrel.fusion.make_fusion", "numpy.random.default_rng"):
+                       "numpy.random.default_rng"):
             monkeypatch.setattr(target, fail)
+        for kind in fusion_mod.FUSIONS:
+            monkeypatch.setitem(fusion_mod.FUSIONS, kind, fail)
         loaded, _ = training.load_checkpoint(directory)
         assert evaluation.evaluate(loaded, small_graph, split="train") == expected
 
