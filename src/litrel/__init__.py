@@ -10,7 +10,7 @@ attributes before scoring.
 import os
 import sys
 
-# The block loops of training and ranking score on two threads, one per lane
+# The block loops of training, ranking and KNN run on two threads, one per lane
 # (litrel.scoring.LANES), so BLAS gets one thread: set before numpy loads, as
 # BLAS reads these when it starts.  The lanes use threads only where BLAS is
 # single-threaded; a numpy loaded before litrel keeps them on the calling thread.

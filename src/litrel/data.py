@@ -7,8 +7,10 @@ File formats are plain UTF-8 text, one record per line, tab-separated:
   scientific-notation real value
 
 The readers take a file in chunks of whole lines and split each chunk
-in bulk, interning labels into integer ids (:class:`Records`); only the
-error path reads a file line by line, to name the line that failed.
+in bulk (:func:`_chunk_columns`, which the node-label reader of
+:mod:`litrel.downstream` shares), interning labels into integer ids
+(:class:`Records`); only the error path reads a file line by line, to
+name the line that failed.
 
 A preprocessed graph serializes to a directory holding one vocabulary
 text file per vocabulary (line number = index) and an ``arrays.npz``
@@ -78,7 +80,7 @@ class Vocab:
     def load(cls, path: str) -> "Vocab":
         try:
             with open(path, encoding="utf-8", newline="\n") as fh:
-                return cls([line.rstrip("\n") for line in fh if line != "\n"])
+                return cls(filter(None, fh.read().split("\n")))
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
@@ -259,10 +261,10 @@ def _undecodable(path: str, exc: UnicodeDecodeError) -> ParseError:
 def read_tsv(path: str):
     """Yield ``(lineno, fields)`` for each non-empty line of a tab-separated UTF-8 file.
 
-    The per-line reader: it serves small files such as label files, and
-    the error path of the bulk readers, which rescan a file
-    with it to name the line that failed.  Bytes that are not UTF-8
-    raise a :class:`ParseError` naming the line.
+    The per-line reader of the error path: the bulk readers
+    (:func:`_chunk_columns`) rescan a file with it to name the line that
+    failed.  Bytes that are not UTF-8 raise a :class:`ParseError` naming
+    the line.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -302,6 +304,25 @@ def _rescan(path: str, check) -> ParseError:
     return ParseError(f"{path}: changed while it was read")
 
 
+def _chunk_columns(path: str, check, label_fields: int):
+    """Yield the three field columns of each chunk of a three-field file, as lists.
+
+    Each chunk is split once.  A line must hold 3 tab-separated fields,
+    the first ``label_fields`` of them non-empty; when a chunk holds a
+    line that does not, :func:`_rescan` finds the first bad line of the
+    file with ``check``.
+    """
+    for lines in _line_chunks(path):
+        # a "\n" field between lines: each line has 3 fields iff they sit at every 4th place
+        fields = "\t\n\t".join(lines).split("\t")
+        if len(fields) != 4 * len(lines) - 1 or fields[3::4].count("\n") != len(lines) - 1:
+            raise _rescan(path, check)
+        columns = [fields[i::4] for i in range(3)]
+        if any("" in column for column in columns[:label_fields]):
+            raise _rescan(path, check)
+        yield columns
+
+
 # the label table of each label field: entities 0, relations or attributes 1
 _KINDS = {False: (0, 1, 0), True: (0, 1)}
 
@@ -337,25 +358,19 @@ class Records:
 def _load_records(path: str, check, literal: bool) -> Records:
     """Parse a three-field file in bulk, a chunk of lines at a time.
 
-    Each chunk is split once, its labels are interned through one table
-    per label kind and its values parsed with ``float``.  When a chunk
-    holds a bad line, :func:`_rescan` finds the first one with ``check``.
+    Each chunk's labels (:func:`_chunk_columns`) are interned through one
+    table per label kind and its values parsed with ``float``.  When a
+    chunk holds a bad line, :func:`_rescan` finds the first one with
+    ``check``.
     """
     tables = _tables()
     kinds = _KINDS[literal]
     ids, values = [], []
-    for lines in _line_chunks(path):
-        # a "\n" field between lines: each line has 3 fields iff they sit at every 4th place
-        fields = "\t\n\t".join(lines).split("\t")
-        if len(fields) != 4 * len(lines) - 1 or fields[3::4].count("\n") != len(lines) - 1:
-            raise _rescan(path, check)
-        labels = [fields[i::4] for i in range(len(kinds))]
-        if any("" in column for column in labels):
-            raise _rescan(path, check)
-        ids.append(_interned(tables, kinds, labels))
+    for columns in _chunk_columns(path, check, len(kinds)):
+        ids.append(_interned(tables, kinds, columns))
         if literal:
             try:
-                values.append(np.fromiter(map(float, fields[2::4]), np.float64, len(lines)))
+                values.append(np.fromiter(map(float, columns[2]), np.float64, len(columns[2])))
             except ValueError:
                 raise _rescan(path, check) from None
             if not np.isfinite(values[-1]).all():

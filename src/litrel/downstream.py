@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from litrel import scoring
-from litrel.data import KnowledgeGraph, _bad_line, read_tsv
+from litrel.data import KnowledgeGraph, _bad_line, _chunk_columns, _rescan
 from litrel.errors import ParseError, ValidationError
 
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
@@ -37,16 +37,17 @@ class LabeledNodes:
 def load_labeled_nodes(path: str, graph: KnowledgeGraph) -> LabeledNodes:
     """Parse a node-label file, mapping node labels to entity indices.
 
-    Each node may be listed once: a repeated node would carry two labels
-    or sit in both splits.
+    The file is read in bulk, a chunk of lines at a time
+    (:func:`litrel.data._chunk_columns`); only a bad line, found by a
+    rescan, is read on its own.  Each node may be listed once: a
+    repeated node would carry two labels or sit in both splits.
     """
-    rows = []
-    unknown = []
     first_line: dict[str, int] = {}
-    for lineno, fields in read_tsv(path):
+
+    def check(lineno, fields):
         if len(fields) != 3 or not fields[0] or not fields[1]:
             raise _bad_line(path, lineno, fields, ("node", "class"))
-        node, label, split = fields
+        node, _, split = fields
         if split not in ("train", "test"):
             raise ParseError(f"{path}:{lineno}: split must be 'train' or 'test', got {split!r}")
         if node in first_line:
@@ -54,23 +55,28 @@ def load_labeled_nodes(path: str, graph: KnowledgeGraph) -> LabeledNodes:
                 f"{path}: node {node!r} is listed on lines {first_line[node]} and {lineno}"
             )
         first_line[node] = lineno
-        if node not in graph.entities:
-            unknown.append(node)
-            continue
-        rows.append((graph.entities[node], label, split))
+
+    nodes, labels, splits = [], [], []
+    for node_column, label_column, split_column in _chunk_columns(path, check, label_fields=2):
+        nodes += node_column
+        labels += label_column
+        splits += split_column
+    if not set(splits) <= {"train", "test"} or len(set(nodes)) != len(nodes):
+        raise _rescan(path, check)
+    index = graph.entities.index
+    unknown = [node for node in nodes if node not in index]
     if unknown:
         raise ValidationError(f"label file references unknown nodes: {sorted(unknown)}")
-    label_names = sorted({label for _, label, _ in rows})
+    label_names = sorted(set(labels))
     label_index = {name: i for i, name in enumerate(label_names)}
-    by_split = {"train": ([], []), "test": ([], [])}
-    for node, label, split in rows:
-        by_split[split][0].append(node)
-        by_split[split][1].append(label_index[label])
+    ids = np.fromiter(map(index.__getitem__, nodes), np.int64, len(nodes))
+    classes = np.fromiter(map(label_index.__getitem__, labels), np.int64, len(labels))
+    train = np.fromiter(map("train".__eq__, splits), bool, len(splits))
     return LabeledNodes(
-        train_nodes=np.array(by_split["train"][0], dtype=np.int64),
-        train_labels=np.array(by_split["train"][1], dtype=np.int64),
-        test_nodes=np.array(by_split["test"][0], dtype=np.int64),
-        test_labels=np.array(by_split["test"][1], dtype=np.int64),
+        train_nodes=ids[train],
+        train_labels=classes[train],
+        test_nodes=ids[~train],
+        test_labels=classes[~train],
         label_names=label_names,
     )
 
@@ -93,8 +99,10 @@ def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
     break toward the label with the smallest mean distance among its
     voting neighbours, then toward the smallest label.
 
-    Test rows go in blocks of ``scoring.block_rows(n_train)`` rows.  A
-    block ranks every training row by the expanded square
+    Test rows go in the blocks of ``scoring.lane_blocks(n_test,
+    n_train)``, each lane's blocks on a thread of ``scoring.fan_out``,
+    and each lane writes the predictions of its own rows.  A block ranks
+    every training row by the expanded square
     ``s = ||x||^2 - 2 x.t + ||t||^2`` (one matrix product), keeps as
     candidates the rows with ``s <= s_k + delta``, where ``s_k`` is the
     row's k-th smallest ``s``, and computes direct distances for those
@@ -126,11 +134,13 @@ def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
     classes, label_index = np.unique(train_labels, return_inverse=True)
     train_sq = scoring.sq_norms(train_feats)
     predictions = np.empty(test_feats.shape[0], dtype=np.int64)
-    step = scoring.block_rows(train_feats.shape[0])
-    for start in range(0, test_feats.shape[0], step):
-        block = slice(start, start + step)
-        nearest, dists = _nearest(train_feats, train_sq, test_feats[block], k)
-        predictions[block] = classes[_vote(label_index[nearest], dists, classes.shape[0])]
+
+    def lane(blocks):
+        for block in blocks:
+            nearest, dists = _nearest(train_feats, train_sq, test_feats[block], k)
+            predictions[block] = classes[_vote(label_index[nearest], dists, classes.shape[0])]
+
+    scoring.fan_out(lane, scoring.lane_blocks(test_feats.shape[0], train_feats.shape[0]))
     return predictions
 
 
@@ -222,6 +232,10 @@ def svm_train(train_feats, train_labels, seed: int) -> LinearSvm:
 
     Runs :data:`SVM_EPOCHS` full-batch steps of size :data:`SVM_LR` with
     L2 weight :data:`SVM_REG`, from weights drawn from ``seed``.
+
+    The margins, signs, hinge support and coefficients are class-major
+    C x n arrays, allocated once and written in place, so every product
+    and the bias gradient's row sums run along contiguous rows.
     """
     feats = np.asarray(train_feats, dtype=np.float64)
     labels = np.asarray(train_labels, dtype=np.int64)
@@ -235,14 +249,21 @@ def svm_train(train_feats, train_labels, seed: int) -> LinearSvm:
         weights=rng.normal(0.0, 0.01, size=(num_classes, dim)),
         biases=np.zeros(num_classes),
     )
-    signs = -np.ones((n, num_classes))
-    signs[np.arange(n), labels] = 1.0
+    feats_t = np.ascontiguousarray(feats.T)
+    signs = -np.ones((num_classes, n))
+    signs[labels, np.arange(n)] = 1.0
+    slopes = -signs / n                                # d loss / d scores where the hinge is active
+    scores = np.empty((num_classes, n))
+    active = np.empty((num_classes, n), dtype=bool)
+    coef = np.empty((num_classes, n))
     for _ in range(SVM_EPOCHS):
-        scores = feats @ model.weights.T + model.biases
-        active = (1.0 - signs * scores) > 0            # hinge subgradient support
-        coef = -(signs * active) / n                   # d loss / d scores
-        model.weights -= SVM_LR * (coef.T @ feats + 2.0 * SVM_REG * model.weights)
-        model.biases -= SVM_LR * coef.sum(axis=0)
+        np.matmul(model.weights, feats_t, out=scores)
+        scores += model.biases[:, None]
+        np.multiply(signs, scores, out=coef)
+        np.less(coef, 1.0, out=active)                 # hinge subgradient support: s * m < 1
+        np.multiply(slopes, active, out=coef)
+        model.weights -= SVM_LR * (coef @ feats + 2.0 * SVM_REG * model.weights)
+        model.biases -= SVM_LR * coef.sum(axis=1)
     return model
 
 

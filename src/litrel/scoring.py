@@ -37,11 +37,12 @@ TuckER keeps its Khatri-Rao chunks and their products in a
 :class:`Scratch` of its own, grown on demand, so scoring and training
 allocate no chunk-sized array after the first call.
 
-The block loops of training and ranking split their query rows into
-:data:`LANES` contiguous lanes, each scored in blocks of
-:func:`lane_rows` rows (:func:`lane_blocks`) by a kernel of its own, and
-:func:`fan_out` runs the lanes on a thread pool.  :func:`block_rows` and
-:func:`lane_rows` alone decide the block shape.  The split depends only
+The block loops of training, ranking and KNN split their query rows
+into :data:`LANES` contiguous lanes, each scored in blocks of
+:func:`lane_rows` rows (:func:`lane_blocks`; KNN's rows are test nodes,
+scored against the training nodes), training and ranking each lane by a
+kernel of its own, and :func:`fan_out` runs the lanes on a thread pool.
+:func:`block_rows` and :func:`lane_rows` alone decide the block shape.  The split depends only
 on the row count and |E|, so results do not depend on the number of
 threads.  The models' ``query``/``query_backward`` stay on the calling
 thread: TuckER's scratch is not shared between threads.

@@ -160,6 +160,14 @@ class TestSerialization:
         vocab.save(str(tmp_path / "v.txt"))
         assert Vocab.load(str(tmp_path / "v.txt")) == vocab
 
+    def test_vocab_load_skips_blank_lines_and_keeps_carriage_returns(self, tmp_path):
+        # only "\n" ends a line: a "\r" stays in its label, and a last line needs no "\n"
+        path = tmp_path / "v.txt"
+        path.write_bytes(b"\na\r\n\n\nb\rc\n\rd\ne")
+        assert Vocab.load(str(path)).labels == ["a\r", "b\rc", "\rd", "e"]
+        path.write_bytes(b"")
+        assert Vocab.load(str(path)).labels == []
+
     def test_index_order_independent_of_input_order(self):
         g1 = build_graph([("a", "r", "b"), ("c", "r", "d")], [], [], [])
         g2 = build_graph([("c", "r", "d"), ("a", "r", "b")], [], [], [])

@@ -1,12 +1,15 @@
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from litrel import scoring
+from litrel import data, scoring
 from litrel.downstream import (
+    SVM_EPOCHS,
+    SVM_LR,
     SVM_REG,
     LinearSvm,
     confusion_counts,
@@ -65,6 +68,36 @@ def knn_inputs(draw):
     return train_feats * scale + offset, labels, test_feats * scale + offset
 
 
+def row_major_svm(feats, labels, seed):
+    # reference: the same schedule on sample-major (n x C) arrays, each bias gradient summed row by row
+    num_classes = int(labels.max()) + 1
+    n = feats.shape[0]
+    rng = np.random.default_rng(seed)
+    model = LinearSvm(weights=rng.normal(0.0, 0.01, size=(num_classes, feats.shape[1])),
+                      biases=np.zeros(num_classes))
+    signs = -np.ones((n, num_classes))
+    signs[np.arange(n), labels] = 1.0
+    for _ in range(SVM_EPOCHS):
+        scores = feats @ model.weights.T + model.biases
+        active = (1.0 - signs * scores) > 0
+        coef = -(signs * active) / n
+        model.weights -= SVM_LR * (coef.T @ feats + 2.0 * SVM_REG * model.weights)
+        model.biases -= SVM_LR * coef.sum(axis=0)
+    return model
+
+
+@st.composite
+def svm_inputs(draw):
+    """Gaussian features (n >= 2) and labels from a drawn class set, a gap such as {0, 2} allowed."""
+    classes = draw(st.sampled_from([(0, 1), (0, 2), (1, 2), (0, 1, 2), (0, 1, 3)]))
+    n = draw(st.integers(len(classes), 40))
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.array(classes + tuple(rng.choice(classes, size=n - len(classes))), dtype=np.int64)
+    feats = rng.normal(size=(n, dim)) * draw(st.sampled_from([0.1, 1.0, 3.0]))
+    return feats, labels, draw(st.integers(0, 100))
+
+
 class TestLoadLabeledNodes:
     def test_basic_parse(self, toy_graph, tmp_path):
         path = tmp_path / "labels.tsv"
@@ -91,6 +124,48 @@ class TestLoadLabeledNodes:
         path = tmp_path / "labels.tsv"
         path.write_text("alice\tperson\ttrain\nbob\tperson\ttrain\nalice\tplace\ttest\n")
         with pytest.raises(ValidationError, match="'alice' is listed on lines 1 and 3"):
+            load_labeled_nodes(str(path), toy_graph)
+
+    def test_repeated_node_before_a_bad_split_token_is_reported_first(self, toy_graph, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("alice\tperson\ttrain\n\nalice\tplace\ttest\nbob\tperson\tvalidation\n")
+        with pytest.raises(ValidationError, match="'alice' is listed on lines 1 and 3"):
+            load_labeled_nodes(str(path), toy_graph)
+
+    def test_unknown_nodes_listed_sorted(self, toy_graph, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("zed\tperson\ttrain\nalice\tperson\ttrain\namy\tplace\ttest\n")
+        with pytest.raises(ValidationError, match=r"unknown nodes: \['amy', 'zed'\]$"):
+            load_labeled_nodes(str(path), toy_graph)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends_blank_lines_and_unterminated_last_line(self, toy_graph, tmp_path, end):
+        lines = ["alice\tperson\ttrain", "", "house1\tplace\ttest", "", "bob\tperson\ttrain"]
+        path = tmp_path / "labels.tsv"
+        path.write_bytes(end.join(lines).encode())  # no line end after the last line
+        labeled = load_labeled_nodes(str(path), toy_graph)
+        entities = toy_graph.entities
+        assert labeled.train_nodes.tolist() == [entities["alice"], entities["bob"]]
+        assert labeled.train_labels.tolist() == [0, 0]
+        assert labeled.test_nodes.tolist() == [entities["house1"]]
+        assert labeled.test_labels.tolist() == [1]
+        assert labeled.label_names == ["person", "place"]
+
+    @pytest.mark.parametrize("bad, message", [
+        ("n9\tc\n", "{path}:{line}: expected 3 tab-separated fields, got 2"),
+        ("n9\t\ttest\n", "{path}:{line}: empty class label"),
+        ("n9\tc\tvalid\n", "{path}:{line}: split must be 'train' or 'test', got 'valid'"),
+        ("n7\tc\ttest\n", "{path}: node 'n7' is listed on lines 8 and {line}"),
+    ])
+    def test_bad_line_in_a_later_chunk_named_by_its_line(self, toy_graph, tmp_path, bad, message):
+        # about 190 KB: the last line sits in the third chunk; no node is in the graph, so
+        # the bad line must be found before the unknown nodes are reported
+        lines = [f"n{i}\tc\ttrain\n" for i in range(2 * data.CHUNK_CHARS // 10)]
+        path = tmp_path / "labels.tsv"
+        path.write_text("".join(lines) + bad)
+        assert path.stat().st_size > 2 * data.CHUNK_CHARS
+        with pytest.raises((ParseError, ValidationError),
+                           match=re.escape(message.format(path=path, line=len(lines) + 1))):
             load_labeled_nodes(str(path), toy_graph)
 
 
@@ -228,6 +303,17 @@ class TestSvm:
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             svm_train(np.zeros((3, 2)), np.zeros(3, dtype=np.int64), seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(inputs=svm_inputs())
+    @example(inputs=(np.array([[0.5, -1.0], [2.0, 0.25]]), np.array([0, 2]), 3))
+    def test_class_major_matches_the_row_major_loop(self, inputs):
+        feats, labels, seed = inputs
+        got, want = svm_train(feats, labels, seed), row_major_svm(feats, labels, seed)
+        for name in ("weights", "biases"):
+            diff = np.abs(getattr(got, name) - getattr(want, name)).max()
+            assert diff <= 1e-12 * np.abs(getattr(want, name)).max(), name
+        assert np.array_equal(got.predict(feats), want.predict(feats))
 
     def test_seeded_determinism(self, rng):
         train_feats, train_labels = cluster_data(rng, [(0, 0), (5, 5)], 8)

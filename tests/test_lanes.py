@@ -1,10 +1,11 @@
-"""The lanes of the training loss and of ranking.
+"""The lanes of the training loss, of ranking and of KNN.
 
 Two lanes must agree with one (``scoring.LANES = 1``) up to summation
 order, to 1e-12 relative, and a given number of lanes must give
 bit-identical results whether the lanes run on the calling thread or on
 a pool of threads, since the split into lanes depends only on the row
-count and |E|.
+count and |E|.  KNN is exact, so its predictions are bit-identical for
+any number of lanes and threads.
 """
 
 import os
@@ -18,6 +19,8 @@ import pytest
 import litrel
 from conftest import random_graph
 from litrel import scoring
+from litrel.cli import main
+from litrel.downstream import knn_classify
 from litrel.evaluation import rank_triples
 from litrel.training import TrainConfig, init_state, symmetric_lcwa_loss
 
@@ -110,13 +113,15 @@ def test_two_lane_tucker_ranks_equal_serial_ranks(monkeypatch):
 
 def test_more_threads_than_cores_under_a_short_switch_interval(monkeypatch):
     # four lanes on four threads, switching every microsecond: a lost write to a shared
-    # buffer would change the loss, a gradient or a rank
+    # buffer would change the loss, a gradient, a rank or a KNN prediction
     graph, state = make_state("transe", "linear", num_entities=30)
     monkeypatch.setattr(scoring, "LANES", 4)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 8 * graph.num_entities)
+    feats, labels = state.tables.entity, np.arange(graph.num_entities) % 3
     with_threads(monkeypatch, 1)
     want_loss, want = loss_and_grads(graph.train, state)
     want_ranks = rank_triples(state, graph, graph.train)
+    want_knn = knn_classify(feats[:20], labels[:20], feats, k=3)
     with_threads(monkeypatch, 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -127,8 +132,76 @@ def test_more_threads_than_cores_under_a_short_switch_interval(monkeypatch):
             for name, grad in want.items():
                 assert np.array_equal(grads[name], grad), name
             assert np.array_equal(rank_triples(state, graph, graph.train), want_ranks)
+            assert np.array_equal(knn_classify(feats[:20], labels[:20], feats, k=3), want_knn)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("num_test", [
+    pytest.param(1, id="one-row-empty-second-lane"),
+    pytest.param(7, id="rows-not-a-multiple-of-the-lane-block"),  # lanes of 4 and 3, lane blocks of 3
+    pytest.param(12, id="rows-a-multiple-of-the-lane-block"),
+])
+def test_knn_predictions_do_not_depend_on_lanes_or_threads(monkeypatch, num_test):
+    # a coarse grid forces distance and vote ties between the 20 training rows
+    rng = np.random.default_rng(7)
+    train_feats = rng.integers(-2, 3, size=(20, 3)).astype(np.float64)
+    train_labels = rng.integers(0, 3, size=20)
+    test_feats = rng.integers(-2, 3, size=(num_test, 3)).astype(np.float64)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 20)  # block_rows 6, lane_rows 3
+    results = {}
+    for lanes in (1, 2):
+        monkeypatch.setattr(scoring, "LANES", lanes)
+        for threads in (1, 2):
+            with_threads(monkeypatch, threads)
+            results[lanes, threads] = knn_classify(train_feats, train_labels, test_feats, k=4)
+    want = results[1, 1]
+    assert want.shape == (num_test,)
+    for key, got in results.items():
+        assert got.dtype == want.dtype and np.array_equal(got, want), key
+
+
+def write_classify_inputs(directory):
+    """A 30-entity graph, its literals and node labels (20 train, 10 test) as TSV files."""
+    rng = np.random.default_rng(11)
+    entities = [f"e{i}" for i in range(30)]
+    paths = {name: str(directory / f"{name}.tsv")
+             for name in ("train", "valid", "test", "literals", "labels")}
+    triples = {(entities[h], f"r{r}", entities[t])
+               for h, r, t in zip(rng.integers(0, 30, 90), rng.integers(0, 3, 90), rng.integers(0, 30, 90))}
+    triples = sorted(triples)
+    splits = {"train": triples[:-10], "valid": triples[-10:-5], "test": triples[-5:]}
+    for name, rows in splits.items():
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.writelines(f"{h}\t{r}\t{t}\n" for h, r, t in rows)
+    with open(paths["literals"], "w", encoding="utf-8") as fh:
+        fh.writelines(f"{e}\tsize\t{rng.normal():.6f}\n" for e in entities)
+    with open(paths["labels"], "w", encoding="utf-8") as fh:
+        fh.writelines(f"{e}\tc{i % 3}\t{'train' if i < 20 else 'test'}\n" for i, e in enumerate(entities))
+    return paths
+
+
+def test_classify_knn_writes_the_same_files_on_one_and_two_threads(monkeypatch, tmp_path):
+    paths = write_classify_inputs(tmp_path)
+    artifact, checkpoint = str(tmp_path / "artifact"), str(tmp_path / "checkpoint")
+    assert main(["preprocess", "--train-path", paths["train"], "--valid-path", paths["valid"],
+                 "--test-path", paths["test"], "--literals-path", paths["literals"],
+                 "--artifact-dir", artifact]) == 0
+    assert main(["--seed", "0", "train", "--artifact-dir", artifact, "--checkpoint-dir", checkpoint,
+                 "--model", "distmult", "--dim-entity", "4", "--dim-relation", "4",
+                 "--epochs", "3"]) == 0
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 4 * 20)  # lane blocks of 2 rows: 10 test rows in 3 a lane
+    outputs = {}
+    for threads in (1, 2):
+        with_threads(monkeypatch, threads)
+        out = tmp_path / f"classify-{threads}"
+        assert main(["--seed", "0", "--output-dir", str(out), "classify", "--artifact-dir", artifact,
+                     "--checkpoint-dir", checkpoint, "--labels-path", paths["labels"],
+                     "--classifier", "knn", "--knn-k", "3"]) == 0
+        outputs[threads] = {name: (out / name).read_bytes()
+                            for name in ("predictions.tsv", "classification.json")}
+    assert outputs[1] == outputs[2]
+    assert outputs[1]["predictions.tsv"].count(b"\n") >= 10
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 23])
