@@ -27,7 +27,7 @@ from litrel.data import (  # noqa: E402
     load_literals,
     load_triples,
 )
-from litrel.errors import ConfigError, ParseError, ShapeError, TrainingError, ValidationError  # noqa: E402
+from litrel.errors import ConfigError, ParseError, TrainingError, ValidationError  # noqa: E402
 
 __version__ = "0.1.0"
 
@@ -40,6 +40,5 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "ConfigError",
-    "ShapeError",
     "TrainingError",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -27,7 +28,6 @@ from litrel import aggregation, training
 from litrel.data import KnowledgeGraph, build_graph, load_literals, load_triples, vocabulary_digests
 from litrel.downstream import (
     confusion_counts,
-    export_embeddings,
     knn_classify,
     load_labeled_nodes,
     micro_f1,
@@ -89,9 +89,7 @@ def apply_overrides(config: dict, args: argparse.Namespace) -> dict:
 
 
 def train_config_from(config: dict) -> TrainConfig:
-    cfg = TrainConfig(**{f.name: config[f.name] for f in dataclasses.fields(TrainConfig)})
-    cfg.validate()
-    return cfg
+    return TrainConfig(**{f.name: config[f.name] for f in dataclasses.fields(TrainConfig)})
 
 
 def echo_config(config: dict, directory: str) -> None:
@@ -243,8 +241,8 @@ def cmd_classify(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
         raise ConfigError("classify requires labels_path")
     state, _ = _load_checkpoint(config, graph, artifact_dir)
     labeled = load_labeled_nodes(config["labels_path"], graph)
-    train_feats = export_embeddings(state, labeled.train_nodes)
-    test_feats = export_embeddings(state, labeled.test_nodes)
+    train_feats = state.tables.entity[labeled.train_nodes]
+    test_feats = state.tables.entity[labeled.test_nodes]
     classifier = config["classifier"]
     if classifier == "knn":
         predictions = knn_classify(train_feats, labeled.train_labels, test_feats, k=config["knn_k"])
@@ -270,8 +268,12 @@ def cmd_classify(config: dict, train_cfg: TrainConfig, output_dir: str) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of the program and its commands; each key's flag comes from its :class:`Key`."""
+    """The parser of the program and its commands, built once per process.
+
+    Each key's flag comes from its :class:`Key`.
+    """
     parser = argparse.ArgumentParser(
         prog="litrel",
         description="Knowledge-graph embeddings with literal-enriched relations",

@@ -124,10 +124,7 @@ class KnowledgeGraph:
         return len(self.attributes)
 
     def split(self, name: str) -> np.ndarray:
-        try:
-            return {"train": self.train, "valid": self.valid, "test": self.test}[name]
-        except KeyError:
-            raise ValidationError(f"unknown split {name!r}") from None
+        return {"train": self.train, "valid": self.valid, "test": self.test}[name]
 
     def save(self, directory: str) -> None:
         os.makedirs(directory, exist_ok=True)

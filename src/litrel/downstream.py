@@ -81,16 +81,6 @@ def load_labeled_nodes(path: str, graph: KnowledgeGraph) -> LabeledNodes:
     )
 
 
-def export_embeddings(state, nodes) -> np.ndarray:
-    """Entity-embedding feature rows in the given node order."""
-    nodes = np.asarray(nodes, dtype=np.int64)
-    num_entities = state.tables.entity.shape[0]
-    bad = nodes[(nodes < 0) | (nodes >= num_entities)]
-    if bad.size:
-        raise ValidationError(f"unknown node indices: {bad.tolist()}")
-    return state.tables.entity[nodes].copy()
-
-
 def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
     """Majority vote over the k Euclidean-nearest training points.
 
@@ -126,7 +116,6 @@ def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
     train_feats = np.asarray(train_feats, dtype=np.float64)
     test_feats = np.asarray(test_feats, dtype=np.float64)
     train_labels = np.asarray(train_labels, dtype=np.int64)
-    _check_knn_inputs(train_feats, train_labels, test_feats)
     if train_feats.shape[0] == 0:
         raise ValidationError("empty training set")
     if not 1 <= k <= train_feats.shape[0]:
@@ -142,25 +131,6 @@ def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
 
     scoring.fan_out(lane, scoring.lane_blocks(test_feats.shape[0], train_feats.shape[0]))
     return predictions
-
-
-def _check_knn_inputs(train_feats, train_labels, test_feats) -> None:
-    feats = {"train": train_feats, "test": test_feats}
-    for name, rows in feats.items():
-        if rows.ndim != 2:
-            raise ValidationError(f"{name} features must be 2-D, got shape {rows.shape}")
-    if train_feats.shape[1] != test_feats.shape[1]:
-        raise ValidationError(
-            f"feature widths differ: train {train_feats.shape[1]}, test {test_feats.shape[1]}"
-        )
-    if train_labels.shape != (train_feats.shape[0],):
-        raise ValidationError(
-            f"expected {train_feats.shape[0]} train labels, got shape {train_labels.shape}"
-        )
-    for name, rows in feats.items():
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        if bad.size:
-            raise ValidationError(f"{name} feature row {bad[0]} is not finite")
 
 
 def _nearest(train_feats, train_sq, x, k):
@@ -220,11 +190,9 @@ class LinearSvm:
     weights: np.ndarray  # C x D
     biases: np.ndarray   # C
 
-    def decision(self, feats) -> np.ndarray:
-        return np.asarray(feats, dtype=np.float64) @ self.weights.T + self.biases
-
     def predict(self, feats) -> np.ndarray:
-        return np.argmax(self.decision(feats), axis=1).astype(np.int64)
+        scores = np.asarray(feats, dtype=np.float64) @ self.weights.T + self.biases
+        return np.argmax(scores, axis=1).astype(np.int64)
 
 
 def svm_train(train_feats, train_labels, seed: int) -> LinearSvm:
@@ -271,8 +239,6 @@ def micro_f1(predictions, gold) -> float:
     """Micro-averaged F1, which for single-label multi-class is the accuracy: correct / n."""
     predictions = np.asarray(predictions, dtype=np.int64)
     gold = np.asarray(gold, dtype=np.int64)
-    if predictions.shape != gold.shape:
-        raise ValidationError(f"length mismatch: {predictions.shape} vs {gold.shape}")
     if predictions.shape[0] == 0:
         raise ValidationError("empty prediction list")
     return int((predictions == gold).sum()) / predictions.shape[0]

@@ -18,9 +18,5 @@ class ConfigError(ValidationError):
     """Invalid or inconsistent run configuration."""
 
 
-class ShapeError(ValidationError):
-    """Operand dimensions do not match the configured model shapes."""
-
-
 class TrainingError(RuntimeError):
     """Numerical failure during optimization (divergence, non-finite loss)."""

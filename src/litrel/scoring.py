@@ -80,7 +80,6 @@ from dataclasses import dataclass
 import numpy as np
 
 import litrel
-from litrel.errors import ShapeError
 
 # Score entries per block: a B x |E| float64 score matrix stays at 2 MiB.
 BLOCK_SCORES = 1 << 18
@@ -352,8 +351,6 @@ class SimilarityBlocks:
 
     def forward(self, q: np.ndarray) -> np.ndarray:
         """B x |E| scores of the query rows ``q``: a view of the kernel's score buffer."""
-        if q.shape[0] > self.rows:
-            raise ShapeError(f"{q.shape[0]} query rows exceed the block of {self.rows}")
         entity, out = self.entity, self._scores[:q.shape[0]]
         if self.norm is None:
             return np.matmul(q, entity.T, out=out)

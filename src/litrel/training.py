@@ -57,7 +57,7 @@ from litrel.aggregation import (
     literal_vectors_backward,
 )
 from litrel.data import KnowledgeGraph
-from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
+from litrel.errors import ConfigError, TrainingError, ValidationError
 from litrel.kernels import NUM_STATS
 from litrel.scoring import EmbeddingTables
 from litrel.serialize import (array_fault, current, finite, load_arrays, load_json, replacing,
@@ -117,9 +117,9 @@ def _key(kind, default, bound=None, flag=("train",)):
     return field(default=default, metadata={"key": Key(kind, default, bound, flag)})
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Declarative description of one training run."""
+    """Declarative description of one training run; constructing an invalid one raises ConfigError."""
 
     model: str = _key(tuple(scoring.MODELS), "distmult")
     fusion: str = _key(("none", *fusion_mod.FUSIONS), "none")  # "none": vanilla
@@ -133,7 +133,7 @@ class TrainConfig:
     seed: int = _key("int", 0, ">= 0", flag=("litrel",))
     valid_every: int = _key("int", 0, ">= 0", flag=())  # 0 disables periodic validation MRR
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             f.metadata["key"].check(f.name, getattr(self, f.name))
         if self.model in ("complex", "rotate") and self.dim_entity % 2:
@@ -169,9 +169,6 @@ class Optimizer:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Update ``params`` in place from ``grads``, whose arrays it consumes."""
         self.step_count += 1
-        for name, p in params.items():
-            if grads[name].shape != p.shape:
-                raise TrainingError(f"gradient shape mismatch for {name}: {grads[name].shape} vs {p.shape}")
         if self.kind == "sgd":
             for name, p in params.items():
                 g = grads[name]
@@ -288,16 +285,15 @@ class ModelState:
         np.add.at(grads["relation"], relations, d_rows.reshape(d_r_lit.shape))
 
 
-def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles=None) -> ModelState:
+def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles) -> ModelState:
     """Allocate and initialize all trainable tensors for a run.
 
     ``profiles`` is the ``(u_head, u_tail)`` pair of
     :func:`litrel.aggregation.build_profiles`, built from ``graph`` when
-    not given; a vanilla model keeps none.  Draws from the seed's stream
+    None; a vanilla model keeps none.  Draws from the seed's stream
     in a fixed order: entity rows, relation rows, the TuckER core, the
     fusion block, the learnable-aggregation weights.
     """
-    config.validate()
     if not config.fusion_enabled:
         profiles = None
     elif graph.num_attributes == 0:
@@ -352,10 +348,8 @@ class Workspace:
         self.partials = [self.grads["entity"]] + [np.empty_like(entity) for _ in self.lanes[1:]]
         self.scratch = scoring.Scratch()
 
-    def begin(self, state: ModelState) -> None:
-        """Make the buffers ready for a call on ``state``."""
-        if self.lanes[0].entity is not state.tables.entity:
-            raise ShapeError("the workspace was built for another model state")
+    def begin(self) -> None:
+        """Make the buffers ready for a loss call."""
         for grad in self.grads.values():
             grad.fill(0.0)
         for partial in self.partials[1:]:
@@ -386,7 +380,7 @@ def _lane_loss(blocks, d_entity, lane, q, targets, d_q, inv_n) -> float:
     return total
 
 
-def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspace | None = None):
+def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspace):
     """Mean per-triple loss (tail-side CE + head-side CE) and its gradients.
 
     One fusion call builds the ``r_lit`` rows of the batch's distinct
@@ -399,20 +393,15 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     are summed in lane order.  The per-row ``r_lit`` gradients are
     summed per relation with one scatter-add for one fusion backward.
 
-    ``workspace``, a :class:`Workspace` of ``state``, holds the buffers;
-    a new one is made when not given.
+    ``workspace``, a :class:`Workspace` of ``state``, holds the buffers.
     Returns ``(loss, grads)`` where grads maps parameter names to arrays
     matching :meth:`ModelState.parameters`; they are the workspace's, so
     the next call with the same workspace overwrites them.  A non-finite
     loss or gradient raises :class:`TrainingError`.
     """
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
-    if batch.shape[0] == 0:
-        raise ConfigError("empty batch")
     n = batch.shape[0]
-    if workspace is None:
-        workspace = Workspace(state)
-    workspace.begin(state)
+    workspace.begin()
     model = state.model
     tables = state.tables
     grads = workspace.grads
@@ -521,7 +510,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
 # --- checkpointing ------------------------------------------------------
 
 
-def save_checkpoint(state: ModelState, history: dict, directory: str, config: dict | None = None) -> None:
+def save_checkpoint(state: ModelState, history: dict, directory: str, config: dict) -> None:
     """Write the model that inference scores with, so that an interruption leaves a valid checkpoint.
 
     ``params/`` holds the entity table, the fused relation rows (the
@@ -541,8 +530,7 @@ def save_checkpoint(state: ModelState, history: dict, directory: str, config: di
         save_json(os.path.join(tmp, "checkpoint.json"), meta)
         save_arrays(os.path.join(tmp, "params"), params)
         save_json(os.path.join(tmp, "history.json"), history)
-        if config is not None:
-            save_json(os.path.join(tmp, "config.json"), config)
+        save_json(os.path.join(tmp, "config.json"), config)
 
 
 def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
@@ -577,7 +565,6 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
     if missing:
         raise ConfigError(f"{directory}: checkpoint config lacks keys: {sorted(missing)}")
     config = TrainConfig(**meta["config"])
-    config.validate()
     stored = load_arrays(os.path.join(directory, "params"))
     d_e, d_r = config.dim_entity, config.dim_relation
     shapes = {"entity": ("|E|", d_e), "relation": ("|R|", d_r), "core": (d_e, d_r, d_e)}

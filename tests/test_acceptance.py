@@ -26,7 +26,7 @@ from litrel.evaluation import (
 )
 from litrel.kernels import STAT_NAMES
 from litrel.scoring import Scratch
-from litrel.training import TrainConfig, init_state, symmetric_lcwa_loss, train
+from litrel.training import TrainConfig, Workspace, init_state, symmetric_lcwa_loss, train
 
 
 @contextlib.contextmanager
@@ -48,8 +48,8 @@ GRAD_DIMS = {  # (dim_entity, dim_relation) honoring each model's constraint
 
 
 def finite_difference_check(graph, config, batch, tol=1e-4):
-    state = init_state(graph, config)
-    _, grads = symmetric_lcwa_loss(batch, state)
+    state = init_state(graph, config, None)
+    _, grads = symmetric_lcwa_loss(batch, state, Workspace(state))
     params = state.parameters()
     h = 1e-6
     worst = 0.0
@@ -59,9 +59,9 @@ def finite_difference_check(graph, config, batch, tol=1e-4):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            plus, _ = symmetric_lcwa_loss(batch, state)
+            plus, _ = symmetric_lcwa_loss(batch, state, Workspace(state))
             flat[i] = orig - h
-            minus, _ = symmetric_lcwa_loss(batch, state)
+            minus, _ = symmetric_lcwa_loss(batch, state, Workspace(state))
             flat[i] = orig
             numeric = (plus - minus) / (2 * h)
             scale = max(1e-5, abs(numeric), abs(analytic[i]))
@@ -105,7 +105,7 @@ def test_criterion_2_parameter_audit(rng):
                 for agg in ("mean", "learnable"):
                     config = TrainConfig(model="distmult", fusion=fusion, aggregation=agg,
                                          dim_entity=dim, dim_relation=dim)
-                    state = init_state(graph, config)
+                    state = init_state(graph, config, None)
                     learnable = agg == "learnable"
                     if fusion == "linear":
                         expected = dim * dim + 2 * attrs * dim + dim
@@ -203,7 +203,7 @@ def test_criterion_4_ranking_oracle(monkeypatch):
             )
             config = TrainConfig(model="distmult", dim_entity=4, dim_relation=4,
                                  seed=int(rng.integers(100)))
-            state = init_state(graph, config)
+            state = init_state(graph, config, None)
             # round scores' inputs to force ties occasionally
             state.tables.entity[...] = np.round(state.tables.entity, 1)
             state.tables.relation[...] = np.round(state.tables.relation, 1)
@@ -213,7 +213,7 @@ def test_criterion_4_ranking_oracle(monkeypatch):
             # the whole split in one block, then blocks of 2 rows
             for block_scores in (scoring.BLOCK_SCORES, 2 * graph.num_entities):
                 monkeypatch.setattr(scoring, "BLOCK_SCORES", block_scores)
-                ranks = rank_triples(state, graph, triples)
+                ranks = rank_triples(state, graph, triples, "realistic")
                 # the oracle reads the very blocks the ranker scored: input order, spanning relations
                 for rows in sum(scoring.lane_blocks(triples.shape[0], graph.num_entities), []):
                     start, block = rows.start, triples[rows]
@@ -284,18 +284,18 @@ def test_criterion_5_synthetic_correlation_benefit():
 def test_criterion_6_ablation_equivalence(toy_graph):
     with criterion(6, "switched-off gate reproduces vanilla"):
         base = TrainConfig(model="distmult", dim_entity=6, dim_relation=6, seed=5)
-        vanilla = init_state(toy_graph, base)
+        vanilla = init_state(toy_graph, base, None)
         gated_cfg = TrainConfig(model="distmult", fusion="gated", aggregation="mean",
                                 dim_entity=6, dim_relation=6, seed=5)
-        gated = init_state(toy_graph, gated_cfg)
+        gated = init_state(toy_graph, gated_cfg, None)
         gated.tables.entity[...] = vanilla.tables.entity
         gated.tables.relation[...] = vanilla.tables.relation
         block = gated.fusion
         block.gate[...] = 0.0
         block.gate_bias[...] = -30.0
         for triple in toy_graph.train:
-            l_v, _ = symmetric_lcwa_loss(triple[None, :], vanilla)
-            l_g, _ = symmetric_lcwa_loss(triple[None, :], gated)
+            l_v, _ = symmetric_lcwa_loss(triple[None, :], vanilla, Workspace(vanilla))
+            l_g, _ = symmetric_lcwa_loss(triple[None, :], gated, Workspace(gated))
             assert abs(l_v - l_g) <= 1e-6
 
 
@@ -307,7 +307,7 @@ def test_criterion_7_grouped_report_identity(rng):
                              triples_per_relation=8)
         graph.test = graph.train[:8].copy()
         config = TrainConfig(model="distmult", dim_entity=6, dim_relation=6, seed=2)
-        state = init_state(graph, config)
+        state = init_state(graph, config, None)
         for grouping in (
             group_by_frequency(graph, threshold_count=5),
             group_by_correlation(graph, threshold=0.2),

@@ -8,7 +8,9 @@ called by the language and are exempt.  A key of ``litrel.cli.KEYS``
 either has a command-line flag or is set by name, as a keyword argument
 or a dict key, in ``scripts/`` or ``pipebench/``: a key that only a
 config file reaches is code that no run needs.  A module under ``src/``
-or ``scripts/`` uses every name it imports.
+or ``scripts/`` uses every name it imports.  No default of a function
+is passed by every call of that function's name: such a default is a
+branch that only tests take.
 """
 
 import ast
@@ -93,3 +95,69 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = [entry for d in ("src", "scripts") for path in sorted((ROOT / d).rglob("*.py"))
               for entry in unused_imports(path)]
     assert unused == [], f"imported and never used: {unused}"
+
+
+def defaulted_parameters(path):
+    """``(function, parameter, position)`` of every defaulted parameter; keyword-only ones have no position.
+
+    A method's position counts from its first argument after ``self``.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and "staticmethod" not in (getattr(d, "id", None) for d in node.decorator_list)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args][id(node) in methods:]
+            first = len(positional) - len(args.defaults)
+            for position, name in enumerate(positional[first:], first):
+                yield node.name, name, position
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def calls_by_name(paths):
+    """Every call, under the name it calls: ``f(...)`` and ``x.f(...)`` both under ``f``."""
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def passes(call, parameter, position):
+    """Whether ``call`` passes ``parameter``; a ``*args`` or ``**kwargs`` call may, so it counts."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return (position is not None and len(call.args) > position) or parameter in (k.arg for k in call.keywords)
+
+
+def defaults_every_caller_passes(root):
+    calls = calls_by_name(p for d in CALLER_DIRS for p in (root / d).rglob("*.py"))
+    return [f"{path.stem}.{function}({parameter})"
+            for path in sorted((root / "src" / "litrel").glob("*.py"))
+            for function, parameter, position in defaulted_parameters(path)
+            if calls.get(function) and all(passes(c, parameter, position) for c in calls[function])]
+
+
+def test_the_default_guard_counts_positional_keyword_and_star_calls(tmp_path):
+    (tmp_path / "src" / "litrel").mkdir(parents=True)
+    (tmp_path / "src" / "litrel" / "m.py").write_text(
+        "class C:\n    def f(self, a, b=1, *, c=2):\n        pass\n\n"
+        "def g(a, b=1):\n    pass\n")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "pipebench").mkdir()
+    user = tmp_path / "scripts" / "user.py"
+    user.write_text("C().f(0, 1, c=2)\nC().f(*xs, **kw)\ng(0, b=1)\n")
+    assert sorted(defaults_every_caller_passes(tmp_path)) == ["m.f(b)", "m.f(c)", "m.g(b)"]
+    user.write_text("C().f(0, c=2)\ng(0, 1)\ng(0)\n")
+    assert defaults_every_caller_passes(tmp_path) == ["m.f(c)"]
+
+
+def test_no_default_is_passed_by_every_caller():
+    passed = defaults_every_caller_passes(ROOT)
+    assert passed == [], f"defaults that every call outside tests/ passes, so only tests take them: {passed}"

@@ -370,6 +370,14 @@ class TestTrainEvaluateClassify:
             "--checkpoint-dir", pipeline["checkpoint"],
         ])
 
+    def infer(self, pipeline, dataset, command):
+        """Run ``evaluate`` or ``classify`` on the pipeline's artifact and checkpoint."""
+        args = ["--output-dir", str(pipeline["tmp"] / "out"), command,
+                "--artifact-dir", pipeline["artifact"], "--checkpoint-dir", pipeline["checkpoint"]]
+        if command == "classify":
+            args += ["--labels-path", dataset["labels"]]
+        return main(args)
+
     @pytest.mark.parametrize("version", [99, 3, 4, 5])
     def test_unknown_checkpoint_version_is_config_error(self, pipeline, capsys, version):
         # version 3 stored the fusion block and the profiles instead of the fused relation rows;
@@ -446,6 +454,7 @@ class TestTrainEvaluateClassify:
         assert "relation has shape (2, 7), expected (|R|, 8)" in err
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "classify"])
     @pytest.mark.parametrize("corrupt, message", [
         pytest.param(lambda a: np.where(a == a.max(), np.nan, a), "entity holds a non-finite value",
                      id="nan"),
@@ -453,10 +462,12 @@ class TestTrainEvaluateClassify:
         pytest.param(lambda a: a.astype(np.float32), "entity has dtype float32, expected float64",
                      id="float32"),
     ])
-    def test_corrupt_parameter_array_is_config_error(self, pipeline, capsys, corrupt, message):
+    def test_corrupt_parameter_array_is_config_error(self, pipeline, dataset, capsys, command,
+                                                     corrupt, message):
+        # load_checkpoint is the only check of the entity rows that KNN and the SVM read
         path = os.path.join(pipeline["checkpoint"], "params", "entity.npy")
         np.save(path, corrupt(np.load(path)))
-        assert self.evaluate(pipeline) == 1
+        assert self.infer(pipeline, dataset, command) == 1
         err = capsys.readouterr().err
         assert f"{pipeline['checkpoint']}: parameter {message}" in err
         assert "internal error" not in err
@@ -468,11 +479,7 @@ class TestTrainEvaluateClassify:
                                                      table, name, kept, size):
         path = os.path.join(pipeline["checkpoint"], "params", table + ".npy")
         np.save(path, np.load(path)[:kept])
-        args = ["--output-dir", str(pipeline["tmp"] / "out"), command,
-                "--artifact-dir", pipeline["artifact"], "--checkpoint-dir", pipeline["checkpoint"]]
-        if command == "classify":
-            args += ["--labels-path", dataset["labels"]]
-        assert main(args) == 1
+        assert self.infer(pipeline, dataset, command) == 1
         err = capsys.readouterr().err
         assert (f"checkpoint {pipeline['checkpoint']} has rows for {kept} {name}, "
                 f"but artifact {pipeline['artifact']} has {size}") in err
@@ -765,6 +772,17 @@ class TestConfigPrecedence:
         assert echoed["model"] == "distmult"
         assert echoed["epochs"] == 1
 
+    def test_a_flag_does_not_outlive_its_command(self, dataset, tmp_path):
+        """The parser is built once per process; a flag of one ``main`` call is not the next one's."""
+        artifact = str(tmp_path / "artifact")
+        assert preprocess(dataset, artifact) == 0
+        for checkpoint, epochs in (("first", ["--epochs", "3"]), ("second", [])):
+            assert main(["train", "--artifact-dir", artifact, "--checkpoint-dir", str(tmp_path / checkpoint),
+                         "--dim-entity", "4", "--dim-relation", "4", *epochs]) == 0
+        assert build_parser() is build_parser()
+        for checkpoint, epochs in (("first", 3), ("second", KEYS["epochs"].default)):
+            assert json.loads(Path(tmp_path, checkpoint, "config.json").read_text())["epochs"] == epochs
+
     @pytest.mark.parametrize("content, message", [
         ('5', "does not hold a JSON object"),
         ('["epochs"]', "does not hold a JSON object"),
@@ -985,7 +1003,7 @@ class TestKeyTable:
     def test_every_default_passes_its_key(self):
         for name, key in KEYS.items():
             key.check(name, key.default)
-        TrainConfig().validate()
+        TrainConfig()
         assert len(KEYS) == 23
 
     def test_flags_are_unchanged(self):

@@ -13,14 +13,12 @@ from litrel.downstream import (
     SVM_REG,
     LinearSvm,
     confusion_counts,
-    export_embeddings,
     knn_classify,
     load_labeled_nodes,
     micro_f1,
     svm_train,
 )
 from litrel.errors import ParseError, ValidationError
-from litrel.training import TrainConfig, init_state
 
 
 def svm_hinge_loss(model, feats, labels, reg):
@@ -169,24 +167,6 @@ class TestLoadLabeledNodes:
             load_labeled_nodes(str(path), toy_graph)
 
 
-class TestExportEmbeddings:
-    def test_row_order_matches_nodes(self, toy_graph):
-        state = init_state(toy_graph, TrainConfig(dim_entity=6, dim_relation=6))
-        nodes = [2, 0, 1]
-        feats = export_embeddings(state, nodes)
-        np.testing.assert_array_equal(feats, state.tables.entity[[2, 0, 1]])
-
-    def test_copy_not_view(self, toy_graph):
-        state = init_state(toy_graph, TrainConfig(dim_entity=6, dim_relation=6))
-        feats = export_embeddings(state, [0])
-        feats[...] = 0.0
-        assert not np.all(state.tables.entity[0] == 0.0)
-
-    def test_out_of_range_rejected(self, toy_graph):
-        state = init_state(toy_graph, TrainConfig(dim_entity=6, dim_relation=6))
-        with pytest.raises(ValidationError):
-            export_embeddings(state, [0, 999])
-
 
 class TestKnn:
     def test_k1_exact_match(self):
@@ -245,20 +225,6 @@ class TestKnn:
                 preds = knn_classify(train_feats, train_labels, test_feats, k)
                 expected = [brute_force_knn(train_feats, train_labels, x, k) for x in test_feats]
                 assert preds.tolist() == expected, k
-
-    @pytest.mark.parametrize("train, labels, test, message", [
-        (np.zeros(3), np.zeros(3), np.zeros((1, 1)), "train features must be 2-D"),
-        (np.zeros((3, 2)), np.zeros(3), np.zeros(2), "test features must be 2-D"),
-        (np.zeros((3, 2)), np.zeros(3), np.zeros((1, 3)), "feature widths differ: train 2, test 3"),
-        (np.zeros((3, 2)), np.zeros(2), np.zeros((1, 2)), "expected 3 train labels"),
-        (np.array([[0.0, 0.0], [0.0, np.nan], [np.inf, 0.0]]), np.zeros(3), np.zeros((1, 2)),
-         "train feature row 1 is not finite"),
-        (np.zeros((3, 2)), np.zeros(3), np.array([[0.0, 0.0], [0.0, 0.0], [-np.inf, 0.0]]),
-         "test feature row 2 is not finite"),
-    ])
-    def test_malformed_inputs_rejected(self, train, labels, test, message):
-        with pytest.raises(ValidationError, match=message):
-            knn_classify(train, labels.astype(np.int64), test, k=1)
 
 
 class TestSvm:
@@ -332,10 +298,6 @@ class TestMicroF1:
 
     def test_all_wrong(self):
         assert micro_f1([0, 0], [1, 1]) == 0.0
-
-    def test_mismatched_length(self):
-        with pytest.raises(ValidationError):
-            micro_f1([0], [0, 1])
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -22,7 +22,7 @@ from litrel import scoring
 from litrel.cli import main
 from litrel.downstream import knn_classify
 from litrel.evaluation import rank_triples
-from litrel.training import TrainConfig, init_state, symmetric_lcwa_loss
+from litrel.training import TrainConfig, Workspace, init_state, symmetric_lcwa_loss
 
 # model kind: (dim_entity, dim_relation)
 MODEL_DIMS = {
@@ -40,11 +40,11 @@ def make_state(model, fusion, num_entities=8, seed=3):
                          num_attributes=3, triples_per_relation=6)
     config = TrainConfig(model=model, fusion=fusion, dim_entity=dim_entity, dim_relation=dim_relation,
                          seed=seed)
-    return graph, init_state(graph, config)
+    return graph, init_state(graph, config, None)
 
 
 def loss_and_grads(batch, state):
-    loss, grads = symmetric_lcwa_loss(batch, state)
+    loss, grads = symmetric_lcwa_loss(batch, state, Workspace(state))
     return loss, {name: grad.copy() for name, grad in grads.items()}
 
 
@@ -82,7 +82,7 @@ def test_threads_give_bit_identical_loss_gradients_and_ranks(monkeypatch, model)
     for threads in (1, 2):
         with_threads(monkeypatch, threads)
         loss, grads = loss_and_grads(graph.train[:7], state)
-        results.append((loss, grads, rank_triples(state, graph, graph.train)))
+        results.append((loss, grads, rank_triples(state, graph, graph.train, "realistic")))
     (loss, grads, ranks), (want_loss, want, want_ranks) = results
     assert loss == want_loss
     for name, grad in want.items():
@@ -96,17 +96,17 @@ def test_two_lane_tucker_ranks_equal_serial_ranks(monkeypatch):
     graph = random_graph(np.random.default_rng(5), num_entities=40, num_relations=4,
                          num_attributes=3, triples_per_relation=40)
     state = init_state(graph, TrainConfig(model="tucker", fusion="linear", dim_entity=16,
-                                          dim_relation=16, seed=11))
+                                          dim_relation=16, seed=11), None)
     triples = np.concatenate([graph.train] * 4)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 64 * graph.num_entities)
     with_threads(monkeypatch, 1)
-    serial = rank_triples(state, graph, triples)
+    serial = rank_triples(state, graph, triples, "realistic")
     with_threads(monkeypatch, 2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(10):
-            assert np.array_equal(rank_triples(state, graph, triples), serial)
+            assert np.array_equal(rank_triples(state, graph, triples, "realistic"), serial)
     finally:
         sys.setswitchinterval(interval)
 
@@ -120,7 +120,7 @@ def test_more_threads_than_cores_under_a_short_switch_interval(monkeypatch):
     feats, labels = state.tables.entity, np.arange(graph.num_entities) % 3
     with_threads(monkeypatch, 1)
     want_loss, want = loss_and_grads(graph.train, state)
-    want_ranks = rank_triples(state, graph, graph.train)
+    want_ranks = rank_triples(state, graph, graph.train, "realistic")
     want_knn = knn_classify(feats[:20], labels[:20], feats, k=3)
     with_threads(monkeypatch, 4)
     interval = sys.getswitchinterval()
@@ -131,7 +131,7 @@ def test_more_threads_than_cores_under_a_short_switch_interval(monkeypatch):
             assert loss == want_loss
             for name, grad in want.items():
                 assert np.array_equal(grads[name], grad), name
-            assert np.array_equal(rank_triples(state, graph, graph.train), want_ranks)
+            assert np.array_equal(rank_triples(state, graph, graph.train, "realistic"), want_ranks)
             assert np.array_equal(knn_classify(feats[:20], labels[:20], feats, k=3), want_knn)
     finally:
         sys.setswitchinterval(interval)

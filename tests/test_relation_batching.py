@@ -15,7 +15,7 @@ from conftest import random_graph
 from litrel import scoring
 from litrel.fusion import LinearFusion
 from litrel.kernels import STAT_NAMES
-from litrel.training import TrainConfig, init_state, symmetric_lcwa_loss
+from litrel.training import TrainConfig, Workspace, init_state, symmetric_lcwa_loss
 
 DIMS = {"transe": (6, 6), "distmult": (6, 6), "complex": (6, 6), "rotate": (6, 3), "tucker": (6, 4)}
 
@@ -174,13 +174,13 @@ def test_batched_loss_matches_per_relation_loop(model, fusion, aggregation):
                          triples_per_relation=6)
     dim_entity, dim_relation = DIMS[model]
     state = init_state(graph, TrainConfig(model=model, fusion=fusion, aggregation=aggregation,
-                                          dim_entity=dim_entity, dim_relation=dim_relation, seed=3))
+                                          dim_entity=dim_entity, dim_relation=dim_relation, seed=3), None)
     if state.learnable_aggregation:
         state.agg_bias[...] = 0.3
     if fusion == "gated":
         state.fusion.gate_bias[...] = rng.normal(size=state.fusion.gate_bias.shape)
     for name, batch in batches(graph).items():
-        loss, grads = symmetric_lcwa_loss(batch, state)
+        loss, grads = symmetric_lcwa_loss(batch, state, Workspace(state))
         want_loss, want = reference_loss(batch, state)
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), name
         assert set(grads) == set(want)

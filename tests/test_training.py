@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from litrel import evaluation, scoring, training
 from litrel import fusion as fusion_mod
 from litrel.data import build_graph
-from litrel.errors import ConfigError, ShapeError, TrainingError, ValidationError
+from litrel.errors import ConfigError, TrainingError, ValidationError
 from litrel.training import Optimizer, TrainConfig, symmetric_lcwa_loss, train
 
 
@@ -42,42 +42,42 @@ def small_graph():
 class TestConfigValidation:
     def test_odd_dims_rejected_for_complex(self):
         with pytest.raises(ConfigError, match="even"):
-            make_config(model="complex", dim_entity=5, dim_relation=5).validate()
+            make_config(model="complex", dim_entity=5, dim_relation=5)
 
     def test_rotate_phase_dimension(self):
-        make_config(model="rotate", dim_entity=6, dim_relation=3).validate()
+        make_config(model="rotate", dim_entity=6, dim_relation=3)
         with pytest.raises(ConfigError, match="phase"):
-            make_config(model="rotate", dim_entity=6, dim_relation=6).validate()
+            make_config(model="rotate", dim_entity=6, dim_relation=6)
 
     def test_unknown_model(self):
         with pytest.raises(ConfigError):
-            make_config(model="conve").validate()
+            make_config(model="conve")
 
     @pytest.mark.parametrize("key, value", [("seed", -1), ("valid_every", -1)])
     def test_negative_seed_and_valid_every_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be >= 0, got {value}"):
-            make_config(**{key: value}).validate()
-        make_config(**{key: 0}).validate()
+            make_config(**{key: value})
+        make_config(**{key: 0})
 
 
 class TestLoss:
     def test_single_entity_zero_loss(self):
         graph = build_graph([("only", "r", "only")], [], [], [])
-        state = training.init_state(graph, make_config(dim_entity=4, dim_relation=4))
-        loss, _ = symmetric_lcwa_loss(graph.train, state)
+        state = training.init_state(graph, make_config(dim_entity=4, dim_relation=4), None)
+        loss, _ = symmetric_lcwa_loss(graph.train, state, training.Workspace(state))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_two_entities_equal_scores(self):
         graph = build_graph([("a", "r", "b")], [], [], [])
-        state = training.init_state(graph, make_config(dim_entity=4, dim_relation=4))
+        state = training.init_state(graph, make_config(dim_entity=4, dim_relation=4), None)
         state.tables.entity[...] = 1.0  # identical rows -> uniform softmax
-        loss, _ = symmetric_lcwa_loss(graph.train, state)
+        loss, _ = symmetric_lcwa_loss(graph.train, state, training.Workspace(state))
         assert loss == pytest.approx(2 * np.log(2), abs=1e-12)
 
     def test_matches_independent_softmax_ce(self, small_graph):
-        state = training.init_state(small_graph, make_config())
+        state = training.init_state(small_graph, make_config(), None)
         batch = small_graph.train[:3]
-        loss, _ = symmetric_lcwa_loss(batch, state)
+        loss, _ = symmetric_lcwa_loss(batch, state, training.Workspace(state))
         expected = 0.0
         for h, r, t in batch:
             r_lit = state.tables.relation[r]
@@ -90,26 +90,21 @@ class TestLoss:
 
     def test_loss_non_negative(self, small_graph, rng):
         for seed in range(3):
-            state = training.init_state(small_graph, make_config(seed=seed, fusion="linear"))
-            loss, _ = symmetric_lcwa_loss(small_graph.train, state)
+            state = training.init_state(small_graph, make_config(seed=seed, fusion="linear"), None)
+            loss, _ = symmetric_lcwa_loss(small_graph.train, state, training.Workspace(state))
             assert loss >= 0.0
 
-    def test_empty_batch_rejected(self, small_graph):
-        state = training.init_state(small_graph, make_config())
-        with pytest.raises(ConfigError):
-            symmetric_lcwa_loss(np.zeros((0, 3), dtype=np.int64), state)
-
     def test_gated_off_equals_vanilla(self, small_graph):
-        vanilla = training.init_state(small_graph, make_config())
-        gated = training.init_state(small_graph, make_config(fusion="gated"))
+        vanilla = training.init_state(small_graph, make_config(), None)
+        gated = training.init_state(small_graph, make_config(fusion="gated"), None)
         gated.tables.entity[...] = vanilla.tables.entity
         gated.tables.relation[...] = vanilla.tables.relation
         block = gated.fusion
         block.gate[...] = 0
         block.gate_bias[...] = -30.0
         for triple in small_graph.train:
-            l_vanilla, _ = symmetric_lcwa_loss(triple[None, :], vanilla)
-            l_gated, _ = symmetric_lcwa_loss(triple[None, :], gated)
+            l_vanilla, _ = symmetric_lcwa_loss(triple[None, :], vanilla, training.Workspace(vanilla))
+            l_gated, _ = symmetric_lcwa_loss(triple[None, :], gated, training.Workspace(gated))
             assert l_gated == pytest.approx(l_vanilla, abs=1e-6)
 
 
@@ -118,13 +113,13 @@ class TestLoss:
     ])
     def test_blocks_split_inside_a_relation_group(self, small_graph, monkeypatch, model, dim_relation):
         state = training.init_state(small_graph, make_config(
-            model=model, dim_relation=dim_relation, fusion="gated", aggregation="learnable"))
+            model=model, dim_relation=dim_relation, fusion="gated", aggregation="learnable"), None)
         # repeated triples give repeated anchors inside one block
         batch = np.concatenate([small_graph.train, small_graph.train[:3]])
-        whole_loss, whole = symmetric_lcwa_loss(batch, state)
+        whole_loss, whole = symmetric_lcwa_loss(batch, state, training.Workspace(state))
         for rows_per_block in (1, 2, 3):
             monkeypatch.setattr(scoring, "BLOCK_SCORES", rows_per_block * small_graph.num_entities)
-            loss, grads = symmetric_lcwa_loss(batch, state)
+            loss, grads = symmetric_lcwa_loss(batch, state, training.Workspace(state))
             assert abs(loss - whole_loss) <= 1e-12 * abs(whole_loss)
             for name, grad in grads.items():
                 assert np.abs(grad - whole[name]).max() <= 1e-12 * np.abs(whole[name]).max()
@@ -132,20 +127,20 @@ class TestLoss:
 
 class TestNonFiniteGuard:
     def test_non_finite_gradient_names_parameter(self, small_graph):
-        state = training.init_state(small_graph, make_config())
+        state = training.init_state(small_graph, make_config(), None)
         a, s, c = small_graph.entities["a"], small_graph.relations["s"], small_graph.entities["c"]
         state.tables.entity[a, 0] = 1e200
         state.tables.relation[s, 0] = 1e-200
         # the scores and the loss stay finite, but the relation gradient d_q * e_a overflows
         with np.errstate(over="ignore"):
             with pytest.raises(TrainingError, match="non-finite gradient for parameter relation"):
-                symmetric_lcwa_loss(np.array([[a, s, c]]), state)
+                symmetric_lcwa_loss(np.array([[a, s, c]]), state, training.Workspace(state))
 
     def test_non_finite_update_names_parameter(self, small_graph):
         config = make_config(learning_rate=1e308)
-        state = training.init_state(small_graph, config)
+        state = training.init_state(small_graph, config, None)
         optimizer = Optimizer(config.optimizer, config.learning_rate)
-        _, grads = symmetric_lcwa_loss(small_graph.train, state)
+        _, grads = symmetric_lcwa_loss(small_graph.train, state, training.Workspace(state))
         training.optimizer_step(optimizer, grads, state)  # each Adam step moves a parameter by ~1e308
         with np.errstate(over="ignore"), pytest.raises(TrainingError, match="parameter entity is non-finite"):
             training.optimizer_step(optimizer, grads, state)
@@ -212,11 +207,6 @@ class TestOptimizer:
             tracemalloc.stop()
         assert peak < params["entity"].nbytes // 4
 
-    def test_shape_mismatch_rejected(self):
-        for kind in ("sgd", "adam"):
-            with pytest.raises(TrainingError, match="gradient shape mismatch for p"):
-                Optimizer(kind, 0.1).step({"p": np.zeros(2)}, {"p": np.zeros(1)})
-
 
 GUARD_GRAPH = build_graph(
     [("a", "r", "b"), ("b", "r", "c"), ("c", "s", "a")], [], [],
@@ -229,7 +219,7 @@ GUARD_GRAPH = build_graph(
        bad=st.sampled_from([np.nan, np.inf, -np.inf]))
 def test_non_finite_guard_flags_any_position(name_index, position, bad):
     state = training.init_state(GUARD_GRAPH, make_config(fusion="gated", aggregation="learnable",
-                                                        optimizer="sgd"))
+                                                        optimizer="sgd"), None)
     params = state.parameters()
     name = list(params)[name_index % len(params)]
     params[name].reshape(-1)[position % params[name].size] = bad
@@ -239,7 +229,7 @@ def test_non_finite_guard_flags_any_position(name_index, position, bad):
 
 class TestParameterCounts:
     def test_vanilla_has_base_count(self, small_graph):
-        state = training.init_state(small_graph, make_config())
+        state = training.init_state(small_graph, make_config(), None)
         assert state.parameter_count() == base_parameter_count(state)
         assert base_parameter_count(state) == (
             small_graph.num_entities * 6 + small_graph.num_relations * 6
@@ -249,7 +239,7 @@ class TestParameterCounts:
     @pytest.mark.parametrize("aggregation", ["mean", "learnable"])
     def test_fusion_delta_matches_formula(self, small_graph, fusion_kind, aggregation):
         state = training.init_state(
-            small_graph, make_config(fusion=fusion_kind, aggregation=aggregation)
+            small_graph, make_config(fusion=fusion_kind, aggregation=aggregation), None
         )
         delta = state.parameter_count() - base_parameter_count(state)
         attrs = small_graph.num_attributes
@@ -258,14 +248,14 @@ class TestParameterCounts:
 
     def test_tucker_core_registered(self, small_graph):
         state = training.init_state(
-            small_graph, make_config(model="tucker", dim_entity=4, dim_relation=3)
+            small_graph, make_config(model="tucker", dim_entity=4, dim_relation=3), None
         )
         assert state.tables.core.shape == (4, 3, 4)
         assert state.parameter_count() == base_parameter_count(state)
 
     def test_complex_shared_fusion_counts_once(self, small_graph):
         shared = training.init_state(
-            small_graph, make_config(model="complex", fusion="linear")
+            small_graph, make_config(model="complex", fusion="linear"), None
         )
         block_scalars = 3 * 3 + 2 * small_graph.num_attributes * 3 + 3
         assert shared.parameter_count() - base_parameter_count(shared) == block_scalars
@@ -310,7 +300,7 @@ class TestWorkspace:
         monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * small_graph.num_entities)
         config = make_config(model=model, dim_relation=MODEL_DIMS[model], fusion=fusion_kind,
                              aggregation=aggregation, optimizer=optimizer)
-        reused, fresh = training.init_state(small_graph, config), training.init_state(small_graph, config)
+        reused, fresh = (training.init_state(small_graph, config, None) for _ in range(2))
         optimizers = Optimizer(optimizer, 0.05), Optimizer(optimizer, 0.05)
         workspace = training.Workspace(reused)
         rng = np.random.default_rng(1)
@@ -319,7 +309,7 @@ class TestWorkspace:
             for start in (0, 4):  # batches of 4 and 2 triples
                 batch = small_graph.train[perm[start:start + 4]]
                 got_loss, got = symmetric_lcwa_loss(batch, reused, workspace)
-                want_loss, want = symmetric_lcwa_loss(batch, fresh)
+                want_loss, want = symmetric_lcwa_loss(batch, fresh, training.Workspace(fresh))
                 assert got_loss == want_loss
                 assert got.keys() == want.keys()
                 for name, grad in want.items():
@@ -328,12 +318,6 @@ class TestWorkspace:
                 training.optimizer_step(optimizers[1], want, fresh)
         for name, param in fresh.parameters().items():
             assert np.array_equal(reused.parameters()[name], param), name
-
-    def test_workspace_of_another_state_is_rejected(self, small_graph):
-        workspace = training.Workspace(training.init_state(small_graph, make_config()))
-        with pytest.raises(ShapeError, match="another model state"):
-            symmetric_lcwa_loss(small_graph.train[:2], training.init_state(small_graph, make_config()),
-                                workspace)
 
     @pytest.mark.parametrize("model,fusion_kind", [
         pytest.param("transe", "none", id="transe-None"), ("distmult", "linear"), ("tucker", "gated"),
@@ -457,9 +441,9 @@ class TestCheckpoint:
                              dim_relation=3 if model == "rotate" else 6)
         state, history = train(small_graph, config)
         directory = str(tmp_path / "ckpt")
-        training.save_checkpoint(state, history, directory)
+        training.save_checkpoint(state, history, directory, {})
         # no optimizer state: nothing resumes training from a checkpoint
-        assert set(os.listdir(directory)) == {"checkpoint.json", "params", "history.json"}
+        assert set(os.listdir(directory)) == {"checkpoint.json", "params", "history.json", "config.json"}
         tables = {"entity", "relation"} | ({"core"} if model == "tucker" else set())
         assert {name[:-4] for name in os.listdir(os.path.join(directory, "params"))} == tables
         loaded, loaded_history = training.load_checkpoint(directory)
@@ -470,12 +454,13 @@ class TestCheckpoint:
         assert fused.tobytes() == loaded.tables.relation.tobytes()
         for name in tables - {"relation"}:
             np.testing.assert_array_equal(loaded.parameters()[name], state.parameters()[name])
-        ranks = evaluation.rank_triples(state, small_graph, small_graph.train)
-        assert evaluation.rank_triples(loaded, small_graph, small_graph.train).tobytes() == ranks.tobytes()
+        ranks = evaluation.rank_triples(state, small_graph, small_graph.train, "realistic")
+        loaded_ranks = evaluation.rank_triples(loaded, small_graph, small_graph.train, "realistic")
+        assert loaded_ranks.tobytes() == ranks.tobytes()
         if fusion_kind == "none":
             # loss continues identically after reload
-            l1, _ = symmetric_lcwa_loss(small_graph.train, state)
-            l2, _ = symmetric_lcwa_loss(small_graph.train, loaded)
+            l1, _ = symmetric_lcwa_loss(small_graph.train, state, training.Workspace(state))
+            l2, _ = symmetric_lcwa_loss(small_graph.train, loaded, training.Workspace(loaded))
             assert l1 == l2
 
     def test_fused_checkpoint_loads_and_evaluates_without_fusion_or_random_init(
@@ -483,7 +468,7 @@ class TestCheckpoint:
         config = make_config(model="tucker", epochs=1, fusion="gated", aggregation="learnable")
         state, history = train(small_graph, config)
         directory = str(tmp_path / "ckpt")
-        training.save_checkpoint(state, history, directory)
+        training.save_checkpoint(state, history, directory, {})
         expected = evaluation.evaluate(state, small_graph, split="train")
 
         def fail(*args, **kwargs):
@@ -501,15 +486,15 @@ class TestCheckpoint:
         config = make_config(epochs=1)
         state, history = train(small_graph, config)
         directory = str(tmp_path / "ckpt")
-        training.save_checkpoint(state, history, directory)
-        training.save_checkpoint(state, history, directory)  # overwrite is clean
+        training.save_checkpoint(state, history, directory, {})
+        training.save_checkpoint(state, history, directory, {})  # overwrite is clean
         loaded, _ = training.load_checkpoint(directory)
         assert loaded.config.model == "distmult"
 
     def test_failed_swap_leaves_a_loadable_checkpoint(self, small_graph, tmp_path, monkeypatch):
         state, history = train(small_graph, make_config(epochs=1))
         directory = str(tmp_path / "ckpt")
-        training.save_checkpoint(state, history, directory)
+        training.save_checkpoint(state, history, directory, {})
         saved = {name: arr.copy() for name, arr in state.parameters().items()}
         state.tables.entity += 1.0
         rename = os.rename
@@ -521,13 +506,13 @@ class TestCheckpoint:
 
         monkeypatch.setattr(os, "rename", rename_fails_for_new_checkpoint)
         with pytest.raises(OSError, match="killed"):
-            training.save_checkpoint(state, history, directory)
+            training.save_checkpoint(state, history, directory, {})
         monkeypatch.undo()
         loaded, _ = training.load_checkpoint(directory)
         for name, arr in loaded.parameters().items():
             np.testing.assert_array_equal(arr, saved[name])
         # the next save puts the new checkpoint in place and drops the old one
-        training.save_checkpoint(state, history, directory)
+        training.save_checkpoint(state, history, directory, {})
         loaded, _ = training.load_checkpoint(directory)
         np.testing.assert_array_equal(loaded.tables.entity, state.tables.entity)
         assert sorted(os.listdir(tmp_path)) == ["ckpt"]
