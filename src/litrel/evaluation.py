@@ -7,19 +7,22 @@ evaluated entity itself) are filtered out before ranking.  Ties resolve
 to the realistic rank (mean of best and worst rank among equal scores)
 by default; optimistic and pessimistic policies are available.
 
-Ranking fuses the relation table once, as |R| rows ``r_lit``.  The
-triples, in input order and so spanning relations, are split into the
-two lanes of :func:`scoring.lane_blocks`, and each lane block is scored
-as one B x |E| matrix per side with each triple's ``r_lit`` row, in the
-score buffer of the lane's :class:`scoring.SimilarityBlocks`, and
-compared in the lane's mask; both hold the kernel's
-:func:`scoring.lane_rows` rows and are allocated on the calling
-thread, before the lanes start.  The queries of one block per lane are
-built on the calling thread; the lanes then score and rank on two
-threads.  The filter is read from the splits on each call: the known
-triples are sorted by an int64 key per side, and each block finds its
-rows' known-true competitors by binary search.  Filtering sets them to
--inf, and the better and tied entries are counted row-wise.
+Ranking fuses the relation table once, as |R| rows ``r_lit``, and reads
+the filter from the splits on each call: the known triples are sorted
+by an int64 key per side.  Both happen on the calling thread.  The
+triples, in input order and so spanning relations, are then split into
+the lanes of :func:`scoring.similarity_lanes`, which one
+:func:`scoring.fan_out` call runs.  Each lane works through its own
+blocks: it builds the block's head and tail queries with a model
+instance of its own (TuckER's scratch is never shared between threads)
+and each triple's ``r_lit`` row, finds its rows' known-true
+competitors by binary search, and scores each side as one B x |E|
+matrix in the score buffer of the lane's
+:class:`scoring.SimilarityBlocks`, compared in the lane's mask; both
+hold the kernel's :func:`scoring.block_rows` rows and are allocated on
+the calling thread, before the lanes start.  Filtering sets the
+competitors to -inf, and the better and tied entries are counted
+row-wise.
 
 Relations can additionally be partitioned into frequent vs long-tail
 groups (by training-triple count) or correlated vs less-correlated
@@ -133,30 +136,26 @@ def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray, tie_policy: 
     # a known triple files its tail under key r|E| + h and its head under (|R| + r)|E| + t
     h, r, t = np.concatenate([graph.train, graph.valid, graph.test]).T
     keys = np.concatenate([r * n_e + h, (n_r + r) * n_e + t])
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)  # the entities under one key only mask: their order is free
     keys, entities = keys[order], np.concatenate([t, h])[order]
     r_lit = state.fuse_forward(np.arange(n_r))[0]  # its cache holds gathered profile rows: drop it
-    lane_blocks = scoring.lane_blocks(triples.shape[0], n_e)
-    kernels = [scoring.SimilarityBlocks(model.norm, tables.entity) for _ in range(scoring.LANES)]
-    lanes = [(kernel, np.empty((kernel.rows, n_e), dtype=bool)) for kernel in kernels]
+    lanes = [(kernel, np.empty((kernel.rows, n_e), dtype=bool), blocks)
+             for kernel, blocks in scoring.similarity_lanes(model.norm, tables.entity, triples.shape[0])]
 
-    def rank(lane, block, q_heads, q_tails):
-        """Filtered ranks of ``triples[block]`` from their query rows, with one lane's buffers."""
-        kernel, mask = lane
-        heads, rels, tails = triples[block].T
-        known_heads = _known_entities(keys, entities, (n_r + rels) * n_e + tails)
-        known_tails = _known_entities(keys, entities, rels * n_e + heads)
-        ranks[block, 0] = filtered_ranks(kernel.forward(q_heads), heads, known_heads, tie_policy, mask)
-        ranks[block, 1] = filtered_ranks(kernel.forward(q_tails), tails, known_tails, tie_policy, mask)
-
-    for i in range(len(lane_blocks[0])):
-        # the i-th block of every lane: its queries are built on this thread, then scored on the lanes
-        blocks, q_heads, q_tails = [lane[i] for lane in lane_blocks if i < len(lane)], [], []
-        for heads, rels, tails in (triples[block].T for block in blocks):
+    def rank(kernel, mask, blocks):
+        """Filtered ranks of the triples of one lane's blocks, with its own model and buffers."""
+        lane_model = type(model)()  # TuckER's scratch is the lane's own
+        for block in blocks:
+            heads, rels, tails = triples[block].T
             r_rows = r_lit[rels]
-            q_heads.append(model.query(tables, tails, r_rows, "head"))
-            q_tails.append(model.query(tables, heads, r_rows, "tail"))
-        scoring.fan_out(rank, lanes, blocks, q_heads, q_tails)
+            known_heads = _known_entities(keys, entities, (n_r + rels) * n_e + tails)
+            known_tails = _known_entities(keys, entities, rels * n_e + heads)
+            q_heads = lane_model.query(tables, tails, r_rows, "head")
+            ranks[block, 0] = filtered_ranks(kernel.forward(q_heads), heads, known_heads, tie_policy, mask)
+            q_tails = lane_model.query(tables, heads, r_rows, "tail")
+            ranks[block, 1] = filtered_ranks(kernel.forward(q_tails), tails, known_tails, tie_policy, mask)
+
+    scoring.fan_out(rank, *zip(*lanes))
     return ranks
 
 

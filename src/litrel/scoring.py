@@ -28,24 +28,30 @@ tails, and exact identities let both sides build their queries:
 The kernels live in :class:`SimilarityBlocks`, one per lane of a ranking
 call, and in its subclass :class:`GradientBlocks`, which adds the
 backward pass, one per lane of a training run: each sizes its buffers
-itself, a :func:`lane_rows` x |E| score buffer plus, for the backward
-pass only, an |E| x D product buffer, allocates them when it is built
-and reuses them for every block, and :meth:`SimilarityBlocks.refresh`
-re-reads the entity table's squared norms after the optimizer has
-changed the table in place.
+itself, allocates them when it is built and reuses them for every
+block, and :meth:`SimilarityBlocks.refresh` re-reads the entity table's
+squared norms after the optimizer has changed the table in place.  The
+forward-only kernel holds just a score buffer, so it takes the whole
+:data:`BLOCK_SCORES` budget, :func:`block_rows` x |E|; the backward
+kernel also holds an |E| x D product buffer, so its score buffer is its
+:data:`LANES` share, :func:`lane_rows` x |E|.
 TuckER keeps its Khatri-Rao chunks and their products in a
 :class:`Scratch` of its own, grown on demand, so scoring and training
 allocate no chunk-sized array after the first call.
 
 The block loops of training, ranking and KNN split their query rows
-into :data:`LANES` contiguous lanes, each scored in blocks of
+into :data:`LANES` contiguous lanes, and :func:`fan_out` runs the lanes
+on a thread pool.  Training and KNN score each lane in blocks of
 :func:`lane_rows` rows (:func:`lane_blocks`; KNN's rows are test nodes,
-scored against the training nodes), training and ranking each lane by a
-kernel of its own, and :func:`fan_out` runs the lanes on a thread pool.
-:func:`block_rows` and :func:`lane_rows` alone decide the block shape.  The split depends only
-on the row count and |E|, so results do not depend on the number of
-threads.  The models' ``query``/``query_backward`` stay on the calling
-thread: TuckER's scratch is not shared between threads.
+scored against the training nodes), training by a
+:class:`GradientBlocks` per lane; ranking scores each lane in blocks of
+:func:`block_rows` rows by a :class:`SimilarityBlocks` of its own
+(:func:`similarity_lanes`).  :func:`block_rows` and :func:`lane_rows`
+alone decide the block shape.  The split depends only on the row count
+and |E|, so results do not depend on the number of threads.  Training
+builds its queries and runs their ``query_backward`` on the calling
+thread; a ranking lane builds its own queries with a model instance of
+its own, so TuckER's scratch is never shared between threads.
 
 Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
 the distance kernel is one matrix product plus row norms.  The
@@ -81,11 +87,12 @@ import numpy as np
 
 import litrel
 
-# Score entries per block: a B x |E| float64 score matrix stays at 2 MiB.
+# Score entries per block of a forward-only lane: its B x |E| float64 score
+# buffer stays at 2 MiB.  A training lane also holds |E| x D buffers, so its
+# blocks take a LANES share of this budget (lane_rows).
 BLOCK_SCORES = 1 << 18
 
-# Contiguous parts of a block loop's query rows, scored on threads of their
-# own; their blocks share the BLOCK_SCORES budget.
+# Contiguous parts of a block loop's query rows, scored on threads of their own.
 LANES = 2
 
 _NORM_EPS = 1e-12
@@ -251,25 +258,43 @@ MODELS = {"transe": TransE, "distmult": DistMult, "complex": ComplEx, "rotate": 
 
 
 def block_rows(num_entities: int) -> int:
-    """Query rows per similarity block: ``BLOCK_SCORES`` score entries, at least one row."""
+    """Query rows per block of a forward-only lane: ``BLOCK_SCORES`` score entries, at least one row."""
     return max(1, BLOCK_SCORES // num_entities)
 
 
 def lane_rows(num_entities: int) -> int:
-    """Query rows per block of one lane: its share of :func:`block_rows`, at least one row."""
+    """Query rows per block of a training or KNN lane: a ``LANES`` share of :func:`block_rows`.
+
+    A training lane holds |E| x D product, partial and (L2) upstream
+    buffers next to its scores, so its score buffer takes only its share
+    of the budget; at least one row.
+    """
     return max(1, block_rows(num_entities) // LANES)
 
 
-def lane_blocks(count: int, num_entities: int) -> list[list[slice]]:
-    """Per lane, the row blocks it scores, out of ``count`` rows.
+def _cut(count: int, step: int) -> list[list[slice]]:
+    """The rows ``0..count`` in ``LANES`` contiguous parts, each cut into blocks of ``step`` rows.
 
-    The rows are cut into ``LANES`` contiguous parts, the earlier ones
-    taking the remainder, and each part into blocks of :func:`lane_rows`
-    rows.
+    The earlier parts take the remainder.
     """
-    step, size = lane_rows(num_entities), -(-count // LANES)
+    size = -(-count // LANES)
     parts = [range(min(k * size, count), min((k + 1) * size, count)) for k in range(LANES)]
     return [[slice(start, min(start + step, part.stop)) for start in part[::step]] for part in parts]
+
+
+def lane_blocks(count: int, num_entities: int) -> list[list[slice]]:
+    """Per lane, the row blocks of :func:`lane_rows` rows it scores, out of ``count`` rows."""
+    return _cut(count, lane_rows(num_entities))
+
+
+def similarity_lanes(norm, entity: np.ndarray, count: int) -> list[tuple[SimilarityBlocks, list[slice]]]:
+    """Per lane, a forward kernel over ``entity`` and the row blocks it scores, out of ``count`` rows.
+
+    The blocks have the kernel's :attr:`SimilarityBlocks.rows` rows.  The
+    kernels are built, and their buffers allocated, on the calling thread.
+    """
+    kernels = [SimilarityBlocks(norm, entity) for _ in range(LANES)]
+    return list(zip(kernels, _cut(count, kernels[0].rows)))
 
 
 def lane_threads() -> int:
@@ -312,24 +337,25 @@ def sq_norms(rows, out=None):
 
 
 class SimilarityBlocks:
-    """The forward similarity kernel of one lane, over blocks of at most :func:`lane_rows` query rows.
+    """The forward similarity kernel of one lane, over blocks of at most :attr:`rows` query rows.
 
     ``forward(q)`` scores the rows of ``q`` against every entity row:
     ``q @ E.T`` for ``norm = None``, ``-||q_b - e_j||`` for ``norm = 2``.
-    The :func:`lane_rows` x |E| score buffer is allocated once, by the
-    constructor, and written with ``out=`` on every block, so the scores
-    a ``forward`` returns are a view that the next ``forward``
-    overwrites.  The kernel reads the entity table it was built on; the
-    L2 kernel also caches the table's squared row norms, so after the
-    table changes in place (an optimizer step) :meth:`refresh` must run
-    before the next ``forward``.  Ranking uses this kernel;
+    ``rows`` is :func:`block_rows` (:func:`lane_rows` for
+    :class:`GradientBlocks`).  The ``rows`` x |E| score buffer is
+    allocated once, by the constructor, and written with ``out=`` on
+    every block, so the scores a ``forward`` returns are a view that the
+    next ``forward`` overwrites.  The kernel reads the entity table it
+    was built on; the L2 kernel also caches the table's squared row
+    norms, so after the table changes in place (an optimizer step)
+    :meth:`refresh` must run before the next ``forward``.  Ranking uses this kernel;
     :class:`GradientBlocks` adds the backward pass.
     """
 
     def __init__(self, norm, entity: np.ndarray):
         self.norm = norm
         self.entity = entity
-        self.rows = lane_rows(entity.shape[0])
+        self.rows = self._rows_of(entity.shape[0])
         # Allocated here, on the constructing thread, not on first use on a lane thread: glibc
         # serves each thread from a malloc arena of its own, and allocating these buffers on the
         # lane threads raised rank-hubs' peak RSS from 61.4 to 66.9 MiB (2-CPU AMD EPYC VM; 61.25
@@ -338,6 +364,10 @@ class SimilarityBlocks:
         if norm == 2:
             self._entity_sq = np.empty(entity.shape[0])
         self.refresh()
+
+    @staticmethod
+    def _rows_of(num_entities: int) -> int:
+        return block_rows(num_entities)
 
     def refresh(self) -> None:
         """Re-read the entity table after an in-place change: recompute its squared norms."""
@@ -376,6 +406,10 @@ class GradientBlocks(SimilarityBlocks):
     and the L2 kernel's upstream buffer, of the score buffer's shape,
     are allocated by the constructor too.
     """
+
+    @staticmethod
+    def _rows_of(num_entities: int) -> int:
+        return lane_rows(num_entities)
 
     def __init__(self, norm, entity: np.ndarray):
         super().__init__(norm, entity)

@@ -214,13 +214,14 @@ def test_criterion_4_ranking_oracle(monkeypatch):
             for block_scores in (scoring.BLOCK_SCORES, 2 * graph.num_entities):
                 monkeypatch.setattr(scoring, "BLOCK_SCORES", block_scores)
                 ranks = rank_triples(state, graph, triples, "realistic")
-                # the oracle reads the very blocks the ranker scored: input order, spanning relations
-                for rows in sum(scoring.lane_blocks(triples.shape[0], graph.num_entities), []):
+                # the oracle reads the very blocks the ranker scored, by its kernel (a row's scores
+                # can depend on its block's row count): input order, spanning relations
+                lanes = scoring.similarity_lanes(state.model.norm, state.tables.entity, triples.shape[0])
+                for kernel, rows in ((kernel, rows) for kernel, blocks in lanes for rows in blocks):
                     start, block = rows.start, triples[rows]
                     r_rows = r_lit[block[:, 1]]
                     tail_scores, head_scores = (
-                        scoring.SimilarityBlocks(state.model.norm, state.tables.entity).forward(
-                            state.model.query(state.tables, anchors, r_rows, side))
+                        kernel.forward(state.model.query(state.tables, anchors, r_rows, side)).copy()
                         for anchors, side in ((block[:, 0], "tail"), (block[:, 2], "head")))
                     for k, (h, r, t) in enumerate(block.tolist()):
                         f_t = {kt for kh, kr, kt in known if (kh, kr) == (h, r)} - {t}

@@ -181,8 +181,8 @@ def reference_rank_triples(state, graph, triples, tie_policy):
     ranks = np.empty((triples.shape[0], 2))
     model, tables = state.model, state.tables
     r_lit, _ = state.fuse_forward(np.arange(tables.relation.shape[0]))
-    blocks = scoring.SimilarityBlocks(model.norm, tables.entity)
-    for rows in sum(scoring.lane_blocks(triples.shape[0], tables.entity.shape[0]), []):
+    lanes = scoring.similarity_lanes(model.norm, tables.entity, triples.shape[0])
+    for blocks, rows in ((blocks, rows) for blocks, lane in lanes for rows in lane):
         block = triples[rows]
         heads, rels, tails = block.T
         r_rows = r_lit[rels]

@@ -11,6 +11,7 @@ any number of lanes and threads.
 import os
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -91,8 +92,8 @@ def test_threads_give_bit_identical_loss_gradients_and_ranks(monkeypatch, model)
 
 
 def test_two_lane_tucker_ranks_equal_serial_ranks(monkeypatch):
-    # lane blocks of 32 triples whose queries take several Khatri-Rao chunks each: the
-    # queries are built on the calling thread only, so the two threads never share the scratch
+    # lane blocks of 64 triples whose queries take several Khatri-Rao chunks each: each lane
+    # builds its queries with a model and scratch of its own, so the two threads never share one
     graph = random_graph(np.random.default_rng(5), num_entities=40, num_relations=4,
                          num_attributes=3, triples_per_relation=40)
     state = init_state(graph, TrainConfig(model="tucker", fusion="linear", dim_entity=16,
@@ -202,6 +203,69 @@ def test_classify_knn_writes_the_same_files_on_one_and_two_threads(monkeypatch, 
                             for name in ("predictions.tsv", "classification.json")}
     assert outputs[1] == outputs[2]
     assert outputs[1]["predictions.tsv"].count(b"\n") >= 10
+
+
+@pytest.mark.parametrize("model", ["transe", "tucker"])
+def test_evaluate_writes_the_same_report_on_one_and_two_threads(monkeypatch, tmp_path, model):
+    paths = write_classify_inputs(tmp_path)
+    artifact, checkpoint = str(tmp_path / "artifact"), str(tmp_path / "checkpoint")
+    assert main(["preprocess", "--train-path", paths["train"], "--valid-path", paths["valid"],
+                 "--test-path", paths["test"], "--literals-path", paths["literals"],
+                 "--artifact-dir", artifact]) == 0
+    assert main(["--seed", "0", "train", "--artifact-dir", artifact, "--checkpoint-dir", checkpoint,
+                 "--model", model, "--fusion", "linear", "--dim-entity", "4", "--dim-relation", "4",
+                 "--epochs", "3"]) == 0
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * 30)  # blocks of 2 rows: 5 test triples in 3 and 2 a lane
+    outputs = {}
+    for threads in (1, 2):
+        with_threads(monkeypatch, threads)
+        out = tmp_path / f"evaluate-{threads}"
+        assert main(["--output-dir", str(out), "evaluate", "--artifact-dir", artifact,
+                     "--checkpoint-dir", checkpoint, "--group-by", "frequency", "--threshold", "3"]) == 0
+        outputs[threads] = {name: (out / name).read_bytes() for name in ("report.json", "report.txt")}
+    assert outputs[1] == outputs[2]
+    assert b'"num_triples": 5' in outputs[1]["report.json"]
+
+
+def test_ranking_fans_out_once(monkeypatch):
+    graph, state = make_state("tucker", "gated", num_entities=30)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * graph.num_entities)  # several blocks a lane
+    calls, fan_out = [], scoring.fan_out
+    monkeypatch.setattr(scoring, "fan_out", lambda fn, *lanes: calls.append(fn) or fan_out(fn, *lanes))
+    rank_triples(state, graph, graph.train, "realistic")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("model", list(MODEL_DIMS))
+def test_ranking_lanes_build_their_own_queries(monkeypatch, model):
+    graph, state = make_state(model, "linear", num_entities=30)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * graph.num_entities)
+    with_threads(monkeypatch, 2)
+    model_class, query = type(state.model), type(state.model).query
+    threads = []
+
+    def recorded(self, *args):
+        threads.append((threading.get_ident(), id(self)))
+        return query(self, *args)
+
+    monkeypatch.setattr(model_class, "query", recorded)
+    rank_triples(state, graph, graph.train, "realistic")
+    assert threads and threading.get_ident() not in {ident for ident, _ in threads}
+    # one model instance per lane, none of them the state's own
+    assert len({instance for _, instance in threads}) == scoring.LANES
+    assert id(state.model) not in {instance for _, instance in threads}
+
+
+@pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 23])
+def test_similarity_lanes_cut_contiguous_parts_into_block_rows(monkeypatch, count):
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 10)  # block_rows 6 over 10 entities
+    lanes = scoring.similarity_lanes(None, np.zeros((10, 2)), count)
+    assert len(lanes) == scoring.LANES
+    assert all(kernel.rows == 6 for kernel, _ in lanes)
+    assert len({id(kernel) for kernel, _ in lanes}) == scoring.LANES
+    flat = [block for _, blocks in lanes for block in blocks]
+    assert [i for block in flat for i in range(block.start, block.stop)] == list(range(count))
+    assert all(0 < block.stop - block.start <= 6 for block in flat)
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 23])

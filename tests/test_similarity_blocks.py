@@ -182,12 +182,20 @@ def test_ranking_kernel_allocates_only_its_scores_and_norms(norm, rng):
     assert floats * 8 <= peak < floats * 8 + 4096
 
 
+@pytest.mark.parametrize("num_entities", [1, 5, 3000, 8000, 1 << 20])
+def test_forward_kernel_takes_the_whole_budget_and_training_its_lane_share(num_entities):
+    # a forward-only (ranking) lane holds just its scores; a training lane also holds |E| x D buffers
+    entity = np.zeros((num_entities, 1))
+    assert scoring.SimilarityBlocks(2, entity).rows == scoring.block_rows(num_entities)
+    assert scoring.GradientBlocks(2, entity).rows == scoring.lane_rows(num_entities)
+
+
 def test_block_larger_than_its_buffer_is_rejected(rng, monkeypatch):
-    """Every block comes from ``lane_blocks``; a larger one still fails, in numpy's ``out=``."""
-    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * scoring.LANES * 5)  # two rows per lane over 5 entities
+    """Every block comes from ``similarity_lanes``; a larger one still fails, in numpy's ``out=``."""
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * scoring.LANES * 5)  # 4 rows over 5 entities
     blocks = scoring.SimilarityBlocks(2, rng.normal(size=(5, 3)))
     with pytest.raises(ValueError):
-        blocks.forward(rng.normal(size=(3, 3)))
+        blocks.forward(rng.normal(size=(blocks.rows + 1, 3)))
 
 
 @pytest.mark.parametrize("norm", [None, 2])
