@@ -32,9 +32,14 @@ itself, allocates them when it is built and reuses them for every
 block, and :meth:`SimilarityBlocks.refresh` re-reads the entity table's
 squared norms after the optimizer has changed the table in place.  The
 forward-only kernel holds just a score buffer, so it takes the whole
-:data:`BLOCK_SCORES` budget, :func:`block_rows` x |E|; the backward
-kernel also holds an |E| x D product buffer, so its score buffer is its
-:data:`LANES` share, :func:`lane_rows` x |E|.
+:data:`BLOCK_SCORES` budget, :func:`block_rows` x |E|.  A training lane
+also holds an |E| x D entity-gradient partial and, for L2, an upstream
+buffer of the score buffer's shape, so its score buffer is its
+:data:`LANES` share, :func:`lane_rows` x |E|.  The backward kernel adds
+its entity-gradient products into that partial through one chunk buffer
+of :data:`CHUNK_ENTRIES` entries, so it holds no |E| x D array, and the
+optimizer step works through its lanes' chunks with one such scratch
+each (:class:`litrel.training.Optimizer`).
 TuckER keeps its Khatri-Rao chunks and their products in a
 :class:`Scratch` of its own, grown on demand, so scoring and training
 allocate no chunk-sized array after the first call.
@@ -88,9 +93,16 @@ import numpy as np
 import litrel
 
 # Score entries per block of a forward-only lane: its B x |E| float64 score
-# buffer stays at 2 MiB.  A training lane also holds |E| x D buffers, so its
-# blocks take a LANES share of this budget (lane_rows).
+# buffer stays at 2 MiB.  A training lane also holds an upstream buffer (L2)
+# and an |E| x D entity-gradient partial, so its blocks take a LANES share of
+# this budget (lane_rows).
 BLOCK_SCORES = 1 << 18
+
+# Entries per chunk of the passes that would otherwise need table-sized
+# scratch: the entity-gradient products of GradientBlocks and each lane of an
+# optimizer step work through their arrays this many float64 entries (256 KiB)
+# at a time, in one chunk buffer each, which stays in a core's L2 cache.
+CHUNK_ENTRIES = 1 << 15
 
 # Contiguous parts of a block loop's query rows, scored on threads of their own.
 LANES = 2
@@ -265,11 +277,19 @@ def block_rows(num_entities: int) -> int:
 def lane_rows(num_entities: int) -> int:
     """Query rows per block of a training or KNN lane: a ``LANES`` share of :func:`block_rows`.
 
-    A training lane holds |E| x D product, partial and (L2) upstream
-    buffers next to its scores, so its score buffer takes only its share
-    of the budget; at least one row.
+    A training lane holds an |E| x D entity-gradient partial and, for
+    L2, an upstream buffer of its score buffer's shape next to its
+    scores, so its score buffer takes only its share of the budget; at
+    least one row.  Its kernel holds no |E| x D buffer of its own (the
+    entity-gradient products go through one :data:`CHUNK_ENTRIES`
+    chunk), which leaves |E| x D per lane of headroom for larger blocks.
     """
     return max(1, block_rows(num_entities) // LANES)
+
+
+def chunks(count: int, step: int) -> list[slice]:
+    """The items ``0..count`` in contiguous slices of ``step`` items, the last one shorter."""
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def _cut(count: int, step: int) -> list[list[slice]]:
@@ -313,13 +333,20 @@ def _pool(threads: int) -> futures.ThreadPoolExecutor:
 def fan_out(fn, *iterables) -> list:
     """``[fn(*args) for args in zip(*iterables)]``, on :func:`lane_threads` threads.
 
-    With one thread the calls run on the calling thread.  Otherwise every
-    call has finished when the first exception is raised.
+    With one thread the calls run on the calling thread.  Otherwise they
+    run under the calling thread's :func:`numpy.errstate`, and every call
+    has finished when the first exception is raised.
     """
     threads = lane_threads()
     if threads == 1:
         return [fn(*args) for args in zip(*iterables)]
-    pending = [_pool(threads).submit(fn, *args) for args in zip(*iterables)]
+    errors = np.geterr()  # numpy keeps the error state per thread
+
+    def lane(*args):
+        with np.errstate(**errors):
+            return fn(*args)
+
+    pending = [_pool(threads).submit(lane, *args) for args in zip(*iterables)]
     futures.wait(pending)
     return [f.result() for f in pending]
 
@@ -402,9 +429,12 @@ class GradientBlocks(SimilarityBlocks):
 
     ``backward`` is the gradient of ``forward``, for an upstream gradient
     written into :meth:`upstream`; :meth:`flush` completes the entity
-    gradient of a run of ``backward`` calls.  The |E| x D product buffer
-    and the L2 kernel's upstream buffer, of the score buffer's shape,
-    are allocated by the constructor too.
+    gradient of a run of ``backward`` calls.  Both add their entity-row
+    products into the caller's gradient one chunk of rows at a time,
+    through one chunk buffer of at most :data:`CHUNK_ENTRIES` entries,
+    so the kernel holds no |E| x D array.  The chunk buffer and, for L2,
+    the upstream buffer of the score buffer's shape and the |E| deferred
+    weights are allocated by the constructor too.
     """
 
     @staticmethod
@@ -413,10 +443,18 @@ class GradientBlocks(SimilarityBlocks):
 
     def __init__(self, norm, entity: np.ndarray):
         super().__init__(norm, entity)
-        self._product = np.empty_like(entity)
+        step = max(1, CHUNK_ENTRIES // entity.shape[1])
+        self._entity_chunks = chunks(entity.shape[0], step)
+        self._chunk = np.empty((min(step, entity.shape[0]), entity.shape[1]))
         self._upstream = np.empty_like(self._scores) if norm == 2 else self._scores
         if norm == 2:
             self._deferred = np.zeros(entity.shape[0])
+
+    def _products(self, weights, rows):
+        """Per chunk of entity rows, ``(chunk, weights[:, chunk].T @ rows)`` in the chunk buffer."""
+        for chunk in self._entity_chunks:
+            out = self._chunk[:chunk.stop - chunk.start]
+            yield chunk, np.matmul(weights[:, chunk].T, rows, out=out)
 
     def upstream(self, rows: int) -> np.ndarray:
         """The ``rows`` x |E| buffer to write a block's upstream gradient into.
@@ -438,7 +476,8 @@ class GradientBlocks(SimilarityBlocks):
         """
         entity = self.entity
         if self.norm is None:
-            d_entity += np.matmul(g.T, q, out=self._product)
+            for chunk, product in self._products(g, q):
+                d_entity[chunk] += product
             return np.matmul(g, entity, out=d_q)
         # score = -n with n = ||q - e||: dq = sum_j w_j (e_j - q), de_j = w_j (q - e_j), w = g / n;
         # v = g / score = -w is written into g, and flush adds -sum_b w_bj e_j
@@ -449,7 +488,8 @@ class GradientBlocks(SimilarityBlocks):
         with np.errstate(divide="ignore", invalid="ignore"):  # the near pairs, zeroed next
             v = np.divide(g, scores, out=g)
         v[rows, cols] = 0.0
-        d_entity -= np.matmul(v.T, q, out=self._product)
+        for chunk, product in self._products(v, q):
+            d_entity[chunk] -= product
         self._deferred += v.sum(axis=0)
         np.matmul(v, entity, out=d_q)
         d_q -= v.sum(axis=1)[:, None] * q
@@ -467,7 +507,9 @@ class GradientBlocks(SimilarityBlocks):
         the blocks into one |E| vector and multiplied out here once.
         """
         if self.norm == 2:
-            d_entity += np.multiply(self._deferred[:, None], self.entity, out=self._product)
+            for chunk in self._entity_chunks:
+                out = self._chunk[:chunk.stop - chunk.start]
+                d_entity[chunk] += np.multiply(self._deferred[chunk, None], self.entity[chunk], out=out)
             self._deferred.fill(0.0)
 
 

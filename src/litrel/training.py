@@ -20,7 +20,10 @@ refreshes and whose score buffer also holds the softmax, and an
 entity-gradient partial; and the query-gradient scratch.  With TuckER's
 own Khatri-Rao scratch and the state's scratch for the learnable
 aggregation's profile rows, a step after the first allocates nothing the
-size of a table or a score block.  The workspace is dropped after the
+size of a table or a score block.  The kernels and the optimizer step
+hold no table-sized scratch: both work through their tables in chunks of
+:data:`litrel.scoring.CHUNK_ENTRIES` entries, and the optimizer step
+runs its chunks on the lanes too.  The workspace is dropped after the
 last loss call, so the kernels' buffers are gone when the last optimizer
 step runs (in a one-step run that is when Adam allocates its moments),
 and before each periodic validation, whose ranking builds its own
@@ -152,9 +155,15 @@ class Optimizer:
     """Adam (beta1=0.9, beta2=0.999, eps=1e-8) or plain SGD, in-place.
 
     One lives for one :func:`train` call; checkpoints do not store it.
-    A step computes the textbook update with ``out=`` into one
-    :class:`scoring.Scratch` array shared by all parameters and into the
-    gradient itself, so it allocates nothing after the first step and
+    A step cuts each flattened parameter into chunks of
+    :data:`scoring.CHUNK_ENTRIES` entries and splits the chunks, in
+    parameter order, into :data:`scoring.LANES` contiguous parts of about
+    equal entry counts, which :func:`scoring.fan_out` runs.  Each lane computes the textbook update
+    of its chunks with ``out=`` into one chunk-sized scratch array of its
+    own and into the gradient itself.  The arithmetic is elementwise, so
+    the result does not depend on the cut or the thread count.  The
+    moments and the lanes' scratch are allocated on the calling thread at
+    the first Adam step, so a step allocates nothing after the first and
     leaves the gradients overwritten.
     """
 
@@ -164,25 +173,44 @@ class Optimizer:
         self.step_count = 0
         self.moment1: dict[str, np.ndarray] = {}
         self.moment2: dict[str, np.ndarray] = {}
-        self._scratch = scoring.Scratch()
+        self._lane_scratch: list[np.ndarray] = []
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         """Update ``params`` in place from ``grads``, whose arrays it consumes."""
         self.step_count += 1
-        if self.kind == "sgd":
+        adam = self.kind == "adam"
+        if adam:
             for name, p in params.items():
-                g = grads[name]
-                g *= self.learning_rate
-                p -= g
-            return
+                if name not in self.moment1:
+                    self.moment1[name], self.moment2[name] = np.zeros_like(p), np.zeros_like(p)
+            if len(self._lane_scratch) != scoring.LANES:
+                self._lane_scratch = [np.empty(scoring.CHUNK_ENTRIES) for _ in range(scoring.LANES)]
+        lanes, offset = [[] for _ in range(scoring.LANES)], 0
+        total = sum(p.size for p in params.values())
+        for name, p in params.items():
+            arrays = (p, grads[name]) + ((self.moment1[name], self.moment2[name]) if adam else ())
+            flat = [a.reshape(-1) for a in arrays]
+            for chunk in scoring.chunks(p.size, scoring.CHUNK_ENTRIES):
+                # a chunk joins the lane its first entry falls in: contiguous lanes of total / LANES entries
+                lanes[(offset + chunk.start) * scoring.LANES // total].append([a[chunk] for a in flat])
+            offset += p.size
+        if adam:
+            scoring.fan_out(self._adam, lanes, self._lane_scratch)
+        else:
+            scoring.fan_out(self._sgd, lanes)
+
+    def _sgd(self, pieces) -> None:
+        """SGD on one lane's ``[p, g]`` chunks."""
+        for p, g in pieces:
+            g *= self.learning_rate
+            p -= g
+
+    def _adam(self, pieces, scratch) -> None:
+        """Adam on one lane's ``[p, g, m, v]`` chunks, with the lane's chunk scratch."""
         b1, b2, eps = 0.9, 0.999, 1e-8
         t = self.step_count
-        for name, p in params.items():
-            g = grads[name]
-            s = self._scratch("update", p.shape)
-            if name not in self.moment1:
-                self.moment1[name], self.moment2[name] = np.zeros_like(p), np.zeros_like(p)
-            m, v = self.moment1[name], self.moment2[name]
+        for p, g, m, v in pieces:
+            s = scratch[:p.size]
             m *= b1
             m += np.multiply(1 - b1, g, out=s)
             v *= b2
@@ -337,8 +365,13 @@ class Workspace:
     similarity kernel over the entity table in ``lanes``, refreshed on
     every call because the optimizer changes the table in place, and an
     entity-gradient partial in ``partials``; the first lane's partial is
-    ``grads["entity"]`` itself.  ``scratch`` holds the query gradients,
-    two rows per triple, grown to the largest batch on the calling thread.
+    ``grads["entity"]`` itself.  A kernel holds its score buffer, for L2
+    an upstream buffer of the same shape and two |E| vectors, and one
+    chunk buffer for its entity-gradient products, no |E| x D array; so
+    besides the gradients, the table-sized arrays of a workspace are the
+    ``LANES - 1`` further partials.  ``scratch`` holds the query
+    gradients, two rows per triple, grown to the largest batch on the
+    calling thread.
     """
 
     def __init__(self, state: ModelState):

@@ -23,7 +23,7 @@ from litrel import scoring
 from litrel.cli import main
 from litrel.downstream import knn_classify
 from litrel.evaluation import rank_triples
-from litrel.training import TrainConfig, Workspace, init_state, symmetric_lcwa_loss
+from litrel.training import Optimizer, TrainConfig, Workspace, init_state, symmetric_lcwa_loss
 
 # model kind: (dim_entity, dim_relation)
 MODEL_DIMS = {
@@ -136,6 +136,38 @@ def test_more_threads_than_cores_under_a_short_switch_interval(monkeypatch):
             assert np.array_equal(knn_classify(feats[:20], labels[:20], feats, k=3), want_knn)
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_optimizer_steps_do_not_depend_on_lanes_or_threads(monkeypatch, kind):
+    # chunks of 7 entries: 13 chunks over 4 parameters, split between the lanes
+    monkeypatch.setattr(scoring, "CHUNK_ENTRIES", 7)
+    rng = np.random.default_rng(13)
+    shapes = {"entity": (9, 4), "relation": (3, 4), "core": (2, 3, 4), "agg.bias": (1,)}
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    steps = [{name: rng.normal(size=shape) for name, shape in shapes.items()} for _ in range(3)]
+    results = {}
+    for lanes in (1, 2):
+        monkeypatch.setattr(scoring, "LANES", lanes)
+        for threads in (1, 2):
+            with_threads(monkeypatch, threads)
+            params, optimizer = {name: p.copy() for name, p in start.items()}, Optimizer(kind, 0.05)
+            for grads in steps:
+                optimizer.step(params, {name: g.copy() for name, g in grads.items()})
+            results[lanes, threads] = params
+    want = results[1, 1]
+    assert not np.array_equal(want["entity"], start["entity"])
+    for key, params in results.items():
+        for name, p in params.items():
+            assert np.array_equal(p, want[name]), (key, name)
+
+
+def test_lanes_run_under_the_errstate_of_the_calling_thread(monkeypatch):
+    with_threads(monkeypatch, 2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        scoring.fan_out(lambda x: np.float64(1e308) * x, [1.0, 10.0])
+    with np.errstate(over="ignore"):
+        assert scoring.fan_out(lambda x: np.float64(1e308) * x, [1.0, 10.0]) == [1e308, np.inf]
 
 
 @pytest.mark.parametrize("num_test", [

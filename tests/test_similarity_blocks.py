@@ -1,13 +1,13 @@
 """The reusable block kernel against the fresh-allocation formulas it replaced.
 
 ``fresh_similarities`` and ``fresh_similarities_backward`` below are the
-former free functions: every call allocates its B x |E| and |E| x D
-arrays.  :class:`scoring.GradientBlocks` writes the same arithmetic
-into buffers it owns, so scores and gradients must be bit-identical to
-them, block after block, and consecutive blocks must share one buffer.
-The L2 backward defers its ``-sum_b w_bj e_j`` entity term to
-``GradientBlocks.flush``, so the reference sums the column weights
-over the blocks too and adds that term in ``fresh_flush``.
+former free functions: every call allocates its B x |E| arrays and, per
+chunk of entity rows, its chunk-sized products.  :class:`scoring.GradientBlocks`
+writes the same arithmetic into buffers it owns, so scores and gradients
+must be bit-identical to them, block after block, and consecutive blocks
+must share one buffer.  The L2 backward defers its ``-sum_b w_bj e_j``
+entity term to ``GradientBlocks.flush``, so the reference sums the column
+weights over the blocks too and adds that term in ``fresh_flush``.
 """
 
 import tracemalloc
@@ -43,14 +43,17 @@ def fresh_similarities(norm, q, entity):
     return np.negative(sq, out=sq)
 
 
-def fresh_similarities_backward(norm, q, entity, scores, g, d_entity, deferred):
+def fresh_similarities_backward(norm, q, entity, scores, g, d_entity, deferred, chunk_rows):
+    chunks = [slice(start, start + chunk_rows) for start in range(0, len(entity), chunk_rows)]
     if norm is None:
-        d_entity += g.T @ q
+        for rows in chunks:
+            d_entity[rows] += g[:, rows].T @ q
         return g @ entity
     dist = -scores
     near = dist <= np.sqrt(_cancel_bound(scoring.sq_norms(q), scoring.sq_norms(entity)))[:, None]
     w = np.divide(g, dist, out=np.zeros_like(g), where=~near)
-    d_entity += w.T @ q
+    for rows in chunks:
+        d_entity[rows] += w[:, rows].T @ q
     deferred += w.sum(axis=0)
     d_q = w @ entity - w.sum(axis=1)[:, None] * q
     rows, cols = np.nonzero(near)
@@ -86,17 +89,19 @@ def kernel_cases(draw):
     offsets = np.array(draw(st.lists(st.sampled_from(OFFSETS), min_size=num_rows, max_size=num_rows)))
     q = entity[anchors] + offsets[:, None] * rng.normal(size=(num_rows, dim))
     g = rng.normal(size=(num_rows, num_entities))
-    return norm, entity, q, g, block
+    chunk_rows = draw(st.integers(1, num_entities))  # entity rows per chunk of the gradient products
+    return norm, entity, q, g, block, chunk_rows
 
 
 @settings(max_examples=300, deadline=None)
 @given(kernel_cases())
 def test_blocks_are_bit_identical_to_fresh_allocation(case):
-    norm, entity, q, g, block = case
+    norm, entity, q, g, block, chunk_rows = case
     d_entity, want_d_entity = np.zeros_like(entity), np.zeros_like(entity)
     deferred = np.zeros(entity.shape[0])
     d_q = np.empty_like(q)
-    with mock.patch.object(scoring, "BLOCK_SCORES", scoring.LANES * block * entity.shape[0]):
+    with mock.patch.object(scoring, "BLOCK_SCORES", scoring.LANES * block * entity.shape[0]), \
+            mock.patch.object(scoring, "CHUNK_ENTRIES", chunk_rows * entity.shape[1]):
         blocks = scoring.GradientBlocks(norm, entity)
     step = blocks.rows
     assert step == block
@@ -105,7 +110,7 @@ def test_blocks_are_bit_identical_to_fresh_allocation(case):
         rows = slice(start, start + step)
         want = fresh_similarities(norm, q[rows], entity)
         want_d_q = fresh_similarities_backward(norm, q[rows], entity, want, g[rows], want_d_entity,
-                                               deferred)
+                                               deferred, chunk_rows)
         scores = blocks.forward(q[rows])
         assert np.array_equal(scores, want)
         got_d_q = blocks.backward(q[rows], scores, g[rows].copy(), d_entity, d_q[rows])
@@ -118,6 +123,20 @@ def test_blocks_are_bit_identical_to_fresh_allocation(case):
     blocks.flush(d_entity)
     fresh_flush(norm, entity, want_d_entity, deferred)
     assert np.array_equal(d_entity, want_d_entity)
+
+
+@pytest.mark.parametrize("dim", [1, 7, 48, 129, 200, 256])
+def test_chunked_entity_gradient_equals_the_whole_table_product(dim, rng):
+    # OpenBLAS may round a row of g.T @ q differently when the product is cut into chunks of
+    # entity rows, so this check is numeric: three chunks of CHUNK_ENTRIES // dim rows, the last
+    # one 5 rows long
+    entity = rng.normal(size=(2 * (scoring.CHUNK_ENTRIES // dim) + 5, dim))
+    blocks = scoring.GradientBlocks(None, entity)
+    q, g = rng.normal(size=(blocks.rows, dim)), rng.normal(size=(blocks.rows, len(entity)))
+    d_entity = np.zeros_like(entity)
+    blocks.backward(q, blocks.forward(q), g, d_entity, np.empty_like(q))
+    want = g.T @ q
+    assert np.abs(d_entity - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def one_mib_case(rng, norm):
@@ -182,9 +201,24 @@ def test_ranking_kernel_allocates_only_its_scores_and_norms(norm, rng):
     assert floats * 8 <= peak < floats * 8 + 4096
 
 
+@pytest.mark.parametrize("norm", [None, 2])
+def test_training_kernel_allocates_only_its_scores_upstream_norms_and_one_chunk(norm, rng):
+    # rows x |E| scores and, for L2, an upstream buffer of their shape, the |E| entity norms and
+    # deferred weights; the entity-gradient products go through one chunk, never an |E| x D array
+    entity = rng.normal(size=(8000, 16))
+    kernels = []
+    peak = traced_peak(lambda: kernels.append(scoring.GradientBlocks(norm, entity)))
+    chunk = min(scoring.CHUNK_ENTRIES // 16, len(entity)) * 16
+    assert chunk < entity.size
+    floats = kernels[0].rows * len(entity) * (2 if norm == 2 else 1) + chunk
+    floats += 2 * len(entity) if norm == 2 else 0
+    assert floats * 8 <= peak < floats * 8 + 4096
+
+
 @pytest.mark.parametrize("num_entities", [1, 5, 3000, 8000, 1 << 20])
 def test_forward_kernel_takes_the_whole_budget_and_training_its_lane_share(num_entities):
-    # a forward-only (ranking) lane holds just its scores; a training lane also holds |E| x D buffers
+    # a forward-only (ranking) lane holds just its scores; a training lane also holds an |E| x D
+    # entity-gradient partial and (L2) an upstream buffer, so its blocks take its LANES share
     entity = np.zeros((num_entities, 1))
     assert scoring.SimilarityBlocks(2, entity).rows == scoring.block_rows(num_entities)
     assert scoring.GradientBlocks(2, entity).rows == scoring.lane_rows(num_entities)
