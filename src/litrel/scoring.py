@@ -23,7 +23,8 @@ tails, and exact identities let both sides build their queries:
   ``r_lit`` in Khatri-Rao form: tails ``q = (e_h (x) r) @ core`` with
   the core as a (D_e*D_r) x D_e matrix, heads ``q = (r (x) e_t) @ core.T``
   with the core as a D_e x (D_r*D_e) matrix; the D_e*D_r-wide rows are
-  built :data:`BLOCK_SCORES` entries at a time.
+  built a :data:`LANES` share of :data:`BLOCK_SCORES` entries at a time,
+  so the lane models of a training step together hold one budget.
 
 The kernels live in :class:`SimilarityBlocks`, one per lane of a ranking
 call, and in its subclass :class:`GradientBlocks`, which adds the
@@ -42,7 +43,9 @@ optimizer step works through its lanes' chunks with one such scratch
 each (:class:`litrel.training.Optimizer`).
 TuckER keeps its Khatri-Rao chunks and their products in a
 :class:`Scratch` of its own, grown on demand, so scoring and training
-allocate no chunk-sized array after the first call.
+allocate no chunk-sized array after the first call; a training run's
+lane models have theirs allocated whole when they are built
+(:meth:`TuckER.reserve`).
 
 The block loops of training, ranking and KNN split their query rows
 into :data:`LANES` contiguous lanes, and :func:`fan_out` runs the lanes
@@ -53,10 +56,11 @@ scored against the training nodes), training by a
 :func:`block_rows` rows by a :class:`SimilarityBlocks` of its own
 (:func:`similarity_lanes`).  :func:`block_rows` and :func:`lane_rows`
 alone decide the block shape.  The split depends only on the row count
-and |E|, so results do not depend on the number of threads.  Training
-builds its queries and runs their ``query_backward`` on the calling
-thread; a ranking lane builds its own queries with a model instance of
-its own, so TuckER's scratch is never shared between threads.
+and |E|, so results do not depend on the number of threads.  A
+training lane builds the query rows of its range and runs their
+``query_backward``, and a ranking lane builds its own queries, each with
+a model instance of its own, so TuckER's scratch is never shared between
+threads.
 
 Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
 the distance kernel is one matrix product plus row norms.  The
@@ -216,7 +220,8 @@ class TuckER:
 
     The Khatri-Rao chunks, then their gradients, and the chunk products
     of the core gradient are written into the two arrays of the model's
-    :class:`Scratch`.
+    :class:`Scratch`.  A chunk takes a :data:`LANES` share of
+    :data:`BLOCK_SCORES`: each training lane runs a model of its own.
     """
 
     norm = None
@@ -231,17 +236,28 @@ class TuckER:
             return e, r_lit, core.reshape(-1, core.shape[-1])
         return r_lit, e, core.reshape(core.shape[0], -1).T
 
+    @staticmethod
+    def _chunk_rows(width):
+        """Rows per Khatri-Rao chunk of ``width`` entries a row: a ``LANES`` share of ``BLOCK_SCORES``, at least one."""
+        return max(1, BLOCK_SCORES // LANES // width)
+
+    def reserve(self, core) -> None:
+        """Allocate the scratch of a whole chunk now, so that no query call on ``core`` allocates one."""
+        d_e, d_r = core.shape[:2]
+        self._buffer("kr", (self._chunk_rows(d_e * d_r), d_e, d_r))
+        self._buffer("d_core", (d_e * d_r, d_e))
+
     def _khatri_rao(self, a, b):
-        """``(rows, a[rows] (x) b[rows])`` for chunks of rows of at most ``BLOCK_SCORES`` entries.
+        """``(rows, a[rows] (x) b[rows])`` for chunks of :meth:`_chunk_rows` rows.
 
         Each chunk is a view of the one scratch chunk, which the next overwrites.
         """
         width = a.shape[1] * b.shape[1]
-        step = max(1, BLOCK_SCORES // width)
+        step = self._chunk_rows(width)
         for start in range(0, a.shape[0], step):
             rows = slice(start, start + step)
             kr = self._buffer("kr", (min(step, a.shape[0] - start), a.shape[1], b.shape[1]))
-            yield rows, np.multiply(a[rows, :, None], b[rows, None, :], out=kr).reshape(-1, width)
+            yield rows, np.einsum("bi,bj->bij", a[rows], b[rows], out=kr).reshape(-1, width)
 
     def query(self, tables, anchors, r_lit, side):
         a, b, m = self._factors(tables.core, tables.entity[anchors], r_lit, side)
@@ -254,9 +270,11 @@ class TuckER:
         e = tables.entity[anchors]
         a, b, m = self._factors(tables.core, e, r_lit, side)
         d_m = self._factors(d_core, e, r_lit, side)[2]  # adds into d_core
+        # the chunk products in d_m's memory order (the head side's is a transposed view), so += needs no buffer
+        product = self._buffer("d_core", m.T.shape).T if side == "head" else self._buffer("d_core", m.shape)
         d_a, d_b = np.empty_like(a), np.empty_like(b)
         for rows, kr in self._khatri_rao(a, b):
-            d_m += np.matmul(kr.T, d_q[rows], out=self._buffer("d_core", m.shape))
+            d_m += np.matmul(kr.T, d_q[rows], out=product)
             d_kr = np.matmul(d_q[rows], m.T, out=kr).reshape(-1, a.shape[1], b.shape[1])  # kr is spent
             np.einsum("bij,bj->bi", d_kr, b[rows], out=d_a[rows])
             np.einsum("bij,bi->bj", d_kr, a[rows], out=d_b[rows])

@@ -10,15 +10,18 @@ the whole batch are scored as matrices against the entity table (1-vs-all
 scoring), so no step runs per triple or per relation.
 
 The query rows of a batch are split into two lanes
-(:data:`litrel.scoring.LANES`), which score their blocks on two threads
-while the queries, the query gradients and the fusion stay on the
-calling thread.  The loss calls of one run share one
-:class:`Workspace`: the gradient arrays, zeroed in place each step; per
-lane, a similarity kernel over the entity table, which sizes its blocks
-itself (:func:`litrel.scoring.lane_rows`), whose cached norms each step
-refreshes and whose score buffer also holds the softmax, and an
-entity-gradient partial; and the query-gradient scratch.  With TuckER's
-own Khatri-Rao scratch and the state's scratch for the learnable
+(:data:`litrel.scoring.LANES`) on two threads.  Each lane builds the
+query rows of its range, scores its blocks and runs the backward of its
+queries; only the relation lookup, the fusion and its backward, and the
+per-relation sum of the ``r_lit`` row gradients stay on the calling
+thread.  The loss calls of one run share one :class:`Workspace`: the
+gradient arrays, zeroed in place each step; per lane, a similarity
+kernel over the entity table, which sizes its blocks itself
+(:func:`litrel.scoring.lane_rows`), whose cached norms each step
+refreshes and whose score buffer also holds the softmax, a scoring model
+(TuckER's with its Khatri-Rao scratch allocated) and partials of the
+entity and core gradients; and the query rows, their gradients and the
+``r_lit`` row gradients.  With the state's scratch for the learnable
 aggregation's profile rows, a step after the first allocates nothing the
 size of a table or a score block.  The kernels and the optimizer step
 hold no table-sized scratch: both work through their tables in chunks of
@@ -357,28 +360,39 @@ def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
 
 
 class Workspace:
-    """The buffers that the loss calls of one training run share.
+    """The buffers and lane models that the loss calls of one training run share.
 
     ``grads`` holds one gradient array per parameter of ``state``, zeroed
     at the start of every call and returned by it (the optimizer then
     consumes them).  Each of the :data:`scoring.LANES` lanes has a
     similarity kernel over the entity table in ``lanes``, refreshed on
-    every call because the optimizer changes the table in place, and an
-    entity-gradient partial in ``partials``; the first lane's partial is
-    ``grads["entity"]`` itself.  A kernel holds its score buffer, for L2
-    an upstream buffer of the same shape and two |E| vectors, and one
-    chunk buffer for its entity-gradient products, no |E| x D array; so
-    besides the gradients, the table-sized arrays of a workspace are the
-    ``LANES - 1`` further partials.  ``scratch`` holds the query
-    gradients, two rows per triple, grown to the largest batch on the
-    calling thread.
+    every call because the optimizer changes the table in place; a
+    scoring model of its own in ``models``, which builds the lane's
+    query rows and runs their ``query_backward``; and a partial of the
+    gradients that ``query_backward`` adds into in ``partials``: the
+    entity gradient and, for TuckER, the core gradient.  The first
+    lane's partials are those gradients themselves.  A kernel holds its
+    score buffer, for L2 an upstream buffer of the same shape and two
+    |E| vectors, and one chunk buffer for its entity-gradient products,
+    no |E| x D array; so besides the gradients, the table-sized arrays of
+    a workspace are the ``LANES - 1`` further entity partials (and
+    core-sized ones for TuckER).  Everything is built on the calling
+    thread, TuckER's Khatri-Rao scratch included (see
+    :class:`scoring.SimilarityBlocks` for why), and so are the arrays of
+    ``scratch``: the query rows, their gradients and the per-row ``r_lit``
+    gradients, two rows per triple, grown to the largest batch.
     """
 
     def __init__(self, state: ModelState):
-        entity = state.tables.entity
+        tables = state.tables
         self.grads = state.zero_grads()
-        self.lanes = [scoring.GradientBlocks(state.model.norm, entity) for _ in range(scoring.LANES)]
-        self.partials = [self.grads["entity"]] + [np.empty_like(entity) for _ in self.lanes[1:]]
+        self.lanes = [scoring.GradientBlocks(state.model.norm, tables.entity) for _ in range(scoring.LANES)]
+        self.models = [type(state.model)() for _ in self.lanes]
+        if tables.core is not None:
+            for model in self.models:
+                model.reserve(tables.core)
+        first = {name: self.grads[name] for name in ("entity", "core") if name in self.grads}
+        self.partials = [first] + [{name: np.empty_like(g) for name, g in first.items()} for _ in self.lanes[1:]]
         self.scratch = scoring.Scratch()
 
     def begin(self) -> None:
@@ -386,31 +400,20 @@ class Workspace:
         for grad in self.grads.values():
             grad.fill(0.0)
         for partial in self.partials[1:]:
-            partial.fill(0.0)
+            for grad in partial.values():
+                grad.fill(0.0)
         for blocks in self.lanes:
             blocks.refresh()
 
 
-def _lane_loss(blocks, d_entity, lane, q, targets, d_q, inv_n) -> float:
-    """Summed cross-entropy of the query rows of the blocks ``lane``, with their gradients.
+def _side_runs(rows: range, n: int) -> list[tuple[slice, slice, str]]:
+    """``(query rows, triples, side)`` of each side that the query rows ``rows`` of ``n`` triples hold.
 
-    Takes a row-wise stable softmax in the kernel's upstream buffer,
-    writes the query gradients into ``d_q`` and accumulates the
-    entity-row gradients into ``d_entity``.
+    Rows below ``n`` are tail-side queries of triples ``0..n``, the rest head-side ones.
     """
-    total = 0.0
-    for block in lane:
-        scores = blocks.forward(q[block])
-        picked = np.arange(scores.shape[0]), targets[block]
-        p = np.subtract(scores, scores.max(axis=1, keepdims=True), out=blocks.upstream(scores.shape[0]))
-        np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        total -= np.log(np.maximum(p[picked], 1e-300)).sum()
-        p *= inv_n
-        p[picked] -= inv_n
-        blocks.backward(q[block], scores, p, d_entity, d_q[block])
-    blocks.flush(d_entity)
-    return total
+    tail, head = range(rows.start, min(rows.stop, n)), range(max(rows.start, n), rows.stop)
+    return [(slice(part.start, part.stop), slice(part.start - offset, part.stop - offset), side)
+            for part, offset, side in ((tail, 0, "tail"), (head, n, "head")) if part]
 
 
 def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspace):
@@ -418,13 +421,18 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
 
     One fusion call builds the ``r_lit`` rows of the batch's distinct
     relations, and each triple takes its relation's row for the query
-    rows of both sides.  The query rows of the whole batch, built on the
-    calling thread, are split into :func:`scoring.lane_blocks`; each lane
+    rows of both sides: rows ``0..n`` are the tail-side queries, rows
+    ``n..2n`` the head-side ones.  The rows are split into
+    :func:`scoring.lane_blocks`, and :func:`scoring.fan_out` runs the
+    lanes.  Each lane builds the query rows of its own contiguous range
+    with its own model, one ``query`` call per side its range holds,
     scores its blocks against the entity table with its own
-    :class:`scoring.GradientBlocks` and entity-gradient partial, and
-    :func:`scoring.fan_out` runs the lanes.  Their losses and partials
-    are summed in lane order.  The per-row ``r_lit`` gradients are
-    summed per relation with one scatter-add for one fusion backward.
+    :class:`scoring.GradientBlocks`, taking a row-wise stable softmax in
+    the kernel's upstream buffer, and runs ``query_backward`` for its
+    range into its own gradient partials.  Their losses and partials are
+    summed in lane order.  The per-row ``r_lit`` gradients, which the
+    lanes write into disjoint rows of one array, are summed per relation
+    with one scatter-add for one fusion backward on the calling thread.
 
     ``workspace``, a :class:`Workspace` of ``state``, holds the buffers.
     Returns ``(loss, grads)`` where grads maps parameter names to arrays
@@ -435,30 +443,51 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     n = batch.shape[0]
     workspace.begin()
-    model = state.model
     tables = state.tables
     grads = workspace.grads
-    d_entity, d_core = grads["entity"], grads.get("core")
     inv_n = 1.0 / n
 
     relations, inverse = np.unique(batch[:, 1], return_inverse=True)
     r_lit, cache = state.fuse_forward(relations)
-    r_rows = r_lit[inverse]
-    sides = ((batch[:, 0], "tail"), (batch[:, 2], "head"))
-    q = np.concatenate([model.query(tables, anchors, r_rows, side) for anchors, side in sides])
     targets = np.concatenate([batch[:, 2], batch[:, 0]])
+    dim_entity, dim_relation = tables.entity.shape[1], r_lit.shape[1]
+    q, d_q = workspace.scratch("q", (2 * n, dim_entity)), workspace.scratch("d_q", (2 * n, dim_entity))
+    # a run's r_lit row gradients overwrite its spent query rows where the widths match
+    d_rows = q if dim_relation == dim_entity else workspace.scratch("d_rows", (2 * n, dim_relation))
 
-    d_q = workspace.scratch("d_q", (2 * n, tables.entity.shape[1]))
-    totals = scoring.fan_out(
-        lambda blocks, partial, lane: _lane_loss(blocks, partial, lane, q, targets, d_q, inv_n),
-        workspace.lanes, workspace.partials, scoring.lane_blocks(2 * n, tables.entity.shape[0]))
+    def lane_loss(blocks, model, partial, lane) -> float:
+        rows = range(lane[0].start, lane[-1].stop) if lane else range(0)
+        runs = [(query_rows, side, batch[triples, 0 if side == "tail" else 2], r_lit[inverse[triples]])
+                for query_rows, triples, side in _side_runs(rows, n)]
+        for query_rows, side, anchors, r_rows in runs:
+            q[query_rows] = model.query(tables, anchors, r_rows, side)
+        total = 0.0
+        for block in lane:
+            scores = blocks.forward(q[block])
+            picked = np.arange(scores.shape[0]), targets[block]
+            p = np.subtract(scores, scores.max(axis=1, keepdims=True), out=blocks.upstream(scores.shape[0]))
+            shifted = p[picked]
+            np.exp(p, out=p)
+            sums = p.sum(axis=1)
+            # -log(p_picked / sum), at most the -log(1e-300) of a floored probability
+            total += np.minimum(np.log(sums) - shifted, -np.log(1e-300)).sum()
+            p *= (inv_n / sums)[:, None]
+            p[picked] -= inv_n
+            blocks.backward(q[block], scores, p, partial["entity"], d_q[block])
+        blocks.flush(partial["entity"])
+        for query_rows, side, anchors, r_rows in runs:
+            d_rows[query_rows] = model.query_backward(tables, anchors, r_rows, side, d_q[query_rows],
+                                                      partial["entity"], partial.get("core"))
+        return total
+
+    totals = scoring.fan_out(lane_loss, workspace.lanes, workspace.models, workspace.partials,
+                             scoring.lane_blocks(2 * n, tables.entity.shape[0]))
     for partial in workspace.partials[1:]:
-        d_entity += partial
+        for name, grad in partial.items():
+            grads[name] += grad
 
-    d_rows = sum(model.query_backward(tables, anchors, r_rows, side, d_q[k * n:(k + 1) * n], d_entity, d_core)
-                 for k, (anchors, side) in enumerate(sides))
     d_r_lit = np.zeros_like(r_lit)
-    np.add.at(d_r_lit, inverse, d_rows)
+    np.add.at(d_r_lit, inverse, d_rows[:n] + d_rows[n:])
     state.fuse_backward(relations, cache, d_r_lit, grads)
 
     loss = sum(totals) * inv_n

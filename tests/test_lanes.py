@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +68,31 @@ def test_two_lanes_equal_one_lane(monkeypatch, model, fusion, rows_per_block, tr
         monkeypatch.setattr(scoring, "BLOCK_SCORES", rows_per_block * graph.num_entities)
     batch = graph.train[:triples]
     loss, grads = loss_and_grads(batch, state)
+    monkeypatch.setattr(scoring, "LANES", 1)
+    want_loss, want = loss_and_grads(batch, state)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    assert grads.keys() == want.keys()
+    for name, grad in want.items():
+        assert np.abs(grads[name] - grad).max() <= 1e-12 * np.abs(grad).max(), name
+
+
+@pytest.mark.parametrize("model", list(MODEL_DIMS))
+def test_lane_straddling_the_tail_head_boundary(monkeypatch, model):
+    # three lanes over 5 triples' 10 query rows: rows 0-3, 4-7 and 8-9, so the middle lane builds
+    # the tail-side query of triple 4 and the head-side queries of triples 0-2, in lane blocks of 2
+    graph, state = make_state(model, "gated")
+    batch = graph.train[:5]
+    monkeypatch.setattr(scoring, "LANES", 3)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * graph.num_entities)
+    assert scoring.lane_blocks(10, graph.num_entities)[1] == [slice(4, 6), slice(6, 8)]
+    results = []
+    for threads in (1, 2):
+        with_threads(monkeypatch, threads)
+        results.append(loss_and_grads(batch, state))
+    (loss, grads), (threaded_loss, threaded) = results
+    assert threaded_loss == loss
+    for name, grad in grads.items():
+        assert np.array_equal(threaded[name], grad), name
     monkeypatch.setattr(scoring, "LANES", 1)
     want_loss, want = loss_and_grads(batch, state)
     assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
@@ -286,6 +312,56 @@ def test_ranking_lanes_build_their_own_queries(monkeypatch, model):
     # one model instance per lane, none of them the state's own
     assert len({instance for _, instance in threads}) == scoring.LANES
     assert id(state.model) not in {instance for _, instance in threads}
+
+
+@pytest.mark.parametrize("model", list(MODEL_DIMS))
+def test_training_lanes_build_their_own_queries(monkeypatch, model):
+    graph, state = make_state(model, "linear", num_entities=30)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * graph.num_entities)
+    with_threads(monkeypatch, 2)
+    model_class = type(state.model)
+    calls = {name: [] for name in ("query", "query_backward")}
+
+    def recording(name):
+        method = getattr(model_class, name)
+
+        def recorded(self, *args):
+            calls[name].append((threading.get_ident(), id(self)))
+            return method(self, *args)
+        return recorded
+
+    for name in calls:
+        monkeypatch.setattr(model_class, name, recording(name))
+    loss_and_grads(graph.train, state)
+    for name, made in calls.items():
+        assert made and threading.get_ident() not in {ident for ident, _ in made}, name
+        # one model instance per lane, none of them the state's own
+        assert len({instance for _, instance in made}) == scoring.LANES, name
+        assert id(state.model) not in {instance for _, instance in made}, name
+
+
+def test_tucker_lanes_allocate_no_khatri_rao_chunk(monkeypatch):
+    # 64 triples, so each of the two lanes builds 64 query rows of 32 x 32 Khatri-Rao entries: a
+    # lane model that grew its chunk on first use would allocate 512 KiB on each lane thread
+    graph = random_graph(np.random.default_rng(5), num_entities=30, num_relations=4,
+                         num_attributes=3, triples_per_relation=40)
+    state = init_state(graph, TrainConfig(model="tucker", fusion="linear", dim_entity=32,
+                                          dim_relation=32, seed=11), None)
+    batch = np.concatenate([graph.train] * 2)[:64]
+    with_threads(monkeypatch, 2)
+    workspace = Workspace(state)
+    for model in workspace.models:
+        assert model._buffer._arrays["kr"].size <= scoring.BLOCK_SCORES // scoring.LANES
+    chunk_bytes = 64 * 32 * 32 * 8
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            symmetric_lcwa_loss(batch, state, workspace)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < chunk_bytes
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 23])
