@@ -406,14 +406,10 @@ class Workspace:
             blocks.refresh()
 
 
-def _side_runs(rows: range, n: int) -> list[tuple[slice, slice, str]]:
-    """``(query rows, triples, side)`` of each side that the query rows ``rows`` of ``n`` triples hold.
-
-    Rows below ``n`` are tail-side queries of triples ``0..n``, the rest head-side ones.
-    """
-    tail, head = range(rows.start, min(rows.stop, n)), range(max(rows.start, n), rows.stop)
-    return [(slice(part.start, part.stop), slice(part.start - offset, part.stop - offset), side)
-            for part, offset, side in ((tail, 0, "tail"), (head, n, "head")) if part]
+def _side_runs(rows: range, n: int) -> list[tuple[slice, str]]:
+    """``(rows, side)`` of each side that the query rows ``rows`` hold: rows below ``n`` are tail-side."""
+    return [(slice(start, stop), side) for start, stop, side in
+            ((rows.start, min(rows.stop, n), "tail"), (max(rows.start, n), rows.stop, "head")) if start < stop]
 
 
 def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspace):
@@ -449,7 +445,8 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
 
     relations, inverse = np.unique(batch[:, 1], return_inverse=True)
     r_lit, cache = state.fuse_forward(relations)
-    targets = np.concatenate([batch[:, 2], batch[:, 0]])
+    anchors, targets = np.concatenate([batch[:, 0], batch[:, 2]]), np.concatenate([batch[:, 2], batch[:, 0]])
+    row_relations = np.concatenate([inverse, inverse])
     dim_entity, dim_relation = tables.entity.shape[1], r_lit.shape[1]
     q, d_q = workspace.scratch("q", (2 * n, dim_entity)), workspace.scratch("d_q", (2 * n, dim_entity))
     # a run's r_lit row gradients overwrite its spent query rows where the widths match
@@ -457,10 +454,9 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
 
     def lane_loss(blocks, model, partial, lane) -> float:
         rows = range(lane[0].start, lane[-1].stop) if lane else range(0)
-        runs = [(query_rows, side, batch[triples, 0 if side == "tail" else 2], r_lit[inverse[triples]])
-                for query_rows, triples, side in _side_runs(rows, n)]
-        for query_rows, side, anchors, r_rows in runs:
-            q[query_rows] = model.query(tables, anchors, r_rows, side)
+        runs = [(run, side, r_lit[row_relations[run]]) for run, side in _side_runs(rows, n)]
+        for run, side, r_rows in runs:
+            q[run] = model.query(tables, anchors[run], r_rows, side)
         total = 0.0
         for block in lane:
             scores = blocks.forward(q[block])
@@ -475,9 +471,9 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
             p[picked] -= inv_n
             blocks.backward(q[block], scores, p, partial["entity"], d_q[block])
         blocks.flush(partial["entity"])
-        for query_rows, side, anchors, r_rows in runs:
-            d_rows[query_rows] = model.query_backward(tables, anchors, r_rows, side, d_q[query_rows],
-                                                      partial["entity"], partial.get("core"))
+        for run, side, r_rows in runs:
+            d_rows[run] = model.query_backward(tables, anchors[run], r_rows, side, d_q[run],
+                                               partial["entity"], partial.get("core"))
         return total
 
     totals = scoring.fan_out(lane_loss, workspace.lanes, workspace.models, workspace.partials,
