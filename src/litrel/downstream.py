@@ -89,10 +89,10 @@ def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
     break toward the label with the smallest mean distance among its
     voting neighbours, then toward the smallest label.
 
-    Test rows go in the blocks of ``scoring.lane_blocks(n_test,
-    n_train)``, each lane's blocks on a thread of ``scoring.fan_out``,
-    and each lane writes the predictions of its own rows.  A block ranks
-    every training row by the expanded square
+    Test rows go in the blocks of ``scoring.cut(n_test,
+    scoring.lane_rows(n_train))``, each lane's blocks on a thread of
+    ``scoring.fan_out``, and each lane writes the predictions of its own
+    rows.  A block ranks every training row by the expanded square
     ``s = ||x||^2 - 2 x.t + ||t||^2`` (one matrix product), keeps as
     candidates the rows with ``s <= s_k + delta``, where ``s_k`` is the
     row's k-th smallest ``s``, and computes direct distances for those
@@ -129,7 +129,7 @@ def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
             nearest, dists = _nearest(train_feats, train_sq, test_feats[block], k)
             predictions[block] = classes[_vote(label_index[nearest], dists, classes.shape[0])]
 
-    scoring.fan_out(lane, scoring.lane_blocks(test_feats.shape[0], train_feats.shape[0]))
+    scoring.fan_out(lane, scoring.cut(test_feats.shape[0], scoring.lane_rows(train_feats.shape[0])))
     return predictions
 
 
@@ -152,9 +152,7 @@ def _nearest(train_feats, train_sq, x, k):
         # "not above" rather than "at most": a NaN bound or square keeps the row
         rows, cols = np.nonzero(~(sq > (kth + delta)[:, None]))
     dists = np.empty(rows.shape[0])
-    chunk = scoring.block_rows(dim)
-    for start in range(0, rows.shape[0], chunk):
-        part = slice(start, start + chunk)
+    for part in scoring.chunks(rows.shape[0], scoring.block_rows(dim)):
         dists[part] = np.sqrt(((train_feats[cols[part]] - x[rows[part]]) ** 2).sum(axis=1))
     order = np.lexsort((cols, dists, rows))
     # rows[order] ascends, and every row has at least k candidates

@@ -10,19 +10,17 @@ by default; optimistic and pessimistic policies are available.
 Ranking fuses the relation table once, as |R| rows ``r_lit``, and reads
 the filter from the splits on each call: the known triples are sorted
 by an int64 key per side.  Both happen on the calling thread.  The
-triples, in input order and so spanning relations, are then split into
-the lanes of :func:`scoring.similarity_lanes`, which one
-:func:`scoring.fan_out` call runs.  Each lane works through its own
-blocks: it builds the block's head and tail queries with a model
-instance of its own (TuckER's scratch is never shared between threads)
-and each triple's ``r_lit`` row, finds its rows' known-true
-competitors by binary search, and scores each side as one B x |E|
-matrix in the score buffer of the lane's
-:class:`scoring.SimilarityBlocks`, compared in the lane's mask; both
-hold the kernel's :func:`scoring.block_rows` rows and are allocated on
-the calling thread, before the lanes start.  Filtering sets the
-competitors to -inf, and the better and tied entries are counted
-row-wise.
+triples, in input order and so spanning relations, are then cut by
+:func:`scoring.cut` at the kernels' rows into the lanes of
+:func:`scoring.lanes`, which one :func:`scoring.fan_out` call runs.
+Each lane works through its own blocks: it builds the block's head and
+tail queries with the lane's model and each triple's ``r_lit`` row,
+finds its rows' known-true competitors by binary search, and scores
+each side as one B x |E| matrix in the score buffer of the lane's
+:class:`scoring.SimilarityBlocks`, compared in the lane's mask, which
+holds the kernel's rows and is allocated on the calling thread too.
+Filtering sets the competitors to -inf, and the better and tied entries
+are counted row-wise.
 
 Relations can additionally be partitioned into frequent vs long-tail
 groups (by training-triple count) or correlated vs less-correlated
@@ -131,7 +129,7 @@ def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray, tie_policy: 
     """(N, 2) filtered [head rank, tail rank] of every triple under the trained model."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     ranks = np.empty((triples.shape[0], 2))
-    model, tables = state.model, state.tables
+    tables = state.tables
     n_e, n_r = graph.num_entities, graph.num_relations
     # a known triple files its tail under key r|E| + h and its head under (|R| + r)|E| + t
     h, r, t = np.concatenate([graph.train, graph.valid, graph.test]).T
@@ -139,23 +137,22 @@ def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray, tie_policy: 
     order = np.argsort(keys)  # the entities under one key only mask: their order is free
     keys, entities = keys[order], np.concatenate([t, h])[order]
     r_lit = state.fuse_forward(np.arange(n_r))[0]  # its cache holds gathered profile rows: drop it
-    lanes = [(kernel, np.empty((kernel.rows, n_e), dtype=bool), blocks)
-             for kernel, blocks in scoring.similarity_lanes(model.norm, tables.entity, triples.shape[0])]
+    kernels, models = zip(*scoring.lanes(scoring.SimilarityBlocks, state.config.model, tables))
+    masks = [np.empty((kernel.rows, n_e), dtype=bool) for kernel in kernels]
 
-    def rank(kernel, mask, blocks):
+    def rank(kernel, model, mask, blocks):
         """Filtered ranks of the triples of one lane's blocks, with its own model and buffers."""
-        lane_model = type(model)()  # TuckER's scratch is the lane's own
         for block in blocks:
             heads, rels, tails = triples[block].T
             r_rows = r_lit[rels]
             known_heads = _known_entities(keys, entities, (n_r + rels) * n_e + tails)
             known_tails = _known_entities(keys, entities, rels * n_e + heads)
-            q_heads = lane_model.query(tables, tails, r_rows, "head")
+            q_heads = model.query(tables, tails, r_rows, "head")
             ranks[block, 0] = filtered_ranks(kernel.forward(q_heads), heads, known_heads, tie_policy, mask)
-            q_tails = lane_model.query(tables, heads, r_rows, "tail")
+            q_tails = model.query(tables, heads, r_rows, "tail")
             ranks[block, 1] = filtered_ranks(kernel.forward(q_tails), tails, known_tails, tie_policy, mask)
 
-    scoring.fan_out(rank, *zip(*lanes))
+    scoring.fan_out(rank, kernels, models, masks, scoring.cut(triples.shape[0], kernels[0].rows))
     return ranks
 
 
@@ -198,6 +195,13 @@ def frequency_threshold_from_fraction(graph: KnowledgeGraph, fraction: float) ->
     if not 0 <= fraction <= 1:
         raise ValidationError("fraction must be within [0, 1]")
     return fraction * graph.train.shape[0]
+
+
+def relation_groups(relations: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """``(relation, row indices)`` per distinct relation, ascending, rows in input order."""
+    order = np.argsort(relations, kind="stable")
+    values, starts = np.unique(relations[order], return_index=True)
+    return list(zip(values.tolist(), np.split(order, starts[1:])))
 
 
 # Relative tolerance of the moment estimates in :func:`group_by_correlation`.
@@ -254,7 +258,7 @@ def group_by_correlation(graph: KnowledgeGraph, threshold: float) -> RelationGro
     present = graph.literals.present
     labels = ("correlated", "less-correlated")
     partition = np.full(graph.num_relations, labels[1])
-    for relation, rows in scoring.relation_groups(graph.train[:, 1]):
+    for relation, rows in relation_groups(graph.train[:, 1]):
         if rows.size < MIN_CORR_SAMPLES or graph.num_attributes == 0:
             continue
         heads, tails = graph.train[rows, 0], graph.train[rows, 2]

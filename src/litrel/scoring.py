@@ -42,25 +42,24 @@ of :data:`CHUNK_ENTRIES` entries, so it holds no |E| x D array, and the
 optimizer step works through its lanes' chunks with one such scratch
 each (:class:`litrel.training.Optimizer`).
 TuckER keeps its Khatri-Rao chunks and their products in a
-:class:`Scratch` of its own, grown on demand, so scoring and training
-allocate no chunk-sized array after the first call; a training run's
-lane models have theirs allocated whole when they are built
-(:meth:`TuckER.reserve`).
+:class:`Scratch` of its own, grown on demand; a lane model has its
+chunk allocated whole when the lane is built (:meth:`TuckER.reserve`),
+so no lane allocates a chunk-sized array.
 
-The block loops of training, ranking and KNN split their query rows
-into :data:`LANES` contiguous lanes, and :func:`fan_out` runs the lanes
-on a thread pool.  Training and KNN score each lane in blocks of
-:func:`lane_rows` rows (:func:`lane_blocks`; KNN's rows are test nodes,
-scored against the training nodes), training by a
-:class:`GradientBlocks` per lane; ranking scores each lane in blocks of
-:func:`block_rows` rows by a :class:`SimilarityBlocks` of its own
-(:func:`similarity_lanes`).  :func:`block_rows` and :func:`lane_rows`
-alone decide the block shape.  The split depends only on the row count
-and |E|, so results do not depend on the number of threads.  A
-training lane builds the query rows of its range and runs their
-``query_backward``, and a ranking lane builds its own queries, each with
-a model instance of its own, so TuckER's scratch is never shared between
-threads.
+The block loops of training, ranking and KNN all cut their query rows
+with :func:`cut`, into :data:`LANES` contiguous lanes of blocks, and
+:func:`fan_out` runs the lanes on a thread pool.  :func:`lanes` builds
+the lanes of training and ranking, on the calling thread: per lane, a
+kernel (a :class:`GradientBlocks` for training, a
+:class:`SimilarityBlocks` for ranking) and a scoring model of its own,
+which builds the lane's queries (and, in training, runs their
+``query_backward``), so TuckER's scratch is never shared between
+threads.  Training and ranking cut their rows by their kernels'
+``rows``; KNN, whose rows are test nodes scored against the training
+nodes, by :func:`lane_rows` of the training nodes.  :func:`block_rows`
+and :func:`lane_rows` alone decide the block shape.  The cut depends
+only on the row count and the block rows, so results do not depend on
+the number of threads.
 
 Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
 the distance kernel is one matrix product plus row norms.  The
@@ -221,7 +220,7 @@ class TuckER:
     The Khatri-Rao chunks, then their gradients, and the chunk products
     of the core gradient are written into the two arrays of the model's
     :class:`Scratch`.  A chunk takes a :data:`LANES` share of
-    :data:`BLOCK_SCORES`: each training lane runs a model of its own.
+    :data:`BLOCK_SCORES`: each lane runs a model of its own.
     """
 
     norm = None
@@ -241,11 +240,16 @@ class TuckER:
         """Rows per Khatri-Rao chunk of ``width`` entries a row: a ``LANES`` share of ``BLOCK_SCORES``, at least one."""
         return max(1, BLOCK_SCORES // LANES // width)
 
-    def reserve(self, core) -> None:
-        """Allocate the scratch of a whole chunk now, so that no query call on ``core`` allocates one."""
+    def reserve(self, core, backward: bool) -> None:
+        """Allocate the scratch of a whole chunk now, so that no ``query`` call on ``core`` allocates one.
+
+        With ``backward``, also the chunk products of the core gradient, so
+        that no ``query_backward`` call does either.
+        """
         d_e, d_r = core.shape[:2]
         self._buffer("kr", (self._chunk_rows(d_e * d_r), d_e, d_r))
-        self._buffer("d_core", (d_e * d_r, d_e))
+        if backward:
+            self._buffer("d_core", (d_e * d_r, d_e))
 
     def _khatri_rao(self, a, b):
         """``(rows, a[rows] (x) b[rows])`` for chunks of :meth:`_chunk_rows` rows.
@@ -310,29 +314,32 @@ def chunks(count: int, step: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
-def _cut(count: int, step: int) -> list[list[slice]]:
-    """The rows ``0..count`` in ``LANES`` contiguous parts, each cut into blocks of ``step`` rows.
+def cut(count: int, rows: int) -> list[list[slice]]:
+    """The rows ``0..count`` in ``LANES`` contiguous parts, each cut into blocks of ``rows`` rows.
 
-    The earlier parts take the remainder.
+    The one row cut of every block loop; the earlier parts take the remainder.
     """
     size = -(-count // LANES)
     parts = [range(min(k * size, count), min((k + 1) * size, count)) for k in range(LANES)]
-    return [[slice(start, min(start + step, part.stop)) for start in part[::step]] for part in parts]
+    return [[slice(start, min(start + rows, part.stop)) for start in part[::rows]] for part in parts]
 
 
-def lane_blocks(count: int, num_entities: int) -> list[list[slice]]:
-    """Per lane, the row blocks of :func:`lane_rows` rows it scores, out of ``count`` rows."""
-    return _cut(count, lane_rows(num_entities))
+def lanes(kernel, kind: str, tables: EmbeddingTables) -> list[tuple[SimilarityBlocks, object]]:
+    """Per lane, a ``kernel`` (:class:`SimilarityBlocks` or :class:`GradientBlocks`) and a scoring model of ``kind``.
 
-
-def similarity_lanes(norm, entity: np.ndarray, count: int) -> list[tuple[SimilarityBlocks, list[slice]]]:
-    """Per lane, a forward kernel over ``entity`` and the row blocks it scores, out of ``count`` rows.
-
-    The blocks have the kernel's :attr:`SimilarityBlocks.rows` rows.  The
-    kernels are built, and their buffers allocated, on the calling thread.
+    Both are built on the calling thread, over ``tables``: the kernel
+    over the entity table, with its buffers allocated, and the model with
+    its TuckER scratch reserved (:meth:`TuckER.reserve`; the core-product
+    scratch only for a :class:`GradientBlocks` lane, since forward lanes
+    never run ``query_backward``).
     """
-    kernels = [SimilarityBlocks(norm, entity) for _ in range(LANES)]
-    return list(zip(kernels, _cut(count, kernels[0].rows)))
+    model = MODELS[kind]
+    kernels = [kernel(model.norm, tables.entity) for _ in range(LANES)]
+    models = [model() for _ in kernels]
+    if tables.core is not None:
+        for lane_model in models:
+            lane_model.reserve(tables.core, backward=issubclass(kernel, GradientBlocks))
+    return list(zip(kernels, models))
 
 
 def lane_threads() -> int:
@@ -367,13 +374,6 @@ def fan_out(fn, *iterables) -> list:
     pending = [_pool(threads).submit(lane, *args) for args in zip(*iterables)]
     futures.wait(pending)
     return [f.result() for f in pending]
-
-
-def relation_groups(relations: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """``(relation, row indices)`` per distinct relation, ascending, rows in input order."""
-    order = np.argsort(relations, kind="stable")
-    values, starts = np.unique(relations[order], return_index=True)
-    return list(zip(values.tolist(), np.split(order, starts[1:])))
 
 
 def sq_norms(rows, out=None):

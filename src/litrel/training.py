@@ -9,19 +9,16 @@ call; each triple side takes its relation's row, and the query rows of
 the whole batch are scored as matrices against the entity table (1-vs-all
 scoring), so no step runs per triple or per relation.
 
-The query rows of a batch are split into two lanes
-(:data:`litrel.scoring.LANES`) on two threads.  Each lane builds the
+The query rows of a batch are split into the lanes of
+:func:`litrel.scoring.lanes` on two threads.  Each lane builds the
 query rows of its range, scores its blocks and runs the backward of its
 queries; only the relation lookup, the fusion and its backward, and the
 per-relation sum of the ``r_lit`` row gradients stay on the calling
 thread.  The loss calls of one run share one :class:`Workspace`: the
-gradient arrays, zeroed in place each step; per lane, a similarity
-kernel over the entity table, which sizes its blocks itself
-(:func:`litrel.scoring.lane_rows`), whose cached norms each step
-refreshes and whose score buffer also holds the softmax, a scoring model
-(TuckER's with its Khatri-Rao scratch allocated) and partials of the
-entity and core gradients; and the query rows, their gradients and the
-``r_lit`` row gradients.  With the state's scratch for the learnable
+gradient arrays, zeroed in place each step; the lanes, whose kernels'
+cached norms each step refreshes and whose score buffers also hold the
+softmax, with partials of the entity and core gradients per lane; and
+the query rows, their gradients and the ``r_lit`` row gradients.  With the state's scratch for the learnable
 aggregation's profile rows, a step after the first allocates nothing the
 size of a table or a score block.  The kernels and the optimizer step
 hold no table-sized scratch: both work through their tables in chunks of
@@ -238,7 +235,6 @@ class ModelState:
 
     config: TrainConfig
     tables: EmbeddingTables
-    model: object                           # the scoring model of config.model
     fusion: object = None                   # LinearFusion, GatedFusion or None (vanilla)
     agg_weights: np.ndarray | None = None   # (11,)
     agg_bias: np.ndarray | None = None      # (1,)
@@ -344,7 +340,7 @@ def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles) -> ModelSta
         core = rng.uniform(-1.0, 1.0, size=(config.dim_entity, config.dim_relation, config.dim_entity)) * 0.1
     tables = EmbeddingTables(entity=entity, relation=relation, core=core)
 
-    state = ModelState(config=config, tables=tables, model=scoring.MODELS[config.model](), profiles=profiles)
+    state = ModelState(config=config, tables=tables, profiles=profiles)
     if config.fusion_enabled:
         dim = config.dim_relation // state.fusion_parts
         state.fusion = fusion_mod.FUSIONS[config.fusion](dim, graph.num_attributes, rng)
@@ -360,24 +356,21 @@ def _first_non_finite(arrays: dict[str, np.ndarray]) -> str | None:
 
 
 class Workspace:
-    """The buffers and lane models that the loss calls of one training run share.
+    """The buffers and lanes that the loss calls of one training run share.
 
     ``grads`` holds one gradient array per parameter of ``state``, zeroed
     at the start of every call and returned by it (the optimizer then
-    consumes them).  Each of the :data:`scoring.LANES` lanes has a
-    similarity kernel over the entity table in ``lanes``, refreshed on
-    every call because the optimizer changes the table in place; a
-    scoring model of its own in ``models``, which builds the lane's
-    query rows and runs their ``query_backward``; and a partial of the
-    gradients that ``query_backward`` adds into in ``partials``: the
-    entity gradient and, for TuckER, the core gradient.  The first
-    lane's partials are those gradients themselves.  A kernel holds its
-    score buffer, for L2 an upstream buffer of the same shape and two
-    |E| vectors, and one chunk buffer for its entity-gradient products,
-    no |E| x D array; so besides the gradients, the table-sized arrays of
-    a workspace are the ``LANES - 1`` further entity partials (and
-    core-sized ones for TuckER).  Everything is built on the calling
-    thread, TuckER's Khatri-Rao scratch included (see
+    consumes them).  ``lanes`` holds the :func:`scoring.lanes` of
+    :class:`scoring.GradientBlocks` kernels, refreshed on every call
+    because the optimizer changes the table in place, each with the
+    scoring model that builds the lane's query rows and runs their
+    ``query_backward``.  Each lane has a partial of the gradients that
+    ``query_backward`` adds into in ``partials``: the entity gradient
+    and, for TuckER, the core gradient.  The first lane's partials are
+    those gradients themselves.  A kernel holds no |E| x D array, so
+    besides the gradients, the table-sized arrays of a workspace are the
+    ``LANES - 1`` further entity partials (and core-sized ones for
+    TuckER).  Everything is built on the calling thread (see
     :class:`scoring.SimilarityBlocks` for why), and so are the arrays of
     ``scratch``: the query rows, their gradients and the per-row ``r_lit``
     gradients, two rows per triple, grown to the largest batch.
@@ -386,11 +379,7 @@ class Workspace:
     def __init__(self, state: ModelState):
         tables = state.tables
         self.grads = state.zero_grads()
-        self.lanes = [scoring.GradientBlocks(state.model.norm, tables.entity) for _ in range(scoring.LANES)]
-        self.models = [type(state.model)() for _ in self.lanes]
-        if tables.core is not None:
-            for model in self.models:
-                model.reserve(tables.core)
+        self.lanes = scoring.lanes(scoring.GradientBlocks, state.config.model, tables)
         first = {name: self.grads[name] for name in ("entity", "core") if name in self.grads}
         self.partials = [first] + [{name: np.empty_like(g) for name, g in first.items()} for _ in self.lanes[1:]]
         self.scratch = scoring.Scratch()
@@ -402,7 +391,7 @@ class Workspace:
         for partial in self.partials[1:]:
             for grad in partial.values():
                 grad.fill(0.0)
-        for blocks in self.lanes:
+        for blocks, _ in self.lanes:
             blocks.refresh()
 
 
@@ -418,12 +407,12 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     One fusion call builds the ``r_lit`` rows of the batch's distinct
     relations, and each triple takes its relation's row for the query
     rows of both sides: rows ``0..n`` are the tail-side queries, rows
-    ``n..2n`` the head-side ones.  The rows are split into
-    :func:`scoring.lane_blocks`, and :func:`scoring.fan_out` runs the
-    lanes.  Each lane builds the query rows of its own contiguous range
-    with its own model, one ``query`` call per side its range holds,
-    scores its blocks against the entity table with its own
-    :class:`scoring.GradientBlocks`, taking a row-wise stable softmax in
+    ``n..2n`` the head-side ones.  The rows are cut by
+    :func:`scoring.cut` at the workspace kernels' rows, and
+    :func:`scoring.fan_out` runs the lanes.  Each lane builds the query
+    rows of its own contiguous range with its own model, one ``query``
+    call per side its range holds, scores its blocks against the entity
+    table with its own kernel, taking a row-wise stable softmax in
     the kernel's upstream buffer, and runs ``query_backward`` for its
     range into its own gradient partials.  Their losses and partials are
     summed in lane order.  The per-row ``r_lit`` gradients, which the
@@ -476,8 +465,8 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
                                                partial["entity"], partial.get("core"))
         return total
 
-    totals = scoring.fan_out(lane_loss, workspace.lanes, workspace.models, workspace.partials,
-                             scoring.lane_blocks(2 * n, tables.entity.shape[0]))
+    totals = scoring.fan_out(lane_loss, *zip(*workspace.lanes), workspace.partials,
+                             scoring.cut(2 * n, workspace.lanes[0][0].rows))
     for partial in workspace.partials[1:]:
         for name, grad in partial.items():
             grads[name] += grad
@@ -638,5 +627,5 @@ def load_checkpoint(directory: str) -> tuple[ModelState, dict]:
         if fault is not None:
             raise ConfigError(f"{directory}: parameter {name} {fault}")
     tables = EmbeddingTables(stored["entity"], stored["relation"], stored.get("core"))
-    state = ModelState(config, tables, scoring.MODELS[config.model](), artifact=meta.get("artifact"))
+    state = ModelState(config, tables, artifact=meta.get("artifact"))
     return state, load_json(os.path.join(directory, "history.json"))

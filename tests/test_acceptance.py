@@ -216,12 +216,13 @@ def test_criterion_4_ranking_oracle(monkeypatch):
                 ranks = rank_triples(state, graph, triples, "realistic")
                 # the oracle reads the very blocks the ranker scored, by its kernel (a row's scores
                 # can depend on its block's row count): input order, spanning relations
-                lanes = scoring.similarity_lanes(state.model.norm, state.tables.entity, triples.shape[0])
-                for kernel, rows in ((kernel, rows) for kernel, blocks in lanes for rows in blocks):
+                lanes = scoring.lanes(scoring.SimilarityBlocks, config.model, state.tables)
+                cuts = scoring.cut(triples.shape[0], lanes[0][0].rows)
+                for (kernel, model), rows in ((lane, rows) for lane, blocks in zip(lanes, cuts) for rows in blocks):
                     start, block = rows.start, triples[rows]
                     r_rows = r_lit[block[:, 1]]
                     tail_scores, head_scores = (
-                        kernel.forward(state.model.query(state.tables, anchors, r_rows, side)).copy()
+                        kernel.forward(model.query(state.tables, anchors, r_rows, side)).copy()
                         for anchors, side in ((block[:, 0], "tail"), (block[:, 2], "head")))
                     for k, (h, r, t) in enumerate(block.tolist()):
                         f_t = {kt for kh, kr, kt in known if (kh, kr) == (h, r)} - {t}

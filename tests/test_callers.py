@@ -10,7 +10,9 @@ or a dict key, in ``scripts/`` or ``pipebench/``: a key that only a
 config file reaches is code that no run needs.  A module under ``src/``
 or ``scripts/`` uses every name it imports.  No default of a function
 is passed by every call of that function's name: such a default is a
-branch that only tests take.
+branch that only tests take.  Only ``scoring`` builds the lanes of a
+block loop: no other module constructs a similarity kernel or picks a
+scoring model out of ``MODELS``.
 """
 
 import ast
@@ -161,3 +163,33 @@ def test_the_default_guard_counts_positional_keyword_and_star_calls(tmp_path):
 def test_no_default_is_passed_by_every_caller():
     passed = defaults_every_caller_passes(ROOT)
     assert passed == [], f"defaults that every call outside tests/ passes, so only tests take them: {passed}"
+
+
+def lane_builds(path):
+    """``path:line: name`` of each ``SimilarityBlocks``/``GradientBlocks`` call and ``MODELS`` subscript."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            target, names = node.func, ("SimilarityBlocks", "GradientBlocks")
+        elif isinstance(node, ast.Subscript):
+            target, names = node.value, ("MODELS",)
+        else:
+            continue
+        name = getattr(target, "id", None) or getattr(target, "attr", None)
+        if name in names:
+            found.append(f"{path.name}:{node.lineno}: {name}")
+    return found
+
+
+def test_the_lane_guard_finds_constructions_and_model_lookups(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("from litrel.scoring import MODELS, SimilarityBlocks\n"
+                      "SimilarityBlocks(None, e)\nscoring.GradientBlocks(2, e)\nMODELS[kind]()\n"
+                      "scoring.lanes(scoring.SimilarityBlocks, kind, tables)\ntuple(scoring.MODELS)\n")
+    assert lane_builds(module) == ["m.py:2: SimilarityBlocks", "m.py:3: GradientBlocks", "m.py:4: MODELS"]
+
+
+def test_only_scoring_builds_lanes():
+    found = [entry for path in sorted((ROOT / "src" / "litrel").glob("*.py")) if path.name != "scoring.py"
+             for entry in lane_builds(path)]
+    assert found == [], f"kernels or scoring models built outside scoring.lanes: {found}"

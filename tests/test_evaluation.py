@@ -127,8 +127,9 @@ class TestFilteredRanking:
         test = toy_graph.test
         ranks = rank_triples(trained_state, toy_graph, test, "realistic")
         r_lit = np.stack([trained_state.fused_relation(r) for r in test[:, 1]])
-        q = trained_state.model.query(trained_state.tables, test[:, 0], r_lit, "tail")
-        scores = scoring.SimilarityBlocks(trained_state.model.norm, trained_state.tables.entity).forward(q)
+        model = scoring.MODELS[trained_state.config.model]
+        q = model().query(trained_state.tables, test[:, 0], r_lit, "tail")
+        scores = scoring.SimilarityBlocks(model.norm, trained_state.tables.entity).forward(q)
         raw = filtered_ranks(scores, test[:, 2], as_index([set()] * test.shape[0]), "realistic",
                              np.empty(scores.shape, dtype=bool))
         assert (ranks[:, 1] <= raw).all()
@@ -179,10 +180,11 @@ def reference_rank_triples(state, graph, triples, tie_policy):
         return better + 1 + ties / 2.0
 
     ranks = np.empty((triples.shape[0], 2))
-    model, tables = state.model, state.tables
+    tables = state.tables
     r_lit, _ = state.fuse_forward(np.arange(tables.relation.shape[0]))
-    lanes = scoring.similarity_lanes(model.norm, tables.entity, triples.shape[0])
-    for blocks, rows in ((blocks, rows) for blocks, lane in lanes for rows in lane):
+    lanes = scoring.lanes(scoring.SimilarityBlocks, state.config.model, tables)
+    cuts = scoring.cut(triples.shape[0], lanes[0][0].rows)
+    for (blocks, model), rows in ((lane, rows) for lane, cut in zip(lanes, cuts) for rows in cut):
         block = triples[rows]
         heads, rels, tails = block.T
         r_rows = r_lit[rels]

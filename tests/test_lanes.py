@@ -8,6 +8,7 @@ count and |E|.  KNN is exact, so its predictions are bit-identical for
 any number of lanes and threads.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -84,7 +85,7 @@ def test_lane_straddling_the_tail_head_boundary(monkeypatch, model):
     batch = graph.train[:5]
     monkeypatch.setattr(scoring, "LANES", 3)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * graph.num_entities)
-    assert scoring.lane_blocks(10, graph.num_entities)[1] == [slice(4, 6), slice(6, 8)]
+    assert scoring.cut(10, Workspace(state).lanes[0][0].rows)[1] == [slice(4, 6), slice(6, 8)]
     results = []
     for threads in (1, 2):
         with_threads(monkeypatch, threads)
@@ -299,7 +300,7 @@ def test_ranking_lanes_build_their_own_queries(monkeypatch, model):
     graph, state = make_state(model, "linear", num_entities=30)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * graph.num_entities)
     with_threads(monkeypatch, 2)
-    model_class, query = type(state.model), type(state.model).query
+    model_class, query = scoring.MODELS[model], scoring.MODELS[model].query
     threads = []
 
     def recorded(self, *args):
@@ -308,10 +309,9 @@ def test_ranking_lanes_build_their_own_queries(monkeypatch, model):
 
     monkeypatch.setattr(model_class, "query", recorded)
     rank_triples(state, graph, graph.train, "realistic")
+    # LANES distinct lane models, none of them used on the calling thread
     assert threads and threading.get_ident() not in {ident for ident, _ in threads}
-    # one model instance per lane, none of them the state's own
     assert len({instance for _, instance in threads}) == scoring.LANES
-    assert id(state.model) not in {instance for _, instance in threads}
 
 
 @pytest.mark.parametrize("model", list(MODEL_DIMS))
@@ -319,7 +319,7 @@ def test_training_lanes_build_their_own_queries(monkeypatch, model):
     graph, state = make_state(model, "linear", num_entities=30)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * graph.num_entities)
     with_threads(monkeypatch, 2)
-    model_class = type(state.model)
+    model_class = scoring.MODELS[model]
     calls = {name: [] for name in ("query", "query_backward")}
 
     def recording(name):
@@ -334,10 +334,9 @@ def test_training_lanes_build_their_own_queries(monkeypatch, model):
         monkeypatch.setattr(model_class, name, recording(name))
     loss_and_grads(graph.train, state)
     for name, made in calls.items():
+        # LANES distinct lane models, none of them used on the calling thread
         assert made and threading.get_ident() not in {ident for ident, _ in made}, name
-        # one model instance per lane, none of them the state's own
         assert len({instance for _, instance in made}) == scoring.LANES, name
-        assert id(state.model) not in {instance for _, instance in made}, name
 
 
 def test_tucker_lanes_allocate_no_khatri_rao_chunk(monkeypatch):
@@ -350,8 +349,9 @@ def test_tucker_lanes_allocate_no_khatri_rao_chunk(monkeypatch):
     batch = np.concatenate([graph.train] * 2)[:64]
     with_threads(monkeypatch, 2)
     workspace = Workspace(state)
-    for model in workspace.models:
+    for _, model in workspace.lanes:
         assert model._buffer._arrays["kr"].size <= scoring.BLOCK_SCORES // scoring.LANES
+        assert model._buffer._arrays["d_core"].size == 32 * 32 * 32
     chunk_bytes = 64 * 32 * 32 * 8
     for _ in range(2):
         tracemalloc.start()
@@ -365,24 +365,19 @@ def test_tucker_lanes_allocate_no_khatri_rao_chunk(monkeypatch):
 
 
 @pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 23])
-def test_similarity_lanes_cut_contiguous_parts_into_block_rows(monkeypatch, count):
-    monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 10)  # block_rows 6 over 10 entities
-    lanes = scoring.similarity_lanes(None, np.zeros((10, 2)), count)
-    assert len(lanes) == scoring.LANES
-    assert all(kernel.rows == 6 for kernel, _ in lanes)
-    assert len({id(kernel) for kernel, _ in lanes}) == scoring.LANES
-    flat = [block for _, blocks in lanes for block in blocks]
-    assert [i for block in flat for i in range(block.start, block.stop)] == list(range(count))
-    assert all(0 < block.stop - block.start <= 6 for block in flat)
-
-
-@pytest.mark.parametrize("count", [0, 1, 5, 6, 7, 23])
 @pytest.mark.parametrize("lanes", [1, 2, 3])
-def test_lane_blocks_cut_contiguous_parts_into_lane_rows(monkeypatch, count, lanes):
+@pytest.mark.parametrize("kernel", [pytest.param(scoring.SimilarityBlocks, id="forward"),
+                                    pytest.param(scoring.GradientBlocks, id="gradient")])
+def test_cut_contiguous_parts_into_blocks_of_the_lane_kernels_rows(monkeypatch, count, lanes, kernel):
+    # ranking cuts by its forward kernels' block_rows (6 over 10 entities), training by its gradient
+    # kernels' lane_rows (6 // lanes), and KNN by lane_rows too
     monkeypatch.setattr(scoring, "LANES", lanes)
-    monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 10)  # block_rows 6 over 10 entities
-    step = scoring.lane_rows(10)
-    got = scoring.lane_blocks(count, 10)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 10)
+    step = 6 if kernel is scoring.SimilarityBlocks else scoring.lane_rows(10)
+    built = scoring.lanes(kernel, "distmult", scoring.EmbeddingTables(np.zeros((10, 2)), np.zeros((1, 2))))
+    assert len(built) == lanes and all(type(k) is kernel and k.rows == step for k, _ in built)
+    assert len({id(k) for k, _ in built}) == len({id(m) for _, m in built}) == lanes
+    got = scoring.cut(count, built[0][0].rows)
     assert len(got) == lanes
     flat = [block for lane in got for block in lane]
     assert [i for block in flat for i in range(block.start, block.stop)] == list(range(count))
@@ -390,6 +385,32 @@ def test_lane_blocks_cut_contiguous_parts_into_lane_rows(monkeypatch, count, lan
     sizes = [sum(block.stop - block.start for block in lane) for lane in got]
     assert sizes == sorted(sizes, reverse=True) and sizes[0] - sizes[-1] <= max(1, lanes - 1)
     assert all(block.start == lane[0].start + i * step for lane in got for i, block in enumerate(lane))
+
+
+def test_ranking_grows_every_scratch_on_the_calling_thread(monkeypatch):
+    # TuckER's ranking lane models get their Khatri-Rao chunk when the lanes are built, before they
+    # start; they never run query_backward, so they hold no core-product scratch
+    graph, state = make_state("tucker", "gated", num_entities=30)
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * graph.num_entities)  # several blocks a lane
+    with_threads(monkeypatch, 2)
+    grown, models = [], set()
+    call, query = scoring.Scratch.__call__, scoring.TuckER.query
+
+    def recorded_call(self, name, shape):
+        if name not in self._arrays or self._arrays[name].size < math.prod(shape):
+            grown.append((threading.get_ident(), name))
+        return call(self, name, shape)
+
+    def recorded_query(self, *args):
+        models.add(self)
+        return query(self, *args)
+
+    monkeypatch.setattr(scoring.Scratch, "__call__", recorded_call)
+    monkeypatch.setattr(scoring.TuckER, "query", recorded_query)
+    rank_triples(state, graph, graph.train, "realistic")
+    assert grown and {ident for ident, _ in grown} == {threading.get_ident()}
+    assert len(models) == scoring.LANES
+    assert all("d_core" not in model._buffer._arrays for model in models)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import random_graph
 from litrel import scoring
+from litrel.evaluation import relation_groups
 from litrel.fusion import LinearFusion
 from litrel.kernels import STAT_NAMES
 from litrel.training import TrainConfig, Workspace, init_state, symmetric_lcwa_loss
@@ -114,12 +115,12 @@ def reference_fuse_backward(state, rel, caches, d_r_lit, grads):
 
 def reference_loss(batch, state):
     """The loss with one fusion forward, query and fusion backward per relation group."""
-    model, tables = state.model, state.tables
+    model, tables = scoring.MODELS[state.config.model](), state.tables
     grads = state.zero_grads()
     d_entity, d_core = grads["entity"], grads.get("core")
     inv_n = 1.0 / batch.shape[0]
     groups, queries, targets = [], [], []
-    for rel, rows in scoring.relation_groups(batch[:, 1]):
+    for rel, rows in relation_groups(batch[:, 1]):
         r_lit, cache = reference_fuse_forward(state, rel)
         heads, tails = batch[rows, 0], batch[rows, 2]
         sides = ((heads, "tail"), (tails, "head"))

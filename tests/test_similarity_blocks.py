@@ -225,7 +225,7 @@ def test_forward_kernel_takes_the_whole_budget_and_training_its_lane_share(num_e
 
 
 def test_block_larger_than_its_buffer_is_rejected(rng, monkeypatch):
-    """Every block comes from ``similarity_lanes``; a larger one still fails, in numpy's ``out=``."""
+    """Every block comes from ``scoring.cut`` by its kernel's rows; a larger one still fails, in numpy's ``out=``."""
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * scoring.LANES * 5)  # 4 rows over 5 entities
     blocks = scoring.SimilarityBlocks(2, rng.normal(size=(5, 3)))
     with pytest.raises(ValueError):

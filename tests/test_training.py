@@ -82,8 +82,9 @@ class TestLoss:
         for h, r, t in batch:
             r_lit = state.tables.relation[r]
             for anchor, side, true in ((h, "tail", int(t)), (t, "head", int(h))):
-                q = state.model.query(state.tables, np.array([anchor]), r_lit, side)
-                side_scores = scoring.SimilarityBlocks(state.model.norm, state.tables.entity).forward(q)[0]
+                model = scoring.MODELS[state.config.model]
+                q = model().query(state.tables, np.array([anchor]), r_lit, side)
+                side_scores = scoring.SimilarityBlocks(model.norm, state.tables.entity).forward(q)[0]
                 exp = np.exp(side_scores - side_scores.max())
                 expected += -np.log(exp[true] / exp.sum())
         assert loss == pytest.approx(expected / batch.shape[0], abs=1e-10)
