@@ -57,24 +57,24 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def literal_vectors(profiles, relations: np.ndarray, kind: str, weights, bias, cache: dict, scratch):
+def literal_vectors(profiles, relations: np.ndarray, kind: str, weights, bias, cache: dict, gathered):
     """G x |A| head and tail literal rows of the relations (an index array).
 
     A fixed kind slices its statistic column, and ignores ``weights``,
-    ``bias``, ``cache`` and ``scratch``.  ``learnable`` gathers the
-    (G, |A|, 11) head and tail blocks into the ``u_head`` and ``u_tail``
-    arrays of the :class:`litrel.scoring.Scratch` ``scratch``, which the
-    next call overwrites (the ids must be valid row indices, which the
-    caller has checked), applies sigmoid(U @ weights + bias) to them and
-    stores the blocks as ``rows`` and its two outputs as ``outputs`` in
-    the ``cache`` dict for :func:`literal_vectors_backward`.
+    ``bias``, ``cache`` and ``gathered``.  ``learnable`` gathers the
+    (G, |A|, 11) head and tail blocks into the first G rows of the two
+    arrays of ``gathered``, which the next call overwrites (the state's
+    are (|R|, |A|, 11), as no caller asks for a relation twice; the ids
+    must be valid row indices, which the caller has checked),
+    applies sigmoid(U @ weights + bias) to them and stores the blocks as
+    ``rows`` and its two outputs as ``outputs`` in the ``cache`` dict for
+    :func:`literal_vectors_backward`.
     """
     u_head, u_tail = profiles
     if kind == "learnable":
         # mode "raise" would gather through a temporary copy
-        shape = (len(relations),) + u_head.shape[1:]
-        rows = tuple(np.take(u, relations, axis=0, out=scratch(name, shape), mode="wrap")
-                     for name, u in (("u_head", u_head), ("u_tail", u_tail)))
+        rows = tuple(np.take(u, relations, axis=0, out=out[:len(relations)], mode="wrap")
+                     for u, out in zip(profiles, gathered))
         outputs = _sigmoid(rows[0] @ weights + bias), _sigmoid(rows[1] @ weights + bias)
         cache.update(rows=rows, outputs=outputs)
         return outputs

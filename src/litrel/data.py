@@ -61,15 +61,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, label: str) -> int:
-        return self.index[label]
-
-    def __contains__(self, label: str) -> bool:
-        return label in self.index
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Vocab) and self.labels == other.labels
-
     # newline="\n": only "\n" ends a line, so a "\r" inside a label survives
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -41,10 +41,8 @@ its entity-gradient products into that partial through one chunk buffer
 of :data:`CHUNK_ENTRIES` entries, so it holds no |E| x D array, and the
 optimizer step works through its lanes' chunks with one such scratch
 each (:class:`litrel.training.Optimizer`).
-TuckER keeps its Khatri-Rao chunks and their products in a
-:class:`Scratch` of its own, grown on demand; a lane model has its
-chunk allocated whole when the lane is built (:meth:`TuckER.reserve`),
-so no lane allocates a chunk-sized array.
+A TuckER model is built with its Khatri-Rao chunk and, in a training
+lane, its core-product buffer, so no lane allocates a chunk-sized array.
 
 The block loops of training, ranking and KNN all cut their query rows
 with :func:`cut`, into :data:`LANES` contiguous lanes of blocks, and
@@ -53,7 +51,7 @@ the lanes of training and ranking, on the calling thread: per lane, a
 kernel (a :class:`GradientBlocks` for training, a
 :class:`SimilarityBlocks` for ranking) and a scoring model of its own,
 which builds the lane's queries (and, in training, runs their
-``query_backward``), so TuckER's scratch is never shared between
+``query_backward``), so TuckER's buffers are never shared between
 threads.  Training and ranking cut their rows by their kernels'
 ``rows``; KNN, whose rows are test nodes scored against the training
 nodes, by :func:`lane_rows` of the training nodes.  :func:`block_rows`
@@ -86,7 +84,6 @@ the B x D_r gradient w.r.t. the fused relation rows.
 from __future__ import annotations
 
 import functools
-import math
 import os
 from concurrent import futures
 from dataclasses import dataclass
@@ -200,33 +197,24 @@ class RotatE:
         return sign * np.imag(g * np.conj(q))
 
 
-class Scratch:
-    """Named scratch arrays that live as long as their owner and grow when a larger one is needed."""
-
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def __call__(self, name, shape):
-        """A C-contiguous float64 array of ``shape``, reusing the one named ``name``."""
-        size = math.prod(shape)
-        if name not in self._arrays or self._arrays[name].size < size:
-            self._arrays[name] = np.empty(size)
-        return self._arrays[name][:size].reshape(shape)
-
-
 class TuckER:
     """score = core tensor contracted with e_h, r and e_t.
 
-    The Khatri-Rao chunks, then their gradients, and the chunk products
-    of the core gradient are written into the two arrays of the model's
-    :class:`Scratch`.  A chunk takes a :data:`LANES` share of
-    :data:`BLOCK_SCORES`: each lane runs a model of its own.
+    A model is built over a ``core`` with the buffers its calls write
+    into: :attr:`chunk`, the Khatri-Rao rows of one chunk and then their
+    gradients, a :data:`LANES` share of :data:`BLOCK_SCORES` entries (at
+    least one D_e*D_r-wide row), and, with ``backward``, :attr:`product`,
+    the D_e*D_r*D_e chunk products of the core gradient (None without:
+    such a model never runs ``query_backward``).  Each lane runs a model
+    of its own (:func:`lanes`).
     """
 
     norm = None
 
-    def __init__(self):
-        self._buffer = Scratch()
+    def __init__(self, core, backward: bool):
+        width = core.shape[0] * core.shape[1]
+        self.chunk = np.empty(max(1, BLOCK_SCORES // LANES // width) * width)
+        self.product = np.empty(core.size) if backward else None
 
     @staticmethod
     def _factors(core, e, r_lit, side):
@@ -235,32 +223,17 @@ class TuckER:
             return e, r_lit, core.reshape(-1, core.shape[-1])
         return r_lit, e, core.reshape(core.shape[0], -1).T
 
-    @staticmethod
-    def _chunk_rows(width):
-        """Rows per Khatri-Rao chunk of ``width`` entries a row: a ``LANES`` share of ``BLOCK_SCORES``, at least one."""
-        return max(1, BLOCK_SCORES // LANES // width)
-
-    def reserve(self, core, backward: bool) -> None:
-        """Allocate the scratch of a whole chunk now, so that no ``query`` call on ``core`` allocates one.
-
-        With ``backward``, also the chunk products of the core gradient, so
-        that no ``query_backward`` call does either.
-        """
-        d_e, d_r = core.shape[:2]
-        self._buffer("kr", (self._chunk_rows(d_e * d_r), d_e, d_r))
-        if backward:
-            self._buffer("d_core", (d_e * d_r, d_e))
-
     def _khatri_rao(self, a, b):
-        """``(rows, a[rows] (x) b[rows])`` for chunks of :meth:`_chunk_rows` rows.
+        """``(rows, a[rows] (x) b[rows])`` for chunks of as many rows as :attr:`chunk` holds.
 
-        Each chunk is a view of the one scratch chunk, which the next overwrites.
+        Each chunk is a view of :attr:`chunk`, which the next overwrites.
         """
         width = a.shape[1] * b.shape[1]
-        step = self._chunk_rows(width)
+        step = self.chunk.size // width
         for start in range(0, a.shape[0], step):
             rows = slice(start, start + step)
-            kr = self._buffer("kr", (min(step, a.shape[0] - start), a.shape[1], b.shape[1]))
+            count = min(step, a.shape[0] - start)
+            kr = self.chunk[:count * width].reshape(count, a.shape[1], b.shape[1])
             yield rows, np.einsum("bi,bj->bij", a[rows], b[rows], out=kr).reshape(-1, width)
 
     def query(self, tables, anchors, r_lit, side):
@@ -275,7 +248,7 @@ class TuckER:
         a, b, m = self._factors(tables.core, e, r_lit, side)
         d_m = self._factors(d_core, e, r_lit, side)[2]  # adds into d_core
         # the chunk products in d_m's memory order (the head side's is a transposed view), so += needs no buffer
-        product = self._buffer("d_core", m.T.shape).T if side == "head" else self._buffer("d_core", m.shape)
+        product = self.product.reshape(m.T.shape).T if side == "head" else self.product.reshape(m.shape)
         d_a, d_b = np.empty_like(a), np.empty_like(b)
         for rows, kr in self._khatri_rao(a, b):
             d_m += np.matmul(kr.T, d_q[rows], out=product)
@@ -327,19 +300,16 @@ def cut(count: int, rows: int) -> list[list[slice]]:
 def lanes(kernel, kind: str, tables: EmbeddingTables) -> list[tuple[SimilarityBlocks, object]]:
     """Per lane, a ``kernel`` (:class:`SimilarityBlocks` or :class:`GradientBlocks`) and a scoring model of ``kind``.
 
-    Both are built on the calling thread, over ``tables``: the kernel
-    over the entity table, with its buffers allocated, and the model with
-    its TuckER scratch reserved (:meth:`TuckER.reserve`; the core-product
-    scratch only for a :class:`GradientBlocks` lane, since forward lanes
-    never run ``query_backward``).
+    Both are built on the calling thread, over ``tables``, with their
+    buffers allocated: the kernel over the entity table, and a TuckER
+    model over the core, with the core-product buffer only for a
+    :class:`GradientBlocks` lane, since forward lanes never run
+    ``query_backward``.
     """
     model = MODELS[kind]
     kernels = [kernel(model.norm, tables.entity) for _ in range(LANES)]
-    models = [model() for _ in kernels]
-    if tables.core is not None:
-        for lane_model in models:
-            lane_model.reserve(tables.core, backward=issubclass(kernel, GradientBlocks))
-    return list(zip(kernels, models))
+    args = () if tables.core is None else (tables.core, issubclass(kernel, GradientBlocks))
+    return [(blocks, model(*args)) for blocks in kernels]
 
 
 def lane_threads() -> int:

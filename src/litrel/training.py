@@ -18,16 +18,18 @@ thread.  The loss calls of one run share one :class:`Workspace`: the
 gradient arrays, zeroed in place each step; the lanes, whose kernels'
 cached norms each step refreshes and whose score buffers also hold the
 softmax, with partials of the entity and core gradients per lane; and
-the query rows, their gradients and the ``r_lit`` row gradients.  With the state's scratch for the learnable
-aggregation's profile rows, a step after the first allocates nothing the
-size of a table or a score block.  The kernels and the optimizer step
-hold no table-sized scratch: both work through their tables in chunks of
-:data:`litrel.scoring.CHUNK_ENTRIES` entries, and the optimizer step
-runs its chunks on the lanes too.  The workspace is dropped after the
-last loss call, so the kernels' buffers are gone when the last optimizer
-step runs (in a one-step run that is when Adam allocates its moments),
-and before each periodic validation, whose ranking builds its own
-kernels.
+the query rows, their gradients and the ``r_lit`` row gradients of the
+largest batch.  Each buffer is allocated at its largest size when its
+owner is built and never grows, so with the state's buffers for the
+learnable aggregation's gathered profile rows, a loss call allocates
+nothing the size of a table or a score block.  The kernels and the
+optimizer step hold no table-sized scratch: both work through their
+tables in chunks of :data:`litrel.scoring.CHUNK_ENTRIES` entries, and
+the optimizer step runs its chunks on the lanes too.  The workspace is
+dropped after the last loss call, so the kernels' buffers are gone when
+the last optimizer step runs (in a one-step run that is when Adam
+allocates its moments), and before each periodic validation, whose
+ranking builds its own kernels.
 
 Gradients are computed analytically and flow into the embedding tables,
 the fusion parameters and, when the learnable aggregation combination is
@@ -240,8 +242,8 @@ class ModelState:
     agg_bias: np.ndarray | None = None      # (1,)
     profiles: tuple | None = None           # (u_head, u_tail), each (|R|, |A|, 11)
     artifact: dict | None = None            # SHA-256 of the artifact's vocabulary files
-    # the learnable aggregation's gathered profile rows, reused by every fuse_forward
-    scratch: scoring.Scratch = field(default_factory=scoring.Scratch, repr=False, compare=False)
+    # learnable aggregation: the (u_head, u_tail) rows every fuse_forward gathers into, each (|R|, |A|, 11)
+    gathered: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def fusion_parts(self) -> int:
@@ -280,14 +282,15 @@ class ModelState:
 
         The cache is the fusion block's, which also carries the learnable
         aggregation's gathered profile rows and outputs under ``literals``;
-        the rows are views of :attr:`scratch`, valid until the next call.
+        the rows are leading rows of :attr:`gathered`, valid until the next
+        call, so even the all-relation call allocates no (|R|, |A|, 11) block.
         """
         rows = self.tables.relation[relations]
         if self.fusion is None:
             return rows, None
         literals = {}
         l_h, l_t = literal_vectors(self.profiles, relations, self.config.aggregation,
-                                   self.agg_weights, self.agg_bias, literals, self.scratch)
+                                   self.agg_weights, self.agg_bias, literals, self.gathered)
         parts = self.fusion_parts
         r_lit, cache = self.fusion.forward(np.repeat(l_h, parts, axis=0),
                                            rows.reshape(parts * len(rows), -1),
@@ -319,7 +322,8 @@ def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles) -> ModelSta
     :func:`litrel.aggregation.build_profiles`, built from ``graph`` when
     None; a vanilla model keeps none.  Draws from the seed's stream
     in a fixed order: entity rows, relation rows, the TuckER core, the
-    fusion block, the learnable-aggregation weights.
+    fusion block, the learnable-aggregation weights.  Learnable
+    aggregation also gets the buffers it gathers profile rows into.
     """
     if not config.fusion_enabled:
         profiles = None
@@ -347,6 +351,7 @@ def init_state(graph: KnowledgeGraph, config: TrainConfig, profiles) -> ModelSta
         if config.aggregation == "learnable":
             state.agg_weights = rng.uniform(-0.5, 0.5, size=NUM_STATS)
             state.agg_bias = np.zeros(1)
+            state.gathered = tuple(np.empty(u.shape) for u in profiles)
     return state
 
 
@@ -371,18 +376,22 @@ class Workspace:
     besides the gradients, the table-sized arrays of a workspace are the
     ``LANES - 1`` further entity partials (and core-sized ones for
     TuckER).  Everything is built on the calling thread (see
-    :class:`scoring.SimilarityBlocks` for why), and so are the arrays of
-    ``scratch``: the query rows, their gradients and the per-row ``r_lit``
-    gradients, two rows per triple, grown to the largest batch.
+    :class:`scoring.SimilarityBlocks` for why), and so are ``q``, ``d_q``
+    and ``d_rows``: the query rows, their gradients and the per-row
+    ``r_lit`` gradients, two rows for each of at most ``triples`` triples
+    a loss call.  ``d_rows`` is ``q`` when D_r = D_e: a lane's ``r_lit``
+    row gradients overwrite its spent query rows.
     """
 
-    def __init__(self, state: ModelState):
+    def __init__(self, state: ModelState, triples: int):
         tables = state.tables
         self.grads = state.zero_grads()
         self.lanes = scoring.lanes(scoring.GradientBlocks, state.config.model, tables)
         first = {name: self.grads[name] for name in ("entity", "core") if name in self.grads}
         self.partials = [first] + [{name: np.empty_like(g) for name, g in first.items()} for _ in self.lanes[1:]]
-        self.scratch = scoring.Scratch()
+        rows, dim_entity, dim_relation = 2 * triples, tables.entity.shape[1], tables.relation.shape[1]
+        self.q, self.d_q = np.empty((rows, dim_entity)), np.empty((rows, dim_entity))
+        self.d_rows = self.q if dim_relation == dim_entity else np.empty((rows, dim_relation))
 
     def begin(self) -> None:
         """Make the buffers ready for a loss call."""
@@ -419,7 +428,8 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     lanes write into disjoint rows of one array, are summed per relation
     with one scatter-add for one fusion backward on the calling thread.
 
-    ``workspace``, a :class:`Workspace` of ``state``, holds the buffers.
+    ``workspace``, a :class:`Workspace` of ``state`` for at least ``len(batch)``
+    triples, holds the buffers.
     Returns ``(loss, grads)`` where grads maps parameter names to arrays
     matching :meth:`ModelState.parameters`; they are the workspace's, so
     the next call with the same workspace overwrites them.  A non-finite
@@ -436,10 +446,7 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     r_lit, cache = state.fuse_forward(relations)
     anchors, targets = np.concatenate([batch[:, 0], batch[:, 2]]), np.concatenate([batch[:, 2], batch[:, 0]])
     row_relations = np.concatenate([inverse, inverse])
-    dim_entity, dim_relation = tables.entity.shape[1], r_lit.shape[1]
-    q, d_q = workspace.scratch("q", (2 * n, dim_entity)), workspace.scratch("d_q", (2 * n, dim_entity))
-    # a run's r_lit row gradients overwrite its spent query rows where the widths match
-    d_rows = q if dim_relation == dim_entity else workspace.scratch("d_rows", (2 * n, dim_relation))
+    q, d_q, d_rows = workspace.q[:2 * n], workspace.d_q[:2 * n], workspace.d_rows[:2 * n]
 
     def lane_loss(blocks, model, partial, lane) -> float:
         rows = range(lane[0].start, lane[-1].stop) if lane else range(0)
@@ -508,7 +515,8 @@ def optimizer_step(optimizer: Optimizer, grads: dict[str, np.ndarray], state: Mo
 def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
     """Run the full optimization loop.
 
-    The loss calls share one :class:`Workspace`.  It is released after the
+    The loss calls share one :class:`Workspace`, sized for the largest
+    batch, ``min(batch_size, |train|)`` triples.  It is released after the
     last one, before the last optimizer step, and before each periodic
     validation, after which the next step builds a new one.  Returns
     ``(state, history)`` where history holds the per-epoch loss trace and
@@ -529,7 +537,7 @@ def train(graph: KnowledgeGraph, config: TrainConfig, profiles=None):
         for start in range(0, n, config.batch_size):
             batch = graph.train[perm[start:start + config.batch_size]]
             if workspace is None:
-                workspace = Workspace(state)
+                workspace = Workspace(state, min(config.batch_size, n))
             loss, grads = symmetric_lcwa_loss(batch, state, workspace)
             steps -= 1
             if not steps:

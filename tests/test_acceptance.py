@@ -25,7 +25,6 @@ from litrel.evaluation import (
     rank_triples,
 )
 from litrel.kernels import STAT_NAMES
-from litrel.scoring import Scratch
 from litrel.training import TrainConfig, Workspace, init_state, symmetric_lcwa_loss, train
 
 
@@ -49,7 +48,7 @@ GRAD_DIMS = {  # (dim_entity, dim_relation) honoring each model's constraint
 
 def finite_difference_check(graph, config, batch, tol=1e-4):
     state = init_state(graph, config, None)
-    _, grads = symmetric_lcwa_loss(batch, state, Workspace(state))
+    _, grads = symmetric_lcwa_loss(batch, state, Workspace(state, len(batch)))
     params = state.parameters()
     h = 1e-6
     worst = 0.0
@@ -59,9 +58,9 @@ def finite_difference_check(graph, config, batch, tol=1e-4):
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            plus, _ = symmetric_lcwa_loss(batch, state, Workspace(state))
+            plus, _ = symmetric_lcwa_loss(batch, state, Workspace(state, len(batch)))
             flat[i] = orig - h
-            minus, _ = symmetric_lcwa_loss(batch, state, Workspace(state))
+            minus, _ = symmetric_lcwa_loss(batch, state, Workspace(state, len(batch)))
             flat[i] = orig
             numeric = (plus - minus) / (2 * h)
             scale = max(1e-5, abs(numeric), abs(analytic[i]))
@@ -174,7 +173,7 @@ def test_criterion_3_aggregation_oracle():
                 weights = rng.uniform(-1, 1, size=11)
                 bias = np.array([float(rng.normal())])
                 l_h, l_t = literal_vectors(profiles, np.array([rel]), "learnable", weights, bias,
-                                           {}, Scratch())
+                                           {}, tuple(np.empty(u.shape) for u in profiles))
                 direct_h = 1.0 / (1.0 + np.exp(-(profiles[0][rel] @ weights + bias[0])))
                 direct_t = 1.0 / (1.0 + np.exp(-(profiles[1][rel] @ weights + bias[0])))
                 np.testing.assert_allclose(l_h[0], direct_h, atol=1e-12)
@@ -266,7 +265,7 @@ def test_criterion_5_synthetic_correlation_benefit():
     with criterion(5, "literal fusion beats vanilla on correlated KG"):
         graph = rents_dataset()
         grouping = group_by_correlation(graph, threshold=0.2)
-        assert grouping.partition[graph.relations["rents"]] == "correlated"
+        assert grouping.partition[graph.relations.index["rents"]] == "correlated"
         for seed in (0, 1, 2):
             results = {}
             for fusion in ("none", "linear"):
@@ -296,8 +295,8 @@ def test_criterion_6_ablation_equivalence(toy_graph):
         block.gate[...] = 0.0
         block.gate_bias[...] = -30.0
         for triple in toy_graph.train:
-            l_v, _ = symmetric_lcwa_loss(triple[None, :], vanilla, Workspace(vanilla))
-            l_g, _ = symmetric_lcwa_loss(triple[None, :], gated, Workspace(gated))
+            l_v, _ = symmetric_lcwa_loss(triple[None, :], vanilla, Workspace(vanilla, 1))
+            l_g, _ = symmetric_lcwa_loss(triple[None, :], gated, Workspace(gated, 1))
             assert abs(l_v - l_g) <= 1e-6
 
 

@@ -13,7 +13,6 @@ from litrel.aggregation import (
 )
 from litrel.data import build_graph
 from litrel.kernels import STAT_NAMES
-from litrel.scoring import Scratch
 from tests.conftest import random_graph
 from tests.test_kernels import assert_stats_match, exact_stats, stats
 
@@ -80,8 +79,8 @@ class TestAggregateColumn:
                             [("a", "x", 1.0), ("b", "x", 2.0)])
         profiles = build_profiles(graph)
         for kind in STAT_NAMES:
-            for side in literal_vectors(profiles, np.array([graph.relations["s"]]), kind,
-                                        None, None, {}, Scratch()):
+            for side in literal_vectors(profiles, np.array([graph.relations.index["s"]]), kind,
+                                        None, None, {}, None):
                 assert not side.any(), kind
 
     def test_count_uses_present_only(self):
@@ -106,21 +105,21 @@ class TestSidePopulations:
         graph = build_graph([("a", "r", "b"), ("c", "r", "b")], [], [],
                             [("a", "x", 1.0), ("b", "x", 2.0), ("c", "x", 3.0)])
         u_head, _ = build_profiles(graph)
-        assert u_head[graph.relations["r"], 0, self.COUNT] == 2.0
+        assert u_head[graph.relations.index["r"], 0, self.COUNT] == 2.0
 
     def test_tail_side_dedups(self):
         graph = build_graph([("a", "r", "b"), ("c", "r", "b")], [], [],
                             [("a", "x", 1.0), ("b", "x", 2.0), ("c", "x", 3.0)])
         _, u_tail = build_profiles(graph)
-        assert u_tail[graph.relations["r"], 0, self.COUNT] == 1.0
+        assert u_tail[graph.relations.index["r"], 0, self.COUNT] == 1.0
 
     def test_relation_unseen_in_training(self):
         graph = build_graph([("a", "r", "b")], [("a", "s", "b")], [],
                             [("a", "x", 1.0), ("b", "x", 2.0)])
         u_head, u_tail = build_profiles(graph)
-        assert u_head[graph.relations["r"], 0, self.COUNT] == 1.0
-        assert not u_head[graph.relations["s"]].any()
-        assert not u_tail[graph.relations["s"]].any()
+        assert u_head[graph.relations.index["r"], 0, self.COUNT] == 1.0
+        assert not u_head[graph.relations.index["s"]].any()
+        assert not u_tail[graph.relations.index["s"]].any()
 
 
 class TestBuildProfiles:
@@ -131,7 +130,7 @@ class TestBuildProfiles:
         )
         # normalized column: e1 -> 0, e2 -> 0.25, e3 -> 1; head rows are e1, e2
         u_head, _ = build_profiles(graph)
-        row = {name: u_head[graph.relations["r"], 0, i] for i, name in enumerate(STAT_NAMES)}
+        row = {name: u_head[graph.relations.index["r"], 0, i] for i, name in enumerate(STAT_NAMES)}
         expected = reference_stats([0.0, 0.25], 2)
         for name in STAT_NAMES:
             assert row[name] == pytest.approx(expected[name], abs=1e-12), name
@@ -140,14 +139,14 @@ class TestBuildProfiles:
         graph = build_graph([("a", "r", "b")], [("a", "s", "b")], [], [("a", "x", 1.0)])
         u_head, u_tail = build_profiles(graph)
         assert u_head.shape == u_tail.shape == (2, 1, len(STAT_NAMES))
-        assert not u_head[graph.relations["s"]].any()
-        assert not u_tail[graph.relations["s"]].any()
+        assert not u_head[graph.relations.index["s"]].any()
+        assert not u_tail[graph.relations.index["s"]].any()
 
     def test_absent_cells_count_zero(self):
         graph = build_graph(
             [("a", "r", "b")], [], [], [("b", "x", 1.0), ("c", "x", 2.0)]
         )
-        head_row = build_profiles(graph)[0][graph.relations["r"], 0]
+        head_row = build_profiles(graph)[0][graph.relations.index["r"], 0]
         assert head_row[STAT_NAMES.index("count")] == 0.0
         assert head_row[STAT_NAMES.index("mean")] == 0.0  # stored zeros
 
@@ -167,8 +166,8 @@ class TestBuildProfiles:
         small = build_graph(base, [], [], lits)
         grown = build_graph(base + [("e3", "r", "t")], [], [], lits)
         i_max, i_count = STAT_NAMES.index("max"), STAT_NAMES.index("count")
-        p_small = build_profiles(small)[0][small.relations["r"], 0]
-        p_grown = build_profiles(grown)[0][grown.relations["r"], 0]
+        p_small = build_profiles(small)[0][small.relations.index["r"], 0]
+        p_grown = build_profiles(grown)[0][grown.relations.index["r"], 0]
         assert p_grown[i_max] > p_small[i_max]
         assert p_grown[i_count] >= p_small[i_count]
 
@@ -178,7 +177,7 @@ class TestBuildProfiles:
             [("e1", "r", "e2")], [], [],
             [("e1", "a", 1.0), ("e2", "a", 0.5), ("e3", "a", 0.0)],
         )
-        r, i_mean, i_count = graph.relations["r"], STAT_NAMES.index("mean"), STAT_NAMES.index("count")
+        r, i_mean, i_count = graph.relations.index["r"], STAT_NAMES.index("mean"), STAT_NAMES.index("count")
         u_head, u_tail = build_profiles(graph)
         assert u_head[r, 0, i_mean] == pytest.approx(1.0)
         assert u_tail[r, 0, i_mean] == pytest.approx(0.5)
@@ -190,7 +189,7 @@ class TestBuildProfiles:
             [("e1", "r", "t"), ("e1", "r", "u"), ("e2", "r", "t")], [], [],
             [("e1", "a", 1.0), ("e2", "a", 0.0), ("t", "a", 0.5), ("u", "a", 0.25)],
         )
-        r, i_mean, i_count = graph.relations["r"], STAT_NAMES.index("mean"), STAT_NAMES.index("count")
+        r, i_mean, i_count = graph.relations.index["r"], STAT_NAMES.index("mean"), STAT_NAMES.index("count")
         u_head, _ = build_profiles(graph)
         assert u_head[r, 0, i_mean] == pytest.approx(0.5)
         assert u_head[r, 0, i_count] == 2.0
@@ -241,16 +240,22 @@ class TestProfilesAgainstRelationLoop:
 RELATIONS = np.array([1, 0, 1])
 
 
+def gather_buffers(profiles):
+    """The pair of (G, |A|, 11) blocks that a learnable call on ``RELATIONS`` gathers its profile rows into."""
+    return tuple(np.empty((RELATIONS.size,) + u.shape[1:]) for u in profiles)
+
+
 class TestLiteralVectors:
     def test_fixed_kind_selects_column(self, rng):
         u_head, u_tail = profiles = build_profiles(random_graph(rng))
-        l_h, l_t = literal_vectors(profiles, RELATIONS, "min", None, None, {}, Scratch())
+        l_h, l_t = literal_vectors(profiles, RELATIONS, "min", None, None, {}, None)
         np.testing.assert_array_equal(l_h, u_head[RELATIONS, :, STAT_NAMES.index("min")])
         np.testing.assert_array_equal(l_t, u_tail[RELATIONS, :, STAT_NAMES.index("min")])
 
     def test_learnable_zero_params_gives_half(self, rng):
         profiles = build_profiles(random_graph(rng))
-        l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", np.zeros(11), np.zeros(1), {}, Scratch())
+        l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", np.zeros(11), np.zeros(1), {},
+                                   gather_buffers(profiles))
         np.testing.assert_allclose(l_h, 0.5)
         np.testing.assert_allclose(l_t, 0.5)
 
@@ -258,7 +263,8 @@ class TestLiteralVectors:
         u_head, _ = profiles = build_profiles(random_graph(rng))
         weights = np.zeros(11)
         weights[STAT_NAMES.index("mean")] = 1.0
-        l_h, _ = literal_vectors(profiles, RELATIONS, "learnable", weights, np.zeros(1), {}, Scratch())
+        l_h, _ = literal_vectors(profiles, RELATIONS, "learnable", weights, np.zeros(1), {},
+                                 gather_buffers(profiles))
         expected = 1.0 / (1.0 + np.exp(-u_head[RELATIONS, :, STAT_NAMES.index("mean")]))
         np.testing.assert_allclose(l_h, expected, atol=1e-12)
         # sigmoid(0.3) spot value
@@ -267,7 +273,7 @@ class TestLiteralVectors:
     def test_learnable_outputs_strictly_inside_unit_interval(self, rng):
         profiles = build_profiles(random_graph(rng))
         for vec in literal_vectors(profiles, RELATIONS, "learnable", rng.normal(size=11), np.array([0.3]),
-                                   {}, Scratch()):
+                                   {}, gather_buffers(profiles)):
             assert vec.shape == (RELATIONS.size, 3)
             assert (vec > 0).all() and (vec < 1).all()
 
@@ -278,13 +284,14 @@ class TestLiteralVectors:
         bias = np.array([0.2])
         d_l_h = rng.normal(size=(RELATIONS.size, graph.num_attributes))
         d_l_t = rng.normal(size=(RELATIONS.size, graph.num_attributes))
+        gathered = gather_buffers(profiles)
 
         def objective(w, b):
-            l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", w, b, {}, Scratch())
+            l_h, l_t = literal_vectors(profiles, RELATIONS, "learnable", w, b, {}, gathered)
             return float(np.sum(d_l_h * l_h) + np.sum(d_l_t * l_t))
 
         cache = {}
-        literal_vectors(profiles, RELATIONS, "learnable", weights, bias, cache, Scratch())
+        literal_vectors(profiles, RELATIONS, "learnable", weights, bias, cache, gathered)
         d_w, d_b = literal_vectors_backward(cache, d_l_h, d_l_t)
         h = 1e-6
         for i in range(11):

@@ -4,7 +4,10 @@ A reference is a name, an attribute or an imported name, in any Python
 file under ``src/``, ``scripts/`` or ``pipebench/``.  A re-export is not
 one: an ``__init__.py`` import, and its ``__all__`` entry, only pass a
 name on to callers that may not exist.  Dunder methods are
-called by the language and are exempt.  A key of ``litrel.cli.KEYS``
+called by the language and are exempt.  Nor is a function's own body a
+caller of it: every function and method has a reference outside its own
+``def``, where an identifier in a string counts too (pipebench wraps
+functions by dotted name), but one in a docstring does not.  A key of ``litrel.cli.KEYS``
 either has a command-line flag or is set by name, as a keyword argument
 or a dict key, in ``scripts/`` or ``pipebench/``: a key that only a
 config file reaches is code that no run needs.  A module under ``src/``
@@ -17,6 +20,7 @@ scoring model out of ``MODELS``.
 
 import ast
 import pathlib
+import re
 
 from litrel.cli import KEYS
 
@@ -58,6 +62,53 @@ def test_no_function_or_class_is_called_only_from_tests():
     uncalled = [f"{path.stem}.{name}" for path in sorted((ROOT / "src" / "litrel").glob("*.py"))
                 for name in definitions(path) if name not in callers]
     assert uncalled == [], f"defined in src/litrel but called from no code outside tests/: {uncalled}"
+
+
+def references(paths):
+    """``(path, line, name)`` of every name, attribute, imported name and identifier in a non-docstring string."""
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        docstrings = {id(node.value) for node in ast.walk(tree)
+                      if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield path, node.lineno, node.id
+            elif isinstance(node, ast.Attribute):
+                yield path, node.lineno, node.attr
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield from ((path, node.lineno, alias.name.rpartition(".")[2]) for alias in node.names)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                yield from ((path, node.lineno, word) for word in re.findall(r"[A-Za-z_]\w*", node.value))
+
+
+def referenced_only_by_their_own_def(root):
+    """``module.name`` of each non-dunder function or method under ``src/litrel`` with no reference but its own body."""
+    found = list(references(path for d in CALLER_DIRS for path in (root / d).rglob("*.py")))
+    functions = [(path, node) for path in sorted((root / "src" / "litrel").glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 and not (node.name.startswith("__") and node.name.endswith("__"))]
+    return [f"{path.stem}.{node.name}" for path, node in functions
+            if not any(name == node.name and not (at == path and node.lineno <= line <= node.end_lineno)
+                       for at, line, name in found)]
+
+
+def test_the_own_def_guard_skips_self_references_and_docstrings_and_reads_strings(tmp_path):
+    for d in CALLER_DIRS:
+        (tmp_path / d).mkdir()
+    (tmp_path / "src" / "litrel").mkdir()
+    (tmp_path / "src" / "litrel" / "m.py").write_text(
+        'def walk(n):\n    return walk(n - 1) if n else 0\n\n'
+        'def named():\n    pass\n\n'
+        'def documented():\n    """Not named() or walk()."""\n')
+    assert referenced_only_by_their_own_def(tmp_path) == ["m.walk", "m.named", "m.documented"]
+    (tmp_path / "pipebench" / "spans.py").write_text('WRAPS = ["m.named"]\nwalk(3)\n')
+    assert referenced_only_by_their_own_def(tmp_path) == ["m.documented"]
+
+
+def test_every_function_has_a_reference_outside_its_own_def():
+    alone = referenced_only_by_their_own_def(ROOT)
+    assert alone == [], f"functions with no reference in src/, scripts/ or pipebench/ but their own def: {alone}"
 
 
 def assigned_names(paths):

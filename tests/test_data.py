@@ -97,21 +97,21 @@ class TestBuildGraph:
             [("e1", "r", "e2")], [], [],
             [("e1", "a", 10.0), ("e2", "a", 30.0), ("e3", "a", 20.0)],
         )
-        col = graph.literals.values[:, graph.attributes["a"]]
-        by_label = {e: col[graph.entities[e]] for e in ("e1", "e2", "e3")}
+        col = graph.literals.values[:, graph.attributes.index["a"]]
+        by_label = {e: col[graph.entities.index[e]] for e in ("e1", "e2", "e3")}
         assert by_label == {"e1": 0.0, "e2": 1.0, "e3": 0.5}
 
     def test_constant_column_normalizes_to_zero(self):
         graph = build_graph([("e1", "r", "e1")], [], [], [("e1", "a", 42.0)])
-        e, a = graph.entities["e1"], graph.attributes["a"]
+        e, a = graph.entities.index["e1"], graph.attributes.index["a"]
         assert graph.literals.values[e, a] == 0.0
         assert graph.literals.present[e, a]
 
     def test_mask_matches_assertions(self, toy_graph):
         present = toy_graph.literals.present
         assert present.sum() == 5
-        assert present[toy_graph.entities["alice"], toy_graph.attributes["income"]]
-        assert not present[toy_graph.entities["alice"], toy_graph.attributes["rent"]]
+        assert present[toy_graph.entities.index["alice"], toy_graph.attributes.index["income"]]
+        assert not present[toy_graph.entities.index["alice"], toy_graph.attributes.index["rent"]]
 
     def test_duplicate_triples_deduplicated_with_warning(self, caplog):
         graph = build_graph([("a", "r", "b"), ("a", "r", "b")], [], [], [])
@@ -123,12 +123,12 @@ class TestBuildGraph:
             [("a", "r", "b")], [], [], [("a", "x", 1.0), ("a", "x", 9.0), ("b", "x", 0.0)]
         )
         # raw 9.0 is the column max -> normalizes to 1.0
-        assert graph.literals.values[graph.entities["a"], graph.attributes["x"]] == 1.0
+        assert graph.literals.values[graph.entities.index["a"], graph.attributes.index["x"]] == 1.0
         assert any("duplicate literal" in r.message for r in caplog.records)
 
     def test_vocabulary_covers_literal_only_entities(self):
         graph = build_graph([("a", "r", "b")], [], [], [("ghost", "x", 1.0)])
-        assert "ghost" in graph.entities
+        assert "ghost" in graph.entities.index
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=20))
     def test_normalization_idempotent(self, raw):
@@ -147,9 +147,9 @@ class TestSerialization:
         directory = str(tmp_path / "artifact")
         toy_graph.save(directory)
         loaded = KnowledgeGraph.load(directory)
-        assert loaded.entities == toy_graph.entities
-        assert loaded.relations == toy_graph.relations
-        assert loaded.attributes == toy_graph.attributes
+        assert loaded.entities.labels == toy_graph.entities.labels
+        assert loaded.relations.labels == toy_graph.relations.labels
+        assert loaded.attributes.labels == toy_graph.attributes.labels
         np.testing.assert_array_equal(loaded.train, toy_graph.train)
         np.testing.assert_array_equal(loaded.valid, toy_graph.valid)
         np.testing.assert_array_equal(loaded.test, toy_graph.test)
@@ -158,7 +158,7 @@ class TestSerialization:
     def test_vocab_round_trip(self, tmp_path):
         vocab = Vocab.from_items(["b", "a", "c"])
         vocab.save(str(tmp_path / "v.txt"))
-        assert Vocab.load(str(tmp_path / "v.txt")) == vocab
+        assert Vocab.load(str(tmp_path / "v.txt")).labels == vocab.labels
 
     def test_vocab_load_skips_blank_lines_and_keeps_carriage_returns(self, tmp_path):
         # only "\n" ends a line: a "\r" stays in its label, and a last line needs no "\n"
@@ -171,7 +171,7 @@ class TestSerialization:
     def test_index_order_independent_of_input_order(self):
         g1 = build_graph([("a", "r", "b"), ("c", "r", "d")], [], [], [])
         g2 = build_graph([("c", "r", "d"), ("a", "r", "b")], [], [], [])
-        assert g1.entities == g2.entities
+        assert g1.entities.labels == g2.entities.labels
 
 
 class TestArrayFault:
@@ -327,9 +327,9 @@ class TestBulkReader:
         e = graph.entities
         assert rows_of(graph.train, e, graph.relations) == [("a", "r", "b"), ("c", "r", "d")]
         # last write wins: a -> 2, b -> 7, normalized over [2, 7]
-        x = graph.attributes["x"]
-        assert graph.literals.values[e["a"], x] == 0.0
-        assert graph.literals.values[e["b"], x] == 1.0
+        x = graph.attributes.index["x"]
+        assert graph.literals.values[e.index["a"], x] == 0.0
+        assert graph.literals.values[e.index["b"], x] == 1.0
         assert (graph.literals.raw_min[x], graph.literals.raw_max[x]) == (2.0, 7.0)
 
 

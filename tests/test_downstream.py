@@ -142,7 +142,7 @@ class TestLoadLabeledNodes:
         path = tmp_path / "labels.tsv"
         path.write_bytes(end.join(lines).encode())  # no line end after the last line
         labeled = load_labeled_nodes(str(path), toy_graph)
-        entities = toy_graph.entities
+        entities = toy_graph.entities.index
         assert labeled.train_nodes.tolist() == [entities["alice"], entities["bob"]]
         assert labeled.train_labels.tolist() == [0, 0]
         assert labeled.test_nodes.tolist() == [entities["house1"]]

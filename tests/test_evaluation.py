@@ -152,7 +152,7 @@ class TestFilteredRanking:
         # two relations, ComplEx: two halves each
         rank_triples(state, toy_graph, toy_graph.train, "realistic")
         assert calls == ["forward"]
-        symmetric_lcwa_loss(toy_graph.train, state, Workspace(state))
+        symmetric_lcwa_loss(toy_graph.train, state, Workspace(state, len(toy_graph.train)))
         assert calls == ["forward", "forward", "backward"]
 
 
@@ -296,8 +296,8 @@ class TestGroupings:
 
     def test_frequency_partition(self, skewed_graph):
         grouping = group_by_frequency(skewed_graph, threshold_count=2)
-        assert grouping.partition[skewed_graph.relations["common"]] == "frequent"
-        assert grouping.partition[skewed_graph.relations["rare"]] == "long-tail"
+        assert grouping.partition[skewed_graph.relations.index["common"]] == "frequent"
+        assert grouping.partition[skewed_graph.relations.index["rare"]] == "long-tail"
 
     def test_partition_is_total(self, skewed_graph):
         for builder in (
@@ -318,9 +318,9 @@ class TestGroupings:
     def test_correlation_detects_linear_attribute_pair(self, skewed_graph):
         # heads of "common" have a = i, tails have b = 2(i+1)+1: perfectly linear
         grouping = group_by_correlation(skewed_graph, threshold=0.9)
-        assert grouping.partition[skewed_graph.relations["common"]] == "correlated"
+        assert grouping.partition[skewed_graph.relations.index["common"]] == "correlated"
         # "rare" has only one training triple: below MIN_CORR_SAMPLES
-        assert grouping.partition[skewed_graph.relations["rare"]] == "less-correlated"
+        assert grouping.partition[skewed_graph.relations.index["rare"]] == "less-correlated"
 
     def test_correlation_requires_min_samples(self):
         # two triples: a coefficient from 2 samples is always +-1, so it never counts
@@ -337,7 +337,7 @@ class TestGroupings:
         literals += [(f"t{i}", "b", float(rng.normal())) for i in range(40)]
         graph = build_graph(triples, [], [], literals)
         grouping = group_by_correlation(graph, threshold=0.9)
-        assert grouping.partition[graph.relations["r"]] == "less-correlated"
+        assert grouping.partition[graph.relations.index["r"]] == "less-correlated"
 
 
 def loop_correlation_partition(graph, threshold):
@@ -416,7 +416,7 @@ class TestCorrelationOracle:
             literals += [(f"t{i}", "y", float(i)) for i in range(5)]
             graph = build_graph(triples, [], [], literals)
             self.assert_matches_loop(graph)
-            assert group_by_correlation(graph, 0.5).partition[graph.relations["r"]] == label, present
+            assert group_by_correlation(graph, 0.5).partition[graph.relations.index["r"]] == label, present
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -8,7 +8,6 @@ count and |E|.  KNN is exact, so its predictions are bit-identical for
 any number of lanes and threads.
 """
 
-import math
 import os
 import subprocess
 import sys
@@ -47,7 +46,7 @@ def make_state(model, fusion, num_entities=8, seed=3):
 
 
 def loss_and_grads(batch, state):
-    loss, grads = symmetric_lcwa_loss(batch, state, Workspace(state))
+    loss, grads = symmetric_lcwa_loss(batch, state, Workspace(state, len(batch)))
     return loss, {name: grad.copy() for name, grad in grads.items()}
 
 
@@ -85,7 +84,7 @@ def test_lane_straddling_the_tail_head_boundary(monkeypatch, model):
     batch = graph.train[:5]
     monkeypatch.setattr(scoring, "LANES", 3)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * graph.num_entities)
-    assert scoring.cut(10, Workspace(state).lanes[0][0].rows)[1] == [slice(4, 6), slice(6, 8)]
+    assert scoring.cut(10, Workspace(state, len(batch)).lanes[0][0].rows)[1] == [slice(4, 6), slice(6, 8)]
     results = []
     for threads in (1, 2):
         with_threads(monkeypatch, threads)
@@ -341,17 +340,17 @@ def test_training_lanes_build_their_own_queries(monkeypatch, model):
 
 def test_tucker_lanes_allocate_no_khatri_rao_chunk(monkeypatch):
     # 64 triples, so each of the two lanes builds 64 query rows of 32 x 32 Khatri-Rao entries: a
-    # lane model that grew its chunk on first use would allocate 512 KiB on each lane thread
+    # lane model that allocated its chunk on use would allocate 512 KiB on each lane thread
     graph = random_graph(np.random.default_rng(5), num_entities=30, num_relations=4,
                          num_attributes=3, triples_per_relation=40)
     state = init_state(graph, TrainConfig(model="tucker", fusion="linear", dim_entity=32,
                                           dim_relation=32, seed=11), None)
     batch = np.concatenate([graph.train] * 2)[:64]
     with_threads(monkeypatch, 2)
-    workspace = Workspace(state)
+    workspace = Workspace(state, len(batch))
     for _, model in workspace.lanes:
-        assert model._buffer._arrays["kr"].size <= scoring.BLOCK_SCORES // scoring.LANES
-        assert model._buffer._arrays["d_core"].size == 32 * 32 * 32
+        assert model.chunk.size <= scoring.BLOCK_SCORES // scoring.LANES
+        assert model.product.size == 32 * 32 * 32
     chunk_bytes = 64 * 32 * 32 * 8
     for _ in range(2):
         tracemalloc.start()
@@ -387,30 +386,29 @@ def test_cut_contiguous_parts_into_blocks_of_the_lane_kernels_rows(monkeypatch, 
     assert all(block.start == lane[0].start + i * step for lane in got for i, block in enumerate(lane))
 
 
-def test_ranking_grows_every_scratch_on_the_calling_thread(monkeypatch):
+def test_ranking_builds_every_tucker_lane_model_on_the_calling_thread(monkeypatch):
     # TuckER's ranking lane models get their Khatri-Rao chunk when the lanes are built, before they
-    # start; they never run query_backward, so they hold no core-product scratch
+    # start; they never run query_backward, so they hold no core-product buffer
     graph, state = make_state("tucker", "gated", num_entities=30)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * graph.num_entities)  # several blocks a lane
     with_threads(monkeypatch, 2)
-    grown, models = [], set()
-    call, query = scoring.Scratch.__call__, scoring.TuckER.query
+    built, models = [], set()
+    init, query = scoring.TuckER.__init__, scoring.TuckER.query
 
-    def recorded_call(self, name, shape):
-        if name not in self._arrays or self._arrays[name].size < math.prod(shape):
-            grown.append((threading.get_ident(), name))
-        return call(self, name, shape)
+    def recorded_init(self, *args):
+        built.append((threading.get_ident(), self))
+        init(self, *args)
 
     def recorded_query(self, *args):
         models.add(self)
         return query(self, *args)
 
-    monkeypatch.setattr(scoring.Scratch, "__call__", recorded_call)
+    monkeypatch.setattr(scoring.TuckER, "__init__", recorded_init)
     monkeypatch.setattr(scoring.TuckER, "query", recorded_query)
     rank_triples(state, graph, graph.train, "realistic")
-    assert grown and {ident for ident, _ in grown} == {threading.get_ident()}
-    assert len(models) == scoring.LANES
-    assert all("d_core" not in model._buffer._arrays for model in models)
+    assert {ident for ident, _ in built} == {threading.get_ident()}
+    assert len(models) == scoring.LANES and models == {model for _, model in built}
+    assert all(model.product is None for model in models)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

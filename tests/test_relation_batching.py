@@ -115,7 +115,8 @@ def reference_fuse_backward(state, rel, caches, d_r_lit, grads):
 
 def reference_loss(batch, state):
     """The loss with one fusion forward, query and fusion backward per relation group."""
-    model, tables = scoring.MODELS[state.config.model](), state.tables
+    tables = state.tables
+    model = scoring.lanes(scoring.GradientBlocks, state.config.model, tables)[0][1]
     grads = state.zero_grads()
     d_entity, d_core = grads["entity"], grads.get("core")
     inv_n = 1.0 / batch.shape[0]
@@ -181,7 +182,7 @@ def test_batched_loss_matches_per_relation_loop(model, fusion, aggregation):
     if fusion == "gated":
         state.fusion.gate_bias[...] = rng.normal(size=state.fusion.gate_bias.shape)
     for name, batch in batches(graph).items():
-        loss, grads = symmetric_lcwa_loss(batch, state, Workspace(state))
+        loss, grads = symmetric_lcwa_loss(batch, state, Workspace(state, len(batch)))
         want_loss, want = reference_loss(batch, state)
         assert abs(loss - want_loss) <= 1e-12 * abs(want_loss), name
         assert set(grads) == set(want)

@@ -43,6 +43,11 @@ def reference_score(kind, tables, h, t, r_lit):
     return np.einsum("p,pqs,q,s->", e_h, tables.core, r_lit, e_t)
 
 
+def lane_model(kind, tables):
+    """A training lane's scoring model of ``kind``: TuckER's with its Khatri-Rao and core-product buffers."""
+    return scoring.lanes(GradientBlocks, kind, tables)[0][1]
+
+
 def all_scores(anchors, r_lit, model, tables, side):
     """B x |E| scores of the ``side`` queries of ``anchors`` against every entity."""
     return SimilarityBlocks(model.norm, tables.entity).forward(model.query(tables, anchors, r_lit, side))
@@ -118,7 +123,7 @@ class TestSingleScores:
 
     def test_tucker_matches_einsum(self, rng):
         tables = random_tables(rng, "tucker")
-        model = MODELS["tucker"]()
+        model = lane_model("tucker", tables)
         r_lit = rng.normal(size=4)
         expected = np.einsum(
             "p,pqs,q,s->", tables.entity[0], tables.core, r_lit, tables.entity[1]
@@ -139,7 +144,7 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("kind", list(MODEL_SPECS))
     def test_all_tails_matches_loop(self, kind, rng):
         tables = random_tables(rng, kind)
-        model = MODELS[kind]()
+        model = lane_model(kind, tables)
         r_lit = distinct_rows(rng, kind)
         batched = all_scores(ANCHORS, r_lit, model, tables, "tail")
         assert batched.shape == (ANCHORS.size, 5)
@@ -150,7 +155,7 @@ class TestBatchedScoring:
     @pytest.mark.parametrize("kind", list(MODEL_SPECS))
     def test_all_heads_matches_loop(self, kind, rng):
         tables = random_tables(rng, kind)
-        model = MODELS[kind]()
+        model = lane_model(kind, tables)
         r_lit = distinct_rows(rng, kind)
         batched = all_scores(ANCHORS, r_lit, model, tables, "head")
         assert batched.shape == (ANCHORS.size, 5)
@@ -181,7 +186,7 @@ class TestBackwardPasses:
     @pytest.mark.parametrize("side", ["tails", "heads"])
     def test_weighted_gradients_match_finite_differences(self, kind, side, rng):
         tables = random_tables(rng, kind)
-        model = MODELS[kind]()
+        model = lane_model(kind, tables)
         r_lit = distinct_rows(rng, kind)
         g = rng.normal(size=(ANCHORS.size, 5))
         query_side = side[:-1]  # "tail" or "head"
@@ -220,11 +225,12 @@ class TestBackwardPasses:
     def test_tucker_chunks_match_one_chunk(self, side, rng, monkeypatch):
         # the D_e*D_r-wide Khatri-Rao rows are built BLOCK_SCORES entries at a time
         tables = random_tables(rng, "tucker")
-        model = MODELS["tucker"]()
         r_lit = distinct_rows(rng, "tucker")
         d_q = rng.normal(size=(ANCHORS.size, 6))
 
         def run():
+            # a model built now takes its chunk from the BLOCK_SCORES of the moment
+            model = lane_model("tucker", tables)
             d_entity, d_core = np.zeros_like(tables.entity), np.zeros_like(tables.core)
             q = model.query(tables, ANCHORS, r_lit, side)
             d_r_lit = model.query_backward(tables, ANCHORS, r_lit, side, d_q, d_entity, d_core)

@@ -1,6 +1,8 @@
+import dataclasses
 import os
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,20 +66,20 @@ class TestLoss:
     def test_single_entity_zero_loss(self):
         graph = build_graph([("only", "r", "only")], [], [], [])
         state = training.init_state(graph, make_config(dim_entity=4, dim_relation=4), None)
-        loss, _ = symmetric_lcwa_loss(graph.train, state, training.Workspace(state))
+        loss, _ = symmetric_lcwa_loss(graph.train, state, training.Workspace(state, len(graph.train)))
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_two_entities_equal_scores(self):
         graph = build_graph([("a", "r", "b")], [], [], [])
         state = training.init_state(graph, make_config(dim_entity=4, dim_relation=4), None)
         state.tables.entity[...] = 1.0  # identical rows -> uniform softmax
-        loss, _ = symmetric_lcwa_loss(graph.train, state, training.Workspace(state))
+        loss, _ = symmetric_lcwa_loss(graph.train, state, training.Workspace(state, len(graph.train)))
         assert loss == pytest.approx(2 * np.log(2), abs=1e-12)
 
     def test_matches_independent_softmax_ce(self, small_graph):
         state = training.init_state(small_graph, make_config(), None)
         batch = small_graph.train[:3]
-        loss, _ = symmetric_lcwa_loss(batch, state, training.Workspace(state))
+        loss, _ = symmetric_lcwa_loss(batch, state, training.Workspace(state, len(batch)))
         expected = 0.0
         for h, r, t in batch:
             r_lit = state.tables.relation[r]
@@ -92,7 +94,8 @@ class TestLoss:
     def test_loss_non_negative(self, small_graph, rng):
         for seed in range(3):
             state = training.init_state(small_graph, make_config(seed=seed, fusion="linear"), None)
-            loss, _ = symmetric_lcwa_loss(small_graph.train, state, training.Workspace(state))
+            loss, _ = symmetric_lcwa_loss(small_graph.train, state,
+                                          training.Workspace(state, len(small_graph.train)))
             assert loss >= 0.0
 
     def test_gated_off_equals_vanilla(self, small_graph):
@@ -104,8 +107,8 @@ class TestLoss:
         block.gate[...] = 0
         block.gate_bias[...] = -30.0
         for triple in small_graph.train:
-            l_vanilla, _ = symmetric_lcwa_loss(triple[None, :], vanilla, training.Workspace(vanilla))
-            l_gated, _ = symmetric_lcwa_loss(triple[None, :], gated, training.Workspace(gated))
+            l_vanilla, _ = symmetric_lcwa_loss(triple[None, :], vanilla, training.Workspace(vanilla, 1))
+            l_gated, _ = symmetric_lcwa_loss(triple[None, :], gated, training.Workspace(gated, 1))
             assert l_gated == pytest.approx(l_vanilla, abs=1e-6)
 
 
@@ -117,10 +120,10 @@ class TestLoss:
             model=model, dim_relation=dim_relation, fusion="gated", aggregation="learnable"), None)
         # repeated triples give repeated anchors inside one block
         batch = np.concatenate([small_graph.train, small_graph.train[:3]])
-        whole_loss, whole = symmetric_lcwa_loss(batch, state, training.Workspace(state))
+        whole_loss, whole = symmetric_lcwa_loss(batch, state, training.Workspace(state, len(batch)))
         for rows_per_block in (1, 2, 3):
             monkeypatch.setattr(scoring, "BLOCK_SCORES", rows_per_block * small_graph.num_entities)
-            loss, grads = symmetric_lcwa_loss(batch, state, training.Workspace(state))
+            loss, grads = symmetric_lcwa_loss(batch, state, training.Workspace(state, len(batch)))
             assert abs(loss - whole_loss) <= 1e-12 * abs(whole_loss)
             for name, grad in grads.items():
                 assert np.abs(grad - whole[name]).max() <= 1e-12 * np.abs(whole[name]).max()
@@ -129,19 +132,21 @@ class TestLoss:
 class TestNonFiniteGuard:
     def test_non_finite_gradient_names_parameter(self, small_graph):
         state = training.init_state(small_graph, make_config(), None)
-        a, s, c = small_graph.entities["a"], small_graph.relations["s"], small_graph.entities["c"]
+        entities, relations = small_graph.entities.index, small_graph.relations.index
+        a, s, c = entities["a"], relations["s"], entities["c"]
         state.tables.entity[a, 0] = 1e200
         state.tables.relation[s, 0] = 1e-200
         # the scores and the loss stay finite, but the relation gradient d_q * e_a overflows
         with np.errstate(over="ignore"):
             with pytest.raises(TrainingError, match="non-finite gradient for parameter relation"):
-                symmetric_lcwa_loss(np.array([[a, s, c]]), state, training.Workspace(state))
+                symmetric_lcwa_loss(np.array([[a, s, c]]), state, training.Workspace(state, 1))
 
     def test_non_finite_update_names_parameter(self, small_graph):
         config = make_config(learning_rate=1e308)
         state = training.init_state(small_graph, config, None)
         optimizer = Optimizer(config.optimizer, config.learning_rate)
-        _, grads = symmetric_lcwa_loss(small_graph.train, state, training.Workspace(state))
+        _, grads = symmetric_lcwa_loss(small_graph.train, state,
+                                       training.Workspace(state, len(small_graph.train)))
         training.optimizer_step(optimizer, grads, state)  # each Adam step moves a parameter by ~1e308
         with np.errstate(over="ignore"), pytest.raises(TrainingError, match="parameter entity is non-finite"):
             training.optimizer_step(optimizer, grads, state)
@@ -313,14 +318,14 @@ class TestWorkspace:
                              aggregation=aggregation, optimizer=optimizer)
         reused, fresh = (training.init_state(small_graph, config, None) for _ in range(2))
         optimizers = Optimizer(optimizer, 0.05), Optimizer(optimizer, 0.05)
-        workspace = training.Workspace(reused)
+        workspace = training.Workspace(reused, 4)
         rng = np.random.default_rng(1)
         for _ in range(2):
             perm = rng.permutation(len(small_graph.train))
             for start in (0, 4):  # batches of 4 and 2 triples
                 batch = small_graph.train[perm[start:start + 4]]
                 got_loss, got = symmetric_lcwa_loss(batch, reused, workspace)
-                want_loss, want = symmetric_lcwa_loss(batch, fresh, training.Workspace(fresh))
+                want_loss, want = symmetric_lcwa_loss(batch, fresh, training.Workspace(fresh, len(batch)))
                 assert got_loss == want_loss
                 assert got.keys() == want.keys()
                 for name, grad in want.items():
@@ -376,9 +381,30 @@ class TestWorkspace:
             tracemalloc.stop()
         assert graph.num_entities == 4000 and len(peaks) == 2 * -(-len(graph.train) // 8)
         assert max(peaks[1:]) < graph.num_entities * 32 * 8
-        # later steps gather the profile rows into the state's scratch: less than one block
+        # every step gathers the profile rows into the state's buffers: less than one block
         assert len(gathers) == (0 if fusion_kind == "none" else len(peaks))
-        assert all(peak < relations * graph.num_attributes * 11 * 8 for peak, relations in gathers[1:])
+        assert all(peak < relations * graph.num_attributes * 11 * 8 for peak, relations in gathers)
+
+    def test_all_relation_fuse_forward_allocates_no_profile_block(self):
+        # the fuse_forward of save_checkpoint and of ranking, over all |R| relations, right after
+        # init_state: the learnable aggregation gathers into buffers of |R| rows built with the state
+        rng = np.random.default_rng(4)
+        entities = [f"e{i}" for i in range(50)]
+        triples = {(entities[h], f"r{i}", entities[t]) for i, (h, t) in enumerate(rng.integers(50, size=(60, 2)))}
+        literals = [(e, f"x{i % 24}", float(i % 7)) for i, e in enumerate(entities)]
+        graph = build_graph(sorted(triples), [], [], literals)
+        config = make_config(dim_entity=2, dim_relation=2, fusion="gated", aggregation="learnable")
+        state = training.init_state(graph, config, None)
+        block = graph.num_relations * graph.num_attributes * 11 * 8
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                state.fuse_forward(np.arange(graph.num_relations))
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < block
 
     @pytest.mark.parametrize("batch_size, live", [(6, [0]), (3, [scoring.LANES, 0])])
     def test_kernel_is_released_before_the_last_optimizer_step(self, small_graph, monkeypatch,
@@ -449,10 +475,16 @@ class TestCheckpoint:
     ])
     def test_round_trip(self, small_graph, tmp_path, model, fusion_kind, aggregation):
         config = make_config(model=model, epochs=2, fusion=fusion_kind, aggregation=aggregation,
-                             dim_relation=3 if model == "rotate" else 6)
+                             dim_relation=3 if model == "rotate" else 6, batch_size=len(small_graph.train))
         state, history = train(small_graph, config)
         directory = str(tmp_path / "ckpt")
         training.save_checkpoint(state, history, directory, {})
+        # a batch size past |train| trains on |train|-triple batches, with a workspace of that size
+        huge = str(tmp_path / "huge")
+        training.save_checkpoint(*train(small_graph, dataclasses.replace(config, batch_size=10**9)), huge, {})
+        params = [os.path.join("params", name) for name in os.listdir(os.path.join(directory, "params"))]
+        for name in ["history.json", *params]:
+            assert Path(huge, name).read_bytes() == Path(directory, name).read_bytes(), name
         # no optimizer state: nothing resumes training from a checkpoint
         assert set(os.listdir(directory)) == {"checkpoint.json", "params", "history.json", "config.json"}
         tables = {"entity", "relation"} | ({"core"} if model == "tucker" else set())
@@ -470,8 +502,10 @@ class TestCheckpoint:
         assert loaded_ranks.tobytes() == ranks.tobytes()
         if fusion_kind == "none":
             # loss continues identically after reload
-            l1, _ = symmetric_lcwa_loss(small_graph.train, state, training.Workspace(state))
-            l2, _ = symmetric_lcwa_loss(small_graph.train, loaded, training.Workspace(loaded))
+            l1, _ = symmetric_lcwa_loss(small_graph.train, state,
+                                        training.Workspace(state, len(small_graph.train)))
+            l2, _ = symmetric_lcwa_loss(small_graph.train, loaded,
+                                        training.Workspace(loaded, len(small_graph.train)))
             assert l1 == l2
 
     def test_fused_checkpoint_loads_and_evaluates_without_fusion_or_random_init(
