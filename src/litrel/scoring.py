@@ -26,21 +26,22 @@ tails, and exact identities let both sides build their queries:
   built a :data:`LANES` share of :data:`BLOCK_SCORES` entries at a time,
   so the lane models of a training step together hold one budget.
 
-The kernels live in :class:`SimilarityBlocks`, one per lane of a ranking
-call, and in its subclass :class:`GradientBlocks`, which adds the
-backward pass, one per lane of a training run: each sizes its buffers
+The kernels live in :class:`GradientBlocks`, one per lane of a training
+run, which scores in float64 and adds the backward pass, and in
+:class:`SimilarityBlocks`, one per lane of a ranking call, which screens
+in float32 and re-checks in float64 (below).  Each sizes its buffers
 itself, allocates them when it is built and reuses them for every
-block, and :meth:`SimilarityBlocks.refresh` re-reads the entity table's
+block; :meth:`GradientBlocks.refresh` re-reads the entity table's
 squared norms after the optimizer has changed the table in place.  The
-forward-only kernel holds just a score buffer, so it takes the whole
-:data:`BLOCK_SCORES` budget, :func:`block_rows` x |E|.  A training lane
-also holds an |E| x D entity-gradient partial and, for L2, an upstream
-buffer of the score buffer's shape, so its score buffer is its
-:data:`LANES` share, :func:`lane_rows` x |E|.  The backward kernel adds
-its entity-gradient products into that partial through one chunk buffer
-of :data:`CHUNK_ENTRIES` entries, so it holds no |E| x D array, and the
-optimizer step works through its lanes' chunks with one such scratch
-each (:class:`litrel.training.Optimizer`).
+ranking kernel's float32 score buffer takes the bytes of the whole
+:data:`BLOCK_SCORES` budget, so twice :func:`block_rows` rows of |E|.
+A training lane also holds an |E| x D entity-gradient partial and, for
+L2, an upstream buffer of the score buffer's shape, so its float64
+score buffer is its :data:`LANES` share, :func:`lane_rows` x |E|.  The
+backward kernel adds its entity-gradient products into that partial
+through one chunk buffer of :data:`CHUNK_ENTRIES` entries, so it holds
+no |E| x D array, and the optimizer step works through its lanes'
+chunks with one such scratch each (:class:`litrel.training.Optimizer`).
 A TuckER model is built with its Khatri-Rao chunk and, in a training
 lane, its core-product buffer, so no lane allocates a chunk-sized array.
 
@@ -54,19 +55,53 @@ which builds the lane's queries (and, in training, runs their
 ``query_backward``), so TuckER's buffers are never shared between
 threads.  Training and ranking cut their rows by their kernels'
 ``rows``; KNN, whose rows are test nodes scored against the training
-nodes, by :func:`lane_rows` of the training nodes.  :func:`block_rows`
-and :func:`lane_rows` alone decide the block shape.  The cut depends
-only on the row count and the block rows, so results do not depend on
-the number of threads.
+nodes, by :func:`lane_rows` of the training nodes.  :data:`BLOCK_SCORES`
+alone decides the block shape.  The cut depends only on the row count
+and the block rows, so results do not depend on the number of threads.
 
-Squared L2 distances are expanded as ``||q||^2 - 2 q.e + ||e||^2``, so
-the distance kernel is one matrix product plus row norms.  The
-expansion loses every digit when ``q`` lies on ``e`` (a zero distance
-reads as a rounding residue such as -6e-8, and its gradient direction is
-noise), so the pairs whose expanded square is within ``_CANCEL`` times
-the rounding scale ``||q||^2 + max ||e||^2`` are recomputed directly
-as ``||q - e||^2``, which is exactly 0 for equal rows.  A row minimum
-screens the rows first, so only rows holding such a pair are searched.
+In training, squared L2 distances are expanded as ``||q||^2 - 2 q.e +
+||e||^2``, so the distance kernel is one matrix product plus row norms.
+The expansion loses every digit when ``q`` lies on ``e`` (a zero
+distance reads as a rounding residue such as -6e-8, and its gradient
+direction is noise), so the pairs whose expanded square is within
+``_CANCEL`` times the rounding scale ``||q||^2 + max ||e||^2`` are
+recomputed directly as ``||q - e||^2``, which is exactly 0 for equal
+rows.  A row minimum screens the rows first, so only rows holding such a
+pair are searched.
+
+Ranking needs only the order of each row's scores, and it orders them by
+exact scores: :meth:`SimilarityBlocks.exact` computes ``x = q.e`` (dot
+kernel) or ``x = -||q - e||^2`` (L2) directly in float64, one einsum per
+pair, so a pair's ``x`` does not depend on the block it is in and equal
+entity rows tie.  Only the pairs too close to call are computed that
+way; every other comparison is read off a float32 screen ``f``: ``q.e``,
+or for L2 ``2 q.e - ||e||^2``, which is ``||q||^2 - ||q - e||^2`` and so
+orders a row as ``x`` does without its per-row ``||q||^2`` term, its
+square root or its cancellation.  The screen is one float32 product
+against a float32 copy of the table (less the float32 ``||e||^2``).
+
+The bound ``beta`` of a row is sound for any two of its entries j, k:
+``|(f_j - f_k) - (x_j - x_k)| <= beta``.  Let ``u = 2^-24``, ``D`` the
+width, ``g = (D+4) u / (1 - (D+4) u)`` (Higham's gamma_{D+4}, which
+bounds the relative error of a float32 sum of D products, in any order,
+of operands rounded to float32), ``E = max ||e||`` over the table and
+the row's scale ``S = ||q|| E`` (dot) or ``(||q|| + E)^2`` (L2).  A
+screen entry is then within ``g S`` of its real value: the dot product
+takes D + 2 roundings, and for L2 the float64 ``||e||^2`` rounds once
+more to float32 and the subtraction once, on terms ``|2 q.e| +
+||e||^2 <= S``.  The float64 ``x`` is within ``2^-29 g S`` of its own,
+since float64 rounds 2^29 times finer.  Two entries, each with both
+errors, differ by at most ``2 g S (1 + 2^-29)``; the code takes ``beta
+= 4 g S``, which leaves a factor of about 2 for the rounding of
+``beta`` and of the band's edges, and adds ``D 2^-122 R`` for the
+absolute error of float32 underflow, even flushed to zero, where ``R =
+(||q|| + E + 1)^2`` is the row's reach: no float32 operand, product,
+partial sum or screen entry exceeds it.  A row whose reach is not below
+``2^124`` (or is NaN) could overflow float32, so its screen is set to 0
+and its ``beta`` to inf: every candidate falls in its band, and the same
+count ranks it by exact scores alone, as KNN keeps every row when its
+bound overflows (:func:`litrel.downstream.knn_classify`).  How ranking
+uses the bound is in :mod:`litrel.evaluation`.
 
 Complex-valued layouts pack real parts in the first half of a row and
 imaginary parts in the second half.  The rotation model stores relation
@@ -108,6 +143,10 @@ CHUNK_ENTRIES = 1 << 15
 LANES = 2
 
 _NORM_EPS = 1e-12
+# float32 unit roundoff, and the reach (module docstring) from which a ranking row's band is widened
+# to every candidate: below it no float32 operand, product, sum or band edge can leave float32 range
+_UNIT_ROUNDOFF32 = 2.0 ** -24
+_REACH = 2.0 ** 124
 # Expanded squared distances within this multiple of their rounding scale
 # are recomputed directly; outside it the expansion is accurate to about
 # D * 1e-16 / _CANCEL relative.
@@ -265,7 +304,11 @@ MODELS = {"transe": TransE, "distmult": DistMult, "complex": ComplEx, "rotate": 
 
 
 def block_rows(num_entities: int) -> int:
-    """Query rows per block of a forward-only lane: ``BLOCK_SCORES`` score entries, at least one row."""
+    """Query rows per block of ``BLOCK_SCORES`` float64 score entries, at least one row.
+
+    A ranking lane's float32 block takes the same bytes, so twice the
+    rows (:class:`SimilarityBlocks`).
+    """
     return max(1, BLOCK_SCORES // num_entities)
 
 
@@ -297,7 +340,7 @@ def cut(count: int, rows: int) -> list[list[slice]]:
     return [[slice(start, min(start + rows, part.stop)) for start in part[::rows]] for part in parts]
 
 
-def lanes(kernel, kind: str, tables: EmbeddingTables) -> list[tuple[SimilarityBlocks, object]]:
+def lanes(kernel, kind: str, tables: EmbeddingTables) -> list[tuple[SimilarityBlocks | GradientBlocks, object]]:
     """Per lane, a ``kernel`` (:class:`SimilarityBlocks` or :class:`GradientBlocks`) and a scoring model of ``kind``.
 
     Both are built on the calling thread, over ``tables``, with their
@@ -352,37 +395,121 @@ def sq_norms(rows, out=None):
 
 
 class SimilarityBlocks:
-    """The forward similarity kernel of one lane, over blocks of at most :attr:`rows` query rows.
+    """The ranking kernel of one lane: a float32 screen of blocks of at most :attr:`rows` query rows.
 
-    ``forward(q)`` scores the rows of ``q`` against every entity row:
-    ``q @ E.T`` for ``norm = None``, ``-||q_b - e_j||`` for ``norm = 2``.
-    ``rows`` is :func:`block_rows` (:func:`lane_rows` for
-    :class:`GradientBlocks`).  The ``rows`` x |E| score buffer is
-    allocated once, by the constructor, and written with ``out=`` on
-    every block, so the scores a ``forward`` returns are a view that the
-    next ``forward`` overwrites.  The kernel reads the entity table it
-    was built on; the L2 kernel also caches the table's squared row
-    norms, so after the table changes in place (an optimizer step)
-    :meth:`refresh` must run before the next ``forward``.  Ranking uses this kernel;
-    :class:`GradientBlocks` adds the backward pass.
+    :meth:`screen` scores the rows of ``q`` against every entity row in
+    float32 (``q.e`` for ``norm = None``, ``2 q.e - ||e||^2`` for
+    ``norm = 2``) and bounds each row's rounding error; :meth:`exact`
+    recomputes chosen pairs directly in float64 (``q.e``, or
+    ``-||q - e||^2``).  The kernel holds a float32 copy of the entity
+    table (for L2 also its float32 squared row norms), a float32
+    ``rows`` x |E| score buffer with the bytes of :data:`BLOCK_SCORES`
+    float64 entries, so twice their rows, and :attr:`masks`, two boolean
+    buffers of the same shape that ranking compares into.  All are
+    allocated by the constructor and reused for every block, so the
+    scores a ``screen`` returns are a view that the next ``screen``
+    overwrites.  A kernel reads the entity table as it was when built.
     """
 
     def __init__(self, norm, entity: np.ndarray):
         self.norm = norm
         self.entity = entity
-        self.rows = self._rows_of(entity.shape[0])
+        num_entities, dim = entity.shape
+        self.rows = max(1, 2 * BLOCK_SCORES // num_entities)  # float32: the budget's bytes
+        # an entry beyond float32 range reads inf, and a norm beyond float64 range inf or NaN:
+        # either way every row's reach is out of range, so every band is widened
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._entity = entity.astype(np.float32)
+            sq = sq_norms(entity)
+            self._max_norm = float(np.sqrt(sq.max()))
+            self._entity_sq = sq.astype(np.float32) if norm == 2 else None
+        del sq  # freed before the buffers are allocated, so it adds nothing to the kernel's peak
         # Allocated here, on the constructing thread, not on first use on a lane thread: glibc
         # serves each thread from a malloc arena of its own, and allocating these buffers on the
         # lane threads raised rank-hubs' peak RSS from 61.4 to 66.9 MiB (2-CPU AMD EPYC VM; 61.25
         # MiB under MALLOC_ARENA_MAX=1).
+        self._scores = np.empty((self.rows, num_entities), dtype=np.float32)
+        self.masks = np.empty((2, self.rows, num_entities), dtype=bool)
+        self._gamma = (dim + 4) * _UNIT_ROUNDOFF32 / (1 - (dim + 4) * _UNIT_ROUNDOFF32)
+        self._tiny = dim * 2.0 ** -122
+
+    def screen(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The float32 B x |E| screen of the query rows ``q`` and each row's bound ``beta``.
+
+        The screen is a view of the kernel's score buffer.  For any two
+        entities of a row, the difference of their screen entries is
+        within the row's ``beta`` of the difference of their
+        :meth:`exact` scores (module docstring).  A row whose reach is
+        out of range is all zeros with ``beta = inf``.
+        """
+        out = self._scores[:q.shape[0]]
+        # out of float32 range, a row reads inf or NaN: it is widened below
+        with np.errstate(over="ignore", invalid="ignore"):
+            q32 = q.astype(np.float32)
+            if self.norm == 2:
+                q32 *= 2.0
+            np.matmul(q32, self._entity.T, out=out)
+            if self.norm == 2:
+                out -= self._entity_sq
+            q_norm = np.sqrt(sq_norms(q))
+            scale = q_norm * self._max_norm if self.norm is None else (q_norm + self._max_norm) ** 2
+            reach = (q_norm + self._max_norm + 1.0) ** 2
+            beta = 4.0 * self._gamma * scale + self._tiny * reach
+        wide = ~(reach < _REACH)  # NaN is out of range too
+        out[wide] = 0.0
+        beta[wide] = np.inf
+        return out, beta
+
+    def exact(self, q: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The float64 score of each query row ``q[i]`` against entity ``cols[i]``, computed directly.
+
+        ``q.e`` for ``norm = None`` and ``-||q - e||^2`` for ``norm = 2``,
+        one einsum row each, so a pair's score does not depend on the
+        other pairs, and equal entity rows score equal.
+        """
+        e = self.entity[cols]
+        # a widened row's scores may overflow float64 too: they read inf or NaN, as any float64 sum would
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.norm is None:
+                return np.einsum("ij,ij->i", q, e)
+            np.subtract(e, q, out=e)
+            return np.negative(sq_norms(e))
+
+
+class GradientBlocks:
+    """The float64 similarity kernel of a training lane, with its backward pass.
+
+    ``forward(q)`` scores the rows of ``q`` against every entity row:
+    ``q @ E.T`` for ``norm = None``, ``-||q_b - e_j||`` for ``norm = 2``,
+    over blocks of at most :attr:`rows` (:func:`lane_rows`) query rows.
+    ``backward`` is its gradient, for an upstream gradient written into
+    :meth:`upstream`; :meth:`flush` completes the entity gradient of a
+    run of ``backward`` calls.  Both add their entity-row products into
+    the caller's gradient one chunk of rows at a time, through one chunk
+    buffer of at most :data:`CHUNK_ENTRIES` entries, so the kernel holds
+    no |E| x D array.  The ``rows`` x |E| score buffer, the chunk buffer
+    and, for L2, the upstream buffer of the score buffer's shape, the
+    |E| squared entity norms and the |E| deferred weights are allocated
+    once, by the constructor (see :class:`SimilarityBlocks` for why
+    there), so the scores a ``forward`` returns are a view that the next
+    ``forward`` overwrites.  After the entity table changes in place (an
+    optimizer step) :meth:`refresh` must run before the next ``forward``.
+    """
+
+    def __init__(self, norm, entity: np.ndarray):
+        self.norm = norm
+        self.entity = entity
+        self.rows = lane_rows(entity.shape[0])
         self._scores = np.empty((self.rows, entity.shape[0]))
         if norm == 2:
             self._entity_sq = np.empty(entity.shape[0])
         self.refresh()
-
-    @staticmethod
-    def _rows_of(num_entities: int) -> int:
-        return block_rows(num_entities)
+        step = max(1, CHUNK_ENTRIES // entity.shape[1])
+        self._entity_chunks = chunks(entity.shape[0], step)
+        self._chunk = np.empty((min(step, entity.shape[0]), entity.shape[1]))
+        self._upstream = np.empty_like(self._scores) if norm == 2 else self._scores
+        if norm == 2:
+            self._deferred = np.zeros(entity.shape[0])
 
     def refresh(self) -> None:
         """Re-read the entity table after an in-place change: recompute its squared norms."""
@@ -410,33 +537,6 @@ class SimilarityBlocks:
         sq[rows, cols] = sq_norms(q[rows] - entity[cols])
         np.sqrt(sq, out=sq)
         return np.negative(sq, out=sq)
-
-
-class GradientBlocks(SimilarityBlocks):
-    """A :class:`SimilarityBlocks` kernel with the backward pass, for a training lane.
-
-    ``backward`` is the gradient of ``forward``, for an upstream gradient
-    written into :meth:`upstream`; :meth:`flush` completes the entity
-    gradient of a run of ``backward`` calls.  Both add their entity-row
-    products into the caller's gradient one chunk of rows at a time,
-    through one chunk buffer of at most :data:`CHUNK_ENTRIES` entries,
-    so the kernel holds no |E| x D array.  The chunk buffer and, for L2,
-    the upstream buffer of the score buffer's shape and the |E| deferred
-    weights are allocated by the constructor too.
-    """
-
-    @staticmethod
-    def _rows_of(num_entities: int) -> int:
-        return lane_rows(num_entities)
-
-    def __init__(self, norm, entity: np.ndarray):
-        super().__init__(norm, entity)
-        step = max(1, CHUNK_ENTRIES // entity.shape[1])
-        self._entity_chunks = chunks(entity.shape[0], step)
-        self._chunk = np.empty((min(step, entity.shape[0]), entity.shape[1]))
-        self._upstream = np.empty_like(self._scores) if norm == 2 else self._scores
-        if norm == 2:
-            self._deferred = np.zeros(entity.shape[0])
 
     def _products(self, weights, rows):
         """Per chunk of entity rows, ``(chunk, weights[:, chunk].T @ rows)`` in the chunk buffer."""

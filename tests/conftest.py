@@ -29,6 +29,13 @@ def random_graph(rng, num_entities=8, num_relations=2, num_attributes=3,
     return build_graph(train, [], [], literals)
 
 
+def exact_scores(kernel, q):
+    """B x |E| exact scores of the query rows ``q``: every pair through the ranking kernel's re-check."""
+    num_entities = kernel.entity.shape[0]
+    pairs = kernel.exact(np.repeat(q, num_entities, axis=0), np.tile(np.arange(num_entities), len(q)))
+    return pairs.reshape(len(q), num_entities)
+
+
 @pytest.fixture
 def toy_graph():
     train = [

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_graph
+from conftest import exact_scores, random_graph
 from litrel.aggregation import build_profiles, literal_vectors
 from litrel.cli import main as cli_main
 from litrel.data import build_graph
@@ -213,15 +213,15 @@ def test_criterion_4_ranking_oracle(monkeypatch):
             for block_scores in (scoring.BLOCK_SCORES, 2 * graph.num_entities):
                 monkeypatch.setattr(scoring, "BLOCK_SCORES", block_scores)
                 ranks = rank_triples(state, graph, triples, "realistic")
-                # the oracle reads the very blocks the ranker scored, by its kernel (a row's scores
-                # can depend on its block's row count): input order, spanning relations
+                # the oracle sorts the exact scores of every candidate of the very blocks the ranker
+                # ranked (input order, spanning relations), each pair through the kernel's re-check
                 lanes = scoring.lanes(scoring.SimilarityBlocks, config.model, state.tables)
                 cuts = scoring.cut(triples.shape[0], lanes[0][0].rows)
                 for (kernel, model), rows in ((lane, rows) for lane, blocks in zip(lanes, cuts) for rows in blocks):
                     start, block = rows.start, triples[rows]
                     r_rows = r_lit[block[:, 1]]
                     tail_scores, head_scores = (
-                        kernel.forward(model.query(state.tables, anchors, r_rows, side)).copy()
+                        exact_scores(kernel, model.query(state.tables, anchors, r_rows, side))
                         for anchors, side in ((block[:, 0], "tail"), (block[:, 2], "head")))
                     for k, (h, r, t) in enumerate(block.tolist()):
                         f_t = {kt for kh, kr, kt in known if (kh, kr) == (h, r)} - {t}

@@ -22,7 +22,7 @@ from litrel.evaluation import (
     rank_triples,
 )
 from litrel.training import TrainConfig, Workspace, init_state, symmetric_lcwa_loss
-from tests.conftest import random_graph
+from tests.conftest import exact_scores, random_graph
 
 
 def brute_force_rank(scores, true_index, filtered, tie_policy="realistic"):
@@ -48,11 +48,16 @@ def as_index(filtered_rows):
     return tuple(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
+def identity_kernel(num_entities):
+    """A dot-product ranking kernel over the identity table: query row ``s`` scores exactly ``s``."""
+    return scoring.SimilarityBlocks(None, np.eye(num_entities))
+
+
 def rank_of(scores, true_index, filtered, tie_policy):
     """The block ranker on a one-row block."""
-    block = np.array([scores], dtype=np.float64)
-    mask = np.empty(block.shape, dtype=bool)
-    return filtered_ranks(block, np.array([true_index]), as_index([filtered]), tie_policy, mask)[0]
+    q = np.array([scores], dtype=np.float64)
+    return filtered_ranks(identity_kernel(q.shape[1]), q, np.array([true_index]), as_index([filtered]),
+                          tie_policy)[0]
 
 
 class TestRankOf:
@@ -90,9 +95,8 @@ class TestRankOf:
                 brute_force_rank(scores[b], int(targets[b]), filtered[b], policy)
                 for b in range(rows)
             ]
-            # a mask with more rows than the block, as a lane's is
-            mask = np.empty((rows + 2, n), dtype=bool)
-            ranks = filtered_ranks(scores.copy(), targets, as_index(filtered), policy, mask)
+            # a kernel with more rows than the block, as a lane's has
+            ranks = filtered_ranks(identity_kernel(n), scores, targets, as_index(filtered), policy)
             assert ranks.tolist() == expected
 
 
@@ -129,9 +133,8 @@ class TestFilteredRanking:
         r_lit = np.stack([trained_state.fused_relation(r) for r in test[:, 1]])
         model = scoring.MODELS[trained_state.config.model]
         q = model().query(trained_state.tables, test[:, 0], r_lit, "tail")
-        scores = scoring.SimilarityBlocks(model.norm, trained_state.tables.entity).forward(q)
-        raw = filtered_ranks(scores, test[:, 2], as_index([set()] * test.shape[0]), "realistic",
-                             np.empty(scores.shape, dtype=bool))
+        kernel = scoring.SimilarityBlocks(model.norm, trained_state.tables.entity)
+        raw = filtered_ranks(kernel, q, test[:, 2], as_index([set()] * test.shape[0]), "realistic")
         assert (ranks[:, 1] <= raw).all()
 
     def test_rank_bounds(self, toy_graph, trained_state):
@@ -157,7 +160,7 @@ class TestFilteredRanking:
 
 
 def reference_rank_triples(state, graph, triples, tie_policy):
-    """The former ranker: dicts of filter sets over the splits, flattened per block."""
+    """The former ranker: dicts of filter sets over the splits, flattened per block, on exact scores."""
     filter_tails, filter_heads = {}, {}
     for split in (graph.train, graph.valid, graph.test):
         for head, relation, tail in split:
@@ -191,9 +194,9 @@ def reference_rank_triples(state, graph, triples, tie_policy):
         known_heads = [filter_heads.get((r, t), ()) for _, r, t in block.tolist()]
         known_tails = [filter_tails.get((h, r), ()) for h, r, _ in block.tolist()]
         ranks[rows, 0] = ranks_of(
-            blocks.forward(model.query(tables, tails, r_rows, "head")), heads, known_heads)
+            exact_scores(blocks, model.query(tables, tails, r_rows, "head")), heads, known_heads)
         ranks[rows, 1] = ranks_of(
-            blocks.forward(model.query(tables, heads, r_rows, "tail")), tails, known_tails)
+            exact_scores(blocks, model.query(tables, heads, r_rows, "tail")), tails, known_tails)
     return ranks
 
 

@@ -118,7 +118,7 @@ def test_threads_give_bit_identical_loss_gradients_and_ranks(monkeypatch, model)
 
 
 def test_two_lane_tucker_ranks_equal_serial_ranks(monkeypatch):
-    # lane blocks of 64 triples whose queries take several Khatri-Rao chunks each: each lane
+    # lane blocks of 128 triples whose queries take several Khatri-Rao chunks each: each lane
     # builds its queries with a model and scratch of its own, so the two threads never share one
     graph = random_graph(np.random.default_rng(5), num_entities=40, num_relations=4,
                          num_attributes=3, triples_per_relation=40)
@@ -273,7 +273,7 @@ def test_evaluate_writes_the_same_report_on_one_and_two_threads(monkeypatch, tmp
     assert main(["--seed", "0", "train", "--artifact-dir", artifact, "--checkpoint-dir", checkpoint,
                  "--model", model, "--fusion", "linear", "--dim-entity", "4", "--dim-relation", "4",
                  "--epochs", "3"]) == 0
-    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * 30)  # blocks of 2 rows: 5 test triples in 3 and 2 a lane
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 30)  # ranking blocks of 2 rows: 5 test triples in 3 and 2 a lane
     outputs = {}
     for threads in (1, 2):
         with_threads(monkeypatch, threads)
@@ -368,11 +368,11 @@ def test_tucker_lanes_allocate_no_khatri_rao_chunk(monkeypatch):
 @pytest.mark.parametrize("kernel", [pytest.param(scoring.SimilarityBlocks, id="forward"),
                                     pytest.param(scoring.GradientBlocks, id="gradient")])
 def test_cut_contiguous_parts_into_blocks_of_the_lane_kernels_rows(monkeypatch, count, lanes, kernel):
-    # ranking cuts by its forward kernels' block_rows (6 over 10 entities), training by its gradient
-    # kernels' lane_rows (6 // lanes), and KNN by lane_rows too
+    # ranking cuts by its float32 kernels' rows (12 over 10 entities: twice block_rows), training by
+    # its gradient kernels' lane_rows (6 // lanes), and KNN by lane_rows too
     monkeypatch.setattr(scoring, "LANES", lanes)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 10)
-    step = 6 if kernel is scoring.SimilarityBlocks else scoring.lane_rows(10)
+    step = 12 if kernel is scoring.SimilarityBlocks else scoring.lane_rows(10)
     built = scoring.lanes(kernel, "distmult", scoring.EmbeddingTables(np.zeros((10, 2)), np.zeros((1, 2))))
     assert len(built) == lanes and all(type(k) is kernel and k.rows == step for k, _ in built)
     assert len({id(k) for k, _ in built}) == len({id(m) for _, m in built}) == lanes

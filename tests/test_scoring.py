@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from litrel import scoring
-from litrel.scoring import MODELS, EmbeddingTables, GradientBlocks, SimilarityBlocks
+from litrel.scoring import MODELS, EmbeddingTables, GradientBlocks
 
 # model kind -> (D_e, D_r)
 MODEL_SPECS = {
@@ -49,8 +49,8 @@ def lane_model(kind, tables):
 
 
 def all_scores(anchors, r_lit, model, tables, side):
-    """B x |E| scores of the ``side`` queries of ``anchors`` against every entity."""
-    return SimilarityBlocks(model.norm, tables.entity).forward(model.query(tables, anchors, r_lit, side))
+    """B x |E| float64 scores of the ``side`` queries of ``anchors`` against every entity."""
+    return GradientBlocks(model.norm, tables.entity).forward(model.query(tables, anchors, r_lit, side))
 
 
 def tail_score(h, r_lit, t, model, tables):
@@ -263,7 +263,7 @@ class TestDistanceKernel:
 
     def test_zero_and_near_zero_distances_match_direct_formula(self, block):
         q, entity = block
-        scores = SimilarityBlocks(2, entity).forward(q)
+        scores = GradientBlocks(2, entity).forward(q)
         direct = -np.sqrt(((q[:, None, :] - entity[None, :, :]) ** 2).sum(axis=-1))
         assert scores[0, 0] == 0.0
         assert scores[-1, 2] == 0.0

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litrel import scoring
+from litrel.evaluation import filtered_ranks
 
 _NORM_EPS = 1e-12
 _CANCEL = 1e-6
@@ -192,13 +193,30 @@ def test_first_block_on_another_thread_allocates_no_block_or_table_sized_array(n
 
 @pytest.mark.parametrize("norm", [None, 2])
 def test_ranking_kernel_allocates_only_its_scores_and_norms(norm, rng):
-    # the forward kernel holds a rows x |E| score buffer and, for L2, the |E| entity norms: no
-    # |E| x D product buffer and no upstream buffer, which only the backward pass writes
+    # the ranking kernel holds a float32 rows x |E| score buffer, two boolean masks of its shape,
+    # a float32 copy of the entity table and, for L2, the |E| float32 entity norms: no float64
+    # block, no |E| x D float64 array and no upstream buffer, which only the backward pass writes
     entity = rng.normal(size=(8000, 16))
     kernels = []
     peak = traced_peak(lambda: kernels.append(scoring.SimilarityBlocks(norm, entity)))
-    floats = kernels[0].rows * len(entity) + (len(entity) if norm == 2 else 0)
-    assert floats * 8 <= peak < floats * 8 + 4096
+    block = kernels[0].rows * len(entity)
+    size = block * 4 + 2 * block + entity.size * 4 + (len(entity) * 4 if norm == 2 else 0)
+    assert size <= peak < size + 4096
+
+
+@pytest.mark.parametrize("norm", [None, 2])
+def test_ranking_a_block_allocates_no_block_or_table_sized_array(norm, rng):
+    # the screen, the band and its re-check work in the kernel's buffers; what a block allocates
+    # scales with its rows and its band, not with |E|
+    entity = rng.normal(size=(8000, 16))
+    kernel = scoring.SimilarityBlocks(norm, entity)
+    q = rng.normal(size=(kernel.rows, 16))
+    q[0] = entity[3]  # an exact hit, for L2 on the band of the target
+    targets = rng.integers(len(entity), size=kernel.rows)
+    known = (np.repeat(np.arange(kernel.rows), 3), rng.integers(len(entity), size=3 * kernel.rows))
+    filtered_ranks(kernel, q, targets, known, "realistic")
+    peak = traced_peak(lambda: filtered_ranks(kernel, q, targets, known, "realistic"))
+    assert peak < entity.nbytes // 4
 
 
 @pytest.mark.parametrize("norm", [None, 2])
@@ -217,19 +235,22 @@ def test_training_kernel_allocates_only_its_scores_upstream_norms_and_one_chunk(
 
 @pytest.mark.parametrize("num_entities", [1, 5, 3000, 8000, 1 << 20])
 def test_forward_kernel_takes_the_whole_budget_and_training_its_lane_share(num_entities):
-    # a forward-only (ranking) lane holds just its scores; a training lane also holds an |E| x D
-    # entity-gradient partial and (L2) an upstream buffer, so its blocks take its LANES share
+    # a ranking lane holds float32 scores in the whole budget's bytes, so twice its float64 rows; a
+    # training lane also holds an |E| x D entity-gradient partial and (L2) an upstream buffer, so
+    # its float64 blocks take its LANES share
     entity = np.zeros((num_entities, 1))
-    assert scoring.SimilarityBlocks(2, entity).rows == scoring.block_rows(num_entities)
+    rows = scoring.SimilarityBlocks(2, entity).rows
+    assert rows == max(1, 2 * scoring.BLOCK_SCORES // num_entities)
+    assert rows * num_entities * 4 <= scoring.BLOCK_SCORES * 8 or rows == 1
     assert scoring.GradientBlocks(2, entity).rows == scoring.lane_rows(num_entities)
 
 
 def test_block_larger_than_its_buffer_is_rejected(rng, monkeypatch):
     """Every block comes from ``scoring.cut`` by its kernel's rows; a larger one still fails, in numpy's ``out=``."""
-    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * scoring.LANES * 5)  # 4 rows over 5 entities
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 2 * scoring.LANES * 5)  # 8 float32 rows over 5 entities
     blocks = scoring.SimilarityBlocks(2, rng.normal(size=(5, 3)))
     with pytest.raises(ValueError):
-        blocks.forward(rng.normal(size=(blocks.rows + 1, 3)))
+        blocks.screen(rng.normal(size=(blocks.rows + 1, 3)))
 
 
 @pytest.mark.parametrize("norm", [None, 2])

@@ -86,7 +86,7 @@ class TestLoss:
             for anchor, side, true in ((h, "tail", int(t)), (t, "head", int(h))):
                 model = scoring.MODELS[state.config.model]
                 q = model().query(state.tables, np.array([anchor]), r_lit, side)
-                side_scores = scoring.SimilarityBlocks(model.norm, state.tables.entity).forward(q)[0]
+                side_scores = scoring.GradientBlocks(model.norm, state.tables.entity).forward(q)[0]
                 exp = np.exp(side_scores - side_scores.max())
                 expected += -np.log(exp[true] / exp.sum())
         assert loss == pytest.approx(expected / batch.shape[0], abs=1e-10)
