@@ -16,9 +16,6 @@ from litrel import scoring
 from litrel.data import KnowledgeGraph, _bad_line, _chunk_columns, _rescan
 from litrel.errors import ParseError, ValidationError
 
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_TINY = np.finfo(np.float64).smallest_subnormal
-
 # The SVM's fixed schedule: full-batch subgradient epochs, step size and L2 weight.
 SVM_EPOCHS = 200
 SVM_LR = 0.1
@@ -89,29 +86,23 @@ def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
     break toward the label with the smallest mean distance among its
     voting neighbours, then toward the smallest label.
 
-    Test rows go in the blocks of ``scoring.cut(n_test,
-    scoring.lane_rows(n_train))``, each lane's blocks on a thread of
-    ``scoring.fan_out``, and each lane writes the predictions of its own
-    rows.  A block ranks every training row by the expanded square
-    ``s = ||x||^2 - 2 x.t + ||t||^2`` (one matrix product), keeps as
-    candidates the rows with ``s <= s_k + delta``, where ``s_k`` is the
-    row's k-th smallest ``s``, and computes direct distances for those
-    candidates only.
+    Test rows go in the blocks of ``scoring.cut(n_test, kernel.rows)``
+    on the lanes of :func:`scoring.screens`, whose L2 screen of the
+    training rows (converted to float32 once) orders a row by ``f_j =
+    2 x.t_j - ||t_j||^2`` as ``-||x - t_j||^2`` orders it.  Row j stays a
+    candidate iff ``f_j >= f_(k) - beta``: ``f_(k)`` is the row's k-th
+    largest entry, ``beta`` its bound (:mod:`litrel.scoring`) and the
+    edge is :meth:`scoring.SimilarityBlocks.edge`.  Only the candidates
+    get direct distances; a widened row (``beta = inf``) keeps every
+    row.  Each lane writes the predictions of its own rows.
 
-    The bound ``delta`` is sound.  Let ``u = 2^-53``, ``D`` the width and
-    ``g = (D+4) u / (1 - (D+4) u)`` (Higham's gamma_{D+4}), which bounds
-    the relative error of a (D+4)-term float64 sum of products in any
-    order.  The expanded ``s`` is then within ``g (||x|| + ||t||)^2 <=
-    g W``, ``W = 2 (||x||^2 + max ||t||^2)``, of the exact square ``S``,
-    and the direct distance squared lies within ``S (1 +- g)``.  A row j
-    with ``s_j > s_k + delta`` has ``S_j (1 - g) > S_i (1 + g)`` for each
-    of the k rows i with ``s_i <= s_k`` once
-    ``delta >= 2g / (1 - g) (max(s_k, 0) + W)``, so its direct distance
-    exceeds all of theirs and it cannot be among the k nearest.  The code
-    takes ``4g`` for ``2g / (1 - g)``, which leaves a factor of about 2
-    for the rounding of ``W`` and of the bound itself, and adds
-    ``16 D 2^-1074`` for the absolute error of underflowing products.
-    A bound that overflows keeps every row as a candidate.
+    A rejected row j is not among the k nearest, not even through a tie
+    of square roots: each of the k rows i with ``f_i >= f_(k)`` has
+    ``f_i - f_j > beta >= 4gS`` (scoring's ``g`` and row scale ``S``) and
+    a screen entry is within ``gS`` of its real value, so their real
+    squared distances differ by more than ``2gS``, far above the float64
+    rounding of a direct square (``2^-29 gS``) and of its square root;
+    so does the absolute term of ``beta`` over float32 underflow.
     """
     train_feats = np.asarray(train_feats, dtype=np.float64)
     test_feats = np.asarray(test_feats, dtype=np.float64)
@@ -121,39 +112,31 @@ def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
     if not 1 <= k <= train_feats.shape[0]:
         raise ValidationError(f"k must be within [1, {train_feats.shape[0]}], got {k}")
     classes, label_index = np.unique(train_labels, return_inverse=True)
-    train_sq = scoring.sq_norms(train_feats)
     predictions = np.empty(test_feats.shape[0], dtype=np.int64)
+    kernels = scoring.screens(2, train_feats)
 
-    def lane(blocks):
+    def lane(kernel, blocks):
         for block in blocks:
-            nearest, dists = _nearest(train_feats, train_sq, test_feats[block], k)
+            nearest, dists = _nearest(kernel, test_feats[block], k)
             predictions[block] = classes[_vote(label_index[nearest], dists, classes.shape[0])]
 
-    scoring.fan_out(lane, scoring.cut(test_feats.shape[0], scoring.lane_rows(train_feats.shape[0])))
+    scoring.fan_out(lane, kernels, scoring.cut(test_feats.shape[0], kernels[0].rows))
     return predictions
 
 
-def _nearest(train_feats, train_sq, x, k):
-    """B x k training indices and direct distances of each query row's k nearest rows."""
-    dim = train_feats.shape[1]
-    gamma = (dim + 4) * _UNIT_ROUNDOFF / (1 - (dim + 4) * _UNIT_ROUNDOFF)
-    # overflow here only widens the candidate set; the direct distances below
-    # overflow as they always did
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_sq = scoring.sq_norms(x)
-        sq = x @ train_feats.T
-        sq *= -2.0
-        sq += x_sq[:, None]
-        sq += train_sq
-        # a copy, so the partitioned block is freed at once
-        kth = np.partition(sq, k - 1, axis=1)[:, k - 1].copy()
-        scale = 2.0 * (x_sq + train_sq.max())  # W in the docstring
-        delta = 4 * gamma * (np.maximum(kth, 0.0) + scale) + 16 * dim * _TINY
-        # "not above" rather than "at most": a NaN bound or square keeps the row
-        rows, cols = np.nonzero(~(sq > (kth + delta)[:, None]))
+def _nearest(kernel, x, k):
+    """B x k training indices and direct distances of each query row's k nearest rows of ``kernel.entity``."""
+    scores, beta = kernel.screen(x)
+    # each row's k-th largest entry, from copies of a chunk of rows: one copy of the whole block
+    # raised rank-hubs' peak RSS from 56.0 to 58.7 MiB (2-CPU Intel Xeon VM)
+    kth = np.empty(x.shape[0], dtype=np.float32)
+    for part in scoring.chunks(x.shape[0], max(1, scoring.CHUNK_ENTRIES // scores.shape[1])):
+        kth[part] = np.partition(scores[part], -k, axis=1)[:, -k]
+    lo = kernel.edge(kth - beta, -np.inf)
+    rows, cols = np.nonzero(np.greater_equal(scores, lo[:, None], out=kernel.masks[0, :x.shape[0]]))
     dists = np.empty(rows.shape[0])
-    for part in scoring.chunks(rows.shape[0], scoring.block_rows(dim)):
-        dists[part] = np.sqrt(((train_feats[cols[part]] - x[rows[part]]) ** 2).sum(axis=1))
+    for part in scoring.chunks(rows.shape[0], scoring.block_rows(x.shape[1])):
+        dists[part] = np.sqrt(((kernel.entity[cols[part]] - x[rows[part]]) ** 2).sum(axis=1))
     order = np.lexsort((cols, dists, rows))
     # rows[order] ascends, and every row has at least k candidates
     first = np.searchsorted(rows[order], np.arange(x.shape[0]))

@@ -28,10 +28,11 @@ screens each side as one B x |E| float32 block, whose entries and bound
 differ by at most ``beta`` from the difference of their exact scores.
 Filtering sets the competitors to -inf, and each row's band is
 ``[t - beta, t + beta]`` around its target's screen entry ``t``,
-rounded outward to float32 and clipped to the finite float32 range.  A
-candidate j above the band has ``f_j - t > beta``, so ``x_j - x_t >=
-(f_j - t) - beta > 0``: its exact score is greater than the target's.
-One below the band likewise has a smaller one.  Both kinds are settled
+rounded outward to float32 and clipped to the finite float32 range
+(:meth:`scoring.SimilarityBlocks.edge`).  A candidate j above the band
+has ``f_j - t > beta``, so ``x_j - x_t >= (f_j - t) - beta > 0``: its
+exact score is greater than the target's.  One below the band likewise
+has a smaller one.  Both kinds are settled
 by two float32 comparisons of the block; only the candidates in the
 band, the target among them, are recomputed in float64 and compared
 exactly: 1.1 to 1.9 a row, the target included, on the benchmark
@@ -59,8 +60,6 @@ from litrel.errors import ValidationError
 from litrel.serialize import replacing, save_json
 
 TIE_POLICIES = ("realistic", "optimistic", "pessimistic")
-
-_FLOAT32_MAX = np.finfo(np.float32).max
 
 
 @dataclass
@@ -127,10 +126,8 @@ def filtered_ranks(kernel, q: np.ndarray, targets: np.ndarray, known: tuple[np.n
     true = scores[rows, targets]
     scores[known] = -np.inf
     scores[rows, targets] = true
-    # the band [lo, hi] holds every candidate the screen cannot call, rounded outward and kept
-    # finite, so a filtered -inf never falls in it
-    lo = np.maximum(np.nextafter((true - beta).astype(np.float32), -np.inf), -_FLOAT32_MAX)
-    hi = np.minimum(np.nextafter((true + beta).astype(np.float32), np.inf), _FLOAT32_MAX)
+    # the band [lo, hi] holds every candidate the screen cannot call, and never a filtered -inf
+    lo, hi = kernel.edge(true - beta, -np.inf), kernel.edge(true + beta, np.inf)
     above, band = kernel.masks[:, :rows.size]
     np.greater(scores, hi[:, None], out=above)
     # row by row: count_nonzero along an axis sums through a cast, two to five times slower

@@ -28,12 +28,12 @@ tails, and exact identities let both sides build their queries:
 
 The kernels live in :class:`GradientBlocks`, one per lane of a training
 run, which scores in float64 and adds the backward pass, and in
-:class:`SimilarityBlocks`, one per lane of a ranking call, which screens
-in float32 and re-checks in float64 (below).  Each sizes its buffers
-itself, allocates them when it is built and reuses them for every
+:class:`SimilarityBlocks`, one per lane of a ranking or KNN call, which
+screens in float32 and re-checks in float64 (below).  Each sizes its
+buffers itself, allocates them when it is built and reuses them for every
 block; :meth:`GradientBlocks.refresh` re-reads the entity table's
-squared norms after the optimizer has changed the table in place.  The
-ranking kernel's float32 score buffer takes the bytes of the whole
+squared norms after the optimizer has changed the table in place.  A
+screen kernel's float32 score buffer takes the bytes of the whole
 :data:`BLOCK_SCORES` budget, so twice :func:`block_rows` rows of |E|.
 A training lane also holds an |E| x D entity-gradient partial and, for
 L2, an upstream buffer of the score buffer's shape, so its float64
@@ -46,18 +46,17 @@ A TuckER model is built with its Khatri-Rao chunk and, in a training
 lane, its core-product buffer, so no lane allocates a chunk-sized array.
 
 The block loops of training, ranking and KNN all cut their query rows
-with :func:`cut`, into :data:`LANES` contiguous lanes of blocks, and
-:func:`fan_out` runs the lanes on a thread pool.  :func:`lanes` builds
-the lanes of training and ranking, on the calling thread: per lane, a
-kernel (a :class:`GradientBlocks` for training, a
-:class:`SimilarityBlocks` for ranking) and a scoring model of its own,
-which builds the lane's queries (and, in training, runs their
-``query_backward``), so TuckER's buffers are never shared between
-threads.  Training and ranking cut their rows by their kernels'
-``rows``; KNN, whose rows are test nodes scored against the training
-nodes, by :func:`lane_rows` of the training nodes.  :data:`BLOCK_SCORES`
-alone decides the block shape.  The cut depends only on the row count
-and the block rows, so results do not depend on the number of threads.
+by their kernels' ``rows`` with :func:`cut`, into :data:`LANES`
+contiguous lanes of blocks, and :func:`fan_out` runs the lanes on a
+thread pool.  :func:`lanes` builds the lanes of training and ranking, on
+the calling thread: per lane, a kernel (a :class:`GradientBlocks` for
+training, a :class:`SimilarityBlocks` for ranking) and a scoring model
+of its own, which builds the lane's queries (and, in training, runs
+their ``query_backward``), so TuckER's buffers are never shared between
+threads.  The screen kernels of a ranking or KNN call share one float32
+copy of the table (:func:`screens`).  :data:`BLOCK_SCORES` alone decides
+the block shape.  The cut depends only on the row count and the block
+rows, so results do not depend on the number of threads.
 
 In training, squared L2 distances are expanded as ``||q||^2 - 2 q.e +
 ||e||^2``, so the distance kernel is one matrix product plus row norms.
@@ -98,10 +97,10 @@ absolute error of float32 underflow, even flushed to zero, where ``R =
 (||q|| + E + 1)^2`` is the row's reach: no float32 operand, product,
 partial sum or screen entry exceeds it.  A row whose reach is not below
 ``2^124`` (or is NaN) could overflow float32, so its screen is set to 0
-and its ``beta`` to inf: every candidate falls in its band, and the same
-count ranks it by exact scores alone, as KNN keeps every row when its
-bound overflows (:func:`litrel.downstream.knn_classify`).  How ranking
-uses the bound is in :mod:`litrel.evaluation`.
+and its ``beta`` to inf: every candidate falls in its band, so the same
+count ranks it by exact scores alone and KNN keeps every training row.
+How ranking and KNN use the bound is in :mod:`litrel.evaluation` and
+:func:`litrel.downstream.knn_classify`.
 
 Complex-valued layouts pack real parts in the first half of a row and
 imaginary parts in the second half.  The rotation model stores relation
@@ -118,6 +117,7 @@ the B x D_r gradient w.r.t. the fused relation rows.
 
 from __future__ import annotations
 
+import copy
 import functools
 import os
 from concurrent import futures
@@ -143,10 +143,11 @@ CHUNK_ENTRIES = 1 << 15
 LANES = 2
 
 _NORM_EPS = 1e-12
-# float32 unit roundoff, and the reach (module docstring) from which a ranking row's band is widened
-# to every candidate: below it no float32 operand, product, sum or band edge can leave float32 range
+# float32 unit roundoff, and the reach (module docstring) from which a screen row is widened to
+# every candidate: below it no float32 operand, product, sum or band edge can leave float32 range
 _UNIT_ROUNDOFF32 = 2.0 ** -24
 _REACH = 2.0 ** 124
+_FLOAT32_MAX = np.finfo(np.float32).max
 # Expanded squared distances within this multiple of their rounding scale
 # are recomputed directly; outside it the expansion is accurate to about
 # D * 1e-16 / _CANCEL relative.
@@ -306,14 +307,14 @@ MODELS = {"transe": TransE, "distmult": DistMult, "complex": ComplEx, "rotate": 
 def block_rows(num_entities: int) -> int:
     """Query rows per block of ``BLOCK_SCORES`` float64 score entries, at least one row.
 
-    A ranking lane's float32 block takes the same bytes, so twice the
-    rows (:class:`SimilarityBlocks`).
+    A ranking or KNN lane's float32 block takes the same bytes, so twice
+    the rows (:class:`SimilarityBlocks`).
     """
     return max(1, BLOCK_SCORES // num_entities)
 
 
 def lane_rows(num_entities: int) -> int:
-    """Query rows per block of a training or KNN lane: a ``LANES`` share of :func:`block_rows`.
+    """Query rows per block of a training lane: a ``LANES`` share of :func:`block_rows`.
 
     A training lane holds an |E| x D entity-gradient partial and, for
     L2, an upstream buffer of its score buffer's shape next to its
@@ -344,15 +345,22 @@ def lanes(kernel, kind: str, tables: EmbeddingTables) -> list[tuple[SimilarityBl
     """Per lane, a ``kernel`` (:class:`SimilarityBlocks` or :class:`GradientBlocks`) and a scoring model of ``kind``.
 
     Both are built on the calling thread, over ``tables``, with their
-    buffers allocated: the kernel over the entity table, and a TuckER
-    model over the core, with the core-product buffer only for a
-    :class:`GradientBlocks` lane, since forward lanes never run
-    ``query_backward``.
+    buffers allocated: the kernel over the entity table (for ranking,
+    :func:`screens`), and a TuckER model over the core, with the
+    core-product buffer only for a :class:`GradientBlocks` lane, since
+    forward lanes never run ``query_backward``.
     """
     model = MODELS[kind]
-    kernels = [kernel(model.norm, tables.entity) for _ in range(LANES)]
+    kernels = (screens(model.norm, tables.entity) if kernel is SimilarityBlocks
+               else [kernel(model.norm, tables.entity) for _ in range(LANES)])
     args = () if tables.core is None else (tables.core, issubclass(kernel, GradientBlocks))
     return [(blocks, model(*args)) for blocks in kernels]
+
+
+def screens(norm, entity: np.ndarray) -> list[SimilarityBlocks]:
+    """``LANES`` :class:`SimilarityBlocks` over one float32 copy of ``entity`` (:meth:`SimilarityBlocks.twin`)."""
+    first = SimilarityBlocks(norm, entity)
+    return [first] + [first.twin() for _ in range(LANES - 1)]
 
 
 def lane_threads() -> int:
@@ -395,20 +403,20 @@ def sq_norms(rows, out=None):
 
 
 class SimilarityBlocks:
-    """The ranking kernel of one lane: a float32 screen of blocks of at most :attr:`rows` query rows.
+    """The screen of one ranking or KNN lane: float32 scores of blocks of at most :attr:`rows` query rows.
 
     :meth:`screen` scores the rows of ``q`` against every entity row in
     float32 (``q.e`` for ``norm = None``, ``2 q.e - ||e||^2`` for
     ``norm = 2``) and bounds each row's rounding error; :meth:`exact`
     recomputes chosen pairs directly in float64 (``q.e``, or
     ``-||q - e||^2``).  The kernel holds a float32 copy of the entity
-    table (for L2 also its float32 squared row norms), a float32
-    ``rows`` x |E| score buffer with the bytes of :data:`BLOCK_SCORES`
-    float64 entries, so twice their rows, and :attr:`masks`, two boolean
-    buffers of the same shape that ranking compares into.  All are
-    allocated by the constructor and reused for every block, so the
-    scores a ``screen`` returns are a view that the next ``screen``
-    overwrites.  A kernel reads the entity table as it was when built.
+    table (for L2 also its float32 squared row norms), shared with its
+    :meth:`twin` kernels, a float32 ``rows`` x |E| score buffer with the
+    bytes of :data:`BLOCK_SCORES` float64 entries, so twice their rows,
+    and :attr:`masks`, two boolean buffers of the same shape that ranking
+    and KNN compare into.  All are allocated when it is built and reused
+    for every block, so the scores a ``screen`` returns are a view that
+    the next ``screen`` overwrites.  It reads the table as it was when built.
     """
 
     def __init__(self, norm, entity: np.ndarray):
@@ -432,6 +440,12 @@ class SimilarityBlocks:
         self.masks = np.empty((2, self.rows, num_entities), dtype=bool)
         self._gamma = (dim + 4) * _UNIT_ROUNDOFF32 / (1 - (dim + 4) * _UNIT_ROUNDOFF32)
         self._tiny = dim * 2.0 ** -122
+
+    def twin(self) -> SimilarityBlocks:
+        """A kernel that shares this one's float32 table, norms and bound, with a score buffer and masks of its own."""
+        twin = copy.copy(self)
+        twin._scores, twin.masks = np.empty_like(self._scores), np.empty_like(self.masks)
+        return twin
 
     def screen(self, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The float32 B x |E| screen of the query rows ``q`` and each row's bound ``beta``.
@@ -459,6 +473,11 @@ class SimilarityBlocks:
         out[wide] = 0.0
         beta[wide] = np.inf
         return out, beta
+
+    @staticmethod
+    def edge(values: np.ndarray, toward: float) -> np.ndarray:
+        """``values`` as band edges: in float32, one step outward ``toward`` -inf or inf, and finite."""
+        return np.clip(np.nextafter(values.astype(np.float32), toward), -_FLOAT32_MAX, _FLOAT32_MAX)
 
     def exact(self, q: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The float64 score of each query row ``q[i]`` against entity ``cols[i]``, computed directly.

@@ -49,7 +49,13 @@ def brute_force_knn(train_feats, train_labels, x, k):
 
 @st.composite
 def knn_inputs(draw):
-    """Tie-forcing grids with repeated rows, a scale and a common offset."""
+    """Tie-forcing grids with repeated rows, a scale, a common offset and, in some draws, last-bit nudges.
+
+    At the scales 1e19 and 1e40 the float32 screen's reach overflows and
+    every row is widened, while the oracle's float64 squares stay
+    finite; a nudge moves each training entry a few ulps, so repeated
+    rows become last-bit near-ties.
+    """
     num_train = draw(st.integers(1, 20))
     dim = draw(st.integers(1, 4))
     grid = hnp.arrays(np.float64, st.tuples(st.integers(1, 12), st.just(dim)),
@@ -60,10 +66,14 @@ def knn_inputs(draw):
     train_feats = np.vstack([train_feats, train_feats[repeats]])[:num_train]
     train_feats = np.vstack([train_feats, np.zeros((num_train - train_feats.shape[0], dim))])
     test_feats = np.vstack([draw(grid), train_feats[:draw(st.integers(0, 3))]])
-    scale = draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-3, 1e19, 1e40]))
     offset = draw(st.sampled_from([0.0, 1e6]))
     labels = np.array(draw(st.lists(st.integers(0, 3), min_size=num_train, max_size=num_train)))
-    return train_feats * scale + offset, labels, test_feats * scale + offset
+    train_feats = train_feats * scale + offset
+    if draw(st.booleans()):
+        ulps = draw(hnp.arrays(np.float64, train_feats.shape, elements=st.integers(-3, 3).map(float)))
+        train_feats += ulps * np.spacing(train_feats)
+    return train_feats, labels, test_feats * scale + offset
 
 
 def row_major_svm(feats, labels, seed):

@@ -198,7 +198,7 @@ def test_lanes_run_under_the_errstate_of_the_calling_thread(monkeypatch):
 
 @pytest.mark.parametrize("num_test", [
     pytest.param(1, id="one-row-empty-second-lane"),
-    pytest.param(7, id="rows-not-a-multiple-of-the-lane-block"),  # lanes of 4 and 3, lane blocks of 3
+    pytest.param(7, id="rows-not-a-multiple-of-the-lane-block"),  # lanes of 4 and 3, blocks of 3
     pytest.param(12, id="rows-a-multiple-of-the-lane-block"),
 ])
 def test_knn_predictions_do_not_depend_on_lanes_or_threads(monkeypatch, num_test):
@@ -207,7 +207,7 @@ def test_knn_predictions_do_not_depend_on_lanes_or_threads(monkeypatch, num_test
     train_feats = rng.integers(-2, 3, size=(20, 3)).astype(np.float64)
     train_labels = rng.integers(0, 3, size=20)
     test_feats = rng.integers(-2, 3, size=(num_test, 3)).astype(np.float64)
-    monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 20)  # block_rows 6, lane_rows 3
+    monkeypatch.setattr(scoring, "BLOCK_SCORES", 3 * 20 // 2)  # the float32 screen's blocks: 3 rows
     results = {}
     for lanes in (1, 2):
         monkeypatch.setattr(scoring, "LANES", lanes)
@@ -368,8 +368,8 @@ def test_tucker_lanes_allocate_no_khatri_rao_chunk(monkeypatch):
 @pytest.mark.parametrize("kernel", [pytest.param(scoring.SimilarityBlocks, id="forward"),
                                     pytest.param(scoring.GradientBlocks, id="gradient")])
 def test_cut_contiguous_parts_into_blocks_of_the_lane_kernels_rows(monkeypatch, count, lanes, kernel):
-    # ranking cuts by its float32 kernels' rows (12 over 10 entities: twice block_rows), training by
-    # its gradient kernels' lane_rows (6 // lanes), and KNN by lane_rows too
+    # ranking and KNN cut by their float32 kernels' rows (12 over 10 entities: twice block_rows),
+    # training by its gradient kernels' lane_rows (6 // lanes)
     monkeypatch.setattr(scoring, "LANES", lanes)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 10)
     step = 12 if kernel is scoring.SimilarityBlocks else scoring.lane_rows(10)

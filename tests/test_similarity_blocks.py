@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from litrel import scoring
+from litrel.downstream import _nearest
 from litrel.evaluation import filtered_ranks
 
 _NORM_EPS = 1e-12
@@ -193,14 +194,18 @@ def test_first_block_on_another_thread_allocates_no_block_or_table_sized_array(n
 
 @pytest.mark.parametrize("norm", [None, 2])
 def test_ranking_kernel_allocates_only_its_scores_and_norms(norm, rng):
-    # the ranking kernel holds a float32 rows x |E| score buffer, two boolean masks of its shape,
-    # a float32 copy of the entity table and, for L2, the |E| float32 entity norms: no float64
-    # block, no |E| x D float64 array and no upstream buffer, which only the backward pass writes
+    # each ranking kernel holds a float32 rows x |E| score buffer and two boolean masks of its
+    # shape, and the LANES kernels of one call share one float32 copy of the entity table and, for
+    # L2, one set of |E| float32 entity norms: the table is converted once per call, and there is no
+    # float64 block, no |E| x D float64 array and no upstream buffer, which only the backward pass writes
     entity = rng.normal(size=(8000, 16))
-    kernels = []
-    peak = traced_peak(lambda: kernels.append(scoring.SimilarityBlocks(norm, entity)))
-    block = kernels[0].rows * len(entity)
-    size = block * 4 + 2 * block + entity.size * 4 + (len(entity) * 4 if norm == 2 else 0)
+    tables = scoring.EmbeddingTables(entity, np.zeros((1, 16)))
+    built = []
+    peak = traced_peak(lambda: built.extend(
+        scoring.lanes(scoring.SimilarityBlocks, "distmult" if norm is None else "transe", tables)))
+    assert len(built) == scoring.LANES
+    block = built[0][0].rows * len(entity)
+    size = scoring.LANES * (block * 4 + 2 * block) + entity.size * 4 + (len(entity) * 4 if norm == 2 else 0)
     assert size <= peak < size + 4096
 
 
@@ -217,6 +222,19 @@ def test_ranking_a_block_allocates_no_block_or_table_sized_array(norm, rng):
     filtered_ranks(kernel, q, targets, known, "realistic")
     peak = traced_peak(lambda: filtered_ranks(kernel, q, targets, known, "realistic"))
     assert peak < entity.nbytes // 4
+
+
+def test_a_knn_block_allocates_no_block_or_table_sized_array(rng):
+    # the screen and the candidate mask work in the kernel's buffers, and the k-th largest entries
+    # come from float32 copies of a chunk of rows: far less than one float64 rows x n_train block,
+    # where a float64 expanded square and its partitioned copy take two
+    train = rng.normal(size=(8000, 16))
+    kernel = scoring.screens(2, train)[0]
+    x = rng.normal(size=(kernel.rows, 16))
+    x[0] = train[3]  # a query on a training row
+    _nearest(kernel, x, 5)
+    peak = traced_peak(lambda: _nearest(kernel, x, 5))
+    assert peak < train.nbytes // 4 < 8 * kernel.rows * len(train)
 
 
 @pytest.mark.parametrize("norm", [None, 2])
