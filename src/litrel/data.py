@@ -144,7 +144,11 @@ class KnowledgeGraph:
 
     @classmethod
     def load(cls, directory: str) -> "KnowledgeGraph":
-        """Read an artifact written by :meth:`save` and check it against ``graph.json``."""
+        """Read an artifact written by :meth:`save` and check it against ``graph.json``.
+
+        The splits may hold any integer dtype; they are cast to int64 here,
+        once, so the keys built from them (``r * |E| + e``) cannot overflow.
+        """
         entities = Vocab.load(os.path.join(directory, "entities.txt"))
         relations = Vocab.load(os.path.join(directory, "relations.txt"))
         attributes = Vocab.load(os.path.join(directory, "attributes.txt"))
@@ -154,9 +158,9 @@ class KnowledgeGraph:
             entities=entities,
             relations=relations,
             attributes=attributes,
-            train=arrays["train"],
-            valid=arrays["valid"],
-            test=arrays["test"],
+            train=arrays["train"].astype(np.int64, copy=False),
+            valid=arrays["valid"].astype(np.int64, copy=False),
+            test=arrays["test"].astype(np.int64, copy=False),
             literals=LiteralMatrix(
                 values=arrays["literal_values"],
                 present=arrays["literal_present"],

@@ -3,7 +3,9 @@
 Entity embedding rows serve as features; labels come from a
 ``node<TAB>label<TAB>split`` text file.  Two classifiers are provided: a
 deterministic Euclidean KNN and a linear one-vs-rest SVM trained by
-subgradient descent on L2-regularized hinge loss.
+subgradient descent on L2-regularized hinge loss.  Both take the float64
+entity rows and the int64 labels as the checkpoint and label loaders
+give them.
 """
 
 from __future__ import annotations
@@ -104,9 +106,6 @@ def knn_classify(train_feats, train_labels, test_feats, k: int) -> np.ndarray:
     rounding of a direct square (``2^-29 gS``) and of its square root;
     so does the absolute term of ``beta`` over float32 underflow.
     """
-    train_feats = np.asarray(train_feats, dtype=np.float64)
-    test_feats = np.asarray(test_feats, dtype=np.float64)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
     if train_feats.shape[0] == 0:
         raise ValidationError("empty training set")
     if not 1 <= k <= train_feats.shape[0]:
@@ -135,7 +134,8 @@ def _nearest(kernel, x, k):
     lo = kernel.edge(kth - beta, -np.inf)
     rows, cols = np.nonzero(np.greater_equal(scores, lo[:, None], out=kernel.masks[0, :x.shape[0]]))
     dists = np.empty(rows.shape[0])
-    for part in scoring.chunks(rows.shape[0], scoring.block_rows(x.shape[1])):
+    # the candidates' D-wide differences, BLOCK_SCORES entries at a time
+    for part in scoring.chunks(rows.shape[0], max(1, scoring.BLOCK_SCORES // x.shape[1])):
         dists[part] = np.sqrt(((kernel.entity[cols[part]] - x[rows[part]]) ** 2).sum(axis=1))
     order = np.lexsort((cols, dists, rows))
     # rows[order] ascends, and every row has at least k candidates
@@ -172,11 +172,11 @@ class LinearSvm:
     biases: np.ndarray   # C
 
     def predict(self, feats) -> np.ndarray:
-        scores = np.asarray(feats, dtype=np.float64) @ self.weights.T + self.biases
+        scores = feats @ self.weights.T + self.biases
         return np.argmax(scores, axis=1).astype(np.int64)
 
 
-def svm_train(train_feats, train_labels, seed: int) -> LinearSvm:
+def svm_train(feats, labels, seed: int) -> LinearSvm:
     """One-vs-rest linear SVM via subgradient descent on hinge loss.
 
     Runs :data:`SVM_EPOCHS` full-batch steps of size :data:`SVM_LR` with
@@ -186,8 +186,6 @@ def svm_train(train_feats, train_labels, seed: int) -> LinearSvm:
     C x n arrays, allocated once and written in place, so every product
     and the bias gradient's row sums run along contiguous rows.
     """
-    feats = np.asarray(train_feats, dtype=np.float64)
-    labels = np.asarray(train_labels, dtype=np.int64)
     classes = np.unique(labels)
     if classes.shape[0] < 2:
         raise ValidationError("SVM training requires at least 2 classes")
@@ -218,8 +216,6 @@ def svm_train(train_feats, train_labels, seed: int) -> LinearSvm:
 
 def micro_f1(predictions, gold) -> float:
     """Micro-averaged F1, which for single-label multi-class is the accuracy: correct / n."""
-    predictions = np.asarray(predictions, dtype=np.int64)
-    gold = np.asarray(gold, dtype=np.int64)
     if predictions.shape[0] == 0:
         raise ValidationError("empty prediction list")
     return int((predictions == gold).sum()) / predictions.shape[0]
@@ -227,6 +223,5 @@ def micro_f1(predictions, gold) -> float:
 
 def confusion_counts(predictions, gold, num_classes: int) -> np.ndarray:
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(counts, (np.asarray(gold, dtype=np.int64),
-                       np.asarray(predictions, dtype=np.int64)), 1)
+    np.add.at(counts, (gold, predictions), 1)
     return counts

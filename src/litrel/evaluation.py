@@ -155,8 +155,7 @@ def _known_entities(keys: np.ndarray, entities: np.ndarray, queries: np.ndarray)
 
 
 def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray, tie_policy: str) -> np.ndarray:
-    """(N, 2) filtered [head rank, tail rank] of every triple under the trained model."""
-    triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+    """(N, 2) filtered [head rank, tail rank] of every (N, 3) int64 triple under the trained model."""
     ranks = np.empty((triples.shape[0], 2))
     tables = state.tables
     n_e, n_r = graph.num_entities, graph.num_relations
@@ -186,7 +185,6 @@ def rank_triples(state, graph: KnowledgeGraph, triples: np.ndarray, tie_policy: 
 
 def compute_metrics(ranks: np.ndarray) -> tuple[float, float, float]:
     """Pool head and tail ranks (two per triple) into MRR, Hits@1, Hits@10."""
-    ranks = np.asarray(ranks, dtype=np.float64).reshape(-1)
     mrr = float((1.0 / ranks).mean())
     hits1 = float((ranks <= 1).mean())
     hits10 = float((ranks <= 10).mean())
@@ -194,9 +192,7 @@ def compute_metrics(ranks: np.ndarray) -> tuple[float, float, float]:
 
 
 def pearson(xs, ys) -> float:
-    """Pearson correlation; 0 when n < 2 or a series has zero variance."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
+    """Pearson correlation of two float64 series; 0 when n < 2 or a series has zero variance."""
     n = xs.shape[0]
     if n < 2:
         return 0.0

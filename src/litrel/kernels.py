@@ -75,10 +75,10 @@ def column_stats(values: np.ndarray, mask: np.ndarray, rows: np.ndarray,
         Finite, normalized literal rows (absent cells hold 0).
     mask : bool array, shape (N, |A|)
         Presence mask aligned with ``values``; feeds only ``count``.
-    rows : int array, shape (n,)
+    rows : int64 array, shape (n,)
         The rows of ``values`` and ``mask`` that the populations consist
         of, in order (a row may repeat).
-    starts : int array, shape (S,)
+    starts : int64 array, shape (S,)
         The first position in ``rows`` of each population: increasing
         from 0, and every segment non-empty.
 
@@ -86,9 +86,6 @@ def column_stats(values: np.ndarray, mask: np.ndarray, rows: np.ndarray,
     -------
     float64 array of shape (S, |A|, 11) in ``STAT_NAMES`` order.
     """
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    mask = np.ascontiguousarray(mask, dtype=bool)
-    rows, starts = np.asarray(rows, dtype=np.intp), np.asarray(starts, dtype=np.intp)
     num_attrs = values.shape[1]
     out = np.zeros((len(starts), num_attrs, NUM_STATS))
     if len(starts) and num_attrs:

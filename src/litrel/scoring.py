@@ -34,14 +34,15 @@ buffers itself, allocates them when it is built and reuses them for every
 block; :meth:`GradientBlocks.refresh` re-reads the entity table's
 squared norms after the optimizer has changed the table in place.  A
 screen kernel's float32 score buffer takes the bytes of the whole
-:data:`BLOCK_SCORES` budget, so twice :func:`block_rows` rows of |E|.
-A training lane also holds an |E| x D entity-gradient partial and, for
+:data:`BLOCK_SCORES` budget, so ``2 BLOCK_SCORES / |E|`` rows.  A
+training lane also holds an |E| x D entity-gradient partial and, for
 L2, an upstream buffer of the score buffer's shape, so its float64
-score buffer is its :data:`LANES` share, :func:`lane_rows` x |E|.  The
-backward kernel adds its entity-gradient products into that partial
-through one chunk buffer of :data:`CHUNK_ENTRIES` entries, so it holds
-no |E| x D array, and the optimizer step works through its lanes'
-chunks with one such scratch each (:class:`litrel.training.Optimizer`).
+score buffer is its :data:`LANES` share, ``BLOCK_SCORES / LANES / |E|``
+rows.  Either kernel takes at least one row.  The backward kernel adds
+its entity-gradient products into that partial through one chunk
+buffer of :data:`CHUNK_ENTRIES` entries, so it holds no |E| x D array,
+and the optimizer step works through its lanes' chunks with one such
+scratch each (:class:`litrel.training.Optimizer`).
 A TuckER model is built with its Khatri-Rao chunk and, in a training
 lane, its core-product buffer, so no lane allocates a chunk-sized array.
 
@@ -127,10 +128,10 @@ import numpy as np
 
 import litrel
 
-# Score entries per block of a forward-only lane: its B x |E| float64 score
-# buffer stays at 2 MiB.  A training lane also holds an upstream buffer (L2)
-# and an |E| x D entity-gradient partial, so its blocks take a LANES share of
-# this budget (lane_rows).
+# The bytes of BLOCK_SCORES float64 entries (2 MiB) are the score buffer of a
+# ranking or KNN lane, in float32 (SimilarityBlocks).  A training lane also holds
+# an upstream buffer (L2) and an |E| x D entity-gradient partial, so its float64
+# score buffer takes a LANES share of the entries (GradientBlocks).
 BLOCK_SCORES = 1 << 18
 
 # Entries per chunk of the passes that would otherwise need table-sized
@@ -302,28 +303,6 @@ class TuckER:
 
 # the scoring model of each model kind
 MODELS = {"transe": TransE, "distmult": DistMult, "complex": ComplEx, "rotate": RotatE, "tucker": TuckER}
-
-
-def block_rows(num_entities: int) -> int:
-    """Query rows per block of ``BLOCK_SCORES`` float64 score entries, at least one row.
-
-    A ranking or KNN lane's float32 block takes the same bytes, so twice
-    the rows (:class:`SimilarityBlocks`).
-    """
-    return max(1, BLOCK_SCORES // num_entities)
-
-
-def lane_rows(num_entities: int) -> int:
-    """Query rows per block of a training lane: a ``LANES`` share of :func:`block_rows`.
-
-    A training lane holds an |E| x D entity-gradient partial and, for
-    L2, an upstream buffer of its score buffer's shape next to its
-    scores, so its score buffer takes only its share of the budget; at
-    least one row.  Its kernel holds no |E| x D buffer of its own (the
-    entity-gradient products go through one :data:`CHUNK_ENTRIES`
-    chunk), which leaves |E| x D per lane of headroom for larger blocks.
-    """
-    return max(1, block_rows(num_entities) // LANES)
 
 
 def chunks(count: int, step: int) -> list[slice]:
@@ -500,7 +479,10 @@ class GradientBlocks:
 
     ``forward(q)`` scores the rows of ``q`` against every entity row:
     ``q @ E.T`` for ``norm = None``, ``-||q_b - e_j||`` for ``norm = 2``,
-    over blocks of at most :attr:`rows` (:func:`lane_rows`) query rows.
+    over blocks of at most :attr:`rows` query rows: a :data:`LANES`
+    share of :data:`BLOCK_SCORES` entries, at least one row, since the
+    lane also holds an |E| x D entity-gradient partial (and for L2 an
+    upstream buffer of the score buffer's shape).
     ``backward`` is its gradient, for an upstream gradient written into
     :meth:`upstream`; :meth:`flush` completes the entity gradient of a
     run of ``backward`` calls.  Both add their entity-row products into
@@ -518,7 +500,7 @@ class GradientBlocks:
     def __init__(self, norm, entity: np.ndarray):
         self.norm = norm
         self.entity = entity
-        self.rows = lane_rows(entity.shape[0])
+        self.rows = max(1, BLOCK_SCORES // LANES // entity.shape[0])
         self._scores = np.empty((self.rows, entity.shape[0]))
         if norm == 2:
             self._entity_sq = np.empty(entity.shape[0])

@@ -77,12 +77,12 @@ CHECKPOINT_VERSION = 6
 class Key:
     """One configuration key: its kind, default, bound and command-line flag.
 
-    ``kind`` is ``"int"``, ``"float"`` (finite), ``"bool"``, ``"path"``
-    (a string or null), ``"percent"`` (a finite number, or a string
-    holding one with an optional trailing ``%``) or a tuple of the
-    allowed values.  A bool is neither an int nor a float.  ``bound`` is
-    ``">= x"`` or ``"> x"``.  ``flag`` names the commands that take the
-    key as ``--key-name``; ``"litrel"`` puts it before the command.
+    ``kind`` is ``"int"``, ``"float"`` (finite), ``"path"`` (a string
+    or null), ``"percent"`` (a finite number, or a string holding one
+    with an optional trailing ``%``) or a tuple of the allowed values.
+    A bool is neither an int nor a float.  ``bound`` is ``">= x"`` or
+    ``"> x"``.  ``flag`` names the commands that take the key as
+    ``--key-name``; ``"litrel"`` puts it before the command.
     """
 
     kind: str | tuple
@@ -96,8 +96,6 @@ class Key:
         if isinstance(kind, tuple):
             if not any(type(value) is type(allowed) and value == allowed for allowed in kind):
                 raise ConfigError(f"{name} must be one of {', '.join(map(repr, kind))}, got {value!r}")
-        elif kind == "bool" and not isinstance(value, bool):
-            raise ConfigError(f"{name} must be true or false, got {value!r}")
         elif kind == "int" and not (number and isinstance(value, Integral)):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         elif kind == "float" and not (number and math.isfinite(value)):
@@ -411,7 +409,7 @@ def _side_runs(rows: range, n: int) -> list[tuple[slice, str]]:
 
 
 def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspace):
-    """Mean per-triple loss (tail-side CE + head-side CE) and its gradients.
+    """Mean per-triple loss (tail-side CE + head-side CE) of an (n, 3) int64 batch and its gradients.
 
     One fusion call builds the ``r_lit`` rows of the batch's distinct
     relations, and each triple takes its relation's row for the query
@@ -435,7 +433,6 @@ def symmetric_lcwa_loss(batch: np.ndarray, state: ModelState, workspace: Workspa
     the next call with the same workspace overwrites them.  A non-finite
     loss or gradient raises :class:`TrainingError`.
     """
-    batch = np.asarray(batch, dtype=np.int64).reshape(-1, 3)
     n = batch.shape[0]
     workspace.begin()
     tables = state.tables

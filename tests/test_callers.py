@@ -15,7 +15,9 @@ or ``scripts/`` uses every name it imports.  No default of a function
 is passed by every call of that function's name: such a default is a
 branch that only tests take.  Only ``scoring`` builds the lanes of a
 block loop: no other module constructs a similarity kernel or picks a
-scoring model out of ``MODELS``.
+scoring model out of ``MODELS``.  Inputs are converted where they are
+loaded: no module under ``src/`` calls ``np.asarray``, nor
+``np.ascontiguousarray`` on a parameter of the function it is in.
 """
 
 import ast
@@ -244,3 +246,32 @@ def test_only_scoring_builds_lanes():
     found = [entry for path in sorted((ROOT / "src" / "litrel").glob("*.py")) if path.name != "scoring.py"
              for entry in lane_builds(path)]
     assert found == [], f"kernels or scoring models built outside scoring.lanes: {found}"
+
+
+def conversions(path):
+    """``path:line: call`` of each ``np.asarray`` call and each ``np.ascontiguousarray`` of its function's parameter."""
+    found = []
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = function.args
+        parameters = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        for node in ast.walk(function):
+            name = isinstance(node, ast.Call) and getattr(node.func, "attr", None)
+            if name == "asarray" or (name == "ascontiguousarray" and node.args
+                                     and getattr(node.args[0], "id", None) in parameters):
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    return sorted(set(found))
+
+
+def test_the_conversion_guard_finds_asarray_and_contiguous_copies_of_parameters(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("def f(a, *, b):\n    return np.asarray(a)\n\n"
+                      "def g(a, b):\n    c = np.ascontiguousarray(b)\n    return np.ascontiguousarray(a.T), c\n\n"
+                      "def h(a):\n    c = a + 1\n    return np.ascontiguousarray(c)\n")
+    assert conversions(module) == ["m.py:2: asarray", "m.py:5: ascontiguousarray"]
+
+
+def test_inputs_are_converted_where_they_are_loaded():
+    found = [entry for path in sorted((ROOT / "src" / "litrel").glob("*.py")) for entry in conversions(path)]
+    assert found == [], f"per-call conversions of arrays that their loaders already convert: {found}"

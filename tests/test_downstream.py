@@ -310,17 +310,17 @@ class TestSvm:
 
 class TestMicroF1:
     def test_equals_accuracy(self):
-        assert micro_f1([0, 1, 1, 2], [0, 1, 2, 2]) == pytest.approx(0.75)
+        assert micro_f1(np.array([0, 1, 1, 2]), np.array([0, 1, 2, 2])) == pytest.approx(0.75)
 
     def test_perfect(self):
-        assert micro_f1([1, 0], [1, 0]) == 1.0
+        assert micro_f1(np.array([1, 0]), np.array([1, 0])) == 1.0
 
     def test_all_wrong(self):
-        assert micro_f1([0, 0], [1, 1]) == 0.0
+        assert micro_f1(np.array([0, 0]), np.array([1, 1])) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            micro_f1([], [])
+            micro_f1(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
 
     def test_is_exactly_correct_over_n(self):
         # 2PR / (P + R) with P = R = k / n misses k / n by an ulp in 1,588 of these cases

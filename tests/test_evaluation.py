@@ -263,20 +263,48 @@ class TestFilterFromSplits:
             np.testing.assert_array_equal(rank_triples(state, graph, triples, "pessimistic"), expected)
 
 
+def test_an_int32_artifact_ranks_as_its_int64_copy(tmp_path):
+    # the head-side filter key (|R| + r)|E| + t of the last relation passes 2^31: built from int32
+    # splits, the keys of its 200 known heads would wrap and miss the query's, leaving them unfiltered
+    n_e, n_r, tail = 50_000, 25_000, 7
+    known = np.array([(head, n_r - 1, tail) for head in range(200)], dtype=np.int64)
+    graph = KnowledgeGraph(
+        entities=Vocab(f"e{i}" for i in range(n_e)),
+        relations=Vocab(f"r{i}" for i in range(n_r)),
+        attributes=Vocab([]),
+        train=known, valid=np.empty((0, 3), dtype=np.int64),
+        test=np.array([(200, n_r - 1, tail)], dtype=np.int64),
+        literals=LiteralMatrix(values=np.zeros((n_e, 0)), present=np.zeros((n_e, 0), bool),
+                               raw_min=np.zeros(0), raw_max=np.zeros(0)),
+    )
+    for name in ("int64", "int32"):
+        graph.save(str(tmp_path / name))
+    for name in ("train", "valid", "test"):
+        path = tmp_path / "int32" / "arrays" / f"{name}.npy"
+        np.save(path, np.load(path).astype(np.int32))
+    wide, narrow = (KnowledgeGraph.load(str(tmp_path / name)) for name in ("int64", "int32"))
+    state = init_state(wide, TrainConfig(model="distmult", dim_entity=4, dim_relation=4, seed=1), None)
+    state.tables.entity[...] = 0.0  # every score ties, so each unfiltered known head adds half a rank
+    ranks = rank_triples(state, narrow, narrow.test, "realistic")
+    np.testing.assert_array_equal(ranks, rank_triples(state, wide, wide.test, "realistic"))
+    np.testing.assert_array_equal(ranks, [[1 + (n_e - 1 - 200) / 2, 1 + (n_e - 1) / 2]])
+    assert narrow.train.dtype == narrow.valid.dtype == narrow.test.dtype == np.int64
+
+
 class TestPearson:
     def test_perfect_linear(self):
-        assert pearson([1, 2, 3], [3, 6, 9]) == pytest.approx(1.0)
+        assert pearson(np.array([1.0, 2, 3]), np.array([3.0, 6, 9])) == pytest.approx(1.0)
 
     def test_constant_series_is_zero(self):
-        assert pearson([1, 1, 1], [2, 5, 9]) == 0.0
+        assert pearson(np.array([1.0, 1, 1]), np.array([2.0, 5, 9])) == 0.0
 
     def test_short_series_is_zero(self):
-        assert pearson([1], [2]) == 0.0
-        assert pearson([], []) == 0.0
+        assert pearson(np.array([1.0]), np.array([2.0])) == 0.0
+        assert pearson(np.array([]), np.array([])) == 0.0
 
     def test_three_point_example(self):
         # dx = (-1, 0, 1), dy = (-1/3, -4/3, 5/3): r = 2 / sqrt(2 * 14/3)
-        assert pearson([1, 2, 3], [2, 1, 4]) == pytest.approx(3 / math.sqrt(21))
+        assert pearson(np.array([1.0, 2, 3]), np.array([2.0, 1, 4])) == pytest.approx(3 / math.sqrt(21))
 
     def test_symmetry_and_affine_invariance(self, rng):
         xs = rng.normal(size=12)

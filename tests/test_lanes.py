@@ -368,11 +368,11 @@ def test_tucker_lanes_allocate_no_khatri_rao_chunk(monkeypatch):
 @pytest.mark.parametrize("kernel", [pytest.param(scoring.SimilarityBlocks, id="forward"),
                                     pytest.param(scoring.GradientBlocks, id="gradient")])
 def test_cut_contiguous_parts_into_blocks_of_the_lane_kernels_rows(monkeypatch, count, lanes, kernel):
-    # ranking and KNN cut by their float32 kernels' rows (12 over 10 entities: twice block_rows),
-    # training by its gradient kernels' lane_rows (6 // lanes)
+    # ranking and KNN cut by their float32 kernels' rows (12 over 10 entities: the budget's bytes),
+    # training by its gradient kernels' rows (a LANES share of the budget: 6 // lanes)
     monkeypatch.setattr(scoring, "LANES", lanes)
     monkeypatch.setattr(scoring, "BLOCK_SCORES", 6 * 10)
-    step = 12 if kernel is scoring.SimilarityBlocks else scoring.lane_rows(10)
+    step = 12 if kernel is scoring.SimilarityBlocks else 6 // lanes
     built = scoring.lanes(kernel, "distmult", scoring.EmbeddingTables(np.zeros((10, 2)), np.zeros((1, 2))))
     assert len(built) == lanes and all(type(k) is kernel and k.rows == step for k, _ in built)
     assert len({id(k) for k, _ in built}) == len({id(m) for _, m in built}) == lanes

@@ -260,7 +260,7 @@ def test_forward_kernel_takes_the_whole_budget_and_training_its_lane_share(num_e
     rows = scoring.SimilarityBlocks(2, entity).rows
     assert rows == max(1, 2 * scoring.BLOCK_SCORES // num_entities)
     assert rows * num_entities * 4 <= scoring.BLOCK_SCORES * 8 or rows == 1
-    assert scoring.GradientBlocks(2, entity).rows == scoring.lane_rows(num_entities)
+    assert scoring.GradientBlocks(2, entity).rows == max(1, scoring.BLOCK_SCORES // scoring.LANES // num_entities)
 
 
 def test_block_larger_than_its_buffer_is_rejected(rng, monkeypatch):
